@@ -10,12 +10,13 @@ run with ``--trace 1``.  Without ``--workload`` it runs every workload, each
 in its own processes, timed and then traced (or only the one ``--trace``
 names), and prints a table.  Exit code 0 means every output checked out.
 
-The timed run starts SETUP_PROBES processes that stop at the first timed call,
-then one that times whole operations for ``--seconds``.  Before, between and
-after the probes it times a reference start, a bare ``import numpy, scipy.fft``
-process, which drifts with the host as set-up does.  Each probe's set-up time
-is rescaled by REF_START_NOMINAL_S over the mean of its two neighbouring
-reference starts, and ``setup_s`` is the median of the rescaled times.
+The timed run starts 2 * SETUP_PAIRS processes that stop at the first timed
+call, then one that times whole operations for ``--seconds``.  Before the
+probes and after every pair of them it times a reference start, a bare
+``import numpy, scipy.fft`` process, which drifts with the host as set-up does.
+Each probe's set-up time is rescaled by REF_START_NOMINAL_S over the mean of
+the two reference starts around its pair, and ``setup_s`` is the median of the
+rescaled times.
 """
 
 import argparse
@@ -30,7 +31,7 @@ import time
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 OUT = os.path.join(HERE, "out")
-SETUP_PROBES = 5
+SETUP_PAIRS = 4           # set-up times spread about 9 % within a run
 REF_START = [sys.executable, "-c", "import numpy, scipy.fft"]
 REF_START_NOMINAL_S = 0.5
 DEADLINE_S = 170.0          # one --workload invocation ends within this
@@ -75,19 +76,24 @@ def run_workload(bench, workload, seed, seconds, trace):
             json.dump({"workload": workload, "seed": seed, "metrics": metrics}, fh, indent=1)
     else:
         ref = reference_start(deadline)
-        for _ in range(SETUP_PROBES):
-            t0 = time.monotonic()
-            raw.append(spawn([workload, seed, seconds, "setup"], deadline)["first_call"] - t0)
+        for _ in range(SETUP_PAIRS):
+            pair = []
+            for _ in range(2):
+                t0 = time.monotonic()
+                pair.append(spawn([workload, seed, seconds, "setup"], deadline)["first_call"] - t0)
             ref_next = reference_start(deadline)
-            setups.append(raw[-1] * 2.0 * REF_START_NOMINAL_S / (ref + ref_next))
+            raw += pair
+            setups += [x * 2.0 * REF_START_NOMINAL_S / (ref + ref_next) for x in pair]
             ref = ref_next
         rec = spawn([workload, seed, seconds, "timed"], deadline)
+        if rec["solve_s"] is None:
+            raise BenchError(f"{workload}: every operation raised, so there is no time to report")
         values = {"solve_s": rec["solve_s"], "setup_s": statistics.median(setups),
                   "peak_rss_mb": rec["peak_rss_mb"], "forward_runs": rec["forward_runs"]}
         metrics = {m["name"]: {"value": values[m["name"]], "unit": m["unit"]}
                    for m in bench["end_to_end"]}
     ops = rec["ops"]
-    result = {"correct": not any(op["failures"] and not op["raised"] for op in ops),
+    result = {"correct": not any(op["failures"] for op in ops),
               "attempted": len(ops),
               "failed": sum(1 for op in ops if op["failures"]),
               "metrics": metrics}
@@ -110,20 +116,20 @@ def print_table(workload, result):
 
 
 def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--workload")
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--seconds", type=float, default=10.0)
-    ap.add_argument("--trace", type=int, choices=(0, 1))
-    args = ap.parse_args(argv)
-    if args.seed < 0:
-        ap.error("--seed must be non-negative")
     missing = [p for p in REQUIRED if not os.path.isfile(os.path.join(ROOT, p))]
     if missing:
         print(f"error: not an archemo checkout, missing {', '.join(missing)}", file=sys.stderr)
         return 2
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--workload")
+    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seconds", type=float, default=bench["run_seconds"])
+    ap.add_argument("--trace", type=int, choices=(0, 1))
+    args = ap.parse_args(argv)
+    if args.seed < 0:
+        ap.error("--seed must be non-negative")
     workloads = [w["name"] for w in bench["workloads"]]
     if args.workload is not None and args.workload not in workloads:
         ap.error(f"--workload must be one of {', '.join(workloads)}")
@@ -142,7 +148,7 @@ def main(argv=None):
             for trace in ((0, 1) if args.trace is None else (args.trace,)):
                 result = run_workload(bench, workload, args.seed, args.seconds, trace)
                 print_table(workload + (" (traced)" if trace else ""), result)
-                ok = ok and result["correct"] and result["failed"] == 0
+                ok = ok and result["correct"]
         return 0 if ok else 1
     except BenchError as err:
         print(f"error: {err}", file=sys.stderr)

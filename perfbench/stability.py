@@ -1,7 +1,8 @@
 """Stability set: repeat the benchmark over seeds and report each metric's spread.
 
-    python3 perfbench/stability.py [--runs 10] [--first-seed 1] [--workload NAME ...]
+    python3 perfbench/stability.py [--first-seed 1]
 
+It runs every workload RUNS times, with seeds first-seed, first-seed + 1, ....
 Each run is one ``run.py --workload ... --trace 0`` process with its own seed.
 The spread of a metric is the distance between the first and third quartile
 (``statistics.quantiles(values, n=4)``) as a share of the median, the figure
@@ -19,6 +20,7 @@ import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
+RUNS = 10
 
 
 def spread(values):
@@ -31,14 +33,12 @@ def main(argv=None):
         bench = json.load(fh)
     names = [w["name"] for w in bench["workloads"]]
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--runs", type=int, default=10)
     ap.add_argument("--first-seed", type=int, default=1)
-    ap.add_argument("--workload", action="append", choices=names)
     args = ap.parse_args(argv)
     record = {"started": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()), "workloads": {}}
-    for workload in args.workload or names:
+    for workload in names:
         runs = []
-        for seed in range(args.first_seed, args.first_seed + args.runs):
+        for seed in range(args.first_seed, args.first_seed + RUNS):
             proc = subprocess.run(
                 [sys.executable, os.path.join(HERE, "run.py"), "--workload", workload,
                  "--seed", str(seed), "--seconds", str(bench["run_seconds"]), "--trace", "0"],

@@ -47,24 +47,26 @@ TRACED = (
 )
 
 
-def package_modules(package="archemo"):
+PACKAGE = "archemo"
+
+
+def package_modules():
     """Every loaded module of the package, the package itself included."""
     return [m for name, m in list(sys.modules.items())
-            if m is not None and (name == package or name.startswith(package + "."))]
+            if m is not None and (name == PACKAGE or name.startswith(PACKAGE + "."))]
 
 
 class Rebinder:
     """Context manager that swaps package functions for wrappers everywhere they are bound."""
 
-    def __init__(self, package="archemo"):
-        self.package = package
+    def __init__(self):
         self._log = []
 
     def wrap(self, module, func, make_wrapper):
-        """Bind ``make_wrapper(current)`` wherever ``<package>.<module>.<func>`` is bound."""
-        target = getattr(sys.modules[f"{self.package}.{module}"], func)
+        """Bind ``make_wrapper(current)`` wherever ``archemo.<module>.<func>`` is bound."""
+        target = getattr(sys.modules[f"{PACKAGE}.{module}"], func)
         wrapper = make_wrapper(target)
-        for mod in package_modules(self.package):
+        for mod in package_modules():
             for key, val in list(vars(mod).items()):
                 if val is target:
                     setattr(mod, key, wrapper)
@@ -98,10 +100,10 @@ class ForwardCounter:
     def install(self, rebinder: Rebinder):
         def make(fn):
             @functools.wraps(fn)
-            def counted(domain, init, *args, **kwargs):
-                traj = fn(domain, init, *args, **kwargs)
-                # one trajectory per initial datum; a stacked leading axis counts each
-                self.runs += np.asarray(init[0]).size // domain.node_count
+            def counted(*args, **kwargs):
+                traj = fn(*args, **kwargs)
+                # solve_forward integrates one initial datum per call
+                self.runs += 1
                 self.stored_bytes += traj.u.nbytes + traj.v.nbytes + traj.w.nbytes
                 return traj
             return counted

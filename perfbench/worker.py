@@ -132,9 +132,11 @@ def main(argv):
             if measured >= seconds:
                 break
             state = wl.build(seed, ROOT, tmp)
+    # an operation that raised stopped early, so its time and runs say nothing
+    whole = [op for op in ops if not op["raised"]]
     out = {"first_call": first_call, "ops": ops,
-           "solve_s": statistics.median(op["s"] for op in ops),
-           "forward_runs": statistics.median(op["forward_runs"] for op in ops),
+           "solve_s": statistics.median(op["s"] for op in whole) if whole else None,
+           "forward_runs": statistics.median(op["forward_runs"] for op in whole) if whole else None,
            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}
     if tracer:
         out["layers"] = layer_metrics(tracer, counter, ops)
