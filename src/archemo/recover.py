@@ -43,7 +43,7 @@ from .forward import (
     solve_forward,
 )
 from .grid import Domain
-from .variation import ForwardHandle, PerturbationFamily, extract_variation_fd
+from .variation import ForwardHandle, PerturbationFamily, VariationStack, extract_variation_fd
 
 __all__ = [
     "Oracle",
@@ -167,7 +167,14 @@ def _axial_mode(domain: Domain, k: int) -> pr.EigenMode:
 
 
 class ExperimentBank:
-    """Caches finite-difference variation stacks per probing experiment."""
+    """Caches finite-difference variation stacks per distinct probing family.
+
+    Stacks are keyed by the family's content (profiles, eps ladder and the
+    non-negativity flag), so experiments that probe with identical data share
+    one stack whatever their names.  An order-2 stack replaces the family's
+    order-1 stack, whose values it contains; order-1 requests are then served
+    from it without the second-order fields.
+    """
 
     def __init__(self, oracle: Oracle, options: PipelineOptions):
         self.oracle = oracle
@@ -175,14 +182,25 @@ class ExperimentBank:
         self._stacks = {}
         self.used = []
 
+    def _family_key(self, fam: PerturbationFamily):
+        domain = self.oracle.domain
+        profiles = tuple(fam.profile(name, domain).tobytes()
+                         for name in ("f1", "g1", "h1", "f2", "g2", "h2"))
+        return profiles, tuple(float(e) for e in fam.epsilons), bool(fam.enforce_nonnegative)
+
     def stack(self, exp: Experiment, order: int = 1):
-        key = (exp.name, order)
-        if key not in self._stacks:
+        key = self._family_key(exp.fam)
+        stack = self._stacks.get(key)
+        if stack is None or (order == 2 and stack.order2 is None):
             stack = extract_variation_fd(self.oracle.handle(), exp.fam, order=order)
             self._stacks[key] = stack
-            if exp.name not in self.used:
-                self.used.append(exp.name)
-        return self._stacks[key]
+        if exp.name not in self.used:
+            self.used.append(exp.name)
+        if order == 1 and stack.order2 is not None:
+            diagnostics = {k: v for k, v in stack.diagnostics.items() if k != "order2_corrections"}
+            return VariationStack(order1=stack.order1, provenance=stack.provenance,
+                                  diagnostics=diagnostics)
+        return stack
 
 
 def _default_lin_experiment(domain, options, tau) -> dict:
@@ -744,18 +762,15 @@ def _solve_normal(domain, N, rvec):
     return sol, Nreg, rn
 
 
-def _batched_lsq_3(domain, rows_reg, rows_rhs, wt_list):
+def _batched_lsq_3(domain, pieces):
     """Per-node normal-equation solve for three coefficients, pooled and jackknifed.
 
-    rows_reg: list of (3, n_t, *shape) regressor stacks per experiment;
-    rows_rhs: matching (n_t, *shape) residual stacks.  Returns pooled
+    pieces: one :func:`_normal_contribution` per experiment.  Returns pooled
     coefficients (3, *shape), per-node sigma (3, *shape), the relative fit
     residual, and the leave-one-experiment-out coefficient fields used for
     jackknife bias floors.
     """
     shape = domain.shape
-    pieces = [_normal_contribution(domain, regs, rhs, wt)
-              for regs, rhs, wt in zip(rows_reg, rows_rhs, wt_list)]
     N = sum(p[0] for p in pieces)
     rvec = sum(p[1] for p in pieces)
     btb = sum(p[2] for p in pieces)
@@ -805,36 +820,37 @@ def recover_second_kinetics(oracle: Oracle, r: float, linear: StageRecord,
     gamma_grid = coefficient_on_grid(linear.estimates["gamma"], domain)
     beta, delta = linear.estimates["beta"], linear.estimates["delta"]
 
+    def contribution(exp, comp, a10_grid, decay):
+        # one experiment's regressors, reduced to normal-equation pieces
+        stack = bank.stack(exp, order=2)
+        o1, o2 = stack.order1, stack.order2
+        chem1 = o1.component(comp)
+        chem2 = o2.component(comp)
+        if oracle.tau == 0:
+            n_t = chem2.shape[0]
+            lap2 = np.stack([g.laplacian_neumann(domain, chem2[n]) for n in range(n_t)])
+            rhs = -lap2 + decay * chem2 - a10_grid * o2.u
+            regs = np.stack([o1.u * chem1, 2.0 * o1.u ** 2, 2.0 * chem1 ** 2])
+            wt = _time_weights(o2.times)
+        else:
+            n_t = chem2.shape[0] - 1
+            lap_next = np.stack([g.laplacian_neumann(domain, chem2[n + 1]) for n in range(n_t)])
+            rhs = ((chem2[1:] - s * dt * lap_next - chem2[:-1]) / (s * dt)
+                   + decay * chem2[:-1] - a10_grid * o2.u[:-1])
+            regs = np.stack([o1.u[:-1] * chem1[:-1], 2.0 * o1.u[:-1] ** 2,
+                             2.0 * chem1[:-1] ** 2])
+            wt = _time_weights(o2.times[:-1])
+        return _normal_contribution(domain, regs, rhs, wt)
+
     estimates, residuals, conditioning = {}, {}, {}
     details = {}
     for comp, a10_grid, decay, labels in (
         ("v", alpha_grid, beta, ("a11", "a20", "a02")),
         ("w", gamma_grid, delta, ("b11", "b20", "b02")),
     ):
-        regs_all, rhs_all, wt_all = [], [], []
-        for exp in exps:
-            stack = bank.stack(exp, order=2)
-            o1, o2 = stack.order1, stack.order2
-            chem1 = o1.component(comp)
-            chem2 = o2.component(comp)
-            if oracle.tau == 0:
-                n_t = chem2.shape[0]
-                lap2 = np.stack([g.laplacian_neumann(domain, chem2[n]) for n in range(n_t)])
-                rhs = -lap2 + decay * chem2 - a10_grid * o2.u
-                regs = np.stack([o1.u * chem1, 2.0 * o1.u ** 2, 2.0 * chem1 ** 2])
-                wt = _time_weights(o2.times)
-            else:
-                n_t = chem2.shape[0] - 1
-                lap_next = np.stack([g.laplacian_neumann(domain, chem2[n + 1]) for n in range(n_t)])
-                rhs = ((chem2[1:] - s * dt * lap_next - chem2[:-1]) / (s * dt)
-                       + decay * chem2[:-1] - a10_grid * o2.u[:-1])
-                regs = np.stack([o1.u[:-1] * chem1[:-1], 2.0 * o1.u[:-1] ** 2,
-                                 2.0 * chem1[:-1] ** 2])
-                wt = _time_weights(o2.times[:-1])
-            regs_all.append(regs)
-            rhs_all.append(rhs)
-            wt_all.append(wt)
-        coeffs, sigmas, rel_resid, loo = _batched_lsq_3(domain, regs_all, rhs_all, wt_all)
+        # only one experiment's regressors are alive at a time
+        pieces = [contribution(exp, comp, a10_grid, decay) for exp in exps]
+        coeffs, sigmas, rel_resid, loo = _batched_lsq_3(domain, pieces)
         residuals[f"{comp}_equation_fit"] = rel_resid
         wq = domain.weights / domain.weights.sum()
         for i, label in enumerate(labels):

@@ -266,41 +266,54 @@ def solve_second_variation(domain: Domain, p: ParameterSet, kin: KineticsSpec,
 
 # ---------------------------------------------------------------------------
 # finite-difference extraction
+#
+# A trajectory under construction is a list [u, v, w] of arrays owned by the
+# extraction, so the difference quotients and the Richardson tableau can be
+# built in place.  Every sum keeps the operands and the order of the plain
+# expression it replaces, so the values are bitwise those of that expression.
 
 
-def _traj_linear_comb(domain, terms):
-    """Sum of (coeff, Trajectory) pairs as a new Trajectory."""
-    times = terms[0][1].times
-    u = sum(c * t.u for c, t in terms)
-    v = sum(c * t.v for c, t in terms)
-    w = sum(c * t.w for c, t in terms)
-    return Trajectory(domain, times, u, v, w)
+def _linear_comb(terms, scratch):
+    """sum(c * t for c, t in terms) per component, accumulated into new arrays.
+
+    ``terms`` pairs coefficients with trajectories; ``scratch`` is one
+    component-sized buffer that holds each further scaled term in turn.
+    """
+    (c0, t0), *rest = terms
+    out = []
+    for name in ("u", "v", "w"):
+        acc = np.multiply(getattr(t0, name), c0)
+        for c, t in rest:
+            np.multiply(getattr(t, name), c, out=scratch)
+            acc += scratch
+        out.append(acc)
+    return out
 
 
-def _neville_to_zero(domain, nodes, values):
-    """Polynomial extrapolation of trajectory-valued samples to eps -> 0.
+def _neville_to_zero(nodes, column, scratch):
+    """Polynomial extrapolation of trajectory-valued samples to eps -> 0, in place.
 
-    ``nodes`` is the decreasing eps ladder; column j of the tableau holds the
-    degree-j interpolants evaluated at zero, entry i spanning nodes i..i+j.
-    Returns (best, corrections) where corrections[k] is the sup-norm change
+    ``nodes`` is the decreasing eps ladder and ``column`` the samples as
+    [u, v, w] lists, overwritten by the tableau: after column j, entry i holds
+    the degree-j interpolant at zero spanning nodes i..i+j.  Returns
+    (best, corrections) where corrections[k] is the sup-norm change
     introduced by tableau column k+1 (an extrapolation health diagnostic).
     """
     m = len(nodes)
-    column = list(values)
     corrections = []
     for j in range(1, m):
-        new_column = []
         for i in range(m - j):
             e_lo, e_hi = nodes[i + j], nodes[i]     # e_lo < e_hi
             # P_{i..i+j}(0) = (e_hi * P_{i+1..i+j} - e_lo * P_{i..i+j-1}) / (e_hi - e_lo)
-            num = _traj_linear_comb(domain, [
-                (e_hi / (e_hi - e_lo), column[i + 1]),
-                (-e_lo / (e_hi - e_lo), column[i]),
-            ])
-            new_column.append(num)
-        corrections.append(float(np.max(np.abs(new_column[-1].u - column[-1].u))))
-        column = new_column
-    return column[-1], corrections
+            a, b = e_hi / (e_hi - e_lo), -e_lo / (e_hi - e_lo)
+            for lo, hi in zip(column[i], column[i + 1]):
+                lo *= b
+                np.multiply(hi, a, out=scratch)
+                lo += scratch
+        # entry m-j still holds the previous column's last interpolant
+        np.subtract(column[m - j - 1][0], column[m - j][0], out=scratch)
+        corrections.append(float(np.max(np.abs(scratch, out=scratch))))
+    return column[0], corrections
 
 
 def extract_variation_fd(handle: ForwardHandle, fam: PerturbationFamily, order: int = 1,
@@ -313,7 +326,8 @@ def extract_variation_fd(handle: ForwardHandle, fam: PerturbationFamily, order: 
     the ladder (one-sided stencils only, since eps < 0 can break the
     non-negativity of the initial data).  ``first_direct`` substitutes a
     trusted first-order trajectory in the order-2 stencil; by default the
-    extrapolated order-1 result is used.
+    extrapolated order-1 result is used.  The ladder's difference quotients
+    are copied out only when ``return_ladder`` asks for them.
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
@@ -323,31 +337,43 @@ def extract_variation_fd(handle: ForwardHandle, fam: PerturbationFamily, order: 
     eq = handle.equilibrium
     base = handle.run(domain.constant(eq.u0), domain.constant(eq.v0), domain.constant(eq.w0))
     runs = [handle.run(*fam.initial_data(domain, eq, e)) for e in eps_ladder]
+    times = base.times
+    scratch = np.empty_like(base.u)
 
-    d1 = [_traj_linear_comb(domain, [(1.0 / e, r), (-1.0 / e, base)])
+    def snapshot(column):
+        return [Trajectory(domain, times, *(a.copy() for a in d)) for d in column]
+
+    d1 = [_linear_comb([(1.0 / e, r), (-1.0 / e, base)], scratch)
           for e, r in zip(eps_ladder, runs)]
-    order1, corr1 = _neville_to_zero(domain, eps_ladder, d1)
+    ladder1 = snapshot(d1) if return_ladder else None
+    best1, corr1 = _neville_to_zero(eps_ladder, d1, scratch)
+    del d1      # frees the spent tableau entries before the order-2 quotients exist
+    order1 = Trajectory(domain, times, *best1)
     diagnostics = {"order1_corrections": corr1}
     if len(corr1) >= 2 and corr1[-1] > corr1[-2] * 4.0 and corr1[-1] > 1e-12:
         diagnostics["ladder_warning"] = (
             "order-1 extrapolation corrections are not decreasing; ladder too coarse")
-    ladder = [(e, VariationStack(order1=d, provenance="finite-difference")) for e, d in zip(eps_ladder, d1)]
     if order == 1:
         stack = VariationStack(order1=order1, provenance="finite-difference",
                                diagnostics=diagnostics)
-        return (stack, ladder) if return_ladder else stack
+        if not return_ladder:
+            return stack
+        return stack, [(e, VariationStack(order1=d, provenance="finite-difference"))
+                       for e, d in zip(eps_ladder, ladder1)]
 
     u1_traj = first_direct if first_direct is not None else order1
-    d2 = [_traj_linear_comb(domain, [(2.0 / (e * e), r), (-2.0 / (e * e), base),
-                                     (-2.0 / e, u1_traj)])
+    d2 = [_linear_comb([(2.0 / (e * e), r), (-2.0 / (e * e), base), (-2.0 / e, u1_traj)],
+                       scratch)
           for e, r in zip(eps_ladder, runs)]
-    order2, corr2 = _neville_to_zero(domain, eps_ladder, d2)
+    ladder2 = snapshot(d2) if return_ladder else None
+    best2, corr2 = _neville_to_zero(eps_ladder, d2, scratch)
     diagnostics["order2_corrections"] = corr2
-    ladder = [(e, VariationStack(order1=s1.order1, order2=s2, provenance="finite-difference"))
-              for (e, s1), s2 in zip(ladder, d2)]
-    stack = VariationStack(order1=order1, order2=order2, provenance="finite-difference",
-                           diagnostics=diagnostics)
-    return (stack, ladder) if return_ladder else stack
+    stack = VariationStack(order1=order1, order2=Trajectory(domain, times, *best2),
+                           provenance="finite-difference", diagnostics=diagnostics)
+    if not return_ladder:
+        return stack
+    return stack, [(e, VariationStack(order1=s1, order2=s2, provenance="finite-difference"))
+                   for e, s1, s2 in zip(eps_ladder, ladder1, ladder2)]
 
 
 # ---------------------------------------------------------------------------

@@ -342,3 +342,45 @@ def test_reproduction_self_consistency(line65, nondegenerate_params):
     m_hat = measure(solve_forward(line65, (f, f, f), b_hat, make_kinetics(b_hat), cfg))
     tol = measure_match_tol(line65, nondegenerate_params, (f, f, f), cfg)
     assert measurement_distance(m_true, m_hat) <= 10 * tol
+
+
+def test_bank_shares_one_stack_per_probing_family(line65, nondegenerate_params, monkeypatch):
+    # under the tau=0 defaults "lin" and "second-2" probe with identical data
+    import archemo.recover as rc
+    calls, extract = [], rc.extract_variation_fd
+
+    def counting(handle, fam, order=1, **kw):
+        calls.append(order)
+        return extract(handle, fam, order=order, **kw)
+
+    monkeypatch.setattr(rc, "extract_variation_fd", counting)
+    oracle = _oracle(line65, nondegenerate_params, t_final=0.2)
+    opts = PipelineOptions()
+    bank = ExperimentBank(oracle, opts)
+    lin = rc._default_lin_experiment(line65, opts, 0)["lin"]
+    second2 = rc._default_chi_experiments(line65, opts, 0)[2]
+    assert second2.name == "second-2"
+    both = bank.stack(second2, order=2)
+    assert bank.stack(lin, order=2) is both
+    assert calls == [2]
+    first = bank.stack(lin, order=1)
+    assert first.order2 is None
+    assert first.order1 is both.order1
+    assert first.diagnostics["order1_corrections"] == both.diagnostics["order1_corrections"]
+    assert calls == [2]
+    assert bank.used == ["second-2", "lin"]
+
+
+def test_bank_order2_replaces_order1(line65, nondegenerate_params):
+    oracle = _oracle(line65, nondegenerate_params, t_final=0.2)
+    opts = PipelineOptions()
+    bank = ExperimentBank(oracle, opts)
+    lin = Experiment("lin", PerturbationFamily(f1=axial_mode_profile(line65, 1.0, [(1, 0.45)])))
+    first = bank.stack(lin, order=1)
+    runs = oracle.run_count
+    both = bank.stack(lin, order=2)
+    assert oracle.run_count == runs
+    assert both.order2 is not None
+    assert np.array_equal(both.order1.u, first.order1.u)
+    assert bank.stack(lin, order=1).order1 is both.order1
+    assert bank.used == ["lin"]

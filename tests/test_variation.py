@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from archemo.forward import ParameterSet, SolverConfig, elliptic_solve
+from archemo.forward import ParameterSet, SolverConfig, Trajectory, elliptic_solve
 from archemo.grid import Domain, laplacian_neumann, norm_l2
 from archemo.variation import (
     ForwardHandle,
@@ -212,3 +213,115 @@ def test_tau1_first_variation_uses_initial_chemicals(line65, applied_params):
     # pure decay of the attractant modes
     end = stack.order1.v[-1]
     assert 0 < np.max(end) < np.max(g1)
+
+
+# -- finite-difference extraction against the out-of-place reference --------------
+
+
+def _traj_linear_comb(domain, terms):
+    """Sum of (coeff, Trajectory) pairs as a new Trajectory."""
+    times = terms[0][1].times
+    u = sum(c * t.u for c, t in terms)
+    v = sum(c * t.v for c, t in terms)
+    w = sum(c * t.w for c, t in terms)
+    return Trajectory(domain, times, u, v, w)
+
+
+def _neville_to_zero(domain, nodes, values):
+    """Out-of-place Neville tableau at eps -> 0; returns (best, corrections)."""
+    m = len(nodes)
+    column = list(values)
+    corrections = []
+    for j in range(1, m):
+        new_column = []
+        for i in range(m - j):
+            e_lo, e_hi = nodes[i + j], nodes[i]
+            new_column.append(_traj_linear_comb(domain, [
+                (e_hi / (e_hi - e_lo), column[i + 1]),
+                (-e_lo / (e_hi - e_lo), column[i]),
+            ]))
+        corrections.append(float(np.max(np.abs(new_column[-1].u - column[-1].u))))
+        column = new_column
+    return column[0], corrections
+
+
+def _reference_fd(handle, fam, first_direct=None):
+    """Difference quotients and extrapolations of both orders, built out of place."""
+    domain, eq = handle.domain, handle.equilibrium
+    eps = tuple(float(e) for e in fam.epsilons)
+    base = handle.run(domain.constant(eq.u0), domain.constant(eq.v0), domain.constant(eq.w0))
+    runs = [handle.run(*fam.initial_data(domain, eq, e)) for e in eps]
+    d1 = [_traj_linear_comb(domain, [(1.0 / e, r), (-1.0 / e, base)]) for e, r in zip(eps, runs)]
+    order1, corr1 = _neville_to_zero(domain, eps, d1)
+    u1 = first_direct if first_direct is not None else order1
+    d2 = [_traj_linear_comb(domain, [(2.0 / (e * e), r), (-2.0 / (e * e), base), (-2.0 / e, u1)])
+          for e, r in zip(eps, runs)]
+    order2, corr2 = _neville_to_zero(domain, eps, d2)
+    return d1, order1, corr1, d2, order2, corr2
+
+
+def _caching_handle(domain, params, t_final=0.2):
+    # repeated probing returns the stored run, so no solver work happens after the first
+    kin = make_kinetics(params)
+    handle = ForwardHandle.from_model(domain, params, kin, SolverConfig(dt=1e-3, t_final=t_final))
+    cache = {}
+
+    def run(f, gg, h):
+        key = (f.tobytes(), gg.tobytes(), h.tobytes())
+        if key not in cache:
+            cache[key] = handle.run(f, gg, h)
+        return cache[key]
+    return ForwardHandle(domain=domain, equilibrium=handle.equilibrium, run=run, cfg=handle.cfg)
+
+
+def _assert_traj_equal(a, b):
+    for name in ("u", "v", "w"):
+        assert np.array_equal(a.component(name), b.component(name))
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("use_direct", [False, True])
+def test_fd_matches_out_of_place_reference(line65, nondegenerate_params, order, use_direct):
+    handle = _caching_handle(line65, nondegenerate_params)
+    fam = PerturbationFamily(f1=1.0 + 0.9 * np.cos(math.pi * line65.axes[0]))
+    direct = None
+    if use_direct:
+        kin = make_kinetics(nondegenerate_params)
+        direct = solve_first_variation(line65, nondegenerate_params, kin, fam, handle.cfg).order1
+    d1, order1, corr1, d2, order2, corr2 = _reference_fd(handle, fam, direct)
+    stack, ladder = extract_variation_fd(handle, fam, order=order, first_direct=direct,
+                                         return_ladder=True)
+    _assert_traj_equal(stack.order1, order1)
+    assert stack.diagnostics["order1_corrections"] == corr1
+    assert [e for e, _ in ladder] == list(fam.epsilons)
+    for (_, entry), ref in zip(ladder, d1):
+        _assert_traj_equal(entry.order1, ref)
+    if order == 1:
+        assert stack.order2 is None
+        assert all(entry.order2 is None for _, entry in ladder)
+        return
+    _assert_traj_equal(stack.order2, order2)
+    assert stack.diagnostics["order2_corrections"] == corr2
+    for (_, entry), ref in zip(ladder, d2):
+        _assert_traj_equal(entry.order2, ref)
+    # the stack without the ladder is the same extraction
+    _assert_traj_equal(extract_variation_fd(handle, fam, order=order, first_direct=direct).order2,
+                       order2)
+
+
+@pytest.mark.parametrize("order,bound", [(1, 4.0), (2, 5.0)])
+def test_fd_extraction_peak_memory(line65, nondegenerate_params, order, bound):
+    # peak allocation of one extraction, in units of one stored trajectory (u, v, w)
+    handle = _caching_handle(line65, nondegenerate_params, t_final=0.3)
+    fam = PerturbationFamily(f1=1.0 + 0.9 * np.cos(math.pi * line65.axes[0]))
+    extract_variation_fd(handle, fam, order=2)
+    base = handle.run(*(line65.constant(c) for c in handle.equilibrium))
+    traj_bytes = base.u.nbytes + base.v.nbytes + base.w.nbytes
+    tracemalloc.start()
+    try:
+        stack = extract_variation_fd(handle, fam, order=order)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stack.order1 is not None
+    assert peak / traj_bytes <= bound
