@@ -6,7 +6,7 @@ class NumericsError(RuntimeError):
 
 
 class EllipticSolveError(NumericsError):
-    """The screened-Poisson conjugate-gradient iteration did not converge."""
+    """A screened-Poisson solve was ill-posed (decay <= 0) or missed its residual tolerance."""
 
 
 class CFLViolation(NumericsError):

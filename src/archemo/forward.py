@@ -387,7 +387,7 @@ def steady_state(p: ParameterSet, trivial: bool = False, domain: Domain | None =
 
 
 def elliptic_solve(domain: Domain, source, decay, tol=1e-10):
-    """Solve (-Lap + decay) v = source with Neumann walls (CG, spectral preconditioner)."""
+    """Solve (-Lap + decay) v = source with Neumann walls (direct DCT-I solve, residual-checked)."""
     if decay <= 0:
         raise NumericsError(
             f"elliptic decay must be strictly positive (got {decay}); the screened "
@@ -419,9 +419,7 @@ def _slave_chemical(domain, kin, which, u, cfg, previous=None):
     raise NumericsError("Picard iteration for the slaved chemical field did not converge")
 
 
-def _check_cfl(domain, cfg, p, v, w):
-    potential = p.chi * v - p.xi * w
-    speed = g.max_face_speed(domain, potential)
+def _check_cfl(domain, cfg, speed):
     if speed == 0.0:
         return
     bound = cfg.cfl_safety * min(domain.spacing) / speed
@@ -435,12 +433,20 @@ def step(domain: Domain, state, p: ParameterSet, kin: KineticsSpec, cfg: SolverC
     """One IMEX Euler step; returns the new (u, v, w) triple.
 
     The supplied (v, w) must already be consistent with u (slaved for tau=0).
+    The drift's face velocities are built once and serve both the CFL check
+    and the upwind flux.
     """
     u, v, w = state
-    _check_cfl(domain, cfg, p, v, w)
-    dt = cfg.dt
     potential = p.chi * v - p.xi * w
-    advect = g.advective_flux_div(domain, u, potential) if (p.chi or p.xi) else 0.0
+    vels = g.face_velocities(domain, potential)
+    _check_cfl(domain, cfg, g.face_speed(vels))
+    dt = cfg.dt
+    if p.chi or p.xi:
+        domain.check_field(u, "density")
+        domain.check_field(potential, "potential")
+        advect = g.upwind_flux_div(domain, u, vels)
+    else:
+        advect = 0.0
     reaction = p.r * u - p.mu * u * u
     rhs = u + dt * (reaction - advect)
     u_new = g.spectral_helmholtz(domain, rhs / dt, 1.0 / dt)

@@ -5,12 +5,13 @@ node-centered grid that includes both endpoints of every axis.  Neumann
 conditions are imposed by ghost-node reflection, which makes the sampled
 cosines cos(k*pi*x/L) exact eigenvectors of the discrete Laplacian.  That
 fact is exploited throughout: the screened operator (-Lap + decay) is
-diagonal in the DCT-I basis, which yields a machine-accurate preconditioner
-for the conjugate-gradient solver.
+diagonal in the DCT-I basis, so one forward and one inverse transform solve
+the screened-Poisson problem directly.  Each domain keeps its eigenvalue grid.
 
 Fields are plain numpy arrays whose shape equals ``domain.shape`` (axis order
 x1[, x2], the last axis playing the role of the distinguished coordinate in
-separable-coefficient work).
+separable-coefficient work).  :func:`laplacian_neumann` also accepts a stack
+of fields, acting on the trailing ``domain.dim`` axes.
 """
 
 from __future__ import annotations
@@ -30,6 +31,9 @@ __all__ = [
     "advective_flux_div_patterned",
     "upwind_patterns",
     "max_face_speed",
+    "face_velocities",
+    "face_speed",
+    "upwind_flux_div",
     "quadrature",
     "inner_product",
     "helmholtz_solve",
@@ -72,6 +76,12 @@ class Domain:
             self.weights = np.multiply.outer(per_axis[0], per_axis[1])
         self.node_count = int(np.prod(cells))
         self.diameter = math.sqrt(sum(L * L for L in lengths))
+        # eigenvalues of the negative discrete Laplacian per DCT-I mode, shared
+        # by every spectral solve on this grid
+        lams = [mode_eigenvalues_1d(n, h) for n, h in zip(cells, self.spacing)]
+        lam = lams[0] if self.dim == 1 else lams[0][:, None] + lams[1][None, :]
+        lam.setflags(write=False)
+        self.neumann_eigenvalues = lam
 
     def __eq__(self, other):
         return (
@@ -111,10 +121,13 @@ class Domain:
     def constant(self, value, dtype=float):
         return np.full(self.shape, value, dtype=dtype)
 
-    def check_field(self, f, name="field", allow_complex=False):
+    def check_field(self, f, name="field", allow_complex=False, stacked=False):
+        """Validate a field; ``stacked`` accepts any leading axes before ``self.shape``."""
         f = np.asarray(f)
-        if f.shape != self.shape:
-            raise ValueError(f"{name} has shape {f.shape}, expected {self.shape}")
+        shape = f.shape[f.ndim - self.dim:] if stacked else f.shape
+        if shape != self.shape:
+            expected = f"(..., {', '.join(map(str, self.shape))})" if stacked else f"{self.shape}"
+            raise ValueError(f"{name} has shape {f.shape}, expected {expected}")
         if not allow_complex and np.iscomplexobj(f):
             raise ValueError(f"{name} must be real-valued")
         if not np.all(np.isfinite(f)):
@@ -126,28 +139,39 @@ class Domain:
 # differential operators
 
 
+def _moveaxis(a, source, destination):
+    # np.moveaxis costs microseconds even when it moves nothing, as on every 1D field
+    return a if source == destination else np.moveaxis(a, source, destination)
+
+
 def _second_diff_axis(f, h, axis):
-    g = np.moveaxis(f, axis, 0)
+    g = _moveaxis(f, axis, 0)
     out = np.empty_like(g)
     out[1:-1] = g[:-2] - 2.0 * g[1:-1] + g[2:]
     # ghost reflection: f[-1] == f[1], so the one-sided stencil collapses
     out[0] = 2.0 * (g[1] - g[0])
     out[-1] = 2.0 * (g[-2] - g[-1])
     out /= h * h
-    return np.moveaxis(out, 0, axis)
+    return _moveaxis(out, 0, axis)
+
+
+def _laplacian(domain, f):
+    lead = f.ndim - domain.dim
+    out = _second_diff_axis(f, domain.spacing[0], lead)
+    for axis in range(1, domain.dim):
+        out = out + _second_diff_axis(f, domain.spacing[axis], lead + axis)
+    return out
 
 
 def laplacian_neumann(domain, f):
     """Second-order discrete Laplacian with zero normal derivative at the boundary.
 
     Exact on constants; cos(k*pi*x/L) samples are exact eigenvectors with
-    eigenvalue -(2 - 2cos(k*pi/(N-1)))/h^2.
+    eigenvalue -(2 - 2cos(k*pi/(N-1)))/h^2.  A stack of fields (any leading
+    axes) is transformed slice by slice, with the same values as a loop.
     """
-    f = domain.check_field(f, "laplacian input", allow_complex=True)
-    out = _second_diff_axis(f, domain.spacing[0], 0)
-    for axis in range(1, domain.dim):
-        out = out + _second_diff_axis(f, domain.spacing[axis], axis)
-    return out
+    f = domain.check_field(f, "laplacian input", allow_complex=True, stacked=True)
+    return _laplacian(domain, f)
 
 
 def gradient_neumann(domain, f):
@@ -155,33 +179,33 @@ def gradient_neumann(domain, f):
     f = domain.check_field(f, "gradient input", allow_complex=True)
     grads = []
     for axis, h in enumerate(domain.spacing):
-        g = np.moveaxis(f, axis, 0)
+        g = _moveaxis(f, axis, 0)
         out = np.empty_like(g)
         out[1:-1] = (g[2:] - g[:-2]) / (2.0 * h)
         out[0] = 0.0
         out[-1] = 0.0
-        grads.append(np.moveaxis(out, 0, axis))
+        grads.append(_moveaxis(out, 0, axis))
     return grads
 
 
-def _face_velocities(domain, potential, strength):
+def face_velocities(domain, potential, strength=1.0):
     """Face-centered velocity strength * dP/dx along each axis."""
     vels = []
     for axis, h in enumerate(domain.spacing):
-        p = np.moveaxis(potential, axis, 0)
+        p = _moveaxis(potential, axis, 0)
         vels.append(strength * (p[1:] - p[:-1]) / h)
     return vels
 
 
 def upwind_patterns(domain, potential, strength=1.0):
     """Donor-side masks (True -> take the left node) for each axis of faces."""
-    return [v > 0 for v in _face_velocities(domain, potential, strength)]
+    return [v > 0 for v in face_velocities(domain, potential, strength)]
 
 
 def _flux_divergence(domain, u, vels, patterns):
     total = np.zeros(domain.shape, dtype=np.result_type(u, *[v.dtype for v in vels]))
     for axis, (h, vel, donor_left) in enumerate(zip(domain.spacing, vels, patterns)):
-        uu = np.moveaxis(u, axis, 0)
+        uu = _moveaxis(u, axis, 0)
         donor = np.where(donor_left, uu[:-1], uu[1:])
         flux = vel * donor
         div = np.zeros_like(uu, dtype=total.dtype)
@@ -189,7 +213,7 @@ def _flux_divergence(domain, u, vels, patterns):
         # boundary cells have width h/2 and a zero outer flux
         div[0] = flux[0] / (0.5 * h)
         div[-1] = -flux[-1] / (0.5 * h)
-        total += np.moveaxis(div, 0, axis)
+        total += _moveaxis(div, 0, axis)
     return total
 
 
@@ -201,9 +225,12 @@ def advective_flux_div(domain, u, potential, strength=1.0):
     """
     u = domain.check_field(u, "density")
     potential = domain.check_field(potential, "potential")
-    vels = _face_velocities(domain, potential, strength)
-    patterns = [v > 0 for v in vels]
-    return _flux_divergence(domain, u, vels, patterns)
+    return upwind_flux_div(domain, u, face_velocities(domain, potential, strength))
+
+
+def upwind_flux_div(domain, u, vels):
+    """Flux divergence for given face velocities, upwinded by their signs (no field checks)."""
+    return _flux_divergence(domain, u, vels, [v > 0 for v in vels])
 
 
 def advective_flux_div_patterned(domain, u, potential, patterns, strength=1.0):
@@ -214,17 +241,22 @@ def advective_flux_div_patterned(domain, u, potential, patterns, strength=1.0):
     """
     u = domain.check_field(u, "density")
     potential = domain.check_field(potential, "potential")
-    vels = _face_velocities(domain, potential, strength)
+    vels = face_velocities(domain, potential, strength)
     return _flux_divergence(domain, u, vels, patterns)
+
+
+def face_speed(vels):
+    """Largest |v| over all faces and axes of the given face velocities."""
+    speed = 0.0
+    for v in vels:
+        if v.size:
+            speed = max(speed, float(np.max(np.abs(v))))
+    return speed
 
 
 def max_face_speed(domain, potential, strength=1.0):
     """Largest |strength * dP/dx| over all faces and axes (CFL numerator)."""
-    speed = 0.0
-    for v in _face_velocities(domain, potential, strength):
-        if v.size:
-            speed = max(speed, float(np.max(np.abs(v))))
-    return speed
+    return face_speed(face_velocities(domain, potential, strength))
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +312,12 @@ def norm_l2(domain, f):
 # spectral helpers and the screened-Poisson solver
 
 
+# Over 1D and 2D grids of 33-1025 nodes per axis, decays 1e-6-50 and random,
+# smooth and offset sources, the residual of the exact spectral solution stayed
+# below 0.75 * eps * (largest eigenvalue + decay) * |v|.
+RESIDUAL_ROUNDING_SLACK = 8.0
+
+
 def mode_eigenvalues_1d(n, h):
     """Eigenvalues of -d^2/dx^2 (Neumann, ghost reflection) for DCT-I modes."""
     k = np.arange(n)
@@ -287,34 +325,34 @@ def mode_eigenvalues_1d(n, h):
 
 
 def neumann_eigenvalue_grid(domain):
-    """Eigenvalues of the negative discrete Laplacian, indexed by DCT-I mode."""
-    lams = [mode_eigenvalues_1d(n, h) for n, h in zip(domain.cells, domain.spacing)]
+    """Eigenvalues of the negative discrete Laplacian, indexed by DCT-I mode (read-only)."""
+    return domain.neumann_eigenvalues
+
+
+def _spectral_solve(domain, source, decay):
+    lam = domain.neumann_eigenvalues + decay
     if domain.dim == 1:
-        return lams[0]
-    return lams[0][:, None] + lams[1][None, :]
-
-
-def _dct(f):
-    return scipy.fft.dctn(f, type=1)
-
-
-def _idct(c):
-    return scipy.fft.idctn(c, type=1)
+        # the same transform as dctn on one axis, without its axis bookkeeping
+        return scipy.fft.idct(scipy.fft.dct(source, type=1) / lam, type=1)
+    return scipy.fft.idctn(scipy.fft.dctn(source, type=1) / lam, type=1)
 
 
 def spectral_helmholtz(domain, source, decay):
     """Direct solve of (-Lap + decay) v = source by DCT-I diagonalization."""
-    return _idct(_dct(source) / (neumann_eigenvalue_grid(domain) + decay))
+    return _spectral_solve(domain, source, decay)
 
 
-def helmholtz_solve(domain, source, decay, tol=1e-10, maxiter=200, precondition=True):
-    """Solve (-Lap + decay) v = source under Neumann conditions by CG.
+def helmholtz_solve(domain, source, decay, tol=1e-10):
+    """Solve (-Lap + decay) v = source under Neumann conditions, with a residual check.
 
     The operator is symmetric positive definite in the trapezoid-weighted
-    inner product for decay > 0.  With the spectral preconditioner (exact up
-    to roundoff) the iteration converges in one or two sweeps; without it the
-    loop is a plain conjugate-gradient solve.  Raises
-    :class:`EllipticSolveError` if the relative residual does not reach tol.
+    inner product for decay > 0, and diagonal in the DCT-I basis, so one
+    transform pair solves it.  The residual of that solution, in the weighted
+    norm, must not exceed tol times the source's, or else the rounding error
+    of evaluating the residual (:data:`RESIDUAL_ROUNDING_SLACK` * eps *
+    (largest eigenvalue + decay) * |v|), which sets the floor for small decay
+    on fine grids.  :class:`EllipticSolveError` is raised otherwise, and for
+    decay <= 0.
     """
     if decay <= 0:
         raise EllipticSolveError(
@@ -322,44 +360,20 @@ def helmholtz_solve(domain, source, decay, tol=1e-10, maxiter=200, precondition=
         )
     source = domain.check_field(source, "source")
     w = domain.weights
-    lam = neumann_eigenvalue_grid(domain) + decay
-
-    def apply_op(v):
-        return -laplacian_neumann(domain, v) + decay * v
-
-    if precondition:
-        def apply_pre(rr):
-            return _idct(_dct(rr) / lam)
-    else:
-        def apply_pre(rr):
-            return rr
-
-    def dot(a, b):
-        return float(np.sum(w * a * b))
-
-    bnorm = math.sqrt(dot(source, source))
+    bnorm = math.sqrt(float(np.sum(w * source * source)))
     if bnorm == 0.0:
         return np.zeros_like(source)
-
-    x = apply_pre(source)
-    r = source - apply_op(x)
-    z = apply_pre(r)
-    p = z
-    rz = dot(r, z)
-    for _ in range(maxiter):
-        if math.sqrt(dot(r, r)) <= tol * bnorm:
-            return x
-        ap = apply_op(p)
-        alpha = rz / dot(p, ap)
-        x = x + alpha * p
-        r = r - alpha * ap
-        z = apply_pre(r)
-        rz_new = dot(r, z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    if math.sqrt(dot(r, r)) <= tol * bnorm:
+    x = _spectral_solve(domain, source, decay)
+    r = source - (-_laplacian(domain, x) + decay * x)
+    rnorm = math.sqrt(float(np.sum(w * r * r)))
+    if rnorm <= tol * bnorm:
+        return x
+    lam_max = float(np.max(domain.neumann_eigenvalues))
+    floor = (RESIDUAL_ROUNDING_SLACK * np.finfo(float).eps * (lam_max + decay)
+             * math.sqrt(float(np.sum(w * x * x))))
+    if rnorm <= floor:
         return x
     raise EllipticSolveError(
-        f"CG stalled at relative residual {math.sqrt(dot(r, r)) / bnorm:.3e} "
-        f"(target {tol:.1e}, decay={decay})"
+        f"spectral solve left relative residual {rnorm / bnorm:.3e} "
+        f"(target {tol:.1e}, rounding floor {floor / bnorm:.1e}, decay={decay})"
     )

@@ -73,9 +73,17 @@ class Oracle:
     """Deterministic forward map (f, g, h) -> trajectory + measurement record.
 
     The truth parameters live in private attributes; recovery code only calls
-    :meth:`query` and reads the public protocol (grid, solver config, declared
-    expansion equilibrium).  Queries are cached, so repeated probing with
-    identical data costs one solve.
+    :meth:`query` or a :meth:`handle` and reads the public protocol (grid,
+    solver config, declared expansion equilibrium).  Identical data costs one
+    solve within one cache scope, and there are two scopes:
+
+    * :meth:`query` shares the oracle's own cache, which lives as long as the
+      oracle does;
+    * each :meth:`handle` has a cache of its own, which lives as long as that
+      handle.  A recovery holds one handle, so once it has finished no
+      trajectory it integrated stays reachable from the oracle.
+
+    ``query_count`` and ``run_count`` count the queries and solves of both.
     """
 
     def __init__(self, domain: Domain, params: ParameterSet, kinetics: KineticsSpec,
@@ -97,20 +105,26 @@ class Oracle:
     def tau(self) -> int:
         return self.cfg.tau
 
-    def query(self, f, gg, h):
+    def _lookup(self, cache, f, gg, h):
         self.query_count += 1
         key = (np.asarray(f).tobytes(), np.asarray(gg).tobytes(), np.asarray(h).tobytes())
-        hit = self._cache.get(key)
+        hit = cache.get(key)
         if hit is None:
             traj = solve_forward(self.domain, (f, gg, h), self._params, self._kinetics, self.cfg)
             hit = (traj, measure(traj))
-            self._cache[key] = hit
+            cache[key] = hit
             self.run_count += 1
         return hit
 
+    def query(self, f, gg, h):
+        return self._lookup(self._cache, f, gg, h)
+
     def handle(self) -> ForwardHandle:
+        """A forward handle whose runs are cached for the handle's lifetime only."""
+        cache = {}
+
         def _run(f, gg, h):
-            return self.query(f, gg, h)[0]
+            return self._lookup(cache, f, gg, h)[0]
         return ForwardHandle(domain=self.domain, equilibrium=self.equilibrium,
                              run=_run, cfg=self.cfg)
 
@@ -173,12 +187,14 @@ class ExperimentBank:
     non-negativity flag), so experiments that probe with identical data share
     one stack whatever their names.  An order-2 stack replaces the family's
     order-1 stack, whose values it contains; order-1 requests are then served
-    from it without the second-order fields.
+    from it without the second-order fields.  The bank queries the oracle
+    through one handle, so the forward runs it caches go with the bank.
     """
 
     def __init__(self, oracle: Oracle, options: PipelineOptions):
         self.oracle = oracle
         self.options = options
+        self._handle = oracle.handle()
         self._stacks = {}
         self.used = []
 
@@ -192,7 +208,7 @@ class ExperimentBank:
         key = self._family_key(exp.fam)
         stack = self._stacks.get(key)
         if stack is None or (order == 2 and stack.order2 is None):
-            stack = extract_variation_fd(self.oracle.handle(), exp.fam, order=order)
+            stack = extract_variation_fd(self._handle, exp.fam, order=order)
             self._stacks[key] = stack
         if exp.name not in self.used:
             self.used.append(exp.name)
@@ -493,8 +509,7 @@ def _linear_kinetics_tau0(oracle, bank, exps, options, want_fields):
         residuals[names[0]] = resid
         details[f"rhos_{comp}"] = rhos
         if want_fields:
-            lap_stack = np.stack([g.laplacian_neumann(domain, chem[n]) for n in range(len(o1.times))])
-            numer = -lap_stack + decay * chem
+            numer = -g.laplacian_neumann(domain, chem) + decay * chem
             fld = _time_regressed_field(domain, numer, o1.u, wt, _mask_floor(options, o1.u))
             proj = _project_axial_independent(domain, fld)
             misfit = g.norm_l2(domain, fld - proj) / (g.norm_l2(domain, fld) or 1.0)
@@ -539,8 +554,7 @@ def _linear_kinetics_tau1(oracle, bank, exps, options, want_fields):
         chem = lin.component(comp)
         decay = estimates[decay_name]
         # invert the stepping relation: a*u1[n] = ((I - s dt Lap) chem[n+1] - chem[n])/(s dt) + decay*chem[n]
-        lap_next = np.stack([g.laplacian_neumann(domain, chem[n + 1])
-                             for n in range(len(lin.times) - 1)])
+        lap_next = g.laplacian_neumann(domain, chem[1:])
         numer = (chem[1:] - s * dt * lap_next - chem[:-1]) / (s * dt) + decay * chem[:-1]
         fld = _time_regressed_field(domain, numer, lin.u[:-1], wt, _mask_floor(options, lin.u))
         if want_fields:
@@ -570,7 +584,7 @@ def _require_stride_one(oracle, what):
 
 def _second_variation_residual(domain, dt, r_hat, u2):
     """Source series S[n] recovered from the density second-variation steps."""
-    lap_next = np.stack([g.laplacian_neumann(domain, u2[n + 1]) for n in range(u2.shape[0] - 1)])
+    lap_next = g.laplacian_neumann(domain, u2[1:])
     return (u2[1:] - dt * lap_next - u2[:-1]) / dt - r_hat * u2[:-1]
 
 
@@ -629,15 +643,17 @@ def recover_chi_xi_mu(oracle: Oracle, r: float, linear: StageRecord,
         for exp, o1, resid in data:
             n_res = resid.shape[0]
             times = o1.times[:n_res]
+            gaps = np.empty_like(resid)
+            for n in range(n_res):
+                s_chi, s_xi, s_mu = regressor_slices(o1, n, chi_xi_guess)
+                gaps[n] = resid[n] - sol[0] * s_chi - sol[1] * s_xi - sol[2] * s_mu
             for zeta in zetas:
                 probe = pr.cgo_parabolic(zeta, r)
                 omega = probe.sample(domain, times)
                 num = 0.0 + 0.0j
                 den = 0.0
                 for n in range(n_res):
-                    s_chi, s_xi, s_mu = regressor_slices(o1, n, chi_xi_guess)
-                    gap = resid[n] - sol[0] * s_chi - sol[1] * s_xi - sol[2] * s_mu
-                    num += np.sum(domain.weights * gap * omega[n]) * dt
+                    num += np.sum(domain.weights * gaps[n] * omega[n]) * dt
                     den += float(np.sum(domain.weights * np.abs(resid[n]) * np.abs(omega[n]))) * dt
                 worst = max(worst, abs(num) / (den or 1.0))
         return worst
@@ -827,14 +843,11 @@ def recover_second_kinetics(oracle: Oracle, r: float, linear: StageRecord,
         chem1 = o1.component(comp)
         chem2 = o2.component(comp)
         if oracle.tau == 0:
-            n_t = chem2.shape[0]
-            lap2 = np.stack([g.laplacian_neumann(domain, chem2[n]) for n in range(n_t)])
-            rhs = -lap2 + decay * chem2 - a10_grid * o2.u
+            rhs = -g.laplacian_neumann(domain, chem2) + decay * chem2 - a10_grid * o2.u
             regs = np.stack([o1.u * chem1, 2.0 * o1.u ** 2, 2.0 * chem1 ** 2])
             wt = _time_weights(o2.times)
         else:
-            n_t = chem2.shape[0] - 1
-            lap_next = np.stack([g.laplacian_neumann(domain, chem2[n + 1]) for n in range(n_t)])
+            lap_next = g.laplacian_neumann(domain, chem2[1:])
             rhs = ((chem2[1:] - s * dt * lap_next - chem2[:-1]) / (s * dt)
                    + decay * chem2[:-1] - a10_grid * o2.u[:-1])
             regs = np.stack([o1.u[:-1] * chem1[:-1], 2.0 * o1.u[:-1] ** 2,

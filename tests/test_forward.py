@@ -15,7 +15,14 @@ from archemo.forward import (
     steady_state,
     step,
 )
-from archemo.grid import Domain, laplacian_neumann, quadrature
+from archemo.grid import (
+    Domain,
+    advective_flux_div,
+    laplacian_neumann,
+    max_face_speed,
+    quadrature,
+    spectral_helmholtz,
+)
 from archemo.variation import PerturbationFamily, solve_first_variation
 
 from conftest import make_kinetics
@@ -161,6 +168,34 @@ def test_cfl_violation_detected(line65):
     f = 1.0 + 0.9 * np.cos(math.pi * line65.axes[0])
     with pytest.raises(CFLViolation):
         solve_forward(line65, (f, line65.zeros(), line65.zeros()), p, kin, cfg)
+
+
+def test_step_density_matches_unfused_drift(applied_params, rng):
+    # one face-velocity build feeds both the CFL speed and the upwind flux; the
+    # density update equals the one built from the two separate grid operators
+    for d in (Domain(1.0, 65), Domain((1.0, 1.0), (17, 17))):
+        kin = make_kinetics(applied_params)
+        cfg = SolverConfig(tau=1, dt=1e-3, t_final=1.0)
+        u, v, w = (0.5 + 0.1 * rng.random(d.shape) for _ in range(3))
+        p = applied_params
+        potential = p.chi * v - p.xi * w
+        assert cfg.dt <= cfg.cfl_safety * min(d.spacing) / max_face_speed(d, potential)
+        rhs = u + cfg.dt * (p.r * u - p.mu * u * u - advective_flux_div(d, u, potential))
+        expected = spectral_helmholtz(d, rhs / cfg.dt, 1.0 / cfg.dt)
+        assert np.array_equal(step(d, (u, v, w), p, kin, cfg)[0], expected)
+
+
+def test_step_rejects_nonfinite_and_negative_states(line65, applied_params):
+    kin = make_kinetics(applied_params)
+    cfg = SolverConfig(tau=0, dt=1e-3, t_final=1.0)
+    good = line65.constant(0.5)
+    for which in range(3):
+        state = [good.copy(), good.copy(), good.copy()]
+        state[which][7] = np.nan
+        with pytest.raises(ValueError):
+            step(line65, tuple(state), applied_params, kin, cfg)
+    with pytest.raises(NumericsError):
+        step(line65, (line65.constant(-0.5), good, good), applied_params, kin, cfg)
 
 
 def test_negative_initial_data_rejected(line65, applied_params):

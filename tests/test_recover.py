@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -119,6 +121,25 @@ def test_oracle_caching_and_counts(line65, applied_params):
     assert t1 is t2
 
 
+def test_finished_recovery_holds_no_trajectories(line65, nondegenerate_params, monkeypatch):
+    # the bank's handle caches the runs, so they go when the recovery returns
+    import archemo.recover as rc
+    refs, solve = [], rc.solve_forward
+
+    def recording(*args, **kwargs):
+        traj = solve(*args, **kwargs)
+        refs.append(weakref.ref(traj))
+        return traj
+
+    monkeypatch.setattr(rc, "solve_forward", recording)
+    oracle = _oracle(line65, nondegenerate_params, dt=2e-3, t_final=0.1)
+    report = run_full_pipeline(oracle, PipelineOptions(recover_fields=False))
+    gc.collect()
+    # base run plus three eps runs for each of the three distinct families
+    assert report.oracle_runs == oracle.run_count == len(refs) == 10
+    assert all(ref() is None for ref in refs)
+
+
 # -- stage round trips -----------------------------------------------------------
 
 def test_recover_r_via_oracle(line129, nondegenerate_params):
@@ -181,6 +202,32 @@ def test_mu_only_reduction(line129):
     lin = recover_linear_kinetics(oracle, r, options=opts, bank=bank)
     rec = recover_chi_xi_mu(oracle, r, lin, options=opts, bank=bank)
     assert abs(rec.estimates["mu"] - 1.0) <= 0.02
+
+
+def test_chi_xi_mu_builds_patterned_regressors_once_per_pass(line65, nondegenerate_params,
+                                                            monkeypatch):
+    # two frozen-pattern regressors per step for the second least-squares pass,
+    # and two more for the probe identities, shared by every probe
+    import archemo.grid as grid_mod
+    import archemo.recover as rc
+    oracle = _oracle(line65, nondegenerate_params, dt=2e-3, t_final=0.1)
+    opts = PipelineOptions(recover_fields=False)
+    bank = ExperimentBank(oracle, opts)
+    r_hat = recover_r(oracle, options=opts, bank=bank).estimates["r"]
+    lin = recover_linear_kinetics(oracle, r_hat, options=opts, bank=bank)
+    calls, patterned = [], grid_mod.advective_flux_div_patterned
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return patterned(*args, **kwargs)
+
+    monkeypatch.setattr(grid_mod, "advective_flux_div_patterned", counting)
+    rec = recover_chi_xi_mu(oracle, r_hat, lin, options=opts, bank=bank)
+    assert opts.pattern_iterations == 2 and len(opts.probe_zeta_multipliers) == 4
+    n_res = sum(len(bank.stack(exp, order=2).order2.times) - 1
+                for exp in rc._default_chi_experiments(line65, opts))
+    assert len(calls) == 4 * n_res
+    assert rec.residuals["probe_identity"] >= 0
 
 
 def test_chi_xi_mu_permutation_invariance(line65, nondegenerate_params):
