@@ -16,7 +16,6 @@ from .forward import (
     SeparableField,
     SolverConfig,
     Trajectory,
-    elliptic_solve,
     measure,
     solve_forward,
     steady_state,

@@ -22,7 +22,6 @@ initial state).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -41,7 +40,6 @@ __all__ = [
     "Trajectory",
     "MeasurementRecord",
     "steady_state",
-    "elliptic_solve",
     "step",
     "solve_forward",
     "measure",
@@ -80,9 +78,7 @@ class SeparableField:
         return np.multiply.outer(t, a)
 
     def axial_integral(self, domain: Domain) -> float:
-        w = np.full(domain.cells[-1], domain.spacing[-1])
-        w[0] = w[-1] = 0.5 * domain.spacing[-1]
-        return float(np.sum(w * self.axial))
+        return float(np.sum(domain.axis_weights[-1] * self.axial))
 
     def validate(self, domain: Domain):
         if abs(self.axial_integral(domain)) < 1e-12:
@@ -146,21 +142,10 @@ def coefficient_on_grid(value, domain: Domain):
     return domain.constant(float(value))
 
 
-def coefficient_mean(value, domain: Domain):
-    if isinstance(value, (np.ndarray, SeparableField)):
-        f = coefficient_on_grid(value, domain)
-        return float(g.quadrature(domain, f) / np.prod(domain.lengths))
-    return float(value)
-
-
 def _monomial_weight(p: int, q: int) -> float:
     # Normalization contract: with these weights the second-variation sources
     # of the chemical equations read  a11*u1*v1 + 2*a20*u1^2 + 2*a02*v1^2.
-    if p + q <= 1:
-        return 1.0
-    if p + q == 2:
-        return 0.5 if (p, q) == (1, 1) else 1.0
-    return 1.0 / (math.factorial(p) * math.factorial(q))
+    return 0.5 if (p, q) == (1, 1) else 1.0
 
 
 @dataclass
@@ -171,18 +156,16 @@ class KineticsSpec:
     :func:`_monomial_weight`), and likewise ``h_coeffs`` for H in (u, w).
     The (0, 1) entries must be constants with negative value (their negation
     is the decay rate); (1, 0) entries must not depend on the last coordinate;
-    total order >= 2 entries are constants or separable fields.
+    total order 2 entries, the highest supported, are constants or separable fields.
     """
 
     g_coeffs: dict = field(default_factory=dict)
     h_coeffs: dict = field(default_factory=dict)
     expansion_point: EquilibriumState = EquilibriumState(0.0, 0.0, 0.0)
-    max_order: int = 2
 
     @classmethod
     def from_parameters(cls, p: ParameterSet, second_order_g=None, second_order_h=None,
-                        expansion_point: EquilibriumState | None = None,
-                        max_order: int = 2):
+                        expansion_point: EquilibriumState | None = None):
         gc = {(1, 0): p.alpha, (0, 1): -p.beta}
         hc = {(1, 0): p.gamma, (0, 1): -p.delta}
         if second_order_g:
@@ -190,13 +173,13 @@ class KineticsSpec:
         if second_order_h:
             hc.update(second_order_h)
         eq = expansion_point if expansion_point is not None else EquilibriumState(0.0, 0.0, 0.0)
-        return cls(g_coeffs=gc, h_coeffs=hc, expansion_point=eq, max_order=max_order)
+        return cls(g_coeffs=gc, h_coeffs=hc, expansion_point=eq)
 
     def validate(self, domain: Domain | None = None):
         for label, table in (("g", self.g_coeffs), ("h", self.h_coeffs)):
             for (p, q), val in table.items():
-                if p + q < 1 or p + q > self.max_order:
-                    raise ValueError(f"{label}_coeffs[{(p, q)}] outside total order 1..{self.max_order}")
+                if p + q < 1 or p + q > 2:
+                    raise ValueError(f"{label}_coeffs[{(p, q)}] outside total order 1..2")
                 if (p, q) == (0, 1):
                     if isinstance(val, (np.ndarray, SeparableField)):
                         raise ValueError(f"{label}_coeffs[(0,1)] must be a constant")
@@ -211,10 +194,10 @@ class KineticsSpec:
                         spread = np.max(np.abs(fld - fld[..., :1]))
                         if spread > 1e-10 * (1.0 + np.max(np.abs(fld))):
                             raise ValueError(f"{label}_coeffs[(1,0)] must be independent of the last coordinate")
-                elif p + q >= 2:
+                else:
                     if isinstance(val, np.ndarray):
                         raise ValueError(
-                            f"{label}_coeffs[{(p, q)}] of order >= 2 must be a constant or SeparableField")
+                            f"{label}_coeffs[{(p, q)}] of order 2 must be a constant or SeparableField")
                     if isinstance(val, SeparableField) and domain is not None:
                         val.validate(domain)
         return self
@@ -255,32 +238,27 @@ class KineticsSpec:
     def _nonlinear_in_second(self, table) -> bool:
         return any(q >= 1 and (p, q) != (0, 1) for (p, q) in table)
 
-    def second_order_sources_g(self, domain: Domain, u1, v1):
-        """a11*u1*v1 + 2*a20*u1^2 + 2*a02*v1^2 on the grid (zero entries skipped)."""
+    def second_order_sources(self, which: str, domain: Domain, u1, c1):
+        """a11*u1*c1 + 2*a20*u1^2 + 2*a02*c1^2 of G (``which="g"``, c1 = v1) or H
+        (``"h"``, c1 = w1) on the grid, skipping absent entries."""
         out = np.zeros(domain.shape)
-        c = self.coeff_grid("g", (1, 1), domain)
+        c = self.coeff_grid(which, (1, 1), domain)
         if c is not None:
-            out += c * u1 * v1
-        c = self.coeff_grid("g", (2, 0), domain)
+            out += c * u1 * c1
+        c = self.coeff_grid(which, (2, 0), domain)
         if c is not None:
             out += 2.0 * c * u1 * u1
-        c = self.coeff_grid("g", (0, 2), domain)
+        c = self.coeff_grid(which, (0, 2), domain)
         if c is not None:
-            out += 2.0 * c * v1 * v1
+            out += 2.0 * c * c1 * c1
         return out
 
-    def second_order_sources_h(self, domain: Domain, u1, w1):
-        out = np.zeros(domain.shape)
-        c = self.coeff_grid("h", (1, 1), domain)
-        if c is not None:
-            out += c * u1 * w1
-        c = self.coeff_grid("h", (2, 0), domain)
-        if c is not None:
-            out += 2.0 * c * u1 * u1
-        c = self.coeff_grid("h", (0, 2), domain)
-        if c is not None:
-            out += 2.0 * c * w1 * w1
-        return out
+
+# Picard iteration for slaved chemical fields that are nonlinear in v or w
+PICARD_TOL = 1e-12
+PICARD_MAXITER = 64
+# a density below this after a step means the run has gone unstable
+NEGATIVITY_FLOOR = -1e-9
 
 
 @dataclass
@@ -292,10 +270,7 @@ class SolverConfig:
     cfl_safety: float = 0.9
     store_every: int = 1
     relaxation_speedup: float = 1.0   # tau=1 only: dv/dt = s*(Lap v + G)
-    picard_tol: float = 1e-12
-    picard_maxiter: int = 64
     require_nonnegative: bool = True
-    negativity_floor: float = -1e-9
 
     def validate(self):
         if self.tau not in (0, 1):
@@ -386,15 +361,6 @@ def steady_state(p: ParameterSet, trivial: bool = False, domain: Domain | None =
     return EquilibriumState(u0, float(p.alpha) * u0 / p.beta, float(p.gamma) * u0 / p.delta)
 
 
-def elliptic_solve(domain: Domain, source, decay, tol=1e-10):
-    """Solve (-Lap + decay) v = source with Neumann walls (direct DCT-I solve, residual-checked)."""
-    if decay <= 0:
-        raise NumericsError(
-            f"elliptic decay must be strictly positive (got {decay}); the screened "
-            "operator would not be positive definite")
-    return g.helmholtz_solve(domain, source, decay, tol=tol)
-
-
 def _slave_chemical(domain, kin, which, u, cfg, previous=None):
     """Solve 0 = Lap v + G(x, u, v) for the chemical field (Picard if nonlinear in v)."""
     eq = kin.expansion_point
@@ -407,14 +373,14 @@ def _slave_chemical(domain, kin, which, u, cfg, previous=None):
     nonlinear = kin._nonlinear_in_second(table)
     guess = previous if previous is not None else domain.constant(base)
     v = guess
-    for _ in range(cfg.picard_maxiter):
+    for _ in range(PICARD_MAXITER):
         rhs = evaluate(domain, u, v) + decay * (v - base)
         v_new = base + g.helmholtz_solve(domain, rhs, decay, tol=cfg.elliptic_tol)
         if not nonlinear:
             return v_new
         delta = float(np.max(np.abs(v_new - v)))
         v = v_new
-        if delta <= cfg.picard_tol * (1.0 + float(np.max(np.abs(v)))):
+        if delta <= PICARD_TOL * (1.0 + float(np.max(np.abs(v)))):
             return v
     raise NumericsError("Picard iteration for the slaved chemical field did not converge")
 
@@ -450,7 +416,7 @@ def step(domain: Domain, state, p: ParameterSet, kin: KineticsSpec, cfg: SolverC
     reaction = p.r * u - p.mu * u * u
     rhs = u + dt * (reaction - advect)
     u_new = g.spectral_helmholtz(domain, rhs / dt, 1.0 / dt)
-    if cfg.require_nonnegative and float(np.min(u_new)) < cfg.negativity_floor:
+    if cfg.require_nonnegative and float(np.min(u_new)) < NEGATIVITY_FLOOR:
         raise NumericsError(
             f"density dropped to {float(np.min(u_new)):.3e}, below the negativity floor; "
             "the run is unstable")
@@ -489,22 +455,18 @@ def solve_forward(domain: Domain, init, p: ParameterSet, kin: KineticsSpec,
     else:
         v, w = g0.copy(), h0.copy()
 
-    n_steps = cfg.n_steps
-    stored_idx = list(range(0, n_steps + 1, cfg.store_every))
-    if stored_idx[-1] != n_steps:
-        stored_idx.append(n_steps)
-    times = np.array([i * cfg.dt for i in stored_idx])
-    shape = (len(stored_idx),) + domain.shape
+    # stored: every store_every-th step and the last one; step n goes to slot ceil(n / every)
+    n_steps, every = cfg.n_steps, cfg.store_every
+    n_stored = -(-n_steps // every) + 1
+    times = np.empty(n_stored)
+    shape = (n_stored,) + domain.shape
     us, vs, ws = np.empty(shape), np.empty(shape), np.empty(shape)
-    slot = 0
-    if stored_idx[0] == 0:
-        us[0], vs[0], ws[0] = u, v, w
-        slot = 1
+    times[0], us[0], vs[0], ws[0] = 0.0, u, v, w
     for n in range(1, n_steps + 1):
         u, v, w = step(domain, (u, v, w), p, kin, cfg)
-        if slot < len(stored_idx) and stored_idx[slot] == n:
-            us[slot], vs[slot], ws[slot] = u, v, w
-            slot += 1
+        if n % every == 0 or n == n_steps:
+            slot = -(-n // every)
+            times[slot], us[slot], vs[slot], ws[slot] = n * cfg.dt, u, v, w
     return Trajectory(domain, times, us, vs, ws)
 
 

@@ -26,7 +26,6 @@ from .errors import EllipticSolveError
 __all__ = [
     "Domain",
     "laplacian_neumann",
-    "gradient_neumann",
     "advective_flux_div",
     "advective_flux_div_patterned",
     "upwind_patterns",
@@ -36,9 +35,9 @@ __all__ = [
     "upwind_flux_div",
     "quadrature",
     "inner_product",
+    "time_weights",
     "helmholtz_solve",
     "spectral_helmholtz",
-    "neumann_eigenvalue_grid",
     "mode_eigenvalues_1d",
 ]
 
@@ -63,17 +62,20 @@ class Domain:
         self.spacing = tuple(L / (n - 1) for L, n in zip(lengths, cells))
         self.shape = cells
         self.axes = [np.linspace(0.0, L, n) for L, n in zip(lengths, cells)]
-        # trapezoid weights: h at interior nodes, h/2 at the two boundary nodes
+        # trapezoid weights: h at interior nodes, h/2 at the two boundary nodes;
+        # shared by every quadrature, so they are read-only
         per_axis = []
         for h, n in zip(self.spacing, cells):
             w = np.full(n, h)
             w[0] = w[-1] = 0.5 * h
+            w.setflags(write=False)
             per_axis.append(w)
-        self._axis_weights = per_axis
+        self.axis_weights = per_axis
         if self.dim == 1:
             self.weights = per_axis[0]
         else:
             self.weights = np.multiply.outer(per_axis[0], per_axis[1])
+            self.weights.setflags(write=False)
         self.node_count = int(np.prod(cells))
         self.diameter = math.sqrt(sum(L * L for L in lengths))
         # eigenvalues of the negative discrete Laplacian per DCT-I mode, shared
@@ -174,20 +176,6 @@ def laplacian_neumann(domain, f):
     return _laplacian(domain, f)
 
 
-def gradient_neumann(domain, f):
-    """Centered gradient per axis; the reflected ghost node makes it vanish on the boundary."""
-    f = domain.check_field(f, "gradient input", allow_complex=True)
-    grads = []
-    for axis, h in enumerate(domain.spacing):
-        g = _moveaxis(f, axis, 0)
-        out = np.empty_like(g)
-        out[1:-1] = (g[2:] - g[:-2]) / (2.0 * h)
-        out[0] = 0.0
-        out[-1] = 0.0
-        grads.append(_moveaxis(out, 0, axis))
-    return grads
-
-
 def face_velocities(domain, potential, strength=1.0):
     """Face-centered velocity strength * dP/dx along each axis."""
     vels = []
@@ -269,26 +257,15 @@ def boundary_line_weight_arrays(domain):
     Keeping the axes separate avoids spurious corner cross-terms when pairing
     a field with direction-dependent normal data.
     """
-    out = []
     if domain.dim == 1:
         w = np.zeros(domain.shape)
         w[0] = w[-1] = 1.0
-        out.append(w)
-        return out
-    h0, h1 = domain.spacing
+        return [w]
     w0 = np.zeros(domain.shape)
-    edge_w = np.full(domain.cells[1], h1)
-    edge_w[0] = edge_w[-1] = h1 / 2
-    w0[0, :] = edge_w
-    w0[-1, :] = edge_w
-    out.append(w0)
+    w0[0, :] = w0[-1, :] = domain.axis_weights[1]
     w1 = np.zeros(domain.shape)
-    edge_w = np.full(domain.cells[0], h0)
-    edge_w[0] = edge_w[-1] = h0 / 2
-    w1[:, 0] = edge_w
-    w1[:, -1] = edge_w
-    out.append(w1)
-    return out
+    w1[:, 0] = w1[:, -1] = domain.axis_weights[0]
+    return [w0, w1]
 
 
 def quadrature(domain, f):
@@ -308,6 +285,20 @@ def norm_l2(domain, f):
     return math.sqrt(abs(np.sum(domain.weights * np.abs(np.asarray(f)) ** 2)))
 
 
+def time_weights(times):
+    """Trapezoid weights over the (possibly uneven) stored times; 1 for a single time."""
+    times = np.asarray(times, dtype=float)
+    wt = np.empty(len(times))
+    if len(times) == 1:
+        wt[0] = 1.0
+        return wt
+    dt = np.diff(times)
+    wt[0] = dt[0] / 2
+    wt[-1] = dt[-1] / 2
+    wt[1:-1] = (dt[:-1] + dt[1:]) / 2
+    return wt
+
+
 # ---------------------------------------------------------------------------
 # spectral helpers and the screened-Poisson solver
 
@@ -322,11 +313,6 @@ def mode_eigenvalues_1d(n, h):
     """Eigenvalues of -d^2/dx^2 (Neumann, ghost reflection) for DCT-I modes."""
     k = np.arange(n)
     return (2.0 - 2.0 * np.cos(np.pi * k / (n - 1))) / (h * h)
-
-
-def neumann_eigenvalue_grid(domain):
-    """Eigenvalues of the negative discrete Laplacian, indexed by DCT-I mode (read-only)."""
-    return domain.neumann_eigenvalues
 
 
 def _spectral_solve(domain, source, decay):

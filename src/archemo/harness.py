@@ -38,7 +38,7 @@ from .forward import (
     solve_forward,
     steady_state,
 )
-from .grid import Domain, norm_l2
+from .grid import Domain, helmholtz_solve, norm_l2
 from .recover import (
     Oracle,
     PipelineOptions,
@@ -47,6 +47,7 @@ from .recover import (
     run_full_pipeline,
 )
 from .variation import (
+    DEFAULT_EPSILONS,
     ForwardHandle,
     PerturbationFamily,
     VariationStack,
@@ -206,7 +207,7 @@ CONFIG_SCHEMA = {
     "perturb.f2": (str, str, "0"),
     "perturb.g2": (str, str, "0"),
     "perturb.h2": (str, str, "0"),
-    "perturb.epsilons": (_parse_floats, _ser_floats, (1e-2, 5e-3, 2.5e-3)),
+    "perturb.epsilons": (_parse_floats, _ser_floats, DEFAULT_EPSILONS),
     "pipeline.mode_indices": (_parse_ints, _ser_ints, (1, 2)),
     "pipeline.moment_J": (int, str, 6),
     "pipeline.lambda_reg": (float, _ser_float, 1e-8),
@@ -222,6 +223,11 @@ CONFIG_SCHEMA = {
     "convergence.levels": (int, str, 3),
     "output.dir": (str, str, "out"),
 }
+
+
+# second-order kinetics entry label -> (chemical equation, monomial exponents (p, q))
+SECOND_ORDER_KEYS = {"a11": ("g", (1, 1)), "a20": ("g", (2, 0)), "a02": ("g", (0, 2)),
+                     "b11": ("h", (1, 1)), "b20": ("h", (2, 0)), "b02": ("h", (0, 2))}
 
 
 @dataclass
@@ -301,18 +307,13 @@ class ExperimentConfig:
 
     def kinetics(self, domain: Domain, params: ParameterSet | None = None) -> KineticsSpec:
         p = params if params is not None else self.parameter_set(domain)
-        label_to_key = {"a11": (1, 1), "a20": (2, 0), "a02": (0, 2)}
-        so_g, so_h = {}, {}
-        for label, key in label_to_key.items():
-            g_spec = self.get(f"kinetics.{label}")
-            h_spec = self.get(f"kinetics.{label.replace('a', 'b')}")
-            g_prof = build_profile(domain, g_spec)
-            h_prof = build_profile(domain, h_spec)
-            if not (isinstance(g_prof, float) and g_prof == 0.0):
-                so_g[key] = g_prof
-            if not (isinstance(h_prof, float) and h_prof == 0.0):
-                so_h[key] = h_prof
-        return KineticsSpec.from_parameters(p, second_order_g=so_g, second_order_h=so_h)
+        second = {"g": {}, "h": {}}
+        for label, (which, key) in SECOND_ORDER_KEYS.items():
+            prof = build_profile(domain, self.get(f"kinetics.{label}"))
+            if not (isinstance(prof, float) and prof == 0.0):
+                second[which][key] = prof
+        return KineticsSpec.from_parameters(p, second_order_g=second["g"],
+                                            second_order_h=second["h"])
 
     def initial_data(self, domain: Domain):
         out = []
@@ -555,11 +556,10 @@ def _heat_mode_error(domain, dt, t_final, richardson_in_time=False):
 
 
 def _elliptic_mode_error(domain, decay=1.5):
-    from .forward import elliptic_solve
     x = domain.meshgrid()[-1]
     lam = (math.pi / domain.lengths[-1]) ** 2
     f = np.cos(math.pi * x / domain.lengths[-1])
-    sol = elliptic_solve(domain, (lam + decay) * f, decay)
+    sol = helmholtz_solve(domain, (lam + decay) * f, decay)
     return norm_l2(domain, sol - f) / norm_l2(domain, f)
 
 
@@ -848,9 +848,7 @@ def _cmd_recover(args, cfg: ExperimentConfig) -> int:
     options = cfg.pipeline_options(domain)
     report = run_full_pipeline(oracle, options)
     truth = params.as_dict()
-    label_to_key = {"a11": ("g", (1, 1)), "a20": ("g", (2, 0)), "a02": ("g", (0, 2)),
-                    "b11": ("h", (1, 1)), "b20": ("h", (2, 0)), "b02": ("h", (0, 2))}
-    for label, (which, key) in label_to_key.items():
+    for label, (which, key) in SECOND_ORDER_KEYS.items():
         table = kin.g_coeffs if which == "g" else kin.h_coeffs
         truth[label] = table.get(key, 0.0)
     outdir = args.out or cfg.get("output.dir")

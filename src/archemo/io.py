@@ -44,20 +44,23 @@ def _coordinate_columns(domain: Domain):
     return ["x", "y"], [X.ravel(), Y.ravel()]
 
 
+def _write_node_rows(fh, lead, coords, nodes, values):
+    """One line per node: the ``lead`` fields, the node's coordinates, then its
+    entry in each of ``values`` (arrays indexed by position in ``nodes``)."""
+    for j, node in enumerate(nodes):
+        cols = lead + [fmt(c[node]) for c in coords] + [fmt(a[j]) for a in values]
+        fh.write(",".join(cols) + "\n")
+
+
 def trajectory_to_csv(path, traj: Trajectory):
     """One row per (time, node): t,x[,y],u,v,w."""
     names, coords = _coordinate_columns(traj.domain)
-    n_nodes = traj.domain.node_count
+    nodes = range(traj.domain.node_count)
     with open(path, "w") as fh:
         fh.write("t," + ",".join(names) + ",u,v,w\n")
         for i, t in enumerate(traj.times):
-            u = traj.u[i].ravel()
-            v = traj.v[i].ravel()
-            w = traj.w[i].ravel()
-            ts = fmt(t)
-            for j in range(n_nodes):
-                cols = [ts] + [fmt(c[j]) for c in coords] + [fmt(u[j]), fmt(v[j]), fmt(w[j])]
-                fh.write(",".join(cols) + "\n")
+            _write_node_rows(fh, [fmt(t)], coords, nodes,
+                             [a[i].ravel() for a in (traj.u, traj.v, traj.w)])
 
 
 def _savez_deterministic(path, **arrays):
@@ -92,19 +95,12 @@ def measurement_to_csv(path_base, rec: MeasurementRecord, domain: Domain):
     with open(f"{path_base}_traces.csv", "w") as fh:
         fh.write("t," + ",".join(names) + ",u,v,w\n")
         for i, t in enumerate(rec.times):
-            ts = fmt(t)
-            for j, node in enumerate(idx):
-                cols = [ts] + [fmt(c[node]) for c in coords]
-                cols += [fmt(rec.boundary_u[i, j]), fmt(rec.boundary_v[i, j]),
-                         fmt(rec.boundary_w[i, j])]
-                fh.write(",".join(cols) + "\n")
+            _write_node_rows(fh, [fmt(t)], coords, idx,
+                             [rec.boundary_u[i], rec.boundary_v[i], rec.boundary_w[i]])
     with open(f"{path_base}_final.csv", "w") as fh:
         fh.write("t," + ",".join(names) + ",u,v,w\n")
-        ts = fmt(rec.times[-1])
-        fu, fv, fw = rec.final_u.ravel(), rec.final_v.ravel(), rec.final_w.ravel()
-        for j in range(domain.node_count):
-            cols = [ts] + [fmt(c[j]) for c in coords] + [fmt(fu[j]), fmt(fv[j]), fmt(fw[j])]
-            fh.write(",".join(cols) + "\n")
+        _write_node_rows(fh, [fmt(rec.times[-1])], coords, range(domain.node_count),
+                         [rec.final_u.ravel(), rec.final_v.ravel(), rec.final_w.ravel()])
 
 
 def measurement_to_npz(path, rec: MeasurementRecord, domain: Domain):
@@ -134,21 +130,16 @@ def measurement_from_npz(path):
 
 def variation_stack_to_csv(path, stack):
     """Same row layout as a trajectory, with order and provenance columns."""
-    traj = stack.order1
-    names, coords = _coordinate_columns(traj.domain)
-    n_nodes = traj.domain.node_count
+    names, coords = _coordinate_columns(stack.order1.domain)
+    nodes = range(stack.order1.domain.node_count)
     with open(path, "w") as fh:
         fh.write("order,provenance,t," + ",".join(names) + ",u,v,w\n")
         for order, tr in ((1, stack.order1), (2, stack.order2)):
             if tr is None:
                 continue
             for i, t in enumerate(tr.times):
-                u, v, w = tr.u[i].ravel(), tr.v[i].ravel(), tr.w[i].ravel()
-                head = f"{order},{stack.provenance},{fmt(t)}"
-                for j in range(n_nodes):
-                    cols = [head] + [fmt(c[j]) for c in coords]
-                    cols += [fmt(u[j]), fmt(v[j]), fmt(w[j])]
-                    fh.write(",".join(cols) + "\n")
+                _write_node_rows(fh, [str(order), stack.provenance, fmt(t)], coords, nodes,
+                                 [a[i].ravel() for a in (tr.u, tr.v, tr.w)])
 
 
 def variation_stack_to_npz(path, stack):
@@ -184,11 +175,9 @@ def probe_to_csv(path, domain: Domain, times, probe):
     with open(path, "w") as fh:
         fh.write("t," + ",".join(names) + ",re,im\n")
         for i, t in enumerate(np.atleast_1d(times)):
-            ts = fmt(t)
             flat = vals[i].ravel()
-            for j in range(domain.node_count):
-                cols = [ts] + [fmt(c[j]) for c in coords] + [fmt(flat[j].real), fmt(flat[j].imag)]
-                fh.write(",".join(cols) + "\n")
+            _write_node_rows(fh, [fmt(t)], coords, range(domain.node_count),
+                             [flat.real, flat.imag])
 
 
 def field_to_csv(path, domain: Domain, values):
@@ -196,5 +185,4 @@ def field_to_csv(path, domain: Domain, values):
     flat = np.asarray(values).ravel()
     with open(path, "w") as fh:
         fh.write(",".join(names) + ",value\n")
-        for j in range(domain.node_count):
-            fh.write(",".join([fmt(c[j]) for c in coords] + [fmt(flat[j])]) + "\n")
+        _write_node_rows(fh, [], coords, range(domain.node_count), [flat])

@@ -205,19 +205,6 @@ def cgo_elliptic(xi_prime, sign: int = +1) -> CGOProbe:
                     space_exponent=expo, time_exponent=0.0)
 
 
-def _time_weights(times):
-    times = np.asarray(times, dtype=float)
-    wt = np.empty(len(times))
-    if len(times) == 1:
-        wt[0] = 1.0
-        return wt
-    dt = np.diff(times)
-    wt[0] = dt[0] / 2
-    wt[-1] = dt[-1] / 2
-    wt[1:-1] = (dt[:-1] + dt[1:]) / 2
-    return wt
-
-
 def weighted_integral(domain: Domain, times, values, probe: CGOProbe) -> complex:
     """Trapezoidal space-time integral of values * probe over the cylinder."""
     values = np.asarray(values)
@@ -228,7 +215,7 @@ def weighted_integral(domain: Domain, times, values, probe: CGOProbe) -> complex
             f"{len(times)} times on grid {domain.shape}")
     pv = probe.sample(domain, times)
     per_time = (values * pv * domain.weights).reshape(len(times), -1).sum(axis=1)
-    return complex(np.sum(_time_weights(times) * per_time))
+    return complex(np.sum(g.time_weights(times) * per_time))
 
 
 # ---------------------------------------------------------------------------
@@ -343,13 +330,6 @@ class MomentRecovery:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _axial_trapezoid_weights(domain: Domain):
-    h = domain.spacing[-1]
-    w = np.full(domain.cells[-1], h)
-    w[0] = w[-1] = 0.5 * h
-    return w
-
-
 def _fit_moments_from_scan(scan, gamma0: float, J: int):
     """Least-squares moments from an axial-rate scan at one anchor frequency.
 
@@ -404,7 +384,7 @@ def _axial_from_moments(domain: Domain, gammas, sigmas, lambda_reg: float):
     """
     x = domain.axes[-1]
     L = domain.lengths[-1]
-    w = _axial_trapezoid_weights(domain)
+    w = domain.axis_weights[-1]
     J = len(gammas) - 1
     s = 2.0 * x / L - 1.0
     basis = np.polynomial.legendre.legvander(s, J)      # (n, J+1)
@@ -474,11 +454,9 @@ def moment_recover(domain: Domain, samples, J: int = 6, gamma0: float = 1.0,
 
     # transverse factor: cosine moments divided by the recovered axial transform
     x_n = domain.axes[-1]
-    w_n = _axial_trapezoid_weights(domain)
+    w_n, w1 = domain.axis_weights[-1], domain.axis_weights[0]
     L1, n1 = domain.lengths[0], domain.cells[0]
     x1 = domain.axes[0]
-    w1 = np.full(n1, domain.spacing[0])
-    w1[0] = w1[-1] = 0.5 * domain.spacing[0]
     transverse = np.zeros(n1)
     imag_leak = leak
     dropped = []

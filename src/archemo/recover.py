@@ -43,7 +43,13 @@ from .forward import (
     solve_forward,
 )
 from .grid import Domain
-from .variation import ForwardHandle, PerturbationFamily, VariationStack, extract_variation_fd
+from .variation import (
+    DEFAULT_EPSILONS,
+    ForwardHandle,
+    PerturbationFamily,
+    VariationStack,
+    extract_variation_fd,
+)
 
 __all__ = [
     "Oracle",
@@ -133,29 +139,33 @@ class Oracle:
 # options and experiments
 
 
+# weight of each nonzero axial cosine in the linear probing profile
+MODE_WEIGHT = 0.45
+# axial modes mixed into each second-order probing profile
+CHI_MODE_PATTERNS = ((1,), (2,), (1, 2))
+# parabolic probes of the stage-3 identity check, zeta_n in units of pi / L_n
+PROBE_ZETA_MULTIPLIERS = (0.0, 1.0, 2.0, 3.0)
+# stage 1 fails when the modal r estimates spread beyond this many fit sigmas,
+# or when the probe-integral balance leaves a larger relative residual than CGO_CHECK_TOL
+MODE_SIGMA_FACTOR = 3.0
+CGO_CHECK_TOL = 0.1
+# stage-3 least-squares passes; each after the first freezes the upwind
+# pattern of the previous pass's (chi, xi)
+PATTERN_PASSES = 2
+
+
 @dataclass
 class PipelineOptions:
-    epsilons: tuple = (1e-2, 5e-3, 2.5e-3)
+    epsilons: tuple = DEFAULT_EPSILONS
     mode_indices: tuple = (1, 2)          # nonzero probing modes along the last axis
-    mode_weight: float = 0.45
-    probe_amplitude: float = 1.0
-    chi_mode_patterns: tuple = ((1,), (2,), (1, 2))
-    probe_zeta_multipliers: tuple = (0.0, 1.0, 2.0, 3.0)
     u_floor_rel: float = 1e-4
     cond_limit: float = 1e6
-    cgo_check_tol: float = 0.1
     dispersion: str = "discrete"          # or "continuum" for synthetic data
     moment_J: int = 6
     lambda_reg: float = 1e-8
     moment_cap: float = 0.4
-    n_moment_samples: int = 24
-    second_order_entries: tuple = ("a11", "a20", "a02", "b11", "b20", "b02")
     declared_separable: dict = field(default_factory=dict)   # entry -> declared Gamma_0
     recover_fields: bool | None = None    # None: fields in 2D, constants in 1D
-    assume_zero_advection: bool = False
-    pattern_iterations: int = 2
-    rate_fit_tol: float = 1e-2
-    mode_sigma_factor: float = 3.0
 
 
 @dataclass(frozen=True)
@@ -220,9 +230,8 @@ class ExperimentBank:
 
 
 def _default_lin_experiment(domain, options, tau) -> dict:
-    amp, wgt = options.probe_amplitude, options.mode_weight
-    pairs = [(k, wgt) for k in options.mode_indices]
-    prof = amp * axial_mode_profile(domain, 1.0, pairs)
+    pairs = [(k, MODE_WEIGHT) for k in options.mode_indices]
+    prof = axial_mode_profile(domain, 1.0, pairs)
     eps = options.epsilons
     exps = {"lin": Experiment("lin", PerturbationFamily(f1=prof, epsilons=eps))}
     if tau == 1:
@@ -232,18 +241,17 @@ def _default_lin_experiment(domain, options, tau) -> dict:
 
 
 def _default_chi_experiments(domain, options, tau=0) -> list:
-    amp = options.probe_amplitude
     exps = []
-    for i, pattern in enumerate(options.chi_mode_patterns):
+    for i, pattern in enumerate(CHI_MODE_PATTERNS):
         weight = 0.9 / len(pattern)
-        prof = amp * axial_mode_profile(domain, 1.0, [(k, weight) for k in pattern])
+        prof = axial_mode_profile(domain, 1.0, [(k, weight) for k in pattern])
         g1 = h1 = None
         if tau == 1:
             # independent chemical initial data decouples the attractant from the
             # repellent channel even when their balance laws coincide; without it
             # only chi - xi would be identifiable
             kg = pattern[0]
-            chem = amp * axial_mode_profile(domain, 1.0, [(kg, 0.9)])
+            chem = axial_mode_profile(domain, 1.0, [(kg, 0.9)])
             if i % 2 == 0:
                 g1 = chem
             else:
@@ -327,19 +335,6 @@ def linear_pair_from_ratios(rhos, lams):
     return abar, beta, cond, resid
 
 
-def _time_weights(times):
-    times = np.asarray(times, dtype=float)
-    wt = np.empty(len(times))
-    if len(times) == 1:
-        wt[0] = 1.0
-        return wt
-    dt = np.diff(times)
-    wt[0] = dt[0] / 2
-    wt[-1] = dt[-1] / 2
-    wt[1:-1] = (dt[:-1] + dt[1:]) / 2
-    return wt
-
-
 def _modal_ratio(domain, numer_traj, denom_traj, mode, wt):
     vn = pr.modal_amplitude(domain, numer_traj, mode)
     un = pr.modal_amplitude(domain, denom_traj, mode)
@@ -367,10 +362,8 @@ def _project_axial_independent(domain, fld):
     """Average along the last axis (the declared independent coordinate)."""
     if domain.dim == 1:
         return fld
-    w = np.full(domain.cells[-1], domain.spacing[-1])
-    w[0] = w[-1] = 0.5 * domain.spacing[-1]
-    w = w / w.sum()
-    proj = fld @ w
+    w = domain.axis_weights[-1]
+    proj = fld @ (w / w.sum())
     return np.broadcast_to(proj[:, None], domain.shape).copy()
 
 
@@ -411,7 +404,7 @@ def recover_r(oracle: Oracle, modes=None, options: PipelineOptions | None = None
     for k in (0,) + modes:
         mode = _axial_mode(domain, k)
         amps = pr.modal_amplitude(domain, u1, mode)
-        theta, sigma, rms = fit_exponential_rate(times, amps, options.rate_fit_tol)
+        theta, sigma, rms = fit_exponential_rate(times, amps)
         r_k = rate_to_growth(theta, mode.lam, mode.lam_h, dt, options.dispersion)
         estimates.append(r_k)
         sigmas.append(max(sigma, fd_floor / scale, 1e-10))
@@ -419,13 +412,13 @@ def recover_r(oracle: Oracle, modes=None, options: PipelineOptions | None = None
         details[f"r_from_mode_{k}"] = r_k
     r_hat = float(np.mean(estimates))
     for r_k, sig in zip(estimates, sigmas):
-        if abs(r_k - r_hat) > options.mode_sigma_factor * max(sig, 1e-8) + 1e-9:
+        if abs(r_k - r_hat) > MODE_SIGMA_FACTOR * max(sig, 1e-8) + 1e-9:
             raise RecoveryError(
-                f"r estimates disagree across modes beyond {options.mode_sigma_factor} sigma: "
+                f"r estimates disagree across modes beyond {MODE_SIGMA_FACTOR} sigma: "
                 f"{estimates}")
 
     cgo_rel = _cgo_rate_check(domain, times, u1, r_hat)
-    if cgo_rel > options.cgo_check_tol:
+    if cgo_rel > CGO_CHECK_TOL:
         raise RecoveryError(
             f"probe-integral cross-check failed: relative residual {cgo_rel:.3e} "
             f"with the estimated growth rate")
@@ -448,7 +441,7 @@ def _cgo_rate_check(domain, times, u1, r_hat, zeta_amp=None):
     zeta[-1] = zeta_amp
     probe = pr.cgo_parabolic(zeta, r_hat)
     omega = probe.sample(domain, times)
-    wt = _time_weights(times)
+    wt = g.time_weights(times)
     endpoint = (np.sum(domain.weights * u1[-1] * omega[-1])
                 - np.sum(domain.weights * u1[0] * omega[0]))
     dnu_w = probe.weighted_normal_derivative(domain)
@@ -490,7 +483,7 @@ def _linear_kinetics_tau0(oracle, bank, exps, options, want_fields):
     domain = oracle.domain
     stack = bank.stack(exps["lin"], order=1)
     o1 = stack.order1
-    wt = _time_weights(o1.times)
+    wt = g.time_weights(o1.times)
     use_disc = options.dispersion == "discrete"
 
     estimates, residuals, conditioning, details = {}, {}, {}, {}
@@ -537,7 +530,7 @@ def _linear_kinetics_tau1(oracle, bank, exps, options, want_fields):
         for k in (0,) + tuple(options.mode_indices):
             mode = _axial_mode(domain, k)
             amps = pr.modal_amplitude(domain, fieldstack, mode)
-            theta, _, _ = fit_exponential_rate(chem_stack.times, amps, options.rate_fit_tol)
+            theta, _, _ = fit_exponential_rate(chem_stack.times, amps)
             vals.append(_chem_rate_to_decay(theta, mode.lam_h, dt, s,
                                             "continuum" if use_cont else "discrete", mode.lam))
         decay = float(np.mean(vals))
@@ -549,13 +542,12 @@ def _linear_kinetics_tau1(oracle, bank, exps, options, want_fields):
 
     # sources from the density probe (g1 = h1 = 0)
     lin = bank.stack(exps["lin"], order=1).order1
-    wt = _time_weights(lin.times[:-1])
+    wt = g.time_weights(lin.times[:-1])
     for comp, src_name, decay_name in (("v", "alpha", "beta"), ("w", "gamma", "delta")):
         chem = lin.component(comp)
         decay = estimates[decay_name]
         # invert the stepping relation: a*u1[n] = ((I - s dt Lap) chem[n+1] - chem[n])/(s dt) + decay*chem[n]
-        lap_next = g.laplacian_neumann(domain, chem[1:])
-        numer = (chem[1:] - s * dt * lap_next - chem[:-1]) / (s * dt) + decay * chem[:-1]
+        numer = _step_source(domain, chem, s * dt) + decay * chem[:-1]
         fld = _time_regressed_field(domain, numer, lin.u[:-1], wt, _mask_floor(options, lin.u))
         if want_fields:
             proj = _project_axial_independent(domain, fld)
@@ -582,10 +574,13 @@ def _require_stride_one(oracle, what):
             f"storage (solver.store_every = 1), got {oracle.cfg.store_every}")
 
 
-def _second_variation_residual(domain, dt, r_hat, u2):
-    """Source series S[n] recovered from the density second-variation steps."""
-    lap_next = g.laplacian_neumann(domain, u2[1:])
-    return (u2[1:] - dt * lap_next - u2[:-1]) / dt - r_hat * u2[:-1]
+def _step_source(domain, x, h):
+    """Explicit part of each implicit-Euler diffusion step of x with step h.
+
+    The solver steps x[n+1] - h Lap x[n+1] = x[n] + h * E[n]; this returns
+    E[n] = (x[n+1] - h Lap x[n+1] - x[n]) / h for every stored pair of steps.
+    """
+    return (x[1:] - h * g.laplacian_neumann(domain, x[1:]) - x[:-1]) / h
 
 
 def recover_chi_xi_mu(oracle: Oracle, r: float, linear: StageRecord,
@@ -615,7 +610,8 @@ def recover_chi_xi_mu(oracle: Oracle, r: float, linear: StageRecord,
     for exp in exps:
         stack = bank.stack(exp, order=2)
         o1, o2 = stack.order1, stack.order2
-        resid = _second_variation_residual(domain, dt, r, o2.u)
+        # source series of the density second-variation steps
+        resid = _step_source(domain, o2.u, dt) - r * o2.u[:-1]
         data.append((exp, o1, resid))
 
     def regressor_slices(o1, n, chi_xi_guess):
@@ -631,7 +627,7 @@ def recover_chi_xi_mu(oracle: Oracle, r: float, linear: StageRecord,
         return s_chi, s_xi, s_mu
 
     zetas = []
-    for mult in options.probe_zeta_multipliers:
+    for mult in PROBE_ZETA_MULTIPLIERS:
         z = np.zeros(domain.dim)
         z[-1] = mult * math.pi / domain.lengths[-1]
         zetas.append(z)
@@ -658,27 +654,6 @@ def recover_chi_xi_mu(oracle: Oracle, r: float, linear: StageRecord,
                 worst = max(worst, abs(num) / (den or 1.0))
         return worst
 
-    if options.assume_zero_advection:
-        # single-unknown reduction: mu from the probe-weighted identity alone
-        num, den = 0.0, 0.0
-        for exp, o1, resid in data:
-            n_res = resid.shape[0]
-            times = o1.times[:n_res]
-            for zeta in zetas:
-                probe = pr.cgo_parabolic(zeta, r)
-                omega = probe.sample(domain, times)
-                s_mu = -2.0 * o1.u[:n_res] ** 2
-                a = complex(np.sum((s_mu * omega * domain.weights).reshape(n_res, -1).sum(axis=1)) * dt)
-                b = complex(np.sum((resid * omega * domain.weights).reshape(n_res, -1).sum(axis=1)) * dt)
-                num += (a.conjugate() * b).real
-                den += abs(a) ** 2
-        mu_hat = num / den
-        return StageRecord(name="chi_xi_mu",
-                           estimates={"chi": 0.0, "xi": 0.0, "mu": mu_hat, "chi_minus_xi": 0.0},
-                           residuals={"fit": 0.0},
-                           conditioning={"system": 1.0},
-                           experiments=[e.name for e in exps])
-
     # pointwise space-time least squares: every node contributes a weighted row.
     # Probe-compressed rows provably lose the chi/xi separation (the probe time
     # profiles drown the brief window where the mode mixture distinguishes the
@@ -688,7 +663,7 @@ def recover_chi_xi_mu(oracle: Oracle, r: float, linear: StageRecord,
     cond_lsq = np.inf
     resid_rel = np.inf
     degenerate = False
-    for _ in range(max(options.pattern_iterations, 1)):
+    for _ in range(PATTERN_PASSES):
         degenerate = False
         N = np.zeros((3, 3))
         rv = np.zeros(3)
@@ -845,14 +820,13 @@ def recover_second_kinetics(oracle: Oracle, r: float, linear: StageRecord,
         if oracle.tau == 0:
             rhs = -g.laplacian_neumann(domain, chem2) + decay * chem2 - a10_grid * o2.u
             regs = np.stack([o1.u * chem1, 2.0 * o1.u ** 2, 2.0 * chem1 ** 2])
-            wt = _time_weights(o2.times)
+            wt = g.time_weights(o2.times)
         else:
-            lap_next = g.laplacian_neumann(domain, chem2[1:])
-            rhs = ((chem2[1:] - s * dt * lap_next - chem2[:-1]) / (s * dt)
+            rhs = (_step_source(domain, chem2, s * dt)
                    + decay * chem2[:-1] - a10_grid * o2.u[:-1])
             regs = np.stack([o1.u[:-1] * chem1[:-1], 2.0 * o1.u[:-1] ** 2,
                              2.0 * chem1[:-1] ** 2])
-            wt = _time_weights(o2.times[:-1])
+            wt = g.time_weights(o2.times[:-1])
         return _normal_contribution(domain, regs, rhs, wt)
 
     estimates, residuals, conditioning = {}, {}, {}
@@ -879,8 +853,7 @@ def recover_second_kinetics(oracle: Oracle, r: float, linear: StageRecord,
             residuals[f"{label}_noise_floor"] = floor
             if label in options.declared_separable:
                 gamma0 = options.declared_separable[label]
-                descriptors = pr.separable_probe_set(domain, options.n_moment_samples,
-                                                     options.moment_cap)
+                descriptors = pr.separable_probe_set(domain, moment_cap=options.moment_cap)
                 samples = pr.transform_samples(domain, fld, descriptors)
                 rec = pr.moment_recover(domain, samples, J=options.moment_J, gamma0=gamma0,
                                         lambda_reg=options.lambda_reg,

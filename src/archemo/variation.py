@@ -137,18 +137,6 @@ class ForwardHandle:
 # direct solvers
 
 
-def _stored_index_times(cfg: SolverConfig):
-    n_steps = cfg.n_steps
-    stored = list(range(0, n_steps + 1, cfg.store_every))
-    if stored[-1] != n_steps:
-        stored.append(n_steps)
-    return n_steps, stored, np.array([i * cfg.dt for i in stored])
-
-
-def _linear_chem_slave(domain, a10_grid, decay, u1, tol):
-    return g.helmholtz_solve(domain, a10_grid * u1, decay, tol=tol)
-
-
 def solve_first_variation(domain: Domain, p: ParameterSet, kin: KineticsSpec,
                           fam: PerturbationFamily, cfg: SolverConfig) -> VariationStack:
     """Direct solution of the first-order variation system (stride-1 storage)."""
@@ -166,8 +154,8 @@ def solve_first_variation(domain: Domain, p: ParameterSet, kin: KineticsSpec,
 
     u1 = fam.profile("f1", domain)
     if cfg.tau == 0:
-        v1 = _linear_chem_slave(domain, a10, beta, u1, cfg.elliptic_tol)
-        w1 = _linear_chem_slave(domain, b10, delta, u1, cfg.elliptic_tol)
+        v1 = g.helmholtz_solve(domain, a10 * u1, beta, tol=cfg.elliptic_tol)
+        w1 = g.helmholtz_solve(domain, b10 * u1, delta, tol=cfg.elliptic_tol)
     else:
         v1 = fam.profile("g1", domain)
         w1 = fam.profile("h1", domain)
@@ -184,8 +172,8 @@ def solve_first_variation(domain: Domain, p: ParameterSet, kin: KineticsSpec,
         rhs = u1 + dt * (r_eff * u1 - coupling)
         u1 = g.spectral_helmholtz(domain, rhs / dt, 1.0 / dt)
         if cfg.tau == 0:
-            v1 = _linear_chem_slave(domain, a10, beta, u1, cfg.elliptic_tol)
-            w1 = _linear_chem_slave(domain, b10, delta, u1, cfg.elliptic_tol)
+            v1 = g.helmholtz_solve(domain, a10 * u1, beta, tol=cfg.elliptic_tol)
+            w1 = g.helmholtz_solve(domain, b10 * u1, delta, tol=cfg.elliptic_tol)
         else:
             v1 = g.spectral_helmholtz(
                 domain, (v1 + s * dt * (a10 * us[n - 1] - beta * v1)) / (s * dt), 1.0 / (s * dt))
@@ -223,11 +211,11 @@ def solve_second_variation(domain: Domain, p: ParameterSet, kin: KineticsSpec,
     s = cfg.relaxation_speedup
 
     def slave_v2(u2, n):
-        src = kin.second_order_sources_g(domain, o1.u[n], o1.v[n])
+        src = kin.second_order_sources("g", domain, o1.u[n], o1.v[n])
         return g.helmholtz_solve(domain, a10 * u2 + src, beta, tol=cfg.elliptic_tol)
 
     def slave_w2(u2, n):
-        src = kin.second_order_sources_h(domain, o1.u[n], o1.w[n])
+        src = kin.second_order_sources("h", domain, o1.u[n], o1.w[n])
         return g.helmholtz_solve(domain, b10 * u2 + src, delta, tol=cfg.elliptic_tol)
 
     u2 = 2.0 * fam.profile("f2", domain)
@@ -252,8 +240,8 @@ def solve_second_variation(domain: Domain, p: ParameterSet, kin: KineticsSpec,
         if cfg.tau == 0:
             v2, w2 = slave_v2(u2, n), slave_w2(u2, n)
         else:
-            src_v = kin.second_order_sources_g(domain, o1.u[m], o1.v[m])
-            src_w = kin.second_order_sources_h(domain, o1.u[m], o1.w[m])
+            src_v = kin.second_order_sources("g", domain, o1.u[m], o1.v[m])
+            src_w = kin.second_order_sources("h", domain, o1.u[m], o1.w[m])
             v2 = g.spectral_helmholtz(
                 domain, (v2 + s * dt * (a10 * us[m] - beta * v2 + src_v)) / (s * dt), 1.0 / (s * dt))
             w2 = g.spectral_helmholtz(
@@ -382,17 +370,9 @@ def extract_variation_fd(handle: ForwardHandle, fam: PerturbationFamily, order: 
 
 def space_time_norm(domain: Domain, times, values) -> float:
     """L2 norm over the space-time cylinder with trapezoid weights in both."""
-    times = np.asarray(times)
-    wt = np.empty(len(times))
-    if len(times) == 1:
-        wt[0] = 1.0
-    else:
-        dt = np.diff(times)
-        wt[0] = dt[0] / 2
-        wt[-1] = dt[-1] / 2
-        wt[1:-1] = (dt[:-1] + dt[1:]) / 2
+    wt = g.time_weights(times)
     sq = np.abs(values) ** 2 * domain.weights
-    per_time = sq.reshape(len(times), -1).sum(axis=1)
+    per_time = sq.reshape(len(wt), -1).sum(axis=1)
     return math.sqrt(float(np.sum(wt * per_time)))
 
 

@@ -9,7 +9,6 @@ from archemo.forward import (
     ParameterSet,
     SeparableField,
     SolverConfig,
-    elliptic_solve,
     measure,
     solve_forward,
     steady_state,
@@ -18,6 +17,7 @@ from archemo.forward import (
 from archemo.grid import (
     Domain,
     advective_flux_div,
+    helmholtz_solve,
     laplacian_neumann,
     max_face_speed,
     quadrature,
@@ -90,21 +90,21 @@ def test_separable_field_requires_nonzero_axial(square33):
 # -- elliptic solve -----------------------------------------------------------
 
 def test_elliptic_solve_examples(line65, rng):
-    c = elliptic_solve(line65, line65.constant(1.5 * 4.0), decay=1.5)
+    c = helmholtz_solve(line65, line65.constant(1.5 * 4.0), decay=1.5)
     assert np.max(np.abs(c - 4.0)) < 1e-9
     beta = 1.5
     f = np.cos(math.pi * line65.axes[0])
-    sol = elliptic_solve(line65, (math.pi ** 2 + beta) * f, decay=beta)
+    sol = helmholtz_solve(line65, (math.pi ** 2 + beta) * f, decay=beta)
     assert np.max(np.abs(sol - f)) < 5 * line65.spacing[0] ** 2 * math.pi ** 2
     src = rng.standard_normal(line65.shape)
-    v = elliptic_solve(line65, src, decay=1.0)
+    v = helmholtz_solve(line65, src, decay=1.0)
     resid = -laplacian_neumann(line65, v) + v - src
     assert np.linalg.norm(resid) <= 1e-9 * np.linalg.norm(src)
 
 
 def test_elliptic_solve_rejects_nonpositive_decay(line65):
     with pytest.raises(NumericsError):
-        elliptic_solve(line65, line65.constant(1.0), decay=-0.5)
+        helmholtz_solve(line65, line65.constant(1.0), decay=-0.5)
 
 
 # -- stepping ------------------------------------------------------------------
@@ -256,6 +256,21 @@ def test_tau_consistency_speedup(line65, applied_params):
         gaps.append(float(np.max(np.abs(traj.v[-1] - ref.v[-1]))
                           + np.max(np.abs(traj.w[-1] - ref.w[-1]))))
     assert gaps[0] > gaps[1] > gaps[2]
+
+
+def test_stride_keeps_the_final_step(line65, applied_params):
+    # a stride that does not divide the step count still stores the last step
+    kin = make_kinetics(applied_params)
+    f = 0.5 + 0.2 * np.cos(math.pi * line65.axes[0])
+    dt = 1e-3
+    every = solve_forward(line65, (f, f, f), applied_params, kin,
+                          SolverConfig(tau=0, dt=dt, t_final=10 * dt))
+    strided = solve_forward(line65, (f, f, f), applied_params, kin,
+                            SolverConfig(tau=0, dt=dt, t_final=10 * dt, store_every=4))
+    kept = [0, 4, 8, 10]
+    assert np.array_equal(strided.times, np.array(kept) * dt)
+    for name in ("u", "v", "w"):
+        assert np.array_equal(strided.component(name), every.component(name)[kept])
 
 
 def test_determinism(line65, applied_params):

@@ -11,7 +11,6 @@ from archemo.grid import (
     helmholtz_solve,
     inner_product,
     laplacian_neumann,
-    neumann_eigenvalue_grid,
     quadrature,
     spectral_helmholtz,
 )
@@ -25,7 +24,7 @@ def reference_cg(domain, source, decay, tol=1e-10, maxiter=200, precondition=Tru
     solution and the number of iterations taken.
     """
     w = domain.weights
-    lam = neumann_eigenvalue_grid(domain) + decay
+    lam = domain.neumann_eigenvalues + decay
 
     def apply_op(v):
         return -laplacian_neumann(domain, v) + decay * v

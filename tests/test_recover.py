@@ -192,16 +192,18 @@ def test_alpha_field_recovery_2d(square33):
     assert rec.residuals["alpha_projection_misfit"] <= 0.01
 
 
-def test_mu_only_reduction(line129):
-    # chi = xi = 0 truth: the single-unknown probe identity reproduces mu
+def test_general_fit_on_zero_advection_truth(line129):
+    # chi = xi = 0 truth: the three-unknown fit returns mu and near-zero sensitivities
     truth = ParameterSet(chi=0.0, xi=0.0, r=0.5, mu=1.0, beta=1.0, delta=1.6, gamma=0.8)
     oracle = _oracle(line129, truth, dt=5e-4, t_final=1.0)
-    opts = PipelineOptions(recover_fields=False, assume_zero_advection=True)
+    opts = PipelineOptions(recover_fields=False)
     bank = ExperimentBank(oracle, opts)
     r = recover_r(oracle, options=opts, bank=bank).estimates["r"]
     lin = recover_linear_kinetics(oracle, r, options=opts, bank=bank)
     rec = recover_chi_xi_mu(oracle, r, lin, options=opts, bank=bank)
+    assert rec.status == "ok"
     assert abs(rec.estimates["mu"] - 1.0) <= 0.02
+    assert abs(rec.estimates["chi"]) <= 0.01 and abs(rec.estimates["xi"]) <= 0.01
 
 
 def test_chi_xi_mu_builds_patterned_regressors_once_per_pass(line65, nondegenerate_params,
@@ -223,7 +225,7 @@ def test_chi_xi_mu_builds_patterned_regressors_once_per_pass(line65, nondegenera
 
     monkeypatch.setattr(grid_mod, "advective_flux_div_patterned", counting)
     rec = recover_chi_xi_mu(oracle, r_hat, lin, options=opts, bank=bank)
-    assert opts.pattern_iterations == 2 and len(opts.probe_zeta_multipliers) == 4
+    assert rc.PATTERN_PASSES == 2 and len(rc.PROBE_ZETA_MULTIPLIERS) == 4
     n_res = sum(len(bank.stack(exp, order=2).order2.times) - 1
                 for exp in rc._default_chi_experiments(line65, opts))
     assert len(calls) == 4 * n_res

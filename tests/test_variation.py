@@ -4,8 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from archemo.forward import ParameterSet, SolverConfig, Trajectory, elliptic_solve
-from archemo.grid import Domain, laplacian_neumann, norm_l2
+from archemo.forward import ParameterSet, SolverConfig, Trajectory
+from archemo.grid import Domain, helmholtz_solve, laplacian_neumann, norm_l2
 from archemo.variation import (
     ForwardHandle,
     PerturbationFamily,
@@ -128,7 +128,7 @@ def test_second_variation_superposition(line65):
     first = solve_first_variation(line65, p, kin, fam, cfg)
     second = solve_second_variation(line65, p, kin, fam, first, cfg)
     for n in (0, len(second.order2.times) // 2, -1):
-        expected = elliptic_solve(line65, 1.0 * second.order2.u[n], p.beta)
+        expected = helmholtz_solve(line65, 1.0 * second.order2.u[n], p.beta)
         assert np.max(np.abs(second.order2.v[n] - expected)) < 1e-9
 
 
