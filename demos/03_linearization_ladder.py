@@ -1,4 +1,4 @@
-"""High-order linearization: direct variation solvers vs finite differences.
+"""High-order linearization: the direct variation solver vs finite differences.
 
 The solution map is differentiated in the perturbation amplitude around the
 trivial equilibrium.  One-sided differences of nonlinear runs converge to the
@@ -17,11 +17,9 @@ from archemo.grid import Domain
 from archemo.variation import (
     ForwardHandle,
     PerturbationFamily,
-    VariationStack,
     consistency_report,
     extract_variation_fd,
-    solve_first_variation,
-    solve_second_variation,
+    solve_variations,
 )
 
 d = Domain(1.0, 65)
@@ -31,18 +29,17 @@ cfg = SolverConfig(tau=0, dt=1e-3, t_final=0.4)
 
 fam = PerturbationFamily(f1=1.0 + 0.9 * np.cos(math.pi * d.axes[0]),
                          epsilons=(1e-2, 5e-3, 2.5e-3))
-direct1 = solve_first_variation(d, p, kin, fam, cfg)
-direct2 = solve_second_variation(d, p, kin, fam, direct1, cfg)
+direct = solve_variations(d, p, kin, fam, cfg)
 
 handle = ForwardHandle.from_model(d, p, kin, cfg)
 fd, ladder = extract_variation_fd(handle, fam, order=2,
-                                  first_direct=direct1.order1, return_ladder=True)
+                                  first_direct=direct.order1, return_ladder=True)
 
-rep = consistency_report(d, VariationStack(order1=direct1.order1, order2=direct2.order2), ladder)
+rep = consistency_report(d, direct, ladder)
 print(rep.to_text())
 
-err1 = np.max(np.abs(fd.order1.u - direct1.order1.u))
-err2 = np.max(np.abs(fd.order2.u - direct2.order2.u))
+err1 = np.max(np.abs(fd.order1.u - direct.order1.u))
+err2 = np.max(np.abs(fd.order2.u - direct.order2.u))
 print(f"\nafter Richardson extrapolation over the ladder:")
 print(f"  order-1 gap {err1:.3e},  order-2 gap {err2:.3e}")
 print(f"  extrapolation corrections: {fd.diagnostics['order1_corrections']}")

@@ -64,8 +64,7 @@ from .variation import (
     VariationStack,
     consistency_report,
     extract_variation_fd,
-    solve_first_variation,
-    solve_second_variation,
+    solve_variations,
 )
 
 __version__ = "0.1.0"

@@ -40,6 +40,9 @@ __all__ = [
     "Trajectory",
     "MeasurementRecord",
     "steady_state",
+    "implicit_step",
+    "step_source",
+    "SliceStore",
     "step",
     "solve_forward",
     "measure",
@@ -395,6 +398,52 @@ def _check_cfl(domain, cfg, speed):
             f"(max drift speed {speed:.3e})")
 
 
+def implicit_step(domain: Domain, x, tendency, h):
+    """One IMEX Euler step of step size h with implicit diffusion.
+
+    Solves x_new - h Lap x_new = x + h * tendency, where ``tendency`` holds
+    the explicitly treated terms.  Every time step of the package, forward
+    and variational, goes through here.
+    """
+    return g.spectral_helmholtz(domain, (x + h * tendency) / h, 1.0 / h)
+
+
+def step_source(domain: Domain, x, h):
+    """Inverse of :func:`implicit_step` over a series x of consecutive steps.
+
+    Returns E[n] = (x[n+1] - h Lap x[n+1] - x[n]) / h, the tendency of every
+    stored pair of steps.
+    """
+    return (x[1:] - h * g.laplacian_neumann(domain, x[1:]) - x[:-1]) / h
+
+
+class SliceStore:
+    """The stored slices of a run: step 0, every ``store_every``-th step and the last one.
+
+    Step n goes to slot ceil(n / store_every), so runs with the same
+    configuration are stored on the same times.
+    """
+
+    def __init__(self, domain: Domain, cfg: SolverConfig, state):
+        self.domain, self.dt = domain, cfg.dt
+        self.n_steps, self.every = cfg.n_steps, cfg.store_every
+        n_stored = -(-self.n_steps // self.every) + 1
+        self.times = np.empty(n_stored)
+        self.fields = [np.empty((n_stored,) + domain.shape) for _ in range(3)]
+        self.put(0, state)
+
+    def put(self, n, state):
+        """Keep the (u, v, w) state of step n if the stride stores it."""
+        if n % self.every == 0 or n == self.n_steps:
+            slot = -(-n // self.every)
+            self.times[slot] = n * self.dt
+            for stored, x in zip(self.fields, state):
+                stored[slot] = x
+
+    def trajectory(self) -> Trajectory:
+        return Trajectory(self.domain, self.times, *self.fields)
+
+
 def step(domain: Domain, state, p: ParameterSet, kin: KineticsSpec, cfg: SolverConfig):
     """One IMEX Euler step; returns the new (u, v, w) triple.
 
@@ -413,9 +462,7 @@ def step(domain: Domain, state, p: ParameterSet, kin: KineticsSpec, cfg: SolverC
         advect = g.upwind_flux_div(domain, u, vels)
     else:
         advect = 0.0
-    reaction = p.r * u - p.mu * u * u
-    rhs = u + dt * (reaction - advect)
-    u_new = g.spectral_helmholtz(domain, rhs / dt, 1.0 / dt)
+    u_new = implicit_step(domain, u, p.r * u - p.mu * u * u - advect, dt)
     if cfg.require_nonnegative and float(np.min(u_new)) < NEGATIVITY_FLOOR:
         raise NumericsError(
             f"density dropped to {float(np.min(u_new)):.3e}, below the negativity floor; "
@@ -424,11 +471,9 @@ def step(domain: Domain, state, p: ParameterSet, kin: KineticsSpec, cfg: SolverC
         v_new = _slave_chemical(domain, kin, "g", u_new, cfg, previous=v)
         w_new = _slave_chemical(domain, kin, "h", u_new, cfg, previous=w)
     else:
-        s = cfg.relaxation_speedup
-        gv = kin.evaluate_g(domain, u, v)
-        gw = kin.evaluate_h(domain, u, w)
-        v_new = g.spectral_helmholtz(domain, (v + s * dt * gv) / (s * dt), 1.0 / (s * dt))
-        w_new = g.spectral_helmholtz(domain, (w + s * dt * gw) / (s * dt), 1.0 / (s * dt))
+        h = cfg.relaxation_speedup * dt
+        v_new = implicit_step(domain, v, kin.evaluate_g(domain, u, v), h)
+        w_new = implicit_step(domain, w, kin.evaluate_h(domain, u, w), h)
     return u_new, v_new, w_new
 
 
@@ -455,19 +500,11 @@ def solve_forward(domain: Domain, init, p: ParameterSet, kin: KineticsSpec,
     else:
         v, w = g0.copy(), h0.copy()
 
-    # stored: every store_every-th step and the last one; step n goes to slot ceil(n / every)
-    n_steps, every = cfg.n_steps, cfg.store_every
-    n_stored = -(-n_steps // every) + 1
-    times = np.empty(n_stored)
-    shape = (n_stored,) + domain.shape
-    us, vs, ws = np.empty(shape), np.empty(shape), np.empty(shape)
-    times[0], us[0], vs[0], ws[0] = 0.0, u, v, w
-    for n in range(1, n_steps + 1):
+    stored = SliceStore(domain, cfg, (u, v, w))
+    for n in range(1, cfg.n_steps + 1):
         u, v, w = step(domain, (u, v, w), p, kin, cfg)
-        if n % every == 0 or n == n_steps:
-            slot = -(-n // every)
-            times[slot], us[slot], vs[slot], ws[slot] = n * cfg.dt, u, v, w
-    return Trajectory(domain, times, us, vs, ws)
+        stored.put(n, (u, v, w))
+    return stored.trajectory()
 
 
 def measure(traj: Trajectory) -> MeasurementRecord:

@@ -44,17 +44,16 @@ from .recover import (
     PipelineOptions,
     RecoveryReport,
     SeparableEstimate,
+    axial_mode_profile,
     run_full_pipeline,
 )
 from .variation import (
     DEFAULT_EPSILONS,
     ForwardHandle,
     PerturbationFamily,
-    VariationStack,
     consistency_report,
     extract_variation_fd,
-    solve_first_variation,
-    solve_second_variation,
+    solve_variations,
 )
 
 __all__ = [
@@ -102,32 +101,14 @@ def build_profile(domain: Domain, spec):
     if kind == "const":
         return float(args["v"])
     if kind == "cosine":
-        axis = int(args.get("axis", 0))
-        base = float(args.get("base", 0.0))
-        amp = float(args.get("amp", 0.0))
-        mode = int(args.get("mode", 1))
-        ax = domain.axes[axis]
-        prof = base + amp * np.cos(mode * math.pi * ax / domain.lengths[axis])
-        if domain.dim == 1:
-            return prof
-        if axis == 0:
-            return np.broadcast_to(prof[:, None], domain.shape).copy()
-        return np.broadcast_to(prof[None, :], domain.shape).copy()
+        pairs = [(int(args.get("mode", 1)), float(args.get("amp", 0.0)))]
+        return axial_mode_profile(domain, float(args.get("base", 0.0)), pairs,
+                                  axis=int(args.get("axis", 0)))
     if kind == "modes":
-        axis = int(args.get("axis", -1)) % domain.dim
-        offset = float(args.get("offset", 0.0))
-        ax = domain.axes[axis]
-        prof = np.full(domain.cells[axis], offset)
-        terms = args.get("terms", "")
-        if terms:
-            for term in terms.split("+"):
-                k_str, _, a_str = term.partition("x")
-                prof = prof + float(a_str) * np.cos(int(k_str) * math.pi * ax / domain.lengths[axis])
-        if domain.dim == 1:
-            return prof
-        if axis == 0:
-            return np.broadcast_to(prof[:, None], domain.shape).copy()
-        return np.broadcast_to(prof[None, :], domain.shape).copy()
+        terms = [t.partition("x") for t in args["terms"].split("+")] if args.get("terms") else []
+        return axial_mode_profile(domain, float(args.get("offset", 0.0)),
+                                  [(int(k), float(a)) for k, _, a in terms],
+                                  axis=int(args.get("axis", -1)) % domain.dim)
     if kind == "sepcosaff":
         if domain.dim < 2:
             raise ValueError("sepcosaff profiles need a 2D domain")
@@ -219,7 +200,6 @@ CONFIG_SCHEMA = {
     "ident.seed": (int, str, 7),
     "ident.trials": (int, str, 20),
     "ident.param_tol": (float, _ser_float, 0.05),
-    "ident.match_factor": (float, _ser_float, 10.0),
     "convergence.levels": (int, str, 3),
     "output.dir": (str, str, "out"),
 }
@@ -572,20 +552,19 @@ def _variation_errors(domain, dt, t_final, r=0.5, mu=1.0, beta=1.5):
     L = domain.lengths[-1]
     mode = np.cos(math.pi * x / L)
     fam = PerturbationFamily(f1=mode, enforce_nonnegative=False)
-    s1 = solve_first_variation(domain, p, kin, fam, cfg)
-    s2 = solve_second_variation(domain, p, kin, fam, s1, cfg)
+    stack = solve_variations(domain, p, kin, fam, cfg)
     lam = (math.pi / L) ** 2
     theta = r - lam
-    t = s1.order1.times.reshape((-1,) + (1,) * domain.dim)
+    t = stack.order1.times.reshape((-1,) + (1,) * domain.dim)
     exact1 = np.exp(theta * t) * mode
-    err1 = _space_time_rel(domain, s1.order1.u - exact1, exact1)
+    err1 = _space_time_rel(domain, stack.order1.u - exact1, exact1)
     # u2 solves du2/dt = Lap u2 + r u2 - 2 mu e^{2 theta t} cos^2, u2(0) = 0;
     # modal split cos^2 = (1 + cos 2pi x/L)/2 gives two scalar ODEs
     lam2 = (2 * math.pi / L) ** 2
     a_t = mu * (np.exp(r * t) - np.exp(2 * theta * t)) / (2 * theta - r)
     b_t = mu * (np.exp((r - lam2) * t) - np.exp(2 * theta * t)) / (2 * theta - (r - lam2))
     exact2 = a_t + b_t * np.cos(2 * math.pi * x / L)
-    err2 = _space_time_rel(domain, s2.order2.u - exact2, exact2)
+    err2 = _space_time_rel(domain, stack.order2.u - exact2, exact2)
     return err1, err2
 
 
@@ -595,7 +574,7 @@ def _space_time_rel(domain, diff, ref):
     return num / den
 
 
-def _cfl_violated(domain, cfg_template, dt, chi=40.0):
+def _cfl_violated(domain, dt, chi=40.0):
     """Whether an advective run with the given drift strength trips the CFL bound."""
     p = ParameterSet(chi=chi, xi=0.0, r=0.5, mu=1.0)
     kin = KineticsSpec.from_parameters(p)
@@ -665,7 +644,7 @@ def convergence_study(base_cells: int = 33, levels: int = 3, dim: int = 1,
 
     # CFL demonstration on the coarsest level with a strong drift
     coarse = Domain(dims, (cell_ladder[0],) * dim)
-    if _cfl_violated(coarse, None, dt0 * 4):
+    if _cfl_violated(coarse, dt0 * 4):
         rows.append(StudyRow(test="advective", sweep="temporal", level=0,
                              cells=cell_ladder[0], dt=dt0 * 4, error=float("nan"),
                              order=None, flag="cfl-violation, excluded"))
@@ -819,20 +798,16 @@ def _cmd_linearize(args, cfg: ExperimentConfig) -> int:
     kin = cfg.kinetics(domain, params)
     solver = cfg.solver_config(tau=args.tau)
     fam = cfg.perturbation_family(domain)
-    direct1 = solve_first_variation(domain, params, kin, fam, solver)
-    direct2 = solve_second_variation(domain, params, kin, fam, direct1, solver)
+    direct = solve_variations(domain, params, kin, fam, solver)
     handle = ForwardHandle.from_model(domain, params, kin, solver)
     fd, ladder = extract_variation_fd(handle, fam, order=2,
-                                      first_direct=direct1.order1, return_ladder=True)
-    rep = consistency_report(
-        domain, VariationStack(order1=direct1.order1, order2=direct2.order2), ladder)
+                                      first_direct=direct.order1, return_ladder=True)
+    rep = consistency_report(domain, direct, ladder)
     outdir = args.out or cfg.get("output.dir")
     os.makedirs(outdir, exist_ok=True)
-    aio.variation_stack_to_npz(os.path.join(outdir, "variation_direct.npz"),
-                               VariationStack(order1=direct1.order1, order2=direct2.order2))
+    aio.variation_stack_to_npz(os.path.join(outdir, "variation_direct.npz"), direct)
     aio.variation_stack_to_npz(os.path.join(outdir, "variation_fd.npz"), fd)
-    aio.variation_stack_to_csv(os.path.join(outdir, "variation_direct.csv"),
-                               VariationStack(order1=direct1.order1, order2=direct2.order2))
+    aio.variation_stack_to_csv(os.path.join(outdir, "variation_direct.csv"), direct)
     with open(os.path.join(outdir, "consistency.txt"), "w") as fh:
         fh.write(rep.to_text() + "\n")
     _quiet_print(args, rep.to_text())

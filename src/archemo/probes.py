@@ -70,10 +70,9 @@ def neumann_eigenmode(domain: Domain, index, r: float = 0.0) -> EigenMode:
     if any(k < 0 for k in index):
         raise ValueError("mode indices must be non-negative")
     lam = sum((k * math.pi / L) ** 2 for k, L in zip(index, domain.lengths))
-    lam_h = 0.0
+    lam_h = float(domain.neumann_eigenvalues[index])
     vals = None
-    for axis, (k, L, n, h) in enumerate(zip(index, domain.lengths, domain.cells, domain.spacing)):
-        lam_h += (2.0 - 2.0 * math.cos(k * math.pi / (n - 1))) / (h * h)
+    for axis, (k, L) in enumerate(zip(index, domain.lengths)):
         axis_vals = np.cos(k * math.pi * domain.axes[axis] / L)
         if vals is None:
             vals = axis_vals

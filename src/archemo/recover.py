@@ -39,8 +39,8 @@ from .forward import (
     ParameterSet,
     SolverConfig,
     coefficient_on_grid,
-    measure,
     solve_forward,
+    step_source,
 )
 from .grid import Domain
 from .variation import (
@@ -76,20 +76,17 @@ __all__ = [
 
 
 class Oracle:
-    """Deterministic forward map (f, g, h) -> trajectory + measurement record.
+    """Deterministic forward map (f, g, h) -> trajectory.
 
-    The truth parameters live in private attributes; recovery code only calls
-    :meth:`query` or a :meth:`handle` and reads the public protocol (grid,
-    solver config, declared expansion equilibrium).  Identical data costs one
-    solve within one cache scope, and there are two scopes:
+    The truth parameters live in private attributes; recovery code only runs
+    the model through a :meth:`handle` and reads the public protocol (grid,
+    solver config, declared expansion equilibrium).  Each handle caches its
+    runs for its own lifetime, so identical data costs one solve per handle.
+    A recovery holds one handle, so once it has finished no trajectory it
+    integrated stays reachable from the oracle.
 
-    * :meth:`query` shares the oracle's own cache, which lives as long as the
-      oracle does;
-    * each :meth:`handle` has a cache of its own, which lives as long as that
-      handle.  A recovery holds one handle, so once it has finished no
-      trajectory it integrated stays reachable from the oracle.
-
-    ``query_count`` and ``run_count`` count the queries and solves of both.
+    ``query_count`` and ``run_count`` count the queries and solves of all
+    handles.
     """
 
     def __init__(self, domain: Domain, params: ParameterSet, kinetics: KineticsSpec,
@@ -98,7 +95,6 @@ class Oracle:
         self.cfg = cfg
         self._params = params.validate(domain)
         self._kinetics = kinetics.validate(domain)
-        self._cache = {}
         self.query_count = 0
         self.run_count = 0
 
@@ -111,26 +107,19 @@ class Oracle:
     def tau(self) -> int:
         return self.cfg.tau
 
-    def _lookup(self, cache, f, gg, h):
-        self.query_count += 1
-        key = (np.asarray(f).tobytes(), np.asarray(gg).tobytes(), np.asarray(h).tobytes())
-        hit = cache.get(key)
-        if hit is None:
-            traj = solve_forward(self.domain, (f, gg, h), self._params, self._kinetics, self.cfg)
-            hit = (traj, measure(traj))
-            cache[key] = hit
-            self.run_count += 1
-        return hit
-
-    def query(self, f, gg, h):
-        return self._lookup(self._cache, f, gg, h)
-
     def handle(self) -> ForwardHandle:
         """A forward handle whose runs are cached for the handle's lifetime only."""
         cache = {}
 
         def _run(f, gg, h):
-            return self._lookup(cache, f, gg, h)[0]
+            self.query_count += 1
+            key = (np.asarray(f).tobytes(), np.asarray(gg).tobytes(), np.asarray(h).tobytes())
+            traj = cache.get(key)
+            if traj is None:
+                traj = cache[key] = solve_forward(self.domain, (f, gg, h), self._params,
+                                                  self._kinetics, self.cfg)
+                self.run_count += 1
+            return traj
         return ForwardHandle(domain=self.domain, equilibrium=self.equilibrium,
                              run=_run, cfg=self.cfg)
 
@@ -174,15 +163,16 @@ class Experiment:
     fam: PerturbationFamily
 
 
-def axial_mode_profile(domain: Domain, offset: float, pairs) -> np.ndarray:
-    """offset + sum_k amp_k cos(k pi x_n / L_n), constant transversally."""
-    ax, L = domain.axes[-1], domain.lengths[-1]
-    prof = np.full(domain.cells[-1], float(offset))
+def axial_mode_profile(domain: Domain, offset: float, pairs, axis: int = -1) -> np.ndarray:
+    """offset + sum_k amp_k cos(k pi x / L) along ``axis`` (by default the last,
+    axial one), constant across the other axes."""
+    ax, L = domain.axes[axis], domain.lengths[axis]
+    prof = np.full(domain.cells[axis], float(offset))
     for k, amp in pairs:
         prof = prof + amp * np.cos(k * math.pi * ax / L)
-    if domain.dim == 1:
-        return prof
-    return np.broadcast_to(prof[None, :], domain.shape).copy()
+    shape = [1] * domain.dim
+    shape[axis] = -1
+    return np.broadcast_to(prof.reshape(shape), domain.shape).copy()
 
 
 def _axial_mode(domain: Domain, k: int) -> pr.EigenMode:
@@ -547,7 +537,7 @@ def _linear_kinetics_tau1(oracle, bank, exps, options, want_fields):
         chem = lin.component(comp)
         decay = estimates[decay_name]
         # invert the stepping relation: a*u1[n] = ((I - s dt Lap) chem[n+1] - chem[n])/(s dt) + decay*chem[n]
-        numer = _step_source(domain, chem, s * dt) + decay * chem[:-1]
+        numer = step_source(domain, chem, s * dt) + decay * chem[:-1]
         fld = _time_regressed_field(domain, numer, lin.u[:-1], wt, _mask_floor(options, lin.u))
         if want_fields:
             proj = _project_axial_independent(domain, fld)
@@ -572,15 +562,6 @@ def _require_stride_one(oracle, what):
         raise RecoveryError(
             f"{what} inverts per-step relations and requires stride-1 trajectory "
             f"storage (solver.store_every = 1), got {oracle.cfg.store_every}")
-
-
-def _step_source(domain, x, h):
-    """Explicit part of each implicit-Euler diffusion step of x with step h.
-
-    The solver steps x[n+1] - h Lap x[n+1] = x[n] + h * E[n]; this returns
-    E[n] = (x[n+1] - h Lap x[n+1] - x[n]) / h for every stored pair of steps.
-    """
-    return (x[1:] - h * g.laplacian_neumann(domain, x[1:]) - x[:-1]) / h
 
 
 def recover_chi_xi_mu(oracle: Oracle, r: float, linear: StageRecord,
@@ -611,7 +592,7 @@ def recover_chi_xi_mu(oracle: Oracle, r: float, linear: StageRecord,
         stack = bank.stack(exp, order=2)
         o1, o2 = stack.order1, stack.order2
         # source series of the density second-variation steps
-        resid = _step_source(domain, o2.u, dt) - r * o2.u[:-1]
+        resid = step_source(domain, o2.u, dt) - r * o2.u[:-1]
         data.append((exp, o1, resid))
 
     def regressor_slices(o1, n, chi_xi_guess):
@@ -822,7 +803,7 @@ def recover_second_kinetics(oracle: Oracle, r: float, linear: StageRecord,
             regs = np.stack([o1.u * chem1, 2.0 * o1.u ** 2, 2.0 * chem1 ** 2])
             wt = g.time_weights(o2.times)
         else:
-            rhs = (_step_source(domain, chem2, s * dt)
+            rhs = (step_source(domain, chem2, s * dt)
                    + decay * chem2[:-1] - a10_grid * o2.u[:-1])
             regs = np.stack([o1.u[:-1] * chem1[:-1], 2.0 * o1.u[:-1] ** 2,
                              2.0 * chem1[:-1] ** 2])

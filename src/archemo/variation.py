@@ -36,8 +36,10 @@ from .forward import (
     EquilibriumState,
     KineticsSpec,
     ParameterSet,
+    SliceStore,
     SolverConfig,
     Trajectory,
+    implicit_step,
     solve_forward,
 )
 from .grid import Domain
@@ -46,8 +48,7 @@ __all__ = [
     "PerturbationFamily",
     "VariationStack",
     "ForwardHandle",
-    "solve_first_variation",
-    "solve_second_variation",
+    "solve_variations",
     "extract_variation_fd",
     "consistency_report",
     "ConsistencyReport",
@@ -111,11 +112,6 @@ class VariationStack:
     provenance: str = "direct"
     diagnostics: dict = field(default_factory=dict)
 
-    def validate(self):
-        if self.order2 is not None and self.order1 is None:
-            raise ValueError("second-order fields require the first order")
-        return self
-
 
 @dataclass
 class ForwardHandle:
@@ -134,122 +130,78 @@ class ForwardHandle:
 
 
 # ---------------------------------------------------------------------------
-# direct solvers
+# the direct solver
 
 
-def solve_first_variation(domain: Domain, p: ParameterSet, kin: KineticsSpec,
-                          fam: PerturbationFamily, cfg: SolverConfig) -> VariationStack:
-    """Direct solution of the first-order variation system (stride-1 storage)."""
+def solve_variations(domain: Domain, p: ParameterSet, kin: KineticsSpec,
+                     fam: PerturbationFamily, cfg: SolverConfig) -> VariationStack:
+    """Direct solution of the first- and second-order variation systems.
+
+    Both orders step together through :func:`forward.implicit_step`; the
+    second order's sources need the first order only at the previous step
+    (and, for slaved chemicals, the new one).  Slices are stored like the
+    forward run's, so they line up with differences of oracle runs at any
+    ``store_every``.
+    """
     cfg.validate()
     fam.validate(domain)
     kin.validate(domain)
     eq = kin.expansion_point
-    dt = cfg.dt
+    dt, tol = cfg.dt, cfg.elliptic_tol
     a10 = kin.coeff_grid("g", (1, 0), domain)
     b10 = kin.coeff_grid("h", (1, 0), domain)
     a10 = a10 if a10 is not None else domain.zeros()
     b10 = b10 if b10 is not None else domain.zeros()
     beta, delta = kin.beta_decay, kin.delta_decay
     r_eff = p.r - 2.0 * p.mu * eq.u0
+    drift = bool(p.chi or p.xi)
 
-    u1 = fam.profile("f1", domain)
+    def coupling(v, w):
+        # density response to chemical variations around a populated equilibrium
+        if eq.u0 == 0.0 or not drift:
+            return 0.0
+        return eq.u0 * (p.chi * g.laplacian_neumann(domain, v)
+                        - p.xi * g.laplacian_neumann(domain, w))
+
+    def slaved(u1, u2):
+        # tau = 0: chemical variations of both orders in balance with the densities
+        v1 = g.helmholtz_solve(domain, a10 * u1, beta, tol=tol)
+        w1 = g.helmholtz_solve(domain, b10 * u1, delta, tol=tol)
+        src_v = kin.second_order_sources("g", domain, u1, v1)
+        src_w = kin.second_order_sources("h", domain, u1, w1)
+        return (v1, w1, g.helmholtz_solve(domain, a10 * u2 + src_v, beta, tol=tol),
+                g.helmholtz_solve(domain, b10 * u2 + src_w, delta, tol=tol))
+
+    u1, u2 = fam.profile("f1", domain), 2.0 * fam.profile("f2", domain)
     if cfg.tau == 0:
-        v1 = g.helmholtz_solve(domain, a10 * u1, beta, tol=cfg.elliptic_tol)
-        w1 = g.helmholtz_solve(domain, b10 * u1, delta, tol=cfg.elliptic_tol)
+        v1, w1, v2, w2 = slaved(u1, u2)
     else:
-        v1 = fam.profile("g1", domain)
-        w1 = fam.profile("h1", domain)
-
-    n_steps = cfg.n_steps
-    us, vs, ws = ([None] * (n_steps + 1) for _ in range(3))
-    us[0], vs[0], ws[0] = u1, v1, w1
-    s = cfg.relaxation_speedup
-    for n in range(1, n_steps + 1):
-        coupling = 0.0
-        if eq.u0 != 0.0 and (p.chi or p.xi):
-            coupling = eq.u0 * (p.chi * g.laplacian_neumann(domain, v1)
-                                - p.xi * g.laplacian_neumann(domain, w1))
-        rhs = u1 + dt * (r_eff * u1 - coupling)
-        u1 = g.spectral_helmholtz(domain, rhs / dt, 1.0 / dt)
-        if cfg.tau == 0:
-            v1 = g.helmholtz_solve(domain, a10 * u1, beta, tol=cfg.elliptic_tol)
-            w1 = g.helmholtz_solve(domain, b10 * u1, delta, tol=cfg.elliptic_tol)
-        else:
-            v1 = g.spectral_helmholtz(
-                domain, (v1 + s * dt * (a10 * us[n - 1] - beta * v1)) / (s * dt), 1.0 / (s * dt))
-            w1 = g.spectral_helmholtz(
-                domain, (w1 + s * dt * (b10 * us[n - 1] - delta * w1)) / (s * dt), 1.0 / (s * dt))
-        us[n], vs[n], ws[n] = u1, v1, w1
-    times = np.arange(n_steps + 1) * dt
-    traj = Trajectory(domain, times, np.stack(us), np.stack(vs), np.stack(ws))
-    return VariationStack(order1=traj, provenance="direct")
-
-
-def solve_second_variation(domain: Domain, p: ParameterSet, kin: KineticsSpec,
-                           fam: PerturbationFamily, first: VariationStack,
-                           cfg: SolverConfig) -> VariationStack:
-    """Direct solution of the second-order variation system.
-
-    Requires the first variation at every step (stride-1), as produced by
-    :func:`solve_first_variation`.
-    """
-    if first is None or first.order1 is None:
-        raise ValueError("second variation requires the first-variation stack")
-    cfg.validate()
-    eq = kin.expansion_point
-    dt = cfg.dt
-    o1 = first.order1
-    n_steps = cfg.n_steps
-    if len(o1.times) != n_steps + 1:
-        raise ValueError("first variation must be stored at every step for the second order")
-    a10 = kin.coeff_grid("g", (1, 0), domain)
-    b10 = kin.coeff_grid("h", (1, 0), domain)
-    a10 = a10 if a10 is not None else domain.zeros()
-    b10 = b10 if b10 is not None else domain.zeros()
-    beta, delta = kin.beta_decay, kin.delta_decay
-    r_eff = p.r - 2.0 * p.mu * eq.u0
-    s = cfg.relaxation_speedup
-
-    def slave_v2(u2, n):
-        src = kin.second_order_sources("g", domain, o1.u[n], o1.v[n])
-        return g.helmholtz_solve(domain, a10 * u2 + src, beta, tol=cfg.elliptic_tol)
-
-    def slave_w2(u2, n):
-        src = kin.second_order_sources("h", domain, o1.u[n], o1.w[n])
-        return g.helmholtz_solve(domain, b10 * u2 + src, delta, tol=cfg.elliptic_tol)
-
-    u2 = 2.0 * fam.profile("f2", domain)
-    if cfg.tau == 0:
-        v2, w2 = slave_v2(u2, 0), slave_w2(u2, 0)
-    else:
+        v1, w1 = fam.profile("g1", domain), fam.profile("h1", domain)
         v2, w2 = 2.0 * fam.profile("g2", domain), 2.0 * fam.profile("h2", domain)
-
-    us, vs, ws = ([None] * (n_steps + 1) for _ in range(3))
-    us[0], vs[0], ws[0] = u2, v2, w2
-    for n in range(1, n_steps + 1):
-        m = n - 1
-        pot1 = p.chi * o1.v[m] - p.xi * o1.w[m]
-        source = -2.0 * p.mu * o1.u[m] * o1.u[m]
-        if p.chi or p.xi:
-            source = source - 2.0 * g.advective_flux_div(domain, o1.u[m], pot1)
-            if eq.u0 != 0.0:
-                source = source - eq.u0 * (p.chi * g.laplacian_neumann(domain, vs[m])
-                                           - p.xi * g.laplacian_neumann(domain, ws[m]))
-        rhs = u2 + dt * (r_eff * u2 + source)
-        u2 = g.spectral_helmholtz(domain, rhs / dt, 1.0 / dt)
+    first = SliceStore(domain, cfg, (u1, v1, w1))
+    second = SliceStore(domain, cfg, (u2, v2, w2))
+    h = cfg.relaxation_speedup * dt
+    for n in range(1, cfg.n_steps + 1):
+        # density sources of the second order, from both orders at the previous step
+        source = -2.0 * p.mu * u1 * u1
+        if drift:
+            source = source - 2.0 * g.advective_flux_div(domain, u1, p.chi * v1 - p.xi * w1)
+        source = source - coupling(v2, w2)
+        u1_new = implicit_step(domain, u1, r_eff * u1 - coupling(v1, w1), dt)
+        u2_new = implicit_step(domain, u2, r_eff * u2 + source, dt)
         if cfg.tau == 0:
-            v2, w2 = slave_v2(u2, n), slave_w2(u2, n)
+            v1, w1, v2, w2 = slaved(u1_new, u2_new)
         else:
-            src_v = kin.second_order_sources("g", domain, o1.u[m], o1.v[m])
-            src_w = kin.second_order_sources("h", domain, o1.u[m], o1.w[m])
-            v2 = g.spectral_helmholtz(
-                domain, (v2 + s * dt * (a10 * us[m] - beta * v2 + src_v)) / (s * dt), 1.0 / (s * dt))
-            w2 = g.spectral_helmholtz(
-                domain, (w2 + s * dt * (b10 * us[m] - delta * w2 + src_w)) / (s * dt), 1.0 / (s * dt))
-        us[n], vs[n], ws[n] = u2, v2, w2
-    times = np.arange(n_steps + 1) * dt
-    traj2 = Trajectory(domain, times, np.stack(us), np.stack(vs), np.stack(ws))
-    return VariationStack(order1=o1, order2=traj2, provenance="direct")
+            src_v = kin.second_order_sources("g", domain, u1, v1)
+            src_w = kin.second_order_sources("h", domain, u1, w1)
+            v1, w1, v2, w2 = (implicit_step(domain, v1, a10 * u1 - beta * v1, h),
+                              implicit_step(domain, w1, b10 * u1 - delta * w1, h),
+                              implicit_step(domain, v2, a10 * u2 - beta * v2 + src_v, h),
+                              implicit_step(domain, w2, b10 * u2 - delta * w2 + src_w, h))
+        u1, u2 = u1_new, u2_new
+        first.put(n, (u1, v1, w1))
+        second.put(n, (u2, v2, w2))
+    return VariationStack(order1=first.trajectory(), order2=second.trajectory())
 
 
 # ---------------------------------------------------------------------------

@@ -33,11 +33,9 @@ from archemo.recover import ExperimentBank, Oracle, PipelineOptions, run_full_pi
 from archemo.variation import (
     ForwardHandle,
     PerturbationFamily,
-    VariationStack,
     consistency_report,
     extract_variation_fd,
-    solve_first_variation,
-    solve_second_variation,
+    solve_variations,
 )
 
 TRUTH = ParameterSet(chi=0.1, xi=0.05, r=0.5, mu=1.0,
@@ -177,13 +175,11 @@ def test_criterion_3_linearization_consistency():
         cfg = SolverConfig(tau=0, dt=1e-3, t_final=0.4)
         fam = PerturbationFamily(f1=1.0 + 0.9 * np.cos(math.pi * domain.axes[0]),
                                  epsilons=(1e-2, 5e-3, 2.5e-3))
-        direct1 = solve_first_variation(domain, TRUTH, kin, fam, cfg)
-        direct2 = solve_second_variation(domain, TRUTH, kin, fam, direct1, cfg)
+        direct = solve_variations(domain, TRUTH, kin, fam, cfg)
         handle = ForwardHandle.from_model(domain, TRUTH, kin, cfg)
         _, ladder = extract_variation_fd(handle, fam, order=2,
-                                         first_direct=direct1.order1, return_ladder=True)
-        rep = consistency_report(
-            domain, VariationStack(order1=direct1.order1, order2=direct2.order2), ladder)
+                                         first_direct=direct.order1, return_ladder=True)
+        rep = consistency_report(domain, direct, ladder)
         assert rep.slopes[1] >= 0.8
         assert rep.slopes[2] >= 0.8
         errs1 = [l2 for eps, order, l2, linf in rep.rows if order == 1]

@@ -1,4 +1,7 @@
+import ast
+import glob
 import importlib
+import os
 import pkgutil
 
 import pytest
@@ -6,6 +9,7 @@ import pytest
 import archemo
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(archemo.__path__))
+DEMOS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "demos", "*.py")))
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -14,3 +18,27 @@ def test_all_names_resolve(name):
     module = importlib.import_module(f"archemo.{name}")
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing, f"archemo.{name}.__all__ lists undefined names {missing}"
+
+
+def _archemo_imports(path):
+    """(module, name) for every archemo import of a file; name is None for `import m`."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "archemo":
+            for alias in node.names:
+                yield node.module, alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "archemo":
+                    yield alias.name, None
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=os.path.basename)
+def test_demo_imports_resolve(path):
+    # the demos are not run by the suite, so a renamed function would go unnoticed
+    imports = list(_archemo_imports(path))
+    assert imports, f"{path} imports nothing from archemo"
+    missing = [f"{mod}.{name}" for mod, name in imports
+               if not hasattr(importlib.import_module(mod), name or "__name__")]
+    assert not missing, f"{os.path.basename(path)} imports undefined names {missing}"

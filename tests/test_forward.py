@@ -23,7 +23,7 @@ from archemo.grid import (
     quadrature,
     spectral_helmholtz,
 )
-from archemo.variation import PerturbationFamily, solve_first_variation
+from archemo.variation import PerturbationFamily, solve_variations
 
 from conftest import make_kinetics
 
@@ -217,7 +217,7 @@ def test_perturbation_decay_matches_linearization(line129):
     f = eq.u0 + 0.01 * np.cos(math.pi * x)
     traj = solve_forward(line129, (f, line129.constant(eq.v0), line129.constant(eq.w0)), p, kin, cfg)
     fam = PerturbationFamily(f1=np.cos(math.pi * x), enforce_nonnegative=False)
-    direct = solve_first_variation(line129, p, kin, fam, cfg)
+    direct = solve_variations(line129, p, kin, fam, cfg)
     gap = (traj.u - eq.u0) / 0.01
     rel = np.max(np.abs(gap - direct.order1.u)) / np.max(np.abs(direct.order1.u))
     assert rel < 5e-2       # agreement up to the quadratic remainder O(eps)

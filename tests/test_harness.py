@@ -30,7 +30,7 @@ from archemo.harness import (
     study_rows_to_text,
 )
 from archemo.probes import cgo_parabolic
-from archemo.variation import PerturbationFamily, VariationStack, solve_first_variation
+from archemo.variation import PerturbationFamily, solve_variations
 
 from conftest import make_kinetics
 
@@ -245,7 +245,7 @@ def test_variation_stack_npz_round_trip(tmp_path, line65, applied_params):
     kin = make_kinetics(applied_params)
     cfg = SolverConfig(tau=0, dt=1e-3, t_final=0.05)
     fam = PerturbationFamily(f1=1.0 + 0.5 * np.cos(math.pi * line65.axes[0]))
-    stack = solve_first_variation(line65, applied_params, kin, fam, cfg)
+    stack = solve_variations(line65, applied_params, kin, fam, cfg)
     path = tmp_path / "stack.npz"
     aio.variation_stack_to_npz(path, stack)
     back = aio.variation_stack_from_npz(path)
@@ -299,14 +299,21 @@ def test_cli_simulate_and_outputs(tmp_path):
 
 
 def test_cli_linearize(tmp_path):
-    cfg = ExperimentConfig.from_file(os.path.join(CONFIG_DIR, "quick_recover.cfg"))
-    cfg.set("solver.t_final", 0.1)
-    path = tmp_path / "lin.cfg"
-    cfg.to_file(path)
-    code = cli(["--config", str(path), "--out", str(tmp_path / "out"), "--quiet", "linearize"])
-    assert code == 0
-    assert (tmp_path / "out" / "consistency.txt").exists()
-    assert (tmp_path / "out" / "variation_fd.npz").exists()
+    # direct variations are stored on the oracle runs' slices at any stride
+    for every in (1, 4):
+        cfg = ExperimentConfig.from_file(os.path.join(CONFIG_DIR, "quick_recover.cfg"))
+        cfg.set("solver.t_final", 0.1)
+        cfg.set("solver.store_every", every)
+        path = tmp_path / f"lin{every}.cfg"
+        cfg.to_file(path)
+        out = tmp_path / f"out{every}"
+        code = cli(["--config", str(path), "--out", str(out), "--quiet", "linearize"])
+        assert code == 0
+        assert (out / "consistency.txt").exists()
+        direct = aio.variation_stack_from_npz(out / "variation_direct.npz")
+        fd = aio.variation_stack_from_npz(out / "variation_fd.npz")
+        assert np.array_equal(direct.order1.times, fd.order1.times)
+        assert len(direct.order1.times) == -(-50 // every) + 1
 
 
 def test_cli_recover_check_passes(tmp_path):

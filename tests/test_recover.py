@@ -110,14 +110,15 @@ def test_estimator_gauge_invariance():
 
 def test_oracle_caching_and_counts(line65, applied_params):
     oracle = _oracle(line65, applied_params, t_final=0.05)
+    run = oracle.handle().run
     f = 0.5 + 0.1 * np.cos(math.pi * line65.axes[0])
     z = line65.zeros()
-    oracle.query(f, z, z)
-    oracle.query(f, z, z)
+    run(f, z, z)
+    run(f, z, z)
     assert oracle.query_count == 2
     assert oracle.run_count == 1
-    t1, m1 = oracle.query(f, z, z)
-    t2, m2 = oracle.query(f, z, z)
+    t1 = run(f, z, z)
+    t2 = run(f, z, z)
     assert t1 is t2
 
 

@@ -4,16 +4,27 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from archemo.forward import ParameterSet, SolverConfig, Trajectory
-from archemo.grid import Domain, helmholtz_solve, laplacian_neumann, norm_l2
+from archemo.forward import (
+    ParameterSet,
+    SeparableField,
+    SolverConfig,
+    Trajectory,
+    steady_state,
+)
+from archemo.grid import (
+    Domain,
+    advective_flux_div,
+    helmholtz_solve,
+    laplacian_neumann,
+    norm_l2,
+    spectral_helmholtz,
+)
 from archemo.variation import (
     ForwardHandle,
     PerturbationFamily,
-    VariationStack,
     consistency_report,
     extract_variation_fd,
-    solve_first_variation,
-    solve_second_variation,
+    solve_variations,
     space_time_norm,
 )
 
@@ -30,7 +41,7 @@ def _fd_setup(domain, params, tau=0, dt=1e-3, t_final=0.3, **fam_kw):
 
 def test_zero_perturbation_gives_zero_variations(line65, applied_params):
     kin, cfg, fam, handle = _fd_setup(line65, applied_params)
-    direct = solve_first_variation(line65, applied_params, kin, fam, cfg)
+    direct = solve_variations(line65, applied_params, kin, fam, cfg)
     assert np.max(np.abs(direct.order1.u)) == 0.0
     assert np.max(np.abs(direct.order1.v)) == 0.0
     fd = extract_variation_fd(handle, fam, order=1)
@@ -44,7 +55,7 @@ def test_first_variation_single_mode(line129):
     cfg = SolverConfig(tau=0, dt=dt, t_final=T)
     x = line129.axes[0]
     fam = PerturbationFamily(f1=np.cos(math.pi * x), enforce_nonnegative=False)
-    stack = solve_first_variation(line129, p, kin, fam, cfg)
+    stack = solve_variations(line129, p, kin, fam, cfg)
     t = stack.order1.times.reshape(-1, 1)
     exact = np.exp((p.r - math.pi ** 2) * t) * np.cos(math.pi * x)
     err = np.max(np.abs(stack.order1.u - exact))
@@ -60,10 +71,9 @@ def test_first_variation_linearity(line65, applied_params, rng):
     kin, cfg, _, _ = _fd_setup(line65, applied_params)
     f1a = rng.random(line65.shape)
     f1b = rng.random(line65.shape)
-    sa = solve_first_variation(line65, applied_params, kin, PerturbationFamily(f1=f1a), cfg)
-    sb = solve_first_variation(line65, applied_params, kin, PerturbationFamily(f1=f1b), cfg)
-    sab = solve_first_variation(line65, applied_params, kin,
-                                PerturbationFamily(f1=f1a + f1b), cfg)
+    sa = solve_variations(line65, applied_params, kin, PerturbationFamily(f1=f1a), cfg)
+    sb = solve_variations(line65, applied_params, kin, PerturbationFamily(f1=f1b), cfg)
+    sab = solve_variations(line65, applied_params, kin, PerturbationFamily(f1=f1a + f1b), cfg)
     gap = np.max(np.abs(sab.order1.u - sa.order1.u - sb.order1.u))
     assert gap <= 1e-10
 
@@ -76,8 +86,7 @@ def test_second_variation_initial_condition_only(line129):
     cfg = SolverConfig(tau=0, dt=dt, t_final=T)
     x = line129.axes[0]
     fam = PerturbationFamily(f2=np.cos(math.pi * x), enforce_nonnegative=False)
-    first = solve_first_variation(line129, p, kin, fam, cfg)
-    second = solve_second_variation(line129, p, kin, fam, first, cfg)
+    second = solve_variations(line129, p, kin, fam, cfg)
     t = second.order2.times.reshape(-1, 1)
     exact = 2.0 * np.exp((p.r - math.pi ** 2) * t) * np.cos(math.pi * x)
     assert np.max(np.abs(second.order2.u - exact)) <= 5 * (dt + line129.spacing[0] ** 2) * math.pi ** 4
@@ -93,8 +102,7 @@ def test_second_variation_undetermined_coefficients(line129):
     cfg = SolverConfig(tau=0, dt=dt, t_final=T)
     x = line129.axes[0]
     fam = PerturbationFamily(f1=np.cos(math.pi * x), enforce_nonnegative=False)
-    first = solve_first_variation(line129, p, kin, fam, cfg)
-    second = solve_second_variation(line129, p, kin, fam, first, cfg)
+    second = solve_variations(line129, p, kin, fam, cfg)
     theta = r - math.pi ** 2
     lam2 = (2 * math.pi) ** 2
     t = second.order2.times.reshape(-1, 1)
@@ -105,8 +113,7 @@ def test_second_variation_undetermined_coefficients(line129):
         space_time_norm(line129, second.order2.times, exact)
     assert rel <= 0.05
     cfg2 = SolverConfig(tau=0, dt=dt / 2, t_final=T)
-    first2 = solve_first_variation(line129, p, kin, fam, cfg2)
-    second2 = solve_second_variation(line129, p, kin, fam, first2, cfg2)
+    second2 = solve_variations(line129, p, kin, fam, cfg2)
     t2 = second2.order2.times.reshape(-1, 1)
     exact2 = (mu * (np.exp(r * t2) - np.exp(2 * theta * t2)) / (2 * theta - r)
               + mu * (np.exp((r - lam2) * t2) - np.exp(2 * theta * t2))
@@ -125,24 +132,17 @@ def test_second_variation_superposition(line65):
     x = line65.axes[0]
     fam = PerturbationFamily(f1=1.0 + 0.5 * np.cos(math.pi * x),
                              f2=0.5 + 0.5 * np.cos(2 * math.pi * x))
-    first = solve_first_variation(line65, p, kin, fam, cfg)
-    second = solve_second_variation(line65, p, kin, fam, first, cfg)
+    second = solve_variations(line65, p, kin, fam, cfg)
     for n in (0, len(second.order2.times) // 2, -1):
         expected = helmholtz_solve(line65, 1.0 * second.order2.u[n], p.beta)
         assert np.max(np.abs(second.order2.v[n] - expected)) < 1e-9
-
-
-def test_second_variation_requires_first(line65, applied_params):
-    kin, cfg, fam, _ = _fd_setup(line65, applied_params, f1=np.ones(65))
-    with pytest.raises(ValueError):
-        solve_second_variation(line65, applied_params, kin, fam, None, cfg)
 
 
 def test_fd_matches_direct_for_affine_map(line65):
     # with mu ~ 0 and chi = xi = 0 the solution map is affine in eps
     p = ParameterSet(chi=0.0, xi=0.0, r=0.5, mu=1e-12)
     kin, cfg, fam, handle = _fd_setup(line65, p, f1=1.0 + 0.9 * np.cos(math.pi * line65.axes[0]))
-    direct = solve_first_variation(line65, p, kin, fam, cfg)
+    direct = solve_variations(line65, p, kin, fam, cfg)
     fd = extract_variation_fd(handle, fam, order=1)
     assert np.max(np.abs(fd.order1.u - direct.order1.u)) <= 1e-8
 
@@ -151,12 +151,10 @@ def test_fd_slope_full_nonlinear(line65, nondegenerate_params):
     kin, cfg, fam, handle = _fd_setup(
         line65, nondegenerate_params,
         f1=1.0 + 0.9 * np.cos(math.pi * line65.axes[0]))
-    direct1 = solve_first_variation(line65, nondegenerate_params, kin, fam, cfg)
-    direct2 = solve_second_variation(line65, nondegenerate_params, kin, fam, direct1, cfg)
+    direct = solve_variations(line65, nondegenerate_params, kin, fam, cfg)
     _, ladder = extract_variation_fd(handle, fam, order=2,
-                                     first_direct=direct1.order1, return_ladder=True)
-    rep = consistency_report(
-        line65, VariationStack(order1=direct1.order1, order2=direct2.order2), ladder)
+                                     first_direct=direct.order1, return_ladder=True)
+    rep = consistency_report(line65, direct, ladder)
     assert rep.slopes[1] >= 0.8
     assert rep.slopes[2] >= 0.8
     assert "slope" in rep.to_text()
@@ -184,7 +182,7 @@ def test_slope_nan_at_floor(line65):
     # affine map: discrepancies at solver floor, slope flagged as NaN
     p = ParameterSet(chi=0.0, xi=0.0, r=0.5, mu=1e-12)
     kin, cfg, fam, handle = _fd_setup(line65, p, f1=np.ones(65))
-    direct = solve_first_variation(line65, p, kin, fam, cfg)
+    direct = solve_variations(line65, p, kin, fam, cfg)
     _, ladder = extract_variation_fd(handle, fam, order=1, return_ladder=True)
     rep = consistency_report(line65, direct, ladder, floor=1e-10)
     assert math.isnan(rep.slopes[1])
@@ -195,7 +193,7 @@ def test_elliptic_residual_invariant(line65, nondegenerate_params):
     # tau=0 slaved first variation satisfies the discrete chemical balance
     kin, cfg, fam, _ = _fd_setup(line65, nondegenerate_params,
                                  f1=1.0 + 0.5 * np.cos(math.pi * line65.axes[0]))
-    stack = solve_first_variation(line65, nondegenerate_params, kin, fam, cfg)
+    stack = solve_variations(line65, nondegenerate_params, kin, fam, cfg)
     for n in (0, len(stack.order1.times) // 2, -1):
         resid = (laplacian_neumann(line65, stack.order1.v[n])
                  + 1.0 * stack.order1.u[n] - nondegenerate_params.beta * stack.order1.v[n])
@@ -207,12 +205,162 @@ def test_tau1_first_variation_uses_initial_chemicals(line65, applied_params):
     cfg = SolverConfig(tau=1, dt=1e-3, t_final=0.1)
     g1 = 1.0 + 0.5 * np.cos(math.pi * line65.axes[0])
     fam = PerturbationFamily(g1=g1)
-    stack = solve_first_variation(line65, applied_params, kin, fam, cfg)
+    stack = solve_variations(line65, applied_params, kin, fam, cfg)
     assert np.max(np.abs(stack.order1.v[0] - g1)) == 0.0
     assert np.max(np.abs(stack.order1.u)) == 0.0
     # pure decay of the attractant modes
     end = stack.order1.v[-1]
     assert 0 < np.max(end) < np.max(g1)
+
+
+# -- the joint direct solver against separate first- and second-order solvers ------
+
+
+def _reference_first_variation(domain, p, kin, fam, cfg):
+    """First variation stepped on its own, stored at every step."""
+    eq = kin.expansion_point
+    dt = cfg.dt
+    a10 = kin.coeff_grid("g", (1, 0), domain)
+    b10 = kin.coeff_grid("h", (1, 0), domain)
+    a10 = a10 if a10 is not None else domain.zeros()
+    b10 = b10 if b10 is not None else domain.zeros()
+    beta, delta = kin.beta_decay, kin.delta_decay
+    r_eff = p.r - 2.0 * p.mu * eq.u0
+    u1 = fam.profile("f1", domain)
+    if cfg.tau == 0:
+        v1 = helmholtz_solve(domain, a10 * u1, beta, tol=cfg.elliptic_tol)
+        w1 = helmholtz_solve(domain, b10 * u1, delta, tol=cfg.elliptic_tol)
+    else:
+        v1 = fam.profile("g1", domain)
+        w1 = fam.profile("h1", domain)
+    n_steps = cfg.n_steps
+    us, vs, ws = ([None] * (n_steps + 1) for _ in range(3))
+    us[0], vs[0], ws[0] = u1, v1, w1
+    s = cfg.relaxation_speedup
+    for n in range(1, n_steps + 1):
+        coupling = 0.0
+        if eq.u0 != 0.0 and (p.chi or p.xi):
+            coupling = eq.u0 * (p.chi * laplacian_neumann(domain, v1)
+                                - p.xi * laplacian_neumann(domain, w1))
+        rhs = u1 + dt * (r_eff * u1 - coupling)
+        u1 = spectral_helmholtz(domain, rhs / dt, 1.0 / dt)
+        if cfg.tau == 0:
+            v1 = helmholtz_solve(domain, a10 * u1, beta, tol=cfg.elliptic_tol)
+            w1 = helmholtz_solve(domain, b10 * u1, delta, tol=cfg.elliptic_tol)
+        else:
+            v1 = spectral_helmholtz(
+                domain, (v1 + s * dt * (a10 * us[n - 1] - beta * v1)) / (s * dt), 1.0 / (s * dt))
+            w1 = spectral_helmholtz(
+                domain, (w1 + s * dt * (b10 * us[n - 1] - delta * w1)) / (s * dt), 1.0 / (s * dt))
+        us[n], vs[n], ws[n] = u1, v1, w1
+    times = np.arange(n_steps + 1) * dt
+    return Trajectory(domain, times, np.stack(us), np.stack(vs), np.stack(ws))
+
+
+def _reference_second_variation(domain, p, kin, fam, o1, cfg):
+    """Second variation stepped on its own from the stride-1 first variation ``o1``."""
+    eq = kin.expansion_point
+    dt = cfg.dt
+    n_steps = cfg.n_steps
+    a10 = kin.coeff_grid("g", (1, 0), domain)
+    b10 = kin.coeff_grid("h", (1, 0), domain)
+    a10 = a10 if a10 is not None else domain.zeros()
+    b10 = b10 if b10 is not None else domain.zeros()
+    beta, delta = kin.beta_decay, kin.delta_decay
+    r_eff = p.r - 2.0 * p.mu * eq.u0
+    s = cfg.relaxation_speedup
+
+    def slave_v2(u2, n):
+        src = kin.second_order_sources("g", domain, o1.u[n], o1.v[n])
+        return helmholtz_solve(domain, a10 * u2 + src, beta, tol=cfg.elliptic_tol)
+
+    def slave_w2(u2, n):
+        src = kin.second_order_sources("h", domain, o1.u[n], o1.w[n])
+        return helmholtz_solve(domain, b10 * u2 + src, delta, tol=cfg.elliptic_tol)
+
+    u2 = 2.0 * fam.profile("f2", domain)
+    if cfg.tau == 0:
+        v2, w2 = slave_v2(u2, 0), slave_w2(u2, 0)
+    else:
+        v2, w2 = 2.0 * fam.profile("g2", domain), 2.0 * fam.profile("h2", domain)
+    us, vs, ws = ([None] * (n_steps + 1) for _ in range(3))
+    us[0], vs[0], ws[0] = u2, v2, w2
+    for n in range(1, n_steps + 1):
+        m = n - 1
+        pot1 = p.chi * o1.v[m] - p.xi * o1.w[m]
+        source = -2.0 * p.mu * o1.u[m] * o1.u[m]
+        if p.chi or p.xi:
+            source = source - 2.0 * advective_flux_div(domain, o1.u[m], pot1)
+            if eq.u0 != 0.0:
+                source = source - eq.u0 * (p.chi * laplacian_neumann(domain, vs[m])
+                                           - p.xi * laplacian_neumann(domain, ws[m]))
+        rhs = u2 + dt * (r_eff * u2 + source)
+        u2 = spectral_helmholtz(domain, rhs / dt, 1.0 / dt)
+        if cfg.tau == 0:
+            v2, w2 = slave_v2(u2, n), slave_w2(u2, n)
+        else:
+            src_v = kin.second_order_sources("g", domain, o1.u[m], o1.v[m])
+            src_w = kin.second_order_sources("h", domain, o1.u[m], o1.w[m])
+            v2 = spectral_helmholtz(
+                domain, (v2 + s * dt * (a10 * us[m] - beta * v2 + src_v)) / (s * dt), 1.0 / (s * dt))
+            w2 = spectral_helmholtz(
+                domain, (w2 + s * dt * (b10 * us[m] - delta * w2 + src_w)) / (s * dt), 1.0 / (s * dt))
+        us[n], vs[n], ws[n] = u2, v2, w2
+    times = np.arange(n_steps + 1) * dt
+    return Trajectory(domain, times, np.stack(us), np.stack(vs), np.stack(ws))
+
+
+def _joint_case(dim, tau, populated, store_every=1, n_steps=30):
+    """A model with all six second-order entries and a family with all six profiles."""
+    domain = Domain(1.0, 33) if dim == 1 else Domain((1.0, 1.0), (17, 17))
+    p = ParameterSet(chi=0.1, xi=0.05, r=0.5, mu=1.0, alpha=1.0, beta=1.0, gamma=0.8, delta=1.6)
+    a02 = 0.15
+    if dim == 2:
+        a02 = SeparableField(transverse=1.0 + 0.5 * np.cos(math.pi * domain.axes[0]),
+                             axial=(1.0 + domain.axes[1]) / 4.0)
+    kin = make_kinetics(p, second_order_g={(1, 1): 0.3, (2, 0): 0.2, (0, 2): a02},
+                        second_order_h={(1, 1): -0.1, (2, 0): 0.25, (0, 2): 0.1},
+                        expansion_point=steady_state(p) if populated else None)
+    cfg = SolverConfig(tau=tau, dt=1e-3, t_final=n_steps * 1e-3, store_every=store_every,
+                       relaxation_speedup=1.7 if tau == 1 else 1.0)
+    grids = domain.meshgrid()
+    x, y = grids[-1], grids[0]
+    fam = PerturbationFamily(f1=1.0 + 0.5 * np.cos(math.pi * x) * np.cos(math.pi * y),
+                             g1=0.5 + 0.3 * np.cos(2 * math.pi * x), h1=0.4 + 0.2 * np.cos(math.pi * y),
+                             f2=0.3 + 0.2 * np.cos(math.pi * x), g2=0.2 + 0.1 * np.cos(math.pi * y),
+                             h2=0.1 + 0.05 * np.cos(2 * math.pi * x))
+    return domain, p, kin, fam, cfg
+
+
+@pytest.mark.parametrize("populated", [False, True], ids=["u0=0", "u0>0"])
+@pytest.mark.parametrize("tau", [0, 1])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_joint_solver_matches_separate_solvers(dim, tau, populated):
+    domain, p, kin, fam, cfg = _joint_case(dim, tau, populated)
+    assert (kin.expansion_point.u0 != 0.0) == populated
+    stack = solve_variations(domain, p, kin, fam, cfg)
+    first = _reference_first_variation(domain, p, kin, fam, cfg)
+    second = _reference_second_variation(domain, p, kin, fam, first, cfg)
+    assert stack.provenance == "direct"
+    assert np.array_equal(stack.order1.times, first.times)
+    assert np.array_equal(stack.order2.times, second.times)
+    _assert_traj_equal(stack.order1, first)
+    _assert_traj_equal(stack.order2, second)
+    assert np.max(np.abs(second.u[-1])) > 0.0
+
+
+@pytest.mark.parametrize("tau", [0, 1])
+def test_strided_variations_keep_the_stride_one_slices(tau):
+    # 10 steps at stride 4 store steps 0, 4, 8 and the last one, like solve_forward
+    domain, p, kin, fam, cfg = _joint_case(1, tau, False, n_steps=10)
+    every = solve_variations(domain, p, kin, fam, cfg)
+    _, _, _, _, cfg4 = _joint_case(1, tau, False, store_every=4, n_steps=10)
+    strided = solve_variations(domain, p, kin, fam, cfg4)
+    kept = [0, 4, 8, 10]
+    for full, part in ((every.order1, strided.order1), (every.order2, strided.order2)):
+        assert np.array_equal(part.times, full.times[kept])
+        for name in ("u", "v", "w"):
+            assert np.array_equal(part.component(name), full.component(name)[kept])
 
 
 # -- finite-difference extraction against the out-of-place reference --------------
@@ -287,7 +435,7 @@ def test_fd_matches_out_of_place_reference(line65, nondegenerate_params, order, 
     direct = None
     if use_direct:
         kin = make_kinetics(nondegenerate_params)
-        direct = solve_first_variation(line65, nondegenerate_params, kin, fam, handle.cfg).order1
+        direct = solve_variations(line65, nondegenerate_params, kin, fam, handle.cfg).order1
     d1, order1, corr1, d2, order2, corr2 = _reference_fd(handle, fam, direct)
     stack, ladder = extract_variation_fd(handle, fam, order=order, first_direct=direct,
                                          return_ladder=True)
