@@ -22,7 +22,8 @@ initial state).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -165,6 +166,8 @@ class KineticsSpec:
     g_coeffs: dict = field(default_factory=dict)
     h_coeffs: dict = field(default_factory=dict)
     expansion_point: EquilibriumState = EquilibriumState(0.0, 0.0, 0.0)
+    # (domain, weighted coefficient grids per table), set only by bind()
+    _terms = None
 
     @classmethod
     def from_parameters(cls, p: ParameterSet, second_order_g=None, second_order_h=None,
@@ -219,10 +222,30 @@ class KineticsSpec:
             return None
         return coefficient_on_grid(table[key], domain)
 
-    def _evaluate(self, table, domain, du, dn):
+    @staticmethod
+    def _weighted_terms(table, domain):
+        return [(p, q, coefficient_on_grid(val, domain) * _monomial_weight(p, q))
+                for (p, q), val in table.items()]
+
+    def bind(self, domain: Domain) -> KineticsSpec:
+        """A copy for runs on ``domain`` that builds its coefficient grids once, here.
+
+        The copy owns its coefficient tables, so changes to this spec never
+        reach it; :func:`solve_forward` makes one per run.
+        """
+        bound = replace(self, g_coeffs=dict(self.g_coeffs), h_coeffs=dict(self.h_coeffs))
+        bound._terms = (domain, {"g": self._weighted_terms(bound.g_coeffs, domain),
+                                 "h": self._weighted_terms(bound.h_coeffs, domain)})
+        return bound
+
+    def _evaluate(self, which, domain, du, dn):
+        if self._terms is not None and self._terms[0] is domain:
+            terms = self._terms[1][which]
+        else:
+            terms = self._weighted_terms(self.g_coeffs if which == "g" else self.h_coeffs,
+                                         domain)
         out = np.zeros(domain.shape)
-        for (p, q), val in table.items():
-            term = coefficient_on_grid(val, domain) * _monomial_weight(p, q)
+        for p, q, term in terms:
             if p:
                 term = term * du**p
             if q:
@@ -232,11 +255,11 @@ class KineticsSpec:
 
     def evaluate_g(self, domain: Domain, u, v):
         eq = self.expansion_point
-        return self._evaluate(self.g_coeffs, domain, u - eq.u0, v - eq.v0)
+        return self._evaluate("g", domain, u - eq.u0, v - eq.v0)
 
     def evaluate_h(self, domain: Domain, u, w):
         eq = self.expansion_point
-        return self._evaluate(self.h_coeffs, domain, u - eq.u0, w - eq.w0)
+        return self._evaluate("h", domain, u - eq.u0, w - eq.w0)
 
     def _nonlinear_in_second(self, table) -> bool:
         return any(q >= 1 and (p, q) != (0, 1) for (p, q) in table)
@@ -449,7 +472,8 @@ def step(domain: Domain, state, p: ParameterSet, kin: KineticsSpec, cfg: SolverC
 
     The supplied (v, w) must already be consistent with u (slaved for tau=0).
     The drift's face velocities are built once and serve both the CFL check
-    and the upwind flux.
+    and the upwind flux.  u and the potential are screened by their sums and
+    scanned by :meth:`Domain.check_field` only when that screen fails.
     """
     u, v, w = state
     potential = p.chi * v - p.xi * w
@@ -457,13 +481,15 @@ def step(domain: Domain, state, p: ParameterSet, kin: KineticsSpec, cfg: SolverC
     _check_cfl(domain, cfg, g.face_speed(vels))
     dt = cfg.dt
     if p.chi or p.xi:
-        domain.check_field(u, "density")
-        domain.check_field(potential, "potential")
+        if not (domain.is_real_field(u) and domain.is_real_field(potential)
+                and math.isfinite(float(u.sum()) + float(potential.sum()))):
+            domain.check_field(u, "density")
+            domain.check_field(potential, "potential")
         advect = g.upwind_flux_div(domain, u, vels)
     else:
         advect = 0.0
     u_new = implicit_step(domain, u, p.r * u - p.mu * u * u - advect, dt)
-    if cfg.require_nonnegative and float(np.min(u_new)) < NEGATIVITY_FLOOR:
+    if cfg.require_nonnegative and float(u_new.min()) < NEGATIVITY_FLOOR:
         raise NumericsError(
             f"density dropped to {float(np.min(u_new)):.3e}, below the negativity floor; "
             "the run is unstable")
@@ -486,7 +512,7 @@ def solve_forward(domain: Domain, init, p: ParameterSet, kin: KineticsSpec,
     """
     cfg.validate()
     p.validate(domain)
-    kin.validate(domain)
+    kin = kin.validate(domain).bind(domain)
     f0, g0, h0 = (domain.check_field(np.asarray(a, dtype=float), n)
                   for a, n in zip(init, ("f", "g", "h")))
     if cfg.require_nonnegative:

@@ -6,12 +6,15 @@ conditions are imposed by ghost-node reflection, which makes the sampled
 cosines cos(k*pi*x/L) exact eigenvectors of the discrete Laplacian.  That
 fact is exploited throughout: the screened operator (-Lap + decay) is
 diagonal in the DCT-I basis, so one forward and one inverse transform solve
-the screened-Poisson problem directly.  Each domain keeps its eigenvalue grid.
+the screened-Poisson problem directly.  Each domain keeps its eigenvalue grid,
+and the transforms call pocketfft's DCT-I without ``scipy.fft``'s backend
+dispatch, which costs several times the transform on 1D grids.
 
 Fields are plain numpy arrays whose shape equals ``domain.shape`` (axis order
 x1[, x2], the last axis playing the role of the distinguished coordinate in
-separable-coefficient work).  :func:`laplacian_neumann` also accepts a stack
-of fields, acting on the trailing ``domain.dim`` axes.
+separable-coefficient work).  The differential operators also accept a stack
+of fields, acting on the trailing ``domain.dim`` axes with the same values as
+a loop over the slices, so time loops can become array expressions.
 """
 
 from __future__ import annotations
@@ -19,7 +22,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.fft
+# the DCT-I behind scipy.fft.dct/idct/dctn/idctn, called without their dispatch;
+# a scipy that moves this private entry point fails here, not with other values
+from scipy.fft._pocketfft.pypocketfft import dct as _pocketfft_dct
 
 from .errors import EllipticSolveError
 
@@ -136,6 +141,15 @@ class Domain:
             raise ValueError(f"{name} contains non-finite entries")
         return f
 
+    def is_real_field(self, f):
+        """Whether f is a float64 array of exactly this shape, as the package's own fields are.
+
+        A finite sum over such a field proves it holds no NaN or infinity, so
+        the hot paths screen with a reduction they need anyway and run
+        :meth:`check_field`'s full scan only when that screen fails.
+        """
+        return type(f) is np.ndarray and f.dtype == np.float64 and f.shape == self.shape
+
 
 # ---------------------------------------------------------------------------
 # differential operators
@@ -176,12 +190,23 @@ def laplacian_neumann(domain, f):
     return _laplacian(domain, f)
 
 
+def _axis_index(dim, axis):
+    # index tuples for the lower and upper node of every face, the inner nodes,
+    # and the first and last node along field axis ``axis`` of a field or a stack
+    def along(index):
+        return (Ellipsis, index) + (slice(None),) * (dim - 1 - axis)
+    return tuple(along(i) for i in (slice(None, -1), slice(1, None), slice(1, -1), 0, -1))
+
+
+_AXIS_INDEX = {(dim, axis): _axis_index(dim, axis) for dim in (1, 2) for axis in range(dim)}
+
+
 def face_velocities(domain, potential, strength=1.0):
     """Face-centered velocity strength * dP/dx along each axis."""
     vels = []
     for axis, h in enumerate(domain.spacing):
-        p = _moveaxis(potential, axis, 0)
-        vels.append(strength * (p[1:] - p[:-1]) / h)
+        lo, hi = _AXIS_INDEX[domain.dim, axis][:2]
+        vels.append(strength * (potential[hi] - potential[lo]) / h)
     return vels
 
 
@@ -191,17 +216,16 @@ def upwind_patterns(domain, potential, strength=1.0):
 
 
 def _flux_divergence(domain, u, vels, patterns):
-    total = np.zeros(domain.shape, dtype=np.result_type(u, *[v.dtype for v in vels]))
+    total = np.zeros(u.shape, dtype=np.result_type(u, *[v.dtype for v in vels]))
     for axis, (h, vel, donor_left) in enumerate(zip(domain.spacing, vels, patterns)):
-        uu = _moveaxis(u, axis, 0)
-        donor = np.where(donor_left, uu[:-1], uu[1:])
-        flux = vel * donor
-        div = np.zeros_like(uu, dtype=total.dtype)
-        div[1:-1] = (flux[1:] - flux[:-1]) / h
+        lo, hi, inner, first, last = _AXIS_INDEX[domain.dim, axis]
+        flux = vel * np.where(donor_left, u[lo], u[hi])
+        div = np.zeros(u.shape, dtype=total.dtype)
+        div[inner] = (flux[hi] - flux[lo]) / h
         # boundary cells have width h/2 and a zero outer flux
-        div[0] = flux[0] / (0.5 * h)
-        div[-1] = -flux[-1] / (0.5 * h)
-        total += _moveaxis(div, 0, axis)
+        div[first] = flux[first] / (0.5 * h)
+        div[last] = -flux[last] / (0.5 * h)
+        total += div
     return total
 
 
@@ -210,9 +234,10 @@ def advective_flux_div(domain, u, potential, strength=1.0):
 
     First-order upwinding on u with centered face gradients of the potential;
     outer faces carry zero flux, so the weighted total is conserved exactly.
+    u and the potential may be stacks with the same leading axes.
     """
-    u = domain.check_field(u, "density")
-    potential = domain.check_field(potential, "potential")
+    u = domain.check_field(u, "density", stacked=True)
+    potential = domain.check_field(potential, "potential", stacked=True)
     return upwind_flux_div(domain, u, face_velocities(domain, potential, strength))
 
 
@@ -225,10 +250,11 @@ def advective_flux_div_patterned(domain, u, potential, patterns, strength=1.0):
     """Like :func:`advective_flux_div` but with an externally frozen upwind pattern.
 
     With the pattern fixed, the result is linear in the potential, which the
-    recovery regression relies on.
+    recovery regression relies on.  The patterns of a stack come from
+    :func:`upwind_patterns` of a potential with the same leading axes.
     """
-    u = domain.check_field(u, "density")
-    potential = domain.check_field(potential, "potential")
+    u = domain.check_field(u, "density", stacked=True)
+    potential = domain.check_field(potential, "potential", stacked=True)
     vels = face_velocities(domain, potential, strength)
     return _flux_divergence(domain, u, vels, patterns)
 
@@ -238,7 +264,7 @@ def face_speed(vels):
     speed = 0.0
     for v in vels:
         if v.size:
-            speed = max(speed, float(np.max(np.abs(v))))
+            speed = max(speed, float(np.abs(v).max()))
     return speed
 
 
@@ -316,16 +342,24 @@ def mode_eigenvalues_1d(n, h):
 
 
 def _spectral_solve(domain, source, decay):
-    lam = domain.neumann_eigenvalues + decay
-    if domain.dim == 1:
-        # the same transform as dctn on one axis, without its axis bookkeeping
-        return scipy.fft.idct(scipy.fft.dct(source, type=1) / lam, type=1)
-    return scipy.fft.idctn(scipy.fft.dctn(source, type=1) / lam, type=1)
+    # pocketfft's DCT-I, unnormalised forward and scaled by 1 / prod(2 (n - 1))
+    # inverse: the transform pair scipy.fft's dct and idct run.  The inverse
+    # runs in place on the forward result
+    axes = tuple(range(source.ndim - domain.dim, source.ndim))
+    coeffs = _pocketfft_dct(source, 1, axes, 0, None, 1)
+    coeffs /= domain.neumann_eigenvalues + decay
+    return _pocketfft_dct(coeffs, 1, axes, 2, coeffs, 1)
 
 
 def spectral_helmholtz(domain, source, decay):
-    """Direct solve of (-Lap + decay) v = source by DCT-I diagonalization."""
-    return _spectral_solve(domain, source, decay)
+    """Direct solve of (-Lap + decay) v = source by DCT-I diagonalization.
+
+    The source is a real field of the domain's shape, or a stack of them.
+    """
+    source = np.asarray(source)
+    if source.dtype.kind == "c":
+        raise ValueError("source must be real-valued")
+    return _spectral_solve(domain, source.astype(float, copy=False), decay)
 
 
 def helmholtz_solve(domain, source, decay, tol=1e-10):
@@ -344,14 +378,19 @@ def helmholtz_solve(domain, source, decay, tol=1e-10):
         raise EllipticSolveError(
             f"screened operator needs decay > 0 to be positive definite, got {decay}"
         )
-    source = domain.check_field(source, "source")
+    if not domain.is_real_field(source):
+        source = np.asarray(domain.check_field(source, "source"), dtype=float)
     w = domain.weights
-    bnorm = math.sqrt(float(np.sum(w * source * source)))
+    bsq = float((w * source * source).sum())
+    if not math.isfinite(bsq):
+        # NaN or infinity in the source, or only an overflowing norm, which the scan accepts
+        domain.check_field(source, "source")
+    bnorm = math.sqrt(bsq)
     if bnorm == 0.0:
         return np.zeros_like(source)
     x = _spectral_solve(domain, source, decay)
     r = source - (-_laplacian(domain, x) + decay * x)
-    rnorm = math.sqrt(float(np.sum(w * r * r)))
+    rnorm = math.sqrt(float((w * r * r).sum()))
     if rnorm <= tol * bnorm:
         return x
     lam_max = float(np.max(domain.neumann_eigenvalues))

@@ -48,6 +48,7 @@ from .variation import (
     ForwardHandle,
     PerturbationFamily,
     VariationStack,
+    extend_to_order2,
     extract_variation_fd,
 )
 
@@ -141,6 +142,9 @@ CGO_CHECK_TOL = 0.1
 # stage-3 least-squares passes; each after the first freezes the upwind
 # pattern of the previous pass's (chi, xi)
 PATTERN_PASSES = 2
+# stage 3 builds its regressors for this many time steps at a time; it bounds the
+# block temporaries, about a dozen arrays of this many fields
+REGRESSOR_BLOCK = 64
 
 
 @dataclass
@@ -186,8 +190,8 @@ class ExperimentBank:
     Stacks are keyed by the family's content (profiles, eps ladder and the
     non-negativity flag), so experiments that probe with identical data share
     one stack whatever their names.  An order-2 stack replaces the family's
-    order-1 stack, whose values it contains; order-1 requests are then served
-    from it without the second-order fields.  The bank queries the oracle
+    order-1 stack, whose order-1 result it reuses; order-1 requests are then
+    served from it without the second-order fields.  The bank queries the oracle
     through one handle, so the forward runs it caches go with the bank.
     """
 
@@ -207,9 +211,10 @@ class ExperimentBank:
     def stack(self, exp: Experiment, order: int = 1):
         key = self._family_key(exp.fam)
         stack = self._stacks.get(key)
-        if stack is None or (order == 2 and stack.order2 is None):
-            stack = extract_variation_fd(self._handle, exp.fam, order=order)
-            self._stacks[key] = stack
+        if stack is None:
+            stack = self._stacks[key] = extract_variation_fd(self._handle, exp.fam, order=order)
+        elif order == 2 and stack.order2 is None:
+            stack = self._stacks[key] = extend_to_order2(self._handle, exp.fam, stack)
         if exp.name not in self.used:
             self.used.append(exp.name)
         if order == 1 and stack.order2 is not None:
@@ -595,17 +600,25 @@ def recover_chi_xi_mu(oracle: Oracle, r: float, linear: StageRecord,
         resid = step_source(domain, o2.u, dt) - r * o2.u[:-1]
         data.append((exp, o1, resid))
 
-    def regressor_slices(o1, n, chi_xi_guess):
-        if chi_xi_guess is None:
-            s_chi = -2.0 * g.advective_flux_div(domain, o1.u[n], o1.v[n])
-            s_xi = 2.0 * g.advective_flux_div(domain, o1.u[n], o1.w[n])
-        else:
-            chi_g, xi_g = chi_xi_guess
-            pat = g.upwind_patterns(domain, chi_g * o1.v[n] - xi_g * o1.w[n])
-            s_chi = -2.0 * g.advective_flux_div_patterned(domain, o1.u[n], o1.v[n], pat)
-            s_xi = 2.0 * g.advective_flux_div_patterned(domain, o1.u[n], o1.w[n], pat)
-        s_mu = -2.0 * o1.u[n] ** 2
-        return s_chi, s_xi, s_mu
+    def regressor_blocks(o1, n_res, chi_xi_guess):
+        # (steps, s_chi, s_xi, s_mu) for consecutive blocks of the first n_res steps
+        for start in range(0, n_res, REGRESSOR_BLOCK):
+            steps = slice(start, min(start + REGRESSOR_BLOCK, n_res))
+            u, v, w = o1.u[steps], o1.v[steps], o1.w[steps]
+            if chi_xi_guess is None:
+                s_chi = -2.0 * g.advective_flux_div(domain, u, v)
+                s_xi = 2.0 * g.advective_flux_div(domain, u, w)
+            else:
+                chi_g, xi_g = chi_xi_guess
+                pat = g.upwind_patterns(domain, chi_g * v - xi_g * w)
+                s_chi = -2.0 * g.advective_flux_div_patterned(domain, u, v, pat)
+                s_xi = 2.0 * g.advective_flux_div_patterned(domain, u, w, pat)
+            s_mu = -2.0 * u ** 2
+            yield steps, s_chi, s_xi, s_mu
+
+    def step_sums(values):
+        # the sum over each step's nodes, as np.sum of that step's slice gives it
+        return np.sum(values.reshape(values.shape[0], -1), axis=1)
 
     zetas = []
     for mult in PROBE_ZETA_MULTIPLIERS:
@@ -621,17 +634,21 @@ def recover_chi_xi_mu(oracle: Oracle, r: float, linear: StageRecord,
             n_res = resid.shape[0]
             times = o1.times[:n_res]
             gaps = np.empty_like(resid)
-            for n in range(n_res):
-                s_chi, s_xi, s_mu = regressor_slices(o1, n, chi_xi_guess)
-                gaps[n] = resid[n] - sol[0] * s_chi - sol[1] * s_xi - sol[2] * s_mu
+            for steps, s_chi, s_xi, s_mu in regressor_blocks(o1, n_res, chi_xi_guess):
+                gaps[steps] = resid[steps] - sol[0] * s_chi - sol[1] * s_xi - sol[2] * s_mu
             for zeta in zetas:
                 probe = pr.cgo_parabolic(zeta, r)
                 omega = probe.sample(domain, times)
                 num = 0.0 + 0.0j
                 den = 0.0
-                for n in range(n_res):
-                    num += np.sum(domain.weights * gaps[n] * omega[n]) * dt
-                    den += float(np.sum(domain.weights * np.abs(resid[n]) * np.abs(omega[n]))) * dt
+                for start in range(0, n_res, REGRESSOR_BLOCK):
+                    steps = slice(start, start + REGRESSOR_BLOCK)
+                    nums = step_sums(domain.weights * gaps[steps] * omega[steps])
+                    dens = step_sums(domain.weights * np.abs(resid[steps]) * np.abs(omega[steps]))
+                    # summed step by step, in time order
+                    for a, b in zip(nums, dens):
+                        num += a * dt
+                        den += float(b) * dt
                 worst = max(worst, abs(num) / (den or 1.0))
         return worst
 
@@ -644,20 +661,24 @@ def recover_chi_xi_mu(oracle: Oracle, r: float, linear: StageRecord,
     cond_lsq = np.inf
     resid_rel = np.inf
     degenerate = False
+    w_dt = domain.weights.ravel() * dt
     for _ in range(PATTERN_PASSES):
         degenerate = False
         N = np.zeros((3, 3))
         rv = np.zeros(3)
         btb = 0.0
         for exp, o1, resid in data:
-            n_res = resid.shape[0]
-            for n in range(n_res):
-                s_chi, s_xi, s_mu = regressor_slices(o1, n, guess)
-                R = np.stack([s_chi.ravel(), s_xi.ravel(), s_mu.ravel()])
-                Rw = R * (domain.weights.ravel() * dt)
-                N += Rw @ R.T
-                rv += Rw @ resid[n].ravel()
-                btb += float(np.sum(domain.weights * resid[n] ** 2)) * dt
+            for steps, s_chi, s_xi, s_mu in regressor_blocks(o1, resid.shape[0], guess):
+                # one (3, nodes) regressor matrix per step of the block
+                R = np.stack([s.reshape(s.shape[0], -1) for s in (s_chi, s_xi, s_mu)], axis=1)
+                Rw = R * w_dt
+                rhs = resid[steps].reshape(len(R), -1)
+                sq = step_sums(domain.weights * resid[steps] ** 2)
+                # summed step by step, in time order
+                for k in range(len(R)):
+                    N += Rw[k] @ R[k].T
+                    rv += Rw[k] @ rhs[k]
+                    btb += float(sq[k]) * dt
         scale = np.sqrt(np.diag(N))
         scale[scale == 0] = 1.0
         Ns = N / scale[:, None] / scale[None, :]

@@ -50,6 +50,7 @@ __all__ = [
     "ForwardHandle",
     "solve_variations",
     "extract_variation_fd",
+    "extend_to_order2",
     "consistency_report",
     "ConsistencyReport",
 ]
@@ -256,6 +257,43 @@ def _neville_to_zero(nodes, column, scratch):
     return column[0], corrections
 
 
+def _ladder_runs(handle: ForwardHandle, fam: PerturbationFamily):
+    """The family's eps ladder, the base run S(0) and the runs S(eps) of the ladder."""
+    domain = handle.domain
+    fam.validate(domain)
+    eps_ladder = tuple(float(e) for e in fam.epsilons)
+    eq = handle.equilibrium
+    base = handle.run(domain.constant(eq.u0), domain.constant(eq.v0), domain.constant(eq.w0))
+    return eps_ladder, base, [handle.run(*fam.initial_data(domain, eq, e)) for e in eps_ladder]
+
+
+def _snapshot(domain, times, column):
+    return [Trajectory(domain, times, *(a.copy() for a in d)) for d in column]
+
+
+def _first_order(domain, eps_ladder, base, runs, scratch, return_ladder):
+    """The order-1 tableau: (extrapolated trajectory, diagnostics, quotients or None)."""
+    d1 = [_linear_comb([(1.0 / e, r), (-1.0 / e, base)], scratch)
+          for e, r in zip(eps_ladder, runs)]
+    ladder1 = _snapshot(domain, base.times, d1) if return_ladder else None
+    best1, corr1 = _neville_to_zero(eps_ladder, d1, scratch)
+    diagnostics = {"order1_corrections": corr1}
+    if len(corr1) >= 2 and corr1[-1] > corr1[-2] * 4.0 and corr1[-1] > 1e-12:
+        diagnostics["ladder_warning"] = (
+            "order-1 extrapolation corrections are not decreasing; ladder too coarse")
+    return Trajectory(domain, base.times, *best1), diagnostics, ladder1
+
+
+def _second_order(domain, eps_ladder, base, runs, u1_traj, scratch, return_ladder):
+    """The order-2 tableau: (extrapolated trajectory, corrections, quotients or None)."""
+    d2 = [_linear_comb([(2.0 / (e * e), r), (-2.0 / (e * e), base), (-2.0 / e, u1_traj)],
+                       scratch)
+          for e, r in zip(eps_ladder, runs)]
+    ladder2 = _snapshot(domain, base.times, d2) if return_ladder else None
+    best2, corr2 = _neville_to_zero(eps_ladder, d2, scratch)
+    return Trajectory(domain, base.times, *best2), corr2, ladder2
+
+
 def extract_variation_fd(handle: ForwardHandle, fam: PerturbationFamily, order: int = 1,
                          first_direct: Trajectory | None = None,
                          return_ladder: bool = False):
@@ -272,27 +310,11 @@ def extract_variation_fd(handle: ForwardHandle, fam: PerturbationFamily, order: 
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
     domain = handle.domain
-    fam.validate(domain)
-    eps_ladder = tuple(float(e) for e in fam.epsilons)
-    eq = handle.equilibrium
-    base = handle.run(domain.constant(eq.u0), domain.constant(eq.v0), domain.constant(eq.w0))
-    runs = [handle.run(*fam.initial_data(domain, eq, e)) for e in eps_ladder]
-    times = base.times
+    eps_ladder, base, runs = _ladder_runs(handle, fam)
     scratch = np.empty_like(base.u)
-
-    def snapshot(column):
-        return [Trajectory(domain, times, *(a.copy() for a in d)) for d in column]
-
-    d1 = [_linear_comb([(1.0 / e, r), (-1.0 / e, base)], scratch)
-          for e, r in zip(eps_ladder, runs)]
-    ladder1 = snapshot(d1) if return_ladder else None
-    best1, corr1 = _neville_to_zero(eps_ladder, d1, scratch)
-    del d1      # frees the spent tableau entries before the order-2 quotients exist
-    order1 = Trajectory(domain, times, *best1)
-    diagnostics = {"order1_corrections": corr1}
-    if len(corr1) >= 2 and corr1[-1] > corr1[-2] * 4.0 and corr1[-1] > 1e-12:
-        diagnostics["ladder_warning"] = (
-            "order-1 extrapolation corrections are not decreasing; ladder too coarse")
+    # the spent order-1 tableau is freed before the order-2 quotients exist
+    order1, diagnostics, ladder1 = _first_order(domain, eps_ladder, base, runs, scratch,
+                                                return_ladder)
     if order == 1:
         stack = VariationStack(order1=order1, provenance="finite-difference",
                                diagnostics=diagnostics)
@@ -302,18 +324,30 @@ def extract_variation_fd(handle: ForwardHandle, fam: PerturbationFamily, order: 
                        for e, d in zip(eps_ladder, ladder1)]
 
     u1_traj = first_direct if first_direct is not None else order1
-    d2 = [_linear_comb([(2.0 / (e * e), r), (-2.0 / (e * e), base), (-2.0 / e, u1_traj)],
-                       scratch)
-          for e, r in zip(eps_ladder, runs)]
-    ladder2 = snapshot(d2) if return_ladder else None
-    best2, corr2 = _neville_to_zero(eps_ladder, d2, scratch)
-    diagnostics["order2_corrections"] = corr2
-    stack = VariationStack(order1=order1, order2=Trajectory(domain, times, *best2),
+    order2, diagnostics["order2_corrections"], ladder2 = _second_order(
+        domain, eps_ladder, base, runs, u1_traj, scratch, return_ladder)
+    stack = VariationStack(order1=order1, order2=order2,
                            provenance="finite-difference", diagnostics=diagnostics)
     if not return_ladder:
         return stack
     return stack, [(e, VariationStack(order1=s1, order2=s2, provenance="finite-difference"))
                    for e, s1, s2 in zip(eps_ladder, ladder1, ladder2)]
+
+
+def extend_to_order2(handle: ForwardHandle, fam: PerturbationFamily,
+                     first: VariationStack) -> VariationStack:
+    """``extract_variation_fd(handle, fam, order=2)`` for a family whose order-1
+    stack ``first`` is at hand: its order-1 result is reused, not rebuilt.
+
+    The ladder's runs are queried again, so a caching handle serves them
+    without solving; the result equals the full extraction bitwise.
+    """
+    domain = handle.domain
+    eps_ladder, base, runs = _ladder_runs(handle, fam)
+    order2, corr2, _ = _second_order(domain, eps_ladder, base, runs, first.order1,
+                                     np.empty_like(base.u), False)
+    return VariationStack(order1=first.order1, order2=order2, provenance="finite-difference",
+                          diagnostics=dict(first.diagnostics, order2_corrections=corr2))
 
 
 # ---------------------------------------------------------------------------

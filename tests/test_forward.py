@@ -198,6 +198,44 @@ def test_step_rejects_nonfinite_and_negative_states(line65, applied_params):
         step(line65, (line65.constant(-0.5), good, good), applied_params, kin, cfg)
 
 
+def test_step_screen_rejects_infinities(line65, applied_params):
+    # the sums that screen u and the potential catch +inf as the full scan did
+    kin = make_kinetics(applied_params)
+    good = line65.constant(0.5)
+    for tau in (0, 1):
+        cfg = SolverConfig(tau=tau, dt=1e-3, t_final=1.0)
+        bad_u = good.copy()
+        bad_u[7] = np.inf
+        with pytest.raises(ValueError, match="^density contains non-finite entries$"):
+            step(line65, (bad_u, good, good), applied_params, kin, cfg)
+        # an infinite potential everywhere has no finite face speed to trip the CFL check
+        with pytest.raises(ValueError, match="^potential contains non-finite entries$"), \
+                np.errstate(invalid="ignore"):
+            step(line65, (good, line65.constant(np.inf), good), applied_params, kin, cfg)
+        # a single infinite node makes the drift speed infinite first
+        bad_w = good.copy()
+        bad_w[7] = np.inf
+        with pytest.raises(CFLViolation):
+            step(line65, (good, good, bad_w), applied_params, kin, cfg)
+
+
+def test_bound_kinetics_grids_follow_each_spec(line65, rng):
+    # specs built in a loop, each bound once: no spec is served another one's grids
+    u, v = rng.random(line65.shape), rng.random(line65.shape)
+    for i in range(50):
+        alpha = 0.5 + 0.01 * i
+        kin = KineticsSpec.from_parameters(
+            ParameterSet(chi=0.1, xi=0.05, r=0.5, mu=1.0, alpha=alpha, beta=1.3))
+        expected = alpha * u - 1.3 * v
+        assert np.array_equal(kin.evaluate_g(line65, u, v), expected)
+        bound = kin.bind(line65)
+        assert np.array_equal(bound.evaluate_g(line65, u, v), expected)
+        # the bound copy keeps its own tables, so later edits of the spec stay out of it
+        kin.g_coeffs[(1, 0)] = 2.0 * alpha
+        assert np.array_equal(bound.evaluate_g(line65, u, v), expected)
+        assert not np.array_equal(kin.evaluate_g(line65, u, v), expected)
+
+
 def test_negative_initial_data_rejected(line65, applied_params):
     kin = make_kinetics(applied_params)
     cfg = SolverConfig(tau=0, dt=1e-3, t_final=0.01)

@@ -8,11 +8,14 @@ from archemo.errors import EllipticSolveError
 from archemo.grid import (
     Domain,
     advective_flux_div,
+    advective_flux_div_patterned,
+    face_velocities,
     helmholtz_solve,
     inner_product,
     laplacian_neumann,
     quadrature,
     spectral_helmholtz,
+    upwind_patterns,
 )
 
 
@@ -274,3 +277,106 @@ def test_laplacian_of_stack_matches_slices(rng):
                               np.stack([laplacian_neumann(d, f) for f in cstack]))
     with pytest.raises(ValueError):
         laplacian_neumann(Domain((1.0, 1.0), (17, 17)), np.zeros((3, 17, 16)))
+
+
+# -- the direct DCT-I and the screened entry points --------------------------------
+
+
+def test_direct_dct_matches_scipy_fft(rng):
+    # pocketfft's DCT-I called without scipy.fft's dispatch: the same values, bitwise
+    from archemo.grid import _pocketfft_dct
+    for n in (33, 65, 129, 1025):
+        x = rng.standard_normal(n)
+        y = _pocketfft_dct(x, 1, (0,), 0, None, 1)
+        assert np.array_equal(y, scipy.fft.dct(x, type=1))
+        expected = scipy.fft.idct(y, type=1)
+        assert np.array_equal(_pocketfft_dct(y, 1, (0,), 2, y, 1), expected)
+    for shape in ((17, 17), (65, 65), (33, 65)):
+        x = rng.standard_normal(shape)
+        y = _pocketfft_dct(x, 1, (0, 1), 0, None, 1)
+        assert np.array_equal(y, scipy.fft.dctn(x, type=1))
+        expected = scipy.fft.idctn(y, type=1)
+        assert np.array_equal(_pocketfft_dct(y, 1, (0, 1), 2, y, 1), expected)
+
+
+def test_spectral_solve_matches_scipy_fft_solve(rng):
+    # the transform pair scipy.fft ran before, on single fields and on stacks
+    for d in (Domain(1.0, 33), Domain(1.0, 129), Domain(1.0, 1025), Domain((1.0, 1.0), (17, 17)),
+              Domain((1.0, 2.0), (33, 65))):
+        lam = d.neumann_eigenvalues + 0.7
+        src = rng.standard_normal(d.shape)
+        if d.dim == 1:
+            expected = scipy.fft.idct(scipy.fft.dct(src, type=1) / lam, type=1)
+        else:
+            expected = scipy.fft.idctn(scipy.fft.dctn(src, type=1) / lam, type=1)
+        assert np.array_equal(spectral_helmholtz(d, src, 0.7), expected)
+        stack = rng.standard_normal((2, 3) + d.shape)
+        axes = tuple(range(-d.dim, 0))
+        expected = scipy.fft.idctn(scipy.fft.dctn(stack, type=1, axes=axes) / lam, type=1,
+                                   axes=axes)
+        solved = spectral_helmholtz(d, stack, 0.7)
+        assert np.array_equal(solved, expected)
+        assert np.array_equal(solved[1, 2], spectral_helmholtz(d, stack[1, 2], 0.7))
+    with pytest.raises(ValueError, match="^source must be real-valued$"):
+        spectral_helmholtz(d, src + 0j, 0.7)
+
+
+def test_helmholtz_screen_keeps_the_scan_errors():
+    d = Domain(1.0, 65)
+    src = 0.5 + 0.2 * np.cos(math.pi * d.axes[0])
+    for bad in (np.nan, np.inf, -np.inf):
+        s = src.copy()
+        s[7] = bad
+        with pytest.raises(ValueError, match="^source contains non-finite entries$"):
+            helmholtz_solve(d, s, 1.0)
+    with pytest.raises(ValueError, match=r"^source has shape \(64,\), expected \(65,\)$"):
+        helmholtz_solve(d, np.zeros(64), 1.0)
+    with pytest.raises(ValueError, match="^source must be real-valued$"):
+        helmholtz_solve(d, src + 0j, 1.0)
+    # an integer source is converted, as the scan has always accepted it
+    assert np.array_equal(helmholtz_solve(d, np.arange(65), 1.0),
+                          helmholtz_solve(d, np.arange(65.0), 1.0))
+
+
+def test_helmholtz_finite_source_with_overflowing_norm():
+    # the norm screen overflows, the full scan accepts the source, and the residual
+    # check passes against an infinite norm: the solve returns the spectral solution
+    d = Domain(1.0, 65)
+    src = 1e200 * (0.5 + 0.2 * np.cos(math.pi * d.axes[0]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = helmholtz_solve(d, src, 1.0)
+    assert np.all(np.isfinite(sol))
+    assert np.array_equal(sol, spectral_helmholtz(d, src, 1.0))
+
+
+# -- stacked drift operators ------------------------------------------------------
+
+
+def _slices(stack, dim):
+    return [stack[i] for i in np.ndindex(stack.shape[:stack.ndim - dim])]
+
+
+def test_drift_operators_of_stack_match_slices(rng):
+    for d in (Domain(1.0, 33), Domain((1.0, 2.0), (17, 25))):
+        lead = (2, 5)
+        u = 0.5 + rng.random(lead + d.shape)
+        pot = rng.standard_normal(lead + d.shape)
+        other = rng.standard_normal(lead + d.shape)
+        us, pots, others = (_slices(a, d.dim) for a in (u, pot, other))
+        vels = face_velocities(d, pot, strength=1.3)
+        pats = upwind_patterns(d, other)
+        for axis in range(d.dim):
+            assert np.array_equal(_slices(vels[axis], d.dim),
+                                  [face_velocities(d, p, strength=1.3)[axis] for p in pots])
+            assert np.array_equal(_slices(pats[axis], d.dim),
+                                  [upwind_patterns(d, p)[axis] for p in others])
+        assert np.array_equal(_slices(advective_flux_div(d, u, pot, strength=0.7), d.dim),
+                              [advective_flux_div(d, a, p, strength=0.7) for a, p in zip(us, pots)])
+        # with the upwind pattern frozen from another potential
+        patterned = advective_flux_div_patterned(d, u, pot, pats, strength=0.7)
+        looped = [advective_flux_div_patterned(d, a, p, upwind_patterns(d, o), strength=0.7)
+                  for a, p, o in zip(us, pots, others)]
+        assert np.array_equal(_slices(patterned, d.dim), looped)
+        assert not np.array_equal(patterned, advective_flux_div(d, u, pot, strength=0.7))
+    with pytest.raises(ValueError):
+        advective_flux_div(Domain(1.0, 33), np.ones((3, 33)), np.ones((3, 32)))

@@ -29,7 +29,7 @@ from archemo.recover import (
     recover_second_kinetics,
     run_full_pipeline,
 )
-from archemo.variation import PerturbationFamily
+from archemo.variation import PerturbationFamily, extract_variation_fd
 
 from conftest import make_kinetics
 
@@ -210,7 +210,8 @@ def test_general_fit_on_zero_advection_truth(line129):
 def test_chi_xi_mu_builds_patterned_regressors_once_per_pass(line65, nondegenerate_params,
                                                             monkeypatch):
     # two frozen-pattern regressors per step for the second least-squares pass,
-    # and two more for the probe identities, shared by every probe
+    # and two more for the probe identities, shared by every probe; the steps
+    # arrive in blocks, so the slices handed over are counted, not the calls
     import archemo.grid as grid_mod
     import archemo.recover as rc
     oracle = _oracle(line65, nondegenerate_params, dt=2e-3, t_final=0.1)
@@ -218,19 +219,106 @@ def test_chi_xi_mu_builds_patterned_regressors_once_per_pass(line65, nondegenera
     bank = ExperimentBank(oracle, opts)
     r_hat = recover_r(oracle, options=opts, bank=bank).estimates["r"]
     lin = recover_linear_kinetics(oracle, r_hat, options=opts, bank=bank)
-    calls, patterned = [], grid_mod.advective_flux_div_patterned
+    slices, patterned = [], grid_mod.advective_flux_div_patterned
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return patterned(*args, **kwargs)
+    def counting(domain, u, *args, **kwargs):
+        slices.append(u.shape[0])
+        return patterned(domain, u, *args, **kwargs)
 
     monkeypatch.setattr(grid_mod, "advective_flux_div_patterned", counting)
     rec = recover_chi_xi_mu(oracle, r_hat, lin, options=opts, bank=bank)
     assert rc.PATTERN_PASSES == 2 and len(rc.PROBE_ZETA_MULTIPLIERS) == 4
     n_res = sum(len(bank.stack(exp, order=2).order2.times) - 1
                 for exp in rc._default_chi_experiments(line65, opts))
-    assert len(calls) == 4 * n_res
+    assert sum(slices) == 4 * n_res
     assert rec.residuals["probe_identity"] >= 0
+
+
+def _reference_chi_xi_mu(oracle, r, bank, exps):
+    """Stage 3's fit with its regressors built one time step at a time.
+
+    Kept as the reference for the block-wise build: returns (estimates of chi,
+    xi, mu, the relative fit residual, the condition number, the probe-identity
+    residual) with every per-step sum in time order.
+    """
+    import archemo.probes as pr
+    import archemo.recover as rc
+    from archemo.forward import step_source
+    from archemo.grid import advective_flux_div, advective_flux_div_patterned, upwind_patterns
+    domain, dt = oracle.domain, oracle.cfg.dt
+    data = []
+    for exp in exps:
+        stack = bank.stack(exp, order=2)
+        o1, o2 = stack.order1, stack.order2
+        data.append((o1, step_source(domain, o2.u, dt) - r * o2.u[:-1]))
+
+    def regressor_slices(o1, n, guess):
+        if guess is None:
+            s_chi = -2.0 * advective_flux_div(domain, o1.u[n], o1.v[n])
+            s_xi = 2.0 * advective_flux_div(domain, o1.u[n], o1.w[n])
+        else:
+            pat = upwind_patterns(domain, guess[0] * o1.v[n] - guess[1] * o1.w[n])
+            s_chi = -2.0 * advective_flux_div_patterned(domain, o1.u[n], o1.v[n], pat)
+            s_xi = 2.0 * advective_flux_div_patterned(domain, o1.u[n], o1.w[n], pat)
+        return s_chi, s_xi, -2.0 * o1.u[n] ** 2
+
+    guess = None
+    for _ in range(rc.PATTERN_PASSES):
+        N, rv, btb = np.zeros((3, 3)), np.zeros(3), 0.0
+        for o1, resid in data:
+            for n in range(resid.shape[0]):
+                R = np.stack([s.ravel() for s in regressor_slices(o1, n, guess)])
+                Rw = R * (domain.weights.ravel() * dt)
+                N += Rw @ R.T
+                rv += Rw @ resid[n].ravel()
+                btb += float(np.sum(domain.weights * resid[n] ** 2)) * dt
+        scale = np.sqrt(np.diag(N))
+        scale[scale == 0] = 1.0
+        Ns = N / scale[:, None] / scale[None, :]
+        eigvals = np.linalg.eigvalsh(Ns)
+        cond = math.sqrt(abs(eigvals[-1] / eigvals[0])) if eigvals[0] > 0 else np.inf
+        sol = np.linalg.solve(Ns, rv / scale) / scale
+        fit = math.sqrt(max(btb - 2 * sol @ rv + sol @ N @ sol, 0.0) / btb)
+        guess = (float(sol[0]), float(sol[1]))
+    worst = 0.0
+    for o1, resid in data:
+        n_res = resid.shape[0]
+        gaps = np.empty_like(resid)
+        for n in range(n_res):
+            s_chi, s_xi, s_mu = regressor_slices(o1, n, guess)
+            gaps[n] = resid[n] - sol[0] * s_chi - sol[1] * s_xi - sol[2] * s_mu
+        for mult in rc.PROBE_ZETA_MULTIPLIERS:
+            zeta = np.zeros(domain.dim)
+            zeta[-1] = mult * math.pi / domain.lengths[-1]
+            omega = pr.cgo_parabolic(zeta, r).sample(domain, o1.times[:n_res])
+            num, den = 0.0 + 0.0j, 0.0
+            for n in range(n_res):
+                num += np.sum(domain.weights * gaps[n] * omega[n]) * dt
+                den += float(np.sum(domain.weights * np.abs(resid[n]) * np.abs(omega[n]))) * dt
+            worst = max(worst, abs(num) / (den or 1.0))
+    return [float(x) for x in sol], fit, cond, worst
+
+
+@pytest.mark.parametrize("t_final", [0.1, 0.3], ids=["one-short-block", "partial-last-block"])
+def test_chi_xi_mu_blocks_match_per_step_reference(line65, nondegenerate_params, t_final):
+    # 50 steps fit in one block of 64; 150 steps leave a last block of 22
+    import archemo.recover as rc
+    oracle = _oracle(line65, nondegenerate_params, dt=2e-3, t_final=t_final)
+    n_res = int(round(t_final / 2e-3))
+    assert (n_res < rc.REGRESSOR_BLOCK) == (t_final == 0.1)
+    assert n_res % rc.REGRESSOR_BLOCK != 0
+    opts = PipelineOptions(recover_fields=False)
+    bank = ExperimentBank(oracle, opts)
+    r_hat = recover_r(oracle, options=opts, bank=bank).estimates["r"]
+    lin = recover_linear_kinetics(oracle, r_hat, options=opts, bank=bank)
+    rec = recover_chi_xi_mu(oracle, r_hat, lin, options=opts, bank=bank)
+    exps = rc._default_chi_experiments(line65, opts)
+    sol, fit, cond, probe = _reference_chi_xi_mu(oracle, r_hat, bank, exps)
+    assert rec.status == "ok"
+    assert [rec.estimates[k] for k in ("chi", "xi", "mu")] == sol
+    assert rec.estimates["chi_minus_xi"] == sol[0] - sol[1]
+    assert rec.residuals == {"fit": fit, "probe_identity": probe}
+    assert rec.conditioning == {"system": cond}
 
 
 def test_chi_xi_mu_permutation_invariance(line65, nondegenerate_params):
@@ -419,6 +507,33 @@ def test_bank_shares_one_stack_per_probing_family(line65, nondegenerate_params, 
     assert first.diagnostics["order1_corrections"] == both.diagnostics["order1_corrections"]
     assert calls == [2]
     assert bank.used == ["second-2", "lin"]
+
+
+def test_bank_builds_each_order1_tableau_once(line65, nondegenerate_params, monkeypatch):
+    # tau = 0: "lin" shares its family with "second-2", so the three families of
+    # stages 1-3 build three order-1 tableaux; the order-2 upgrade reuses one
+    import archemo.recover as rc
+    import archemo.variation as var
+    builds, first_order = [], var._first_order
+
+    def counting(*args, **kwargs):
+        builds.append(1)
+        return first_order(*args, **kwargs)
+
+    monkeypatch.setattr(var, "_first_order", counting)
+    oracle = _oracle(line65, nondegenerate_params, t_final=0.2)
+    opts = PipelineOptions()
+    bank = ExperimentBank(oracle, opts)
+    lin = bank.stack(rc._default_lin_experiment(line65, opts, 0)["lin"], order=1)
+    chi_exps = rc._default_chi_experiments(line65, opts, 0)
+    stacks = [bank.stack(exp, order=2) for exp in chi_exps]
+    assert len(builds) == 3
+    assert stacks[2].order1 is lin.order1
+    # the upgraded stack is the full order-2 extraction, bitwise
+    fresh = extract_variation_fd(oracle.handle(), chi_exps[2].fam, order=2)
+    for name in ("u", "v", "w"):
+        assert np.array_equal(stacks[2].order2.component(name), fresh.order2.component(name))
+    assert stacks[2].diagnostics == fresh.diagnostics
 
 
 def test_bank_order2_replaces_order1(line65, nondegenerate_params):
