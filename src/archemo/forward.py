@@ -341,9 +341,6 @@ class Trajectory:
     def component(self, name):
         return {"u": self.u, "v": self.v, "w": self.w}[name]
 
-    def scaled(self, factor):
-        return Trajectory(self.domain, self.times, factor * self.u, factor * self.v, factor * self.w)
-
 
 @dataclass
 class MeasurementRecord:

@@ -47,8 +47,6 @@ from .variation import (
     DEFAULT_EPSILONS,
     ForwardHandle,
     PerturbationFamily,
-    VariationStack,
-    extend_to_order2,
     extract_variation_fd,
 )
 
@@ -81,13 +79,13 @@ class Oracle:
 
     The truth parameters live in private attributes; recovery code only runs
     the model through a :meth:`handle` and reads the public protocol (grid,
-    solver config, declared expansion equilibrium).  Each handle caches its
-    runs for its own lifetime, so identical data costs one solve per handle.
-    A recovery holds one handle, so once it has finished no trajectory it
+    solver config, declared expansion equilibrium).  A handle solves on every
+    query and keeps only its base run (:meth:`ForwardHandle.base`).  A
+    recovery holds one handle, so once it has finished no trajectory it
     integrated stays reachable from the oracle.
 
     ``query_count`` and ``run_count`` count the queries and solves of all
-    handles.
+    handles; every query is one solve.
     """
 
     def __init__(self, domain: Domain, params: ParameterSet, kinetics: KineticsSpec,
@@ -109,18 +107,12 @@ class Oracle:
         return self.cfg.tau
 
     def handle(self) -> ForwardHandle:
-        """A forward handle whose runs are cached for the handle's lifetime only."""
-        cache = {}
-
+        """A forward handle that solves every query; it keeps only its base run."""
         def _run(f, gg, h):
             self.query_count += 1
-            key = (np.asarray(f).tobytes(), np.asarray(gg).tobytes(), np.asarray(h).tobytes())
-            traj = cache.get(key)
-            if traj is None:
-                traj = cache[key] = solve_forward(self.domain, (f, gg, h), self._params,
-                                                  self._kinetics, self.cfg)
-                self.run_count += 1
-            return traj
+            self.run_count += 1
+            return solve_forward(self.domain, (f, gg, h), self._params, self._kinetics,
+                                 self.cfg)
         return ForwardHandle(domain=self.domain, equilibrium=self.equilibrium,
                              run=_run, cfg=self.cfg)
 
@@ -153,7 +145,6 @@ class PipelineOptions:
     mode_indices: tuple = (1, 2)          # nonzero probing modes along the last axis
     u_floor_rel: float = 1e-4
     cond_limit: float = 1e6
-    dispersion: str = "discrete"          # or "continuum" for synthetic data
     moment_J: int = 6
     lambda_reg: float = 1e-8
     moment_cap: float = 0.4
@@ -185,14 +176,14 @@ def _axial_mode(domain: Domain, k: int) -> pr.EigenMode:
 
 
 class ExperimentBank:
-    """Caches finite-difference variation stacks per distinct probing family.
+    """Caches one finite-difference variation stack per distinct probing family.
 
     Stacks are keyed by the family's content (profiles, eps ladder and the
     non-negativity flag), so experiments that probe with identical data share
-    one stack whatever their names.  An order-2 stack replaces the family's
-    order-1 stack, whose order-1 result it reuses; order-1 requests are then
-    served from it without the second-order fields.  The bank queries the oracle
-    through one handle, so the forward runs it caches go with the bank.
+    one stack whatever their names.  Each family is extracted once, at order 2,
+    whatever order its first reader needs, so its ladder runs are solved once
+    and freed as soon as its stack is built.  The bank queries the oracle
+    through one handle, whose base run goes with the bank.
     """
 
     def __init__(self, oracle: Oracle, options: PipelineOptions):
@@ -208,19 +199,13 @@ class ExperimentBank:
                          for name in ("f1", "g1", "h1", "f2", "g2", "h2"))
         return profiles, tuple(float(e) for e in fam.epsilons), bool(fam.enforce_nonnegative)
 
-    def stack(self, exp: Experiment, order: int = 1):
+    def stack(self, exp: Experiment):
         key = self._family_key(exp.fam)
         stack = self._stacks.get(key)
         if stack is None:
-            stack = self._stacks[key] = extract_variation_fd(self._handle, exp.fam, order=order)
-        elif order == 2 and stack.order2 is None:
-            stack = self._stacks[key] = extend_to_order2(self._handle, exp.fam, stack)
+            stack = self._stacks[key] = extract_variation_fd(self._handle, exp.fam, order=2)
         if exp.name not in self.used:
             self.used.append(exp.name)
-        if order == 1 and stack.order2 is not None:
-            diagnostics = {k: v for k, v in stack.diagnostics.items() if k != "order2_corrections"}
-            return VariationStack(order1=stack.order1, provenance=stack.provenance,
-                                  diagnostics=diagnostics)
         return stack
 
 
@@ -297,22 +282,15 @@ def fit_exponential_rate(times, amps, fit_tol=1e-2, rel_floor=1e-6):
     return float(coef[0]), sigma, rms
 
 
-def rate_to_growth(theta_hat, lam, lam_h, dt, dispersion):
-    """Invert a fitted modal rate for r, matching the data's time discretization.
-
-    discrete:  growth factor per step (1 + dt r)/(1 + dt lam_h)
-    continuum: theta = r - lam
-    """
-    if dispersion == "continuum":
-        return theta_hat + lam
+def rate_to_growth(theta_hat, lam_h, dt):
+    """Invert a fitted modal rate for r through the growth factor per step,
+    (1 + dt r)/(1 + dt lam_h)."""
     growth = math.exp(theta_hat * dt)
     return (growth * (1.0 + dt * lam_h) - 1.0) / dt
 
 
-def _chem_rate_to_decay(theta_hat, lam_h, dt, s, dispersion, lam):
+def _chem_rate_to_decay(theta_hat, lam_h, dt, s):
     """Decay rate of a source-free chemical mode, per the tau=1 stepping."""
-    if dispersion == "continuum":
-        return -(theta_hat + lam)
     growth = math.exp(theta_hat * dt)
     return (1.0 - growth * (1.0 + s * dt * lam_h)) / (s * dt)
 
@@ -388,7 +366,7 @@ def recover_r(oracle: Oracle, modes=None, options: PipelineOptions | None = None
         raise RecoveryError("probing modes must have distinct eigenvalues")
     bank = bank or ExperimentBank(oracle, options)
     exps = _default_lin_experiment(oracle.domain, options, oracle.tau)
-    stack = bank.stack(exps["lin"], order=1)
+    stack = bank.stack(exps["lin"])
     domain, dt = oracle.domain, oracle.cfg.dt
     u1 = stack.order1.u
     times = stack.order1.times
@@ -400,7 +378,7 @@ def recover_r(oracle: Oracle, modes=None, options: PipelineOptions | None = None
         mode = _axial_mode(domain, k)
         amps = pr.modal_amplitude(domain, u1, mode)
         theta, sigma, rms = fit_exponential_rate(times, amps)
-        r_k = rate_to_growth(theta, mode.lam, mode.lam_h, dt, options.dispersion)
+        r_k = rate_to_growth(theta, mode.lam_h, dt)
         estimates.append(r_k)
         sigmas.append(max(sigma, fd_floor / scale, 1e-10))
         details[f"theta_{k}"] = theta
@@ -476,10 +454,9 @@ def _mask_floor(options, u1):
 
 def _linear_kinetics_tau0(oracle, bank, exps, options, want_fields):
     domain = oracle.domain
-    stack = bank.stack(exps["lin"], order=1)
+    stack = bank.stack(exps["lin"])
     o1 = stack.order1
     wt = g.time_weights(o1.times)
-    use_disc = options.dispersion == "discrete"
 
     estimates, residuals, conditioning, details = {}, {}, {}, {}
     for comp, names in (("v", ("alpha", "beta")), ("w", ("gamma", "delta"))):
@@ -488,7 +465,7 @@ def _linear_kinetics_tau0(oracle, bank, exps, options, want_fields):
         for k in (0,) + tuple(options.mode_indices):
             mode = _axial_mode(domain, k)
             rhos.append(_modal_ratio(domain, chem, o1.u, mode, wt))
-            lams.append(mode.lam_h if use_disc else mode.lam)
+            lams.append(mode.lam_h)
         abar, decay, cond, resid = linear_pair_from_ratios(rhos, lams)
         if decay <= 0:
             raise RecoveryError(
@@ -514,10 +491,9 @@ def _linear_kinetics_tau1(oracle, bank, exps, options, want_fields):
     domain, cfg = oracle.domain, oracle.cfg
     dt, s = cfg.dt, cfg.relaxation_speedup
     _require_stride_one(oracle, "tau=1 linear-kinetics recovery")
-    use_cont = options.dispersion == "continuum"
 
     # decay rates from the source-free chemical probe (f1 = 0)
-    chem_stack = bank.stack(exps["chem"], order=1).order1
+    chem_stack = bank.stack(exps["chem"]).order1
     estimates, residuals, conditioning, details = {}, {}, {}, {}
     for comp, name in (("v", "beta"), ("w", "delta")):
         fieldstack = chem_stack.component(comp)
@@ -526,8 +502,7 @@ def _linear_kinetics_tau1(oracle, bank, exps, options, want_fields):
             mode = _axial_mode(domain, k)
             amps = pr.modal_amplitude(domain, fieldstack, mode)
             theta, _, _ = fit_exponential_rate(chem_stack.times, amps)
-            vals.append(_chem_rate_to_decay(theta, mode.lam_h, dt, s,
-                                            "continuum" if use_cont else "discrete", mode.lam))
+            vals.append(_chem_rate_to_decay(theta, mode.lam_h, dt, s))
         decay = float(np.mean(vals))
         if decay <= 0:
             raise RecoveryError(f"recovered decay {name} is {decay:.3e}; violates positivity")
@@ -536,7 +511,7 @@ def _linear_kinetics_tau1(oracle, bank, exps, options, want_fields):
         details[f"decay_modes_{comp}"] = vals
 
     # sources from the density probe (g1 = h1 = 0)
-    lin = bank.stack(exps["lin"], order=1).order1
+    lin = bank.stack(exps["lin"]).order1
     wt = g.time_weights(lin.times[:-1])
     for comp, src_name, decay_name in (("v", "alpha", "beta"), ("w", "gamma", "delta")):
         chem = lin.component(comp)
@@ -594,7 +569,7 @@ def recover_chi_xi_mu(oracle: Oracle, r: float, linear: StageRecord,
 
     data = []
     for exp in exps:
-        stack = bank.stack(exp, order=2)
+        stack = bank.stack(exp)
         o1, o2 = stack.order1, stack.order2
         # source series of the density second-variation steps
         resid = step_source(domain, o2.u, dt) - r * o2.u[:-1]
@@ -815,7 +790,7 @@ def recover_second_kinetics(oracle: Oracle, r: float, linear: StageRecord,
 
     def contribution(exp, comp, a10_grid, decay):
         # one experiment's regressors, reduced to normal-equation pieces
-        stack = bank.stack(exp, order=2)
+        stack = bank.stack(exp)
         o1, o2 = stack.order1, stack.order2
         chem1 = o1.component(comp)
         chem2 = o2.component(comp)

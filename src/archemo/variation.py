@@ -50,7 +50,6 @@ __all__ = [
     "ForwardHandle",
     "solve_variations",
     "extract_variation_fd",
-    "extend_to_order2",
     "consistency_report",
     "ConsistencyReport",
 ]
@@ -116,18 +115,29 @@ class VariationStack:
 
 @dataclass
 class ForwardHandle:
-    """Bundle of a forward run callable with the grid/equilibrium it acts on."""
+    """Bundle of a forward run callable with the grid/equilibrium it acts on.
+
+    ``run`` solves on every call.  :meth:`base` solves the equilibrium run
+    once and keeps it, the one run every probing family differences against.
+    """
 
     domain: Domain
     equilibrium: EquilibriumState
     run: object          # callable (f, g, h) -> Trajectory
     cfg: SolverConfig
+    _base: Trajectory | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def from_model(cls, domain, p: ParameterSet, kin: KineticsSpec, cfg: SolverConfig):
         def _run(f, gg, h):
             return solve_forward(domain, (f, gg, h), p, kin, cfg)
         return cls(domain=domain, equilibrium=kin.expansion_point, run=_run, cfg=cfg)
+
+    def base(self) -> Trajectory:
+        """The run S(0) from the equilibrium, solved on first use."""
+        if self._base is None:
+            self._base = self.run(*(self.domain.constant(c) for c in self.equilibrium))
+        return self._base
 
 
 # ---------------------------------------------------------------------------
@@ -257,41 +267,8 @@ def _neville_to_zero(nodes, column, scratch):
     return column[0], corrections
 
 
-def _ladder_runs(handle: ForwardHandle, fam: PerturbationFamily):
-    """The family's eps ladder, the base run S(0) and the runs S(eps) of the ladder."""
-    domain = handle.domain
-    fam.validate(domain)
-    eps_ladder = tuple(float(e) for e in fam.epsilons)
-    eq = handle.equilibrium
-    base = handle.run(domain.constant(eq.u0), domain.constant(eq.v0), domain.constant(eq.w0))
-    return eps_ladder, base, [handle.run(*fam.initial_data(domain, eq, e)) for e in eps_ladder]
-
-
 def _snapshot(domain, times, column):
     return [Trajectory(domain, times, *(a.copy() for a in d)) for d in column]
-
-
-def _first_order(domain, eps_ladder, base, runs, scratch, return_ladder):
-    """The order-1 tableau: (extrapolated trajectory, diagnostics, quotients or None)."""
-    d1 = [_linear_comb([(1.0 / e, r), (-1.0 / e, base)], scratch)
-          for e, r in zip(eps_ladder, runs)]
-    ladder1 = _snapshot(domain, base.times, d1) if return_ladder else None
-    best1, corr1 = _neville_to_zero(eps_ladder, d1, scratch)
-    diagnostics = {"order1_corrections": corr1}
-    if len(corr1) >= 2 and corr1[-1] > corr1[-2] * 4.0 and corr1[-1] > 1e-12:
-        diagnostics["ladder_warning"] = (
-            "order-1 extrapolation corrections are not decreasing; ladder too coarse")
-    return Trajectory(domain, base.times, *best1), diagnostics, ladder1
-
-
-def _second_order(domain, eps_ladder, base, runs, u1_traj, scratch, return_ladder):
-    """The order-2 tableau: (extrapolated trajectory, corrections, quotients or None)."""
-    d2 = [_linear_comb([(2.0 / (e * e), r), (-2.0 / (e * e), base), (-2.0 / e, u1_traj)],
-                       scratch)
-          for e, r in zip(eps_ladder, runs)]
-    ladder2 = _snapshot(domain, base.times, d2) if return_ladder else None
-    best2, corr2 = _neville_to_zero(eps_ladder, d2, scratch)
-    return Trajectory(domain, base.times, *best2), corr2, ladder2
 
 
 def extract_variation_fd(handle: ForwardHandle, fam: PerturbationFamily, order: int = 1,
@@ -302,52 +279,47 @@ def extract_variation_fd(handle: ForwardHandle, fam: PerturbationFamily, order: 
     Order 1 uses (S(eps) - S(0))/eps, order 2 uses
     2*(S(eps) - S(0) - eps*u1)/eps^2; both are Richardson-extrapolated across
     the ladder (one-sided stencils only, since eps < 0 can break the
-    non-negativity of the initial data).  ``first_direct`` substitutes a
-    trusted first-order trajectory in the order-2 stencil; by default the
-    extrapolated order-1 result is used.  The ladder's difference quotients
-    are copied out only when ``return_ladder`` asks for them.
+    non-negativity of the initial data).  S(0) is the handle's base run; the
+    ladder's runs are solved here and dropped on return.  ``first_direct``
+    substitutes a trusted first-order trajectory in the order-2 stencil; by
+    default the extrapolated order-1 result is used.  The ladder's difference
+    quotients are copied out only when ``return_ladder`` asks for them.
     """
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
     domain = handle.domain
-    eps_ladder, base, runs = _ladder_runs(handle, fam)
-    scratch = np.empty_like(base.u)
+    fam.validate(domain)
+    eps_ladder = tuple(float(e) for e in fam.epsilons)
+    base = handle.base()
+    runs = [handle.run(*fam.initial_data(domain, handle.equilibrium, e)) for e in eps_ladder]
+    times, scratch = base.times, np.empty_like(base.u)
+    d1 = [_linear_comb([(1.0 / e, r), (-1.0 / e, base)], scratch)
+          for e, r in zip(eps_ladder, runs)]
+    ladders = [_snapshot(domain, times, d1)] if return_ladder else []
+    best1, corr1 = _neville_to_zero(eps_ladder, d1, scratch)
+    order1 = Trajectory(domain, times, *best1)
     # the spent order-1 tableau is freed before the order-2 quotients exist
-    order1, diagnostics, ladder1 = _first_order(domain, eps_ladder, base, runs, scratch,
-                                                return_ladder)
-    if order == 1:
-        stack = VariationStack(order1=order1, provenance="finite-difference",
-                               diagnostics=diagnostics)
-        if not return_ladder:
-            return stack
-        return stack, [(e, VariationStack(order1=d, provenance="finite-difference"))
-                       for e, d in zip(eps_ladder, ladder1)]
-
-    u1_traj = first_direct if first_direct is not None else order1
-    order2, diagnostics["order2_corrections"], ladder2 = _second_order(
-        domain, eps_ladder, base, runs, u1_traj, scratch, return_ladder)
-    stack = VariationStack(order1=order1, order2=order2,
-                           provenance="finite-difference", diagnostics=diagnostics)
+    del d1, best1
+    diagnostics = {"order1_corrections": corr1}
+    if len(corr1) >= 2 and corr1[-1] > corr1[-2] * 4.0 and corr1[-1] > 1e-12:
+        diagnostics["ladder_warning"] = (
+            "order-1 extrapolation corrections are not decreasing; ladder too coarse")
+    order2 = None
+    if order == 2:
+        u1_traj = first_direct if first_direct is not None else order1
+        d2 = [_linear_comb([(2.0 / (e * e), r), (-2.0 / (e * e), base), (-2.0 / e, u1_traj)],
+                           scratch)
+              for e, r in zip(eps_ladder, runs)]
+        if return_ladder:
+            ladders.append(_snapshot(domain, times, d2))
+        best2, diagnostics["order2_corrections"] = _neville_to_zero(eps_ladder, d2, scratch)
+        order2 = Trajectory(domain, times, *best2)
+    stack = VariationStack(order1=order1, order2=order2, provenance="finite-difference",
+                           diagnostics=diagnostics)
     if not return_ladder:
         return stack
-    return stack, [(e, VariationStack(order1=s1, order2=s2, provenance="finite-difference"))
-                   for e, s1, s2 in zip(eps_ladder, ladder1, ladder2)]
-
-
-def extend_to_order2(handle: ForwardHandle, fam: PerturbationFamily,
-                     first: VariationStack) -> VariationStack:
-    """``extract_variation_fd(handle, fam, order=2)`` for a family whose order-1
-    stack ``first`` is at hand: its order-1 result is reused, not rebuilt.
-
-    The ladder's runs are queried again, so a caching handle serves them
-    without solving; the result equals the full extraction bitwise.
-    """
-    domain = handle.domain
-    eps_ladder, base, runs = _ladder_runs(handle, fam)
-    order2, corr2, _ = _second_order(domain, eps_ladder, base, runs, first.order1,
-                                     np.empty_like(base.u), False)
-    return VariationStack(order1=first.order1, order2=order2, provenance="finite-difference",
-                          diagnostics=dict(first.diagnostics, order2_corrections=corr2))
+    return stack, [(e, VariationStack(*quotients, provenance="finite-difference"))
+                   for e, *quotients in zip(eps_ladder, *ladders)]
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from archemo.recover import (
     ExperimentBank,
     Oracle,
     PipelineOptions,
-    axial_mode_profile,
     fit_exponential_rate,
     linear_pair_from_ratios,
     rate_to_growth,
@@ -29,7 +28,7 @@ from archemo.recover import (
     recover_second_kinetics,
     run_full_pipeline,
 )
-from archemo.variation import PerturbationFamily, extract_variation_fd
+from archemo.variation import PerturbationFamily
 
 from conftest import make_kinetics
 
@@ -43,28 +42,29 @@ def _oracle(domain, params, tau=0, dt=1e-3, t_final=0.6, so_g=None, so_h=None, *
 # -- estimator-level synthetic oracles ------------------------------------------
 
 def test_recover_r_from_closed_form_trajectory():
-    # synthetic continuum input u1 = e^{(r - pi^2) t} cos(pi x), r = 0.5
+    # synthetic discrete-time input: the modal amplitude of u1 grows by
+    # (1 + dt r)/(1 + dt lam_h) per step, r = 0.5
     r = 0.5
     dt = 1e-3
-    times = np.arange(0, 0.5 + dt / 2, dt)
-    d = Domain(1.0, 129)
-    x = d.axes[0]
-    amps = np.exp((r - math.pi ** 2) * times)
+    n = np.arange(501)
+    times = n * dt
+    lam_h = math.pi ** 2
+    amps = ((1.0 + dt * r) / (1.0 + dt * lam_h)) ** n
     theta, sigma, rms = fit_exponential_rate(times, amps)
-    mode_lam = math.pi ** 2
-    r_hat = rate_to_growth(theta, mode_lam, mode_lam, dt, "continuum")
+    r_hat = rate_to_growth(theta, lam_h, dt)
     assert abs(r_hat - r) <= 1e-3
     assert rms < 1e-10
 
 
 def test_recover_r_zero_growth():
     dt = 1e-3
-    times = np.arange(0, 0.3 + dt / 2, dt)
-    lam = math.pi ** 2
-    amps = np.exp(-lam * times)
+    n = np.arange(301)
+    times = n * dt
+    lam_h = math.pi ** 2
+    amps = (1.0 / (1.0 + dt * lam_h)) ** n
     theta, _, _ = fit_exponential_rate(times, amps)
-    assert theta == pytest.approx(-lam, rel=1e-10)
-    assert rate_to_growth(theta, lam, lam, dt, "continuum") == pytest.approx(0.0, abs=1e-9)
+    assert theta == pytest.approx(-math.log1p(dt * lam_h) / dt, rel=1e-10)
+    assert rate_to_growth(theta, lam_h, dt) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_mode_eigenvalue_spacing():
@@ -109,21 +109,26 @@ def test_estimator_gauge_invariance():
 # -- oracle plumbing -----------------------------------------------------------
 
 def test_oracle_caching_and_counts(line65, applied_params):
+    # a handle solves its base run once and every other query afresh
     oracle = _oracle(line65, applied_params, t_final=0.05)
-    run = oracle.handle().run
+    handle = oracle.handle()
+    base = handle.base()
+    assert handle.base() is base
+    assert oracle.query_count == oracle.run_count == 1
     f = 0.5 + 0.1 * np.cos(math.pi * line65.axes[0])
     z = line65.zeros()
-    run(f, z, z)
-    run(f, z, z)
-    assert oracle.query_count == 2
-    assert oracle.run_count == 1
-    t1 = run(f, z, z)
-    t2 = run(f, z, z)
-    assert t1 is t2
+    t1 = handle.run(f, z, z)
+    t2 = handle.run(f, z, z)
+    assert t1 is not t2
+    assert np.array_equal(t1.u, t2.u)
+    assert oracle.query_count == oracle.run_count == 3
+    # a second handle solves its own base run
+    assert oracle.handle().base() is not base
+    assert oracle.run_count == 4
 
 
 def test_finished_recovery_holds_no_trajectories(line65, nondegenerate_params, monkeypatch):
-    # the bank's handle caches the runs, so they go when the recovery returns
+    # the bank's handle keeps only the base run, so it goes when the recovery returns
     import archemo.recover as rc
     refs, solve = [], rc.solve_forward
 
@@ -138,6 +143,7 @@ def test_finished_recovery_holds_no_trajectories(line65, nondegenerate_params, m
     gc.collect()
     # base run plus three eps runs for each of the three distinct families
     assert report.oracle_runs == oracle.run_count == len(refs) == 10
+    assert all(ref() is None for ref in refs)
     assert all(ref() is None for ref in refs)
 
 
@@ -228,7 +234,7 @@ def test_chi_xi_mu_builds_patterned_regressors_once_per_pass(line65, nondegenera
     monkeypatch.setattr(grid_mod, "advective_flux_div_patterned", counting)
     rec = recover_chi_xi_mu(oracle, r_hat, lin, options=opts, bank=bank)
     assert rc.PATTERN_PASSES == 2 and len(rc.PROBE_ZETA_MULTIPLIERS) == 4
-    n_res = sum(len(bank.stack(exp, order=2).order2.times) - 1
+    n_res = sum(len(bank.stack(exp).order2.times) - 1
                 for exp in rc._default_chi_experiments(line65, opts))
     assert sum(slices) == 4 * n_res
     assert rec.residuals["probe_identity"] >= 0
@@ -248,7 +254,7 @@ def _reference_chi_xi_mu(oracle, r, bank, exps):
     domain, dt = oracle.domain, oracle.cfg.dt
     data = []
     for exp in exps:
-        stack = bank.stack(exp, order=2)
+        stack = bank.stack(exp)
         o1, o2 = stack.order1, stack.order2
         data.append((o1, step_source(domain, o2.u, dt) - r * o2.u[:-1]))
 
@@ -498,54 +504,60 @@ def test_bank_shares_one_stack_per_probing_family(line65, nondegenerate_params, 
     lin = rc._default_lin_experiment(line65, opts, 0)["lin"]
     second2 = rc._default_chi_experiments(line65, opts, 0)[2]
     assert second2.name == "second-2"
-    both = bank.stack(second2, order=2)
-    assert bank.stack(lin, order=2) is both
-    assert calls == [2]
-    first = bank.stack(lin, order=1)
-    assert first.order2 is None
-    assert first.order1 is both.order1
-    assert first.diagnostics["order1_corrections"] == both.diagnostics["order1_corrections"]
+    both = bank.stack(second2)
+    assert bank.stack(lin) is both
     assert calls == [2]
     assert bank.used == ["second-2", "lin"]
 
 
 def test_bank_builds_each_order1_tableau_once(line65, nondegenerate_params, monkeypatch):
     # tau = 0: "lin" shares its family with "second-2", so the three families of
-    # stages 1-3 build three order-1 tableaux; the order-2 upgrade reuses one
+    # stages 1-3 are extracted three times, each at order 2
     import archemo.recover as rc
-    import archemo.variation as var
-    builds, first_order = [], var._first_order
+    calls, extract = [], rc.extract_variation_fd
 
-    def counting(*args, **kwargs):
-        builds.append(1)
-        return first_order(*args, **kwargs)
+    def counting(handle, fam, order=1, **kw):
+        calls.append(order)
+        return extract(handle, fam, order=order, **kw)
 
-    monkeypatch.setattr(var, "_first_order", counting)
+    monkeypatch.setattr(rc, "extract_variation_fd", counting)
     oracle = _oracle(line65, nondegenerate_params, t_final=0.2)
     opts = PipelineOptions()
     bank = ExperimentBank(oracle, opts)
-    lin = bank.stack(rc._default_lin_experiment(line65, opts, 0)["lin"], order=1)
+    lin_exp = rc._default_lin_experiment(line65, opts, 0)["lin"]
+    lin = bank.stack(lin_exp)
     chi_exps = rc._default_chi_experiments(line65, opts, 0)
-    stacks = [bank.stack(exp, order=2) for exp in chi_exps]
-    assert len(builds) == 3
-    assert stacks[2].order1 is lin.order1
-    # the upgraded stack is the full order-2 extraction, bitwise
-    fresh = extract_variation_fd(oracle.handle(), chi_exps[2].fam, order=2)
-    for name in ("u", "v", "w"):
-        assert np.array_equal(stacks[2].order2.component(name), fresh.order2.component(name))
-    assert stacks[2].diagnostics == fresh.diagnostics
+    stacks = [bank.stack(exp) for exp in chi_exps]
+    assert calls == [2, 2, 2]
+    assert stacks[2] is lin
+    # every bank stack is the family's full order-2 extraction, bitwise
+    handle = oracle.handle()
+    for exp, stack in zip([lin_exp] + chi_exps, [lin] + stacks):
+        fresh = extract(handle, exp.fam, order=2)
+        for order in ("order1", "order2"):
+            for name in ("u", "v", "w"):
+                assert np.array_equal(getattr(stack, order).component(name),
+                                      getattr(fresh, order).component(name))
+        assert stack.diagnostics == fresh.diagnostics
 
 
-def test_bank_order2_replaces_order1(line65, nondegenerate_params):
-    oracle = _oracle(line65, nondegenerate_params, t_final=0.2)
-    opts = PipelineOptions()
-    bank = ExperimentBank(oracle, opts)
-    lin = Experiment("lin", PerturbationFamily(f1=axial_mode_profile(line65, 1.0, [(1, 0.45)])))
-    first = bank.stack(lin, order=1)
-    runs = oracle.run_count
-    both = bank.stack(lin, order=2)
-    assert oracle.run_count == runs
-    assert both.order2 is not None
-    assert np.array_equal(both.order1.u, first.order1.u)
-    assert bank.stack(lin, order=1).order1 is both.order1
-    assert bank.used == ["lin"]
+@pytest.mark.parametrize("tau", [0, 1])
+def test_recovery_keeps_few_runs_alive(line65, nondegenerate_params, monkeypatch, tau):
+    # only the base run and the current family's earlier ladder runs may be
+    # alive when the oracle solves: each family's runs go once its stack is built
+    import archemo.recover as rc
+    refs, alive, solve = [], [], rc.solve_forward
+
+    def recording(*args, **kwargs):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in refs))
+        traj = solve(*args, **kwargs)
+        refs.append(weakref.ref(traj))
+        return traj
+
+    monkeypatch.setattr(rc, "solve_forward", recording)
+    oracle = _oracle(line65, nondegenerate_params, tau=tau, dt=2e-3, t_final=0.1)
+    opts = PipelineOptions(recover_fields=False)
+    report = run_full_pipeline(oracle, opts)
+    assert report.oracle_runs == len(refs) == (10 if tau == 0 else 16)
+    assert max(alive) <= len(opts.epsilons)

@@ -23,7 +23,6 @@ from archemo.variation import (
     ForwardHandle,
     PerturbationFamily,
     consistency_report,
-    extend_to_order2,
     extract_variation_fd,
     solve_variations,
     space_time_norm,
@@ -474,28 +473,3 @@ def test_fd_extraction_peak_memory(line65, nondegenerate_params, order, bound):
         tracemalloc.stop()
     assert stack.order1 is not None
     assert peak / traj_bytes <= bound
-
-
-def test_extend_to_order2_matches_full_extraction(line65, nondegenerate_params, monkeypatch):
-    # the order-2 extension of an order-1 stack reuses its order-1 result and
-    # equals the full order-2 extraction bitwise, with the same diagnostics
-    import archemo.variation as var
-    handle = _caching_handle(line65, nondegenerate_params)
-    fam = PerturbationFamily(f1=1.0 + 0.9 * np.cos(math.pi * line65.axes[0]))
-    full = extract_variation_fd(handle, fam, order=2)
-    first = extract_variation_fd(handle, fam, order=1)
-    builds, first_order = [], var._first_order
-
-    def counting(*args, **kwargs):
-        builds.append(1)
-        return first_order(*args, **kwargs)
-
-    monkeypatch.setattr(var, "_first_order", counting)
-    both = extend_to_order2(handle, fam, first)
-    assert builds == []
-    assert both.order1 is first.order1
-    _assert_traj_equal(both.order1, full.order1)
-    _assert_traj_equal(both.order2, full.order2)
-    assert np.array_equal(both.order2.times, full.order2.times)
-    assert both.diagnostics == full.diagnostics
-    assert both.provenance == full.provenance
