@@ -17,7 +17,10 @@ per component), chemotactic advection and reactions explicit.  For tau = 0
 the chemical fields are re-slaved to u by the elliptic solver after every
 density update, and the supplied initial data g, h are replaced by the
 elliptic balance of f from t = 0 (the elliptic equations admit no independent
-initial state).
+initial state).  Kinetics nonlinear in the chemical make each such solve a
+Picard iteration; it forms the terms that do not change across iterations
+once, and from the second step on it starts from the extrapolation
+2 c_n - c_{n-1} of the last two steps.
 """
 
 from __future__ import annotations
@@ -238,14 +241,14 @@ class KineticsSpec:
                                  "h": self._weighted_terms(bound.h_coeffs, domain)})
         return bound
 
-    def _evaluate(self, which, domain, du, dn):
+    def _table_terms(self, which, domain):
         if self._terms is not None and self._terms[0] is domain:
-            terms = self._terms[1][which]
-        else:
-            terms = self._weighted_terms(self.g_coeffs if which == "g" else self.h_coeffs,
-                                         domain)
+            return self._terms[1][which]
+        return self._weighted_terms(self.g_coeffs if which == "g" else self.h_coeffs, domain)
+
+    def _evaluate(self, which, domain, du, dn):
         out = np.zeros(domain.shape)
-        for p, q, term in terms:
+        for p, q, term in self._table_terms(which, domain):
             if p:
                 term = term * du**p
             if q:
@@ -261,8 +264,33 @@ class KineticsSpec:
         eq = self.expansion_point
         return self._evaluate("h", domain, u - eq.u0, w - eq.w0)
 
-    def _nonlinear_in_second(self, table) -> bool:
-        return any(q >= 1 and (p, q) != (0, 1) for (p, q) in table)
+    def slaved_terms(self, which: str, domain: Domain, u):
+        """The pieces of G (``which="g"``, c = v) or H (``"h"``, c = w) at density u
+        that stay fixed while a slaved chemical c is iterated, or None when the
+        table is linear in c.
+
+        Returns ``(fixed, factors)`` with
+
+            G(u, c) + decay * (c - c0) = fixed + sum of factor * (c - c0)^q,
+
+        where ``fixed`` sums the u-only terms (q = 0) and each ``(q, factor)``
+        holds coef * (u - u0)^p of a term with q >= 1.  The (0, 1) term is left
+        out: it is -decay * (c - c0) and cancels the added decay.
+        """
+        table = self.g_coeffs if which == "g" else self.h_coeffs
+        if not any(q >= 1 and (p, q) != (0, 1) for (p, q) in table):
+            return None
+        du = u - self.expansion_point.u0
+        fixed = np.zeros(domain.shape)
+        factors = []
+        for p, q, term in self._table_terms(which, domain):
+            if p:
+                term = term * du**p
+            if not q:
+                fixed += term
+            elif (p, q) != (0, 1):
+                factors.append((q, term))
+        return fixed, factors
 
     def second_order_sources(self, which: str, domain: Domain, u1, c1):
         """a11*u1*c1 + 2*a20*u1^2 + 2*a02*c1^2 of G (``which="g"``, c1 = v1) or H
@@ -384,23 +412,38 @@ def steady_state(p: ParameterSet, trivial: bool = False, domain: Domain | None =
     return EquilibriumState(u0, float(p.alpha) * u0 / p.beta, float(p.gamma) * u0 / p.delta)
 
 
-def _slave_chemical(domain, kin, which, u, cfg, previous=None):
-    """Solve 0 = Lap v + G(x, u, v) for the chemical field (Picard if nonlinear in v)."""
+def _slave_chemical(domain, kin, which, u, cfg, previous=None, earlier=None):
+    """Solve 0 = Lap c + G(x, u, c) for the chemical field c (v for ``"g"``, w for ``"h"``).
+
+    ``previous`` is c at the last step and ``earlier`` c one step before it,
+    when known.  Kinetics linear in c take one screened solve of
+    (-Lap + decay) c = G(u, c) + decay * c about ``previous`` (the constant
+    expansion value when it is None).  Nonlinear kinetics run Picard on
+    (-Lap + decay)(c_new - c0) = fixed + sum of factor * (c - c0)^q, whose u-only
+    terms and factors :meth:`KineticsSpec.slaved_terms` forms once per call.
+    Picard starts from the extrapolation 2 * previous - earlier when both are
+    given, and from ``previous`` otherwise; it stops once successive iterates
+    differ by at most PICARD_TOL * (1 + max|c|).
+    """
     eq = kin.expansion_point
     if which == "g":
-        decay, base, table = kin.beta_decay, eq.v0, kin.g_coeffs
-        evaluate = kin.evaluate_g
+        decay, base, evaluate = kin.beta_decay, eq.v0, kin.evaluate_g
     else:
-        decay, base, table = kin.delta_decay, eq.w0, kin.h_coeffs
-        evaluate = kin.evaluate_h
-    nonlinear = kin._nonlinear_in_second(table)
-    guess = previous if previous is not None else domain.constant(base)
-    v = guess
-    for _ in range(PICARD_MAXITER):
+        decay, base, evaluate = kin.delta_decay, eq.w0, kin.evaluate_h
+    v = previous if previous is not None else domain.constant(base)
+    split = kin.slaved_terms(which, domain, u)
+    if split is None:
         rhs = evaluate(domain, u, v) + decay * (v - base)
+        return base + g.helmholtz_solve(domain, rhs, decay, tol=cfg.elliptic_tol)
+    fixed, factors = split
+    if earlier is not None:
+        v = 2.0 * previous - earlier
+    for _ in range(PICARD_MAXITER):
+        dv = v - base
+        rhs = fixed
+        for q, factor in factors:
+            rhs = rhs + factor * dv**q
         v_new = base + g.helmholtz_solve(domain, rhs, decay, tol=cfg.elliptic_tol)
-        if not nonlinear:
-            return v_new
         delta = float(np.max(np.abs(v_new - v)))
         v = v_new
         if delta <= PICARD_TOL * (1.0 + float(np.max(np.abs(v)))):
@@ -464,13 +507,17 @@ class SliceStore:
         return Trajectory(self.domain, self.times, *self.fields)
 
 
-def step(domain: Domain, state, p: ParameterSet, kin: KineticsSpec, cfg: SolverConfig):
+def step(domain: Domain, state, p: ParameterSet, kin: KineticsSpec, cfg: SolverConfig,
+         prior=None):
     """One IMEX Euler step; returns the new (u, v, w) triple.
 
     The supplied (v, w) must already be consistent with u (slaved for tau=0).
     The drift's face velocities are built once and serve both the CFL check
     and the upwind flux.  u and the potential are screened by their sums and
     scanned by :meth:`Domain.check_field` only when that screen fails.
+    ``prior`` is the state one step before ``state``, if any; for tau=0 it
+    seeds the Picard iteration of a chemical nonlinear in itself by linear
+    extrapolation in time.
     """
     u, v, w = state
     potential = p.chi * v - p.xi * w
@@ -491,8 +538,9 @@ def step(domain: Domain, state, p: ParameterSet, kin: KineticsSpec, cfg: SolverC
             f"density dropped to {float(np.min(u_new)):.3e}, below the negativity floor; "
             "the run is unstable")
     if cfg.tau == 0:
-        v_new = _slave_chemical(domain, kin, "g", u_new, cfg, previous=v)
-        w_new = _slave_chemical(domain, kin, "h", u_new, cfg, previous=w)
+        _, v_prior, w_prior = prior if prior is not None else (None, None, None)
+        v_new = _slave_chemical(domain, kin, "g", u_new, cfg, previous=v, earlier=v_prior)
+        w_new = _slave_chemical(domain, kin, "h", u_new, cfg, previous=w, earlier=w_prior)
     else:
         h = cfg.relaxation_speedup * dt
         v_new = implicit_step(domain, v, kin.evaluate_g(domain, u, v), h)
@@ -505,7 +553,9 @@ def solve_forward(domain: Domain, init, p: ParameterSet, kin: KineticsSpec,
     """Integrate the coupled system from initial data (f, g, h).
 
     For tau = 0 the chemical fields are slaved from the start: g and h are
-    accepted but replaced by the elliptic balance of f.
+    accepted but replaced by the elliptic balance of f.  Every step after the
+    first also gets the state one step back, which seeds the Picard iteration
+    of a chemical nonlinear in itself (see :func:`step`).
     """
     cfg.validate()
     p.validate(domain)
@@ -523,10 +573,11 @@ def solve_forward(domain: Domain, init, p: ParameterSet, kin: KineticsSpec,
     else:
         v, w = g0.copy(), h0.copy()
 
-    stored = SliceStore(domain, cfg, (u, v, w))
+    state, prior = (u, v, w), None
+    stored = SliceStore(domain, cfg, state)
     for n in range(1, cfg.n_steps + 1):
-        u, v, w = step(domain, (u, v, w), p, kin, cfg)
-        stored.put(n, (u, v, w))
+        state, prior = step(domain, state, p, kin, cfg, prior), state
+        stored.put(n, state)
     return stored.trajectory()
 
 

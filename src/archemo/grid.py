@@ -216,17 +216,20 @@ def upwind_patterns(domain, potential, strength=1.0):
 
 
 def _flux_divergence(domain, u, vels, patterns):
-    total = np.zeros(u.shape, dtype=np.result_type(u, *[v.dtype for v in vels]))
     for axis, (h, vel, donor_left) in enumerate(zip(domain.spacing, vels, patterns)):
         lo, hi, inner, first, last = _AXIS_INDEX[domain.dim, axis]
         flux = vel * np.where(donor_left, u[lo], u[hi])
-        div = np.zeros(u.shape, dtype=total.dtype)
-        div[inner] = (flux[hi] - flux[lo]) / h
         # boundary cells have width h/2 and a zero outer flux
-        div[first] = flux[first] / (0.5 * h)
-        div[last] = -flux[last] / (0.5 * h)
-        total += div
-    return total
+        if axis == 0:
+            div = np.empty(u.shape, dtype=flux.dtype)
+            div[inner] = (flux[hi] - flux[lo]) / h
+            div[first] = flux[first] / (0.5 * h)
+            div[last] = -flux[last] / (0.5 * h)
+        else:
+            div[inner] += (flux[hi] - flux[lo]) / h
+            div[first] += flux[first] / (0.5 * h)
+            div[last] -= flux[last] / (0.5 * h)
+    return div
 
 
 def advective_flux_div(domain, u, potential, strength=1.0):
@@ -330,8 +333,9 @@ def time_weights(times):
 
 
 # Over 1D and 2D grids of 33-1025 nodes per axis, decays 1e-6-50 and random,
-# smooth and offset sources, the residual of the exact spectral solution stayed
-# below 0.75 * eps * (largest eigenvalue + decay) * |v|.
+# smooth and offset sources, the residual of the exact spectral solution, as
+# helmholtz_solve evaluates it, stayed below 0.71 * eps * (largest eigenvalue
+# + decay) * |v|.
 RESIDUAL_ROUNDING_SLACK = 8.0
 
 
@@ -349,6 +353,32 @@ def _spectral_solve(domain, source, decay):
     coeffs = _pocketfft_dct(source, 1, axes, 0, None, 1)
     coeffs /= domain.neumann_eigenvalues + decay
     return _pocketfft_dct(coeffs, 1, axes, 2, coeffs, 1)
+
+
+def _field_index(dim, axis):
+    # index tuples along axis ``axis`` of a single field: the inner nodes, the first
+    # and last node, the left and right neighbours of the inner nodes, and the
+    # neighbours of the first and last node.  Without an Ellipsis the end nodes of
+    # a 1D field index as scalars, which numpy handles several times faster
+    lead = (slice(None),) * axis
+    return tuple(lead + (i,) for i in (slice(1, -1), 0, -1, slice(None, -2), slice(2, None), 1, -2))
+
+
+_FIELD_INDEX = {(dim, axis): _field_index(dim, axis) for dim in (1, 2) for axis in range(dim)}
+
+
+def _screened_apply(domain, x, decay):
+    # (-Lap + decay) x of a single field as (decay + sum 2/h^2) x minus the neighbour
+    # sums over h^2, with ghost reflection doubling the inner neighbour of each end
+    # node; it differs from -_laplacian(x) + decay * x only in rounding
+    out = x * (decay + sum(2.0 / (h * h) for h in domain.spacing))
+    for axis, h in enumerate(domain.spacing):
+        inner, first, last, left, right, second, penult = _FIELD_INDEX[domain.dim, axis]
+        s = 1.0 / (h * h)
+        out[inner] -= s * (x[left] + x[right])
+        out[first] -= (2.0 * s) * x[second]
+        out[last] -= (2.0 * s) * x[penult]
+    return out
 
 
 def spectral_helmholtz(domain, source, decay):
@@ -389,7 +419,8 @@ def helmholtz_solve(domain, source, decay, tol=1e-10):
     if bnorm == 0.0:
         return np.zeros_like(source)
     x = _spectral_solve(domain, source, decay)
-    r = source - (-_laplacian(domain, x) + decay * x)
+    r = _screened_apply(domain, x, decay)
+    np.subtract(source, r, out=r)
     rnorm = math.sqrt(float((w * r * r).sum()))
     if rnorm <= tol * bnorm:
         return x

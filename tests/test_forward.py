@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from archemo import forward, grid
 from archemo.errors import CFLViolation, NumericsError
 from archemo.forward import (
     KineticsSpec,
@@ -366,3 +368,126 @@ def test_2d_boundary_measurement(square33, applied_params):
     rec = measure(solve_forward(square33, (f, f, f), applied_params, kin, cfg))
     n_boundary = 4 * 33 - 4
     assert rec.boundary_u.shape[1] == n_boundary
+
+
+# -- slaved chemicals: Picard seed, hoisted kinetics, linear path ----------------------
+
+
+def _reference_slave_chemical(domain, kin, which, u, cfg, previous=None):
+    """The slave solve before the Picard seed was extrapolated and the kinetics hoisted.
+
+    Kept as the reference for kinetics linear in the chemical, where the
+    present solve must return the same array.
+    """
+    eq = kin.expansion_point
+    if which == "g":
+        decay, base, table = kin.beta_decay, eq.v0, kin.g_coeffs
+        evaluate = kin.evaluate_g
+    else:
+        decay, base, table = kin.delta_decay, eq.w0, kin.h_coeffs
+        evaluate = kin.evaluate_h
+    nonlinear = any(q >= 1 and (p, q) != (0, 1) for (p, q) in table)
+    v = previous if previous is not None else domain.constant(base)
+    for _ in range(forward.PICARD_MAXITER):
+        rhs = evaluate(domain, u, v) + decay * (v - base)
+        v_new = base + helmholtz_solve(domain, rhs, decay, tol=cfg.elliptic_tol)
+        if not nonlinear:
+            return v_new
+        delta = float(np.max(np.abs(v_new - v)))
+        v = v_new
+        if delta <= forward.PICARD_TOL * (1.0 + float(np.max(np.abs(v)))):
+            return v
+    raise NumericsError("Picard iteration for the slaved chemical field did not converge")
+
+
+def _separable_a02_run(amplitude):
+    # 33 x 33, tau 0, the benchmark's separable a02 = cos(pi x1)(1 + x2)/4, stride 4
+    d = Domain((1.0, 1.0), (33, 33))
+    p = ParameterSet(chi=0.1, xi=0.05, r=0.5, mu=1.0, alpha=1.0, beta=1.0, gamma=0.8, delta=1.6)
+    a02 = SeparableField(np.cos(math.pi * d.axes[0]), (1.0 + d.axes[1]) / 4.0)
+    kin = KineticsSpec.from_parameters(p, second_order_g={(0, 2): a02})
+    cfg = SolverConfig(tau=0, dt=1e-3, t_final=0.5, store_every=4)
+    X, Y = d.meshgrid()
+    f = amplitude * (1.2 + np.cos(math.pi * X) * np.cos(2.0 * math.pi * Y))
+    return lambda: solve_forward(d, (f, f, f), p, kin, cfg), cfg
+
+
+def test_picard_meets_its_tolerance_against_a_tight_reference(monkeypatch):
+    # the seed and the hoist change rounding only: each slaved v stays within the
+    # Picard tolerance of a run iterated to 1e-15
+    run, _ = _separable_a02_run(0.3)
+    traj = run()
+    bound = forward.PICARD_TOL * (1.0 + float(np.max(np.abs(traj.v))))
+    monkeypatch.setattr(forward, "PICARD_TOL", 1e-15)
+    ref = run()
+    assert float(np.max(np.abs(traj.v - ref.v))) <= bound
+
+
+@pytest.mark.parametrize("amplitude, per_step", [(1e-2, 4.1), (0.3, 6.1)])
+def test_picard_solves_per_step(monkeypatch, amplitude, per_step):
+    # seeding Picard with 2 v_n - v_{n-1} saves a solve per step at 1e-2 and three
+    # at 0.3 (5.01 and 9.02 per step from a v_n seed, the linear w included)
+    calls = []
+    solve = grid.helmholtz_solve
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(grid, "helmholtz_solve", counting)
+    run, cfg = _separable_a02_run(amplitude)
+    run()
+    assert len(calls) / cfg.n_steps <= per_step
+
+
+def test_linear_slave_solve_matches_reference(monkeypatch, line129, nondegenerate_params):
+    # kinetics linear in the chemical keep their seed and rhs: the runs are bitwise equal
+    x = line129.axes[0]
+    square = Domain((1.0, 1.0), (33, 33))
+    X, Y = square.meshgrid()
+    cases = [
+        (line129, nondegenerate_params,
+         0.5 + 0.3 * np.cos(math.pi * x) + 0.1 * np.cos(3.0 * math.pi * x),
+         SolverConfig(tau=0, dt=5e-4, t_final=0.2)),
+        (square, replace(nondegenerate_params, alpha=1.0 + 0.3 * np.cos(math.pi * X)),
+         0.5 + 0.2 * np.cos(math.pi * X) * np.cos(2.0 * math.pi * Y),
+         SolverConfig(tau=0, dt=1e-3, t_final=0.1, store_every=4)),
+    ]
+    for d, p, f, cfg in cases:
+        kin = make_kinetics(p)
+        present = solve_forward(d, (f, f, f), p, kin, cfg)
+        with monkeypatch.context() as m:
+            m.setattr(forward, "_slave_chemical",
+                      lambda domain, kin, which, u, cfg, previous=None, earlier=None:
+                      _reference_slave_chemical(domain, kin, which, u, cfg, previous))
+            reference = solve_forward(d, (f, f, f), p, kin, cfg)
+        for name in ("u", "v", "w"):
+            assert np.array_equal(present.component(name), reference.component(name))
+
+
+def test_slaved_terms_match_the_kinetics(square33, rng):
+    # fixed + sum of factor * (c - c0)^q is G(u, c) + decay (c - c0) up to rounding,
+    # for a table with all six second-order entries, bound to the grid or not
+    d = square33
+    p = ParameterSet(chi=0.1, xi=0.05, r=0.5, mu=1.0, alpha=1.0, beta=1.3, gamma=0.8, delta=1.6)
+    sep = SeparableField(np.cos(math.pi * d.axes[0]), (1.0 + d.axes[1]) / 4.0)
+    sep2 = SeparableField(1.0 + 0.5 * d.axes[0], np.sin(2.0 * d.axes[1]) + 0.3)
+    eq = forward.EquilibriumState(0.4, 0.3, 0.2)
+    kin = KineticsSpec.from_parameters(
+        p, second_order_g={(1, 1): 0.7, (2, 0): sep2, (0, 2): sep},
+        second_order_h={(1, 1): sep, (2, 0): -0.4, (0, 2): 0.25}, expansion_point=eq)
+    u, c = 0.4 + rng.random(d.shape), 0.3 + rng.standard_normal(d.shape)
+    eps = np.finfo(float).eps
+    for spec in (kin, kin.bind(d)):
+        for which, decay, base, evaluate in (("g", 1.3, eq.v0, spec.evaluate_g),
+                                              ("h", 1.6, eq.w0, spec.evaluate_h)):
+            fixed, factors = spec.slaved_terms(which, d, u)
+            assert sorted(q for q, _ in factors) == [1, 2]
+            dc = c - base
+            pieces = [fixed] + [factor * dc**q for q, factor in factors]
+            hoisted = sum(pieces[1:], pieces[0])
+            expected = evaluate(d, u, c) + decay * dc
+            scale = sum(np.abs(x) for x in pieces) + 2.0 * decay * np.abs(dc)
+            assert np.all(np.abs(hoisted - expected) <= 8.0 * eps * scale)
+    assert make_kinetics(p).slaved_terms("g", d, u) is None
+    assert make_kinetics(p).bind(d).slaved_terms("h", d, u) is None

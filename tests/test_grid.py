@@ -262,6 +262,21 @@ def test_helmholtz_raises_when_residual_check_fails(rng):
         helmholtz_solve(d, rng.standard_normal(d.shape), decay=1.0)
 
 
+def test_screened_apply_matches_laplacian_form(rng):
+    # the residual check's one-array (-Lap + decay) x differs from the Laplacian form
+    # only in rounding, at most a few eps * (largest eigenvalue + decay) * max|x|
+    from archemo.grid import _laplacian, _screened_apply
+    eps = np.finfo(float).eps
+    for d in (Domain(1.0, 33), Domain(1.0, 129), Domain((1.0, 1.0), (33, 33)),
+              Domain((1.0, 2.0), (33, 65))):
+        lam_max = float(np.max(d.neumann_eigenvalues))
+        for decay in (1e-6, 1e-2, 1.0, 50.0):
+            for x in (rng.standard_normal(d.shape), 0.5 + 0.2 * rng.random(d.shape)):
+                expected = -_laplacian(d, x) + decay * x
+                bound = 4.0 * eps * (lam_max + decay) * float(np.max(np.abs(x)))
+                assert float(np.max(np.abs(_screened_apply(d, x, decay) - expected))) <= bound
+
+
 def test_helmholtz_zero_source():
     d = Domain((1.0, 1.0), (17, 17))
     assert np.array_equal(helmholtz_solve(d, d.zeros(), decay=1.0), d.zeros())
@@ -350,6 +365,37 @@ def test_helmholtz_finite_source_with_overflowing_norm():
 
 
 # -- stacked drift operators ------------------------------------------------------
+
+
+def _reference_flux_divergence(domain, u, vels, patterns):
+    """The flux divergence that summed a zero-filled array per axis into a zero total.
+
+    Kept as the reference for ``grid._flux_divergence``, which must return the same values.
+    """
+    from archemo.grid import _AXIS_INDEX
+    total = np.zeros(u.shape, dtype=np.result_type(u, *[v.dtype for v in vels]))
+    for axis, (h, vel, donor_left) in enumerate(zip(domain.spacing, vels, patterns)):
+        lo, hi, inner, first, last = _AXIS_INDEX[domain.dim, axis]
+        flux = vel * np.where(donor_left, u[lo], u[hi])
+        div = np.zeros(u.shape, dtype=total.dtype)
+        div[inner] = (flux[hi] - flux[lo]) / h
+        div[first] = flux[first] / (0.5 * h)
+        div[last] = -flux[last] / (0.5 * h)
+        total += div
+    return total
+
+
+def test_flux_divergence_matches_reference(rng):
+    from archemo.grid import _flux_divergence
+    for d in (Domain(1.0, 33), Domain(1.0, 129), Domain((1.0, 2.0), (17, 25)),
+              Domain((1.0, 1.0), (65, 65))):
+        for lead in ((), (3,), (2, 4)):
+            u = 0.5 + rng.random(lead + d.shape)
+            vels = face_velocities(d, rng.standard_normal(lead + d.shape), strength=0.7)
+            frozen = upwind_patterns(d, rng.standard_normal(lead + d.shape))
+            for pats in ([v > 0 for v in vels], frozen):
+                assert np.array_equal(_flux_divergence(d, u, vels, pats),
+                                      _reference_flux_divergence(d, u, vels, pats))
 
 
 def _slices(stack, dim):
