@@ -32,8 +32,8 @@ fam = PerturbationFamily(f1=1.0 + 0.9 * np.cos(math.pi * d.axes[0]),
 direct = solve_variations(d, p, kin, fam, cfg)
 
 handle = ForwardHandle.from_model(d, p, kin, cfg)
-fd, ladder = extract_variation_fd(handle, fam, order=2,
-                                  first_direct=direct.order1, return_ladder=True)
+fd, ladder = extract_variation_fd(handle, fam, first_direct=direct.order1,
+                                  return_ladder=True)
 
 rep = consistency_report(d, direct, ladder)
 print(rep.to_text())

@@ -313,6 +313,8 @@ PICARD_TOL = 1e-12
 PICARD_MAXITER = 64
 # a density below this after a step means the run has gone unstable
 NEGATIVITY_FLOOR = -1e-9
+# dt may reach this fraction of the advective stability bound h / (max drift speed)
+CFL_SAFETY = 0.9
 
 
 @dataclass
@@ -320,8 +322,6 @@ class SolverConfig:
     tau: int = 0
     dt: float = 1e-3
     t_final: float = 1.0
-    elliptic_tol: float = 1e-10
-    cfl_safety: float = 0.9
     store_every: int = 1
     relaxation_speedup: float = 1.0   # tau=1 only: dv/dt = s*(Lap v + G)
     require_nonnegative: bool = True
@@ -331,8 +331,6 @@ class SolverConfig:
             raise ValueError("tau must be 0 or 1")
         if self.dt <= 0 or self.t_final <= 0:
             raise ValueError("dt and t_final must be positive")
-        if not (0 < self.cfl_safety <= 1):
-            raise ValueError("cfl_safety must lie in (0, 1]")
         if self.store_every < 1:
             raise ValueError("store_every must be >= 1")
         return self
@@ -412,7 +410,7 @@ def steady_state(p: ParameterSet, trivial: bool = False, domain: Domain | None =
     return EquilibriumState(u0, float(p.alpha) * u0 / p.beta, float(p.gamma) * u0 / p.delta)
 
 
-def _slave_chemical(domain, kin, which, u, cfg, previous=None, earlier=None):
+def _slave_chemical(domain, kin, which, u, previous=None, earlier=None):
     """Solve 0 = Lap c + G(x, u, c) for the chemical field c (v for ``"g"``, w for ``"h"``).
 
     ``previous`` is c at the last step and ``earlier`` c one step before it,
@@ -434,7 +432,7 @@ def _slave_chemical(domain, kin, which, u, cfg, previous=None, earlier=None):
     split = kin.slaved_terms(which, domain, u)
     if split is None:
         rhs = evaluate(domain, u, v) + decay * (v - base)
-        return base + g.helmholtz_solve(domain, rhs, decay, tol=cfg.elliptic_tol)
+        return base + g.helmholtz_solve(domain, rhs, decay)
     fixed, factors = split
     if earlier is not None:
         v = 2.0 * previous - earlier
@@ -443,7 +441,7 @@ def _slave_chemical(domain, kin, which, u, cfg, previous=None, earlier=None):
         rhs = fixed
         for q, factor in factors:
             rhs = rhs + factor * dv**q
-        v_new = base + g.helmholtz_solve(domain, rhs, decay, tol=cfg.elliptic_tol)
+        v_new = base + g.helmholtz_solve(domain, rhs, decay)
         delta = float(np.max(np.abs(v_new - v)))
         v = v_new
         if delta <= PICARD_TOL * (1.0 + float(np.max(np.abs(v)))):
@@ -454,7 +452,7 @@ def _slave_chemical(domain, kin, which, u, cfg, previous=None, earlier=None):
 def _check_cfl(domain, cfg, speed):
     if speed == 0.0:
         return
-    bound = cfg.cfl_safety * min(domain.spacing) / speed
+    bound = CFL_SAFETY * min(domain.spacing) / speed
     if cfg.dt > bound:
         raise CFLViolation(
             f"dt={cfg.dt:.3e} exceeds the advective stability bound {bound:.3e} "
@@ -539,8 +537,8 @@ def step(domain: Domain, state, p: ParameterSet, kin: KineticsSpec, cfg: SolverC
             "the run is unstable")
     if cfg.tau == 0:
         _, v_prior, w_prior = prior if prior is not None else (None, None, None)
-        v_new = _slave_chemical(domain, kin, "g", u_new, cfg, previous=v, earlier=v_prior)
-        w_new = _slave_chemical(domain, kin, "h", u_new, cfg, previous=w, earlier=w_prior)
+        v_new = _slave_chemical(domain, kin, "g", u_new, previous=v, earlier=v_prior)
+        w_new = _slave_chemical(domain, kin, "h", u_new, previous=w, earlier=w_prior)
     else:
         h = cfg.relaxation_speedup * dt
         v_new = implicit_step(domain, v, kin.evaluate_g(domain, u, v), h)
@@ -568,8 +566,8 @@ def solve_forward(domain: Domain, init, p: ParameterSet, kin: KineticsSpec,
                 raise ValueError(f"initial data {name} must be non-negative")
     u = f0.copy()
     if cfg.tau == 0:
-        v = _slave_chemical(domain, kin, "g", u, cfg)
-        w = _slave_chemical(domain, kin, "h", u, cfg)
+        v = _slave_chemical(domain, kin, "g", u)
+        w = _slave_chemical(domain, kin, "h", u)
     else:
         v, w = g0.copy(), h0.copy()
 

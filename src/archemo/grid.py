@@ -190,22 +190,30 @@ def laplacian_neumann(domain, f):
     return _laplacian(domain, f)
 
 
-def _axis_index(dim, axis):
-    # index tuples for the lower and upper node of every face, the inner nodes,
-    # and the first and last node along field axis ``axis`` of a field or a stack
-    def along(index):
-        return (Ellipsis, index) + (slice(None),) * (dim - 1 - axis)
-    return tuple(along(i) for i in (slice(None, -1), slice(1, None), slice(1, -1), 0, -1))
+class _NodeIndex(dict):
+    """Index tuples along array axis ``axis`` of an array with ``ndim`` axes, keyed by
+    (ndim, axis): the lower and upper node of every face, the inner nodes and their
+    left and right neighbours, the first and last node and their inner neighbours.
+    Without an Ellipsis the end nodes of a 1D field index as scalars, which numpy
+    handles several times faster than 0-d arrays."""
+
+    def __missing__(self, key):
+        ndim, axis = key
+        lead = (slice(None),) * axis
+        self[key] = tuple(lead + (i,) for i in (slice(None, -1), slice(1, None), slice(1, -1),
+                                                 slice(None, -2), slice(2, None), 0, -1, 1, -2))
+        return self[key]
 
 
-_AXIS_INDEX = {(dim, axis): _axis_index(dim, axis) for dim in (1, 2) for axis in range(dim)}
+_NODE_INDEX = _NodeIndex()
 
 
 def face_velocities(domain, potential, strength=1.0):
     """Face-centered velocity strength * dP/dx along each axis."""
     vels = []
+    lead = potential.ndim - domain.dim
     for axis, h in enumerate(domain.spacing):
-        lo, hi = _AXIS_INDEX[domain.dim, axis][:2]
+        lo, hi = _NODE_INDEX[potential.ndim, lead + axis][:2]
         vels.append(strength * (potential[hi] - potential[lo]) / h)
     return vels
 
@@ -216,8 +224,9 @@ def upwind_patterns(domain, potential, strength=1.0):
 
 
 def _flux_divergence(domain, u, vels, patterns):
+    lead = u.ndim - domain.dim
     for axis, (h, vel, donor_left) in enumerate(zip(domain.spacing, vels, patterns)):
-        lo, hi, inner, first, last = _AXIS_INDEX[domain.dim, axis]
+        lo, hi, inner, _, _, first, last, _, _ = _NODE_INDEX[u.ndim, lead + axis]
         flux = vel * np.where(donor_left, u[lo], u[hi])
         # boundary cells have width h/2 and a zero outer flux
         if axis == 0:
@@ -332,6 +341,8 @@ def time_weights(times):
 # spectral helpers and the screened-Poisson solver
 
 
+# relative residual, in the weighted norm, that every elliptic solve must reach
+ELLIPTIC_TOL = 1e-10
 # Over 1D and 2D grids of 33-1025 nodes per axis, decays 1e-6-50 and random,
 # smooth and offset sources, the residual of the exact spectral solution, as
 # helmholtz_solve evaluates it, stayed below 0.71 * eps * (largest eigenvalue
@@ -355,25 +366,13 @@ def _spectral_solve(domain, source, decay):
     return _pocketfft_dct(coeffs, 1, axes, 2, coeffs, 1)
 
 
-def _field_index(dim, axis):
-    # index tuples along axis ``axis`` of a single field: the inner nodes, the first
-    # and last node, the left and right neighbours of the inner nodes, and the
-    # neighbours of the first and last node.  Without an Ellipsis the end nodes of
-    # a 1D field index as scalars, which numpy handles several times faster
-    lead = (slice(None),) * axis
-    return tuple(lead + (i,) for i in (slice(1, -1), 0, -1, slice(None, -2), slice(2, None), 1, -2))
-
-
-_FIELD_INDEX = {(dim, axis): _field_index(dim, axis) for dim in (1, 2) for axis in range(dim)}
-
-
 def _screened_apply(domain, x, decay):
     # (-Lap + decay) x of a single field as (decay + sum 2/h^2) x minus the neighbour
     # sums over h^2, with ghost reflection doubling the inner neighbour of each end
     # node; it differs from -_laplacian(x) + decay * x only in rounding
     out = x * (decay + sum(2.0 / (h * h) for h in domain.spacing))
     for axis, h in enumerate(domain.spacing):
-        inner, first, last, left, right, second, penult = _FIELD_INDEX[domain.dim, axis]
+        _, _, inner, left, right, first, last, second, penult = _NODE_INDEX[domain.dim, axis]
         s = 1.0 / (h * h)
         out[inner] -= s * (x[left] + x[right])
         out[first] -= (2.0 * s) * x[second]
@@ -392,7 +391,7 @@ def spectral_helmholtz(domain, source, decay):
     return _spectral_solve(domain, source.astype(float, copy=False), decay)
 
 
-def helmholtz_solve(domain, source, decay, tol=1e-10):
+def helmholtz_solve(domain, source, decay, tol=ELLIPTIC_TOL):
     """Solve (-Lap + decay) v = source under Neumann conditions, with a residual check.
 
     The operator is symmetric positive definite in the trapezoid-weighted

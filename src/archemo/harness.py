@@ -161,8 +161,6 @@ CONFIG_SCHEMA = {
     "solver.tau": (int, str, 0),
     "solver.dt": (float, _ser_float, 5e-4),
     "solver.t_final": (float, _ser_float, 1.0),
-    "solver.elliptic_tol": (float, _ser_float, 1e-10),
-    "solver.cfl_safety": (float, _ser_float, 0.9),
     "solver.store_every": (int, str, 1),
     "solver.relaxation_speedup": (float, _ser_float, 1.0),
     "params.chi": (float, _ser_float, 0.1),
@@ -189,18 +187,10 @@ CONFIG_SCHEMA = {
     "perturb.g2": (str, str, "0"),
     "perturb.h2": (str, str, "0"),
     "perturb.epsilons": (_parse_floats, _ser_floats, DEFAULT_EPSILONS),
-    "pipeline.mode_indices": (_parse_ints, _ser_ints, (1, 2)),
-    "pipeline.moment_J": (int, str, 6),
-    "pipeline.lambda_reg": (float, _ser_float, 1e-8),
-    "pipeline.moment_cap": (float, _ser_float, 0.4),
-    "pipeline.u_floor_rel": (float, _ser_float, 1e-4),
-    "pipeline.cond_limit": (float, _ser_float, 1e6),
     "pipeline.separable_entries": (str, str, ""),
     "pipeline.check_tol": (float, _ser_float, 0.05),
     "ident.seed": (int, str, 7),
     "ident.trials": (int, str, 20),
-    "ident.param_tol": (float, _ser_float, 0.05),
-    "convergence.levels": (int, str, 3),
     "output.dir": (str, str, "out"),
 }
 
@@ -269,8 +259,6 @@ class ExperimentConfig:
             tau=int(tau) if tau is not None else self.get("solver.tau"),
             dt=self.get("solver.dt"),
             t_final=self.get("solver.t_final"),
-            elliptic_tol=self.get("solver.elliptic_tol"),
-            cfl_safety=self.get("solver.cfl_safety"),
             store_every=self.get("solver.store_every"),
             relaxation_speedup=self.get("solver.relaxation_speedup"),
         ).validate()
@@ -324,12 +312,6 @@ class ExperimentConfig:
             declared[label] = profile_gamma0(domain, spec)
         return PipelineOptions(
             epsilons=self.get("perturb.epsilons"),
-            mode_indices=self.get("pipeline.mode_indices"),
-            moment_J=self.get("pipeline.moment_J"),
-            lambda_reg=self.get("pipeline.lambda_reg"),
-            moment_cap=self.get("pipeline.moment_cap"),
-            u_floor_rel=self.get("pipeline.u_floor_rel"),
-            cond_limit=self.get("pipeline.cond_limit"),
             declared_separable=declared,
             recover_fields=None,
         )
@@ -377,19 +359,22 @@ def parameter_distance(b1: ParameterSet, b2: ParameterSet, domain: Domain | None
     return gap
 
 
+# parameter sets closer than this (parameter_distance) count as the same truth
+PARAM_TOL = 0.05
+
+
 @dataclass
 class IdentReport:
     parameter_distance: float
     measurement_distance: float
     match_tol: float
-    param_tol: float
     verdict: str          # "consistent" | "violation"
 
     @classmethod
-    def judge(cls, pdist, mdist, match_tol, param_tol):
-        verdict = "violation" if (mdist <= match_tol and pdist > param_tol) else "consistent"
+    def judge(cls, pdist, mdist, match_tol):
+        verdict = "violation" if (mdist <= match_tol and pdist > PARAM_TOL) else "consistent"
         return cls(parameter_distance=pdist, measurement_distance=mdist,
-                   match_tol=match_tol, param_tol=param_tol, verdict=verdict)
+                   match_tol=match_tol, verdict=verdict)
 
 
 def _forward_measure(domain, params, cfg, init):
@@ -411,13 +396,12 @@ def measure_match_tol(domain: Domain, params: ParameterSet, init, cfg: SolverCon
 
 
 def identifiability_experiment(domain: Domain, b1: ParameterSet, b2: ParameterSet,
-                               init, cfg: SolverConfig, match_tol: float,
-                               param_tol: float = 0.05) -> IdentReport:
+                               init, cfg: SolverConfig, match_tol: float) -> IdentReport:
     """Run both forward maps on shared data and judge the distance pair."""
     m1 = _forward_measure(domain, b1, cfg, init)
     m2 = _forward_measure(domain, b2, cfg, init)
     return IdentReport.judge(parameter_distance(b1, b2, domain),
-                             measurement_distance(m1, m2), match_tol, param_tol)
+                             measurement_distance(m1, m2), match_tol)
 
 
 def random_parameter_set(rng, base: ParameterSet, lo=0.06, hi=0.15) -> ParameterSet:
@@ -434,9 +418,8 @@ def random_parameter_set(rng, base: ParameterSet, lo=0.06, hi=0.15) -> Parameter
 
 
 def identifiability_sweep(domain: Domain, b1: ParameterSet, init, cfg: SolverConfig,
-                          n_trials: int = 20, seed: int = 7, match_tol: float | None = None,
-                          param_tol: float = 0.05):
-    """Seeded random B2 draws; returns (match_tol, list of IdentReport)."""
+                          n_trials: int = 20, seed: int = 7, match_tol: float | None = None):
+    """Seeded random B2 draws at least PARAM_TOL from b1; returns (match_tol, reports)."""
     if match_tol is None:
         match_tol = measure_match_tol(domain, b1, init, cfg)
     rng = np.random.default_rng(seed)
@@ -444,21 +427,20 @@ def identifiability_sweep(domain: Domain, b1: ParameterSet, init, cfg: SolverCon
     reports = []
     for _ in range(n_trials):
         b2 = random_parameter_set(rng, b1)
-        while parameter_distance(b1, b2, domain) < param_tol:
+        while parameter_distance(b1, b2, domain) < PARAM_TOL:
             b2 = random_parameter_set(rng, b1)
         m2 = _forward_measure(domain, b2, cfg, init)
         reports.append(IdentReport.judge(parameter_distance(b1, b2, domain),
-                                         measurement_distance(m1, m2), match_tol, param_tol))
+                                         measurement_distance(m1, m2), match_tol))
     return match_tol, reports
 
 
 def near_collision_search(domain: Domain, b1: ParameterSet, init, cfg: SolverConfig,
-                          match_tol: float, param_tol: float = 0.05,
-                          budget: int = 40, seed: int = 3):
+                          match_tol: float, budget: int = 40, seed: int = 3):
     """Adversarial stress test: minimize the measurement gap at fixed parameter gap.
 
     Uses a derivative-free simplex search over log-parameters with a penalty
-    keeping the parameter distance above param_tol.  Reports the achieved
+    keeping the parameter distance above PARAM_TOL.  Reports the achieved
     floor; a floor well above match_tol is evidence (not proof) against
     near-collisions.
     """
@@ -479,7 +461,7 @@ def near_collision_search(domain: Domain, b1: ParameterSet, init, cfg: SolverCon
             mdist = measurement_distance(m1, _forward_measure(domain, b2, cfg, init))
         except NumericsError:
             return 1e6
-        penalty = max(param_tol - pdist, 0.0) * 100.0
+        penalty = max(PARAM_TOL - pdist, 0.0) * 100.0
         return mdist + penalty
 
     rng = np.random.default_rng(seed)
@@ -800,8 +782,8 @@ def _cmd_linearize(args, cfg: ExperimentConfig) -> int:
     fam = cfg.perturbation_family(domain)
     direct = solve_variations(domain, params, kin, fam, solver)
     handle = ForwardHandle.from_model(domain, params, kin, solver)
-    fd, ladder = extract_variation_fd(handle, fam, order=2,
-                                      first_direct=direct.order1, return_ladder=True)
+    fd, ladder = extract_variation_fd(handle, fam, first_direct=direct.order1,
+                                      return_ladder=True)
     rep = consistency_report(domain, direct, ladder)
     outdir = args.out or cfg.get("output.dir")
     os.makedirs(outdir, exist_ok=True)
@@ -857,10 +839,8 @@ def _cmd_identcheck(args, cfg: ExperimentConfig) -> int:
     init = cfg.initial_data(domain)
     match_tol, reports = identifiability_sweep(
         domain, b1, init, solver,
-        n_trials=cfg.get("ident.trials"), seed=cfg.get("ident.seed"),
-        param_tol=cfg.get("ident.param_tol"))
-    self_rep = identifiability_experiment(domain, b1, b1, init, solver, match_tol,
-                                          cfg.get("ident.param_tol"))
+        n_trials=cfg.get("ident.trials"), seed=cfg.get("ident.seed"))
+    self_rep = identifiability_experiment(domain, b1, b1, init, solver, match_tol)
     outdir = args.out or cfg.get("output.dir")
     os.makedirs(outdir, exist_ok=True)
     violations = [r for r in reports if r.verdict == "violation"]
@@ -881,7 +861,7 @@ def _cmd_identcheck(args, cfg: ExperimentConfig) -> int:
 
 
 def _cmd_convergence(args, cfg: ExperimentConfig) -> int:
-    rows = convergence_study(levels=cfg.get("convergence.levels"))
+    rows = convergence_study()
     text = study_rows_to_text(rows)
     outdir = args.out or cfg.get("output.dir")
     os.makedirs(outdir, exist_ok=True)

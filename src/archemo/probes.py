@@ -412,7 +412,8 @@ def moment_recover(domain: Domain, samples, J: int = 6, gamma0: float = 1.0,
     moment descriptors (an axial-rate scan at a fixed transverse anchor, rates
     within the smallness cap) and the cosine descriptors (harmonic +/- pairs
     at pi*m/L1).  ``gamma0`` declares the axial integral, fixing the
-    multiplicative gauge of the factor pair.
+    multiplicative gauge of the factor pair.  The moments are fitted on the
+    scan anchor with the largest rate-0 transform (the probe set has one).
     """
     if domain.dim < 2:
         raise ValueError("separable recovery needs at least two dimensions")
@@ -432,21 +433,8 @@ def moment_recover(domain: Domain, samples, J: int = 6, gamma0: float = 1.0,
                if 0.0 in scan and len(scan) > J]
     if not anchors:
         raise ValueError("no usable moment scan in the sample set (need a rate-0 anchor)")
-    anchors.sort(key=lambda xi: -abs(scans[xi][0.0]))
-    gammas = sigmas = cond_m = leak = None
-    best_baseline = max(abs(scans[xi][0.0]) for xi in anchors)
-    chosen = None
-    for xi_anchor in anchors:
-        if abs(scans[xi_anchor][0.0]) < 1e-8 * best_baseline:
-            continue
-        try:
-            gammas, sigmas, cond_m, leak = _fit_moments_from_scan(scans[xi_anchor], gamma0, J)
-            chosen = xi_anchor
-            break
-        except ValueError:
-            continue
-    if gammas is None:
-        raise ValueError("all moment scans degenerate; transverse transform vanishes at anchors")
+    chosen = max(anchors, key=lambda xi: abs(scans[xi][0.0]))
+    gammas, sigmas, cond_m, leak = _fit_moments_from_scan(scans[chosen], gamma0, J)
     moments = MomentVector(gammas=gammas)
 
     axial, cond_a = _axial_from_moments(domain, gammas, sigmas, lambda_reg)

@@ -121,8 +121,13 @@ class Oracle:
 # options and experiments
 
 
-# weight of each nonzero axial cosine in the linear probing profile
+# nonzero axial cosines of the linear probing profile, and the weight of each
+MODE_INDICES = (1, 2)
 MODE_WEIGHT = 0.45
+# stage 2 regresses only where |u1| reaches this fraction of its largest value
+U_FLOOR_REL = 1e-4
+# stage 3 reports chi, xi as degenerate above this condition number of its normal matrix
+COND_LIMIT = 1e6
 # axial modes mixed into each second-order probing profile
 CHI_MODE_PATTERNS = ((1,), (2,), (1, 2))
 # parabolic probes of the stage-3 identity check, zeta_n in units of pi / L_n
@@ -142,12 +147,6 @@ REGRESSOR_BLOCK = 64
 @dataclass
 class PipelineOptions:
     epsilons: tuple = DEFAULT_EPSILONS
-    mode_indices: tuple = (1, 2)          # nonzero probing modes along the last axis
-    u_floor_rel: float = 1e-4
-    cond_limit: float = 1e6
-    moment_J: int = 6
-    lambda_reg: float = 1e-8
-    moment_cap: float = 0.4
     declared_separable: dict = field(default_factory=dict)   # entry -> declared Gamma_0
     recover_fields: bool | None = None    # None: fields in 2D, constants in 1D
 
@@ -180,10 +179,10 @@ class ExperimentBank:
 
     Stacks are keyed by the family's content (profiles, eps ladder and the
     non-negativity flag), so experiments that probe with identical data share
-    one stack whatever their names.  Each family is extracted once, at order 2,
-    whatever order its first reader needs, so its ladder runs are solved once
-    and freed as soon as its stack is built.  The bank queries the oracle
-    through one handle, whose base run goes with the bank.
+    one stack whatever their names.  Each family is extracted once, both orders
+    together, so its ladder runs are solved once and freed as soon as its
+    stack is built.  The bank queries the oracle through one handle, whose
+    base run goes with the bank.
     """
 
     def __init__(self, oracle: Oracle, options: PipelineOptions):
@@ -203,14 +202,14 @@ class ExperimentBank:
         key = self._family_key(exp.fam)
         stack = self._stacks.get(key)
         if stack is None:
-            stack = self._stacks[key] = extract_variation_fd(self._handle, exp.fam, order=2)
+            stack = self._stacks[key] = extract_variation_fd(self._handle, exp.fam)
         if exp.name not in self.used:
             self.used.append(exp.name)
         return stack
 
 
 def _default_lin_experiment(domain, options, tau) -> dict:
-    pairs = [(k, MODE_WEIGHT) for k in options.mode_indices]
+    pairs = [(k, MODE_WEIGHT) for k in MODE_INDICES]
     prof = axial_mode_profile(domain, 1.0, pairs)
     eps = options.epsilons
     exps = {"lin": Experiment("lin", PerturbationFamily(f1=prof, epsilons=eps))}
@@ -356,14 +355,11 @@ class StageRecord:
     details: dict = field(default_factory=dict)
 
 
-def recover_r(oracle: Oracle, modes=None, options: PipelineOptions | None = None,
+def recover_r(oracle: Oracle, options: PipelineOptions | None = None,
               bank: ExperimentBank | None = None) -> StageRecord:
-    """Growth rate from modal decay of the first variation, plus a probe check."""
+    """Growth rate from the decay of the constant and the MODE_INDICES modes of the
+    first variation, plus a probe check."""
     options = options or PipelineOptions()
-    modes = tuple(modes) if modes is not None else options.mode_indices
-    lam_values = {_axial_mode(oracle.domain, k).lam for k in modes}
-    if len(lam_values) < min(len(modes), 2):
-        raise RecoveryError("probing modes must have distinct eigenvalues")
     bank = bank or ExperimentBank(oracle, options)
     exps = _default_lin_experiment(oracle.domain, options, oracle.tau)
     stack = bank.stack(exps["lin"])
@@ -374,7 +370,7 @@ def recover_r(oracle: Oracle, modes=None, options: PipelineOptions | None = None
     fd_floor = max(stack.diagnostics.get("order1_corrections", [0.0])[-1], 1e-14)
     scale = float(np.max(np.abs(u1))) or 1.0
     estimates, sigmas, details = [], [], {}
-    for k in (0,) + modes:
+    for k in (0,) + MODE_INDICES:
         mode = _axial_mode(domain, k)
         amps = pr.modal_amplitude(domain, u1, mode)
         theta, sigma, rms = fit_exponential_rate(times, amps)
@@ -406,12 +402,10 @@ def recover_r(oracle: Oracle, modes=None, options: PipelineOptions | None = None
     )
 
 
-def _cgo_rate_check(domain, times, u1, r_hat, zeta_amp=None):
+def _cgo_rate_check(domain, times, u1, r_hat):
     """Relative residual of the probe-weighted balance at the estimated rate."""
-    if zeta_amp is None:
-        zeta_amp = math.pi / domain.lengths[-1]
     zeta = np.zeros(domain.dim)
-    zeta[-1] = zeta_amp
+    zeta[-1] = math.pi / domain.lengths[-1]
     probe = pr.cgo_parabolic(zeta, r_hat)
     omega = probe.sample(domain, times)
     wt = g.time_weights(times)
@@ -430,10 +424,11 @@ def _cgo_rate_check(domain, times, u1, r_hat, zeta_amp=None):
 # stage 2: linear kinetics
 
 
-def recover_linear_kinetics(oracle: Oracle, r: float, options: PipelineOptions | None = None,
+def recover_linear_kinetics(oracle: Oracle, options: PipelineOptions | None = None,
                             bank: ExperimentBank | None = None,
                             experiments: dict | None = None) -> StageRecord:
-    """(alpha, beta) and (gamma, delta) from chemical balances of the first variation."""
+    """(alpha, beta) and (gamma, delta) from chemical balances of the first variation,
+    which need no earlier estimate."""
     options = options or PipelineOptions()
     bank = bank or ExperimentBank(oracle, options)
     exps = experiments or _default_lin_experiment(oracle.domain, options, oracle.tau)
@@ -441,18 +436,18 @@ def recover_linear_kinetics(oracle: Oracle, r: float, options: PipelineOptions |
     want_fields = options.recover_fields if options.recover_fields is not None else domain.dim > 1
 
     if oracle.tau == 0:
-        rec = _linear_kinetics_tau0(oracle, bank, exps, options, want_fields)
+        rec = _linear_kinetics_tau0(oracle, bank, exps, want_fields)
     else:
-        rec = _linear_kinetics_tau1(oracle, bank, exps, options, want_fields)
+        rec = _linear_kinetics_tau1(oracle, bank, exps, want_fields)
     rec.experiments = [e.name for e in exps.values()]
     return rec
 
 
-def _mask_floor(options, u1):
-    return options.u_floor_rel * (float(np.max(np.abs(u1))) or 1.0)
+def _mask_floor(u1):
+    return U_FLOOR_REL * (float(np.max(np.abs(u1))) or 1.0)
 
 
-def _linear_kinetics_tau0(oracle, bank, exps, options, want_fields):
+def _linear_kinetics_tau0(oracle, bank, exps, want_fields):
     domain = oracle.domain
     stack = bank.stack(exps["lin"])
     o1 = stack.order1
@@ -462,7 +457,7 @@ def _linear_kinetics_tau0(oracle, bank, exps, options, want_fields):
     for comp, names in (("v", ("alpha", "beta")), ("w", ("gamma", "delta"))):
         chem = o1.component(comp)
         rhos, lams = [], []
-        for k in (0,) + tuple(options.mode_indices):
+        for k in (0,) + MODE_INDICES:
             mode = _axial_mode(domain, k)
             rhos.append(_modal_ratio(domain, chem, o1.u, mode, wt))
             lams.append(mode.lam_h)
@@ -475,7 +470,7 @@ def _linear_kinetics_tau0(oracle, bank, exps, options, want_fields):
         details[f"rhos_{comp}"] = rhos
         if want_fields:
             numer = -g.laplacian_neumann(domain, chem) + decay * chem
-            fld = _time_regressed_field(domain, numer, o1.u, wt, _mask_floor(options, o1.u))
+            fld = _time_regressed_field(domain, numer, o1.u, wt, _mask_floor(o1.u))
             proj = _project_axial_independent(domain, fld)
             misfit = g.norm_l2(domain, fld - proj) / (g.norm_l2(domain, fld) or 1.0)
             residuals[f"{names[0]}_projection_misfit"] = misfit
@@ -487,7 +482,7 @@ def _linear_kinetics_tau0(oracle, bank, exps, options, want_fields):
                        conditioning=conditioning, details=details)
 
 
-def _linear_kinetics_tau1(oracle, bank, exps, options, want_fields):
+def _linear_kinetics_tau1(oracle, bank, exps, want_fields):
     domain, cfg = oracle.domain, oracle.cfg
     dt, s = cfg.dt, cfg.relaxation_speedup
     _require_stride_one(oracle, "tau=1 linear-kinetics recovery")
@@ -498,7 +493,7 @@ def _linear_kinetics_tau1(oracle, bank, exps, options, want_fields):
     for comp, name in (("v", "beta"), ("w", "delta")):
         fieldstack = chem_stack.component(comp)
         vals = []
-        for k in (0,) + tuple(options.mode_indices):
+        for k in (0,) + MODE_INDICES:
             mode = _axial_mode(domain, k)
             amps = pr.modal_amplitude(domain, fieldstack, mode)
             theta, _, _ = fit_exponential_rate(chem_stack.times, amps)
@@ -518,7 +513,7 @@ def _linear_kinetics_tau1(oracle, bank, exps, options, want_fields):
         decay = estimates[decay_name]
         # invert the stepping relation: a*u1[n] = ((I - s dt Lap) chem[n+1] - chem[n])/(s dt) + decay*chem[n]
         numer = step_source(domain, chem, s * dt) + decay * chem[:-1]
-        fld = _time_regressed_field(domain, numer, lin.u[:-1], wt, _mask_floor(options, lin.u))
+        fld = _time_regressed_field(domain, numer, lin.u[:-1], wt, _mask_floor(lin.u))
         if want_fields:
             proj = _project_axial_independent(domain, fld)
             misfit = g.norm_l2(domain, fld - proj) / (g.norm_l2(domain, fld) or 1.0)
@@ -544,21 +539,22 @@ def _require_stride_one(oracle, what):
             f"storage (solver.store_every = 1), got {oracle.cfg.store_every}")
 
 
-def recover_chi_xi_mu(oracle: Oracle, r: float, linear: StageRecord,
+def recover_chi_xi_mu(oracle: Oracle, r: float,
                       options: PipelineOptions | None = None,
                       bank: ExperimentBank | None = None,
                       experiments: list | None = None) -> StageRecord:
     """Least-squares identification of (chi, xi, mu) from the density residual.
 
-    The second-variation residual of the density equation is affine in the
-    three unknowns with regressors built from the first variation.  The fit
-    is a pointwise space-time weighted least squares (every node is a row);
-    the parabolic probe-weighted identities are evaluated afterwards as a
-    cross-check and reported, since compressing the system onto probe rows
-    alone destroys the chi/xi separation.  Near-collinear regressors (which
-    occur when the truth makes v and w indistinguishable) are reported
-    through the condition number and resolved by a minimum-norm solve; the
-    identifiable combination chi - xi is always reported alongside.
+    The second-variation residual of the density equation, given the growth
+    rate r of stage 1, is affine in the three unknowns with regressors built
+    from the first variation.  The fit is a pointwise space-time weighted
+    least squares (every node is a row); the parabolic probe-weighted
+    identities are evaluated afterwards as a cross-check and reported, since
+    compressing the system onto probe rows alone destroys the chi/xi
+    separation.  Near-collinear regressors (which occur when the truth makes
+    v and w indistinguishable) are reported through the condition number and
+    resolved by a minimum-norm solve; the identifiable combination chi - xi is
+    always reported alongside.
     """
     options = options or PipelineOptions()
     bank = bank or ExperimentBank(oracle, options)
@@ -659,7 +655,7 @@ def recover_chi_xi_mu(oracle: Oracle, r: float, linear: StageRecord,
         Ns = N / scale[:, None] / scale[None, :]
         eigvals = np.linalg.eigvalsh(Ns)
         cond_lsq = math.sqrt(abs(eigvals[-1] / eigvals[0])) if eigvals[0] > 0 else np.inf
-        if cond_lsq > options.cond_limit:
+        if cond_lsq > COND_LIMIT:
             degenerate = True
             sol = (np.linalg.pinv(Ns, rcond=1e-12) @ (rv / scale)) / scale
         else:
@@ -762,17 +758,18 @@ def _batched_lsq_3(domain, pieces):
     return coeffs, sigmas, rel_resid, loo
 
 
-def recover_second_kinetics(oracle: Oracle, r: float, linear: StageRecord,
+def recover_second_kinetics(oracle: Oracle, linear: StageRecord,
                             options: PipelineOptions | None = None,
                             bank: ExperimentBank | None = None,
                             experiments: list | None = None) -> StageRecord:
     """Second-order kinetic coefficients from the chemical second-variation residual.
 
-    The residual of the v (resp. w) equation, after removing the known linear
-    part, is a pointwise linear combination of u1*v1, 2*u1^2 and 2*v1^2 with
-    the sought coefficients; pooling experiments with distinct modal content
-    makes the per-node time regression well posed.  Declared-separable
-    entries are factorized by the moment machinery afterwards.
+    The residual of the v (resp. w) equation, after removing the linear part
+    recovered by stage 2 (``linear``), is a pointwise linear combination of
+    u1*v1, 2*u1^2 and 2*v1^2 with the sought coefficients; pooling experiments
+    with distinct modal content makes the per-node time regression well posed.
+    Declared-separable entries are factorized by the moment machinery
+    afterwards.
     """
     options = options or PipelineOptions()
     bank = bank or ExperimentBank(oracle, options)
@@ -830,11 +827,8 @@ def recover_second_kinetics(oracle: Oracle, r: float, linear: StageRecord,
             residuals[f"{label}_noise_floor"] = floor
             if label in options.declared_separable:
                 gamma0 = options.declared_separable[label]
-                descriptors = pr.separable_probe_set(domain, moment_cap=options.moment_cap)
-                samples = pr.transform_samples(domain, fld, descriptors)
-                rec = pr.moment_recover(domain, samples, J=options.moment_J, gamma0=gamma0,
-                                        lambda_reg=options.lambda_reg,
-                                        moment_cap=options.moment_cap)
+                samples = pr.transform_samples(domain, fld, pr.separable_probe_set(domain))
+                rec = pr.moment_recover(domain, samples, gamma0=gamma0)
                 misfit = pr.separability_misfit(domain, fld, rec)
                 if misfit > 0.10 and g.norm_l2(domain, fld) > 10 * floor:
                     raise RecoveryError(
@@ -902,21 +896,20 @@ def run_full_pipeline(oracle: Oracle, options: PipelineOptions | None = None) ->
         if rec.status != "ok":
             notes.append(f"stage {rec.name}: {rec.status}: {rec.reason}")
 
-    stride1 = oracle.cfg.store_every == 1
     stride_note = ("needs stride-1 trajectory storage (solver.store_every = 1); "
                    "stored slices are coarser, stage skipped")
     plan = [
-        ("r", lambda: recover_r(oracle, options=options, bank=bank), True),
-        ("linear_kinetics", lambda: recover_linear_kinetics(
-            oracle, estimates["r"], options=options, bank=bank), True),
-        ("chi_xi_mu", lambda: recover_chi_xi_mu(
-            oracle, estimates["r"], stages[-1], options=options, bank=bank), stride1),
-        ("second_kinetics", lambda: recover_second_kinetics(
-            oracle, estimates["r"], stages[1], options=options, bank=bank),
-         stride1 or oracle.tau == 0),
+        ("r", lambda: recover_r(oracle, options=options, bank=bank)),
+        ("linear_kinetics", lambda: recover_linear_kinetics(oracle, options=options, bank=bank)),
+        ("chi_xi_mu", lambda: recover_chi_xi_mu(oracle, estimates["r"], options=options,
+                                                bank=bank)),
+        ("second_kinetics", lambda: recover_second_kinetics(oracle, stages[1], options=options,
+                                                            bank=bank)),
     ]
-    for name, runner, runnable in plan:
-        if not runnable:
+    for name, runner in plan:
+        # stage 3 inverts per-step relations; at tau=1 a coarser stride fails stage 2,
+        # so stage 4 never runs there either
+        if name == "chi_xi_mu" and oracle.cfg.store_every != 1:
             rec = StageRecord(name=name, status="skipped", reason=stride_note)
             stages.append(rec)
             notes.append(f"stage {name} skipped: {stride_note}")

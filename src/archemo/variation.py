@@ -158,7 +158,7 @@ def solve_variations(domain: Domain, p: ParameterSet, kin: KineticsSpec,
     fam.validate(domain)
     kin.validate(domain)
     eq = kin.expansion_point
-    dt, tol = cfg.dt, cfg.elliptic_tol
+    dt = cfg.dt
     a10 = kin.coeff_grid("g", (1, 0), domain)
     b10 = kin.coeff_grid("h", (1, 0), domain)
     a10 = a10 if a10 is not None else domain.zeros()
@@ -176,12 +176,12 @@ def solve_variations(domain: Domain, p: ParameterSet, kin: KineticsSpec,
 
     def slaved(u1, u2):
         # tau = 0: chemical variations of both orders in balance with the densities
-        v1 = g.helmholtz_solve(domain, a10 * u1, beta, tol=tol)
-        w1 = g.helmholtz_solve(domain, b10 * u1, delta, tol=tol)
+        v1 = g.helmholtz_solve(domain, a10 * u1, beta)
+        w1 = g.helmholtz_solve(domain, b10 * u1, delta)
         src_v = kin.second_order_sources("g", domain, u1, v1)
         src_w = kin.second_order_sources("h", domain, u1, w1)
-        return (v1, w1, g.helmholtz_solve(domain, a10 * u2 + src_v, beta, tol=tol),
-                g.helmholtz_solve(domain, b10 * u2 + src_w, delta, tol=tol))
+        return (v1, w1, g.helmholtz_solve(domain, a10 * u2 + src_v, beta),
+                g.helmholtz_solve(domain, b10 * u2 + src_w, delta))
 
     u1, u2 = fam.profile("f1", domain), 2.0 * fam.profile("f2", domain)
     if cfg.tau == 0:
@@ -271,22 +271,20 @@ def _snapshot(domain, times, column):
     return [Trajectory(domain, times, *(a.copy() for a in d)) for d in column]
 
 
-def extract_variation_fd(handle: ForwardHandle, fam: PerturbationFamily, order: int = 1,
+def extract_variation_fd(handle: ForwardHandle, fam: PerturbationFamily,
                          first_direct: Trajectory | None = None,
                          return_ladder: bool = False):
-    """Variations by one-sided differencing of nonlinear runs over the eps ladder.
+    """Both variations by one-sided differencing of nonlinear runs over the eps ladder.
 
-    Order 1 uses (S(eps) - S(0))/eps, order 2 uses
-    2*(S(eps) - S(0) - eps*u1)/eps^2; both are Richardson-extrapolated across
-    the ladder (one-sided stencils only, since eps < 0 can break the
-    non-negativity of the initial data).  S(0) is the handle's base run; the
-    ladder's runs are solved here and dropped on return.  ``first_direct``
-    substitutes a trusted first-order trajectory in the order-2 stencil; by
-    default the extrapolated order-1 result is used.  The ladder's difference
-    quotients are copied out only when ``return_ladder`` asks for them.
+    Order 1 uses (S(eps) - S(0))/eps, order 2 uses 2*(S(eps) - S(0) - eps*u1)/eps^2,
+    both from the same runs; both are Richardson-extrapolated across the ladder
+    (one-sided stencils only, since eps < 0 can break the non-negativity of the
+    initial data).  S(0) is the handle's base run; the ladder's runs are solved
+    here and dropped on return.  ``first_direct`` substitutes a trusted
+    first-order trajectory in the order-2 stencil; by default the extrapolated
+    order-1 result is used.  The ladder's difference quotients are copied out
+    only when ``return_ladder`` asks for them.
     """
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
     domain = handle.domain
     fam.validate(domain)
     eps_ladder = tuple(float(e) for e in fam.epsilons)
@@ -304,18 +302,15 @@ def extract_variation_fd(handle: ForwardHandle, fam: PerturbationFamily, order: 
     if len(corr1) >= 2 and corr1[-1] > corr1[-2] * 4.0 and corr1[-1] > 1e-12:
         diagnostics["ladder_warning"] = (
             "order-1 extrapolation corrections are not decreasing; ladder too coarse")
-    order2 = None
-    if order == 2:
-        u1_traj = first_direct if first_direct is not None else order1
-        d2 = [_linear_comb([(2.0 / (e * e), r), (-2.0 / (e * e), base), (-2.0 / e, u1_traj)],
-                           scratch)
-              for e, r in zip(eps_ladder, runs)]
-        if return_ladder:
-            ladders.append(_snapshot(domain, times, d2))
-        best2, diagnostics["order2_corrections"] = _neville_to_zero(eps_ladder, d2, scratch)
-        order2 = Trajectory(domain, times, *best2)
-    stack = VariationStack(order1=order1, order2=order2, provenance="finite-difference",
-                           diagnostics=diagnostics)
+    u1_traj = first_direct if first_direct is not None else order1
+    d2 = [_linear_comb([(2.0 / (e * e), r), (-2.0 / (e * e), base), (-2.0 / e, u1_traj)],
+                       scratch)
+          for e, r in zip(eps_ladder, runs)]
+    if return_ladder:
+        ladders.append(_snapshot(domain, times, d2))
+    best2, diagnostics["order2_corrections"] = _neville_to_zero(eps_ladder, d2, scratch)
+    stack = VariationStack(order1=order1, order2=Trajectory(domain, times, *best2),
+                           provenance="finite-difference", diagnostics=diagnostics)
     if not return_ladder:
         return stack
     return stack, [(e, VariationStack(*quotients, provenance="finite-difference"))

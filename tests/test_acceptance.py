@@ -177,7 +177,7 @@ def test_criterion_3_linearization_consistency():
                                  epsilons=(1e-2, 5e-3, 2.5e-3))
         direct = solve_variations(domain, TRUTH, kin, fam, cfg)
         handle = ForwardHandle.from_model(domain, TRUTH, kin, cfg)
-        _, ladder = extract_variation_fd(handle, fam, order=2,
+        _, ladder = extract_variation_fd(handle, fam,
                                          first_direct=direct.order1, return_ladder=True)
         rep = consistency_report(domain, direct, ladder)
         assert rep.slopes[1] >= 0.8
@@ -248,10 +248,9 @@ def test_criterion_5_full_recovery_tau0(pipeline_tau0):
         cfg2 = SolverConfig(tau=0, dt=1e-3, t_final=0.5, store_every=4)
         oracle2 = Oracle(d2, truth2d, kin2, cfg2)
         opts2 = PipelineOptions(recover_fields=True)
-        from archemo.recover import recover_linear_kinetics, recover_r
+        from archemo.recover import recover_linear_kinetics
         bank2 = ExperimentBank(oracle2, opts2)
-        r_hat = recover_r(oracle2, options=opts2, bank=bank2).estimates["r"]
-        lin = recover_linear_kinetics(oracle2, r_hat, options=opts2, bank=bank2)
+        lin = recover_linear_kinetics(oracle2, options=opts2, bank=bank2)
         field_rel = norm_l2(d2, lin.estimates["alpha"] - alpha_field) / norm_l2(d2, alpha_field)
         assert field_rel <= 0.05
     _report("criterion 5", "tau=0 recovery: " +
@@ -318,11 +317,10 @@ def test_criterion_7_second_order_kinetics():
         oracle2 = Oracle(d2, TRUTH, kin2, cfg2)
         opts2 = PipelineOptions(recover_fields=False,
                                 declared_separable={"a02": a02.axial_integral(d2)})
-        from archemo.recover import recover_linear_kinetics, recover_r, recover_second_kinetics
+        from archemo.recover import recover_linear_kinetics, recover_second_kinetics
         bank2 = ExperimentBank(oracle2, opts2)
-        r_hat = recover_r(oracle2, options=opts2, bank=bank2).estimates["r"]
-        lin = recover_linear_kinetics(oracle2, r_hat, options=opts2, bank=bank2)
-        sec = recover_second_kinetics(oracle2, r_hat, lin, options=opts2, bank=bank2)
+        lin = recover_linear_kinetics(oracle2, options=opts2, bank=bank2)
+        sec = recover_second_kinetics(oracle2, lin, options=opts2, bank=bank2)
         est = sec.estimates["a02"]
         w1 = np.full(65, d2.spacing[0])
         w1[0] = w1[-1] = d2.spacing[0] / 2

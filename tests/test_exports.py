@@ -1,6 +1,7 @@
 import ast
 import glob
 import importlib
+import inspect
 import os
 import pkgutil
 
@@ -34,11 +35,54 @@ def _archemo_imports(path):
                     yield alias.name, None
 
 
+def _resolve(node, names):
+    """The archemo object a call's callee names (``f`` or ``f.attr...``), or None."""
+    attrs = []
+    while isinstance(node, ast.Attribute):
+        attrs.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name) or node.id not in names:
+        return None
+    obj = names[node.id]
+    for attr in reversed(attrs):
+        obj = getattr(obj, attr, None)
+    return obj
+
+
+def _stale_keywords(path):
+    """``callee(keyword=)`` for every keyword a demo passes to an archemo callable
+    whose signature lacks it."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "archemo":
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                names[alias.asname or alias.name] = getattr(module, alias.name, None)
+    stale = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        target = _resolve(node.func, names)
+        if not callable(target):
+            continue
+        params = inspect.signature(target).parameters
+        if any(p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()):
+            continue
+        stale += [f"{ast.unparse(node.func)}({kw.arg}=)" for kw in node.keywords
+                  if kw.arg is not None and kw.arg not in params]
+    return stale
+
+
 @pytest.mark.parametrize("path", DEMOS, ids=os.path.basename)
 def test_demo_imports_resolve(path):
-    # the demos are not run by the suite, so a renamed function would go unnoticed
+    # the demos are not run by the suite, so a renamed function or a retired
+    # keyword argument would go unnoticed
     imports = list(_archemo_imports(path))
     assert imports, f"{path} imports nothing from archemo"
     missing = [f"{mod}.{name}" for mod, name in imports
                if not hasattr(importlib.import_module(mod), name or "__name__")]
     assert not missing, f"{os.path.basename(path)} imports undefined names {missing}"
+    stale = _stale_keywords(path)
+    assert not stale, f"{os.path.basename(path)} passes keywords its callees lack: {stale}"

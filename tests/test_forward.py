@@ -181,7 +181,7 @@ def test_step_density_matches_unfused_drift(applied_params, rng):
         u, v, w = (0.5 + 0.1 * rng.random(d.shape) for _ in range(3))
         p = applied_params
         potential = p.chi * v - p.xi * w
-        assert cfg.dt <= cfg.cfl_safety * min(d.spacing) / max_face_speed(d, potential)
+        assert cfg.dt <= forward.CFL_SAFETY * min(d.spacing) / max_face_speed(d, potential)
         rhs = u + cfg.dt * (p.r * u - p.mu * u * u - advective_flux_div(d, u, potential))
         expected = spectral_helmholtz(d, rhs / cfg.dt, 1.0 / cfg.dt)
         assert np.array_equal(step(d, (u, v, w), p, kin, cfg)[0], expected)
@@ -373,7 +373,7 @@ def test_2d_boundary_measurement(square33, applied_params):
 # -- slaved chemicals: Picard seed, hoisted kinetics, linear path ----------------------
 
 
-def _reference_slave_chemical(domain, kin, which, u, cfg, previous=None):
+def _reference_slave_chemical(domain, kin, which, u, previous=None):
     """The slave solve before the Picard seed was extrapolated and the kinetics hoisted.
 
     Kept as the reference for kinetics linear in the chemical, where the
@@ -390,7 +390,7 @@ def _reference_slave_chemical(domain, kin, which, u, cfg, previous=None):
     v = previous if previous is not None else domain.constant(base)
     for _ in range(forward.PICARD_MAXITER):
         rhs = evaluate(domain, u, v) + decay * (v - base)
-        v_new = base + helmholtz_solve(domain, rhs, decay, tol=cfg.elliptic_tol)
+        v_new = base + helmholtz_solve(domain, rhs, decay, tol=grid.ELLIPTIC_TOL)
         if not nonlinear:
             return v_new
         delta = float(np.max(np.abs(v_new - v)))
@@ -458,8 +458,8 @@ def test_linear_slave_solve_matches_reference(monkeypatch, line129, nondegenerat
         present = solve_forward(d, (f, f, f), p, kin, cfg)
         with monkeypatch.context() as m:
             m.setattr(forward, "_slave_chemical",
-                      lambda domain, kin, which, u, cfg, previous=None, earlier=None:
-                      _reference_slave_chemical(domain, kin, which, u, cfg, previous))
+                      lambda domain, kin, which, u, previous=None, earlier=None:
+                      _reference_slave_chemical(domain, kin, which, u, previous))
             reference = solve_forward(d, (f, f, f), p, kin, cfg)
         for name in ("u", "v", "w"):
             assert np.array_equal(present.component(name), reference.component(name))

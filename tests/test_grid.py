@@ -372,10 +372,11 @@ def _reference_flux_divergence(domain, u, vels, patterns):
 
     Kept as the reference for ``grid._flux_divergence``, which must return the same values.
     """
-    from archemo.grid import _AXIS_INDEX
     total = np.zeros(u.shape, dtype=np.result_type(u, *[v.dtype for v in vels]))
     for axis, (h, vel, donor_left) in enumerate(zip(domain.spacing, vels, patterns)):
-        lo, hi, inner, first, last = _AXIS_INDEX[domain.dim, axis]
+        trail = (slice(None),) * (domain.dim - 1 - axis)
+        lo, hi, inner, first, last = ((Ellipsis, i) + trail for i in
+                                      (slice(None, -1), slice(1, None), slice(1, -1), 0, -1))
         flux = vel * np.where(donor_left, u[lo], u[hi])
         div = np.zeros(u.shape, dtype=total.dtype)
         div[inner] = (flux[hi] - flux[lo]) / h

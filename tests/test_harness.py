@@ -83,6 +83,25 @@ def test_config_rejects_unknown_key():
         ExperimentConfig.from_text("nonsense line\n")
 
 
+RETIRED_KEYS = ("solver.elliptic_tol", "solver.cfl_safety", "pipeline.mode_indices",
+                "pipeline.moment_J", "pipeline.lambda_reg", "pipeline.moment_cap",
+                "pipeline.u_floor_rel", "pipeline.cond_limit", "ident.param_tol",
+                "convergence.levels")
+
+
+@pytest.mark.parametrize("key", RETIRED_KEYS)
+def test_config_rejects_retired_keys(key, tmp_path, capsys):
+    # tolerances and probing settings are module constants; setting one is a usage error
+    assert key not in CONFIG_SCHEMA
+    with pytest.raises(ValueError, match="unknown key"):
+        ExperimentConfig.from_text(f"{key} = 1\n")
+    path = tmp_path / "retired.cfg"
+    path.write_text(f"{key} = 1\n")
+    assert cli(["--config", str(path), "--out", str(tmp_path / "out"), "--quiet",
+                "convergence"]) == 1
+    assert "unknown key" in capsys.readouterr().err
+
+
 def test_config_builders():
     cfg = ExperimentConfig.from_file(os.path.join(CONFIG_DIR, "quick_recover.cfg"))
     d = cfg.domain()

@@ -156,18 +156,11 @@ def test_recover_r_via_oracle(line129, nondegenerate_params):
     assert rec.residuals["cgo_residual"] <= 0.1
 
 
-def test_recover_r_rejects_duplicate_modes(line65, applied_params):
-    oracle = _oracle(line65, applied_params, t_final=0.2)
-    with pytest.raises(RecoveryError):
-        recover_r(oracle, modes=(1, 1), options=PipelineOptions())
-
-
 def test_linear_kinetics_via_oracle(line129, nondegenerate_params):
     oracle = _oracle(line129, nondegenerate_params, dt=5e-4, t_final=1.0)
     opts = PipelineOptions(recover_fields=False)
     bank = ExperimentBank(oracle, opts)
-    r = recover_r(oracle, options=opts, bank=bank).estimates["r"]
-    rec = recover_linear_kinetics(oracle, r, options=opts, bank=bank)
+    rec = recover_linear_kinetics(oracle, options=opts, bank=bank)
     assert rec.estimates["alpha"] == pytest.approx(1.0, rel=0.01)
     assert rec.estimates["beta"] == pytest.approx(1.0, rel=0.01)
     assert rec.estimates["gamma"] == pytest.approx(0.8, rel=0.01)
@@ -181,7 +174,7 @@ def test_linear_kinetics_probe_too_weak(line65, applied_params):
     # f1 = 0 leaves no density variation to divide by
     dead = {"lin": Experiment("dead", PerturbationFamily(epsilons=opts.epsilons))}
     with pytest.raises(RecoveryError):
-        recover_linear_kinetics(oracle, 0.5, options=opts, bank=bank, experiments=dead)
+        recover_linear_kinetics(oracle, options=opts, bank=bank, experiments=dead)
 
 
 def test_alpha_field_recovery_2d(square33):
@@ -192,8 +185,7 @@ def test_alpha_field_recovery_2d(square33):
     oracle = _oracle(square33, truth, dt=1e-3, t_final=0.4, store_every=4)
     opts = PipelineOptions(recover_fields=True)
     bank = ExperimentBank(oracle, opts)
-    r = recover_r(oracle, options=opts, bank=bank).estimates["r"]
-    rec = recover_linear_kinetics(oracle, r, options=opts, bank=bank)
+    rec = recover_linear_kinetics(oracle, options=opts, bank=bank)
     rel = norm_l2(square33, rec.estimates["alpha"] - alpha_field) / norm_l2(square33, alpha_field)
     assert rel <= 0.03
     assert rec.residuals["alpha_projection_misfit"] <= 0.01
@@ -206,8 +198,7 @@ def test_general_fit_on_zero_advection_truth(line129):
     opts = PipelineOptions(recover_fields=False)
     bank = ExperimentBank(oracle, opts)
     r = recover_r(oracle, options=opts, bank=bank).estimates["r"]
-    lin = recover_linear_kinetics(oracle, r, options=opts, bank=bank)
-    rec = recover_chi_xi_mu(oracle, r, lin, options=opts, bank=bank)
+    rec = recover_chi_xi_mu(oracle, r, options=opts, bank=bank)
     assert rec.status == "ok"
     assert abs(rec.estimates["mu"] - 1.0) <= 0.02
     assert abs(rec.estimates["chi"]) <= 0.01 and abs(rec.estimates["xi"]) <= 0.01
@@ -224,7 +215,6 @@ def test_chi_xi_mu_builds_patterned_regressors_once_per_pass(line65, nondegenera
     opts = PipelineOptions(recover_fields=False)
     bank = ExperimentBank(oracle, opts)
     r_hat = recover_r(oracle, options=opts, bank=bank).estimates["r"]
-    lin = recover_linear_kinetics(oracle, r_hat, options=opts, bank=bank)
     slices, patterned = [], grid_mod.advective_flux_div_patterned
 
     def counting(domain, u, *args, **kwargs):
@@ -232,7 +222,7 @@ def test_chi_xi_mu_builds_patterned_regressors_once_per_pass(line65, nondegenera
         return patterned(domain, u, *args, **kwargs)
 
     monkeypatch.setattr(grid_mod, "advective_flux_div_patterned", counting)
-    rec = recover_chi_xi_mu(oracle, r_hat, lin, options=opts, bank=bank)
+    rec = recover_chi_xi_mu(oracle, r_hat, options=opts, bank=bank)
     assert rc.PATTERN_PASSES == 2 and len(rc.PROBE_ZETA_MULTIPLIERS) == 4
     n_res = sum(len(bank.stack(exp).order2.times) - 1
                 for exp in rc._default_chi_experiments(line65, opts))
@@ -316,8 +306,7 @@ def test_chi_xi_mu_blocks_match_per_step_reference(line65, nondegenerate_params,
     opts = PipelineOptions(recover_fields=False)
     bank = ExperimentBank(oracle, opts)
     r_hat = recover_r(oracle, options=opts, bank=bank).estimates["r"]
-    lin = recover_linear_kinetics(oracle, r_hat, options=opts, bank=bank)
-    rec = recover_chi_xi_mu(oracle, r_hat, lin, options=opts, bank=bank)
+    rec = recover_chi_xi_mu(oracle, r_hat, options=opts, bank=bank)
     exps = rc._default_chi_experiments(line65, opts)
     sol, fit, cond, probe = _reference_chi_xi_mu(oracle, r_hat, bank, exps)
     assert rec.status == "ok"
@@ -332,11 +321,10 @@ def test_chi_xi_mu_permutation_invariance(line65, nondegenerate_params):
     opts = PipelineOptions(recover_fields=False)
     bank = ExperimentBank(oracle, opts)
     r = recover_r(oracle, options=opts, bank=bank).estimates["r"]
-    lin = recover_linear_kinetics(oracle, r, options=opts, bank=bank)
     from archemo.recover import _default_chi_experiments
     exps = _default_chi_experiments(line65, opts, oracle.tau)
-    rec1 = recover_chi_xi_mu(oracle, r, lin, options=opts, bank=bank, experiments=exps)
-    rec2 = recover_chi_xi_mu(oracle, r, lin, options=opts, bank=bank,
+    rec1 = recover_chi_xi_mu(oracle, r, options=opts, bank=bank, experiments=exps)
+    rec2 = recover_chi_xi_mu(oracle, r, options=opts, bank=bank,
                              experiments=list(reversed(exps)))
     for key in ("chi", "xi", "mu"):
         assert abs(rec1.estimates[key] - rec2.estimates[key]) <= 1e-10
@@ -383,9 +371,8 @@ def test_second_kinetics_constant(line129, applied_params):
     oracle = _oracle(line129, applied_params, dt=5e-4, t_final=1.0, so_g={(2, 0): 0.2})
     opts = PipelineOptions(recover_fields=False)
     bank = ExperimentBank(oracle, opts)
-    r = recover_r(oracle, options=opts, bank=bank).estimates["r"]
-    lin = recover_linear_kinetics(oracle, r, options=opts, bank=bank)
-    rec = recover_second_kinetics(oracle, r, lin, options=opts, bank=bank)
+    lin = recover_linear_kinetics(oracle, options=opts, bank=bank)
+    rec = recover_second_kinetics(oracle, lin, options=opts, bank=bank)
     assert abs(rec.estimates["a20"] - 0.2) / 0.2 <= 0.02
     for label in ("a11", "a02", "b11", "b20", "b02"):
         floor = rec.residuals[f"{label}_noise_floor"]
@@ -403,9 +390,8 @@ def test_second_kinetics_separable_2d(square65):
     gamma0 = a02.axial_integral(square65)
     opts = PipelineOptions(recover_fields=False, declared_separable={"a02": gamma0})
     bank = ExperimentBank(oracle, opts)
-    r = recover_r(oracle, options=opts, bank=bank).estimates["r"]
-    lin = recover_linear_kinetics(oracle, r, options=opts, bank=bank)
-    rec = recover_second_kinetics(oracle, r, lin, options=opts, bank=bank)
+    lin = recover_linear_kinetics(oracle, options=opts, bank=bank)
+    rec = recover_second_kinetics(oracle, lin, options=opts, bank=bank)
     est = rec.estimates["a02"]
     w1 = np.full(65, square65.spacing[0])
     w1[0] = w1[-1] = square65.spacing[0] / 2
@@ -424,8 +410,7 @@ def test_stride_guard_for_step_inversions(square33, applied_params):
     with pytest.raises(RecoveryError):
         bank = ExperimentBank(oracle, opts)
         r = recover_r(oracle, options=opts, bank=bank).estimates["r"]
-        lin = recover_linear_kinetics(oracle, r, options=opts, bank=bank)
-        recover_chi_xi_mu(oracle, r, lin, options=opts, bank=bank)
+        recover_chi_xi_mu(oracle, r, options=opts, bank=bank)
     report = run_full_pipeline(oracle, opts)
     assert report.complete
     assert report.stage("chi_xi_mu").status == "skipped"
@@ -493,9 +478,9 @@ def test_bank_shares_one_stack_per_probing_family(line65, nondegenerate_params, 
     import archemo.recover as rc
     calls, extract = [], rc.extract_variation_fd
 
-    def counting(handle, fam, order=1, **kw):
-        calls.append(order)
-        return extract(handle, fam, order=order, **kw)
+    def counting(handle, fam, **kw):
+        calls.append(fam)
+        return extract(handle, fam, **kw)
 
     monkeypatch.setattr(rc, "extract_variation_fd", counting)
     oracle = _oracle(line65, nondegenerate_params, t_final=0.2)
@@ -506,19 +491,19 @@ def test_bank_shares_one_stack_per_probing_family(line65, nondegenerate_params, 
     assert second2.name == "second-2"
     both = bank.stack(second2)
     assert bank.stack(lin) is both
-    assert calls == [2]
+    assert len(calls) == 1
     assert bank.used == ["second-2", "lin"]
 
 
 def test_bank_builds_each_order1_tableau_once(line65, nondegenerate_params, monkeypatch):
     # tau = 0: "lin" shares its family with "second-2", so the three families of
-    # stages 1-3 are extracted three times, each at order 2
+    # stages 1-3 are extracted three times, each to both orders
     import archemo.recover as rc
     calls, extract = [], rc.extract_variation_fd
 
-    def counting(handle, fam, order=1, **kw):
-        calls.append(order)
-        return extract(handle, fam, order=order, **kw)
+    def counting(handle, fam, **kw):
+        calls.append(fam)
+        return extract(handle, fam, **kw)
 
     monkeypatch.setattr(rc, "extract_variation_fd", counting)
     oracle = _oracle(line65, nondegenerate_params, t_final=0.2)
@@ -528,12 +513,12 @@ def test_bank_builds_each_order1_tableau_once(line65, nondegenerate_params, monk
     lin = bank.stack(lin_exp)
     chi_exps = rc._default_chi_experiments(line65, opts, 0)
     stacks = [bank.stack(exp) for exp in chi_exps]
-    assert calls == [2, 2, 2]
+    assert len(calls) == 3
     assert stacks[2] is lin
-    # every bank stack is the family's full order-2 extraction, bitwise
+    # every bank stack is the family's full extraction, bitwise
     handle = oracle.handle()
     for exp, stack in zip([lin_exp] + chi_exps, [lin] + stacks):
-        fresh = extract(handle, exp.fam, order=2)
+        fresh = extract(handle, exp.fam)
         for order in ("order1", "order2"):
             for name in ("u", "v", "w"):
                 assert np.array_equal(getattr(stack, order).component(name),

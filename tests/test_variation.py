@@ -12,6 +12,7 @@ from archemo.forward import (
     steady_state,
 )
 from archemo.grid import (
+    ELLIPTIC_TOL,
     Domain,
     advective_flux_div,
     helmholtz_solve,
@@ -44,7 +45,7 @@ def test_zero_perturbation_gives_zero_variations(line65, applied_params):
     direct = solve_variations(line65, applied_params, kin, fam, cfg)
     assert np.max(np.abs(direct.order1.u)) == 0.0
     assert np.max(np.abs(direct.order1.v)) == 0.0
-    fd = extract_variation_fd(handle, fam, order=1)
+    fd = extract_variation_fd(handle, fam)
     assert np.max(np.abs(fd.order1.u)) < 1e-14
 
 
@@ -143,7 +144,7 @@ def test_fd_matches_direct_for_affine_map(line65):
     p = ParameterSet(chi=0.0, xi=0.0, r=0.5, mu=1e-12)
     kin, cfg, fam, handle = _fd_setup(line65, p, f1=1.0 + 0.9 * np.cos(math.pi * line65.axes[0]))
     direct = solve_variations(line65, p, kin, fam, cfg)
-    fd = extract_variation_fd(handle, fam, order=1)
+    fd = extract_variation_fd(handle, fam)
     assert np.max(np.abs(fd.order1.u - direct.order1.u)) <= 1e-8
 
 
@@ -152,8 +153,8 @@ def test_fd_slope_full_nonlinear(line65, nondegenerate_params):
         line65, nondegenerate_params,
         f1=1.0 + 0.9 * np.cos(math.pi * line65.axes[0]))
     direct = solve_variations(line65, nondegenerate_params, kin, fam, cfg)
-    _, ladder = extract_variation_fd(handle, fam, order=2,
-                                     first_direct=direct.order1, return_ladder=True)
+    _, ladder = extract_variation_fd(handle, fam, first_direct=direct.order1,
+                                     return_ladder=True)
     rep = consistency_report(line65, direct, ladder)
     assert rep.slopes[1] >= 0.8
     assert rep.slopes[2] >= 0.8
@@ -164,7 +165,7 @@ def test_fd_rejects_zero_epsilon(line65, applied_params):
     kin, cfg, _, handle = _fd_setup(line65, applied_params)
     fam = PerturbationFamily(f1=np.ones(65), epsilons=(1e-2, 0.0))
     with pytest.raises(ValueError):
-        extract_variation_fd(handle, fam, order=1)
+        extract_variation_fd(handle, fam)
 
 
 def test_family_validation(line65):
@@ -183,7 +184,7 @@ def test_slope_nan_at_floor(line65):
     p = ParameterSet(chi=0.0, xi=0.0, r=0.5, mu=1e-12)
     kin, cfg, fam, handle = _fd_setup(line65, p, f1=np.ones(65))
     direct = solve_variations(line65, p, kin, fam, cfg)
-    _, ladder = extract_variation_fd(handle, fam, order=1, return_ladder=True)
+    _, ladder = extract_variation_fd(handle, fam, return_ladder=True)
     rep = consistency_report(line65, direct, ladder, floor=1e-10)
     assert math.isnan(rep.slopes[1])
     assert "not meaningful" in rep.to_text()
@@ -197,7 +198,7 @@ def test_elliptic_residual_invariant(line65, nondegenerate_params):
     for n in (0, len(stack.order1.times) // 2, -1):
         resid = (laplacian_neumann(line65, stack.order1.v[n])
                  + 1.0 * stack.order1.u[n] - nondegenerate_params.beta * stack.order1.v[n])
-        assert norm_l2(line65, resid) <= 10 * cfg.elliptic_tol * max(1.0, norm_l2(line65, stack.order1.u[n]))
+        assert norm_l2(line65, resid) <= 10 * ELLIPTIC_TOL * max(1.0, norm_l2(line65, stack.order1.u[n]))
 
 
 def test_tau1_first_variation_uses_initial_chemicals(line65, applied_params):
@@ -228,8 +229,8 @@ def _reference_first_variation(domain, p, kin, fam, cfg):
     r_eff = p.r - 2.0 * p.mu * eq.u0
     u1 = fam.profile("f1", domain)
     if cfg.tau == 0:
-        v1 = helmholtz_solve(domain, a10 * u1, beta, tol=cfg.elliptic_tol)
-        w1 = helmholtz_solve(domain, b10 * u1, delta, tol=cfg.elliptic_tol)
+        v1 = helmholtz_solve(domain, a10 * u1, beta, tol=ELLIPTIC_TOL)
+        w1 = helmholtz_solve(domain, b10 * u1, delta, tol=ELLIPTIC_TOL)
     else:
         v1 = fam.profile("g1", domain)
         w1 = fam.profile("h1", domain)
@@ -245,8 +246,8 @@ def _reference_first_variation(domain, p, kin, fam, cfg):
         rhs = u1 + dt * (r_eff * u1 - coupling)
         u1 = spectral_helmholtz(domain, rhs / dt, 1.0 / dt)
         if cfg.tau == 0:
-            v1 = helmholtz_solve(domain, a10 * u1, beta, tol=cfg.elliptic_tol)
-            w1 = helmholtz_solve(domain, b10 * u1, delta, tol=cfg.elliptic_tol)
+            v1 = helmholtz_solve(domain, a10 * u1, beta, tol=ELLIPTIC_TOL)
+            w1 = helmholtz_solve(domain, b10 * u1, delta, tol=ELLIPTIC_TOL)
         else:
             v1 = spectral_helmholtz(
                 domain, (v1 + s * dt * (a10 * us[n - 1] - beta * v1)) / (s * dt), 1.0 / (s * dt))
@@ -272,11 +273,11 @@ def _reference_second_variation(domain, p, kin, fam, o1, cfg):
 
     def slave_v2(u2, n):
         src = kin.second_order_sources("g", domain, o1.u[n], o1.v[n])
-        return helmholtz_solve(domain, a10 * u2 + src, beta, tol=cfg.elliptic_tol)
+        return helmholtz_solve(domain, a10 * u2 + src, beta, tol=ELLIPTIC_TOL)
 
     def slave_w2(u2, n):
         src = kin.second_order_sources("h", domain, o1.u[n], o1.w[n])
-        return helmholtz_solve(domain, b10 * u2 + src, delta, tol=cfg.elliptic_tol)
+        return helmholtz_solve(domain, b10 * u2 + src, delta, tol=ELLIPTIC_TOL)
 
     u2 = 2.0 * fam.profile("f2", domain)
     if cfg.tau == 0:
@@ -427,9 +428,9 @@ def _assert_traj_equal(a, b):
         assert np.array_equal(a.component(name), b.component(name))
 
 
-@pytest.mark.parametrize("order", [1, 2])
-@pytest.mark.parametrize("use_direct", [False, True])
-def test_fd_matches_out_of_place_reference(line65, nondegenerate_params, order, use_direct):
+# every extraction reaches order 2; the ids keep naming that order
+@pytest.mark.parametrize("use_direct", [False, True], ids=["False-2", "True-2"])
+def test_fd_matches_out_of_place_reference(line65, nondegenerate_params, use_direct):
     handle = _caching_handle(line65, nondegenerate_params)
     fam = PerturbationFamily(f1=1.0 + 0.9 * np.cos(math.pi * line65.axes[0]))
     direct = None
@@ -437,37 +438,32 @@ def test_fd_matches_out_of_place_reference(line65, nondegenerate_params, order, 
         kin = make_kinetics(nondegenerate_params)
         direct = solve_variations(line65, nondegenerate_params, kin, fam, handle.cfg).order1
     d1, order1, corr1, d2, order2, corr2 = _reference_fd(handle, fam, direct)
-    stack, ladder = extract_variation_fd(handle, fam, order=order, first_direct=direct,
-                                         return_ladder=True)
+    stack, ladder = extract_variation_fd(handle, fam, first_direct=direct, return_ladder=True)
     _assert_traj_equal(stack.order1, order1)
     assert stack.diagnostics["order1_corrections"] == corr1
     assert [e for e, _ in ladder] == list(fam.epsilons)
     for (_, entry), ref in zip(ladder, d1):
         _assert_traj_equal(entry.order1, ref)
-    if order == 1:
-        assert stack.order2 is None
-        assert all(entry.order2 is None for _, entry in ladder)
-        return
     _assert_traj_equal(stack.order2, order2)
     assert stack.diagnostics["order2_corrections"] == corr2
     for (_, entry), ref in zip(ladder, d2):
         _assert_traj_equal(entry.order2, ref)
     # the stack without the ladder is the same extraction
-    _assert_traj_equal(extract_variation_fd(handle, fam, order=order, first_direct=direct).order2,
-                       order2)
+    _assert_traj_equal(extract_variation_fd(handle, fam, first_direct=direct).order2, order2)
 
 
-@pytest.mark.parametrize("order,bound", [(1, 4.0), (2, 5.0)])
-def test_fd_extraction_peak_memory(line65, nondegenerate_params, order, bound):
+# every extraction reaches order 2; the id keeps naming that order
+@pytest.mark.parametrize("bound", [5.0], ids=["2-5.0"])
+def test_fd_extraction_peak_memory(line65, nondegenerate_params, bound):
     # peak allocation of one extraction, in units of one stored trajectory (u, v, w)
     handle = _caching_handle(line65, nondegenerate_params, t_final=0.3)
     fam = PerturbationFamily(f1=1.0 + 0.9 * np.cos(math.pi * line65.axes[0]))
-    extract_variation_fd(handle, fam, order=2)
+    extract_variation_fd(handle, fam)
     base = handle.run(*(line65.constant(c) for c in handle.equilibrium))
     traj_bytes = base.u.nbytes + base.v.nbytes + base.w.nbytes
     tracemalloc.start()
     try:
-        stack = extract_variation_fd(handle, fam, order=order)
+        stack = extract_variation_fd(handle, fam)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
