@@ -6,9 +6,13 @@ conditions are imposed by ghost-node reflection, which makes the sampled
 cosines cos(k*pi*x/L) exact eigenvectors of the discrete Laplacian.  That
 fact is exploited throughout: the screened operator (-Lap + decay) is
 diagonal in the DCT-I basis, so one forward and one inverse transform solve
-the screened-Poisson problem directly.  Each domain keeps its eigenvalue grid,
-and the transforms call pocketfft's DCT-I without ``scipy.fft``'s backend
-dispatch, which costs several times the transform on 1D grids.
+the screened-Poisson problem directly.  Each domain keeps its eigenvalue grid.
+The transform pair takes one of two paths.  A 2D grid with at most
+:data:`DCT_MATRIX_MAX_NODES` nodes per axis keeps the DCT-I matrix of each axis
+and transforms by matrix products, which at 65 x 65 cost about half of
+pocketfft's FFT-based DCT-I.  Every other grid, 1D grids included, calls
+pocketfft's DCT-I without ``scipy.fft``'s backend dispatch, which costs several
+times the transform on 1D grids.
 
 Fields are plain numpy arrays whose shape equals ``domain.shape`` (axis order
 x1[, x2], the last axis playing the role of the distinguished coordinate in
@@ -89,6 +93,15 @@ class Domain:
         lam = lams[0] if self.dim == 1 else lams[0][:, None] + lams[1][None, :]
         lam.setflags(write=False)
         self.neumann_eigenvalues = lam
+        # the factors (C0, C1^T) of the matrix transform path, C_i the DCT-I matrix
+        # of axis i, or None on grids that transform through pocketfft.  C1^T is
+        # stored contiguous: a product with a transposed view costs ~1.5x as much
+        self.dct_matrices = None
+        if self.dim == 2 and max(cells) <= DCT_MATRIX_MAX_NODES:
+            left, right = _dct1_matrix(cells[0]), np.ascontiguousarray(_dct1_matrix(cells[1]).T)
+            left.setflags(write=False)
+            right.setflags(write=False)
+            self.dct_matrices = (left, right)
 
     def __eq__(self, other):
         return (
@@ -346,8 +359,18 @@ ELLIPTIC_TOL = 1e-10
 # Over 1D and 2D grids of 33-1025 nodes per axis, decays 1e-6-50 and random,
 # smooth and offset sources, the residual of the exact spectral solution, as
 # helmholtz_solve evaluates it, stayed below 0.71 * eps * (largest eigenvalue
-# + decay) * |v|.
+# + decay) * |v| through pocketfft, and below 2.3 * eps * (largest eigenvalue
+# + decay) * |v| through the DCT-I matrices of 2D grids with 33-65 nodes per axis.
 RESIDUAL_ROUNDING_SLACK = 8.0
+# The largest axis, in nodes, of a 2D grid that transforms by DCT-I matrix
+# products.  Median time per solve, pocketfft against the matrices, on a
+# 2-core VM with OpenBLAS 0.3.31: 33^2 47 -> 28 us, 33 x 65 55 -> 32 us,
+# 65^2 110-150 -> 60-80 us.  Larger grids stay on pocketfft: from 81^2 on
+# OpenBLAS threads its products and their rounding then depends on the
+# thread count, and at 129^2 (570 against 490-640 us) and 257^2 (2 400
+# against 3 100 us) the matrices gain nothing.  In 1D the matrix-vector
+# products lose too (129 nodes: 12 against 9 us).
+DCT_MATRIX_MAX_NODES = 65
 
 
 def mode_eigenvalues_1d(n, h):
@@ -356,14 +379,38 @@ def mode_eigenvalues_1d(n, h):
     return (2.0 - 2.0 * np.cos(np.pi * k / (n - 1))) / (h * h)
 
 
+def _dct1_matrix(n):
+    """The unnormalised DCT-I of n points as an n x n matrix C.
+
+    ``C @ x`` equals ``scipy.fft.dct(x, type=1)`` up to rounding, and C is its
+    own inverse up to a factor: ``C @ C == 2 (n - 1) I``.
+    """
+    k = np.arange(n)
+    # k j reduced modulo 2 (n - 1): every cosine is taken of an angle in [0, 2 pi)
+    c = np.cos(np.pi * (np.multiply.outer(k, k) % (2 * (n - 1))) / (n - 1))
+    c[:, 1:-1] *= 2.0
+    return c
+
+
 def _spectral_solve(domain, source, decay):
-    # pocketfft's DCT-I, unnormalised forward and scaled by 1 / prod(2 (n - 1))
-    # inverse: the transform pair scipy.fft's dct and idct run.  The inverse
-    # runs in place on the forward result
-    axes = tuple(range(source.ndim - domain.dim, source.ndim))
-    coeffs = _pocketfft_dct(source, 1, axes, 0, None, 1)
+    # The unnormalised DCT-I forward and, scaled by 1 / prod(2 (n - 1)), the same
+    # transform back: the pair scipy.fft's dct and idct run.  2D grids of at most
+    # DCT_MATRIX_MAX_NODES per axis apply the axis matrices C0 and C1 as C0 @ S @ C1^T,
+    # which matmul broadcasts over a stack one gemm per slice; the values agree with
+    # pocketfft's to a few eps relative and do not depend on the BLAS thread count.
+    # Every other grid calls pocketfft, whose inverse runs in place on the forward
+    # result
+    if domain.dct_matrices is None:
+        axes = tuple(range(source.ndim - domain.dim, source.ndim))
+        coeffs = _pocketfft_dct(source, 1, axes, 0, None, 1)
+        coeffs /= domain.neumann_eigenvalues + decay
+        return _pocketfft_dct(coeffs, 1, axes, 2, coeffs, 1)
+    left, right = domain.dct_matrices
+    coeffs = left @ source @ right
     coeffs /= domain.neumann_eigenvalues + decay
-    return _pocketfft_dct(coeffs, 1, axes, 2, coeffs, 1)
+    out = left @ coeffs @ right
+    out *= 1.0 / (4 * (left.shape[0] - 1) * (right.shape[0] - 1))
+    return out
 
 
 def _screened_apply(domain, x, decay):

@@ -135,35 +135,34 @@ def variation_stack_to_csv(path, stack):
     with open(path, "w") as fh:
         fh.write("order,provenance,t," + ",".join(names) + ",u,v,w\n")
         for order, tr in ((1, stack.order1), (2, stack.order2)):
-            if tr is None:
-                continue
             for i, t in enumerate(tr.times):
                 _write_node_rows(fh, [str(order), stack.provenance, fmt(t)], coords, nodes,
                                  [a[i].ravel() for a in (tr.u, tr.v, tr.w)])
 
 
 def variation_stack_to_npz(path, stack):
-    traj = stack.order1
-    arrays = dict(
-        lengths=np.array(traj.domain.lengths),
-        cells=np.array(traj.domain.cells, dtype=np.int64),
-        times=traj.times,
-        u1=traj.u, v1=traj.v, w1=traj.w,
+    first, second = stack.order1, stack.order2
+    _savez_deterministic(
+        path,
+        lengths=np.array(first.domain.lengths),
+        cells=np.array(first.domain.cells, dtype=np.int64),
+        times=first.times,
+        u1=first.u, v1=first.v, w1=first.w,
+        u2=second.u, v2=second.v, w2=second.w,
         provenance=np.array(stack.provenance),
     )
-    if stack.order2 is not None:
-        arrays.update(u2=stack.order2.u, v2=stack.order2.v, w2=stack.order2.w)
-    _savez_deterministic(path, **arrays)
 
 
 def variation_stack_from_npz(path):
     from .variation import VariationStack
     with np.load(path) as data:
+        missing = [name for name in ("u2", "v2", "w2") if name not in data]
+        if missing:
+            raise ValueError(
+                f"{path}: variation stack lacks its second order ({', '.join(missing)})")
         domain = Domain(tuple(data["lengths"]), tuple(int(c) for c in data["cells"]))
         order1 = Trajectory(domain, data["times"], data["u1"], data["v1"], data["w1"])
-        order2 = None
-        if "u2" in data:
-            order2 = Trajectory(domain, data["times"], data["u2"], data["v2"], data["w2"])
+        order2 = Trajectory(domain, data["times"], data["u2"], data["v2"], data["w2"])
         return VariationStack(order1=order1, order2=order2,
                               provenance=str(data["provenance"]))
 

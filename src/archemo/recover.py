@@ -185,9 +185,8 @@ class ExperimentBank:
     base run goes with the bank.
     """
 
-    def __init__(self, oracle: Oracle, options: PipelineOptions):
+    def __init__(self, oracle: Oracle):
         self.oracle = oracle
-        self.options = options
         self._handle = oracle.handle()
         self._stacks = {}
         self.used = []
@@ -360,7 +359,7 @@ def recover_r(oracle: Oracle, options: PipelineOptions | None = None,
     """Growth rate from the decay of the constant and the MODE_INDICES modes of the
     first variation, plus a probe check."""
     options = options or PipelineOptions()
-    bank = bank or ExperimentBank(oracle, options)
+    bank = bank or ExperimentBank(oracle)
     exps = _default_lin_experiment(oracle.domain, options, oracle.tau)
     stack = bank.stack(exps["lin"])
     domain, dt = oracle.domain, oracle.cfg.dt
@@ -430,7 +429,7 @@ def recover_linear_kinetics(oracle: Oracle, options: PipelineOptions | None = No
     """(alpha, beta) and (gamma, delta) from chemical balances of the first variation,
     which need no earlier estimate."""
     options = options or PipelineOptions()
-    bank = bank or ExperimentBank(oracle, options)
+    bank = bank or ExperimentBank(oracle)
     exps = experiments or _default_lin_experiment(oracle.domain, options, oracle.tau)
     domain = oracle.domain
     want_fields = options.recover_fields if options.recover_fields is not None else domain.dim > 1
@@ -557,7 +556,7 @@ def recover_chi_xi_mu(oracle: Oracle, r: float,
     always reported alongside.
     """
     options = options or PipelineOptions()
-    bank = bank or ExperimentBank(oracle, options)
+    bank = bank or ExperimentBank(oracle)
     exps = experiments or _default_chi_experiments(oracle.domain, options, oracle.tau)
     domain, cfg = oracle.domain, oracle.cfg
     dt = cfg.dt
@@ -772,7 +771,7 @@ def recover_second_kinetics(oracle: Oracle, linear: StageRecord,
     afterwards.
     """
     options = options or PipelineOptions()
-    bank = bank or ExperimentBank(oracle, options)
+    bank = bank or ExperimentBank(oracle)
     exps = experiments or _default_chi_experiments(oracle.domain, options, oracle.tau)
     domain, cfg = oracle.domain, oracle.cfg
     dt, s = cfg.dt, cfg.relaxation_speedup
@@ -885,7 +884,7 @@ def run_full_pipeline(oracle: Oracle, options: PipelineOptions | None = None) ->
     depend on the degenerate directions.
     """
     options = options or PipelineOptions()
-    bank = ExperimentBank(oracle, options)
+    bank = ExperimentBank(oracle)
     stages, estimates, residuals, conditioning, notes = [], {}, {}, {}, []
 
     def merge(rec):

@@ -105,10 +105,10 @@ class PerturbationFamily:
 
 @dataclass
 class VariationStack:
-    """First (and optionally second) variation trajectories with provenance."""
+    """First and second variation trajectories with provenance."""
 
     order1: Trajectory
-    order2: Trajectory | None = None
+    order2: Trajectory
     provenance: str = "direct"
     diagnostics: dict = field(default_factory=dict)
 
@@ -365,22 +365,12 @@ def consistency_report(domain: Domain, direct: VariationStack, ladder,
     """
     rows = []
     errs = {1: [], 2: []}
-    eps_used = {1: [], 2: []}
     for eps, stack in ladder:
-        diff = stack.order1.u - direct.order1.u
-        l2 = space_time_norm(domain, direct.order1.times, diff)
-        linf = float(np.max(np.abs(diff)))
-        rows.append((eps, 1, l2, linf))
-        errs[1].append(l2)
-        eps_used[1].append(eps)
-        if stack.order2 is not None and direct.order2 is not None:
-            diff2 = stack.order2.u - direct.order2.u
-            l2b = space_time_norm(domain, direct.order2.times, diff2)
-            rows.append((eps, 2, l2b, float(np.max(np.abs(diff2)))))
-            errs[2].append(l2b)
-            eps_used[2].append(eps)
-    slopes = {}
-    for order in (1, 2):
-        if errs[order]:
-            slopes[order] = _fit_slope(eps_used[order], errs[order], floor)
+        for order, fd, exact in ((1, stack.order1, direct.order1), (2, stack.order2, direct.order2)):
+            diff = fd.u - exact.u
+            l2 = space_time_norm(domain, exact.times, diff)
+            rows.append((eps, order, l2, float(np.max(np.abs(diff)))))
+            errs[order].append(l2)
+    eps_list = [eps for eps, _ in ladder]
+    slopes = {order: _fit_slope(eps_list, errs[order], floor) for order in (1, 2)}
     return ConsistencyReport(rows=rows, slopes=slopes, floor=floor)

@@ -249,7 +249,7 @@ def test_criterion_5_full_recovery_tau0(pipeline_tau0):
         oracle2 = Oracle(d2, truth2d, kin2, cfg2)
         opts2 = PipelineOptions(recover_fields=True)
         from archemo.recover import recover_linear_kinetics
-        bank2 = ExperimentBank(oracle2, opts2)
+        bank2 = ExperimentBank(oracle2)
         lin = recover_linear_kinetics(oracle2, options=opts2, bank=bank2)
         field_rel = norm_l2(d2, lin.estimates["alpha"] - alpha_field) / norm_l2(d2, alpha_field)
         assert field_rel <= 0.05
@@ -318,7 +318,7 @@ def test_criterion_7_second_order_kinetics():
         opts2 = PipelineOptions(recover_fields=False,
                                 declared_separable={"a02": a02.axial_integral(d2)})
         from archemo.recover import recover_linear_kinetics, recover_second_kinetics
-        bank2 = ExperimentBank(oracle2, opts2)
+        bank2 = ExperimentBank(oracle2)
         lin = recover_linear_kinetics(oracle2, options=opts2, bank=bank2)
         sec = recover_second_kinetics(oracle2, lin, options=opts2, bank=bank2)
         est = sec.estimates["a02"]

@@ -222,10 +222,25 @@ def test_helmholtz_unpreconditioned_matches(rng):
     assert np.max(np.abs(a - b)) < 1e-9
 
 
+# Largest difference, relative to max |reference|, allowed between the DCT-I matrix
+# path and scipy.fft's transform pair.  Over 2D grids of 9-65 nodes per axis,
+# decays 1e-6-50 and random and offset sources it was at most 26 eps.
+MATRIX_PATH_RTOL = 64 * np.finfo(float).eps
+
+
+def assert_matches_scipy_fft(domain, solved, expected):
+    """Bitwise where the domain transforms through pocketfft, to rounding on the matrix path."""
+    if domain.dct_matrices is None:
+        assert np.array_equal(solved, expected)
+    else:
+        assert np.max(np.abs(solved - expected)) <= MATRIX_PATH_RTOL * np.max(np.abs(expected))
+
+
 def test_spectral_direct_matches_cg(rng):
     # where CG accepts its spectrally preconditioned first iterate, the direct
-    # solve returns that very array; where the residual check sends CG round
-    # again (small decay, tight tol) the direct solve stops at the rounding floor
+    # solve returns that very array (to rounding on the 2D matrix path); where the
+    # residual check sends CG round again (small decay, tight tol) the direct
+    # solve stops at the rounding floor
     first_iterates = 0
     for d in (Domain(1.0, 33), Domain(1.0, 129), Domain((1.0, 1.0), (33, 33))):
         for decay in (1e-2, 0.3, 1.0, 7.5, 50.0):
@@ -236,7 +251,7 @@ def test_spectral_direct_matches_cg(rng):
                 ref, iterations = reference_cg(d, src, decay, tol=tol)
                 if iterations == 0:
                     first_iterates += 1
-                    assert np.array_equal(direct, ref)
+                    assert_matches_scipy_fft(d, direct, ref)
                 else:
                     assert np.max(np.abs(direct - ref)) <= 1e-12 * np.max(np.abs(ref))
     assert first_iterates >= 25
@@ -257,6 +272,15 @@ def test_helmholtz_raises_when_residual_check_fails(rng):
     # eigenvalues that do not belong to the stencil leave a residual far above
     # both the tolerance and the rounding floor
     d = Domain(1.0, 65)
+    d.neumann_eigenvalues = 1.01 * d.neumann_eigenvalues
+    with pytest.raises(EllipticSolveError):
+        helmholtz_solve(d, rng.standard_normal(d.shape), decay=1.0)
+
+
+def test_helmholtz_residual_check_guards_the_matrix_path(rng):
+    # the same check on a 2D grid that transforms by DCT-I matrices
+    d = Domain((1.0, 2.0), (33, 65))
+    assert d.dct_matrices is not None
     d.neumann_eigenvalues = 1.01 * d.neumann_eigenvalues
     with pytest.raises(EllipticSolveError):
         helmholtz_solve(d, rng.standard_normal(d.shape), decay=1.0)
@@ -315,25 +339,73 @@ def test_direct_dct_matches_scipy_fft(rng):
 
 
 def test_spectral_solve_matches_scipy_fft_solve(rng):
-    # the transform pair scipy.fft ran before, on single fields and on stacks
+    # the transform pair scipy.fft ran before, on single fields and on stacks:
+    # bitwise through pocketfft, to rounding on the 2D matrix path; a stack's
+    # slices equal single solves bitwise on both paths
     for d in (Domain(1.0, 33), Domain(1.0, 129), Domain(1.0, 1025), Domain((1.0, 1.0), (17, 17)),
-              Domain((1.0, 2.0), (33, 65))):
+              Domain((1.0, 2.0), (33, 65)), Domain((1.0, 1.0), (65, 65))):
+        assert (d.dct_matrices is None) == (d.dim == 1)
+        assert d.dim == 1 or not any(m.flags.writeable for m in d.dct_matrices)
         lam = d.neumann_eigenvalues + 0.7
         src = rng.standard_normal(d.shape)
         if d.dim == 1:
             expected = scipy.fft.idct(scipy.fft.dct(src, type=1) / lam, type=1)
         else:
             expected = scipy.fft.idctn(scipy.fft.dctn(src, type=1) / lam, type=1)
-        assert np.array_equal(spectral_helmholtz(d, src, 0.7), expected)
+        assert_matches_scipy_fft(d, spectral_helmholtz(d, src, 0.7), expected)
         stack = rng.standard_normal((2, 3) + d.shape)
         axes = tuple(range(-d.dim, 0))
         expected = scipy.fft.idctn(scipy.fft.dctn(stack, type=1, axes=axes) / lam, type=1,
                                    axes=axes)
         solved = spectral_helmholtz(d, stack, 0.7)
-        assert np.array_equal(solved, expected)
-        assert np.array_equal(solved[1, 2], spectral_helmholtz(d, stack[1, 2], 0.7))
+        assert_matches_scipy_fft(d, solved, expected)
+        for i, j in np.ndindex(*stack.shape[:2]):
+            assert np.array_equal(solved[i, j], spectral_helmholtz(d, stack[i, j], 0.7))
     with pytest.raises(ValueError, match="^source must be real-valued$"):
         spectral_helmholtz(d, src + 0j, 0.7)
+
+
+def test_spectral_solve_above_the_matrix_cap_is_pocketfft(rng):
+    # a 2D grid with an axis past DCT_MATRIX_MAX_NODES keeps scipy.fft's values bitwise
+    from archemo.grid import DCT_MATRIX_MAX_NODES
+    for cells in ((33, DCT_MATRIX_MAX_NODES + 1), (81, 81)):
+        d = Domain((1.0, 2.0), cells)
+        assert d.dct_matrices is None
+        lam = d.neumann_eigenvalues + 0.7
+        stack = rng.standard_normal((2,) + d.shape)
+        expected = scipy.fft.idctn(scipy.fft.dctn(stack, type=1, axes=(1, 2)) / lam, type=1,
+                                   axes=(1, 2))
+        assert np.array_equal(spectral_helmholtz(d, stack, 0.7), expected)
+        assert np.array_equal(spectral_helmholtz(d, stack[1], 0.7), expected[1])
+
+
+def test_matrix_path_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # every product of the matrix path, up to the cap, stays below the size at which
+    # BLAS threads its gemm, so one and two threads return the same bytes
+    import os
+    import subprocess
+    import sys
+
+    import archemo
+    package_root = os.path.dirname(os.path.dirname(archemo.__file__))
+    script = (
+        "import hashlib, numpy as np\n"
+        "from archemo.grid import DCT_MATRIX_MAX_NODES as N, Domain, spectral_helmholtz\n"
+        "rng = np.random.default_rng(4)\n"
+        "h = hashlib.sha256()\n"
+        "for cells in ((33, 33), (33, N), (N, N)):\n"
+        "    d = Domain((1.0, 2.0), cells)\n"
+        "    h.update(spectral_helmholtz(d, rng.standard_normal((3,) + cells), 0.7).tobytes())\n"
+        "print(h.hexdigest())\n"
+    )
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads, PYTHONPATH=package_root)
+        run = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
+                             capture_output=True, text=True, check=True)
+        digests.append(run.stdout.strip())
+    assert digests[0] == digests[1]
 
 
 def test_helmholtz_screen_keeps_the_scan_errors():

@@ -270,6 +270,14 @@ def test_variation_stack_npz_round_trip(tmp_path, line65, applied_params):
     back = aio.variation_stack_from_npz(path)
     assert back.provenance == "direct"
     assert np.array_equal(back.order1.u, stack.order1.u)
+    assert np.array_equal(back.order2.w, stack.order2.w)
+    # a file without the second order is refused, naming what it lacks
+    with np.load(path) as data:
+        arrays = {name: data[name] for name in data if name not in ("v2", "w2")}
+    partial = tmp_path / "partial.npz"
+    np.savez(partial, **arrays)
+    with pytest.raises(ValueError, match=r"lacks its second order \(v2, w2\)$"):
+        aio.variation_stack_from_npz(partial)
 
 
 def test_csv_seventeen_digit_round_trip(tmp_path, line65, applied_params):

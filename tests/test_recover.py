@@ -159,7 +159,7 @@ def test_recover_r_via_oracle(line129, nondegenerate_params):
 def test_linear_kinetics_via_oracle(line129, nondegenerate_params):
     oracle = _oracle(line129, nondegenerate_params, dt=5e-4, t_final=1.0)
     opts = PipelineOptions(recover_fields=False)
-    bank = ExperimentBank(oracle, opts)
+    bank = ExperimentBank(oracle)
     rec = recover_linear_kinetics(oracle, options=opts, bank=bank)
     assert rec.estimates["alpha"] == pytest.approx(1.0, rel=0.01)
     assert rec.estimates["beta"] == pytest.approx(1.0, rel=0.01)
@@ -170,7 +170,7 @@ def test_linear_kinetics_via_oracle(line129, nondegenerate_params):
 def test_linear_kinetics_probe_too_weak(line65, applied_params):
     oracle = _oracle(line65, applied_params, t_final=0.2)
     opts = PipelineOptions(recover_fields=True)
-    bank = ExperimentBank(oracle, opts)
+    bank = ExperimentBank(oracle)
     # f1 = 0 leaves no density variation to divide by
     dead = {"lin": Experiment("dead", PerturbationFamily(epsilons=opts.epsilons))}
     with pytest.raises(RecoveryError):
@@ -184,7 +184,7 @@ def test_alpha_field_recovery_2d(square33):
                          beta=1.0, gamma=1.0, delta=1.0)
     oracle = _oracle(square33, truth, dt=1e-3, t_final=0.4, store_every=4)
     opts = PipelineOptions(recover_fields=True)
-    bank = ExperimentBank(oracle, opts)
+    bank = ExperimentBank(oracle)
     rec = recover_linear_kinetics(oracle, options=opts, bank=bank)
     rel = norm_l2(square33, rec.estimates["alpha"] - alpha_field) / norm_l2(square33, alpha_field)
     assert rel <= 0.03
@@ -196,7 +196,7 @@ def test_general_fit_on_zero_advection_truth(line129):
     truth = ParameterSet(chi=0.0, xi=0.0, r=0.5, mu=1.0, beta=1.0, delta=1.6, gamma=0.8)
     oracle = _oracle(line129, truth, dt=5e-4, t_final=1.0)
     opts = PipelineOptions(recover_fields=False)
-    bank = ExperimentBank(oracle, opts)
+    bank = ExperimentBank(oracle)
     r = recover_r(oracle, options=opts, bank=bank).estimates["r"]
     rec = recover_chi_xi_mu(oracle, r, options=opts, bank=bank)
     assert rec.status == "ok"
@@ -213,7 +213,7 @@ def test_chi_xi_mu_builds_patterned_regressors_once_per_pass(line65, nondegenera
     import archemo.recover as rc
     oracle = _oracle(line65, nondegenerate_params, dt=2e-3, t_final=0.1)
     opts = PipelineOptions(recover_fields=False)
-    bank = ExperimentBank(oracle, opts)
+    bank = ExperimentBank(oracle)
     r_hat = recover_r(oracle, options=opts, bank=bank).estimates["r"]
     slices, patterned = [], grid_mod.advective_flux_div_patterned
 
@@ -304,7 +304,7 @@ def test_chi_xi_mu_blocks_match_per_step_reference(line65, nondegenerate_params,
     assert (n_res < rc.REGRESSOR_BLOCK) == (t_final == 0.1)
     assert n_res % rc.REGRESSOR_BLOCK != 0
     opts = PipelineOptions(recover_fields=False)
-    bank = ExperimentBank(oracle, opts)
+    bank = ExperimentBank(oracle)
     r_hat = recover_r(oracle, options=opts, bank=bank).estimates["r"]
     rec = recover_chi_xi_mu(oracle, r_hat, options=opts, bank=bank)
     exps = rc._default_chi_experiments(line65, opts)
@@ -319,7 +319,7 @@ def test_chi_xi_mu_blocks_match_per_step_reference(line65, nondegenerate_params,
 def test_chi_xi_mu_permutation_invariance(line65, nondegenerate_params):
     oracle = _oracle(line65, nondegenerate_params, dt=1e-3, t_final=0.5)
     opts = PipelineOptions(recover_fields=False)
-    bank = ExperimentBank(oracle, opts)
+    bank = ExperimentBank(oracle)
     r = recover_r(oracle, options=opts, bank=bank).estimates["r"]
     from archemo.recover import _default_chi_experiments
     exps = _default_chi_experiments(line65, opts, oracle.tau)
@@ -370,7 +370,7 @@ def test_degenerate_truth_flags_combination(line65, applied_params):
 def test_second_kinetics_constant(line129, applied_params):
     oracle = _oracle(line129, applied_params, dt=5e-4, t_final=1.0, so_g={(2, 0): 0.2})
     opts = PipelineOptions(recover_fields=False)
-    bank = ExperimentBank(oracle, opts)
+    bank = ExperimentBank(oracle)
     lin = recover_linear_kinetics(oracle, options=opts, bank=bank)
     rec = recover_second_kinetics(oracle, lin, options=opts, bank=bank)
     assert abs(rec.estimates["a20"] - 0.2) / 0.2 <= 0.02
@@ -389,7 +389,7 @@ def test_second_kinetics_separable_2d(square65):
                      so_g={(0, 2): a02})
     gamma0 = a02.axial_integral(square65)
     opts = PipelineOptions(recover_fields=False, declared_separable={"a02": gamma0})
-    bank = ExperimentBank(oracle, opts)
+    bank = ExperimentBank(oracle)
     lin = recover_linear_kinetics(oracle, options=opts, bank=bank)
     rec = recover_second_kinetics(oracle, lin, options=opts, bank=bank)
     est = rec.estimates["a02"]
@@ -408,7 +408,7 @@ def test_stride_guard_for_step_inversions(square33, applied_params):
     oracle = _oracle(square33, applied_params, dt=1e-3, t_final=0.2, store_every=4)
     opts = PipelineOptions(recover_fields=True)
     with pytest.raises(RecoveryError):
-        bank = ExperimentBank(oracle, opts)
+        bank = ExperimentBank(oracle)
         r = recover_r(oracle, options=opts, bank=bank).estimates["r"]
         recover_chi_xi_mu(oracle, r, options=opts, bank=bank)
     report = run_full_pipeline(oracle, opts)
@@ -485,7 +485,7 @@ def test_bank_shares_one_stack_per_probing_family(line65, nondegenerate_params, 
     monkeypatch.setattr(rc, "extract_variation_fd", counting)
     oracle = _oracle(line65, nondegenerate_params, t_final=0.2)
     opts = PipelineOptions()
-    bank = ExperimentBank(oracle, opts)
+    bank = ExperimentBank(oracle)
     lin = rc._default_lin_experiment(line65, opts, 0)["lin"]
     second2 = rc._default_chi_experiments(line65, opts, 0)[2]
     assert second2.name == "second-2"
@@ -508,7 +508,7 @@ def test_bank_builds_each_order1_tableau_once(line65, nondegenerate_params, monk
     monkeypatch.setattr(rc, "extract_variation_fd", counting)
     oracle = _oracle(line65, nondegenerate_params, t_final=0.2)
     opts = PipelineOptions()
-    bank = ExperimentBank(oracle, opts)
+    bank = ExperimentBank(oracle)
     lin_exp = rc._default_lin_experiment(line65, opts, 0)["lin"]
     lin = bank.stack(lin_exp)
     chi_exps = rc._default_chi_experiments(line65, opts, 0)
