@@ -13,11 +13,14 @@ G and H are truncated power series around a constant equilibrium; the applied
 model is the linear special case G = alpha*u - beta*v, H = gamma*u - delta*w.
 
 Time stepping is IMEX Euler: diffusion implicit (one screened-Poisson solve
-per component), chemotactic advection and reactions explicit.  For tau = 0
-the chemical fields are re-slaved to u by the elliptic solver after every
-density update, and the supplied initial data g, h are replaced by the
-elliptic balance of f from t = 0 (the elliptic equations admit no independent
-initial state).  Kinetics nonlinear in the chemical make each such solve a
+per component), chemotactic advection and reactions explicit.  For tau = 1
+the three solves of a step run as one stacked transform, each slice with the
+values of its own solve.  For tau = 0 the chemical fields are re-slaved to u
+by the elliptic solver after every density update, and the supplied initial
+data g, h are replaced by the elliptic balance of f from t = 0 (the elliptic
+equations admit no independent initial state).  Kinetics linear in the
+chemical take one solve, whose right-hand side comes straight from the bound
+coefficient grids.  Kinetics nonlinear in the chemical make each such solve a
 Picard iteration; it forms the terms that do not change across iterations
 once, and from the second step on it starts from the extrapolation
 2 c_n - c_{n-1} of the last two steps.
@@ -149,6 +152,11 @@ def coefficient_on_grid(value, domain: Domain):
     return domain.constant(float(value))
 
 
+def _linear_in_chemical(table) -> bool:
+    # whether the only term of the table that holds the chemical is the decay (0, 1)
+    return not any(q >= 1 and (p, q) != (0, 1) for (p, q) in table)
+
+
 def _monomial_weight(p: int, q: int) -> float:
     # Normalization contract: with these weights the second-variation sources
     # of the chemical equations read  a11*u1*v1 + 2*a20*u1^2 + 2*a02*v1^2.
@@ -169,7 +177,8 @@ class KineticsSpec:
     g_coeffs: dict = field(default_factory=dict)
     h_coeffs: dict = field(default_factory=dict)
     expansion_point: EquilibriumState = EquilibriumState(0.0, 0.0, 0.0)
-    # (domain, weighted coefficient grids per table), set only by bind()
+    # (domain, per table its weighted coefficient grids and whether it is
+    # linear in its chemical), set only by bind()
     _terms = None
 
     @classmethod
@@ -234,27 +243,37 @@ class KineticsSpec:
         """A copy for runs on ``domain`` that builds its coefficient grids once, here.
 
         The copy owns its coefficient tables, so changes to this spec never
-        reach it; :func:`solve_forward` makes one per run.
+        reach it; :func:`solve_forward` makes one per run.  It also records
+        whether each table is linear in its chemical.
         """
         bound = replace(self, g_coeffs=dict(self.g_coeffs), h_coeffs=dict(self.h_coeffs))
-        bound._terms = (domain, {"g": self._weighted_terms(bound.g_coeffs, domain),
-                                 "h": self._weighted_terms(bound.h_coeffs, domain)})
+        bound._terms = (domain, {
+            which: (self._weighted_terms(table, domain), _linear_in_chemical(table))
+            for which, table in (("g", bound.g_coeffs), ("h", bound.h_coeffs))})
         return bound
 
     def _table_terms(self, which, domain):
+        # (weighted coefficient grids, linear in the chemical) of G or H on domain
         if self._terms is not None and self._terms[0] is domain:
             return self._terms[1][which]
-        return self._weighted_terms(self.g_coeffs if which == "g" else self.h_coeffs, domain)
+        table = self.g_coeffs if which == "g" else self.h_coeffs
+        return self._weighted_terms(table, domain), _linear_in_chemical(table)
 
     def _evaluate(self, which, domain, du, dn):
-        out = np.zeros(domain.shape)
-        for p, q, term in self._table_terms(which, domain):
+        # the sum, in table order, of every term times du^p dn^q, accumulated into the
+        # first product; powers of 1 multiply by du or dn itself, which is the value
+        # of du**1, and p + q >= 1 makes every product a fresh array
+        out = None
+        for p, q, term in self._table_terms(which, domain)[0]:
             if p:
-                term = term * du**p
+                term = term * (du if p == 1 else du**p)
             if q:
-                term = term * dn**q
-            out += term
-        return out
+                term = term * (dn if q == 1 else dn**q)
+            if out is None:
+                out = term
+            else:
+                out += term
+        return np.zeros(domain.shape) if out is None else out
 
     def evaluate_g(self, domain: Domain, u, v):
         eq = self.expansion_point
@@ -277,13 +296,13 @@ class KineticsSpec:
         holds coef * (u - u0)^p of a term with q >= 1.  The (0, 1) term is left
         out: it is -decay * (c - c0) and cancels the added decay.
         """
-        table = self.g_coeffs if which == "g" else self.h_coeffs
-        if not any(q >= 1 and (p, q) != (0, 1) for (p, q) in table):
+        terms, linear = self._table_terms(which, domain)
+        if linear:
             return None
         du = u - self.expansion_point.u0
         fixed = np.zeros(domain.shape)
         factors = []
-        for p, q, term in self._table_terms(which, domain):
+        for p, q, term in terms:
             if p:
                 term = term * du**p
             if not q:
@@ -416,7 +435,9 @@ def _slave_chemical(domain, kin, which, u, previous=None, earlier=None):
     ``previous`` is c at the last step and ``earlier`` c one step before it,
     when known.  Kinetics linear in c take one screened solve of
     (-Lap + decay) c = G(u, c) + decay * c about ``previous`` (the constant
-    expansion value when it is None).  Nonlinear kinetics run Picard on
+    expansion value when it is None); its right-hand side
+    G(u, previous) + decay * (previous - c0) forms previous - c0 once and
+    reads the bound coefficient grids.  Nonlinear kinetics run Picard on
     (-Lap + decay)(c_new - c0) = fixed + sum of factor * (c - c0)^q, whose u-only
     terms and factors :meth:`KineticsSpec.slaved_terms` forms once per call.
     Picard starts from the extrapolation 2 * previous - earlier when both are
@@ -425,15 +446,17 @@ def _slave_chemical(domain, kin, which, u, previous=None, earlier=None):
     """
     eq = kin.expansion_point
     if which == "g":
-        decay, base, evaluate = kin.beta_decay, eq.v0, kin.evaluate_g
+        decay, base = kin.beta_decay, eq.v0
     else:
-        decay, base, evaluate = kin.delta_decay, eq.w0, kin.evaluate_h
+        decay, base = kin.delta_decay, eq.w0
     v = previous if previous is not None else domain.constant(base)
-    split = kin.slaved_terms(which, domain, u)
-    if split is None:
-        rhs = evaluate(domain, u, v) + decay * (v - base)
+    linear = kin._table_terms(which, domain)[1]
+    if linear:
+        dn = v - base
+        rhs = kin._evaluate(which, domain, u - eq.u0, dn)
+        rhs += decay * dn
         return base + g.helmholtz_solve(domain, rhs, decay)
-    fixed, factors = split
+    fixed, factors = kin.slaved_terms(which, domain, u)
     if earlier is not None:
         v = 2.0 * previous - earlier
     for _ in range(PICARD_MAXITER):
@@ -464,9 +487,20 @@ def implicit_step(domain: Domain, x, tendency, h):
 
     Solves x_new - h Lap x_new = x + h * tendency, where ``tendency`` holds
     the explicitly treated terms.  Every time step of the package, forward
-    and variational, goes through here.
+    and variational, goes through here.  With a tuple h of per-slice step
+    sizes, x and tendency are sequences of as many fields, and slice i takes
+    the step of size h[i]: the slices are stacked and solved as one stack,
+    each with the values of its own single step.
     """
-    return g.spectral_helmholtz(domain, (x + h * tendency) / h, 1.0 / h)
+    if not isinstance(h, tuple):
+        return g.spectral_helmholtz(domain, (x + h * tendency) / h, 1.0 / h)
+    rhs = np.empty((len(h),) + domain.shape)
+    for out, c, t, size in zip(rhs, x, tendency, h):
+        np.multiply(size, t, out=out)
+        out += c
+    sizes = np.array(h).reshape((-1,) + (1,) * domain.dim)
+    rhs /= sizes
+    return g.spectral_helmholtz(domain, rhs, 1.0 / sizes)
 
 
 def step_source(domain: Domain, x, h):
@@ -510,6 +544,8 @@ def step(domain: Domain, state, p: ParameterSet, kin: KineticsSpec, cfg: SolverC
     """One IMEX Euler step; returns the new (u, v, w) triple.
 
     The supplied (v, w) must already be consistent with u (slaved for tau=0).
+    For tau=1 the three implicit steps (v and w with step size
+    relaxation_speedup * dt) run as one stacked :func:`implicit_step`.
     The drift's face velocities are built once and serve both the CFL check
     and the upwind flux.  u and the potential are screened by their sums and
     scanned by :meth:`Domain.check_field` only when that screen fails.
@@ -530,7 +566,14 @@ def step(domain: Domain, state, p: ParameterSet, kin: KineticsSpec, cfg: SolverC
         advect = g.upwind_flux_div(domain, u, vels)
     else:
         advect = 0.0
-    u_new = implicit_step(domain, u, p.r * u - p.mu * u * u - advect, dt)
+    tendency = p.r * u - p.mu * u * u - advect
+    if cfg.tau == 0:
+        u_new = implicit_step(domain, u, tendency, dt)
+    else:
+        h = cfg.relaxation_speedup * dt
+        u_new, v_new, w_new = implicit_step(
+            domain, (u, v, w),
+            (tendency, kin.evaluate_g(domain, u, v), kin.evaluate_h(domain, u, w)), (dt, h, h))
     if cfg.require_nonnegative and float(u_new.min()) < NEGATIVITY_FLOOR:
         raise NumericsError(
             f"density dropped to {float(np.min(u_new)):.3e}, below the negativity floor; "
@@ -539,10 +582,6 @@ def step(domain: Domain, state, p: ParameterSet, kin: KineticsSpec, cfg: SolverC
         _, v_prior, w_prior = prior if prior is not None else (None, None, None)
         v_new = _slave_chemical(domain, kin, "g", u_new, previous=v, earlier=v_prior)
         w_new = _slave_chemical(domain, kin, "h", u_new, previous=w, earlier=w_prior)
-    else:
-        h = cfg.relaxation_speedup * dt
-        v_new = implicit_step(domain, v, kin.evaluate_g(domain, u, v), h)
-        w_new = implicit_step(domain, w, kin.evaluate_h(domain, u, w), h)
     return u_new, v_new, w_new
 
 

@@ -373,6 +373,24 @@ def test_2d_boundary_measurement(square33, applied_params):
 # -- slaved chemicals: Picard seed, hoisted kinetics, linear path ----------------------
 
 
+def _reference_kinetics(domain, kin, which, u, c):
+    """G (``which="g"``, c = v) or H (``"h"``, c = w) summed into zeros term by term from
+    the coefficient table, as the kinetics were evaluated before they accumulated into
+    their first term.  Kept as the reference that evaluate_g/h must match bitwise."""
+    eq = kin.expansion_point
+    table, du, dc = ((kin.g_coeffs, u - eq.u0, c - eq.v0) if which == "g"
+                     else (kin.h_coeffs, u - eq.u0, c - eq.w0))
+    out = np.zeros(domain.shape)
+    for (p, q), val in table.items():
+        term = forward.coefficient_on_grid(val, domain) * forward._monomial_weight(p, q)
+        if p:
+            term = term * du**p
+        if q:
+            term = term * dc**q
+        out += term
+    return out
+
+
 def _reference_slave_chemical(domain, kin, which, u, previous=None):
     """The slave solve before the Picard seed was extrapolated and the kinetics hoisted.
 
@@ -382,14 +400,12 @@ def _reference_slave_chemical(domain, kin, which, u, previous=None):
     eq = kin.expansion_point
     if which == "g":
         decay, base, table = kin.beta_decay, eq.v0, kin.g_coeffs
-        evaluate = kin.evaluate_g
     else:
         decay, base, table = kin.delta_decay, eq.w0, kin.h_coeffs
-        evaluate = kin.evaluate_h
     nonlinear = any(q >= 1 and (p, q) != (0, 1) for (p, q) in table)
     v = previous if previous is not None else domain.constant(base)
     for _ in range(forward.PICARD_MAXITER):
-        rhs = evaluate(domain, u, v) + decay * (v - base)
+        rhs = _reference_kinetics(domain, kin, which, u, v) + decay * (v - base)
         v_new = base + helmholtz_solve(domain, rhs, decay, tol=grid.ELLIPTIC_TOL)
         if not nonlinear:
             return v_new
@@ -441,20 +457,30 @@ def test_picard_solves_per_step(monkeypatch, amplitude, per_step):
 
 
 def test_linear_slave_solve_matches_reference(monkeypatch, line129, nondegenerate_params):
-    # kinetics linear in the chemical keep their seed and rhs: the runs are bitwise equal
+    # kinetics linear in the chemical keep their seed, and their rhs formed from the
+    # bound terms is evaluate() + decay (c - c0): the runs are bitwise equal.  The third
+    # table is linear in the chemical but holds (2, 0) entries, about the nonzero
+    # steady state, which pins the (u - u0)^2 power and the offset base
     x = line129.axes[0]
     square = Domain((1.0, 1.0), (33, 33))
     X, Y = square.meshgrid()
+    f1 = 0.5 + 0.3 * np.cos(math.pi * x) + 0.1 * np.cos(3.0 * math.pi * x)
+    eq = steady_state(nondegenerate_params)
+    assert eq.u0 and eq.v0 and eq.w0
     cases = [
-        (line129, nondegenerate_params,
-         0.5 + 0.3 * np.cos(math.pi * x) + 0.1 * np.cos(3.0 * math.pi * x),
+        (line129, nondegenerate_params, make_kinetics(nondegenerate_params), f1,
          SolverConfig(tau=0, dt=5e-4, t_final=0.2)),
-        (square, replace(nondegenerate_params, alpha=1.0 + 0.3 * np.cos(math.pi * X)),
+        (square, replace(nondegenerate_params, alpha=1.0 + 0.3 * np.cos(math.pi * X)), None,
          0.5 + 0.2 * np.cos(math.pi * X) * np.cos(2.0 * math.pi * Y),
          SolverConfig(tau=0, dt=1e-3, t_final=0.1, store_every=4)),
+        (line129, nondegenerate_params,
+         make_kinetics(nondegenerate_params, second_order_g={(2, 0): 0.3},
+                       second_order_h={(2, 0): -0.2}, expansion_point=eq), f1,
+         SolverConfig(tau=0, dt=5e-4, t_final=0.2)),
     ]
-    for d, p, f, cfg in cases:
-        kin = make_kinetics(p)
+    for d, p, kin, f, cfg in cases:
+        kin = kin or make_kinetics(p)
+        assert kin.bind(d)._table_terms("g", d)[1] and kin.bind(d)._table_terms("h", d)[1]
         present = solve_forward(d, (f, f, f), p, kin, cfg)
         with monkeypatch.context() as m:
             m.setattr(forward, "_slave_chemical",
@@ -491,3 +517,67 @@ def test_slaved_terms_match_the_kinetics(square33, rng):
             assert np.all(np.abs(hoisted - expected) <= 8.0 * eps * scale)
     assert make_kinetics(p).slaved_terms("g", d, u) is None
     assert make_kinetics(p).bind(d).slaved_terms("h", d, u) is None
+
+
+# -- tau=1 stacked step and the per-step call structure ---------------------------------
+
+
+def _reference_tau1_step(domain, state, p, kin, cfg, prior=None):
+    """The tau=1 step before its implicit solves were stacked: u, v and w each take
+    their own :func:`forward.implicit_step`, with the reference kinetics.  Kept as the
+    reference that the stacked step must match bitwise."""
+    u, v, w = state
+    vels = grid.face_velocities(domain, p.chi * v - p.xi * w)
+    advect = grid.upwind_flux_div(domain, u, vels) if p.chi or p.xi else 0.0
+    dt, h = cfg.dt, cfg.relaxation_speedup * cfg.dt
+    return (forward.implicit_step(domain, u, p.r * u - p.mu * u * u - advect, dt),
+            forward.implicit_step(domain, v, _reference_kinetics(domain, kin, "g", u, v), h),
+            forward.implicit_step(domain, w, _reference_kinetics(domain, kin, "h", u, w), h))
+
+
+@pytest.mark.parametrize("speedup", [1.0, 2.5])
+@pytest.mark.parametrize("cells, matrices", [((129,), False), ((33, 33), True), ((81, 81), False)])
+def test_tau1_stacked_step_matches_separate_steps(monkeypatch, nondegenerate_params, cells,
+                                                   matrices, speedup):
+    # one stacked transform per step, through either transform path, returns the
+    # trajectory of three separate implicit steps, bitwise
+    d = Domain((1.0,) * len(cells), cells)
+    assert (d.dct_matrices is not None) == matrices
+    X = d.meshgrid()
+    f = 0.5 + 0.3 * np.cos(math.pi * X[0]) * np.cos(2.0 * math.pi * X[-1])
+    p = nondegenerate_params
+    kin = make_kinetics(p, second_order_g={(1, 1): 0.2}, second_order_h={(2, 0): -0.1})
+    cfg = SolverConfig(tau=1, dt=5e-4, t_final=2e-2 if d.dim == 1 else 4e-3,
+                       relaxation_speedup=speedup)
+    init = (f, 0.9 * f, 0.7 * f)
+    present = solve_forward(d, init, p, kin, cfg)
+    monkeypatch.setattr(forward, "step", _reference_tau1_step)
+    reference = solve_forward(d, init, p, kin, cfg)
+    for name in ("u", "v", "w"):
+        assert np.array_equal(present.component(name), reference.component(name))
+
+
+@pytest.mark.parametrize("tau, helmholtz, spectral", [(0, 2, 1), (1, 0, 1)])
+def test_step_call_structure(monkeypatch, line129, nondegenerate_params, tau, helmholtz, spectral):
+    # a tau=0 step with linear kinetics slaves v and w by one helmholtz_solve each and
+    # steps u by one spectral_helmholtz; a tau=1 step runs all three as one stack
+    calls = {"helmholtz_solve": 0, "spectral_helmholtz": 0}
+
+    def counting(name):
+        fn = getattr(grid, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(grid, name, counting(name))
+    d, p = line129, nondegenerate_params
+    f = 0.5 + 0.3 * np.cos(math.pi * d.axes[0])
+    step(d, (f, 0.9 * f, 0.7 * f), p, make_kinetics(p).bind(d), SolverConfig(tau=tau, dt=5e-4))
+    assert calls == {"helmholtz_solve": helmholtz, "spectral_helmholtz": spectral}, (
+        "the per-step solve calls changed; perfbench/test_tracer.py pins them (one "
+        "solve_forward per oracle run, 50 forward.step calls per run, 2 helmholtz_solve "
+        "calls per tau=0 step), and only a benchmark change retargets those pins "
+        "(ROADMAP item 1)")

@@ -286,6 +286,29 @@ def test_helmholtz_residual_check_guards_the_matrix_path(rng):
         helmholtz_solve(d, rng.standard_normal(d.shape), decay=1.0)
 
 
+def test_helmholtz_residual_check_guards_the_2d_pocketfft_path(rng):
+    # and on a 2D grid above the matrix cap, which transforms through pocketfft
+    d = Domain((1.0, 2.0), (81, 81))
+    assert d.dct_matrices is None
+    d.neumann_eigenvalues = 1.01 * d.neumann_eigenvalues
+    with pytest.raises(EllipticSolveError):
+        helmholtz_solve(d, rng.standard_normal(d.shape), decay=1.0)
+
+
+def test_helmholtz_returns_on_the_largest_surveyed_rounding_residuals(rng):
+    # the cases behind RESIDUAL_ROUNDING_SLACK's pocketfft figure: a checkerboard source
+    # at decay 1 on a 50 x 77 grid on [0, 0.1] x [0, 3], and random sources at decay
+    # 1e4; each returns the spectral solution
+    from archemo.grid import _spectral_solve
+    wide = Domain((0.1, 3.0), (50, 77))
+    assert wide.dct_matrices is None
+    cases = [(wide, (-1.0) ** np.indices(wide.shape).sum(axis=0), 1.0)]
+    for d in (Domain(1.0, 33), wide):
+        cases += [(d, rng.standard_normal(d.shape), 1e4) for _ in range(20)]
+    for d, src, decay in cases:
+        assert np.array_equal(helmholtz_solve(d, src, decay), _spectral_solve(d, src, decay))
+
+
 def test_screened_apply_matches_laplacian_form(rng):
     # the residual check's one-array (-Lap + decay) x differs from the Laplacian form
     # only in rounding, at most a few eps * (largest eigenvalue + decay) * max|x|
