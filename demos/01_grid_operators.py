@@ -33,7 +33,7 @@ print(f"\n2D self-adjointness gap on random fields: {gap:.3e}")
 
 u = rng.random(d.shape)
 p = rng.standard_normal(d.shape)
-total = quadrature(d, advective_flux_div(d, u, p, strength=0.7))
+total = quadrature(d, advective_flux_div(d, u, 0.7 * p))
 print(f"advective flux divergence integrates to:  {total:.3e} (conservative form)")
 
 print("\nupwind order for a varying density (interior max error):")

@@ -228,16 +228,10 @@ class KineticsSpec:
     def delta_decay(self) -> float:
         return -float(self.h_coeffs[(0, 1)])
 
-    def coeff_grid(self, which: str, key, domain: Domain):
-        table = self.g_coeffs if which == "g" else self.h_coeffs
-        if key not in table:
-            return None
-        return coefficient_on_grid(table[key], domain)
-
     @staticmethod
     def _weighted_terms(table, domain):
-        return [(p, q, coefficient_on_grid(val, domain) * _monomial_weight(p, q))
-                for (p, q), val in table.items()]
+        return {(p, q): coefficient_on_grid(val, domain) * _monomial_weight(p, q)
+                for (p, q), val in table.items()}
 
     def bind(self, domain: Domain) -> KineticsSpec:
         """A copy for runs on ``domain`` that builds its coefficient grids once, here.
@@ -252,8 +246,10 @@ class KineticsSpec:
             for which, table in (("g", bound.g_coeffs), ("h", bound.h_coeffs))})
         return bound
 
-    def _table_terms(self, which, domain):
-        # (weighted coefficient grids, linear in the chemical) of G or H on domain
+    def terms(self, which: str, domain: Domain):
+        """({(p, q): coefficient grid times its monomial weight} of G (``which="g"``) or
+        H (``"h"``) on domain, in table order; whether that table is linear in its
+        chemical).  A spec bound to domain returns the grids :meth:`bind` built."""
         if self._terms is not None and self._terms[0] is domain:
             return self._terms[1][which]
         table = self.g_coeffs if which == "g" else self.h_coeffs
@@ -264,7 +260,7 @@ class KineticsSpec:
         # first product; powers of 1 multiply by du or dn itself, which is the value
         # of du**1, and p + q >= 1 makes every product a fresh array
         out = None
-        for p, q, term in self._table_terms(which, domain)[0]:
+        for (p, q), term in self.terms(which, domain)[0].items():
             if p:
                 term = term * (du if p == 1 else du**p)
             if q:
@@ -296,13 +292,13 @@ class KineticsSpec:
         holds coef * (u - u0)^p of a term with q >= 1.  The (0, 1) term is left
         out: it is -decay * (c - c0) and cancels the added decay.
         """
-        terms, linear = self._table_terms(which, domain)
+        terms, linear = self.terms(which, domain)
         if linear:
             return None
         du = u - self.expansion_point.u0
         fixed = np.zeros(domain.shape)
         factors = []
-        for p, q, term in terms:
+        for (p, q), term in terms.items():
             if p:
                 term = term * du**p
             if not q:
@@ -313,17 +309,13 @@ class KineticsSpec:
 
     def second_order_sources(self, which: str, domain: Domain, u1, c1):
         """a11*u1*c1 + 2*a20*u1^2 + 2*a02*c1^2 of G (``which="g"``, c1 = v1) or H
-        (``"h"``, c1 = w1) on the grid, skipping absent entries."""
+        (``"h"``, c1 = w1) on the grid, skipping absent entries.  Each is 2 * grid * its
+        two factors, grid from :meth:`terms`: the weight 1/2 of (1, 1) makes 2 * grid a11."""
+        grids = self.terms(which, domain)[0]
         out = np.zeros(domain.shape)
-        c = self.coeff_grid(which, (1, 1), domain)
-        if c is not None:
-            out += c * u1 * c1
-        c = self.coeff_grid(which, (2, 0), domain)
-        if c is not None:
-            out += 2.0 * c * u1 * u1
-        c = self.coeff_grid(which, (0, 2), domain)
-        if c is not None:
-            out += 2.0 * c * c1 * c1
+        for key, x, y in (((1, 1), u1, c1), ((2, 0), u1, u1), ((0, 2), c1, c1)):
+            if key in grids:
+                out += 2.0 * grids[key] * x * y
         return out
 
 
@@ -450,7 +442,7 @@ def _slave_chemical(domain, kin, which, u, previous=None, earlier=None):
     else:
         decay, base = kin.delta_decay, eq.w0
     v = previous if previous is not None else domain.constant(base)
-    linear = kin._table_terms(which, domain)[1]
+    linear = kin.terms(which, domain)[1]
     if linear:
         dn = v - base
         rhs = kin._evaluate(which, domain, u - eq.u0, dn)

@@ -221,20 +221,19 @@ class _NodeIndex(dict):
 _NODE_INDEX = _NodeIndex()
 
 
-def face_velocities(domain, potential, strength=1.0):
-    """Face-centered velocity strength * dP/dx along each axis."""
+def face_velocities(domain, potential):
+    """Face-centered velocity dP/dx along each axis."""
     vels = []
     lead = potential.ndim - domain.dim
     for axis, h in enumerate(domain.spacing):
         lo, hi = _NODE_INDEX[potential.ndim, lead + axis][:2]
-        diff = potential[hi] - potential[lo]
-        vels.append((diff if strength == 1.0 else strength * diff) / h)
+        vels.append((potential[hi] - potential[lo]) / h)
     return vels
 
 
-def upwind_patterns(domain, potential, strength=1.0):
+def upwind_patterns(domain, potential):
     """Donor-side masks (True -> take the left node) for each axis of faces."""
-    return [v > 0 for v in face_velocities(domain, potential, strength)]
+    return [v > 0 for v in face_velocities(domain, potential)]
 
 
 def _flux_divergence(domain, u, vels, patterns):
@@ -255,8 +254,8 @@ def _flux_divergence(domain, u, vels, patterns):
     return div
 
 
-def advective_flux_div(domain, u, potential, strength=1.0):
-    """Divergence of the advective flux strength * u * grad(potential).
+def advective_flux_div(domain, u, potential):
+    """Divergence of the advective flux u * grad(potential).
 
     First-order upwinding on u with centered face gradients of the potential;
     outer faces carry zero flux, so the weighted total is conserved exactly.
@@ -264,7 +263,7 @@ def advective_flux_div(domain, u, potential, strength=1.0):
     """
     u = domain.check_field(u, "density", stacked=True)
     potential = domain.check_field(potential, "potential", stacked=True)
-    return upwind_flux_div(domain, u, face_velocities(domain, potential, strength))
+    return upwind_flux_div(domain, u, face_velocities(domain, potential))
 
 
 def upwind_flux_div(domain, u, vels):
@@ -272,7 +271,7 @@ def upwind_flux_div(domain, u, vels):
     return _flux_divergence(domain, u, vels, [v > 0 for v in vels])
 
 
-def advective_flux_div_patterned(domain, u, potential, patterns, strength=1.0):
+def advective_flux_div_patterned(domain, u, potential, patterns):
     """Like :func:`advective_flux_div` but with an externally frozen upwind pattern.
 
     With the pattern fixed, the result is linear in the potential, which the
@@ -281,7 +280,7 @@ def advective_flux_div_patterned(domain, u, potential, patterns, strength=1.0):
     """
     u = domain.check_field(u, "density", stacked=True)
     potential = domain.check_field(potential, "potential", stacked=True)
-    vels = face_velocities(domain, potential, strength)
+    vels = face_velocities(domain, potential)
     return _flux_divergence(domain, u, vels, patterns)
 
 
@@ -294,9 +293,9 @@ def face_speed(vels):
     return speed
 
 
-def max_face_speed(domain, potential, strength=1.0):
-    """Largest |strength * dP/dx| over all faces and axes (CFL numerator)."""
-    return face_speed(face_velocities(domain, potential, strength))
+def max_face_speed(domain, potential):
+    """Largest |dP/dx| over all faces and axes (CFL numerator)."""
+    return face_speed(face_velocities(domain, potential))
 
 
 # ---------------------------------------------------------------------------

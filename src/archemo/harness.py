@@ -361,6 +361,10 @@ def parameter_distance(b1: ParameterSet, b2: ParameterSet, domain: Domain | None
 
 # parameter sets closer than this (parameter_distance) count as the same truth
 PARAM_TOL = 0.05
+# measure_match_tol's multiple of the solver's dt self-convergence error
+MATCH_TOL_FACTOR = 10.0
+# random_parameter_set's range of relative moves of each scalar parameter
+PERTURB_LO, PERTURB_HI = 0.06, 0.15
 
 
 @dataclass
@@ -382,9 +386,8 @@ def _forward_measure(domain, params, cfg, init):
     return measure(solve_forward(domain, init, params, kin, cfg))
 
 
-def measure_match_tol(domain: Domain, params: ParameterSet, init, cfg: SolverConfig,
-                      factor: float = 10.0) -> float:
-    """factor x the solver's dt self-convergence error on this configuration.
+def measure_match_tol(domain: Domain, params: ParameterSet, init, cfg: SolverConfig) -> float:
+    """MATCH_TOL_FACTOR x the solver's dt self-convergence error on this configuration.
 
     Discrete map equality is only meaningful up to discretization error; this
     calibrates the equality threshold once per configuration.
@@ -392,7 +395,7 @@ def measure_match_tol(domain: Domain, params: ParameterSet, init, cfg: SolverCon
     m1 = _forward_measure(domain, params, cfg, init)
     half = SolverConfig(**{**cfg.__dict__, "dt": cfg.dt / 2, "store_every": cfg.store_every * 2})
     m2 = _forward_measure(domain, params, half, init)
-    return factor * measurement_distance(m1, m2)
+    return MATCH_TOL_FACTOR * measurement_distance(m1, m2)
 
 
 def identifiability_experiment(domain: Domain, b1: ParameterSet, b2: ParameterSet,
@@ -404,7 +407,7 @@ def identifiability_experiment(domain: Domain, b1: ParameterSet, b2: ParameterSe
                              measurement_distance(m1, m2), match_tol)
 
 
-def random_parameter_set(rng, base: ParameterSet, lo=0.06, hi=0.15) -> ParameterSet:
+def random_parameter_set(rng, base: ParameterSet) -> ParameterSet:
     """Componentwise multiplicative perturbation with signs; keeps admissibility."""
     vals = {}
     for name in ("chi", "xi", "r", "mu", "alpha", "beta", "gamma", "delta"):
@@ -412,7 +415,7 @@ def random_parameter_set(rng, base: ParameterSet, lo=0.06, hi=0.15) -> Parameter
         if isinstance(v, (np.ndarray, SeparableField)):
             vals[name] = v
             continue
-        bump = rng.uniform(lo, hi) * (1 if rng.random() < 0.5 else -1)
+        bump = rng.uniform(PERTURB_LO, PERTURB_HI) * (1 if rng.random() < 0.5 else -1)
         vals[name] = float(v) * (1.0 + bump)
     return ParameterSet(**vals)
 

@@ -47,6 +47,10 @@ __all__ = [
     "separability_misfit",
 ]
 
+# moment scans keep |axial rate| * diameter within this cap, the validity range of
+# the small-exponent expansion; moment_recover fits only the rates within it
+MOMENT_CAP = 0.4
+
 
 # ---------------------------------------------------------------------------
 # eigenmodes
@@ -105,8 +109,6 @@ class CGOProbe:
     parabolic kind annihilates.
     """
 
-    kind: str
-    zeta: np.ndarray
     rate: float
     space_exponent: np.ndarray
     time_exponent: float
@@ -172,8 +174,6 @@ def cgo_parabolic(zeta, rate: float) -> CGOProbe:
     zeta = np.asarray(np.atleast_1d(zeta), dtype=float)
     abs2 = float(zeta @ zeta)
     return CGOProbe(
-        kind="parabolic",
-        zeta=zeta,
         rate=float(rate),
         space_exponent=-1j * zeta,
         time_exponent=abs2 - float(rate),
@@ -199,9 +199,7 @@ def cgo_elliptic(xi_prime, sign: int = +1) -> CGOProbe:
     expo = np.zeros(d, dtype=complex)
     expo[:-1] = 1j * xi_prime
     expo[-1] = sign * axial
-    zeta = expo.copy()
-    return CGOProbe(kind="elliptic", zeta=zeta, rate=0.0,
-                    space_exponent=expo, time_exponent=0.0)
+    return CGOProbe(rate=0.0, space_exponent=expo, time_exponent=0.0)
 
 
 def weighted_integral(domain: Domain, times, values, probe: CGOProbe) -> complex:
@@ -269,11 +267,10 @@ def transform_samples(domain: Domain, values, descriptors) -> list:
     return out
 
 
-def moment_probe_descriptors(domain: Domain, n_samples: int = 24, moment_cap: float = 0.4,
-                             anchor_mode: int = 1):
+def moment_probe_descriptors(domain: Domain, n_samples: int = 24, anchor_mode: int = 1):
     """Axial-rate scan at a fixed transverse anchor frequency.
 
-    Rates satisfy |rate| * diam <= moment_cap, the validity range of the
+    Rates satisfy |rate| * diam <= MOMENT_CAP, the validity range of the
     small-exponent expansion whose coefficients are the scaled moments.  The
     anchor is a cosine frequency of the transverse axis; rate = 0 is included
     to normalize away the (unknown) transverse transform value.
@@ -282,7 +279,7 @@ def moment_probe_descriptors(domain: Domain, n_samples: int = 24, moment_cap: fl
         raise ValueError("moment probes need a transverse direction")
     anchor = anchor_mode * math.pi / domain.lengths[0]
     xi = (anchor,) + (0.0,) * (domain.dim - 2)
-    tmax = moment_cap / domain.diameter
+    tmax = MOMENT_CAP / domain.diameter
     descriptors = [(xi, 0.0)]
     half = max(n_samples // 2, 4)
     for i in range(1, half + 1):
@@ -311,9 +308,8 @@ def cosine_probe_descriptors(domain: Domain):
     return descriptors
 
 
-def separable_probe_set(domain: Domain, n_moment: int = 24, moment_cap: float = 0.4,
-                        anchor_mode: int = 1):
-    return (moment_probe_descriptors(domain, n_moment, moment_cap, anchor_mode)
+def separable_probe_set(domain: Domain, n_moment: int = 24, anchor_mode: int = 1):
+    return (moment_probe_descriptors(domain, n_moment, anchor_mode)
             + cosine_probe_descriptors(domain))
 
 
@@ -405,12 +401,12 @@ def _axial_from_moments(domain: Domain, gammas, sigmas, lambda_reg: float):
 
 
 def moment_recover(domain: Domain, samples, J: int = 6, gamma0: float = 1.0,
-                   lambda_reg: float = 1e-8, moment_cap: float = 0.4) -> MomentRecovery:
+                   lambda_reg: float = 1e-8) -> MomentRecovery:
     """Factor a separable function from its transform samples.
 
     ``samples`` are :class:`TransformSample` records over the union of the
     moment descriptors (an axial-rate scan at a fixed transverse anchor, rates
-    within the smallness cap) and the cosine descriptors (harmonic +/- pairs
+    within :data:`MOMENT_CAP`) and the cosine descriptors (harmonic +/- pairs
     at pi*m/L1).  ``gamma0`` declares the axial integral, fixing the
     multiplicative gauge of the factor pair.  The moments are fitted on the
     scan anchor with the largest rate-0 transform (the probe set has one).
@@ -421,7 +417,7 @@ def moment_recover(domain: Domain, samples, J: int = 6, gamma0: float = 1.0,
         raise ValueError("declared Gamma_0 is below tolerance; gauge not fixed")
     by_key = {}
     scans = {}
-    tmax = moment_cap / domain.diameter
+    tmax = MOMENT_CAP / domain.diameter
     for rec in samples:
         by_key[(rec.xi_prime, rec.axial_rate)] = rec.value
         on_cone = abs(abs(rec.axial_rate) - math.sqrt(sum(c * c for c in rec.xi_prime))) < 1e-12

@@ -20,7 +20,14 @@ identities that underpin the uniqueness theory, stage by stage:
 Every estimator inverts the discrete-in-time relations the solver actually
 satisfies (growth factors per step rather than continuum exponents), so the
 stages are exact on noiseless data up to the finite-difference extraction
-error of order eps.
+error of order eps.  Each relation is written once, so a stage that should
+invert a different one swaps a single function:
+
+- modal decay rates (stage 1, and the tau=1 chemical decays of stage 2):
+  :func:`_modal_rates`, inverted per step by :func:`rate_to_growth` and
+  :func:`_chem_rate_to_decay`;
+- the chemical balance (stages 2 and 4): :func:`_chemical_balance`;
+- the density step (stage 3): :func:`forward.step_source` with step dt.
 """
 
 from __future__ import annotations
@@ -142,6 +149,10 @@ PATTERN_PASSES = 2
 # stage 3 builds its regressors for this many time steps at a time; it bounds the
 # block temporaries, about a dozen arrays of this many fields
 REGRESSOR_BLOCK = 64
+# an exponential-rate fit keeps the samples down to this fraction of the largest
+# amplitude, and fails above this rms residual of its log-linear fit
+FIT_REL_FLOOR = 1e-6
+FIT_TOL = 1e-2
 
 
 @dataclass
@@ -244,16 +255,16 @@ def _default_chi_experiments(domain, options, tau=0) -> list:
 # shared estimator pieces
 
 
-def fit_exponential_rate(times, amps, fit_tol=1e-2, rel_floor=1e-6):
+def fit_exponential_rate(times, amps):
     """Slope of log |amplitude| against time; returns (theta, sigma, rms_residual).
 
     Samples are trimmed to the initial window where the amplitude stays above
-    rel_floor times its maximum; below that the extraction noise dominates
+    FIT_REL_FLOOR times its maximum; below that the extraction noise dominates
     and the history is no longer informative about the rate.
     """
     times = np.asarray(times, dtype=float)
     amps = np.asarray(amps, dtype=float)
-    floor = rel_floor * float(np.max(np.abs(amps)))
+    floor = FIT_REL_FLOOR * float(np.max(np.abs(amps)))
     keep = len(amps)
     for i, a in enumerate(np.abs(amps) < floor):
         if a:
@@ -270,9 +281,9 @@ def fit_exponential_rate(times, amps, fit_tol=1e-2, rel_floor=1e-6):
     fitted = A @ coef
     resid = y - fitted
     rms = float(np.sqrt(np.mean(resid ** 2)))
-    if rms > fit_tol:
+    if rms > FIT_TOL:
         raise RecoveryError(
-            f"modal history is not exponential (log-fit rms {rms:.3e} > {fit_tol:.1e}); "
+            f"modal history is not exponential (log-fit rms {rms:.3e} > {FIT_TOL:.1e}); "
             "model mismatch")
     n = len(times)
     denom = float(np.sum((times - times.mean()) ** 2))
@@ -291,6 +302,28 @@ def _chem_rate_to_decay(theta_hat, lam_h, dt, s):
     """Decay rate of a source-free chemical mode, per the tau=1 stepping."""
     growth = math.exp(theta_hat * dt)
     return (1.0 - growth * (1.0 + s * dt * lam_h)) / (s * dt)
+
+
+def _modal_rates(domain, times, series):
+    """(k, lam_h, theta, sigma) per axial mode k of (0,) + MODE_INDICES: the fitted
+    exponential rate theta, and its sigma, of the mode's amplitude in ``series``."""
+    rates = []
+    for k in (0,) + MODE_INDICES:
+        mode = _axial_mode(domain, k)
+        theta, sigma, _ = fit_exponential_rate(times, pr.modal_amplitude(domain, series, mode))
+        rates.append((k, mode.lam_h, theta, sigma))
+    return rates
+
+
+def _chemical_balance(oracle, chem):
+    """The kinetics G (or H) that the chemical variation series ``chem`` balances: by
+    0 = Lap c + G, -Lap c of every slice at tau=0; by the chemical step of size s dt,
+    its step source (:func:`forward.step_source`) of every slice but the last at tau=1.
+    Callers take the other series to the length of the result."""
+    cfg = oracle.cfg
+    if cfg.tau == 0:
+        return -g.laplacian_neumann(oracle.domain, chem)
+    return step_source(oracle.domain, chem, cfg.relaxation_speedup * cfg.dt)
 
 
 def linear_pair_from_ratios(rhos, lams):
@@ -369,11 +402,8 @@ def recover_r(oracle: Oracle, options: PipelineOptions | None = None,
     fd_floor = max(stack.diagnostics.get("order1_corrections", [0.0])[-1], 1e-14)
     scale = float(np.max(np.abs(u1))) or 1.0
     estimates, sigmas, details = [], [], {}
-    for k in (0,) + MODE_INDICES:
-        mode = _axial_mode(domain, k)
-        amps = pr.modal_amplitude(domain, u1, mode)
-        theta, sigma, rms = fit_exponential_rate(times, amps)
-        r_k = rate_to_growth(theta, mode.lam_h, dt)
+    for k, lam, theta, sigma in _modal_rates(domain, times, u1):
+        r_k = rate_to_growth(theta, lam, dt)
         estimates.append(r_k)
         sigmas.append(max(sigma, fd_floor / scale, 1e-10))
         details[f"theta_{k}"] = theta
@@ -423,107 +453,92 @@ def _cgo_rate_check(domain, times, u1, r_hat):
 # stage 2: linear kinetics
 
 
+# (chemical, its source, its decay) of the two chemical equations
+_LINEAR_PAIRS = (("v", "alpha", "beta"), ("w", "gamma", "delta"))
+
+
 def recover_linear_kinetics(oracle: Oracle, options: PipelineOptions | None = None,
                             bank: ExperimentBank | None = None,
                             experiments: dict | None = None) -> StageRecord:
     """(alpha, beta) and (gamma, delta) from chemical balances of the first variation,
-    which need no earlier estimate."""
+    which need no earlier estimate: the decays from modal ratios of each chemical to
+    the density (tau=0) or from modal rates of a source-free chemical probe (tau=1),
+    the sources by pointwise regression of balance + decay * chemical on the density."""
     options = options or PipelineOptions()
     bank = bank or ExperimentBank(oracle)
     exps = experiments or _default_lin_experiment(oracle.domain, options, oracle.tau)
-    domain = oracle.domain
-    want_fields = options.recover_fields if options.recover_fields is not None else domain.dim > 1
-
-    if oracle.tau == 0:
-        rec = _linear_kinetics_tau0(oracle, bank, exps, want_fields)
-    else:
-        rec = _linear_kinetics_tau1(oracle, bank, exps, want_fields)
-    rec.experiments = [e.name for e in exps.values()]
+    want_fields = (options.recover_fields if options.recover_fields is not None
+                   else oracle.domain.dim > 1)
+    rec = StageRecord(name="linear_kinetics", experiments=[e.name for e in exps.values()])
+    per_tau = _linear_kinetics_from_ratios if oracle.tau == 0 else _linear_kinetics_from_probe
+    per_tau(oracle, bank, exps, want_fields, rec)
     return rec
 
 
-def _mask_floor(u1):
-    return U_FLOOR_REL * (float(np.max(np.abs(u1))) or 1.0)
-
-
-def _linear_kinetics_tau0(oracle, bank, exps, want_fields):
+def _linear_kinetics_from_ratios(oracle, bank, exps, want_fields, rec):
+    """tau=0: each decay, and the mean source, from the ratios rho_k of the chemical's
+    modes to the density's (abar - rho_k * decay = rho_k * lam_k)."""
     domain = oracle.domain
-    stack = bank.stack(exps["lin"])
-    o1 = stack.order1
-    wt = g.time_weights(o1.times)
-
-    estimates, residuals, conditioning, details = {}, {}, {}, {}
-    for comp, names in (("v", ("alpha", "beta")), ("w", ("gamma", "delta"))):
-        chem = o1.component(comp)
-        rhos, lams = [], []
-        for k in (0,) + MODE_INDICES:
-            mode = _axial_mode(domain, k)
-            rhos.append(_modal_ratio(domain, chem, o1.u, mode, wt))
-            lams.append(mode.lam_h)
-        abar, decay, cond, resid = linear_pair_from_ratios(rhos, lams)
+    lin = bank.stack(exps["lin"]).order1
+    wt = g.time_weights(lin.times)
+    modes = [_axial_mode(domain, k) for k in (0,) + MODE_INDICES]
+    for comp, src_name, decay_name in _LINEAR_PAIRS:
+        rhos = [_modal_ratio(domain, lin.component(comp), lin.u, mode, wt) for mode in modes]
+        abar, decay, cond, resid = linear_pair_from_ratios(rhos, [m.lam_h for m in modes])
         if decay <= 0:
-            raise RecoveryError(
-                f"recovered decay for {names[1]} is {decay:.3e}; violates the positivity convention")
-        conditioning[names[0]] = cond
-        residuals[names[0]] = resid
-        details[f"rhos_{comp}"] = rhos
+            raise RecoveryError(f"recovered decay for {decay_name} is {decay:.3e}; "
+                                "violates the positivity convention")
+        rec.conditioning[src_name] = cond
+        rec.residuals[src_name] = resid
+        rec.details[f"rhos_{comp}"] = rhos
         if want_fields:
-            numer = -g.laplacian_neumann(domain, chem) + decay * chem
-            fld = _time_regressed_field(domain, numer, o1.u, wt, _mask_floor(o1.u))
-            proj = _project_axial_independent(domain, fld)
-            misfit = g.norm_l2(domain, fld - proj) / (g.norm_l2(domain, fld) or 1.0)
-            residuals[f"{names[0]}_projection_misfit"] = misfit
-            estimates[names[0]] = proj
+            _record_balance_source(oracle, lin, comp, decay, True, src_name, rec)
         else:
-            estimates[names[0]] = abar
-        estimates[names[1]] = decay
-    return StageRecord(name="linear_kinetics", estimates=estimates, residuals=residuals,
-                       conditioning=conditioning, details=details)
+            rec.estimates[src_name] = abar
+        rec.estimates[decay_name] = decay
 
 
-def _linear_kinetics_tau1(oracle, bank, exps, want_fields):
+def _linear_kinetics_from_probe(oracle, bank, exps, want_fields, rec):
+    """tau=1: each decay from the modal rates of the source-free chemical probe
+    (f1 = 0), inverted through the chemical step; the sources from the density probe."""
     domain, cfg = oracle.domain, oracle.cfg
-    dt, s = cfg.dt, cfg.relaxation_speedup
     _require_stride_one(oracle, "tau=1 linear-kinetics recovery")
-
-    # decay rates from the source-free chemical probe (f1 = 0)
     chem_stack = bank.stack(exps["chem"]).order1
-    estimates, residuals, conditioning, details = {}, {}, {}, {}
-    for comp, name in (("v", "beta"), ("w", "delta")):
-        fieldstack = chem_stack.component(comp)
-        vals = []
-        for k in (0,) + MODE_INDICES:
-            mode = _axial_mode(domain, k)
-            amps = pr.modal_amplitude(domain, fieldstack, mode)
-            theta, _, _ = fit_exponential_rate(chem_stack.times, amps)
-            vals.append(_chem_rate_to_decay(theta, mode.lam_h, dt, s))
+    for comp, _, decay_name in _LINEAR_PAIRS:
+        vals = [_chem_rate_to_decay(theta, lam, cfg.dt, cfg.relaxation_speedup)
+                for _, lam, theta, _ in _modal_rates(domain, chem_stack.times,
+                                                      chem_stack.component(comp))]
         decay = float(np.mean(vals))
         if decay <= 0:
-            raise RecoveryError(f"recovered decay {name} is {decay:.3e}; violates positivity")
-        estimates[name] = decay
-        residuals[name] = float(np.max(vals) - np.min(vals))
-        details[f"decay_modes_{comp}"] = vals
-
-    # sources from the density probe (g1 = h1 = 0)
+            raise RecoveryError(f"recovered decay {decay_name} is {decay:.3e}; violates positivity")
+        rec.estimates[decay_name] = decay
+        rec.residuals[decay_name] = float(np.max(vals) - np.min(vals))
+        rec.details[f"decay_modes_{comp}"] = vals
     lin = bank.stack(exps["lin"]).order1
-    wt = g.time_weights(lin.times[:-1])
-    for comp, src_name, decay_name in (("v", "alpha", "beta"), ("w", "gamma", "delta")):
-        chem = lin.component(comp)
-        decay = estimates[decay_name]
-        # invert the stepping relation: a*u1[n] = ((I - s dt Lap) chem[n+1] - chem[n])/(s dt) + decay*chem[n]
-        numer = step_source(domain, chem, s * dt) + decay * chem[:-1]
-        fld = _time_regressed_field(domain, numer, lin.u[:-1], wt, _mask_floor(lin.u))
-        if want_fields:
-            proj = _project_axial_independent(domain, fld)
-            misfit = g.norm_l2(domain, fld - proj) / (g.norm_l2(domain, fld) or 1.0)
-            residuals[f"{src_name}_projection_misfit"] = misfit
-            estimates[src_name] = proj
-        else:
-            w = domain.weights / domain.weights.sum()
-            estimates[src_name] = float(np.sum(w * fld))
-            residuals[f"{src_name}_spatial_spread"] = float(np.max(fld) - np.min(fld))
-    return StageRecord(name="linear_kinetics", estimates=estimates, residuals=residuals,
-                       conditioning=conditioning, details=details)
+    for comp, src_name, decay_name in _LINEAR_PAIRS:
+        _record_balance_source(oracle, lin, comp, rec.estimates[decay_name], want_fields,
+                               src_name, rec)
+
+
+def _record_balance_source(oracle, lin, comp, decay, want_fields, name, rec):
+    """Record the source ``name`` of chemical ``comp``: the pointwise regression of
+    balance + decay * chemical (:func:`_chemical_balance`) on the density of ``lin``,
+    projected to its axially independent part (``want_fields``) or averaged."""
+    domain, chem = oracle.domain, lin.component(comp)
+    balance = _chemical_balance(oracle, chem)
+    n = len(balance)
+    floor = U_FLOOR_REL * (float(np.max(np.abs(lin.u))) or 1.0)
+    fld = _time_regressed_field(domain, balance + decay * chem[:n], lin.u[:n],
+                                g.time_weights(lin.times[:n]), floor)
+    if want_fields:
+        proj = _project_axial_independent(domain, fld)
+        misfit = g.norm_l2(domain, fld - proj) / (g.norm_l2(domain, fld) or 1.0)
+        rec.residuals[f"{name}_projection_misfit"] = misfit
+        rec.estimates[name] = proj
+    else:
+        w = domain.weights / domain.weights.sum()
+        rec.estimates[name] = float(np.sum(w * fld))
+        rec.residuals[f"{name}_spatial_spread"] = float(np.max(fld) - np.min(fld))
 
 
 # ---------------------------------------------------------------------------
@@ -773,41 +788,29 @@ def recover_second_kinetics(oracle: Oracle, linear: StageRecord,
     options = options or PipelineOptions()
     bank = bank or ExperimentBank(oracle)
     exps = experiments or _default_chi_experiments(oracle.domain, options, oracle.tau)
-    domain, cfg = oracle.domain, oracle.cfg
-    dt, s = cfg.dt, cfg.relaxation_speedup
+    domain = oracle.domain
     if oracle.tau == 1:
         _require_stride_one(oracle, "tau=1 second-order kinetics recovery")
         chem_exps = _default_lin_experiment(domain, options, oracle.tau)
         exps = list(exps) + [chem_exps["chem"]]
 
-    alpha_grid = coefficient_on_grid(linear.estimates["alpha"], domain)
-    gamma_grid = coefficient_on_grid(linear.estimates["gamma"], domain)
-    beta, delta = linear.estimates["beta"], linear.estimates["delta"]
-
     def contribution(exp, comp, a10_grid, decay):
         # one experiment's regressors, reduced to normal-equation pieces
         stack = bank.stack(exp)
         o1, o2 = stack.order1, stack.order2
-        chem1 = o1.component(comp)
         chem2 = o2.component(comp)
-        if oracle.tau == 0:
-            rhs = -g.laplacian_neumann(domain, chem2) + decay * chem2 - a10_grid * o2.u
-            regs = np.stack([o1.u * chem1, 2.0 * o1.u ** 2, 2.0 * chem1 ** 2])
-            wt = g.time_weights(o2.times)
-        else:
-            rhs = (step_source(domain, chem2, s * dt)
-                   + decay * chem2[:-1] - a10_grid * o2.u[:-1])
-            regs = np.stack([o1.u[:-1] * chem1[:-1], 2.0 * o1.u[:-1] ** 2,
-                             2.0 * chem1[:-1] ** 2])
-            wt = g.time_weights(o2.times[:-1])
-        return _normal_contribution(domain, regs, rhs, wt)
+        balance = _chemical_balance(oracle, chem2)
+        n = len(balance)
+        u1, chem1 = o1.u[:n], o1.component(comp)[:n]
+        rhs = balance + decay * chem2[:n] - a10_grid * o2.u[:n]
+        regs = np.stack([u1 * chem1, 2.0 * u1 ** 2, 2.0 * chem1 ** 2])
+        return _normal_contribution(domain, regs, rhs, g.time_weights(o2.times[:n]))
 
-    estimates, residuals, conditioning = {}, {}, {}
-    details = {}
-    for comp, a10_grid, decay, labels in (
-        ("v", alpha_grid, beta, ("a11", "a20", "a02")),
-        ("w", gamma_grid, delta, ("b11", "b20", "b02")),
-    ):
+    estimates, residuals, conditioning, details = {}, {}, {}, {}
+    for (comp, src_name, decay_name), labels in zip(
+            _LINEAR_PAIRS, (("a11", "a20", "a02"), ("b11", "b20", "b02"))):
+        a10_grid = coefficient_on_grid(linear.estimates[src_name], domain)
+        decay = linear.estimates[decay_name]
         # only one experiment's regressors are alive at a time
         pieces = [contribution(exp, comp, a10_grid, decay) for exp in exps]
         coeffs, sigmas, rel_resid, loo = _batched_lsq_3(domain, pieces)

@@ -148,21 +148,22 @@ def solve_variations(domain: Domain, p: ParameterSet, kin: KineticsSpec,
                      fam: PerturbationFamily, cfg: SolverConfig) -> VariationStack:
     """Direct solution of the first- and second-order variation systems.
 
-    Both orders step together through :func:`forward.implicit_step`; the
-    second order's sources need the first order only at the previous step
-    (and, for slaved chemicals, the new one).  Slices are stored like the
-    forward run's, so they line up with differences of oracle runs at any
-    ``store_every``.
+    Both orders take each step as one stacked :func:`forward.implicit_step`: (u1, u2)
+    with step dt at tau=0, whose chemicals are then slaved, and (u1, u2, v1, w1, v2, w2)
+    with steps (dt, dt, h, h, h, h), h = relaxation_speedup * dt, at tau=1.  The second
+    order's sources need the first order only at the previous step (and, for slaved
+    chemicals, the new one).  The kinetics are bound once, as in :func:`forward.solve_forward`.
+    Slices are stored like the forward run's, so they line up with differences of
+    oracle runs at any ``store_every``.
     """
     cfg.validate()
     fam.validate(domain)
-    kin.validate(domain)
+    kin = kin.validate(domain).bind(domain)
     eq = kin.expansion_point
     dt = cfg.dt
-    a10 = kin.coeff_grid("g", (1, 0), domain)
-    b10 = kin.coeff_grid("h", (1, 0), domain)
-    a10 = a10 if a10 is not None else domain.zeros()
-    b10 = b10 if b10 is not None else domain.zeros()
+    # the (1, 0) grids of G and H, whose monomial weight is 1; zero for an absent entry
+    a10 = kin.terms("g", domain)[0].get((1, 0), 0.0)
+    b10 = kin.terms("h", domain)[0].get((1, 0), 0.0)
     beta, delta = kin.beta_decay, kin.delta_decay
     r_eff = p.r - 2.0 * p.mu * eq.u0
     drift = bool(p.chi or p.xi)
@@ -192,24 +193,27 @@ def solve_variations(domain: Domain, p: ParameterSet, kin: KineticsSpec,
     first = SliceStore(domain, cfg, (u1, v1, w1))
     second = SliceStore(domain, cfg, (u2, v2, w2))
     h = cfg.relaxation_speedup * dt
+    sizes = (dt, dt) if cfg.tau == 0 else (dt, dt, h, h, h, h)
     for n in range(1, cfg.n_steps + 1):
         # density sources of the second order, from both orders at the previous step
         source = -2.0 * p.mu * u1 * u1
         if drift:
             source = source - 2.0 * g.advective_flux_div(domain, u1, p.chi * v1 - p.xi * w1)
         source = source - coupling(v2, w2)
-        u1_new = implicit_step(domain, u1, r_eff * u1 - coupling(v1, w1), dt)
-        u2_new = implicit_step(domain, u2, r_eff * u2 + source, dt)
-        if cfg.tau == 0:
-            v1, w1, v2, w2 = slaved(u1_new, u2_new)
-        else:
+        state = (u1, u2)
+        tendency = (r_eff * u1 - coupling(v1, w1), r_eff * u2 + source)
+        if cfg.tau == 1:
             src_v = kin.second_order_sources("g", domain, u1, v1)
             src_w = kin.second_order_sources("h", domain, u1, w1)
-            v1, w1, v2, w2 = (implicit_step(domain, v1, a10 * u1 - beta * v1, h),
-                              implicit_step(domain, w1, b10 * u1 - delta * w1, h),
-                              implicit_step(domain, v2, a10 * u2 - beta * v2 + src_v, h),
-                              implicit_step(domain, w2, b10 * u2 - delta * w2 + src_w, h))
-        u1, u2 = u1_new, u2_new
+            state += (v1, w1, v2, w2)
+            tendency += (a10 * u1 - beta * v1, b10 * u1 - delta * w1,
+                         a10 * u2 - beta * v2 + src_v, b10 * u2 - delta * w2 + src_w)
+        stepped = implicit_step(domain, state, tendency, sizes)
+        if cfg.tau == 0:
+            u1, u2 = stepped
+            v1, w1, v2, w2 = slaved(u1, u2)
+        else:
+            u1, u2, v1, w1, v2, w2 = stepped
         first.put(n, (u1, v1, w1))
         second.put(n, (u2, v2, w2))
     return VariationStack(order1=first.trajectory(), order2=second.trajectory())

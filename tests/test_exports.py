@@ -10,7 +10,9 @@ import pytest
 import archemo
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(archemo.__path__))
-DEMOS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "demos", "*.py")))
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+DEMOS = sorted(glob.glob(os.path.join(ROOT, "demos", "*.py")))
+BENCH_FILES = sorted(glob.glob(os.path.join(ROOT, "perfbench", "*.py")))
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -50,7 +52,7 @@ def _resolve(node, names):
 
 
 def _stale_keywords(path):
-    """``callee(keyword=)`` for every keyword a demo passes to an archemo callable
+    """``callee(keyword=)`` for every keyword a file passes to an archemo callable
     whose signature lacks it."""
     with open(path) as fh:
         tree = ast.parse(fh.read(), filename=path)
@@ -75,10 +77,7 @@ def _stale_keywords(path):
     return stale
 
 
-@pytest.mark.parametrize("path", DEMOS, ids=os.path.basename)
-def test_demo_imports_resolve(path):
-    # the demos are not run by the suite, so a renamed function or a retired
-    # keyword argument would go unnoticed
+def _assert_imports_resolve(path):
     imports = list(_archemo_imports(path))
     assert imports, f"{path} imports nothing from archemo"
     missing = [f"{mod}.{name}" for mod, name in imports
@@ -86,3 +85,18 @@ def test_demo_imports_resolve(path):
     assert not missing, f"{os.path.basename(path)} imports undefined names {missing}"
     stale = _stale_keywords(path)
     assert not stale, f"{os.path.basename(path)} passes keywords its callees lack: {stale}"
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=os.path.basename)
+def test_demo_imports_resolve(path):
+    # the demos are not run by the suite, so a renamed function or a retired
+    # keyword argument would go unnoticed
+    _assert_imports_resolve(path)
+
+
+@pytest.mark.parametrize("path", [p for p in BENCH_FILES if any(_archemo_imports(p))],
+                         ids=os.path.basename)
+def test_benchmark_imports_resolve(path):
+    # a name or keyword the benchmark uses and the package retired would
+    # otherwise surface only as a failed benchmark run
+    _assert_imports_resolve(path)

@@ -480,7 +480,7 @@ def test_linear_slave_solve_matches_reference(monkeypatch, line129, nondegenerat
     ]
     for d, p, kin, f, cfg in cases:
         kin = kin or make_kinetics(p)
-        assert kin.bind(d)._table_terms("g", d)[1] and kin.bind(d)._table_terms("h", d)[1]
+        assert kin.bind(d).terms("g", d)[1] and kin.bind(d).terms("h", d)[1]
         present = solve_forward(d, (f, f, f), p, kin, cfg)
         with monkeypatch.context() as m:
             m.setattr(forward, "_slave_chemical",

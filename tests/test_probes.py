@@ -250,7 +250,7 @@ def test_moment_needs_scan(square65):
 
 
 def test_moment_probe_descriptor_caps(square65):
-    descs = moment_probe_descriptors(square65, n_samples=20, moment_cap=0.4)
+    descs = moment_probe_descriptors(square65, n_samples=20)
     for _, rate in descs:
         assert abs(rate) * square65.diameter <= 0.4 * (1 + 1e-12)
 

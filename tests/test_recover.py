@@ -402,6 +402,147 @@ def test_second_kinetics_separable_2d(square65):
     assert est.misfit <= 0.05
 
 
+# -- stages 2 and 4 against their per-tau forms -----------------------------------
+
+
+def _floor(u1):
+    # the masking floor of the pointwise source regression
+    import archemo.recover as rc
+    return rc.U_FLOOR_REL * (float(np.max(np.abs(u1))) or 1.0)
+
+
+def _reference_linear_kinetics(oracle, bank, exps, want_fields):
+    """Stage 2 with one function per tau, as it was written before the chemical
+    balance and the modal rates had one home each."""
+    import archemo.probes as pr
+    import archemo.recover as rc
+    from archemo.forward import step_source
+    from archemo.grid import laplacian_neumann, time_weights
+    domain, cfg = oracle.domain, oracle.cfg
+    estimates, residuals, conditioning, details = {}, {}, {}, {}
+    if oracle.tau == 0:
+        o1 = bank.stack(exps["lin"]).order1
+        wt = time_weights(o1.times)
+        for comp, names in (("v", ("alpha", "beta")), ("w", ("gamma", "delta"))):
+            chem = o1.component(comp)
+            rhos, lams = [], []
+            for k in (0,) + rc.MODE_INDICES:
+                mode = rc._axial_mode(domain, k)
+                rhos.append(rc._modal_ratio(domain, chem, o1.u, mode, wt))
+                lams.append(mode.lam_h)
+            abar, decay, cond, resid = linear_pair_from_ratios(rhos, lams)
+            conditioning[names[0]] = cond
+            residuals[names[0]] = resid
+            details[f"rhos_{comp}"] = rhos
+            if want_fields:
+                numer = -laplacian_neumann(domain, chem) + decay * chem
+                fld = rc._time_regressed_field(domain, numer, o1.u, wt, _floor(o1.u))
+                proj = rc._project_axial_independent(domain, fld)
+                residuals[f"{names[0]}_projection_misfit"] = (
+                    norm_l2(domain, fld - proj) / (norm_l2(domain, fld) or 1.0))
+                estimates[names[0]] = proj
+            else:
+                estimates[names[0]] = abar
+            estimates[names[1]] = decay
+        return estimates, residuals, conditioning, details
+    dt, s = cfg.dt, cfg.relaxation_speedup
+    chem_stack = bank.stack(exps["chem"]).order1
+    for comp, name in (("v", "beta"), ("w", "delta")):
+        vals = []
+        for k in (0,) + rc.MODE_INDICES:
+            mode = rc._axial_mode(domain, k)
+            amps = pr.modal_amplitude(domain, chem_stack.component(comp), mode)
+            theta, _, _ = fit_exponential_rate(chem_stack.times, amps)
+            vals.append(rc._chem_rate_to_decay(theta, mode.lam_h, dt, s))
+        estimates[name] = float(np.mean(vals))
+        residuals[name] = float(np.max(vals) - np.min(vals))
+        details[f"decay_modes_{comp}"] = vals
+    lin = bank.stack(exps["lin"]).order1
+    wt = time_weights(lin.times[:-1])
+    for comp, src_name, decay_name in (("v", "alpha", "beta"), ("w", "gamma", "delta")):
+        chem = lin.component(comp)
+        numer = step_source(domain, chem, s * dt) + estimates[decay_name] * chem[:-1]
+        fld = rc._time_regressed_field(domain, numer, lin.u[:-1], wt, _floor(lin.u))
+        if want_fields:
+            proj = rc._project_axial_independent(domain, fld)
+            residuals[f"{src_name}_projection_misfit"] = (
+                norm_l2(domain, fld - proj) / (norm_l2(domain, fld) or 1.0))
+            estimates[src_name] = proj
+        else:
+            w = domain.weights / domain.weights.sum()
+            estimates[src_name] = float(np.sum(w * fld))
+            residuals[f"{src_name}_spatial_spread"] = float(np.max(fld) - np.min(fld))
+    return estimates, residuals, conditioning, details
+
+
+def _reference_contribution(oracle, bank, exp, comp, a10_grid, decay):
+    """One experiment's stage-4 normal-equation pieces, with the chemical balance
+    written out per tau."""
+    import archemo.recover as rc
+    from archemo.forward import step_source
+    from archemo.grid import laplacian_neumann, time_weights
+    domain, cfg = oracle.domain, oracle.cfg
+    stack = bank.stack(exp)
+    o1, o2 = stack.order1, stack.order2
+    chem1, chem2 = o1.component(comp), o2.component(comp)
+    if oracle.tau == 0:
+        rhs = -laplacian_neumann(domain, chem2) + decay * chem2 - a10_grid * o2.u
+        regs = np.stack([o1.u * chem1, 2.0 * o1.u ** 2, 2.0 * chem1 ** 2])
+        wt = time_weights(o2.times)
+    else:
+        rhs = (step_source(domain, chem2, cfg.relaxation_speedup * cfg.dt)
+               + decay * chem2[:-1] - a10_grid * o2.u[:-1])
+        regs = np.stack([o1.u[:-1] * chem1[:-1], 2.0 * o1.u[:-1] ** 2, 2.0 * chem1[:-1] ** 2])
+        wt = time_weights(o2.times[:-1])
+    return rc._normal_contribution(domain, regs, rhs, wt)
+
+
+def _assert_same_entries(got, ref):
+    assert list(got) == list(ref)
+    for key, val in ref.items():
+        assert np.array_equal(got[key], val), key
+
+
+@pytest.mark.parametrize("fields", [False, True], ids=["constants", "fields"])
+@pytest.mark.parametrize("tau", [0, 1])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_stages_2_and_4_match_per_tau_reference(dim, tau, fields, nondegenerate_params,
+                                                monkeypatch):
+    import archemo.recover as rc
+    from archemo.forward import coefficient_on_grid
+    domain = Domain(1.0, 65) if dim == 1 else Domain((1.0, 1.0), (17, 17))
+    oracle = _oracle(domain, nondegenerate_params, tau=tau, dt=1e-3, t_final=0.3,
+                     relaxation_speedup=1.5 if tau else 1.0, so_g={(2, 0): 0.2})
+    opts = PipelineOptions(recover_fields=fields)
+    bank = ExperimentBank(oracle)
+    lin_exps = rc._default_lin_experiment(domain, opts, tau)
+    lin = recover_linear_kinetics(oracle, options=opts, bank=bank)
+    ref = _reference_linear_kinetics(oracle, bank, lin_exps, fields)
+    for got, want in zip((lin.estimates, lin.residuals, lin.conditioning, lin.details), ref):
+        _assert_same_entries(got, want)
+    assert lin.experiments == [e.name for e in lin_exps.values()]
+
+    pieces, contribution = [], rc._normal_contribution
+
+    def recording(*args):
+        pieces.append(contribution(*args))
+        return pieces[-1]
+
+    monkeypatch.setattr(rc, "_normal_contribution", recording)
+    rec = recover_second_kinetics(oracle, lin, options=opts, bank=bank)
+    monkeypatch.undo()
+    exps = rc._default_chi_experiments(domain, opts, tau) + ([lin_exps["chem"]] if tau else [])
+    assert rec.experiments == [e.name for e in exps]
+    expected = [_reference_contribution(oracle, bank, exp, comp,
+                                        coefficient_on_grid(lin.estimates[src], domain),
+                                        lin.estimates[decay])
+                for comp, src, decay in (("v", "alpha", "beta"), ("w", "gamma", "delta"))
+                for exp in exps]
+    assert len(pieces) == len(expected)
+    for got, want in zip(pieces, expected):
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 def test_stride_guard_for_step_inversions(square33, applied_params):
     # per-step inversions need consecutive stored slices; with a coarser
     # stride the pipeline skips those stages and says why

@@ -9,6 +9,7 @@ from archemo.forward import (
     SeparableField,
     SolverConfig,
     Trajectory,
+    coefficient_on_grid,
     steady_state,
 )
 from archemo.grid import (
@@ -221,10 +222,8 @@ def _reference_first_variation(domain, p, kin, fam, cfg):
     """First variation stepped on its own, stored at every step."""
     eq = kin.expansion_point
     dt = cfg.dt
-    a10 = kin.coeff_grid("g", (1, 0), domain)
-    b10 = kin.coeff_grid("h", (1, 0), domain)
-    a10 = a10 if a10 is not None else domain.zeros()
-    b10 = b10 if b10 is not None else domain.zeros()
+    a10, b10 = (coefficient_on_grid(table.get((1, 0), 0.0), domain)
+                for table in (kin.g_coeffs, kin.h_coeffs))
     beta, delta = kin.beta_decay, kin.delta_decay
     r_eff = p.r - 2.0 * p.mu * eq.u0
     u1 = fam.profile("f1", domain)
@@ -258,25 +257,36 @@ def _reference_first_variation(domain, p, kin, fam, cfg):
     return Trajectory(domain, times, np.stack(us), np.stack(vs), np.stack(ws))
 
 
+def _second_order_sources(domain, table, u1, c1):
+    """a11*u1*c1 + 2*a20*u1^2 + 2*a02*c1^2 from the raw coefficient table, skipping
+    absent entries."""
+    out = np.zeros(domain.shape)
+    if (1, 1) in table:
+        out += coefficient_on_grid(table[(1, 1)], domain) * u1 * c1
+    if (2, 0) in table:
+        out += 2.0 * coefficient_on_grid(table[(2, 0)], domain) * u1 * u1
+    if (0, 2) in table:
+        out += 2.0 * coefficient_on_grid(table[(0, 2)], domain) * c1 * c1
+    return out
+
+
 def _reference_second_variation(domain, p, kin, fam, o1, cfg):
     """Second variation stepped on its own from the stride-1 first variation ``o1``."""
     eq = kin.expansion_point
     dt = cfg.dt
     n_steps = cfg.n_steps
-    a10 = kin.coeff_grid("g", (1, 0), domain)
-    b10 = kin.coeff_grid("h", (1, 0), domain)
-    a10 = a10 if a10 is not None else domain.zeros()
-    b10 = b10 if b10 is not None else domain.zeros()
+    a10, b10 = (coefficient_on_grid(table.get((1, 0), 0.0), domain)
+                for table in (kin.g_coeffs, kin.h_coeffs))
     beta, delta = kin.beta_decay, kin.delta_decay
     r_eff = p.r - 2.0 * p.mu * eq.u0
     s = cfg.relaxation_speedup
 
     def slave_v2(u2, n):
-        src = kin.second_order_sources("g", domain, o1.u[n], o1.v[n])
+        src = _second_order_sources(domain, kin.g_coeffs, o1.u[n], o1.v[n])
         return helmholtz_solve(domain, a10 * u2 + src, beta, tol=ELLIPTIC_TOL)
 
     def slave_w2(u2, n):
-        src = kin.second_order_sources("h", domain, o1.u[n], o1.w[n])
+        src = _second_order_sources(domain, kin.h_coeffs, o1.u[n], o1.w[n])
         return helmholtz_solve(domain, b10 * u2 + src, delta, tol=ELLIPTIC_TOL)
 
     u2 = 2.0 * fam.profile("f2", domain)
@@ -300,8 +310,8 @@ def _reference_second_variation(domain, p, kin, fam, o1, cfg):
         if cfg.tau == 0:
             v2, w2 = slave_v2(u2, n), slave_w2(u2, n)
         else:
-            src_v = kin.second_order_sources("g", domain, o1.u[m], o1.v[m])
-            src_w = kin.second_order_sources("h", domain, o1.u[m], o1.w[m])
+            src_v = _second_order_sources(domain, kin.g_coeffs, o1.u[m], o1.v[m])
+            src_w = _second_order_sources(domain, kin.h_coeffs, o1.u[m], o1.w[m])
             v2 = spectral_helmholtz(
                 domain, (v2 + s * dt * (a10 * us[m] - beta * v2 + src_v)) / (s * dt), 1.0 / (s * dt))
             w2 = spectral_helmholtz(
@@ -348,6 +358,37 @@ def test_joint_solver_matches_separate_solvers(dim, tau, populated):
     _assert_traj_equal(stack.order1, first)
     _assert_traj_equal(stack.order2, second)
     assert np.max(np.abs(second.u[-1])) > 0.0
+
+
+@pytest.mark.parametrize("tau", [0, 1])
+def test_variation_step_is_one_stacked_solve(tau, monkeypatch):
+    # both orders step as one implicit_step (one spectral solve) per step; at
+    # tau=0 the four chemicals are then slaved, and the coefficient grids are
+    # built once per run, not per step
+    import archemo.forward as fw
+    import archemo.grid as gr
+    calls = {}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    counting(gr, "spectral_helmholtz")
+    counting(gr, "helmholtz_solve")
+    counting(fw, "coefficient_on_grid")
+    grids_built = []
+    for n_steps in (10, 20):
+        domain, p, kin, fam, cfg = _joint_case(1, tau, True, n_steps=n_steps)
+        calls.clear()
+        solve_variations(domain, p, kin, fam, cfg)
+        assert calls.get("spectral_helmholtz", 0) == n_steps
+        assert calls.get("helmholtz_solve", 0) == (4 * (n_steps + 1) if tau == 0 else 0)
+        grids_built.append(calls.get("coefficient_on_grid", 0))
+    assert grids_built[0] == grids_built[1] > 0
 
 
 @pytest.mark.parametrize("tau", [0, 1])
