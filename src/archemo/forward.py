@@ -22,8 +22,8 @@ equations admit no independent initial state).  Kinetics linear in the
 chemical take one solve, whose right-hand side comes straight from the bound
 coefficient grids.  Kinetics nonlinear in the chemical make each such solve a
 Picard iteration; it forms the terms that do not change across iterations
-once, and from the second step on it starts from the extrapolation
-2 c_n - c_{n-1} of the last two steps.
+once, and starts from the backward-difference extrapolation in time of the
+last PICARD_SEED_DEPTH slaved fields (fewer in the first steps).
 """
 
 from __future__ import annotations
@@ -296,16 +296,19 @@ class KineticsSpec:
         if linear:
             return None
         du = u - self.expansion_point.u0
-        fixed = np.zeros(domain.shape)
+        fixed = None
         factors = []
         for (p, q), term in terms.items():
             if p:
                 term = term * du**p
-            if not q:
+            if q:
+                if (p, q) != (0, 1):
+                    factors.append((q, term))
+            elif fixed is None:
+                fixed = term   # p >= 1 here, so the product is a fresh array
+            else:
                 fixed += term
-            elif (p, q) != (0, 1):
-                factors.append((q, term))
-        return fixed, factors
+        return (np.zeros(domain.shape) if fixed is None else fixed), factors
 
     def second_order_sources(self, which: str, domain: Domain, u1, c1):
         """a11*u1*c1 + 2*a20*u1^2 + 2*a02*c1^2 of G (``which="g"``, c1 = v1) or H
@@ -322,6 +325,20 @@ class KineticsSpec:
 # Picard iteration for slaved chemical fields that are nonlinear in v or w
 PICARD_TOL = 1e-12
 PICARD_MAXITER = 64
+# Picard starts from the extrapolation of degree K - 1 through the last K slaved
+# fields, K = PICARD_SEED_DEPTH.  Helmholtz solves per step of the 33^2 separable
+# a02 v^2 run of test_picard_solves_per_step (v and w together, so the floor is 2)
+# at amplitudes 0.01 / 0.3 / 1.0:
+#   K = 2: 4.01 / 6.03 / 10.06    K = 3: 3.09 / 3.41 / 6.87
+#   K = 4: 2.31 / 2.78 / 3.93     K = 5: 2.19 / 2.70 / 3.25
+#   K = 6: 2.06 / 2.64 / 3.23     K = 7: 2.03 / 2.68 / 3.59
+# K = 5 takes most of the gain; past it the count stalls, and at K = 7 it rises
+# again at the largest amplitude.
+PICARD_SEED_DEPTH = 5
+# the weights of that extrapolation through k fields, newest first:
+# (-1)^j C(k, j + 1) for j < k, so that it is exact on polynomials of degree k - 1
+_SEED_WEIGHTS = {k: tuple((-1) ** j * math.comb(k, j + 1) for j in range(k))
+                 for k in range(1, PICARD_SEED_DEPTH + 1)}
 # a density below this after a step means the run has gone unstable
 NEGATIVITY_FLOOR = -1e-9
 # dt may reach this fraction of the advective stability bound h / (max drift speed)
@@ -421,20 +438,22 @@ def steady_state(p: ParameterSet, trivial: bool = False, domain: Domain | None =
     return EquilibriumState(u0, float(p.alpha) * u0 / p.beta, float(p.gamma) * u0 / p.delta)
 
 
-def _slave_chemical(domain, kin, which, u, previous=None, earlier=None):
+def _slave_chemical(domain, kin, which, u, previous=None, earlier=()):
     """Solve 0 = Lap c + G(x, u, c) for the chemical field c (v for ``"g"``, w for ``"h"``).
 
-    ``previous`` is c at the last step and ``earlier`` c one step before it,
-    when known.  Kinetics linear in c take one screened solve of
-    (-Lap + decay) c = G(u, c) + decay * c about ``previous`` (the constant
-    expansion value when it is None); its right-hand side
+    ``previous`` is c at the last step, when known, and ``earlier`` holds c at
+    the steps before it, newest first.  Kinetics linear in c take one screened
+    solve of (-Lap + decay) c = G(u, c) + decay * c about ``previous`` (the
+    constant expansion value when it is None); its right-hand side
     G(u, previous) + decay * (previous - c0) forms previous - c0 once and
     reads the bound coefficient grids.  Nonlinear kinetics run Picard on
     (-Lap + decay)(c_new - c0) = fixed + sum of factor * (c - c0)^q, whose u-only
     terms and factors :meth:`KineticsSpec.slaved_terms` forms once per call.
-    Picard starts from the extrapolation 2 * previous - earlier when both are
-    given, and from ``previous`` otherwise; it stops once successive iterates
-    differ by at most PICARD_TOL * (1 + max|c|).
+    Picard starts from the backward-difference extrapolation through
+    ``previous`` and the first PICARD_SEED_DEPTH - 1 fields of ``earlier``,
+    sum over j of (-1)^j C(k, j + 1) c_{n-j} for the k fields given (``previous``
+    itself when ``earlier`` is empty); it stops once successive iterates differ
+    by at most PICARD_TOL * (1 + max|c|), and raises NumericsError otherwise.
     """
     eq = kin.expansion_point
     if which == "g":
@@ -449,19 +468,28 @@ def _slave_chemical(domain, kin, which, u, previous=None, earlier=None):
         rhs += decay * dn
         return base + g.helmholtz_solve(domain, rhs, decay)
     fixed, factors = kin.slaved_terms(which, domain, u)
-    if earlier is not None:
-        v = 2.0 * previous - earlier
+    if earlier:
+        earlier = earlier[:PICARD_SEED_DEPTH - 1]
+        first, *rest = _SEED_WEIGHTS[len(earlier) + 1]
+        v = first * previous
+        for weight, c in zip(rest, earlier):
+            v += weight * c
     for _ in range(PICARD_MAXITER):
         dv = v - base
         rhs = fixed
         for q, factor in factors:
             rhs = rhs + factor * dv**q
         v_new = base + g.helmholtz_solve(domain, rhs, decay)
-        delta = float(np.max(np.abs(v_new - v)))
+        delta = float(np.abs(v_new - v).max())
         v = v_new
-        if delta <= PICARD_TOL * (1.0 + float(np.max(np.abs(v)))):
+        target = PICARD_TOL * (1.0 + float(np.abs(v).max()))
+        if delta <= target:
             return v
-    raise NumericsError("Picard iteration for the slaved chemical field did not converge")
+    name = "v" if which == "g" else "w"
+    raise NumericsError(
+        f"Picard iteration for the slaved chemical {name} did not converge in "
+        f"{PICARD_MAXITER} iterations: last change {delta:.3e} between iterates, "
+        f"target {target:.3e} = PICARD_TOL * (1 + max|{name}|)")
 
 
 def _check_cfl(domain, cfg, speed):
@@ -532,7 +560,7 @@ class SliceStore:
 
 
 def step(domain: Domain, state, p: ParameterSet, kin: KineticsSpec, cfg: SolverConfig,
-         prior=None):
+         prior=()):
     """One IMEX Euler step; returns the new (u, v, w) triple.
 
     The supplied (v, w) must already be consistent with u (slaved for tau=0).
@@ -541,9 +569,9 @@ def step(domain: Domain, state, p: ParameterSet, kin: KineticsSpec, cfg: SolverC
     The drift's face velocities are built once and serve both the CFL check
     and the upwind flux.  u and the potential are screened by their sums and
     scanned by :meth:`Domain.check_field` only when that screen fails.
-    ``prior`` is the state one step before ``state``, if any; for tau=0 it
-    seeds the Picard iteration of a chemical nonlinear in itself by linear
-    extrapolation in time.
+    ``prior`` holds the states of the steps before ``state``, newest first;
+    for tau=0 their chemicals, with those of ``state``, seed the Picard
+    iteration of a chemical nonlinear in itself (see :func:`_slave_chemical`).
     """
     u, v, w = state
     potential = p.chi * v - p.xi * w
@@ -571,7 +599,7 @@ def step(domain: Domain, state, p: ParameterSet, kin: KineticsSpec, cfg: SolverC
             f"density dropped to {float(np.min(u_new)):.3e}, below the negativity floor; "
             "the run is unstable")
     if cfg.tau == 0:
-        _, v_prior, w_prior = prior if prior is not None else (None, None, None)
+        _, v_prior, w_prior = zip(*prior) if prior else ((), (), ())
         v_new = _slave_chemical(domain, kin, "g", u_new, previous=v, earlier=v_prior)
         w_new = _slave_chemical(domain, kin, "h", u_new, previous=w, earlier=w_prior)
     return u_new, v_new, w_new
@@ -582,9 +610,10 @@ def solve_forward(domain: Domain, init, p: ParameterSet, kin: KineticsSpec,
     """Integrate the coupled system from initial data (f, g, h).
 
     For tau = 0 the chemical fields are slaved from the start: g and h are
-    accepted but replaced by the elliptic balance of f.  Every step after the
-    first also gets the state one step back, which seeds the Picard iteration
-    of a chemical nonlinear in itself (see :func:`step`).
+    accepted but replaced by the elliptic balance of f.  When a slaved chemical
+    is nonlinear in itself, every step also gets the states of up to
+    PICARD_SEED_DEPTH - 1 steps before it, newest first, which seed its Picard
+    iteration (see :func:`step`).
     """
     cfg.validate()
     p.validate(domain)
@@ -602,10 +631,13 @@ def solve_forward(domain: Domain, init, p: ParameterSet, kin: KineticsSpec,
     else:
         v, w = g0.copy(), h0.copy()
 
-    state, prior = (u, v, w), None
+    # only a slaved chemical nonlinear in itself reads the earlier states
+    linear = kin.terms("g", domain)[1] and kin.terms("h", domain)[1]
+    keep = 0 if cfg.tau or linear else PICARD_SEED_DEPTH - 1
+    state, prior = (u, v, w), ()
     stored = SliceStore(domain, cfg, state)
     for n in range(1, cfg.n_steps + 1):
-        state, prior = step(domain, state, p, kin, cfg, prior), state
+        state, prior = step(domain, state, p, kin, cfg, prior), (state, *prior)[:keep]
         stored.put(n, state)
     return stored.trajectory()
 

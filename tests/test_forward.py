@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -428,10 +429,11 @@ def _separable_a02_run(amplitude):
     return lambda: solve_forward(d, (f, f, f), p, kin, cfg), cfg
 
 
-def test_picard_meets_its_tolerance_against_a_tight_reference(monkeypatch):
+@pytest.mark.parametrize("amplitude", [0.3, 1.0])
+def test_picard_meets_its_tolerance_against_a_tight_reference(monkeypatch, amplitude):
     # the seed and the hoist change rounding only: each slaved v stays within the
     # Picard tolerance of a run iterated to 1e-15
-    run, _ = _separable_a02_run(0.3)
+    run, _ = _separable_a02_run(amplitude)
     traj = run()
     bound = forward.PICARD_TOL * (1.0 + float(np.max(np.abs(traj.v))))
     monkeypatch.setattr(forward, "PICARD_TOL", 1e-15)
@@ -439,10 +441,11 @@ def test_picard_meets_its_tolerance_against_a_tight_reference(monkeypatch):
     assert float(np.max(np.abs(traj.v - ref.v))) <= bound
 
 
-@pytest.mark.parametrize("amplitude, per_step", [(1e-2, 4.1), (0.3, 6.1)])
+@pytest.mark.parametrize("amplitude, per_step", [(1e-2, 2.25), (0.3, 2.75), (1.0, 3.3)])
 def test_picard_solves_per_step(monkeypatch, amplitude, per_step):
-    # seeding Picard with 2 v_n - v_{n-1} saves a solve per step at 1e-2 and three
-    # at 0.3 (5.01 and 9.02 per step from a v_n seed, the linear w included)
+    # seeding Picard from the extrapolation through the last PICARD_SEED_DEPTH = 5
+    # fields takes 2.19, 2.70 and 3.25 solves per step, the linear w included (4.01,
+    # 6.03 and 10.06 from 2 v_n - v_{n-1}, 5.01 and 9.02 at 1e-2 and 0.3 from v_n)
     calls = []
     solve = grid.helmholtz_solve
 
@@ -454,6 +457,76 @@ def test_picard_solves_per_step(monkeypatch, amplitude, per_step):
     run, cfg = _separable_a02_run(amplitude)
     run()
     assert len(calls) / cfg.n_steps <= per_step
+
+
+def test_seed_weights_extrapolate_polynomials_exactly():
+    # k fields, newest first, give the value one step on of every polynomial of
+    # degree < k through them
+    for k, weights in forward._SEED_WEIGHTS.items():
+        assert len(weights) == k
+        for degree in range(k):
+            seeded = sum(w * (10 - j) ** degree for j, w in enumerate(weights))
+            assert seeded == 11 ** degree
+
+
+def _nonlinear_1d_run(n_steps):
+    # 65 nodes, tau 0, (0, 2) entries in both g and h about the nonzero steady state
+    d = Domain((1.0,), (65,))
+    p = ParameterSet(chi=0.1, xi=0.05, r=0.5, mu=1.0, alpha=1.0, beta=1.0, gamma=0.8, delta=1.6)
+    kin = KineticsSpec.from_parameters(p, second_order_g={(0, 2): 0.4, (1, 1): 0.2},
+                                       second_order_h={(0, 2): -0.3},
+                                       expansion_point=steady_state(p))
+    cfg = SolverConfig(tau=0, dt=1e-3, t_final=n_steps * 1e-3)
+    x = d.axes[0]
+    f = 0.6 + 0.3 * np.cos(math.pi * x) + 0.15 * np.cos(3.0 * math.pi * x)
+    return lambda: solve_forward(d, (f, f, f), p, kin, cfg)
+
+
+@pytest.mark.parametrize("n_steps", [forward.PICARD_SEED_DEPTH - 2, 400])
+def test_seeded_picard_meets_its_tolerance_in_both_chemicals(monkeypatch, n_steps):
+    # before the history fills (fewer steps than the seed depth) and after, both
+    # slaved chemicals stay within the Picard tolerance of a run iterated to 1e-15
+    run = _nonlinear_1d_run(n_steps)
+    traj = run()
+    tol = forward.PICARD_TOL
+    monkeypatch.setattr(forward, "PICARD_TOL", 1e-15)
+    ref = run()
+    for name in ("v", "w"):
+        c, c_ref = traj.component(name), ref.component(name)
+        assert float(np.max(np.abs(c - c_ref))) <= tol * (1.0 + float(np.max(np.abs(c))))
+
+
+def test_linear_kinetics_never_read_the_seed(line129, nondegenerate_params):
+    # a tau=0 step with kinetics linear in the chemical returns the same arrays with
+    # and without the earlier states, and those of the run, which keeps none
+    d, p = line129, nondegenerate_params
+    f = 0.5 + 0.3 * np.cos(math.pi * d.axes[0])
+    cfg = SolverConfig(tau=0, dt=5e-4, t_final=0.01)
+    kin = make_kinetics(p, second_order_g={(2, 0): 0.3},
+                        expansion_point=steady_state(p)).bind(d)
+    traj = solve_forward(d, (f, f, f), p, kin, cfg)
+    states = list(zip(traj.u, traj.v, traj.w))
+    depth = forward.PICARD_SEED_DEPTH - 1
+    for n in range(depth, len(states) - 1):
+        seeded = step(d, states[n], p, kin, cfg, states[n - 1::-1][:depth])
+        unseeded = step(d, states[n], p, kin, cfg)
+        for a, b, stored in zip(seeded, unseeded, states[n + 1]):
+            assert np.array_equal(a, b) and np.array_equal(a, stored)
+
+
+def test_picard_failure_names_chemical_change_and_target(monkeypatch):
+    # one Picard iteration cannot meet the tolerance on a nonlinear run; the error
+    # names the chemical, the last change, the target it missed and the iterations
+    monkeypatch.setattr(forward, "PICARD_MAXITER", 1)
+    with pytest.raises(NumericsError) as info:
+        _nonlinear_1d_run(3)()
+    message = str(info.value)
+    match = re.search(r"chemical v did not converge in 1 iterations: last change (\S+) "
+                      r"between iterates, target (\S+) = PICARD_TOL \* \(1 \+ max\|v\|\)",
+                      message)
+    assert match, message
+    change, target = (float(x) for x in match.groups())
+    assert change > target >= forward.PICARD_TOL
 
 
 def test_linear_slave_solve_matches_reference(monkeypatch, line129, nondegenerate_params):
