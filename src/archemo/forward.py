@@ -19,11 +19,11 @@ values of its own solve.  For tau = 0 the chemical fields are re-slaved to u
 by the elliptic solver after every density update, and the supplied initial
 data g, h are replaced by the elliptic balance of f from t = 0 (the elliptic
 equations admit no independent initial state).  Kinetics linear in the
-chemical take one solve, whose right-hand side comes straight from the bound
-coefficient grids.  Kinetics nonlinear in the chemical make each such solve a
-Picard iteration; it forms the terms that do not change across iterations
-once, and starts from the backward-difference extrapolation in time of the
-last PICARD_SEED_DEPTH slaved fields (fewer in the first steps).
+chemical take one solve of (-Lap + decay)(c - c0) = G(u, c0), a source of u
+alone.  Kinetics nonlinear in the chemical make each such solve a Picard
+iteration in two preallocated buffers; it forms the terms that do not change
+across iterations once, and starts from the backward-difference extrapolation
+in time of the last PICARD_SEED_DEPTH slaved fields (fewer in the first steps).
 """
 
 from __future__ import annotations
@@ -157,6 +157,11 @@ def _linear_in_chemical(table) -> bool:
     return not any(q >= 1 and (p, q) != (0, 1) for (p, q) in table)
 
 
+def _offset(x, x0):
+    # x - x0, and x itself for a zero x0, which is the same up to the sign of zero
+    return x - x0 if x0 else x
+
+
 def _monomial_weight(p: int, q: int) -> float:
     # Normalization contract: with these weights the second-variation sources
     # of the chemical equations read  a11*u1*v1 + 2*a20*u1^2 + 2*a02*v1^2.
@@ -273,34 +278,32 @@ class KineticsSpec:
 
     def evaluate_g(self, domain: Domain, u, v):
         eq = self.expansion_point
-        return self._evaluate("g", domain, u - eq.u0, v - eq.v0)
+        return self._evaluate("g", domain, _offset(u, eq.u0), _offset(v, eq.v0))
 
     def evaluate_h(self, domain: Domain, u, w):
         eq = self.expansion_point
-        return self._evaluate("h", domain, u - eq.u0, w - eq.w0)
+        return self._evaluate("h", domain, _offset(u, eq.u0), _offset(w, eq.w0))
 
     def slaved_terms(self, which: str, domain: Domain, u):
         """The pieces of G (``which="g"``, c = v) or H (``"h"``, c = w) at density u
-        that stay fixed while a slaved chemical c is iterated, or None when the
-        table is linear in c.
+        that stay fixed while a slaved chemical c is iterated.
 
         Returns ``(fixed, factors)`` with
 
             G(u, c) + decay * (c - c0) = fixed + sum of factor * (c - c0)^q,
 
-        where ``fixed`` sums the u-only terms (q = 0) and each ``(q, factor)``
-        holds coef * (u - u0)^p of a term with q >= 1.  The (0, 1) term is left
-        out: it is -decay * (c - c0) and cancels the added decay.
+        where ``fixed`` sums the u-only terms (q = 0), so that it is G(u, c0), and
+        each ``(q, factor)`` holds coef * (u - u0)^p of a term with q >= 1.  The
+        (0, 1) term is left out: it is -decay * (c - c0) and cancels the added
+        decay.  A table linear in c has no factors.
         """
-        terms, linear = self.terms(which, domain)
-        if linear:
-            return None
-        du = u - self.expansion_point.u0
+        terms = self.terms(which, domain)[0]
+        du = _offset(u, self.expansion_point.u0)
         fixed = None
         factors = []
         for (p, q), term in terms.items():
             if p:
-                term = term * du**p
+                term = term * (du if p == 1 else du**p)
             if q:
                 if (p, q) != (0, 1):
                     factors.append((q, term))
@@ -441,48 +444,48 @@ def steady_state(p: ParameterSet, trivial: bool = False, domain: Domain | None =
 def _slave_chemical(domain, kin, which, u, previous=None, earlier=()):
     """Solve 0 = Lap c + G(x, u, c) for the chemical field c (v for ``"g"``, w for ``"h"``).
 
-    ``previous`` is c at the last step, when known, and ``earlier`` holds c at
-    the steps before it, newest first.  Kinetics linear in c take one screened
-    solve of (-Lap + decay) c = G(u, c) + decay * c about ``previous`` (the
-    constant expansion value when it is None); its right-hand side
-    G(u, previous) + decay * (previous - c0) forms previous - c0 once and
-    reads the bound coefficient grids.  Nonlinear kinetics run Picard on
-    (-Lap + decay)(c_new - c0) = fixed + sum of factor * (c - c0)^q, whose u-only
-    terms and factors :meth:`KineticsSpec.slaved_terms` forms once per call.
-    Picard starts from the backward-difference extrapolation through
-    ``previous`` and the first PICARD_SEED_DEPTH - 1 fields of ``earlier``,
-    sum over j of (-1)^j C(k, j + 1) c_{n-j} for the k fields given (``previous``
-    itself when ``earlier`` is empty); it stops once successive iterates differ
-    by at most PICARD_TOL * (1 + max|c|), and raises NumericsError otherwise.
+    The balance (-Lap + decay)(c - c0) = fixed + sum of factor * (c - c0)^q, with q
+    1 or 2 as tables stop at total order 2, has its u-only terms and factors formed
+    once per call by :meth:`KineticsSpec.slaved_terms`.  Kinetics linear in c have
+    no factors and take one screened solve of fixed = G(u, c0).  Nonlinear kinetics
+    run Picard in two buffers, the right-hand side and a scratch field, from the
+    backward-difference extrapolation through ``previous`` (c at the last step)
+    and the first PICARD_SEED_DEPTH - 1 fields of ``earlier`` (c at the steps
+    before, newest first): sum over j of (-1)^j C(k, j + 1) c_{n-j} for the k
+    fields given, c0 when ``previous`` is None.  Picard stops once successive
+    iterates differ by at most PICARD_TOL * (1 + max|c|), and raises
+    NumericsError otherwise.
     """
     eq = kin.expansion_point
     if which == "g":
         decay, base = kin.beta_decay, eq.v0
     else:
         decay, base = kin.delta_decay, eq.w0
-    v = previous if previous is not None else domain.constant(base)
-    linear = kin.terms(which, domain)[1]
-    if linear:
-        dn = v - base
-        rhs = kin._evaluate(which, domain, u - eq.u0, dn)
-        rhs += decay * dn
-        return base + g.helmholtz_solve(domain, rhs, decay)
     fixed, factors = kin.slaved_terms(which, domain, u)
+    if not factors:
+        c = g.helmholtz_solve(domain, fixed, decay)
+        return np.add(c, base, out=c) if base else c
+    v = previous if previous is not None else domain.constant(base)
     if earlier:
         earlier = earlier[:PICARD_SEED_DEPTH - 1]
         first, *rest = _SEED_WEIGHTS[len(earlier) + 1]
         v = first * previous
         for weight, c in zip(rest, earlier):
             v += weight * c
+    rhs, scratch = np.empty(domain.shape), np.empty(domain.shape)
     for _ in range(PICARD_MAXITER):
-        dv = v - base
-        rhs = fixed
+        src = fixed
         for q, factor in factors:
-            rhs = rhs + factor * dv**q
-        v_new = base + g.helmholtz_solve(domain, rhs, decay)
-        delta = float(np.abs(v_new - v).max())
+            dv = np.subtract(v, base, out=scratch) if base else v
+            np.multiply(factor, np.square(dv, out=scratch) if q == 2 else dv, out=scratch)
+            src = np.add(src, scratch, out=rhs)
+        v_new = g.helmholtz_solve(domain, src, decay)
+        if base:
+            v_new += base
+        np.subtract(v_new, v, out=scratch)
+        delta = float(max(scratch.max(), -scratch.min()))
         v = v_new
-        target = PICARD_TOL * (1.0 + float(np.abs(v).max()))
+        target = PICARD_TOL * (1.0 + float(max(v.max(), -v.min())))
         if delta <= target:
             return v
     name = "v" if which == "g" else "w"

@@ -6,7 +6,8 @@ conditions are imposed by ghost-node reflection, which makes the sampled
 cosines cos(k*pi*x/L) exact eigenvectors of the discrete Laplacian.  That
 fact is exploited throughout: the screened operator (-Lap + decay) is
 diagonal in the DCT-I basis, so one forward and one inverse transform solve
-the screened-Poisson problem directly.  Each domain keeps its eigenvalue grid.
+the screened-Poisson problem directly.  Each domain keeps its eigenvalue grid
+and, per scalar decay, the denominators (eigenvalues + decay) of the solve.
 The transform pair takes one of two paths.  A 2D grid with at most
 :data:`DCT_MATRIX_MAX_NODES` nodes per axis keeps the DCT-I matrix of each axis
 and transforms by matrix products, which at 65 x 65 cost about half of
@@ -91,8 +92,9 @@ class Domain:
         # by every spectral solve on this grid
         lams = [mode_eigenvalues_1d(n, h) for n, h in zip(cells, self.spacing)]
         lam = lams[0] if self.dim == 1 else lams[0][:, None] + lams[1][None, :]
-        lam.setflags(write=False)
         self.neumann_eigenvalues = lam
+        # the stencil's diagonal sum of 2/h^2, which the residual check adds to decay
+        self.stencil_diagonal = sum(2.0 / (h * h) for h in self.spacing)
         # the factors (C0, C1^T) of the matrix transform path, C_i the DCT-I matrix
         # of axis i, or None on grids that transform through pocketfft.  C1^T is
         # stored contiguous: a product with a transposed view costs ~1.5x as much
@@ -102,6 +104,27 @@ class Domain:
             left.setflags(write=False)
             right.setflags(write=False)
             self.dct_matrices = (left, right)
+
+    @property
+    def neumann_eigenvalues(self):
+        return self._eigenvalues
+
+    @neumann_eigenvalues.setter
+    def neumann_eigenvalues(self, lam):
+        # new eigenvalues drop the denominators built from the old ones
+        lam.setflags(write=False)
+        self._eigenvalues, self._denominators = lam, {}
+
+    def denominators(self, decay):
+        """neumann_eigenvalues + decay, read-only, kept per scalar decay for reuse;
+        past DENOMINATORS_KEPT decays a new one drops the oldest."""
+        denom = self._denominators.get(decay)
+        if denom is None:
+            if len(self._denominators) >= DENOMINATORS_KEPT:
+                del self._denominators[next(iter(self._denominators))]
+            denom = self._denominators[decay] = self._eigenvalues + decay
+            denom.setflags(write=False)
+        return denom
 
     def __eq__(self, other):
         return (
@@ -374,6 +397,8 @@ RESIDUAL_ROUNDING_SLACK = 8.0
 # against 3 100 us) the matrices gain nothing.  In 1D the matrix-vector
 # products lose too (129 nodes: 12 against 9 us).
 DCT_MATRIX_MAX_NODES = 65
+# scalar decays whose denominators a domain keeps; a run uses three (1/dt, beta, delta)
+DENOMINATORS_KEPT = 8
 
 
 def mode_eigenvalues_1d(n, h):
@@ -408,15 +433,17 @@ def _spectral_solve(domain, source, decay):
     # Every other grid calls pocketfft, whose inverse runs in place on the forward
     # result.  Either path transforms a stack slice by slice with the values of
     # single fields, and decay may be an array of per-slice values that broadcasts
-    # against the stack
+    # against the stack.  A scalar decay reads the domain's kept denominators
+    denom = (domain.neumann_eigenvalues + decay if isinstance(decay, np.ndarray)
+             else domain.denominators(decay))
     if domain.dct_matrices is None:
         axes = _FIELD_AXES[domain.dim]
         coeffs = _pocketfft_dct(source, 1, axes, 0, None, 1)
-        coeffs /= domain.neumann_eigenvalues + decay
+        coeffs /= denom
         return _pocketfft_dct(coeffs, 1, axes, 2, coeffs, 1)
     left, right = domain.dct_matrices
     coeffs = left @ source @ right
-    coeffs /= domain.neumann_eigenvalues + decay
+    coeffs /= denom
     out = left @ coeffs @ right
     out *= 1.0 / (4 * (left.shape[0] - 1) * (right.shape[0] - 1))
     return out
@@ -426,7 +453,7 @@ def _screened_apply(domain, x, decay):
     # (-Lap + decay) x of a single field as (decay + sum 2/h^2) x minus the neighbour
     # sums over h^2, with ghost reflection doubling the inner neighbour of each end
     # node; it differs from -_laplacian(x) + decay * x only in rounding
-    out = x * (decay + sum(2.0 / (h * h) for h in domain.spacing))
+    out = x * (decay + domain.stencil_diagonal)
     for axis, h in enumerate(domain.spacing):
         _, _, inner, left, right, first, last, second, penult = _NODE_INDEX[domain.dim, axis]
         s = 1.0 / (h * h)

@@ -395,8 +395,9 @@ def _reference_kinetics(domain, kin, which, u, c):
 def _reference_slave_chemical(domain, kin, which, u, previous=None):
     """The slave solve before the Picard seed was extrapolated and the kinetics hoisted.
 
-    Kept as the reference for kinetics linear in the chemical, where the
-    present solve must return the same array.
+    Kept as the reference for kinetics linear in the chemical, which solved
+    G(u, previous) + decay (previous - c0): the present solve must stay within
+    rounding of it.
     """
     eq = kin.expansion_point
     if which == "g":
@@ -415,6 +416,15 @@ def _reference_slave_chemical(domain, kin, which, u, previous=None):
         if delta <= forward.PICARD_TOL * (1.0 + float(np.max(np.abs(v)))):
             return v
     raise NumericsError("Picard iteration for the slaved chemical field did not converge")
+
+
+def _reference_linear_slave(domain, kin, which, u):
+    """c0 + the screened solve of G(u, c0): the balance of kinetics linear in the
+    chemical, which the present solve must return bitwise."""
+    eq = kin.expansion_point
+    decay, base = (kin.beta_decay, eq.v0) if which == "g" else (kin.delta_decay, eq.w0)
+    source = _reference_kinetics(domain, kin, which, u, domain.constant(base))
+    return base + helmholtz_solve(domain, source, decay, tol=grid.ELLIPTIC_TOL)
 
 
 def _separable_a02_run(amplitude):
@@ -496,6 +506,52 @@ def test_seeded_picard_meets_its_tolerance_in_both_chemicals(monkeypatch, n_step
         assert float(np.max(np.abs(c - c_ref))) <= tol * (1.0 + float(np.max(np.abs(c))))
 
 
+def _reference_picard_slave(domain, kin, which, u, previous=None, earlier=()):
+    """The Picard loop before it ran in preallocated buffers, each iteration building
+    v - c0, the products, the rhs, c0 + solve and |v_new - v| as new arrays.  Kept as
+    the reference that the buffered loop must match bitwise; kinetics linear in the
+    chemical go to the present solve."""
+    eq = kin.expansion_point
+    decay, base = (kin.beta_decay, eq.v0) if which == "g" else (kin.delta_decay, eq.w0)
+    fixed, factors = kin.slaved_terms(which, domain, u)
+    if not factors:
+        return _present_slave_chemical(domain, kin, which, u, previous, earlier)
+    v = previous if previous is not None else domain.constant(base)
+    if earlier:
+        earlier = earlier[:forward.PICARD_SEED_DEPTH - 1]
+        first, *rest = forward._SEED_WEIGHTS[len(earlier) + 1]
+        v = first * previous
+        for weight, c in zip(rest, earlier):
+            v += weight * c
+    for _ in range(forward.PICARD_MAXITER):
+        dv = v - base
+        rhs = fixed
+        for q, factor in factors:
+            rhs = rhs + factor * dv**q
+        v_new = base + helmholtz_solve(domain, rhs, decay)
+        delta = float(np.abs(v_new - v).max())
+        v = v_new
+        if delta <= forward.PICARD_TOL * (1.0 + float(np.abs(v).max())):
+            return v
+    raise NumericsError("Picard iteration for the slaved chemical field did not converge")
+
+
+_present_slave_chemical = forward._slave_chemical
+
+
+@pytest.mark.parametrize("case", ["separable 33^2", "1D about a steady state"])
+def test_buffered_picard_matches_the_unbuffered_loop(monkeypatch, case):
+    # the buffered loop takes the same operations in the same order: the 33^2
+    # separable a02 run (c0 = 0) and a 1D table nonlinear in both chemicals about a
+    # nonzero steady state (c0 != 0) return the reference trajectories bitwise
+    run = _separable_a02_run(0.3)[0] if case == "separable 33^2" else _nonlinear_1d_run(200)
+    present = run()
+    monkeypatch.setattr(forward, "_slave_chemical", _reference_picard_slave)
+    reference = run()
+    for name in ("u", "v", "w"):
+        assert np.array_equal(present.component(name), reference.component(name))
+
+
 def test_linear_kinetics_never_read_the_seed(line129, nondegenerate_params):
     # a tau=0 step with kinetics linear in the chemical returns the same arrays with
     # and without the earlier states, and those of the run, which keeps none
@@ -530,10 +586,12 @@ def test_picard_failure_names_chemical_change_and_target(monkeypatch):
 
 
 def test_linear_slave_solve_matches_reference(monkeypatch, line129, nondegenerate_params):
-    # kinetics linear in the chemical keep their seed, and their rhs formed from the
-    # bound terms is evaluate() + decay (c - c0): the runs are bitwise equal.  The third
-    # table is linear in the chemical but holds (2, 0) entries, about the nonzero
-    # steady state, which pins the (u - u0)^2 power and the offset base
+    # kinetics linear in the chemical take one solve of G(u, c0): the runs are bitwise
+    # those of c = c0 + helmholtz_solve(G(u, c0), decay), and within 64 eps of the
+    # solve of G(u, previous) + decay (previous - c0) that it replaced, whose decay
+    # terms cancel (measured <= 20 eps).  The third table is linear in the chemical
+    # but holds (2, 0) entries, about the nonzero steady state, which pins the
+    # (u - u0)^2 power and the offset base
     x = line129.axes[0]
     square = Domain((1.0, 1.0), (33, 33))
     X, Y = square.meshgrid()
@@ -558,15 +616,24 @@ def test_linear_slave_solve_matches_reference(monkeypatch, line129, nondegenerat
         with monkeypatch.context() as m:
             m.setattr(forward, "_slave_chemical",
                       lambda domain, kin, which, u, previous=None, earlier=None:
-                      _reference_slave_chemical(domain, kin, which, u, previous))
+                      _reference_linear_slave(domain, kin, which, u))
             reference = solve_forward(d, (f, f, f), p, kin, cfg)
+        with monkeypatch.context() as m:
+            m.setattr(forward, "_slave_chemical",
+                      lambda domain, kin, which, u, previous=None, earlier=None:
+                      _reference_slave_chemical(domain, kin, which, u, previous))
+            former = solve_forward(d, (f, f, f), p, kin, cfg)
+        eps = np.finfo(float).eps
         for name in ("u", "v", "w"):
-            assert np.array_equal(present.component(name), reference.component(name))
+            x, ref = present.component(name), former.component(name)
+            assert np.array_equal(x, reference.component(name))
+            assert float(np.max(np.abs(x - ref))) <= 64.0 * eps * float(np.max(np.abs(ref)))
 
 
 def test_slaved_terms_match_the_kinetics(square33, rng):
     # fixed + sum of factor * (c - c0)^q is G(u, c) + decay (c - c0) up to rounding,
-    # for a table with all six second-order entries, bound to the grid or not
+    # for a table with all six second-order entries, bound to the grid or not; a
+    # linear table has no factors, and its fixed is G(u, c0)
     d = square33
     p = ParameterSet(chi=0.1, xi=0.05, r=0.5, mu=1.0, alpha=1.0, beta=1.3, gamma=0.8, delta=1.6)
     sep = SeparableField(np.cos(math.pi * d.axes[0]), (1.0 + d.axes[1]) / 4.0)
@@ -588,8 +655,11 @@ def test_slaved_terms_match_the_kinetics(square33, rng):
             expected = evaluate(d, u, c) + decay * dc
             scale = sum(np.abs(x) for x in pieces) + 2.0 * decay * np.abs(dc)
             assert np.all(np.abs(hoisted - expected) <= 8.0 * eps * scale)
-    assert make_kinetics(p).slaved_terms("g", d, u) is None
-    assert make_kinetics(p).bind(d).slaved_terms("h", d, u) is None
+    linear = make_kinetics(p)
+    for spec, which, evaluate in ((linear, "g", linear.evaluate_g),
+                                  (linear.bind(d), "h", linear.evaluate_h)):
+        fixed, factors = spec.slaved_terms(which, d, u)
+        assert factors == [] and np.array_equal(fixed, evaluate(d, u, d.zeros()))
 
 
 # -- tau=1 stacked step and the per-step call structure ---------------------------------

@@ -402,6 +402,49 @@ def test_spectral_solve_above_the_matrix_cap_is_pocketfft(rng):
         assert np.array_equal(spectral_helmholtz(d, stack[1], 0.7), expected[1])
 
 
+def _uncached_spectral_solve(domain, source, decay):
+    # the spectral solve as it was before domains kept their denominators
+    from archemo.grid import _FIELD_AXES, _pocketfft_dct
+    if domain.dct_matrices is None:
+        axes = _FIELD_AXES[domain.dim]
+        coeffs = _pocketfft_dct(source, 1, axes, 0, None, 1)
+        coeffs /= domain.neumann_eigenvalues + decay
+        return _pocketfft_dct(coeffs, 1, axes, 2, coeffs, 1)
+    left, right = domain.dct_matrices
+    coeffs = left @ source @ right
+    coeffs /= domain.neumann_eigenvalues + decay
+    out = left @ coeffs @ right
+    out *= 1.0 / (4 * (left.shape[0] - 1) * (right.shape[0] - 1))
+    return out
+
+
+@pytest.mark.parametrize("cells, matrices", [((129,), False), ((33, 65), True), ((81, 81), False)])
+def test_kept_denominators_match_the_uncached_solve(rng, cells, matrices):
+    # on both transform paths, scalar decays read the domain's denominators with the
+    # values of the per-call sum; the kept entries are read-only, bounded in number,
+    # and dropped when the eigenvalues are replaced, so the residual check still fires
+    from archemo.grid import DENOMINATORS_KEPT
+    d = Domain((1.0, 2.0)[:len(cells)], cells)
+    assert (d.dct_matrices is not None) == matrices
+    assert d.stencil_diagonal == sum(2.0 / (h * h) for h in d.spacing)
+    src = rng.standard_normal(d.shape)
+    decays = [0.7, 1.3, 2000.0] + [1.0 + 0.1 * k for k in range(3 * DENOMINATORS_KEPT)]
+    for decay in decays + decays[:3]:
+        assert np.array_equal(helmholtz_solve(d, src, decay), _uncached_spectral_solve(d, src, decay))
+        assert len(d._denominators) <= DENOMINATORS_KEPT
+    kept = d.denominators(0.7)
+    assert kept is d.denominators(0.7) and not kept.flags.writeable
+    assert np.array_equal(kept, d.neumann_eigenvalues + 0.7)
+    stack, per_slice = rng.standard_normal((3,) + d.shape), np.array([0.5, 0.7, 9.0])
+    decay = per_slice.reshape((-1,) + (1,) * d.dim)
+    assert np.array_equal(spectral_helmholtz(d, stack, decay),
+                          _uncached_spectral_solve(d, stack, decay))
+    d.neumann_eigenvalues = 1.01 * d.neumann_eigenvalues
+    assert not d._denominators
+    with pytest.raises(EllipticSolveError):
+        helmholtz_solve(d, src, decay=0.7)
+
+
 def test_matrix_path_does_not_depend_on_the_blas_thread_count(tmp_path):
     # every product of the matrix path, up to the cap, stays below the size at which
     # BLAS threads its gemm, so one and two threads return the same bytes
