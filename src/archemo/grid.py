@@ -453,11 +453,19 @@ def _screened_apply(domain, x, decay):
     # (-Lap + decay) x of a single field as (decay + sum 2/h^2) x minus the neighbour
     # sums over h^2, with ghost reflection doubling the inner neighbour of each end
     # node; it differs from -_laplacian(x) + decay * x only in rounding
-    out = x * (decay + domain.stencil_diagonal)
+    out = np.multiply(x, decay + domain.stencil_diagonal, order="C")
     for axis, h in enumerate(domain.spacing):
         _, _, inner, left, right, first, last, second, penult = _NODE_INDEX[domain.dim, axis]
         s = 1.0 / (h * h)
-        out[inner] -= s * (x[left] + x[right])
+        if 0 < axis == domain.dim - 1:
+            # the last axis runs over the flat field, which is faster than the strided
+            # slices; the end columns it wraps across are then put back
+            ends = out[first].copy(), out[last].copy()
+            flat = x.reshape(-1)
+            out.reshape(-1)[1:-1] -= s * (flat[:-2] + flat[2:])
+            out[first], out[last] = ends
+        else:
+            out[inner] -= s * (x[left] + x[right])
         out[first] -= (2.0 * s) * x[second]
         out[last] -= (2.0 * s) * x[penult]
     return out

@@ -191,9 +191,9 @@ class ExperimentBank:
     Stacks are keyed by the family's content (profiles, eps ladder and the
     non-negativity flag), so experiments that probe with identical data share
     one stack whatever their names.  Each family is extracted once, both orders
-    together, so its ladder runs are solved once and freed as soon as its
-    stack is built.  The bank queries the oracle through one handle, whose
-    base run goes with the bank.
+    together, so its ladder runs are solved once and each run is freed once
+    folded in.  The bank queries the oracle through one handle, whose base
+    run goes with the bank.
     """
 
     def __init__(self, oracle: Oracle):

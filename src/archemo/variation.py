@@ -21,7 +21,10 @@ u2 feedback) in the chemical equations, with initial data u2(0) = 2 f2.
 Both orders are solved directly with the same IMEX discretization as the
 nonlinear solver, so finite differences of nonlinear runs converge to the
 direct solutions at first order in eps; the one-sided ladders (eps > 0 keeps
-the data admissible) are sharpened by Richardson extrapolation.
+the data admissible) are sharpened by Richardson extrapolation.  That
+extrapolation is a fixed linear combination of the ladder's runs, so the
+extraction folds each run into running sums as it returns and holds one run
+at a time.
 """
 
 from __future__ import annotations
@@ -222,10 +225,18 @@ def solve_variations(domain: Domain, p: ParameterSet, kin: KineticsSpec,
 # ---------------------------------------------------------------------------
 # finite-difference extraction
 #
-# A trajectory under construction is a list [u, v, w] of arrays owned by the
-# extraction, so the difference quotients and the Richardson tableau can be
-# built in place.  Every sum keeps the operands and the order of the plain
-# expression it replaces, so the values are bitwise those of that expression.
+# Neville's value at eps = 0 is a fixed linear combination sum L_i d_i of the
+# difference quotients, with the Lagrange weights at zero
+# L_i = prod_{j != i} e_j / (e_j - e_i).  With D_i = S(e_i) - S(0), the order-1
+# extrapolation is sum (L_i / e_i) D_i and the order-2 one
+# sum (2 L_i / e_i^2) D_i - kappa * u1 with kappa = sum 2 L_i / e_i, so each run
+# can be folded into running sums as it returns and then dropped.
+
+
+def _weights_at_zero(nodes):
+    """Lagrange weights at zero of the interpolant through ``nodes``."""
+    return [math.prod(ej / (ej - ei) for j, ej in enumerate(nodes) if j != i)
+            for i, ei in enumerate(nodes)]
 
 
 def _linear_comb(terms, scratch):
@@ -245,36 +256,6 @@ def _linear_comb(terms, scratch):
     return out
 
 
-def _neville_to_zero(nodes, column, scratch):
-    """Polynomial extrapolation of trajectory-valued samples to eps -> 0, in place.
-
-    ``nodes`` is the decreasing eps ladder and ``column`` the samples as
-    [u, v, w] lists, overwritten by the tableau: after column j, entry i holds
-    the degree-j interpolant at zero spanning nodes i..i+j.  Returns
-    (best, corrections) where corrections[k] is the sup-norm change
-    introduced by tableau column k+1 (an extrapolation health diagnostic).
-    """
-    m = len(nodes)
-    corrections = []
-    for j in range(1, m):
-        for i in range(m - j):
-            e_lo, e_hi = nodes[i + j], nodes[i]     # e_lo < e_hi
-            # P_{i..i+j}(0) = (e_hi * P_{i+1..i+j} - e_lo * P_{i..i+j-1}) / (e_hi - e_lo)
-            a, b = e_hi / (e_hi - e_lo), -e_lo / (e_hi - e_lo)
-            for lo, hi in zip(column[i], column[i + 1]):
-                lo *= b
-                np.multiply(hi, a, out=scratch)
-                lo += scratch
-        # entry m-j still holds the previous column's last interpolant
-        np.subtract(column[m - j - 1][0], column[m - j][0], out=scratch)
-        corrections.append(float(np.max(np.abs(scratch, out=scratch))))
-    return column[0], corrections
-
-
-def _snapshot(domain, times, column):
-    return [Trajectory(domain, times, *(a.copy() for a in d)) for d in column]
-
-
 def extract_variation_fd(handle: ForwardHandle, fam: PerturbationFamily,
                          first_direct: Trajectory | None = None,
                          return_ladder: bool = False):
@@ -283,42 +264,73 @@ def extract_variation_fd(handle: ForwardHandle, fam: PerturbationFamily,
     Order 1 uses (S(eps) - S(0))/eps, order 2 uses 2*(S(eps) - S(0) - eps*u1)/eps^2,
     both from the same runs; both are Richardson-extrapolated across the ladder
     (one-sided stencils only, since eps < 0 can break the non-negativity of the
-    initial data).  S(0) is the handle's base run; the ladder's runs are solved
-    here and dropped on return.  ``first_direct`` substitutes a trusted
-    first-order trajectory in the order-2 stencil; by default the extrapolated
-    order-1 result is used.  The ladder's difference quotients are copied out
-    only when ``return_ladder`` asks for them.
+    initial data).  S(0) is the handle's base run.  The extrapolation is
+    streamed: each ladder run is folded into running sums as soon as it returns
+    and is then dropped, so one run is alive at a time.  ``first_direct``
+    substitutes a trusted first-order trajectory in the order-2 stencil; by
+    default the extrapolated order-1 result is used.
+
+    On an m-node ladder, ``diagnostics["order{1,2}_corrections"]`` list
+    max|P_a(0) - P_{a+1}(0)| on u for a = m-2 down to 0, where P_a interpolates
+    the quotients at nodes a..m-1: the change each larger eps makes to the
+    extrapolation.  ``ladder_warning`` is set when the last order-1 correction
+    exceeds both 1e-12 and four times the one before it.  ``return_ladder``
+    keeps the runs and also returns the ladder's difference quotients.
     """
     domain = handle.domain
     fam.validate(domain)
-    eps_ladder = tuple(float(e) for e in fam.epsilons)
+    eps = tuple(float(e) for e in fam.epsilons)
+    m = len(eps)
     base = handle.base()
-    runs = [handle.run(*fam.initial_data(domain, handle.equilibrium, e)) for e in eps_ladder]
-    times, scratch = base.times, np.empty_like(base.u)
-    d1 = [_linear_comb([(1.0 / e, r), (-1.0 / e, base)], scratch)
-          for e, r in zip(eps_ladder, runs)]
-    ladders = [_snapshot(domain, times, d1)] if return_ladder else []
-    best1, corr1 = _neville_to_zero(eps_ladder, d1, scratch)
-    order1 = Trajectory(domain, times, *best1)
-    # the spent order-1 tableau is freed before the order-2 quotients exist
-    del d1, best1
-    diagnostics = {"order1_corrections": corr1}
+    weights = [_weights_at_zero(eps[a:]) for a in range(m)]   # node i of P_a: weights[a][i - a]
+    kappa = [2.0 * sum(w / e for w, e in zip(row, eps[a:])) for a, row in enumerate(weights)]
+    # sums[order, a, name]: P_a(0) before the u1 term, full for a = 0 and on u only
+    # for the tails; a sum is made by its first term, so no tail takes memory
+    # before its first node's run returns
+    sums, runs = {}, []
+
+    def fold(key, coeff, diff):
+        term = coeff * diff
+        if key in sums:
+            sums[key] += term
+        else:
+            sums[key] = term
+
+    for i, e in enumerate(eps):
+        run = handle.run(*fam.initial_data(domain, handle.equilibrium, e))
+        if return_ladder:
+            runs.append(run)
+        for name in ("u", "v", "w"):
+            diff = getattr(run, name) - getattr(base, name)
+            for a in range(i + 1 if name == "u" else 1):
+                fold((1, a, name), weights[a][i - a] / e, diff)
+                fold((2, a, name), 2.0 * weights[a][i - a] / (e * e), diff)
+        del run, diff
+    times = base.times
+    order1 = Trajectory(domain, times, *(sums[1, 0, name] for name in "uvw"))
+    u1 = first_direct if first_direct is not None else order1
+    for (order, a, name), acc in sums.items():
+        if order == 2:
+            acc -= kappa[a] * getattr(u1, name)
+    diagnostics = {f"order{order}_corrections": [
+        float(np.max(np.abs(sums[order, a, "u"] - sums[order, a + 1, "u"])))
+        for a in range(m - 2, -1, -1)] for order in (1, 2)}
+    corr1 = diagnostics["order1_corrections"]
     if len(corr1) >= 2 and corr1[-1] > corr1[-2] * 4.0 and corr1[-1] > 1e-12:
         diagnostics["ladder_warning"] = (
             "order-1 extrapolation corrections are not decreasing; ladder too coarse")
-    u1_traj = first_direct if first_direct is not None else order1
-    d2 = [_linear_comb([(2.0 / (e * e), r), (-2.0 / (e * e), base), (-2.0 / e, u1_traj)],
-                       scratch)
-          for e, r in zip(eps_ladder, runs)]
-    if return_ladder:
-        ladders.append(_snapshot(domain, times, d2))
-    best2, diagnostics["order2_corrections"] = _neville_to_zero(eps_ladder, d2, scratch)
-    stack = VariationStack(order1=order1, order2=Trajectory(domain, times, *best2),
-                           provenance="finite-difference", diagnostics=diagnostics)
+    order2 = Trajectory(domain, times, *(sums[2, 0, name] for name in "uvw"))
+    stack = VariationStack(order1=order1, order2=order2, provenance="finite-difference",
+                           diagnostics=diagnostics)
     if not return_ladder:
         return stack
-    return stack, [(e, VariationStack(*quotients, provenance="finite-difference"))
-                   for e, *quotients in zip(eps_ladder, *ladders)]
+    scratch = np.empty_like(base.u)
+    d1 = [_linear_comb([(1.0 / e, r), (-1.0 / e, base)], scratch) for e, r in zip(eps, runs)]
+    d2 = [_linear_comb([(2.0 / (e * e), r), (-2.0 / (e * e), base), (-2.0 / e, u1)], scratch)
+          for e, r in zip(eps, runs)]
+    return stack, [(e, VariationStack(Trajectory(domain, times, *q1), Trajectory(domain, times, *q2),
+                                      provenance="finite-difference"))
+                   for e, q1, q2 in zip(eps, d1, d2)]
 
 
 # ---------------------------------------------------------------------------

@@ -324,6 +324,32 @@ def test_screened_apply_matches_laplacian_form(rng):
                 assert float(np.max(np.abs(_screened_apply(d, x, decay) - expected))) <= bound
 
 
+def _strided_screened_apply(domain, x, decay):
+    # every axis through strided slices, as the 2D residual check did before its
+    # last axis ran over the flat field
+    from archemo.grid import _NODE_INDEX
+    out = x * (decay + domain.stencil_diagonal)
+    for axis, h in enumerate(domain.spacing):
+        _, _, inner, left, right, first, last, second, penult = _NODE_INDEX[domain.dim, axis]
+        s = 1.0 / (h * h)
+        out[inner] -= s * (x[left] + x[right])
+        out[first] -= (2.0 * s) * x[second]
+        out[last] -= (2.0 * s) * x[penult]
+    return out
+
+
+@pytest.mark.parametrize("cells", [(33, 33), (33, 65), (65, 33), (65, 65)])
+def test_screened_apply_matches_the_strided_stencil(rng, cells):
+    from archemo.grid import _screened_apply
+    d = Domain((1.0, 2.0), cells)
+    for decay in (1e-6, 1.0, 50.0):
+        x = rng.standard_normal(cells)
+        assert np.array_equal(_screened_apply(d, x, decay), _strided_screened_apply(d, x, decay))
+        fortran = np.asfortranarray(x)
+        assert np.array_equal(_screened_apply(d, fortran, decay),
+                              _strided_screened_apply(d, x, decay))
+
+
 def test_helmholtz_zero_source():
     d = Domain((1.0, 1.0), (17, 17))
     assert np.array_equal(helmholtz_solve(d, d.zeros(), decay=1.0), d.zeros())

@@ -1,10 +1,12 @@
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from archemo.forward import (
+    EquilibriumState,
     ParameterSet,
     SeparableField,
     SolverConfig,
@@ -436,18 +438,26 @@ def _neville_to_zero(domain, nodes, values):
 
 
 def _reference_fd(handle, fam, first_direct=None):
-    """Difference quotients and extrapolations of both orders, built out of place."""
+    """Difference quotients and extrapolations of both orders, built out of place.
+
+    The order-2 quotients are returned as a function of the u1 they difference
+    against, so they can be rebuilt against another first variation.
+    """
     domain, eq = handle.domain, handle.equilibrium
     eps = tuple(float(e) for e in fam.epsilons)
     base = handle.run(domain.constant(eq.u0), domain.constant(eq.v0), domain.constant(eq.w0))
     runs = [handle.run(*fam.initial_data(domain, eq, e)) for e in eps]
+
+    def quotients2(u1):
+        return [_traj_linear_comb(domain, [(2.0 / (e * e), r), (-2.0 / (e * e), base),
+                                           (-2.0 / e, u1)])
+                for e, r in zip(eps, runs)]
+
     d1 = [_traj_linear_comb(domain, [(1.0 / e, r), (-1.0 / e, base)]) for e, r in zip(eps, runs)]
     order1, corr1 = _neville_to_zero(domain, eps, d1)
     u1 = first_direct if first_direct is not None else order1
-    d2 = [_traj_linear_comb(domain, [(2.0 / (e * e), r), (-2.0 / (e * e), base), (-2.0 / e, u1)])
-          for e, r in zip(eps, runs)]
-    order2, corr2 = _neville_to_zero(domain, eps, d2)
-    return d1, order1, corr1, d2, order2, corr2
+    order2, corr2 = _neville_to_zero(domain, eps, quotients2(u1))
+    return d1, order1, corr1, quotients2, order2, corr2
 
 
 def _caching_handle(domain, params, t_final=0.2):
@@ -469,6 +479,29 @@ def _assert_traj_equal(a, b):
         assert np.array_equal(a.component(name), b.component(name))
 
 
+# the streamed sums differ from the tableau in rounding only: order 1 within 64 eps
+# of each component's largest |.|, order 2 within 1e-10 of it (3.3e-12 measured),
+# and the corrections, which are differences on u, within 1e-10 of the largest |u|
+ORDER1_REL = 64 * np.finfo(float).eps
+ORDER2_REL = 1e-10
+
+
+def _assert_traj_close(a, b, rel):
+    for name in ("u", "v", "w"):
+        ref = b.component(name)
+        assert np.max(np.abs(a.component(name) - ref)) <= rel * np.max(np.abs(ref))
+
+
+def _assert_matches_reference(stack, order1, corr1, order2, corr2):
+    _assert_traj_close(stack.order1, order1, ORDER1_REL)
+    _assert_traj_close(stack.order2, order2, ORDER2_REL)
+    for name, ref, traj in (("order1_corrections", corr1, order1),
+                            ("order2_corrections", corr2, order2)):
+        got = stack.diagnostics[name]
+        assert len(got) == len(ref)
+        assert np.max(np.abs(np.subtract(got, ref))) <= ORDER2_REL * np.max(np.abs(traj.u))
+
+
 # every extraction reaches order 2; the ids keep naming that order
 @pytest.mark.parametrize("use_direct", [False, True], ids=["False-2", "True-2"])
 def test_fd_matches_out_of_place_reference(line65, nondegenerate_params, use_direct):
@@ -478,19 +511,21 @@ def test_fd_matches_out_of_place_reference(line65, nondegenerate_params, use_dir
     if use_direct:
         kin = make_kinetics(nondegenerate_params)
         direct = solve_variations(line65, nondegenerate_params, kin, fam, handle.cfg).order1
-    d1, order1, corr1, d2, order2, corr2 = _reference_fd(handle, fam, direct)
+    d1, order1, corr1, quotients2, order2, corr2 = _reference_fd(handle, fam, direct)
     stack, ladder = extract_variation_fd(handle, fam, first_direct=direct, return_ladder=True)
-    _assert_traj_equal(stack.order1, order1)
-    assert stack.diagnostics["order1_corrections"] == corr1
+    _assert_matches_reference(stack, order1, corr1, order2, corr2)
+    # the ladder's quotients are bitwise the reference's, the order-2 ones taken
+    # against the u1 the extraction used
+    d2 = quotients2(direct if use_direct else stack.order1)
     assert [e for e, _ in ladder] == list(fam.epsilons)
-    for (_, entry), ref in zip(ladder, d1):
-        _assert_traj_equal(entry.order1, ref)
-    _assert_traj_equal(stack.order2, order2)
-    assert stack.diagnostics["order2_corrections"] == corr2
-    for (_, entry), ref in zip(ladder, d2):
-        _assert_traj_equal(entry.order2, ref)
+    for (_, entry), ref1, ref2 in zip(ladder, d1, d2):
+        _assert_traj_equal(entry.order1, ref1)
+        _assert_traj_equal(entry.order2, ref2)
     # the stack without the ladder is the same extraction
-    _assert_traj_equal(extract_variation_fd(handle, fam, first_direct=direct).order2, order2)
+    plain = extract_variation_fd(handle, fam, first_direct=direct)
+    _assert_traj_equal(plain.order1, stack.order1)
+    _assert_traj_equal(plain.order2, stack.order2)
+    assert plain.diagnostics == stack.diagnostics
 
 
 # every extraction reaches order 2; the id keeps naming that order
@@ -510,3 +545,90 @@ def test_fd_extraction_peak_memory(line65, nondegenerate_params, bound):
         tracemalloc.stop()
     assert stack.order1 is not None
     assert peak / traj_bytes <= bound
+
+
+def test_fd_extraction_peak_memory_while_solving(line65, nondegenerate_params):
+    # peak of one extraction that solves its ladder, in trajectories (u, v, w): the
+    # two extrapolations, their tails on u and one ladder run at a time, about 5.0.
+    # The base run is solved first, since it belongs to the handle.
+    _, _, fam, handle = _fd_setup(line65, nondegenerate_params,
+                                  f1=1.0 + 0.9 * np.cos(math.pi * line65.axes[0]))
+    handle.base()
+    tracemalloc.start()
+    try:
+        stack = extract_variation_fd(handle, fam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    traj_bytes = sum(stack.order1.component(name).nbytes for name in ("u", "v", "w"))
+    assert peak / traj_bytes <= 5.5
+
+
+def test_fd_extraction_holds_one_ladder_run(line65, nondegenerate_params):
+    _, _, fam, model = _fd_setup(line65, nondegenerate_params, t_final=0.05,
+                                 f1=1.0 + 0.9 * np.cos(math.pi * line65.axes[0]),
+                                 epsilons=(1e-2, 5e-3, 2.5e-3, 1.25e-3))
+    refs = []
+
+    def run(f, gg, h):
+        # each earlier ladder run is gone before the next one is solved
+        assert all(ref() is None for ref in refs)
+        traj = model.run(f, gg, h)
+        refs.append(weakref.ref(traj))
+        return traj
+    handle = ForwardHandle(domain=line65, equilibrium=model.equilibrium, run=run, cfg=model.cfg)
+    handle.base()
+    refs.clear()        # the base run stays with the handle
+    extract_variation_fd(handle, fam)
+    assert len(refs) == 4
+    assert all(ref() is None for ref in refs)
+
+
+def _synthetic_handle(domain, scale):
+    """A handle whose runs are known smooth functions of eps, read off the initial
+    density (u0 = 0, f1 = 1): S(eps) = S(0) + (expm1(x) A, expm1(x)^2 B, sin(x) C)
+    with x = eps / scale.  Also returns the first variation (A, 0, C) / scale."""
+    rng = np.random.default_rng(7)
+    times = np.linspace(0.0, 0.1, 6)
+    shape = times.shape + domain.shape
+    base, modes = ([rng.random(shape) for _ in range(3)] for _ in range(2))
+
+    def run(f, gg, h):
+        x = float(f[0]) / scale
+        factors = (math.expm1(x), math.expm1(x) ** 2, math.sin(x))
+        return Trajectory(domain, times, *(b + c * a for b, c, a in zip(base, factors, modes)))
+    handle = ForwardHandle(domain=domain, equilibrium=EquilibriumState(0.0, 0.0, 0.0), run=run,
+                           cfg=SolverConfig(dt=1e-3, t_final=0.1))
+    first = Trajectory(domain, times, modes[0] / scale, 0.0 * modes[1], modes[2] / scale)
+    return handle, first
+
+
+@pytest.mark.parametrize("epsilons, warned", [
+    ((0.4, 0.2, 0.1), True),               # x = 8, 4, 2: each larger eps moves it more
+    ((1e-2, 5e-3, 2.5e-3), False),         # the default ladder, x <= 0.2
+])
+def test_ladder_warning_flags_a_coarse_ladder(line65, epsilons, warned):
+    handle, _ = _synthetic_handle(line65, scale=0.05)
+    fam = PerturbationFamily(f1=np.ones(65), epsilons=epsilons)
+    stack = extract_variation_fd(handle, fam)
+    corr = stack.diagnostics["order1_corrections"]
+    assert len(corr) == 2
+    assert ("ladder_warning" in stack.diagnostics) == warned
+    assert (corr[-1] > 4.0 * corr[-2]) == warned
+
+
+@pytest.mark.parametrize("use_direct", [False, True])
+def test_four_node_corrections_match_the_reference(line65, use_direct):
+    handle, first = _synthetic_handle(line65, scale=0.05)
+    fam = PerturbationFamily(f1=np.ones(65), epsilons=(0.2, 0.1, 0.05, 0.025))
+    direct = first if use_direct else None
+    _, order1, corr1, _, order2, corr2 = _reference_fd(handle, fam, direct)
+    stack = extract_variation_fd(handle, fam, first_direct=direct)
+    assert len(stack.diagnostics["order1_corrections"]) == 3
+    # every correction is far above rounding but the last one of order 2 against
+    # its own order 1: with u1 = P_0(0) of the order-1 quotients, the order-2
+    # quotients at all m nodes lie on one polynomial of degree m - 2, which P_0
+    # and P_1 both reproduce
+    assert min(corr1 + corr2[:-1]) > 1e-3
+    assert (corr2[-1] > 1e-3) == use_direct
+    _assert_matches_reference(stack, order1, corr1, order2, corr2)
