@@ -34,6 +34,7 @@ from .forward import (
     SeparableField,
     SolverConfig,
     Trajectory,
+    coefficient_on_grid,
     measure,
     solve_forward,
     steady_state,
@@ -348,7 +349,6 @@ def parameter_distance(b1: ParameterSet, b2: ParameterSet, domain: Domain | None
         if isinstance(v1, (np.ndarray, SeparableField)) or isinstance(v2, (np.ndarray, SeparableField)):
             if domain is None:
                 raise ValueError("field-valued parameters need the domain for comparison")
-            from .forward import coefficient_on_grid
             a = coefficient_on_grid(v1, domain)
             b = coefficient_on_grid(v2, domain)
             denom = max(norm_l2(domain, a), norm_l2(domain, b), 1e-300)
@@ -691,7 +691,6 @@ def report_to_text(report: RecoveryReport, truth: dict | None = None,
 
 def relative_estimate_error(est, truth, domain: Domain | None = None) -> float:
     """Relative gap between an estimate and a truth value (L2 for fields)."""
-    from .forward import coefficient_on_grid
     if isinstance(est, SeparableEstimate):
         if domain is None:
             raise ValueError("separable comparison needs the domain")

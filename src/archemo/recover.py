@@ -28,6 +28,10 @@ invert a different one swaps a single function:
   :func:`_chem_rate_to_decay`;
 - the chemical balance (stages 2 and 4): :func:`_chemical_balance`;
 - the density step (stage 3): :func:`forward.step_source` with step dt.
+
+Stages 3 and 4 reduce each regression to the Gram matrix of [regressors | rhs]:
+stage 4 from one (4, steps, *grid) array per experiment at a time, stage 3 from
+blocks of REGRESSOR_BLOCK steps with at most about eight block arrays alive.
 """
 
 from __future__ import annotations
@@ -147,7 +151,8 @@ CGO_CHECK_TOL = 0.1
 # pattern of the previous pass's (chi, xi)
 PATTERN_PASSES = 2
 # stage 3 builds its regressors for this many time steps at a time; it bounds the
-# block temporaries, about a dozen arrays of this many fields
+# block temporaries, at most about eight arrays of this many fields (the four
+# stacked rows of a block among them)
 REGRESSOR_BLOCK = 64
 # an exponential-rate fit keeps the samples down to this fraction of the largest
 # amplitude, and fails above this rms residual of its log-linear fit
@@ -265,11 +270,8 @@ def fit_exponential_rate(times, amps):
     times = np.asarray(times, dtype=float)
     amps = np.asarray(amps, dtype=float)
     floor = FIT_REL_FLOOR * float(np.max(np.abs(amps)))
-    keep = len(amps)
-    for i, a in enumerate(np.abs(amps) < floor):
-        if a:
-            keep = i
-            break
+    below = np.flatnonzero(np.abs(amps) < floor)
+    keep = int(below[0]) if below.size else len(amps)
     if keep < 5:
         raise RecoveryError("modal amplitude decays below the noise floor almost immediately")
     times, amps = times[:keep], amps[:keep]
@@ -565,28 +567,30 @@ def recover_chi_xi_mu(oracle: Oracle, r: float,
     least squares (every node is a row); the parabolic probe-weighted
     identities are evaluated afterwards as a cross-check and reported, since
     compressing the system onto probe rows alone destroys the chi/xi
-    separation.  Near-collinear regressors (which occur when the truth makes
-    v and w indistinguishable) are reported through the condition number and
-    resolved by a minimum-norm solve; the identifiable combination chi - xi is
-    always reported alongside.
+    separation.  A parabolic probe is separable, e^{a t} phi(x), so its
+    integrals are time sums of spatial projections against phi.
+    Near-collinear regressors (which occur when the truth makes v and w
+    indistinguishable) are reported through the condition number and resolved
+    by a minimum-norm solve; the identifiable combination chi - xi is always
+    reported alongside.
     """
     options = options or PipelineOptions()
     bank = bank or ExperimentBank(oracle)
     exps = experiments or _default_chi_experiments(oracle.domain, options, oracle.tau)
-    domain, cfg = oracle.domain, oracle.cfg
-    dt = cfg.dt
+    domain, dt = oracle.domain, oracle.cfg.dt
     _require_stride_one(oracle, "chi/xi/mu recovery")
 
     data = []
     for exp in exps:
         stack = bank.stack(exp)
-        o1, o2 = stack.order1, stack.order2
         # source series of the density second-variation steps
-        resid = step_source(domain, o2.u, dt) - r * o2.u[:-1]
-        data.append((exp, o1, resid))
+        resid = step_source(domain, stack.order2.u, dt) - r * stack.order2.u[:-1]
+        data.append((stack.order1, resid))
 
-    def regressor_blocks(o1, n_res, chi_xi_guess):
-        # (steps, s_chi, s_xi, s_mu) for consecutive blocks of the first n_res steps
+    def blocks(o1, resid, chi_xi_guess):
+        # (steps, rows) for consecutive blocks of the steps of ``resid``; the rows
+        # s_chi, s_xi, s_mu and the residual b are a (4, steps in block, nodes) array
+        n_res = len(resid)
         for start in range(0, n_res, REGRESSOR_BLOCK):
             steps = slice(start, min(start + REGRESSOR_BLOCK, n_res))
             u, v, w = o1.u[steps], o1.v[steps], o1.w[steps]
@@ -598,72 +602,25 @@ def recover_chi_xi_mu(oracle: Oracle, r: float,
                 pat = g.upwind_patterns(domain, chi_g * v - xi_g * w)
                 s_chi = -2.0 * g.advective_flux_div_patterned(domain, u, v, pat)
                 s_xi = 2.0 * g.advective_flux_div_patterned(domain, u, w, pat)
-            s_mu = -2.0 * u ** 2
-            yield steps, s_chi, s_xi, s_mu
-
-    def step_sums(values):
-        # the sum over each step's nodes, as np.sum of that step's slice gives it
-        return np.sum(values.reshape(values.shape[0], -1), axis=1)
-
-    zetas = []
-    for mult in PROBE_ZETA_MULTIPLIERS:
-        z = np.zeros(domain.dim)
-        z[-1] = mult * math.pi / domain.lengths[-1]
-        zetas.append(z)
-
-    def probe_identity_residuals(sol, chi_xi_guess):
-        # relative size of the probe-weighted identity after the fit, per probe;
-        # the constructive analogue of the vanishing integrals certified by uniqueness
-        worst = 0.0
-        for exp, o1, resid in data:
-            n_res = resid.shape[0]
-            times = o1.times[:n_res]
-            gaps = np.empty_like(resid)
-            for steps, s_chi, s_xi, s_mu in regressor_blocks(o1, n_res, chi_xi_guess):
-                gaps[steps] = resid[steps] - sol[0] * s_chi - sol[1] * s_xi - sol[2] * s_mu
-            for zeta in zetas:
-                probe = pr.cgo_parabolic(zeta, r)
-                omega = probe.sample(domain, times)
-                num = 0.0 + 0.0j
-                den = 0.0
-                for start in range(0, n_res, REGRESSOR_BLOCK):
-                    steps = slice(start, start + REGRESSOR_BLOCK)
-                    nums = step_sums(domain.weights * gaps[steps] * omega[steps])
-                    dens = step_sums(domain.weights * np.abs(resid[steps]) * np.abs(omega[steps]))
-                    # summed step by step, in time order
-                    for a, b in zip(nums, dens):
-                        num += a * dt
-                        den += float(b) * dt
-                worst = max(worst, abs(num) / (den or 1.0))
-        return worst
+            rows = np.stack([s_chi, s_xi, -2.0 * u ** 2, resid[steps]])
+            yield steps, rows.reshape(4, len(u), -1)
 
     # pointwise space-time least squares: every node contributes a weighted row.
     # Probe-compressed rows provably lose the chi/xi separation (the probe time
     # profiles drown the brief window where the mode mixture distinguishes the
     # two advective channels), so the probes serve as an identity check instead.
     guess = None
-    sol = np.zeros(3)
-    cond_lsq = np.inf
-    resid_rel = np.inf
-    degenerate = False
-    w_dt = domain.weights.ravel() * dt
+    root_w_dt = np.sqrt(domain.weights.ravel() * dt)
     for _ in range(PATTERN_PASSES):
         degenerate = False
-        N = np.zeros((3, 3))
-        rv = np.zeros(3)
-        btb = 0.0
-        for exp, o1, resid in data:
-            for steps, s_chi, s_xi, s_mu in regressor_blocks(o1, resid.shape[0], guess):
-                # one (3, nodes) regressor matrix per step of the block
-                R = np.stack([s.reshape(s.shape[0], -1) for s in (s_chi, s_xi, s_mu)], axis=1)
-                Rw = R * w_dt
-                rhs = resid[steps].reshape(len(R), -1)
-                sq = step_sums(domain.weights * resid[steps] ** 2)
-                # summed step by step, in time order
-                for k in range(len(R)):
-                    N += Rw[k] @ R[k].T
-                    rv += Rw[k] @ rhs[k]
-                    btb += float(sq[k]) * dt
+        # Gram matrix of [s_chi s_xi s_mu | b] under the weights w dt
+        gram = np.zeros((4, 4))
+        for o1, resid in data:
+            for _, rows in blocks(o1, resid, guess):
+                rows *= root_w_dt
+                flat = rows.reshape(4, -1)
+                gram += flat @ flat.T
+        N, rv, btb = gram[:3, :3], gram[:3, 3], gram[3, 3]
         scale = np.sqrt(np.diag(N))
         scale[scale == 0] = 1.0
         Ns = N / scale[:, None] / scale[None, :]
@@ -678,7 +635,27 @@ def recover_chi_xi_mu(oracle: Oracle, r: float,
         resid_rel = math.sqrt(fit_ss / btb) if btb > 0 else 0.0
         guess = (float(sol[0]), float(sol[1]))
     chi_hat, xi_hat, mu_hat = map(float, sol)
-    probe_resid = probe_identity_residuals(sol, guess)
+
+    # relative size of the probe-weighted identity after the fit, worst over probes
+    # and experiments; the constructive analogue of the vanishing integrals certified
+    # by uniqueness.  A parabolic probe is e^{a t} phi(x), so each integral is a time
+    # sum of spatial projections, one product for all probes.
+    axial = np.eye(domain.dim)[-1]
+    probes = [pr.cgo_parabolic(axial * (mult * math.pi / domain.lengths[-1]), r)
+              for mult in PROBE_ZETA_MULTIPLIERS]
+    w_phi = np.stack([p.sample_space(domain).ravel() for p in probes], axis=1)
+    w_phi *= domain.weights.reshape(-1, 1)
+    gap_of_rows = np.append(-sol, 1.0)
+    probe_resid = 0.0
+    for o1, resid in data:
+        dt_tfac = np.exp(np.multiply.outer(o1.times[:len(resid)],
+                                           [p.time_exponent for p in probes])) * dt
+        num, den = 0.0, 0.0
+        for steps, rows in blocks(o1, resid, guess):
+            gap = np.tensordot(gap_of_rows, rows, 1)
+            num += np.sum(dt_tfac[steps] * (gap @ w_phi), axis=0)
+            den += np.sum(dt_tfac[steps] * (np.abs(rows[3]) @ np.abs(w_phi)), axis=0)
+        probe_resid = max(probe_resid, float(np.max(np.abs(num) / np.where(den > 0, den, 1.0))))
 
     status, reason = "ok", ""
     if degenerate:
@@ -713,48 +690,30 @@ class SeparableEstimate:
         return np.multiply.outer(self.transverse, self.axial)
 
 
-def _normal_contribution(domain, regs, rhs, wt):
-    """Normal-equation pieces (N, r, btb, n_samples) for one experiment."""
-    shape = domain.shape
-    N = np.zeros((3, 3) + shape)
-    rvec = np.zeros((3,) + shape)
-    wts = wt.reshape((-1,) + (1,) * len(shape))
-    for i in range(3):
-        rvec[i] = np.sum(wts * regs[i] * rhs, axis=0)
-        for j in range(i, 3):
-            N[i, j] = np.sum(wts * regs[i] * regs[j], axis=0)
-    for i in range(3):
-        for j in range(i):
-            N[i, j] = N[j, i]
-    btb = np.sum(wts * rhs * rhs, axis=0)
-    return N, rvec, btb, rhs.shape[0]
+def _solve_normal(G):
+    """(sol, ridged N) of the per-node normal equations in the node-major Gram G."""
+    N, rvec = G[:, :3, :3], G[:, :3, 3]
+    ridge = 1e-12 * np.trace(N, axis1=1, axis2=2)[:, None, None] + 1e-300
+    Nreg = N + ridge * np.eye(3)[None]
+    sol = np.linalg.solve(Nreg, rvec[..., None])[..., 0]
+    return sol, Nreg
 
 
-def _solve_normal(domain, N, rvec):
-    shape = domain.shape
-    Nn = np.moveaxis(N.reshape(3, 3, -1), -1, 0)
-    rn = np.moveaxis(rvec.reshape(3, -1), -1, 0)
-    ridge = 1e-12 * np.trace(Nn, axis1=1, axis2=2)[:, None, None] + 1e-300
-    Nreg = Nn + ridge * np.eye(3)[None]
-    sol = np.linalg.solve(Nreg, rn[..., None])[..., 0]
-    return sol, Nreg, rn
-
-
-def _batched_lsq_3(domain, pieces):
+def _batched_lsq_3(domain, grams):
     """Per-node normal-equation solve for three coefficients, pooled and jackknifed.
 
-    pieces: one :func:`_normal_contribution` per experiment.  Returns pooled
-    coefficients (3, *shape), per-node sigma (3, *shape), the relative fit
-    residual, and the leave-one-experiment-out coefficient fields used for
-    jackknife bias floors.
+    grams: per experiment, the pair (node-major (nodes, 4, 4) Gram matrix of
+    [regressors | rhs], sample count); the Gram's blocks are N, rvec and btb.
+    Returns pooled coefficients (3, *shape), per-node sigma (3, *shape), the
+    relative fit residual, and the leave-one-experiment-out coefficient fields
+    used for jackknife bias floors.
     """
     shape = domain.shape
-    N = sum(p[0] for p in pieces)
-    rvec = sum(p[1] for p in pieces)
-    btb = sum(p[2] for p in pieces)
-    n_samples = sum(p[3] for p in pieces)
-    sol, Nreg, rn = _solve_normal(domain, N, rvec)
-    fit_ss = np.einsum("ni,nij,nj->n", sol, Nreg, sol) - 2 * np.einsum("ni,ni->n", sol, rn) + btb.ravel()
+    G = sum(gram for gram, _ in grams)
+    n_samples = sum(n for _, n in grams)
+    rn, btb = G[:, :3, 3], G[:, 3, 3]
+    sol, Nreg = _solve_normal(G)
+    fit_ss = np.einsum("ni,nij,nj->n", sol, Nreg, sol) - 2 * np.einsum("ni,ni->n", sol, rn) + btb
     dof = max(n_samples - 3, 1)
     sigma2 = np.maximum(fit_ss, 0.0) / dof
     inv_diag = np.diagonal(np.linalg.inv(Nreg), axis1=1, axis2=2)
@@ -762,13 +721,8 @@ def _batched_lsq_3(domain, pieces):
     coeffs = np.moveaxis(sol, 0, -1).reshape((3,) + shape)
     sigmas = np.moveaxis(sig, 0, -1).reshape((3,) + shape)
     rel_resid = float(np.sqrt(np.sum(np.maximum(fit_ss, 0)) / (np.sum(btb) + 1e-300)))
-    loo = []
-    if len(pieces) > 1:
-        for k in range(len(pieces)):
-            Nk = N - pieces[k][0]
-            rk = rvec - pieces[k][1]
-            sol_k, _, _ = _solve_normal(domain, Nk, rk)
-            loo.append(np.moveaxis(sol_k, 0, -1).reshape((3,) + shape))
+    loo = [np.moveaxis(_solve_normal(G - gram)[0], 0, -1).reshape((3,) + shape)
+           for gram, _ in grams] if len(grams) > 1 else []
     return coeffs, sigmas, rel_resid, loo
 
 
@@ -795,16 +749,23 @@ def recover_second_kinetics(oracle: Oracle, linear: StageRecord,
         exps = list(exps) + [chem_exps["chem"]]
 
     def contribution(exp, comp, a10_grid, decay):
-        # one experiment's regressors, reduced to normal-equation pieces
+        # one experiment's node-major Gram of [u1*chem1, 2*u1^2, 2*chem1^2 | rhs]
+        # under its time weights, and its sample count
         stack = bank.stack(exp)
         o1, o2 = stack.order1, stack.order2
         chem2 = o2.component(comp)
         balance = _chemical_balance(oracle, chem2)
         n = len(balance)
         u1, chem1 = o1.u[:n], o1.component(comp)[:n]
-        rhs = balance + decay * chem2[:n] - a10_grid * o2.u[:n]
-        regs = np.stack([u1 * chem1, 2.0 * u1 ** 2, 2.0 * chem1 ** 2])
-        return _normal_contribution(domain, regs, rhs, g.time_weights(o2.times[:n]))
+        rows = np.empty((4,) + balance.shape)
+        np.multiply(u1, chem1, out=rows[0])
+        np.multiply(2.0 * u1, u1, out=rows[1])
+        np.multiply(2.0 * chem1, chem1, out=rows[2])
+        np.add(balance, decay * chem2[:n], out=rows[3])
+        rows[3] -= a10_grid * o2.u[:n]
+        rows *= np.sqrt(g.time_weights(o2.times[:n])).reshape((n,) + (1,) * domain.dim)
+        rows = rows.reshape(4, n, -1).transpose(2, 0, 1)
+        return rows @ rows.transpose(0, 2, 1), n
 
     estimates, residuals, conditioning, details = {}, {}, {}, {}
     for (comp, src_name, decay_name), labels in zip(
@@ -812,8 +773,8 @@ def recover_second_kinetics(oracle: Oracle, linear: StageRecord,
         a10_grid = coefficient_on_grid(linear.estimates[src_name], domain)
         decay = linear.estimates[decay_name]
         # only one experiment's regressors are alive at a time
-        pieces = [contribution(exp, comp, a10_grid, decay) for exp in exps]
-        coeffs, sigmas, rel_resid, loo = _batched_lsq_3(domain, pieces)
+        grams = [contribution(exp, comp, a10_grid, decay) for exp in exps]
+        coeffs, sigmas, rel_resid, loo = _batched_lsq_3(domain, grams)
         residuals[f"{comp}_equation_fit"] = rel_resid
         wq = domain.weights / domain.weights.sum()
         for i, label in enumerate(labels):

@@ -85,6 +85,9 @@ class PerturbationFamily:
 
     def validate(self, domain: Domain):
         eps = tuple(float(e) for e in self.epsilons)
+        # one node gives no slope and, without first_direct, an order 2 that is zero
+        if len(eps) < 2:
+            raise ValueError(f"epsilon ladder needs at least two entries, got {len(eps)}")
         if any(e <= 0 for e in eps):
             raise ValueError("epsilon ladder entries must be strictly positive")
         if list(eps) != sorted(eps, reverse=True) or len(set(eps)) != len(eps):
@@ -270,12 +273,15 @@ def extract_variation_fd(handle: ForwardHandle, fam: PerturbationFamily,
     substitutes a trusted first-order trajectory in the order-2 stencil; by
     default the extrapolated order-1 result is used.
 
-    On an m-node ladder, ``diagnostics["order{1,2}_corrections"]`` list
-    max|P_a(0) - P_{a+1}(0)| on u for a = m-2 down to 0, where P_a interpolates
-    the quotients at nodes a..m-1: the change each larger eps makes to the
-    extrapolation.  ``ladder_warning`` is set when the last order-1 correction
-    exceeds both 1e-12 and four times the one before it.  ``return_ladder``
-    keeps the runs and also returns the ladder's difference quotients.
+    On an m-node ladder (m >= 2), ``diagnostics["order{1,2}_corrections"]``
+    list max|P_a(0) - P_{a+1}(0)| on u for a = m-2 down to 0, where P_a
+    interpolates the quotients at nodes a..m-1: the change each larger eps
+    makes to the extrapolation.  Without ``first_direct`` the last order-2
+    correction is zero in exact arithmetic, since the order-2 quotients then
+    lie on one polynomial of degree m - 2, so it reads rounding only.
+    ``ladder_warning`` is set when the last order-1 correction exceeds both
+    1e-12 and four times the one before it.  ``return_ladder`` keeps the runs
+    and also returns the ladder's difference quotients.
     """
     domain = handle.domain
     fam.validate(domain)

@@ -343,6 +343,18 @@ def test_cli_linearize(tmp_path):
         assert len(direct.order1.times) == -(-50 // every) + 1
 
 
+def test_cli_linearize_rejects_a_one_node_ladder(tmp_path, capsys):
+    cfg = ExperimentConfig.from_file(os.path.join(CONFIG_DIR, "quick_recover.cfg"))
+    cfg.set("solver.t_final", 0.1)
+    cfg.set("perturb.epsilons", (0.01,))
+    path = tmp_path / "one.cfg"
+    cfg.to_file(path)
+    assert "perturb.epsilons = 0.01\n" in open(path).read()
+    code = cli(["--config", str(path), "--out", str(tmp_path / "out"), "--quiet", "linearize"])
+    assert code == 1
+    assert "error: epsilon ladder needs at least two entries" in capsys.readouterr().err
+
+
 def test_cli_recover_check_passes(tmp_path):
     code = cli(["--config", os.path.join(CONFIG_DIR, "quick_recover.cfg"),
                 "--out", str(tmp_path), "--quiet", "recover", "--check"])

@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -65,6 +66,12 @@ def test_recover_r_zero_growth():
     theta, _, _ = fit_exponential_rate(times, amps)
     assert theta == pytest.approx(-math.log1p(dt * lam_h) / dt, rel=1e-10)
     assert rate_to_growth(theta, lam_h, dt) == pytest.approx(0.0, abs=1e-9)
+    # the fit keeps the samples before the first one below the floor, even when
+    # the amplitude recovers after it
+    import archemo.recover as rc
+    dipped = amps.copy()
+    dipped[200] = 0.5 * rc.FIT_REL_FLOOR * amps[0]
+    assert fit_exponential_rate(times, dipped) == fit_exponential_rate(times[:200], amps[:200])
 
 
 def test_mode_eigenvalue_spacing():
@@ -231,11 +238,13 @@ def test_chi_xi_mu_builds_patterned_regressors_once_per_pass(line65, nondegenera
 
 
 def _reference_chi_xi_mu(oracle, r, bank, exps):
-    """Stage 3's fit with its regressors built one time step at a time.
+    """Stage 3's fit with its regressors built, and every sum taken, one time step
+    at a time.
 
-    Kept as the reference for the block-wise build: returns (estimates of chi,
-    xi, mu, the relative fit residual, the condition number, the probe-identity
-    residual) with every per-step sum in time order.
+    Kept as the reference for the block-wise Gram products: returns (estimates of
+    chi, xi, mu, the relative fit residual, the condition number, the
+    probe-identity residual), with the probe integrals taken over the sampled
+    space-time probes.
     """
     import archemo.probes as pr
     import archemo.recover as rc
@@ -297,7 +306,10 @@ def _reference_chi_xi_mu(oracle, r, bank, exps):
 
 @pytest.mark.parametrize("t_final", [0.1, 0.3], ids=["one-short-block", "partial-last-block"])
 def test_chi_xi_mu_blocks_match_per_step_reference(line65, nondegenerate_params, t_final):
-    # 50 steps fit in one block of 64; 150 steps leave a last block of 22
+    # 50 steps fit in one block of 64; 150 steps leave a last block of 22.  The
+    # Gram products and the separable probe integrals sum in another order than
+    # the reference, so they agree to rounding: 1.2e-10 relative at most on chi
+    # and xi, 8.1e-12 on cond and 1.3e-9 on the probe identity
     import archemo.recover as rc
     oracle = _oracle(line65, nondegenerate_params, dt=2e-3, t_final=t_final)
     n_res = int(round(t_final / 2e-3))
@@ -310,10 +322,17 @@ def test_chi_xi_mu_blocks_match_per_step_reference(line65, nondegenerate_params,
     exps = rc._default_chi_experiments(line65, opts)
     sol, fit, cond, probe = _reference_chi_xi_mu(oracle, r_hat, bank, exps)
     assert rec.status == "ok"
-    assert [rec.estimates[k] for k in ("chi", "xi", "mu")] == sol
-    assert rec.estimates["chi_minus_xi"] == sol[0] - sol[1]
-    assert rec.residuals == {"fit": fit, "probe_identity": probe}
-    assert rec.conditioning == {"system": cond}
+    est = [rec.estimates[k] for k in ("chi", "xi", "mu")]
+    for got, want in zip(est, sol):
+        assert abs(got - want) <= 1e-9 * abs(want)
+    assert rec.estimates["chi_minus_xi"] == est[0] - est[1]
+    assert list(rec.residuals) == ["fit", "probe_identity"]
+    # both sides form fit^2 as btb - 2 sol.rv + sol.N.sol, whose rounding floor is
+    # about eps * btb, so fit itself carries relative noise where it is small
+    assert abs(rec.residuals["fit"] ** 2 - fit ** 2) <= 1e-13
+    assert abs(rec.residuals["probe_identity"] - probe) <= 1e-7 * probe
+    assert list(rec.conditioning) == ["system"]
+    assert abs(rec.conditioning["system"] - cond) <= 1e-10 * cond
 
 
 def test_chi_xi_mu_permutation_invariance(line65, nondegenerate_params):
@@ -475,10 +494,27 @@ def _reference_linear_kinetics(oracle, bank, exps, want_fields):
     return estimates, residuals, conditioning, details
 
 
+def _normal_contribution(domain, regs, rhs, wt):
+    """Normal-equation pieces (N, r, btb, n_samples) for one experiment, summed
+    pair by pair over the regressors."""
+    shape = domain.shape
+    N = np.zeros((3, 3) + shape)
+    rvec = np.zeros((3,) + shape)
+    wts = wt.reshape((-1,) + (1,) * len(shape))
+    for i in range(3):
+        rvec[i] = np.sum(wts * regs[i] * rhs, axis=0)
+        for j in range(i, 3):
+            N[i, j] = np.sum(wts * regs[i] * regs[j], axis=0)
+    for i in range(3):
+        for j in range(i):
+            N[i, j] = N[j, i]
+    btb = np.sum(wts * rhs * rhs, axis=0)
+    return N, rvec, btb, rhs.shape[0]
+
+
 def _reference_contribution(oracle, bank, exp, comp, a10_grid, decay):
     """One experiment's stage-4 normal-equation pieces, with the chemical balance
     written out per tau."""
-    import archemo.recover as rc
     from archemo.forward import step_source
     from archemo.grid import laplacian_neumann, time_weights
     domain, cfg = oracle.domain, oracle.cfg
@@ -494,7 +530,7 @@ def _reference_contribution(oracle, bank, exp, comp, a10_grid, decay):
                + decay * chem2[:-1] - a10_grid * o2.u[:-1])
         regs = np.stack([o1.u[:-1] * chem1[:-1], 2.0 * o1.u[:-1] ** 2, 2.0 * chem1[:-1] ** 2])
         wt = time_weights(o2.times[:-1])
-    return rc._normal_contribution(domain, regs, rhs, wt)
+    return _normal_contribution(domain, regs, rhs, wt)
 
 
 def _assert_same_entries(got, ref):
@@ -522,13 +558,13 @@ def test_stages_2_and_4_match_per_tau_reference(dim, tau, fields, nondegenerate_
         _assert_same_entries(got, want)
     assert lin.experiments == [e.name for e in lin_exps.values()]
 
-    pieces, contribution = [], rc._normal_contribution
+    grams, batched = [], rc._batched_lsq_3
 
-    def recording(*args):
-        pieces.append(contribution(*args))
-        return pieces[-1]
+    def recording(domain, per_exp):
+        grams.extend(per_exp)
+        return batched(domain, per_exp)
 
-    monkeypatch.setattr(rc, "_normal_contribution", recording)
+    monkeypatch.setattr(rc, "_batched_lsq_3", recording)
     rec = recover_second_kinetics(oracle, lin, options=opts, bank=bank)
     monkeypatch.undo()
     exps = rc._default_chi_experiments(domain, opts, tau) + ([lin_exps["chem"]] if tau else [])
@@ -538,9 +574,52 @@ def test_stages_2_and_4_match_per_tau_reference(dim, tau, fields, nondegenerate_
                                         lin.estimates[decay])
                 for comp, src, decay in (("v", "alpha", "beta"), ("w", "gamma", "delta"))
                 for exp in exps]
-    assert len(pieces) == len(expected)
-    for got, want in zip(pieces, expected):
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert len(grams) == len(expected)
+    # each Gram holds N, rv and btb as blocks; its products sum in another order than
+    # the pairwise pieces, so they agree to rounding (2.2e-15 of the largest entry)
+    for (gram, n), (N, rv, btb, n_ref) in zip(grams, expected):
+        assert n == n_ref
+        for got, want in ((gram[:, :3, :3], np.moveaxis(N.reshape(3, 3, -1), -1, 0)),
+                          (gram[:, :3, 3], rv.reshape(3, -1).T),
+                          (gram[:, 3, 3], btb.ravel())):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.fixture(scope="module")
+def cached_bank_129():
+    # the tau=0 benchmark recovery (129 nodes, 2 001 stored slices) with every
+    # family extracted, and the estimates stages 3 and 4 start from
+    truth = ParameterSet(chi=0.1, xi=0.05, r=0.5, mu=1.0,
+                         alpha=1.0, beta=1.0, gamma=0.8, delta=1.6)
+    oracle = _oracle(Domain(1.0, 129), truth, dt=5e-4, t_final=1.0)
+    opts = PipelineOptions(recover_fields=False)
+    bank = ExperimentBank(oracle)
+    r_hat = recover_r(oracle, options=opts, bank=bank).estimates["r"]
+    lin = recover_linear_kinetics(oracle, options=opts, bank=bank)
+    recover_chi_xi_mu(oracle, r_hat, options=opts, bank=bank)
+    return oracle, opts, bank, r_hat, lin
+
+
+@pytest.mark.parametrize("stage, bound", [("chi_xi_mu", 6.0), ("second_kinetics", 7.5)])
+def test_stage_peak_memory_on_a_cached_bank(cached_bank_129, stage, bound):
+    # the traced peak of one stage call above the cached stacks, in trajectory
+    # components: the regressions reduce to Gram matrices, so no stage holds more
+    # than a few components (5.0 and 6.0 measured; 8.2 and 8.1 with per-step
+    # probe arrays and pairwise normal pieces)
+    oracle, opts, bank, r_hat, lin = cached_bank_129
+    component = 2001 * 129 * 8
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        if stage == "chi_xi_mu":
+            recover_chi_xi_mu(oracle, r_hat, options=opts, bank=bank)
+        else:
+            recover_second_kinetics(oracle, lin, options=opts, bank=bank)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / component <= bound
 
 
 def test_stride_guard_for_step_inversions(square33, applied_params):

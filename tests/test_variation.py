@@ -176,6 +176,10 @@ def test_family_validation(line65):
         PerturbationFamily(f1=-np.ones(65)).validate(line65)
     with pytest.raises(ValueError):
         PerturbationFamily(epsilons=(1e-3, 1e-2)).validate(line65)
+    # a ladder needs two nodes for a slope
+    for eps in ((), (1e-2,)):
+        with pytest.raises(ValueError, match="at least two"):
+            PerturbationFamily(f1=np.ones(65), epsilons=eps).validate(line65)
     fam = PerturbationFamily(f1=np.ones(65), epsilons=(1e-2, 5e-3))
     fam.validate(line65)
     f, g, h = fam.initial_data(line65, (0.0, 0.0, 0.0), 1e-2)
