@@ -13,17 +13,17 @@ G and H are truncated power series around a constant equilibrium; the applied
 model is the linear special case G = alpha*u - beta*v, H = gamma*u - delta*w.
 
 Time stepping is IMEX Euler: diffusion implicit (one screened-Poisson solve
-per component), chemotactic advection and reactions explicit.  For tau = 1
-the three solves of a step run as one stacked transform, each slice with the
-values of its own solve.  For tau = 0 the chemical fields are re-slaved to u
-by the elliptic solver after every density update, and the supplied initial
-data g, h are replaced by the elliptic balance of f from t = 0 (the elliptic
-equations admit no independent initial state).  Kinetics linear in the
-chemical take one solve of (-Lap + decay)(c - c0) = G(u, c0), a source of u
-alone.  Kinetics nonlinear in the chemical make each such solve a Picard
-iteration in two preallocated buffers; it forms the terms that do not change
-across iterations once, and starts from the backward-difference extrapolation
-in time of the last PICARD_SEED_DEPTH slaved fields (fewer in the first steps).
+per component), chemotactic advection and reactions explicit.  A run binds
+its constants (step sizes, kept denominators, kinetics pieces) and scratch
+once in a StepPlan, and each step calls the ufuncs and the transform on it.
+For tau = 1 the three solves of a step run as one stacked transform.  For
+tau = 0 the chemical fields are re-slaved to u by the elliptic solver after
+every density update, and the supplied initial data g, h are replaced by the
+elliptic balance of f from t = 0.  Kinetics linear in the chemical take one
+solve of (-Lap + decay)(c - c0) = G(u, c0), a source of u alone.  Kinetics
+nonlinear in the chemical make each such solve a Picard iteration in two
+buffers, from the backward-difference extrapolation in time of the last
+PICARD_SEED_DEPTH slaved fields (fewer in the first steps).
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ __all__ = [
     "implicit_step",
     "step_source",
     "SliceStore",
+    "StepPlan",
     "step",
     "solve_forward",
     "measure",
@@ -152,14 +153,26 @@ def coefficient_on_grid(value, domain: Domain):
     return domain.constant(float(value))
 
 
-def _linear_in_chemical(table) -> bool:
-    # whether the only term of the table that holds the chemical is the decay (0, 1)
-    return not any(q >= 1 and (p, q) != (0, 1) for (p, q) in table)
-
-
 def _offset(x, x0):
     # x - x0, and x itself for a zero x0, which is the same up to the sign of zero
     return x - x0 if x0 else x
+
+
+def _sum_terms(items, du, dn, shape):
+    # the sum, in table order, of every ((p, q), term) times du^p dn^q, accumulated into
+    # the first product; powers of 1 multiply by du or dn itself, which is the value
+    # of du**1, and p + q >= 1 makes every product a fresh array
+    out = None
+    for (p, q), term in items:
+        if p:
+            term = term * (du if p == 1 else du**p)
+        if q:
+            term = term * (dn if q == 1 else dn**q)
+        if out is None:
+            out = term
+        else:
+            out += term
+    return np.zeros(shape) if out is None else out
 
 
 def _monomial_weight(p: int, q: int) -> float:
@@ -182,8 +195,7 @@ class KineticsSpec:
     g_coeffs: dict = field(default_factory=dict)
     h_coeffs: dict = field(default_factory=dict)
     expansion_point: EquilibriumState = EquilibriumState(0.0, 0.0, 0.0)
-    # (domain, per table its weighted coefficient grids and whether it is
-    # linear in its chemical), set only by bind()
+    # (domain, per table its weighted coefficient grids), set only by bind()
     _terms = None
 
     @classmethod
@@ -242,82 +254,36 @@ class KineticsSpec:
         """A copy for runs on ``domain`` that builds its coefficient grids once, here.
 
         The copy owns its coefficient tables, so changes to this spec never
-        reach it; :func:`solve_forward` makes one per run.  It also records
-        whether each table is linear in its chemical.
+        reach it; each :class:`StepPlan` makes one.
         """
         bound = replace(self, g_coeffs=dict(self.g_coeffs), h_coeffs=dict(self.h_coeffs))
-        bound._terms = (domain, {
-            which: (self._weighted_terms(table, domain), _linear_in_chemical(table))
-            for which, table in (("g", bound.g_coeffs), ("h", bound.h_coeffs))})
+        bound._terms = (domain, {which: self._weighted_terms(table, domain) for which, table
+                                 in (("g", bound.g_coeffs), ("h", bound.h_coeffs))})
         return bound
 
     def terms(self, which: str, domain: Domain):
-        """({(p, q): coefficient grid times its monomial weight} of G (``which="g"``) or
-        H (``"h"``) on domain, in table order; whether that table is linear in its
-        chemical).  A spec bound to domain returns the grids :meth:`bind` built."""
+        """{(p, q): coefficient grid times its monomial weight} of G (``which="g"``) or
+        H (``"h"``) on domain, in table order.  A spec bound to domain returns the
+        grids :meth:`bind` built."""
         if self._terms is not None and self._terms[0] is domain:
             return self._terms[1][which]
-        table = self.g_coeffs if which == "g" else self.h_coeffs
-        return self._weighted_terms(table, domain), _linear_in_chemical(table)
-
-    def _evaluate(self, which, domain, du, dn):
-        # the sum, in table order, of every term times du^p dn^q, accumulated into the
-        # first product; powers of 1 multiply by du or dn itself, which is the value
-        # of du**1, and p + q >= 1 makes every product a fresh array
-        out = None
-        for (p, q), term in self.terms(which, domain)[0].items():
-            if p:
-                term = term * (du if p == 1 else du**p)
-            if q:
-                term = term * (dn if q == 1 else dn**q)
-            if out is None:
-                out = term
-            else:
-                out += term
-        return np.zeros(domain.shape) if out is None else out
+        return self._weighted_terms(self.g_coeffs if which == "g" else self.h_coeffs, domain)
 
     def evaluate_g(self, domain: Domain, u, v):
         eq = self.expansion_point
-        return self._evaluate("g", domain, _offset(u, eq.u0), _offset(v, eq.v0))
+        return _sum_terms(self.terms("g", domain).items(), _offset(u, eq.u0),
+                          _offset(v, eq.v0), domain.shape)
 
     def evaluate_h(self, domain: Domain, u, w):
         eq = self.expansion_point
-        return self._evaluate("h", domain, _offset(u, eq.u0), _offset(w, eq.w0))
-
-    def slaved_terms(self, which: str, domain: Domain, u):
-        """The pieces of G (``which="g"``, c = v) or H (``"h"``, c = w) at density u
-        that stay fixed while a slaved chemical c is iterated.
-
-        Returns ``(fixed, factors)`` with
-
-            G(u, c) + decay * (c - c0) = fixed + sum of factor * (c - c0)^q,
-
-        where ``fixed`` sums the u-only terms (q = 0), so that it is G(u, c0), and
-        each ``(q, factor)`` holds coef * (u - u0)^p of a term with q >= 1.  The
-        (0, 1) term is left out: it is -decay * (c - c0) and cancels the added
-        decay.  A table linear in c has no factors.
-        """
-        terms = self.terms(which, domain)[0]
-        du = _offset(u, self.expansion_point.u0)
-        fixed = None
-        factors = []
-        for (p, q), term in terms.items():
-            if p:
-                term = term * (du if p == 1 else du**p)
-            if q:
-                if (p, q) != (0, 1):
-                    factors.append((q, term))
-            elif fixed is None:
-                fixed = term   # p >= 1 here, so the product is a fresh array
-            else:
-                fixed += term
-        return (np.zeros(domain.shape) if fixed is None else fixed), factors
+        return _sum_terms(self.terms("h", domain).items(), _offset(u, eq.u0),
+                          _offset(w, eq.w0), domain.shape)
 
     def second_order_sources(self, which: str, domain: Domain, u1, c1):
         """a11*u1*c1 + 2*a20*u1^2 + 2*a02*c1^2 of G (``which="g"``, c1 = v1) or H
         (``"h"``, c1 = w1) on the grid, skipping absent entries.  Each is 2 * grid * its
         two factors, grid from :meth:`terms`: the weight 1/2 of (1, 1) makes 2 * grid a11."""
-        grids = self.terms(which, domain)[0]
+        grids = self.terms(which, domain)
         out = np.zeros(domain.shape)
         for key, x, y in (((1, 1), u1, c1), ((2, 0), u1, u1), ((0, 2), c1, c1)):
             if key in grids:
@@ -441,79 +407,15 @@ def steady_state(p: ParameterSet, trivial: bool = False, domain: Domain | None =
     return EquilibriumState(u0, float(p.alpha) * u0 / p.beta, float(p.gamma) * u0 / p.delta)
 
 
-def _slave_chemical(domain, kin, which, u, previous=None, earlier=()):
-    """Solve 0 = Lap c + G(x, u, c) for the chemical field c (v for ``"g"``, w for ``"h"``).
-
-    The balance (-Lap + decay)(c - c0) = fixed + sum of factor * (c - c0)^q, with q
-    1 or 2 as tables stop at total order 2, has its u-only terms and factors formed
-    once per call by :meth:`KineticsSpec.slaved_terms`.  Kinetics linear in c have
-    no factors and take one screened solve of fixed = G(u, c0).  Nonlinear kinetics
-    run Picard in two buffers, the right-hand side and a scratch field, from the
-    backward-difference extrapolation through ``previous`` (c at the last step)
-    and the first PICARD_SEED_DEPTH - 1 fields of ``earlier`` (c at the steps
-    before, newest first): sum over j of (-1)^j C(k, j + 1) c_{n-j} for the k
-    fields given, c0 when ``previous`` is None.  Picard stops once successive
-    iterates differ by at most PICARD_TOL * (1 + max|c|), and raises
-    NumericsError otherwise.
-    """
-    eq = kin.expansion_point
-    if which == "g":
-        decay, base = kin.beta_decay, eq.v0
-    else:
-        decay, base = kin.delta_decay, eq.w0
-    fixed, factors = kin.slaved_terms(which, domain, u)
-    if not factors:
-        c = g.helmholtz_solve(domain, fixed, decay)
-        return np.add(c, base, out=c) if base else c
-    v = previous if previous is not None else domain.constant(base)
-    if earlier:
-        earlier = earlier[:PICARD_SEED_DEPTH - 1]
-        first, *rest = _SEED_WEIGHTS[len(earlier) + 1]
-        v = first * previous
-        for weight, c in zip(rest, earlier):
-            v += weight * c
-    rhs, scratch = np.empty(domain.shape), np.empty(domain.shape)
-    for _ in range(PICARD_MAXITER):
-        src = fixed
-        for q, factor in factors:
-            dv = np.subtract(v, base, out=scratch) if base else v
-            np.multiply(factor, np.square(dv, out=scratch) if q == 2 else dv, out=scratch)
-            src = np.add(src, scratch, out=rhs)
-        v_new = g.helmholtz_solve(domain, src, decay)
-        if base:
-            v_new += base
-        np.subtract(v_new, v, out=scratch)
-        delta = float(max(scratch.max(), -scratch.min()))
-        v = v_new
-        target = PICARD_TOL * (1.0 + float(max(v.max(), -v.min())))
-        if delta <= target:
-            return v
-    name = "v" if which == "g" else "w"
-    raise NumericsError(
-        f"Picard iteration for the slaved chemical {name} did not converge in "
-        f"{PICARD_MAXITER} iterations: last change {delta:.3e} between iterates, "
-        f"target {target:.3e} = PICARD_TOL * (1 + max|{name}|)")
-
-
-def _check_cfl(domain, cfg, speed):
-    if speed == 0.0:
-        return
-    bound = CFL_SAFETY * min(domain.spacing) / speed
-    if cfg.dt > bound:
-        raise CFLViolation(
-            f"dt={cfg.dt:.3e} exceeds the advective stability bound {bound:.3e} "
-            f"(max drift speed {speed:.3e})")
-
-
 def implicit_step(domain: Domain, x, tendency, h):
     """One IMEX Euler step of step size h with implicit diffusion.
 
     Solves x_new - h Lap x_new = x + h * tendency, where ``tendency`` holds
-    the explicitly treated terms.  Every time step of the package, forward
-    and variational, goes through here.  With a tuple h of per-slice step
-    sizes, x and tendency are sequences of as many fields, and slice i takes
-    the step of size h[i]: the slices are stacked and solved as one stack,
-    each with the values of its own single step.
+    the explicitly treated terms.  Every variational step goes through here,
+    and a forward :func:`step` runs these operations on its StepPlan.  With a
+    tuple h of per-slice step sizes, x and tendency are sequences of as many
+    fields, and slice i takes the step of size h[i]: the slices are stacked and
+    solved as one stack, each with the values of its own single step.
     """
     if not isinstance(h, tuple):
         return g.spectral_helmholtz(domain, (x + h * tendency) / h, 1.0 / h)
@@ -562,49 +464,207 @@ class SliceStore:
         return Trajectory(self.domain, self.times, *self.fields)
 
 
-def step(domain: Domain, state, p: ParameterSet, kin: KineticsSpec, cfg: SolverConfig,
-         prior=()):
-    """One IMEX Euler step; returns the new (u, v, w) triple.
+class StepPlan:
+    """What every step of one run shares, bound once per run by :func:`solve_forward`.
+
+    It holds dt and the tau=1 step sizes, the kept denominators of the implicit
+    solve, the CFL numerator, whether there is drift, per chemical (``"g"`` for v,
+    ``"h"`` for w) its decay, c0 and coefficient grids, those split into u-only
+    terms and factors of the chemical, the number ``keep`` of earlier states that
+    seed Picard, and per-run scratch, which no field that :func:`step` returns is
+    or shares memory with.  The rates and step sizes that :func:`step` hands to
+    ufuncs are 0-d arrays, which a ufunc takes faster than Python floats.
+    """
+
+    def __init__(self, domain: Domain, p: ParameterSet, kin: KineticsSpec, cfg: SolverConfig):
+        self.domain, self.p, self.kin, self.cfg = domain, p, kin.bind(domain), cfg
+        eq = kin.expansion_point
+        self.dt, self.tau, self.u0 = cfg.dt, cfg.tau, eq.u0
+        self.chi, self.xi, self.r, self.mu, self.h, self.zero = (
+            np.array(float(x)) for x in (p.chi, p.xi, p.r, p.mu, cfg.dt, 0.0))
+        self.drift = bool(p.chi or p.xi)
+        self.cfl = CFL_SAFETY * min(domain.spacing)
+        self.tables = {}
+        for which, decay, base in (("g", kin.beta_decay, eq.v0), ("h", kin.delta_decay, eq.w0)):
+            items = list(self.kin.terms(which, domain).items())
+            self.tables[which] = (decay, base, items,
+                                  [(i, term) for (i, j), term in items if not j],
+                                  [(i, j, term) for (i, j), term in items if j and (i, j) != (0, 1)])
+        # only a slaved chemical nonlinear in itself reads the earlier states
+        nonlinear = self.tables["g"][4] or self.tables["h"][4]
+        self.keep = PICARD_SEED_DEPTH - 1 if nonlinear and not cfg.tau else 0
+        if cfg.tau:
+            h = cfg.relaxation_speedup * cfg.dt
+            self.sizes = np.array((cfg.dt, h, h)).reshape((-1,) + (1,) * domain.dim)
+            self.steps = tuple(self.sizes)
+            self.denom = domain.neumann_eigenvalues + 1.0 / self.sizes
+            self.stack = np.empty((3,) + domain.shape)
+        else:
+            self.denom = domain.denominators(1.0 / cfg.dt)
+        self.tendency, self.quad, self.fixed, self.rhs, self.scratch, self.pot, self.div = (
+            np.empty(domain.shape) for _ in range(7))
+        # per axis: h, the node indices of the faces' two ends, the potential there, the
+        # face velocities and their upwind mask, the face fluxes in a buffer padded with
+        # the zero outer fluxes (+0 before, -0 after, which keeps the signs of zero of
+        # -flux / (h/2)), the cell widths and the divergence (div, then added to it)
+        self.faces = []
+        for axis, h in enumerate(domain.spacing):
+            lo, hi, inner, _, _, _, last, _, _ = g._NODE_INDEX[domain.dim, axis]
+            n = domain.shape[axis]
+            padded = np.zeros(domain.shape[:axis] + (n + 1,) + domain.shape[axis + 1:])
+            padded[last] = -0.0
+            width = np.full(n, h)
+            width[0] = width[-1] = 0.5 * h
+            faces = self.pot[lo].shape
+            self.faces.append((
+                np.array(h), lo, hi, self.pot[hi], self.pot[lo], np.empty(faces),
+                padded[inner], np.empty(faces, bool), padded[hi], padded[lo],
+                width.reshape((n,) + (1,) * (domain.dim - 1 - axis)),
+                self.div if axis == 0 else np.empty(domain.shape)))
+
+    def slaved_terms(self, which, u):
+        """The pieces of G (``which="g"``, c = v) or H (``"h"``, c = w) at density u
+        that stay fixed while a slaved chemical c is iterated: ``(fixed, factors)`` with
+
+            G(u, c) + decay * (c - c0) = fixed + sum of factor * (c - c0)^q,
+
+        where ``fixed`` sums the u-only terms (q = 0) into the plan's scratch, so that
+        it is G(u, c0), and each ``(q, factor)`` holds coef * (u - u0)^p of a term with
+        q >= 1.  The (0, 1) term is left out: it is -decay * (c - c0) and cancels the
+        added decay.  A table linear in c has no factors.
+        """
+        _, _, _, fixed_terms, factor_terms = self.tables[which]
+        du = _offset(u, self.u0)
+        fixed = self.fixed
+        if not fixed_terms:
+            fixed.fill(0.0)
+        for k, (i, term) in enumerate(fixed_terms):
+            power = du if i == 1 else du**i
+            if k:
+                fixed += term * power
+            else:
+                np.multiply(term, power, out=fixed)
+        return fixed, [(j, term * (du if i == 1 else du**i) if i else term)
+                       for i, j, term in factor_terms]
+
+    def slave(self, which, u, previous=None, earlier=()):
+        """Solve 0 = Lap c + G(x, u, c) for the chemical c (v for ``"g"``, w for ``"h"``).
+
+        The balance is (-Lap + decay)(c - c0) = fixed + sum of factor * (c - c0)^q of
+        :meth:`slaved_terms`, q 1 or 2 as tables stop at total order 2.  Kinetics
+        linear in c have no factors and take one screened solve of fixed = G(u, c0).
+        Nonlinear kinetics run Picard in two buffers, the right-hand side and a
+        scratch field, from the backward-difference extrapolation through
+        ``previous`` (c at the last step) and the first PICARD_SEED_DEPTH - 1 fields
+        of ``earlier`` (c at the steps before, newest first): sum over j of
+        (-1)^j C(k, j + 1) c_{n-j} for the k fields given, c0 when ``previous`` is
+        None.  Picard stops once successive iterates differ by at most
+        PICARD_TOL * (1 + max|c|), and raises NumericsError otherwise.
+        """
+        decay, base = self.tables[which][:2]
+        fixed, factors = self.slaved_terms(which, u)
+        if not factors:
+            c = g.helmholtz_solve(self.domain, fixed, decay)
+            return np.add(c, base, out=c) if base else c
+        v = previous if previous is not None else self.domain.constant(base)
+        if earlier:
+            earlier = earlier[:PICARD_SEED_DEPTH - 1]
+            first, *rest = _SEED_WEIGHTS[len(earlier) + 1]
+            v = first * previous
+            for weight, c in zip(rest, earlier):
+                v += weight * c
+        rhs, scratch = self.rhs, self.scratch
+        for _ in range(PICARD_MAXITER):
+            src = fixed
+            for q, factor in factors:
+                dv = np.subtract(v, base, out=scratch) if base else v
+                np.multiply(factor, np.square(dv, out=scratch) if q == 2 else dv, out=scratch)
+                src = np.add(src, scratch, out=rhs)
+            v_new = g.helmholtz_solve(self.domain, src, decay)
+            if base:
+                v_new += base
+            np.subtract(v_new, v, out=scratch)
+            delta = float(max(np.maximum.reduce(scratch, None), -np.minimum.reduce(scratch, None)))
+            v = v_new
+            target = PICARD_TOL * (1.0 + float(max(np.maximum.reduce(v, None),
+                                                   -np.minimum.reduce(v, None))))
+            if delta <= target:
+                return v
+        name = "v" if which == "g" else "w"
+        raise NumericsError(
+            f"Picard iteration for the slaved chemical {name} did not converge in "
+            f"{PICARD_MAXITER} iterations: last change {delta:.3e} between iterates, "
+            f"target {target:.3e} = PICARD_TOL * (1 + max|{name}|)")
+
+    def kinetics(self, which, du, c):
+        """G(u, v) (``which="g"``, c = v) or H(u, w) (``"h"``, c = w), du = u - u0, as
+        :meth:`KineticsSpec.evaluate_g` and ``evaluate_h`` form them."""
+        _, base, items, _, _ = self.tables[which]
+        return _sum_terms(items, du, _offset(c, base), self.domain.shape)
+
+
+def step(plan: StepPlan, state, prior=()):
+    """One IMEX Euler step of the run that ``plan`` binds; returns the new (u, v, w) triple.
 
     The supplied (v, w) must already be consistent with u (slaved for tau=0).
-    For tau=1 the three implicit steps (v and w with step size
-    relaxation_speedup * dt) run as one stacked :func:`implicit_step`.
-    The drift's face velocities are built once and serve both the CFL check
-    and the upwind flux.  u and the potential are screened by their sums and
-    scanned by :meth:`Domain.check_field` only when that screen fails.
-    ``prior`` holds the states of the steps before ``state``, newest first;
-    for tau=0 their chemicals, with those of ``state``, seed the Picard
-    iteration of a chemical nonlinear in itself (see :func:`_slave_chemical`).
+    It runs the operations of :func:`implicit_step` and of the grid's drift
+    operators in their order, on the plan's denominators and scratch.  For tau=1
+    the three implicit steps (v and w with step size relaxation_speedup * dt) run
+    as one stacked solve.  The face velocities of the drift serve both the CFL
+    check and the upwind flux.  u and the potential are screened by their dot
+    product and scanned by :meth:`Domain.check_field` only when that screen
+    fails.  ``prior`` holds the states of the steps before ``state``, newest
+    first; for tau=0 their chemicals, with those of ``state``, seed the Picard
+    iteration of a chemical nonlinear in itself (see :meth:`StepPlan.slave`).
     """
     u, v, w = state
-    potential = p.chi * v - p.xi * w
-    vels = g.face_velocities(domain, potential)
-    _check_cfl(domain, cfg, g.face_speed(vels))
-    dt = cfg.dt
-    if p.chi or p.xi:
-        if not (domain.is_real_field(u) and domain.is_real_field(potential)
-                and math.isfinite(float(u.sum()) + float(potential.sum()))):
+    domain, dt, tendency = plan.domain, plan.dt, plan.tendency
+    # without drift the potential is 0 or NaN everywhere, and the face speed is then 0
+    if plan.drift:
+        pot, div = plan.pot, plan.div
+        np.subtract(np.multiply(plan.chi, v, out=pot), np.multiply(plan.xi, w, out=div), out=pot)
+        speed = 0.0
+        for h, _, _, pot_hi, pot_lo, vel, flux, *_ in plan.faces:
+            np.divide(np.subtract(pot_hi, pot_lo, out=vel), h, out=vel)
+            speed = max(speed, float(np.maximum.reduce(np.absolute(vel, out=flux), None)))
+        if speed and dt > plan.cfl / speed:
+            raise CFLViolation(
+                f"dt={dt:.3e} exceeds the advective stability bound {plan.cfl / speed:.3e} "
+                f"(max drift speed {speed:.3e})")
+        # the dot product of u and the potential is finite only if both are
+        if not (domain.is_real_field(u) and math.isfinite(float(np.vdot(u, pot)))):
             domain.check_field(u, "density")
-            domain.check_field(potential, "potential")
-        advect = g.upwind_flux_div(domain, u, vels)
+            domain.check_field(pot, "potential")
+        for _, lo, hi, _, _, vel, flux, mask, right, left, width, out in plan.faces:
+            np.multiply(vel, np.where(np.greater(vel, plan.zero, out=mask), u[lo], u[hi]),
+                        out=flux)
+            np.divide(np.subtract(right, left, out=out), width, out=out)
+            if out is not div:
+                div += out
+    np.multiply(plan.r, u, out=tendency)
+    tendency -= np.multiply(np.multiply(plan.mu, u, out=plan.quad), u, out=plan.quad)
+    if plan.drift:
+        tendency -= plan.div
+    if plan.tau == 0:
+        rhs = np.add(u, np.multiply(plan.h, tendency, out=tendency), out=tendency)
+        rhs /= plan.h
     else:
-        advect = 0.0
-    tendency = p.r * u - p.mu * u * u - advect
-    if cfg.tau == 0:
-        u_new = implicit_step(domain, u, tendency, dt)
-    else:
-        h = cfg.relaxation_speedup * dt
-        u_new, v_new, w_new = implicit_step(
-            domain, (u, v, w),
-            (tendency, kin.evaluate_g(domain, u, v), kin.evaluate_h(domain, u, w)), (dt, h, h))
-    if cfg.require_nonnegative and float(u_new.min()) < NEGATIVITY_FLOOR:
+        du, rhs = _offset(u, plan.u0), plan.stack
+        for out, x, t, size in zip(rhs, state, (tendency, plan.kinetics("g", du, v),
+                                                plan.kinetics("h", du, w)), plan.steps):
+            np.multiply(size, t, out=out)
+            out += x
+        rhs /= plan.sizes
+    new = g._dct_solve(domain, rhs, plan.denom)
+    u_new, v_new, w_new = (new, v, w) if plan.tau == 0 else new
+    if plan.cfg.require_nonnegative and float(np.minimum.reduce(u_new, None)) < NEGATIVITY_FLOOR:
         raise NumericsError(
             f"density dropped to {float(np.min(u_new)):.3e}, below the negativity floor; "
             "the run is unstable")
-    if cfg.tau == 0:
+    if plan.tau == 0:
         _, v_prior, w_prior = zip(*prior) if prior else ((), (), ())
-        v_new = _slave_chemical(domain, kin, "g", u_new, previous=v, earlier=v_prior)
-        w_new = _slave_chemical(domain, kin, "h", u_new, previous=w, earlier=w_prior)
+        v_new = plan.slave("g", u_new, v, v_prior)
+        w_new = plan.slave("h", u_new, w, w_prior)
     return u_new, v_new, w_new
 
 
@@ -613,14 +673,14 @@ def solve_forward(domain: Domain, init, p: ParameterSet, kin: KineticsSpec,
     """Integrate the coupled system from initial data (f, g, h).
 
     For tau = 0 the chemical fields are slaved from the start: g and h are
-    accepted but replaced by the elliptic balance of f.  When a slaved chemical
-    is nonlinear in itself, every step also gets the states of up to
-    PICARD_SEED_DEPTH - 1 steps before it, newest first, which seed its Picard
-    iteration (see :func:`step`).
+    accepted but replaced by the elliptic balance of f.  One :class:`StepPlan`
+    binds the run.  When a slaved chemical is nonlinear in itself, every step
+    also gets the states of up to PICARD_SEED_DEPTH - 1 steps before it, newest
+    first, which seed its Picard iteration (see :func:`step`).
     """
     cfg.validate()
     p.validate(domain)
-    kin = kin.validate(domain).bind(domain)
+    plan = StepPlan(domain, p, kin.validate(domain), cfg)
     f0, g0, h0 = (domain.check_field(np.asarray(a, dtype=float), n)
                   for a, n in zip(init, ("f", "g", "h")))
     if cfg.require_nonnegative:
@@ -629,18 +689,14 @@ def solve_forward(domain: Domain, init, p: ParameterSet, kin: KineticsSpec,
                 raise ValueError(f"initial data {name} must be non-negative")
     u = f0.copy()
     if cfg.tau == 0:
-        v = _slave_chemical(domain, kin, "g", u)
-        w = _slave_chemical(domain, kin, "h", u)
+        v, w = plan.slave("g", u), plan.slave("h", u)
     else:
         v, w = g0.copy(), h0.copy()
 
-    # only a slaved chemical nonlinear in itself reads the earlier states
-    linear = kin.terms("g", domain)[1] and kin.terms("h", domain)[1]
-    keep = 0 if cfg.tau or linear else PICARD_SEED_DEPTH - 1
     state, prior = (u, v, w), ()
     stored = SliceStore(domain, cfg, state)
     for n in range(1, cfg.n_steps + 1):
-        state, prior = step(domain, state, p, kin, cfg, prior), (state, *prior)[:keep]
+        state, prior = step(plan, state, prior), (state, *prior)[:plan.keep]
         stored.put(n, state)
     return stored.trajectory()
 

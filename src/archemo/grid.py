@@ -41,7 +41,6 @@ __all__ = [
     "upwind_patterns",
     "max_face_speed",
     "face_velocities",
-    "face_speed",
     "upwind_flux_div",
     "quadrature",
     "inner_product",
@@ -307,18 +306,9 @@ def advective_flux_div_patterned(domain, u, potential, patterns):
     return _flux_divergence(domain, u, vels, patterns)
 
 
-def face_speed(vels):
-    """Largest |v| over all faces and axes of the given face velocities."""
-    speed = 0.0
-    for v in vels:
-        if v.size:
-            speed = max(speed, float(np.abs(v).max()))
-    return speed
-
-
 def max_face_speed(domain, potential):
     """Largest |dP/dx| over all faces and axes (CFL numerator)."""
-    return face_speed(face_velocities(domain, potential))
+    return max(0.0, *(float(np.abs(v).max()) for v in face_velocities(domain, potential)))
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +426,12 @@ def _spectral_solve(domain, source, decay):
     # against the stack.  A scalar decay reads the domain's kept denominators
     denom = (domain.neumann_eigenvalues + decay if isinstance(decay, np.ndarray)
              else domain.denominators(decay))
+    return _dct_solve(domain, source, denom)
+
+
+def _dct_solve(domain, source, denom):
+    # the transform pair of _spectral_solve around a division by the given
+    # denominators, which a forward run binds once per run
     if domain.dct_matrices is None:
         axes = _FIELD_AXES[domain.dim]
         coeffs = _pocketfft_dct(source, 1, axes, 0, None, 1)
@@ -510,7 +506,7 @@ def helmholtz_solve(domain, source, decay, tol=ELLIPTIC_TOL):
     bnorm = math.sqrt(bsq)
     if bnorm == 0.0:
         return np.zeros_like(source)
-    x = _spectral_solve(domain, source, decay)
+    x = _dct_solve(domain, source, domain.denominators(decay))
     r = _screened_apply(domain, x, decay)
     np.subtract(source, r, out=r)
     rnorm = math.sqrt(float(np.vdot(w * r, r)))

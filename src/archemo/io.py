@@ -26,7 +26,6 @@ __all__ = [
     "variation_stack_to_csv",
     "variation_stack_to_npz",
     "variation_stack_from_npz",
-    "probe_to_csv",
     "field_to_csv",
     "fmt",
 ]
@@ -165,18 +164,6 @@ def variation_stack_from_npz(path):
         order2 = Trajectory(domain, data["times"], data["u2"], data["v2"], data["w2"])
         return VariationStack(order1=order1, order2=order2,
                               provenance=str(data["provenance"]))
-
-
-def probe_to_csv(path, domain: Domain, times, probe):
-    """Sampled probe values on the grid, one row per (time, node)."""
-    names, coords = _coordinate_columns(domain)
-    vals = probe.sample(domain, times)
-    with open(path, "w") as fh:
-        fh.write("t," + ",".join(names) + ",re,im\n")
-        for i, t in enumerate(np.atleast_1d(times)):
-            flat = vals[i].ravel()
-            _write_node_rows(fh, [fmt(t)], coords, range(domain.node_count),
-                             [flat.real, flat.imag])
 
 
 def field_to_csv(path, domain: Domain, values):

@@ -631,31 +631,32 @@ def recover_chi_xi_mu(oracle: Oracle, r: float,
             sol = (np.linalg.pinv(Ns, rcond=1e-12) @ (rv / scale)) / scale
         else:
             sol = np.linalg.solve(Ns, rv / scale) / scale
-        fit_ss = max(btb - 2 * sol @ rv + sol @ N @ sol, 0.0)
-        resid_rel = math.sqrt(fit_ss / btb) if btb > 0 else 0.0
         guess = (float(sol[0]), float(sol[1]))
     chi_hat, xi_hat, mu_hat = map(float, sol)
 
     # relative size of the probe-weighted identity after the fit, worst over probes
     # and experiments; the constructive analogue of the vanishing integrals certified
     # by uniqueness.  A parabolic probe is e^{a t} phi(x), so each integral is a time
-    # sum of spatial projections, one product for all probes.
+    # sum of spatial projections, one product for all probes.  The same gaps give the
+    # relative fit residual as sum of w dt gap^2 over btb, with no cancellation.
     axial = np.eye(domain.dim)[-1]
     probes = [pr.cgo_parabolic(axial * (mult * math.pi / domain.lengths[-1]), r)
               for mult in PROBE_ZETA_MULTIPLIERS]
     w_phi = np.stack([p.sample_space(domain).ravel() for p in probes], axis=1)
     w_phi *= domain.weights.reshape(-1, 1)
     gap_of_rows = np.append(-sol, 1.0)
-    probe_resid = 0.0
+    probe_resid = fit_ss = 0.0
     for o1, resid in data:
         dt_tfac = np.exp(np.multiply.outer(o1.times[:len(resid)],
                                            [p.time_exponent for p in probes])) * dt
         num, den = 0.0, 0.0
         for steps, rows in blocks(o1, resid, guess):
             gap = np.tensordot(gap_of_rows, rows, 1)
+            fit_ss += float(np.sum((gap * gap) @ (domain.weights.ravel() * dt)))
             num += np.sum(dt_tfac[steps] * (gap @ w_phi), axis=0)
             den += np.sum(dt_tfac[steps] * (np.abs(rows[3]) @ np.abs(w_phi)), axis=0)
         probe_resid = max(probe_resid, float(np.max(np.abs(num) / np.where(den > 0, den, 1.0))))
+    resid_rel = math.sqrt(fit_ss / btb) if btb > 0 else 0.0
 
     status, reason = "ok", ""
     if degenerate:

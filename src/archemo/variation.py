@@ -168,8 +168,8 @@ def solve_variations(domain: Domain, p: ParameterSet, kin: KineticsSpec,
     eq = kin.expansion_point
     dt = cfg.dt
     # the (1, 0) grids of G and H, whose monomial weight is 1; zero for an absent entry
-    a10 = kin.terms("g", domain)[0].get((1, 0), 0.0)
-    b10 = kin.terms("h", domain)[0].get((1, 0), 0.0)
+    a10 = kin.terms("g", domain).get((1, 0), 0.0)
+    b10 = kin.terms("h", domain).get((1, 0), 0.0)
     beta, delta = kin.beta_decay, kin.delta_decay
     r_eff = p.r - 2.0 * p.mu * eq.u0
     drift = bool(p.chi or p.xi)

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from archemo.forward import KineticsSpec, ParameterSet, SolverConfig
 from archemo.grid import Domain
+
+# property tests draw the same examples on every run, with no per-example deadline
+settings.register_profile("archemo", derandomize=True, deadline=None, database=None)
+settings.load_profile("archemo")
 
 
 @pytest.fixture

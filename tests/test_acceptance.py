@@ -18,6 +18,7 @@ from archemo.forward import (
     SolverConfig,
     solve_forward,
     steady_state,
+    StepPlan,
     step,
 )
 from archemo.grid import Domain, inner_product, laplacian_neumann, norm_l2
@@ -121,9 +122,10 @@ def test_criterion_2_forward_fidelity():
         kin = KineticsSpec.from_parameters(TRUTH, expansion_point=eq)
         cfg = SolverConfig(tau=0, dt=1e-3, t_final=1.0)
         state = tuple(domain.constant(v) for v in eq)
+        plan = StepPlan(domain, TRUTH, kin, cfg)
         max_drift = 0.0
         for _ in range(1000):
-            new = step(domain, state, TRUTH, kin, cfg)
+            new = step(plan, state)
             max_drift = max(max_drift, max(float(np.max(np.abs(a - b)))
                                            for a, b in zip(new, state)))
             state = new

@@ -14,6 +14,7 @@ from archemo.forward import (
     SolverConfig,
     measure,
     solve_forward,
+    StepPlan,
     steady_state,
     step,
 )
@@ -117,8 +118,9 @@ def test_step_fixed_point(line65, applied_params):
     kin = make_kinetics(applied_params, expansion_point=eq)
     cfg = SolverConfig(tau=0, dt=1e-3, t_final=1.0)
     state = (line65.constant(eq.u0), line65.constant(eq.v0), line65.constant(eq.w0))
+    plan = StepPlan(line65, applied_params, kin, cfg)
     for _ in range(100):
-        new = step(line65, state, applied_params, kin, cfg)
+        new = step(plan, state)
         drift = max(float(np.max(np.abs(a - b))) for a, b in zip(new, state))
         assert drift <= 1e-12
         state = new
@@ -175,17 +177,25 @@ def test_cfl_violation_detected(line65):
 
 def test_step_density_matches_unfused_drift(applied_params, rng):
     # one face-velocity build feeds both the CFL speed and the upwind flux; the
-    # density update equals the one built from the two separate grid operators
+    # density update equals the one built from the two separate grid operators, at
+    # tau 1 and 0, and the tau=0 chemicals are c0 + the screened solve of G(u_new, c0)
+    p = applied_params
+    eq = steady_state(p)
     for d in (Domain(1.0, 65), Domain((1.0, 1.0), (17, 17))):
-        kin = make_kinetics(applied_params)
-        cfg = SolverConfig(tau=1, dt=1e-3, t_final=1.0)
         u, v, w = (0.5 + 0.1 * rng.random(d.shape) for _ in range(3))
-        p = applied_params
         potential = p.chi * v - p.xi * w
-        assert cfg.dt <= forward.CFL_SAFETY * min(d.spacing) / max_face_speed(d, potential)
-        rhs = u + cfg.dt * (p.r * u - p.mu * u * u - advective_flux_div(d, u, potential))
-        expected = spectral_helmholtz(d, rhs / cfg.dt, 1.0 / cfg.dt)
-        assert np.array_equal(step(d, (u, v, w), p, kin, cfg)[0], expected)
+        for tau, kin in ((1, make_kinetics(p)), (0, make_kinetics(p, expansion_point=eq))):
+            cfg = SolverConfig(tau=tau, dt=1e-3, t_final=1.0)
+            assert cfg.dt <= forward.CFL_SAFETY * min(d.spacing) / max_face_speed(d, potential)
+            rhs = u + cfg.dt * (p.r * u - p.mu * u * u - advective_flux_div(d, u, potential))
+            expected = spectral_helmholtz(d, rhs / cfg.dt, 1.0 / cfg.dt)
+            u_new, v_new, w_new = step(StepPlan(d, p, kin, cfg), (u, v, w))
+            assert np.array_equal(u_new, expected)
+            if tau == 0:
+                for c_new, c0, evaluate, decay in ((v_new, eq.v0, kin.evaluate_g, p.beta),
+                                                   (w_new, eq.w0, kin.evaluate_h, p.delta)):
+                    source = evaluate(d, u_new, d.constant(c0))
+                    assert np.array_equal(c_new, helmholtz_solve(d, source, decay) + c0)
 
 
 def test_step_rejects_nonfinite_and_negative_states(line65, applied_params):
@@ -196,9 +206,9 @@ def test_step_rejects_nonfinite_and_negative_states(line65, applied_params):
         state = [good.copy(), good.copy(), good.copy()]
         state[which][7] = np.nan
         with pytest.raises(ValueError):
-            step(line65, tuple(state), applied_params, kin, cfg)
+            step(StepPlan(line65, applied_params, kin, cfg), tuple(state))
     with pytest.raises(NumericsError):
-        step(line65, (line65.constant(-0.5), good, good), applied_params, kin, cfg)
+        step(StepPlan(line65, applied_params, kin, cfg), (line65.constant(-0.5), good, good))
 
 
 def test_step_screen_rejects_infinities(line65, applied_params):
@@ -206,20 +216,20 @@ def test_step_screen_rejects_infinities(line65, applied_params):
     kin = make_kinetics(applied_params)
     good = line65.constant(0.5)
     for tau in (0, 1):
-        cfg = SolverConfig(tau=tau, dt=1e-3, t_final=1.0)
+        plan = StepPlan(line65, applied_params, kin, SolverConfig(tau=tau, dt=1e-3, t_final=1.0))
         bad_u = good.copy()
         bad_u[7] = np.inf
         with pytest.raises(ValueError, match="^density contains non-finite entries$"):
-            step(line65, (bad_u, good, good), applied_params, kin, cfg)
+            step(plan, (bad_u, good, good))
         # an infinite potential everywhere has no finite face speed to trip the CFL check
         with pytest.raises(ValueError, match="^potential contains non-finite entries$"), \
                 np.errstate(invalid="ignore"):
-            step(line65, (good, line65.constant(np.inf), good), applied_params, kin, cfg)
+            step(plan, (good, line65.constant(np.inf), good))
         # a single infinite node makes the drift speed infinite first
         bad_w = good.copy()
         bad_w[7] = np.inf
         with pytest.raises(CFLViolation):
-            step(line65, (good, good, bad_w), applied_params, kin, cfg)
+            step(plan, (good, good, bad_w))
 
 
 def test_bound_kinetics_grids_follow_each_spec(line65, rng):
@@ -506,16 +516,17 @@ def test_seeded_picard_meets_its_tolerance_in_both_chemicals(monkeypatch, n_step
         assert float(np.max(np.abs(c - c_ref))) <= tol * (1.0 + float(np.max(np.abs(c))))
 
 
-def _reference_picard_slave(domain, kin, which, u, previous=None, earlier=()):
+def _reference_picard_slave(plan, which, u, previous=None, earlier=()):
     """The Picard loop before it ran in preallocated buffers, each iteration building
     v - c0, the products, the rhs, c0 + solve and |v_new - v| as new arrays.  Kept as
     the reference that the buffered loop must match bitwise; kinetics linear in the
     chemical go to the present solve."""
+    domain, kin = plan.domain, plan.kin
     eq = kin.expansion_point
     decay, base = (kin.beta_decay, eq.v0) if which == "g" else (kin.delta_decay, eq.w0)
-    fixed, factors = kin.slaved_terms(which, domain, u)
+    fixed, factors = plan.slaved_terms(which, u)
     if not factors:
-        return _present_slave_chemical(domain, kin, which, u, previous, earlier)
+        return _present_slave_chemical(plan, which, u, previous, earlier)
     v = previous if previous is not None else domain.constant(base)
     if earlier:
         earlier = earlier[:forward.PICARD_SEED_DEPTH - 1]
@@ -536,7 +547,7 @@ def _reference_picard_slave(domain, kin, which, u, previous=None, earlier=()):
     raise NumericsError("Picard iteration for the slaved chemical field did not converge")
 
 
-_present_slave_chemical = forward._slave_chemical
+_present_slave_chemical = forward.StepPlan.slave
 
 
 @pytest.mark.parametrize("case", ["separable 33^2", "1D about a steady state"])
@@ -546,7 +557,7 @@ def test_buffered_picard_matches_the_unbuffered_loop(monkeypatch, case):
     # nonzero steady state (c0 != 0) return the reference trajectories bitwise
     run = _separable_a02_run(0.3)[0] if case == "separable 33^2" else _nonlinear_1d_run(200)
     present = run()
-    monkeypatch.setattr(forward, "_slave_chemical", _reference_picard_slave)
+    monkeypatch.setattr(forward.StepPlan, "slave", _reference_picard_slave)
     reference = run()
     for name in ("u", "v", "w"):
         assert np.array_equal(present.component(name), reference.component(name))
@@ -563,9 +574,10 @@ def test_linear_kinetics_never_read_the_seed(line129, nondegenerate_params):
     traj = solve_forward(d, (f, f, f), p, kin, cfg)
     states = list(zip(traj.u, traj.v, traj.w))
     depth = forward.PICARD_SEED_DEPTH - 1
+    plan = StepPlan(d, p, kin, cfg)
     for n in range(depth, len(states) - 1):
-        seeded = step(d, states[n], p, kin, cfg, states[n - 1::-1][:depth])
-        unseeded = step(d, states[n], p, kin, cfg)
+        seeded = step(plan, states[n], states[n - 1::-1][:depth])
+        unseeded = step(plan, states[n])
         for a, b, stored in zip(seeded, unseeded, states[n + 1]):
             assert np.array_equal(a, b) and np.array_equal(a, stored)
 
@@ -611,17 +623,17 @@ def test_linear_slave_solve_matches_reference(monkeypatch, line129, nondegenerat
     ]
     for d, p, kin, f, cfg in cases:
         kin = kin or make_kinetics(p)
-        assert kin.bind(d).terms("g", d)[1] and kin.bind(d).terms("h", d)[1]
+        assert StepPlan(d, p, kin, cfg).keep == 0     # both tables are linear in their chemical
         present = solve_forward(d, (f, f, f), p, kin, cfg)
         with monkeypatch.context() as m:
-            m.setattr(forward, "_slave_chemical",
-                      lambda domain, kin, which, u, previous=None, earlier=None:
-                      _reference_linear_slave(domain, kin, which, u))
+            m.setattr(forward.StepPlan, "slave",
+                      lambda plan, which, u, previous=None, earlier=None:
+                      _reference_linear_slave(plan.domain, plan.kin, which, u))
             reference = solve_forward(d, (f, f, f), p, kin, cfg)
         with monkeypatch.context() as m:
-            m.setattr(forward, "_slave_chemical",
-                      lambda domain, kin, which, u, previous=None, earlier=None:
-                      _reference_slave_chemical(domain, kin, which, u, previous))
+            m.setattr(forward.StepPlan, "slave",
+                      lambda plan, which, u, previous=None, earlier=None:
+                      _reference_slave_chemical(plan.domain, plan.kin, which, u, previous))
             former = solve_forward(d, (f, f, f), p, kin, cfg)
         eps = np.finfo(float).eps
         for name in ("u", "v", "w"):
@@ -645,9 +657,10 @@ def test_slaved_terms_match_the_kinetics(square33, rng):
     u, c = 0.4 + rng.random(d.shape), 0.3 + rng.standard_normal(d.shape)
     eps = np.finfo(float).eps
     for spec in (kin, kin.bind(d)):
+        plan = StepPlan(d, p, spec, SolverConfig())
         for which, decay, base, evaluate in (("g", 1.3, eq.v0, spec.evaluate_g),
                                               ("h", 1.6, eq.w0, spec.evaluate_h)):
-            fixed, factors = spec.slaved_terms(which, d, u)
+            fixed, factors = plan.slaved_terms(which, u)
             assert sorted(q for q, _ in factors) == [1, 2]
             dc = c - base
             pieces = [fixed] + [factor * dc**q for q, factor in factors]
@@ -658,17 +671,18 @@ def test_slaved_terms_match_the_kinetics(square33, rng):
     linear = make_kinetics(p)
     for spec, which, evaluate in ((linear, "g", linear.evaluate_g),
                                   (linear.bind(d), "h", linear.evaluate_h)):
-        fixed, factors = spec.slaved_terms(which, d, u)
+        fixed, factors = StepPlan(d, p, spec, SolverConfig()).slaved_terms(which, u)
         assert factors == [] and np.array_equal(fixed, evaluate(d, u, d.zeros()))
 
 
 # -- tau=1 stacked step and the per-step call structure ---------------------------------
 
 
-def _reference_tau1_step(domain, state, p, kin, cfg, prior=None):
+def _reference_tau1_step(plan, state, prior=None):
     """The tau=1 step before its implicit solves were stacked: u, v and w each take
     their own :func:`forward.implicit_step`, with the reference kinetics.  Kept as the
     reference that the stacked step must match bitwise."""
+    domain, p, kin, cfg = plan.domain, plan.p, plan.kin, plan.cfg
     u, v, w = state
     vels = grid.face_velocities(domain, p.chi * v - p.xi * w)
     advect = grid.upwind_flux_div(domain, u, vels) if p.chi or p.xi else 0.0
@@ -703,8 +717,10 @@ def test_tau1_stacked_step_matches_separate_steps(monkeypatch, nondegenerate_par
 @pytest.mark.parametrize("tau, helmholtz, spectral", [(0, 2, 1), (1, 0, 1)])
 def test_step_call_structure(monkeypatch, line129, nondegenerate_params, tau, helmholtz, spectral):
     # a tau=0 step with linear kinetics slaves v and w by one helmholtz_solve each and
-    # steps u by one spectral_helmholtz; a tau=1 step runs all three as one stack
-    calls = {"helmholtz_solve": 0, "spectral_helmholtz": 0}
+    # steps u by one transform solve of its own; a tau=1 step runs all three as one
+    # stack.  Each helmholtz_solve makes one transform solve, and the step calls the
+    # transform on its plan's denominators, not through spectral_helmholtz
+    calls = {"helmholtz_solve": 0, "_dct_solve": 0, "spectral_helmholtz": 0}
 
     def counting(name):
         fn = getattr(grid, name)
@@ -718,9 +734,57 @@ def test_step_call_structure(monkeypatch, line129, nondegenerate_params, tau, he
         monkeypatch.setattr(grid, name, counting(name))
     d, p = line129, nondegenerate_params
     f = 0.5 + 0.3 * np.cos(math.pi * d.axes[0])
-    step(d, (f, 0.9 * f, 0.7 * f), p, make_kinetics(p).bind(d), SolverConfig(tau=tau, dt=5e-4))
-    assert calls == {"helmholtz_solve": helmholtz, "spectral_helmholtz": spectral}, (
+    step(StepPlan(d, p, make_kinetics(p).bind(d), SolverConfig(tau=tau, dt=5e-4)),
+         (f, 0.9 * f, 0.7 * f))
+    own = calls["_dct_solve"] - calls["helmholtz_solve"]
+    assert (calls["helmholtz_solve"], own, calls["spectral_helmholtz"]) == (helmholtz, spectral, 0), (
         "the per-step solve calls changed; perfbench/test_tracer.py pins them (one "
         "solve_forward per oracle run, 50 forward.step calls per run, 2 helmholtz_solve "
         "calls per tau=0 step), and only a benchmark change retargets those pins "
         "(ROADMAP item 1)")
+
+
+def _arrays(obj):
+    # every ndarray held by obj, looking into tuples, lists and dicts
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (tuple, list)):
+        for x in obj:
+            yield from _arrays(x)
+    elif isinstance(obj, dict):
+        yield from _arrays(list(obj.values()))
+
+
+@pytest.mark.parametrize("tau", [0, 1])
+@pytest.mark.parametrize("case", ["1D linear", "33^2 separable a02 v^2"])
+def test_a_reused_plan_leaves_earlier_states_alone(nondegenerate_params, case, tau):
+    # one plan stepped several times returns fields that share no memory with its
+    # scratch or tables, leaves every state it returned earlier unchanged, and each
+    # step equals the one a fresh plan takes; the run stores the same states
+    p = nondegenerate_params
+    if case == "1D linear":
+        d = Domain(1.0, 65)
+        kin = make_kinetics(p)
+        f = 0.5 + 0.3 * np.cos(math.pi * d.axes[0])
+    else:
+        d = Domain((1.0, 1.0), (33, 33))
+        a02 = SeparableField(np.cos(math.pi * d.axes[0]), (1.0 + d.axes[1]) / 4.0)
+        kin = KineticsSpec.from_parameters(p, second_order_g={(0, 2): a02})
+        X, Y = d.meshgrid()
+        f = 0.3 * (1.2 + np.cos(math.pi * X) * np.cos(2.0 * math.pi * Y))
+    cfg = SolverConfig(tau=tau, dt=1e-3, t_final=8e-3)
+    traj = solve_forward(d, (f, 0.9 * f, 0.7 * f), p, kin, cfg)
+    plan = StepPlan(d, p, kin, cfg)
+    owned = list(_arrays(list(vars(plan).values())))
+    states = [(traj.u[0].copy(), traj.v[0].copy(), traj.w[0].copy())]
+    copies = [tuple(x.copy() for x in states[0])]
+    for n in range(cfg.n_steps):
+        prior = tuple(reversed(states[max(0, n - plan.keep):n]))
+        states.append(step(plan, states[n], prior))
+        copies.append(tuple(x.copy() for x in states[-1]))
+        assert not any(np.shares_memory(x, a) for x in states[-1] for a in owned)
+        fresh = step(StepPlan(d, p, kin, cfg), states[n], prior)
+        assert all(np.array_equal(a, b) for a, b in zip(states[-1], fresh))
+    for n, (state, copy) in enumerate(zip(states, copies)):
+        assert all(np.array_equal(a, b) for a, b in zip(state, copy))
+        assert all(np.array_equal(a, traj.component(c)[n]) for a, c in zip(state, "uvw"))

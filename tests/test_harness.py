@@ -29,7 +29,6 @@ from archemo.harness import (
     parameter_distance,
     study_rows_to_text,
 )
-from archemo.probes import cgo_parabolic
 from archemo.variation import PerturbationFamily, solve_variations
 
 from conftest import make_kinetics
@@ -290,15 +289,6 @@ def test_csv_seventeen_digit_round_trip(tmp_path, line65, applied_params):
     rows = np.genfromtxt(path, delimiter=",", names=True)
     u = rows["u"].reshape(len(traj.times), -1)
     assert np.array_equal(u, traj.u)
-
-
-def test_probe_csv_export(tmp_path, line65):
-    probe = cgo_parabolic(np.array([math.pi]), rate=0.5)
-    path = tmp_path / "probe.csv"
-    aio.probe_to_csv(path, line65, np.array([0.0, 0.1]), probe)
-    content = open(path).read()
-    assert content.startswith("t,x,re,im")
-    assert content.count("\n") == 2 * 65 + 1
 
 
 # -- command-line interface ---------------------------------------------------------------

@@ -283,15 +283,15 @@ def _reference_chi_xi_mu(oracle, r, bank, exps):
         eigvals = np.linalg.eigvalsh(Ns)
         cond = math.sqrt(abs(eigvals[-1] / eigvals[0])) if eigvals[0] > 0 else np.inf
         sol = np.linalg.solve(Ns, rv / scale) / scale
-        fit = math.sqrt(max(btb - 2 * sol @ rv + sol @ N @ sol, 0.0) / btb)
         guess = (float(sol[0]), float(sol[1]))
-    worst = 0.0
+    worst = fit_ss = 0.0
     for o1, resid in data:
         n_res = resid.shape[0]
         gaps = np.empty_like(resid)
         for n in range(n_res):
             s_chi, s_xi, s_mu = regressor_slices(o1, n, guess)
             gaps[n] = resid[n] - sol[0] * s_chi - sol[1] * s_xi - sol[2] * s_mu
+            fit_ss += float(np.sum(domain.weights * gaps[n] ** 2)) * dt
         for mult in rc.PROBE_ZETA_MULTIPLIERS:
             zeta = np.zeros(domain.dim)
             zeta[-1] = mult * math.pi / domain.lengths[-1]
@@ -301,7 +301,7 @@ def _reference_chi_xi_mu(oracle, r, bank, exps):
                 num += np.sum(domain.weights * gaps[n] * omega[n]) * dt
                 den += float(np.sum(domain.weights * np.abs(resid[n]) * np.abs(omega[n]))) * dt
             worst = max(worst, abs(num) / (den or 1.0))
-    return [float(x) for x in sol], fit, cond, worst
+    return [float(x) for x in sol], math.sqrt(fit_ss / btb), cond, worst
 
 
 @pytest.mark.parametrize("t_final", [0.1, 0.3], ids=["one-short-block", "partial-last-block"])
@@ -327,8 +327,9 @@ def test_chi_xi_mu_blocks_match_per_step_reference(line65, nondegenerate_params,
         assert abs(got - want) <= 1e-9 * abs(want)
     assert rec.estimates["chi_minus_xi"] == est[0] - est[1]
     assert list(rec.residuals) == ["fit", "probe_identity"]
-    # both sides form fit^2 as btb - 2 sol.rv + sol.N.sol, whose rounding floor is
-    # about eps * btb, so fit itself carries relative noise where it is small
+    # both sides sum the weighted squared gap of the final estimate, with no
+    # cancellation: fit agrees to 8.5e-13 relative here (4.0e-4 when both formed
+    # fit^2 as btb - 2 sol.rv + sol.N.sol, whose rounding floor is about eps * btb)
     assert abs(rec.residuals["fit"] ** 2 - fit ** 2) <= 1e-13
     assert abs(rec.residuals["probe_identity"] - probe) <= 1e-7 * probe
     assert list(rec.conditioning) == ["system"]
