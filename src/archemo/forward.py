@@ -14,22 +14,24 @@ model is the linear special case G = alpha*u - beta*v, H = gamma*u - delta*w.
 
 Time stepping is IMEX Euler: diffusion implicit (one screened-Poisson solve
 per component), chemotactic advection and reactions explicit.  A run binds
-its constants (step sizes, kept denominators, kinetics pieces) and scratch
-once in a StepPlan, and each step calls the ufuncs and the transform on it.
-For tau = 1 the three solves of a step run as one stacked transform.  For
-tau = 0 the chemical fields are re-slaved to u by the elliptic solver after
-every density update, and the supplied initial data g, h are replaced by the
-elliptic balance of f from t = 0.  Kinetics linear in the chemical take one
-solve of (-Lap + decay)(c - c0) = G(u, c0), a source of u alone.  Kinetics
-nonlinear in the chemical make each such solve a Picard iteration in two
-buffers, from the backward-difference extrapolation in time of the last
-PICARD_SEED_DEPTH slaved fields (fewer in the first steps).
+its constants (step sizes, kept denominators, kinetics coefficient grids) and
+scratch once in a StepPlan, the one place that evaluates the kinetics, and
+each step calls the ufuncs and the plan's implicit solve, on which the
+variation cascade of :mod:`variation` steps too.  For tau = 1 the three
+solves of a step run as one stacked transform.  For tau = 0 the chemical
+fields are re-slaved to u by the elliptic solver after every density update,
+and the supplied initial data g, h are replaced by the elliptic balance of f
+from t = 0.  Kinetics linear in the chemical take one solve of
+(-Lap + decay)(c - c0) = G(u, c0), a source of u alone.  Kinetics nonlinear
+in the chemical make each such solve a Picard iteration in two buffers, from
+the backward-difference extrapolation in time of the last PICARD_SEED_DEPTH
+slaved fields (fewer in the first steps).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -47,7 +49,6 @@ __all__ = [
     "Trajectory",
     "MeasurementRecord",
     "steady_state",
-    "implicit_step",
     "step_source",
     "SliceStore",
     "StepPlan",
@@ -190,13 +191,13 @@ class KineticsSpec:
     The (0, 1) entries must be constants with negative value (their negation
     is the decay rate); (1, 0) entries must not depend on the last coordinate;
     total order 2 entries, the highest supported, are constants or separable fields.
+    A spec only describes and validates the kinetics; a :class:`StepPlan` builds
+    their coefficient grids and evaluates them.
     """
 
     g_coeffs: dict = field(default_factory=dict)
     h_coeffs: dict = field(default_factory=dict)
     expansion_point: EquilibriumState = EquilibriumState(0.0, 0.0, 0.0)
-    # (domain, per table its weighted coefficient grids), set only by bind()
-    _terms = None
 
     @classmethod
     def from_parameters(cls, p: ParameterSet, second_order_g=None, second_order_h=None,
@@ -244,51 +245,6 @@ class KineticsSpec:
     @property
     def delta_decay(self) -> float:
         return -float(self.h_coeffs[(0, 1)])
-
-    @staticmethod
-    def _weighted_terms(table, domain):
-        return {(p, q): coefficient_on_grid(val, domain) * _monomial_weight(p, q)
-                for (p, q), val in table.items()}
-
-    def bind(self, domain: Domain) -> KineticsSpec:
-        """A copy for runs on ``domain`` that builds its coefficient grids once, here.
-
-        The copy owns its coefficient tables, so changes to this spec never
-        reach it; each :class:`StepPlan` makes one.
-        """
-        bound = replace(self, g_coeffs=dict(self.g_coeffs), h_coeffs=dict(self.h_coeffs))
-        bound._terms = (domain, {which: self._weighted_terms(table, domain) for which, table
-                                 in (("g", bound.g_coeffs), ("h", bound.h_coeffs))})
-        return bound
-
-    def terms(self, which: str, domain: Domain):
-        """{(p, q): coefficient grid times its monomial weight} of G (``which="g"``) or
-        H (``"h"``) on domain, in table order.  A spec bound to domain returns the
-        grids :meth:`bind` built."""
-        if self._terms is not None and self._terms[0] is domain:
-            return self._terms[1][which]
-        return self._weighted_terms(self.g_coeffs if which == "g" else self.h_coeffs, domain)
-
-    def evaluate_g(self, domain: Domain, u, v):
-        eq = self.expansion_point
-        return _sum_terms(self.terms("g", domain).items(), _offset(u, eq.u0),
-                          _offset(v, eq.v0), domain.shape)
-
-    def evaluate_h(self, domain: Domain, u, w):
-        eq = self.expansion_point
-        return _sum_terms(self.terms("h", domain).items(), _offset(u, eq.u0),
-                          _offset(w, eq.w0), domain.shape)
-
-    def second_order_sources(self, which: str, domain: Domain, u1, c1):
-        """a11*u1*c1 + 2*a20*u1^2 + 2*a02*c1^2 of G (``which="g"``, c1 = v1) or H
-        (``"h"``, c1 = w1) on the grid, skipping absent entries.  Each is 2 * grid * its
-        two factors, grid from :meth:`terms`: the weight 1/2 of (1, 1) makes 2 * grid a11."""
-        grids = self.terms(which, domain)
-        out = np.zeros(domain.shape)
-        for key, x, y in (((1, 1), u1, c1), ((2, 0), u1, u1), ((0, 2), c1, c1)):
-            if key in grids:
-                out += 2.0 * grids[key] * x * y
-        return out
 
 
 # Picard iteration for slaved chemical fields that are nonlinear in v or w
@@ -407,29 +363,8 @@ def steady_state(p: ParameterSet, trivial: bool = False, domain: Domain | None =
     return EquilibriumState(u0, float(p.alpha) * u0 / p.beta, float(p.gamma) * u0 / p.delta)
 
 
-def implicit_step(domain: Domain, x, tendency, h):
-    """One IMEX Euler step of step size h with implicit diffusion.
-
-    Solves x_new - h Lap x_new = x + h * tendency, where ``tendency`` holds
-    the explicitly treated terms.  Every variational step goes through here,
-    and a forward :func:`step` runs these operations on its StepPlan.  With a
-    tuple h of per-slice step sizes, x and tendency are sequences of as many
-    fields, and slice i takes the step of size h[i]: the slices are stacked and
-    solved as one stack, each with the values of its own single step.
-    """
-    if not isinstance(h, tuple):
-        return g.spectral_helmholtz(domain, (x + h * tendency) / h, 1.0 / h)
-    rhs = np.empty((len(h),) + domain.shape)
-    for out, c, t, size in zip(rhs, x, tendency, h):
-        np.multiply(size, t, out=out)
-        out += c
-    sizes = np.array(h).reshape((-1,) + (1,) * domain.dim)
-    rhs /= sizes
-    return g.spectral_helmholtz(domain, rhs, 1.0 / sizes)
-
-
 def step_source(domain: Domain, x, h):
-    """Inverse of :func:`implicit_step` over a series x of consecutive steps.
+    """Inverse of :meth:`StepPlan.implicit` over a series x of consecutive steps.
 
     Returns E[n] = (x[n+1] - h Lap x[n+1] - x[n]) / h, the tendency of every
     stored pair of steps.
@@ -465,19 +400,22 @@ class SliceStore:
 
 
 class StepPlan:
-    """What every step of one run shares, bound once per run by :func:`solve_forward`.
+    """What every step of one run shares, bound once per run.
 
-    It holds dt and the tau=1 step sizes, the kept denominators of the implicit
-    solve, the CFL numerator, whether there is drift, per chemical (``"g"`` for v,
-    ``"h"`` for w) its decay, c0 and coefficient grids, those split into u-only
-    terms and factors of the chemical, the number ``keep`` of earlier states that
-    seed Picard, and per-run scratch, which no field that :func:`step` returns is
-    or shares memory with.  The rates and step sizes that :func:`step` hands to
-    ufuncs are 0-d arrays, which a ufunc takes faster than Python floats.
+    :func:`solve_forward` and :func:`variation.solve_variations` each build one.  It
+    holds dt and the step sizes and kept denominators of the implicit solve
+    (:meth:`implicit`), the CFL numerator, whether there is drift, per chemical
+    (``"g"`` for v, ``"h"`` for w) its decay, c0 and coefficient grids, those split
+    into u-only terms and factors of the chemical, the number ``keep`` of earlier
+    states that seed Picard, and per-run scratch, which no field that :func:`step`
+    returns is or shares memory with.  The grids are built here from ``kin``'s
+    tables, once, and later edits to the spec do not reach them.  The rates and
+    step sizes that :func:`step` hands to ufuncs are 0-d arrays, which a ufunc
+    takes faster than Python floats.
     """
 
     def __init__(self, domain: Domain, p: ParameterSet, kin: KineticsSpec, cfg: SolverConfig):
-        self.domain, self.p, self.kin, self.cfg = domain, p, kin.bind(domain), cfg
+        self.domain, self.p, self.kin, self.cfg = domain, p, kin, cfg
         eq = kin.expansion_point
         self.dt, self.tau, self.u0 = cfg.dt, cfg.tau, eq.u0
         self.chi, self.xi, self.r, self.mu, self.h, self.zero = (
@@ -485,24 +423,29 @@ class StepPlan:
         self.drift = bool(p.chi or p.xi)
         self.cfl = CFL_SAFETY * min(domain.spacing)
         self.tables = {}
-        for which, decay, base in (("g", kin.beta_decay, eq.v0), ("h", kin.delta_decay, eq.w0)):
-            items = list(self.kin.terms(which, domain).items())
-            self.tables[which] = (decay, base, items,
-                                  [(i, term) for (i, j), term in items if not j],
-                                  [(i, j, term) for (i, j), term in items if j and (i, j) != (0, 1)])
+        for which, decay, base, table in (("g", kin.beta_decay, eq.v0, kin.g_coeffs),
+                                          ("h", kin.delta_decay, eq.w0, kin.h_coeffs)):
+            # {(p, q): coefficient grid times its monomial weight}, in table order
+            terms = {(i, j): coefficient_on_grid(val, domain) * _monomial_weight(i, j)
+                     for (i, j), val in table.items()}
+            self.tables[which] = (decay, base, terms,
+                                  [(i, term) for (i, j), term in terms.items() if not j],
+                                  [(i, j, term) for (i, j), term in terms.items()
+                                   if j and (i, j) != (0, 1)])
         # only a slaved chemical nonlinear in itself reads the earlier states
         nonlinear = self.tables["g"][4] or self.tables["h"][4]
         self.keep = PICARD_SEED_DEPTH - 1 if nonlinear and not cfg.tau else 0
         if cfg.tau:
             h = cfg.relaxation_speedup * cfg.dt
             self.sizes = np.array((cfg.dt, h, h)).reshape((-1,) + (1,) * domain.dim)
-            self.steps = tuple(self.sizes)
             self.denom = domain.neumann_eigenvalues + 1.0 / self.sizes
-            self.stack = np.empty((3,) + domain.shape)
         else:
-            self.denom = domain.denominators(1.0 / cfg.dt)
-        self.tendency, self.quad, self.fixed, self.rhs, self.scratch, self.pot, self.div = (
-            np.empty(domain.shape) for _ in range(7))
+            self.sizes, self.denom = self.h, domain.denominators(1.0 / cfg.dt)
+        # the tendency of u, at tau=1 the first of the stacked (u, v, w) tendencies
+        self.stack = np.empty((3,) + domain.shape) if cfg.tau else None
+        self.tendency = self.stack[0] if cfg.tau else np.empty(domain.shape)
+        self.quad, self.fixed, self.rhs, self.scratch, self.pot, self.div = (
+            np.empty(domain.shape) for _ in range(6))
         # per axis: h, the node indices of the faces' two ends, the potential there, the
         # face velocities and their upwind mask, the face fluxes in a buffer padded with
         # the zero outer fluxes (+0 before, -0 after, which keeps the signs of zero of
@@ -521,6 +464,21 @@ class StepPlan:
                 padded[inner], np.empty(faces, bool), padded[hi], padded[lo],
                 width.reshape((n,) + (1,) * (domain.dim - 1 - axis)),
                 self.div if axis == 0 else np.empty(domain.shape)))
+
+    def implicit(self, x, tendency):
+        """One IMEX Euler step with implicit diffusion, of the plan's step sizes h.
+
+        Solves x_new - h Lap x_new = x + h * tendency as (x + h * tendency) / h
+        divided by the kept denominators in one transform solve, in place on
+        ``tendency``, which the result shares no memory with.  At tau=0 h is dt
+        and x a field or a stack of fields.  At tau=1 h is (dt, s dt, s dt),
+        s = relaxation_speedup, and x a (u, v, w) triple or a stack of triples,
+        shaped (..., 3, *grid).  A stack is solved with the values of its slices.
+        """
+        rhs = np.multiply(self.sizes, tendency, out=tendency)
+        rhs += x
+        rhs /= self.sizes
+        return g._dct_solve(self.domain, rhs, self.denom)
 
     def slaved_terms(self, which, u):
         """The pieces of G (``which="g"``, c = v) or H (``"h"``, c = w) at density u
@@ -597,20 +555,30 @@ class StepPlan:
             f"target {target:.3e} = PICARD_TOL * (1 + max|{name}|)")
 
     def kinetics(self, which, du, c):
-        """G(u, v) (``which="g"``, c = v) or H(u, w) (``"h"``, c = w), du = u - u0, as
-        :meth:`KineticsSpec.evaluate_g` and ``evaluate_h`` form them."""
-        _, base, items, _, _ = self.tables[which]
-        return _sum_terms(items, du, _offset(c, base), self.domain.shape)
+        """G(u, v) (``which="g"``, c = v) or H(u, w) (``"h"``, c = w), du = u - u0."""
+        _, base, terms, _, _ = self.tables[which]
+        return _sum_terms(terms.items(), du, _offset(c, base), self.domain.shape)
+
+    def second_order_sources(self, which, u1, c1):
+        """a11*u1*c1 + 2*a20*u1^2 + 2*a02*c1^2 of G (``which="g"``, c1 = v1) or H
+        (``"h"``, c1 = w1) on the grid, skipping absent entries.  Each is 2 * grid * its
+        two factors: the weight 1/2 of (1, 1) makes 2 * grid a11."""
+        terms = self.tables[which][2]
+        out = np.zeros(self.domain.shape)
+        for key, x, y in (((1, 1), u1, c1), ((2, 0), u1, u1), ((0, 2), c1, c1)):
+            if key in terms:
+                out += 2.0 * terms[key] * x * y
+        return out
 
 
 def step(plan: StepPlan, state, prior=()):
     """One IMEX Euler step of the run that ``plan`` binds; returns the new (u, v, w) triple.
 
     The supplied (v, w) must already be consistent with u (slaved for tau=0).
-    It runs the operations of :func:`implicit_step` and of the grid's drift
-    operators in their order, on the plan's denominators and scratch.  For tau=1
-    the three implicit steps (v and w with step size relaxation_speedup * dt) run
-    as one stacked solve.  The face velocities of the drift serve both the CFL
+    It runs the operations of the grid's drift operators in their order, on the
+    plan's scratch, and solves through :meth:`StepPlan.implicit`.  For tau=1 the
+    three implicit steps (v and w with step size relaxation_speedup * dt) run as
+    one stacked solve.  The face velocities of the drift serve both the CFL
     check and the upwind flux.  u and the potential are screened by their dot
     product and scanned by :meth:`Domain.check_field` only when that screen
     fails.  ``prior`` holds the states of the steps before ``state``, newest
@@ -646,17 +614,11 @@ def step(plan: StepPlan, state, prior=()):
     if plan.drift:
         tendency -= plan.div
     if plan.tau == 0:
-        rhs = np.add(u, np.multiply(plan.h, tendency, out=tendency), out=tendency)
-        rhs /= plan.h
+        u_new, v_new, w_new = plan.implicit(u, tendency), v, w
     else:
-        du, rhs = _offset(u, plan.u0), plan.stack
-        for out, x, t, size in zip(rhs, state, (tendency, plan.kinetics("g", du, v),
-                                                plan.kinetics("h", du, w)), plan.steps):
-            np.multiply(size, t, out=out)
-            out += x
-        rhs /= plan.sizes
-    new = g._dct_solve(domain, rhs, plan.denom)
-    u_new, v_new, w_new = (new, v, w) if plan.tau == 0 else new
+        du, stack = _offset(u, plan.u0), plan.stack
+        stack[1], stack[2] = plan.kinetics("g", du, v), plan.kinetics("h", du, w)
+        u_new, v_new, w_new = plan.implicit(state, stack)
     if plan.cfg.require_nonnegative and float(np.minimum.reduce(u_new, None)) < NEGATIVITY_FLOOR:
         raise NumericsError(
             f"density dropped to {float(np.min(u_new)):.3e}, below the negativity floor; "

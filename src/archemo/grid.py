@@ -41,7 +41,6 @@ __all__ = [
     "upwind_patterns",
     "max_face_speed",
     "face_velocities",
-    "upwind_flux_div",
     "quadrature",
     "inner_product",
     "time_weights",
@@ -285,11 +284,7 @@ def advective_flux_div(domain, u, potential):
     """
     u = domain.check_field(u, "density", stacked=True)
     potential = domain.check_field(potential, "potential", stacked=True)
-    return upwind_flux_div(domain, u, face_velocities(domain, potential))
-
-
-def upwind_flux_div(domain, u, vels):
-    """Flux divergence for given face velocities, upwinded by their signs (no field checks)."""
+    vels = face_velocities(domain, potential)
     return _flux_divergence(domain, u, vels, [v > 0 for v in vels])
 
 

@@ -27,7 +27,9 @@ invert a different one swaps a single function:
   :func:`_modal_rates`, inverted per step by :func:`rate_to_growth` and
   :func:`_chem_rate_to_decay`;
 - the chemical balance (stages 2 and 4): :func:`_chemical_balance`;
-- the density step (stage 3): :func:`forward.step_source` with step dt.
+- the density step (stage 3): :func:`forward.step_source` with step dt, the
+  inverse of :meth:`forward.StepPlan.implicit`, the one implicit solve that
+  :func:`forward.step` and :func:`variation.solve_variations` both step through.
 
 Stages 3 and 4 reduce each regression to the Gram matrix of [regressors | rhs]:
 stage 4 from one (4, steps, *grid) array per experiment at a time, stage 3 from
@@ -580,19 +582,17 @@ def recover_chi_xi_mu(oracle: Oracle, r: float,
     domain, dt = oracle.domain, oracle.cfg.dt
     _require_stride_one(oracle, "chi/xi/mu recovery")
 
-    data = []
-    for exp in exps:
-        stack = bank.stack(exp)
-        # source series of the density second-variation steps
-        resid = step_source(domain, stack.order2.u, dt) - r * stack.order2.u[:-1]
-        data.append((stack.order1, resid))
+    data = [bank.stack(exp) for exp in exps]
 
-    def blocks(o1, resid, chi_xi_guess):
-        # (steps, rows) for consecutive blocks of the steps of ``resid``; the rows
-        # s_chi, s_xi, s_mu and the residual b are a (4, steps in block, nodes) array
-        n_res = len(resid)
+    def blocks(stack, chi_xi_guess):
+        # (steps, rows) for consecutive blocks of the density second-variation steps;
+        # the rows s_chi, s_xi, s_mu and the residual b are a (4, steps in block, nodes)
+        # array, b the step source of the block's steps less r u2, from its slices of u2
+        o1, u2 = stack.order1, stack.order2.u
+        n_res = len(u2) - 1
         for start in range(0, n_res, REGRESSOR_BLOCK):
             steps = slice(start, min(start + REGRESSOR_BLOCK, n_res))
+            resid = step_source(domain, u2[start:steps.stop + 1], dt) - r * u2[steps]
             u, v, w = o1.u[steps], o1.v[steps], o1.w[steps]
             if chi_xi_guess is None:
                 s_chi = -2.0 * g.advective_flux_div(domain, u, v)
@@ -602,7 +602,7 @@ def recover_chi_xi_mu(oracle: Oracle, r: float,
                 pat = g.upwind_patterns(domain, chi_g * v - xi_g * w)
                 s_chi = -2.0 * g.advective_flux_div_patterned(domain, u, v, pat)
                 s_xi = 2.0 * g.advective_flux_div_patterned(domain, u, w, pat)
-            rows = np.stack([s_chi, s_xi, -2.0 * u ** 2, resid[steps]])
+            rows = np.stack([s_chi, s_xi, -2.0 * u ** 2, resid])
             yield steps, rows.reshape(4, len(u), -1)
 
     # pointwise space-time least squares: every node contributes a weighted row.
@@ -615,8 +615,8 @@ def recover_chi_xi_mu(oracle: Oracle, r: float,
         degenerate = False
         # Gram matrix of [s_chi s_xi s_mu | b] under the weights w dt
         gram = np.zeros((4, 4))
-        for o1, resid in data:
-            for _, rows in blocks(o1, resid, guess):
+        for stack in data:
+            for _, rows in blocks(stack, guess):
                 rows *= root_w_dt
                 flat = rows.reshape(4, -1)
                 gram += flat @ flat.T
@@ -646,11 +646,11 @@ def recover_chi_xi_mu(oracle: Oracle, r: float,
     w_phi *= domain.weights.reshape(-1, 1)
     gap_of_rows = np.append(-sol, 1.0)
     probe_resid = fit_ss = 0.0
-    for o1, resid in data:
-        dt_tfac = np.exp(np.multiply.outer(o1.times[:len(resid)],
+    for stack in data:
+        dt_tfac = np.exp(np.multiply.outer(stack.order1.times[:-1],
                                            [p.time_exponent for p in probes])) * dt
         num, den = 0.0, 0.0
-        for steps, rows in blocks(o1, resid, guess):
+        for steps, rows in blocks(stack, guess):
             gap = np.tensordot(gap_of_rows, rows, 1)
             fit_ss += float(np.sum((gap * gap) @ (domain.weights.ravel() * dt)))
             num += np.sum(dt_tfac[steps] * (gap @ w_phi), axis=0)

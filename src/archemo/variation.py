@@ -18,9 +18,10 @@ sources
 in the density equation, and a11*u1*v1 + 2*a20*u1^2 + 2*a02*v1^2 (plus the
 u2 feedback) in the chemical equations, with initial data u2(0) = 2 f2.
 
-Both orders are solved directly with the same IMEX discretization as the
-nonlinear solver, so finite differences of nonlinear runs converge to the
-direct solutions at first order in eps; the one-sided ladders (eps > 0 keeps
+Both orders are solved directly on the nonlinear solver's step plan
+(:class:`forward.StepPlan`), through the same implicit solve and kinetics
+grids, so finite differences of nonlinear runs converge to the direct
+solutions at first order in eps; the one-sided ladders (eps > 0 keeps
 the data admissible) are sharpened by Richardson extrapolation.  That
 extrapolation is a fixed linear combination of the ladder's runs, so the
 extraction folds each run into running sums as it returns and holds one run
@@ -41,8 +42,8 @@ from .forward import (
     ParameterSet,
     SliceStore,
     SolverConfig,
+    StepPlan,
     Trajectory,
-    implicit_step,
     solve_forward,
 )
 from .grid import Domain
@@ -154,72 +155,64 @@ def solve_variations(domain: Domain, p: ParameterSet, kin: KineticsSpec,
                      fam: PerturbationFamily, cfg: SolverConfig) -> VariationStack:
     """Direct solution of the first- and second-order variation systems.
 
-    Both orders take each step as one stacked :func:`forward.implicit_step`: (u1, u2)
-    with step dt at tau=0, whose chemicals are then slaved, and (u1, u2, v1, w1, v2, w2)
-    with steps (dt, dt, h, h, h, h), h = relaxation_speedup * dt, at tau=1.  The second
-    order's sources need the first order only at the previous step (and, for slaved
-    chemicals, the new one).  The kinetics are bound once, as in :func:`forward.solve_forward`.
-    Slices are stored like the forward run's, so they line up with differences of
-    oracle runs at any ``store_every``.
+    Both orders step on the run's :class:`forward.StepPlan`, each step one stacked
+    :meth:`StepPlan.implicit`: the stack (u1, u2) at tau=0, whose chemicals are then
+    slaved, and the stack ((u1, v1, w1), (u2, v2, w2)) of triples at tau=1.  The
+    second order's sources need the first order only at the previous step (and, for
+    slaved chemicals, the new one).  Slices are stored like the forward run's, so
+    they line up with differences of oracle runs at any ``store_every``.
     """
     cfg.validate()
     fam.validate(domain)
-    kin = kin.validate(domain).bind(domain)
-    eq = kin.expansion_point
-    dt = cfg.dt
+    plan = StepPlan(domain, p, kin.validate(domain), cfg)
+    u0 = plan.u0
+    (beta, _, g_terms, *_), (delta, _, h_terms, *_) = plan.tables["g"], plan.tables["h"]
     # the (1, 0) grids of G and H, whose monomial weight is 1; zero for an absent entry
-    a10 = kin.terms("g", domain).get((1, 0), 0.0)
-    b10 = kin.terms("h", domain).get((1, 0), 0.0)
-    beta, delta = kin.beta_decay, kin.delta_decay
-    r_eff = p.r - 2.0 * p.mu * eq.u0
-    drift = bool(p.chi or p.xi)
+    a10, b10 = g_terms.get((1, 0), 0.0), h_terms.get((1, 0), 0.0)
+    r_eff = p.r - 2.0 * p.mu * u0
 
     def coupling(v, w):
         # density response to chemical variations around a populated equilibrium
-        if eq.u0 == 0.0 or not drift:
+        if u0 == 0.0 or not plan.drift:
             return 0.0
-        return eq.u0 * (p.chi * g.laplacian_neumann(domain, v)
-                        - p.xi * g.laplacian_neumann(domain, w))
+        return u0 * (p.chi * g.laplacian_neumann(domain, v)
+                     - p.xi * g.laplacian_neumann(domain, w))
 
     def slaved(u1, u2):
         # tau = 0: chemical variations of both orders in balance with the densities
         v1 = g.helmholtz_solve(domain, a10 * u1, beta)
         w1 = g.helmholtz_solve(domain, b10 * u1, delta)
-        src_v = kin.second_order_sources("g", domain, u1, v1)
-        src_w = kin.second_order_sources("h", domain, u1, w1)
+        src_v = plan.second_order_sources("g", u1, v1)
+        src_w = plan.second_order_sources("h", u1, w1)
         return (v1, w1, g.helmholtz_solve(domain, a10 * u2 + src_v, beta),
                 g.helmholtz_solve(domain, b10 * u2 + src_w, delta))
 
     u1, u2 = fam.profile("f1", domain), 2.0 * fam.profile("f2", domain)
     if cfg.tau == 0:
         v1, w1, v2, w2 = slaved(u1, u2)
+        x = np.array((u1, u2))
     else:
         v1, w1 = fam.profile("g1", domain), fam.profile("h1", domain)
         v2, w2 = 2.0 * fam.profile("g2", domain), 2.0 * fam.profile("h2", domain)
+        x = np.array(((u1, v1, w1), (u2, v2, w2)))
     first = SliceStore(domain, cfg, (u1, v1, w1))
     second = SliceStore(domain, cfg, (u2, v2, w2))
-    h = cfg.relaxation_speedup * dt
-    sizes = (dt, dt) if cfg.tau == 0 else (dt, dt, h, h, h, h)
     for n in range(1, cfg.n_steps + 1):
         # density sources of the second order, from both orders at the previous step
         source = -2.0 * p.mu * u1 * u1
-        if drift:
+        if plan.drift:
             source = source - 2.0 * g.advective_flux_div(domain, u1, p.chi * v1 - p.xi * w1)
         source = source - coupling(v2, w2)
-        state = (u1, u2)
         tendency = (r_eff * u1 - coupling(v1, w1), r_eff * u2 + source)
-        if cfg.tau == 1:
-            src_v = kin.second_order_sources("g", domain, u1, v1)
-            src_w = kin.second_order_sources("h", domain, u1, w1)
-            state += (v1, w1, v2, w2)
-            tendency += (a10 * u1 - beta * v1, b10 * u1 - delta * w1,
-                         a10 * u2 - beta * v2 + src_v, b10 * u2 - delta * w2 + src_w)
-        stepped = implicit_step(domain, state, tendency, sizes)
         if cfg.tau == 0:
-            u1, u2 = stepped
+            u1, u2 = x = plan.implicit(x, np.array(tendency))
             v1, w1, v2, w2 = slaved(u1, u2)
         else:
-            u1, u2, v1, w1, v2, w2 = stepped
+            src_v = plan.second_order_sources("g", u1, v1)
+            src_w = plan.second_order_sources("h", u1, w1)
+            tendency = ((tendency[0], a10 * u1 - beta * v1, b10 * u1 - delta * w1),
+                        (tendency[1], a10 * u2 - beta * v2 + src_v, b10 * u2 - delta * w2 + src_w))
+            (u1, v1, w1), (u2, v2, w2) = x = plan.implicit(x, np.array(tendency))
         first.put(n, (u1, v1, w1))
         second.put(n, (u2, v2, w2))
     return VariationStack(order1=first.trajectory(), order2=second.trajectory())
@@ -240,23 +233,6 @@ def _weights_at_zero(nodes):
     """Lagrange weights at zero of the interpolant through ``nodes``."""
     return [math.prod(ej / (ej - ei) for j, ej in enumerate(nodes) if j != i)
             for i, ei in enumerate(nodes)]
-
-
-def _linear_comb(terms, scratch):
-    """sum(c * t for c, t in terms) per component, accumulated into new arrays.
-
-    ``terms`` pairs coefficients with trajectories; ``scratch`` is one
-    component-sized buffer that holds each further scaled term in turn.
-    """
-    (c0, t0), *rest = terms
-    out = []
-    for name in ("u", "v", "w"):
-        acc = np.multiply(getattr(t0, name), c0)
-        for c, t in rest:
-            np.multiply(getattr(t, name), c, out=scratch)
-            acc += scratch
-        out.append(acc)
-    return out
 
 
 def extract_variation_fd(handle: ForwardHandle, fam: PerturbationFamily,
@@ -280,8 +256,8 @@ def extract_variation_fd(handle: ForwardHandle, fam: PerturbationFamily,
     correction is zero in exact arithmetic, since the order-2 quotients then
     lie on one polynomial of degree m - 2, so it reads rounding only.
     ``ladder_warning`` is set when the last order-1 correction exceeds both
-    1e-12 and four times the one before it.  ``return_ladder`` keeps the runs
-    and also returns the ladder's difference quotients.
+    1e-12 and four times the one before it.  ``return_ladder`` also returns the
+    ladder's difference quotients, each formed while its run is in hand.
     """
     domain = handle.domain
     fam.validate(domain)
@@ -293,7 +269,7 @@ def extract_variation_fd(handle: ForwardHandle, fam: PerturbationFamily,
     # sums[order, a, name]: P_a(0) before the u1 term, full for a = 0 and on u only
     # for the tails; a sum is made by its first term, so no tail takes memory
     # before its first node's run returns
-    sums, runs = {}, []
+    sums, quotients = {}, []
 
     def fold(key, coeff, diff):
         term = coeff * diff
@@ -305,7 +281,9 @@ def extract_variation_fd(handle: ForwardHandle, fam: PerturbationFamily,
     for i, e in enumerate(eps):
         run = handle.run(*fam.initial_data(domain, handle.equilibrium, e))
         if return_ladder:
-            runs.append(run)
+            # the order-2 quotients still lack their u1 term, which needs order 1
+            quotients.append([getattr(run, name) * c + getattr(base, name) * -c
+                              for c in (1.0 / e, 2.0 / (e * e)) for name in "uvw"])
         for name in ("u", "v", "w"):
             diff = getattr(run, name) - getattr(base, name)
             for a in range(i + 1 if name == "u" else 1):
@@ -330,13 +308,13 @@ def extract_variation_fd(handle: ForwardHandle, fam: PerturbationFamily,
                            diagnostics=diagnostics)
     if not return_ladder:
         return stack
-    scratch = np.empty_like(base.u)
-    d1 = [_linear_comb([(1.0 / e, r), (-1.0 / e, base)], scratch) for e, r in zip(eps, runs)]
-    d2 = [_linear_comb([(2.0 / (e * e), r), (-2.0 / (e * e), base), (-2.0 / e, u1)], scratch)
-          for e, r in zip(eps, runs)]
-    return stack, [(e, VariationStack(Trajectory(domain, times, *q1), Trajectory(domain, times, *q2),
+    for e, q in zip(eps, quotients):
+        for acc, name in zip(q[3:], "uvw"):
+            acc += getattr(u1, name) * (-2.0 / e)
+    return stack, [(e, VariationStack(Trajectory(domain, times, *q[:3]),
+                                      Trajectory(domain, times, *q[3:]),
                                       provenance="finite-difference"))
-                   for e, q1, q2 in zip(eps, d1, d2)]
+                   for e, q in zip(eps, quotients)]
 
 
 # ---------------------------------------------------------------------------

@@ -189,12 +189,13 @@ def test_step_density_matches_unfused_drift(applied_params, rng):
             assert cfg.dt <= forward.CFL_SAFETY * min(d.spacing) / max_face_speed(d, potential)
             rhs = u + cfg.dt * (p.r * u - p.mu * u * u - advective_flux_div(d, u, potential))
             expected = spectral_helmholtz(d, rhs / cfg.dt, 1.0 / cfg.dt)
-            u_new, v_new, w_new = step(StepPlan(d, p, kin, cfg), (u, v, w))
+            plan = StepPlan(d, p, kin, cfg)
+            u_new, v_new, w_new = step(plan, (u, v, w))
             assert np.array_equal(u_new, expected)
             if tau == 0:
-                for c_new, c0, evaluate, decay in ((v_new, eq.v0, kin.evaluate_g, p.beta),
-                                                   (w_new, eq.w0, kin.evaluate_h, p.delta)):
-                    source = evaluate(d, u_new, d.constant(c0))
+                for c_new, c0, which, decay in ((v_new, eq.v0, "g", p.beta),
+                                                (w_new, eq.w0, "h", p.delta)):
+                    source = plan.kinetics(which, u_new - eq.u0, d.constant(c0))
                     assert np.array_equal(c_new, helmholtz_solve(d, source, decay) + c0)
 
 
@@ -232,21 +233,21 @@ def test_step_screen_rejects_infinities(line65, applied_params):
             step(plan, (good, good, bad_w))
 
 
-def test_bound_kinetics_grids_follow_each_spec(line65, rng):
-    # specs built in a loop, each bound once: no spec is served another one's grids
+def test_plan_kinetics_grids_stay_its_own(line65, rng):
+    # specs built in a loop, each with its own plan: no plan is served another spec's
+    # grids, and a plan's grids stay its own after later edits to the spec
     u, v = rng.random(line65.shape), rng.random(line65.shape)
     for i in range(50):
         alpha = 0.5 + 0.01 * i
-        kin = KineticsSpec.from_parameters(
-            ParameterSet(chi=0.1, xi=0.05, r=0.5, mu=1.0, alpha=alpha, beta=1.3))
+        p = ParameterSet(chi=0.1, xi=0.05, r=0.5, mu=1.0, alpha=alpha, beta=1.3)
+        kin = KineticsSpec.from_parameters(p)
         expected = alpha * u - 1.3 * v
-        assert np.array_equal(kin.evaluate_g(line65, u, v), expected)
-        bound = kin.bind(line65)
-        assert np.array_equal(bound.evaluate_g(line65, u, v), expected)
-        # the bound copy keeps its own tables, so later edits of the spec stay out of it
+        plan = StepPlan(line65, p, kin, SolverConfig())
+        assert np.array_equal(plan.kinetics("g", u, v), expected)
         kin.g_coeffs[(1, 0)] = 2.0 * alpha
-        assert np.array_equal(bound.evaluate_g(line65, u, v), expected)
-        assert not np.array_equal(kin.evaluate_g(line65, u, v), expected)
+        assert np.array_equal(plan.kinetics("g", u, v), expected)
+        assert not np.array_equal(StepPlan(line65, p, kin, SolverConfig()).kinetics("g", u, v),
+                                  expected)
 
 
 def test_negative_initial_data_rejected(line65, applied_params):
@@ -387,7 +388,7 @@ def test_2d_boundary_measurement(square33, applied_params):
 def _reference_kinetics(domain, kin, which, u, c):
     """G (``which="g"``, c = v) or H (``"h"``, c = w) summed into zeros term by term from
     the coefficient table, as the kinetics were evaluated before they accumulated into
-    their first term.  Kept as the reference that evaluate_g/h must match bitwise."""
+    their first term.  Kept as the reference that StepPlan.kinetics must match bitwise."""
     eq = kin.expansion_point
     table, du, dc = ((kin.g_coeffs, u - eq.u0, c - eq.v0) if which == "g"
                      else (kin.h_coeffs, u - eq.u0, c - eq.w0))
@@ -570,7 +571,7 @@ def test_linear_kinetics_never_read_the_seed(line129, nondegenerate_params):
     f = 0.5 + 0.3 * np.cos(math.pi * d.axes[0])
     cfg = SolverConfig(tau=0, dt=5e-4, t_final=0.01)
     kin = make_kinetics(p, second_order_g={(2, 0): 0.3},
-                        expansion_point=steady_state(p)).bind(d)
+                        expansion_point=steady_state(p))
     traj = solve_forward(d, (f, f, f), p, kin, cfg)
     states = list(zip(traj.u, traj.v, traj.w))
     depth = forward.PICARD_SEED_DEPTH - 1
@@ -644,8 +645,8 @@ def test_linear_slave_solve_matches_reference(monkeypatch, line129, nondegenerat
 
 def test_slaved_terms_match_the_kinetics(square33, rng):
     # fixed + sum of factor * (c - c0)^q is G(u, c) + decay (c - c0) up to rounding,
-    # for a table with all six second-order entries, bound to the grid or not; a
-    # linear table has no factors, and its fixed is G(u, c0)
+    # for a table with all six second-order entries; a linear table has no factors,
+    # and its fixed is G(u, c0)
     d = square33
     p = ParameterSet(chi=0.1, xi=0.05, r=0.5, mu=1.0, alpha=1.0, beta=1.3, gamma=0.8, delta=1.6)
     sep = SeparableField(np.cos(math.pi * d.axes[0]), (1.0 + d.axes[1]) / 4.0)
@@ -656,40 +657,42 @@ def test_slaved_terms_match_the_kinetics(square33, rng):
         second_order_h={(1, 1): sep, (2, 0): -0.4, (0, 2): 0.25}, expansion_point=eq)
     u, c = 0.4 + rng.random(d.shape), 0.3 + rng.standard_normal(d.shape)
     eps = np.finfo(float).eps
-    for spec in (kin, kin.bind(d)):
-        plan = StepPlan(d, p, spec, SolverConfig())
-        for which, decay, base, evaluate in (("g", 1.3, eq.v0, spec.evaluate_g),
-                                              ("h", 1.6, eq.w0, spec.evaluate_h)):
-            fixed, factors = plan.slaved_terms(which, u)
-            assert sorted(q for q, _ in factors) == [1, 2]
-            dc = c - base
-            pieces = [fixed] + [factor * dc**q for q, factor in factors]
-            hoisted = sum(pieces[1:], pieces[0])
-            expected = evaluate(d, u, c) + decay * dc
-            scale = sum(np.abs(x) for x in pieces) + 2.0 * decay * np.abs(dc)
-            assert np.all(np.abs(hoisted - expected) <= 8.0 * eps * scale)
-    linear = make_kinetics(p)
-    for spec, which, evaluate in ((linear, "g", linear.evaluate_g),
-                                  (linear.bind(d), "h", linear.evaluate_h)):
-        fixed, factors = StepPlan(d, p, spec, SolverConfig()).slaved_terms(which, u)
-        assert factors == [] and np.array_equal(fixed, evaluate(d, u, d.zeros()))
+    plan = StepPlan(d, p, kin, SolverConfig())
+    for which, decay, base in (("g", 1.3, eq.v0), ("h", 1.6, eq.w0)):
+        fixed, factors = plan.slaved_terms(which, u)
+        assert sorted(q for q, _ in factors) == [1, 2]
+        dc = c - base
+        pieces = [fixed] + [factor * dc**q for q, factor in factors]
+        hoisted = sum(pieces[1:], pieces[0])
+        expected = plan.kinetics(which, u - eq.u0, c) + decay * dc
+        scale = sum(np.abs(x) for x in pieces) + 2.0 * decay * np.abs(dc)
+        assert np.all(np.abs(hoisted - expected) <= 8.0 * eps * scale)
+    linear = StepPlan(d, p, make_kinetics(p), SolverConfig())
+    for which in ("g", "h"):
+        fixed, factors = linear.slaved_terms(which, u)
+        assert factors == [] and np.array_equal(fixed, linear.kinetics(which, u, d.zeros()))
 
 
 # -- tau=1 stacked step and the per-step call structure ---------------------------------
 
 
+def _reference_implicit_step(domain, x, tendency, h):
+    """One IMEX Euler step of step size h through spectral_helmholtz, as each step
+    solved before the solve moved onto the plan's kept denominators."""
+    return spectral_helmholtz(domain, (x + h * tendency) / h, 1.0 / h)
+
+
 def _reference_tau1_step(plan, state, prior=None):
     """The tau=1 step before its implicit solves were stacked: u, v and w each take
-    their own :func:`forward.implicit_step`, with the reference kinetics.  Kept as the
-    reference that the stacked step must match bitwise."""
+    their own :func:`_reference_implicit_step`, with the reference kinetics.  Kept as
+    the reference that the stacked step must match bitwise."""
     domain, p, kin, cfg = plan.domain, plan.p, plan.kin, plan.cfg
     u, v, w = state
-    vels = grid.face_velocities(domain, p.chi * v - p.xi * w)
-    advect = grid.upwind_flux_div(domain, u, vels) if p.chi or p.xi else 0.0
+    advect = grid.advective_flux_div(domain, u, p.chi * v - p.xi * w) if p.chi or p.xi else 0.0
     dt, h = cfg.dt, cfg.relaxation_speedup * cfg.dt
-    return (forward.implicit_step(domain, u, p.r * u - p.mu * u * u - advect, dt),
-            forward.implicit_step(domain, v, _reference_kinetics(domain, kin, "g", u, v), h),
-            forward.implicit_step(domain, w, _reference_kinetics(domain, kin, "h", u, w), h))
+    return (_reference_implicit_step(domain, u, p.r * u - p.mu * u * u - advect, dt),
+            _reference_implicit_step(domain, v, _reference_kinetics(domain, kin, "g", u, v), h),
+            _reference_implicit_step(domain, w, _reference_kinetics(domain, kin, "h", u, w), h))
 
 
 @pytest.mark.parametrize("speedup", [1.0, 2.5])
@@ -734,7 +737,7 @@ def test_step_call_structure(monkeypatch, line129, nondegenerate_params, tau, he
         monkeypatch.setattr(grid, name, counting(name))
     d, p = line129, nondegenerate_params
     f = 0.5 + 0.3 * np.cos(math.pi * d.axes[0])
-    step(StepPlan(d, p, make_kinetics(p).bind(d), SolverConfig(tau=tau, dt=5e-4)),
+    step(StepPlan(d, p, make_kinetics(p), SolverConfig(tau=tau, dt=5e-4)),
          (f, 0.9 * f, 0.7 * f))
     own = calls["_dct_solve"] - calls["helmholtz_solve"]
     assert (calls["helmholtz_solve"], own, calls["spectral_helmholtz"]) == (helmholtz, spectral, 0), (

@@ -1,8 +1,9 @@
-"""Property-based invariants of the grid operators that the hot paths rely on.
+"""Property-based invariants that the hot paths and the extraction rely on.
 
 The examples come from ``hypothesis`` under the derandomized profile of
 ``conftest.py``: random grids in one and two dimensions (both transform paths
-of the spectral solve included), fields, upwind patterns and decays.
+of the spectral solve included), fields, upwind patterns, decays and step
+sizes, and epsilon ladders with polynomial runs.
 """
 
 import math
@@ -11,15 +12,23 @@ import numpy as np
 from hypothesis import given, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from archemo.forward import (
+    EquilibriumState,
+    KineticsSpec,
+    ParameterSet,
+    SolverConfig,
+    StepPlan,
+    Trajectory,
+)
 from archemo.grid import (
     Domain,
     advective_flux_div,
     advective_flux_div_patterned,
     face_velocities,
     spectral_helmholtz,
-    upwind_flux_div,
     upwind_patterns,
 )
+from archemo.variation import ForwardHandle, PerturbationFamily, extract_variation_fd
 
 EPS = np.finfo(float).eps
 
@@ -69,20 +78,83 @@ def test_flux_divergence_conserves_the_weighted_total(data):
 @given(st.data())
 def test_a_stack_equals_its_slices(data):
     # each operator on a stack returns, slice by slice, bitwise what it returns for
-    # the slice alone: the flux divergences for any velocities and patterns, and the
+    # the slice alone: the flux divergences for any potentials and patterns, and the
     # spectral solve for a scalar decay and for one decay per slice
     d = data.draw(domains())
     k = data.draw(st.integers(1, 3))
     u, potential, other = (data.draw(fields(d, (k,))) for _ in range(3))
     decays = data.draw(hnp.arrays(np.float64, (k,), elements=st.floats(1e-6, 1e4)))
     decay = data.draw(st.floats(1e-6, 1e4))
-    upwind = upwind_flux_div(d, u, face_velocities(d, potential))
+    upwind = advective_flux_div(d, u, potential)
     patterned = advective_flux_div_patterned(d, u, potential, upwind_patterns(d, other))
     per_slice = spectral_helmholtz(d, u, decays.reshape((-1,) + (1,) * d.dim))
     shared = spectral_helmholtz(d, u, decay)
     for i in range(k):
-        assert np.array_equal(upwind[i], upwind_flux_div(d, u[i], face_velocities(d, potential[i])))
+        assert np.array_equal(upwind[i], advective_flux_div(d, u[i], potential[i]))
         assert np.array_equal(patterned[i], advective_flux_div_patterned(
             d, u[i], potential[i], upwind_patterns(d, other[i])))
         assert np.array_equal(per_slice[i], spectral_helmholtz(d, u[i], float(decays[i])))
         assert np.array_equal(shared[i], spectral_helmholtz(d, u[i], decay))
+
+
+PARAMS = ParameterSet(chi=0.1, xi=0.05, r=0.5, mu=1.0, alpha=1.0, beta=1.0, gamma=0.8, delta=1.6)
+
+
+@given(st.data())
+def test_the_implicit_solve_of_a_stack_equals_its_slices(data):
+    # the plan's implicit solve of a (2, *grid) stack at tau=0, and of a (2, 3, *grid)
+    # stack of (u, v, w) triples at tau=1, returns bitwise the solve of each slice:
+    # each triple alone, and each field alone with its own step size
+    d = data.draw(domains())
+    tau = data.draw(st.integers(0, 1))
+    dt = data.draw(st.floats(1e-5, 1e-1))
+    cfg = SolverConfig(tau=tau, dt=dt, relaxation_speedup=data.draw(st.floats(0.5, 4.0)))
+    plan = StepPlan(d, PARAMS, KineticsSpec.from_parameters(PARAMS), cfg)
+    lead = (2,) + (3,) * tau
+    x, tendency = (data.draw(fields(d, lead)) for _ in range(2))
+    stacked = plan.implicit(x, tendency.copy())
+    for i in range(2):
+        assert np.array_equal(stacked[i], plan.implicit(x[i], tendency[i].copy()))
+        for j, size in enumerate(np.ravel(plan.sizes) if tau else ()):
+            alone = StepPlan(d, PARAMS, KineticsSpec.from_parameters(PARAMS),
+                             SolverConfig(tau=0, dt=float(size)))
+            assert np.array_equal(stacked[i, j], alone.implicit(x[i, j], tendency[i, j].copy()))
+
+
+@given(st.data())
+def test_extraction_is_exact_on_polynomial_runs(data):
+    # runs S(eps) = S(0) + sum over k = 1..m of c_k eps^k on an m-node ladder: the
+    # order-1 quotients are a polynomial of degree m - 1 in eps and the order-2 ones
+    # of degree m - 2, which Neville's extrapolation reproduces, so the extraction
+    # returns c_1 and 2 c_2 up to the rounding of its weighted sums
+    m = data.draw(st.integers(2, 4))
+    eps = sorted(data.draw(st.lists(st.floats(1e-3, 0.5), min_size=m, max_size=m, unique=True)),
+                 reverse=True)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    d = Domain(1.0, 9)
+    times = np.linspace(0.0, 0.1, 4)
+    shape = (3,) + times.shape + d.shape
+    base, *coeffs = (rng.uniform(-1.0, 1.0, shape) * 10.0 ** rng.uniform(-3, 3)
+                     for _ in range(m + 1))
+
+    def run(f, gg, h):
+        e = float(f[0])         # f = eps * f1 with f1 = 1, and 0 for the base run
+        return Trajectory(d, times, *(base + sum(c * e**k for k, c in enumerate(coeffs, 1))))
+    handle = ForwardHandle(domain=d, equilibrium=EquilibriumState(0.0, 0.0, 0.0), run=run,
+                           cfg=SolverConfig(dt=1e-3, t_final=0.1))
+    fam = PerturbationFamily(f1=np.ones(d.shape), epsilons=tuple(eps))
+    stack = extract_variation_fd(handle, fam)
+    # the bound: 16 m eps times the size each run enters with, through the Lagrange
+    # weights at zero; order 2 also takes the error of order 1 through kappa
+    weights = [math.prod(ej / (ej - ei) for j, ej in enumerate(eps) if j != i)
+               for i, ei in enumerate(eps)]
+    size = [np.max(np.abs(base)) + sum(np.max(np.abs(c)) * e**k for k, c in enumerate(coeffs, 1))
+            for e in eps]
+    tol1 = 16 * m * EPS * sum(abs(w) / e * s for w, e, s in zip(weights, eps, size))
+    kappa = sum(2.0 * w / e for w, e in zip(weights, eps))
+    tol2 = (16 * m * EPS * sum(2.0 * abs(w) / e**2 * s for w, e, s in zip(weights, eps, size))
+            + abs(kappa) * tol1)
+    for k, traj, tol in ((0, stack.order1, tol1), (1, stack.order2, tol2)):
+        expected = (k + 1) * coeffs[k]
+        got = np.stack([traj.u, traj.v, traj.w])
+        assert np.max(np.abs(got - expected)) <= tol

@@ -368,9 +368,10 @@ def test_joint_solver_matches_separate_solvers(dim, tau, populated):
 
 @pytest.mark.parametrize("tau", [0, 1])
 def test_variation_step_is_one_stacked_solve(tau, monkeypatch):
-    # both orders step as one implicit_step (one spectral solve) per step; at
-    # tau=0 the four chemicals are then slaved, and the coefficient grids are
-    # built once per run, not per step
+    # both orders step as one StepPlan.implicit (one transform solve outside
+    # helmholtz_solve, each of which makes one) per step; at tau=0 the four
+    # chemicals are then slaved, and the coefficient grids are built once per run,
+    # not per step
     import archemo.forward as fw
     import archemo.grid as gr
     calls = {}
@@ -383,7 +384,7 @@ def test_variation_step_is_one_stacked_solve(tau, monkeypatch):
             return original(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
 
-    counting(gr, "spectral_helmholtz")
+    counting(gr, "_dct_solve")
     counting(gr, "helmholtz_solve")
     counting(fw, "coefficient_on_grid")
     grids_built = []
@@ -391,7 +392,7 @@ def test_variation_step_is_one_stacked_solve(tau, monkeypatch):
         domain, p, kin, fam, cfg = _joint_case(1, tau, True, n_steps=n_steps)
         calls.clear()
         solve_variations(domain, p, kin, fam, cfg)
-        assert calls.get("spectral_helmholtz", 0) == n_steps
+        assert calls.get("_dct_solve", 0) - calls.get("helmholtz_solve", 0) == n_steps
         assert calls.get("helmholtz_solve", 0) == (4 * (n_steps + 1) if tau == 0 else 0)
         grids_built.append(calls.get("coefficient_on_grid", 0))
     assert grids_built[0] == grids_built[1] > 0
@@ -582,10 +583,12 @@ def test_fd_extraction_holds_one_ladder_run(line65, nondegenerate_params):
         return traj
     handle = ForwardHandle(domain=line65, equilibrium=model.equilibrium, run=run, cfg=model.cfg)
     handle.base()
-    refs.clear()        # the base run stays with the handle
-    extract_variation_fd(handle, fam)
-    assert len(refs) == 4
-    assert all(ref() is None for ref in refs)
+    # with the ladder's quotients too, each is formed while its run is in hand
+    for return_ladder in (False, True):
+        refs.clear()        # the base run stays with the handle
+        extract_variation_fd(handle, fam, return_ladder=return_ladder)
+        assert len(refs) == 4
+        assert all(ref() is None for ref in refs)
 
 
 def _synthetic_handle(domain, scale):
