@@ -9,8 +9,6 @@ Run:  python demos/05_full_recovery.py
 
 import time
 
-import numpy as np
-
 from archemo.forward import KineticsSpec, ParameterSet, SolverConfig
 from archemo.grid import Domain
 from archemo.recover import Oracle, PipelineOptions, run_full_pipeline

@@ -19,7 +19,6 @@ from archemo.grid import Domain
 from archemo.harness import (
     identifiability_experiment,
     identifiability_sweep,
-    measure_match_tol,
 )
 
 domain = Domain(1.0, 65)

@@ -50,6 +50,7 @@ __all__ = [
     "MeasurementRecord",
     "steady_state",
     "step_source",
+    "stored_times",
     "SliceStore",
     "StepPlan",
     "step",
@@ -372,26 +373,32 @@ def step_source(domain: Domain, x, h):
     return (x[1:] - h * g.laplacian_neumann(domain, x[1:]) - x[:-1]) / h
 
 
+def stored_times(cfg: SolverConfig) -> np.ndarray:
+    """The times of a run's stored slices: step 0, every ``store_every``-th step and
+    the last one, each step n at n * dt."""
+    n_steps, every = cfg.n_steps, cfg.store_every
+    steps = np.append(np.arange(0, n_steps, every), n_steps)
+    return steps * cfg.dt
+
+
 class SliceStore:
-    """The stored slices of a run: step 0, every ``store_every``-th step and the last one.
+    """The stored slices of a run, on the times of :func:`stored_times`.
 
     Step n goes to slot ceil(n / store_every), so runs with the same
     configuration are stored on the same times.
     """
 
     def __init__(self, domain: Domain, cfg: SolverConfig, state):
-        self.domain, self.dt = domain, cfg.dt
+        self.domain = domain
         self.n_steps, self.every = cfg.n_steps, cfg.store_every
-        n_stored = -(-self.n_steps // self.every) + 1
-        self.times = np.empty(n_stored)
-        self.fields = [np.empty((n_stored,) + domain.shape) for _ in range(3)]
+        self.times = stored_times(cfg)
+        self.fields = [np.empty(self.times.shape + domain.shape) for _ in range(3)]
         self.put(0, state)
 
     def put(self, n, state):
         """Keep the (u, v, w) state of step n if the stride stores it."""
         if n % self.every == 0 or n == self.n_steps:
             slot = -(-n // self.every)
-            self.times[slot] = n * self.dt
             for stored, x in zip(self.fields, state):
                 stored[slot] = x
 

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import io as aio
-from . import probes as pr
 from .errors import NumericsError, RecoveryError
 from .forward import (
     KineticsSpec,
@@ -33,11 +32,9 @@ from .forward import (
     ParameterSet,
     SeparableField,
     SolverConfig,
-    Trajectory,
     coefficient_on_grid,
     measure,
     solve_forward,
-    steady_state,
 )
 from .grid import Domain, helmholtz_solve, norm_l2
 from .recover import (

@@ -34,11 +34,19 @@ invert a different one swaps a single function:
 Stages 3 and 4 reduce each regression to the Gram matrix of [regressors | rhs]:
 stage 4 from one (4, steps, *grid) array per experiment at a time, stage 3 from
 blocks of REGRESSOR_BLOCK steps with at most about eight block arrays alive.
+
+The pipeline holds only what its stages still read.  The run S(0) from the
+trivial equilibrium is zero and known without a query
+(:func:`variation.known_base`).  :func:`run_full_pipeline` tells its
+:class:`ExperimentBank` which experiments the stages will read, and the bank
+drops each probing family's stack after its last read; stage 4 reads each
+experiment once, cached families first.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,12 +101,13 @@ class Oracle:
     The truth parameters live in private attributes; recovery code only runs
     the model through a :meth:`handle` and reads the public protocol (grid,
     solver config, declared expansion equilibrium).  A handle solves on every
-    query and keeps only its base run (:meth:`ForwardHandle.base`).  A
-    recovery holds one handle, so once it has finished no trajectory it
-    integrated stays reachable from the oracle.
+    query.  Its base run S(0) (:meth:`ForwardHandle.base`) is known without a
+    query at the trivial equilibrium; at a populated one the handle solves it
+    once and keeps it.  A recovery holds one handle, so once it has finished
+    no trajectory it integrated stays reachable from the oracle.
 
     ``query_count`` and ``run_count`` count the queries and solves of all
-    handles; every query is one solve.
+    handles; every query is one solve, and a known base run is neither.
     """
 
     def __init__(self, domain: Domain, params: ParameterSet, kinetics: KineticsSpec,
@@ -120,14 +129,13 @@ class Oracle:
         return self.cfg.tau
 
     def handle(self) -> ForwardHandle:
-        """A forward handle that solves every query; it keeps only its base run."""
+        """A forward handle that solves every query (:meth:`ForwardHandle.of_solver`)."""
         def _run(f, gg, h):
             self.query_count += 1
             self.run_count += 1
             return solve_forward(self.domain, (f, gg, h), self._params, self._kinetics,
                                  self.cfg)
-        return ForwardHandle(domain=self.domain, equilibrium=self.equilibrium,
-                             run=_run, cfg=self.cfg)
+        return ForwardHandle.of_solver(self.domain, self.equilibrium, _run, self.cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -199,14 +207,18 @@ class ExperimentBank:
     non-negativity flag), so experiments that probe with identical data share
     one stack whatever their names.  Each family is extracted once, both orders
     together, so its ladder runs are solved once and each run is freed once
-    folded in.  The bank queries the oracle through one handle, whose base
-    run goes with the bank.
+    folded in.  ``reads`` lists the experiments the bank's callers will read,
+    one entry per :meth:`stack` call: the bank drops a family's stack at that
+    family's last listed read, and caches every stack it was not told about.
+    The bank queries the oracle through one handle, which goes with the bank.
+    ``used`` names the experiments read, in the order of their first use.
     """
 
-    def __init__(self, oracle: Oracle):
+    def __init__(self, oracle: Oracle, reads=()):
         self.oracle = oracle
         self._handle = oracle.handle()
         self._stacks = {}
+        self._reads_left = Counter(self._family_key(exp.fam) for exp in reads)
         self.used = []
 
     def _family_key(self, fam: PerturbationFamily):
@@ -215,14 +227,31 @@ class ExperimentBank:
                          for name in ("f1", "g1", "h1", "f2", "g2", "h2"))
         return profiles, tuple(float(e) for e in fam.epsilons), bool(fam.enforce_nonnegative)
 
+    def _note(self, exp: Experiment):
+        if exp.name not in self.used:
+            self.used.append(exp.name)
+
     def stack(self, exp: Experiment):
         key = self._family_key(exp.fam)
         stack = self._stacks.get(key)
         if stack is None:
             stack = self._stacks[key] = extract_variation_fd(self._handle, exp.fam)
-        if exp.name not in self.used:
-            self.used.append(exp.name)
+        self._note(exp)
+        if key in self._reads_left:
+            self._reads_left[key] -= 1
+            if not self._reads_left[key]:
+                del self._reads_left[key], self._stacks[key]
         return stack
+
+    def stacks(self, exps):
+        """(i, stack of ``exps[i]``) for every experiment, one read each: the cached
+        families first, so that each can be dropped before the next is extracted.
+        ``used`` records the experiments in their given order."""
+        for exp in exps:
+            self._note(exp)
+        cached = [self._family_key(exp.fam) in self._stacks for exp in exps]
+        for i in sorted(range(len(exps)), key=lambda i: not cached[i]):
+            yield i, self.stack(exps[i])
 
 
 def _default_lin_experiment(domain, options, tau) -> dict:
@@ -749,10 +778,9 @@ def recover_second_kinetics(oracle: Oracle, linear: StageRecord,
         chem_exps = _default_lin_experiment(domain, options, oracle.tau)
         exps = list(exps) + [chem_exps["chem"]]
 
-    def contribution(exp, comp, a10_grid, decay):
+    def contribution(stack, comp, a10_grid, decay):
         # one experiment's node-major Gram of [u1*chem1, 2*u1^2, 2*chem1^2 | rhs]
         # under its time weights, and its sample count
-        stack = bank.stack(exp)
         o1, o2 = stack.order1, stack.order2
         chem2 = o2.component(comp)
         balance = _chemical_balance(oracle, chem2)
@@ -768,14 +796,21 @@ def recover_second_kinetics(oracle: Oracle, linear: StageRecord,
         rows = rows.reshape(4, n, -1).transpose(2, 0, 1)
         return rows @ rows.transpose(0, 2, 1), n
 
+    # per chemical (comp, its source grid, its decay), and its Grams in experiment order
+    balances = [(comp, coefficient_on_grid(linear.estimates[src_name], domain),
+                 linear.estimates[decay_name]) for comp, src_name, decay_name in _LINEAR_PAIRS]
+    grams = [[None] * len(exps) for _ in balances]
+    # each experiment is read once, for both chemicals, and let go before the next
+    # is read; only one experiment's regressors are alive at a time
+    for i, stack in bank.stacks(exps):
+        for per_exp, balance in zip(grams, balances):
+            per_exp[i] = contribution(stack, *balance)
+        del stack
+
     estimates, residuals, conditioning, details = {}, {}, {}, {}
-    for (comp, src_name, decay_name), labels in zip(
-            _LINEAR_PAIRS, (("a11", "a20", "a02"), ("b11", "b20", "b02"))):
-        a10_grid = coefficient_on_grid(linear.estimates[src_name], domain)
-        decay = linear.estimates[decay_name]
-        # only one experiment's regressors are alive at a time
-        grams = [contribution(exp, comp, a10_grid, decay) for exp in exps]
-        coeffs, sigmas, rel_resid, loo = _batched_lsq_3(domain, grams)
+    for (comp, _, _), labels, per_exp in zip(
+            _LINEAR_PAIRS, (("a11", "a20", "a02"), ("b11", "b20", "b02")), grams):
+        coeffs, sigmas, rel_resid, loo = _batched_lsq_3(domain, per_exp)
         residuals[f"{comp}_equation_fit"] = rel_resid
         wq = domain.weights / domain.weights.sum()
         for i, label in enumerate(labels):
@@ -849,7 +884,15 @@ def run_full_pipeline(oracle: Oracle, options: PipelineOptions | None = None) ->
     depend on the degenerate directions.
     """
     options = options or PipelineOptions()
-    bank = ExperimentBank(oracle)
+    # the experiments each stage reads, built as the stages build them, so that the
+    # bank drops each family's stack after its last read: r, the linear kinetics,
+    # chi/xi/mu when it runs, and the second-order kinetics
+    domain, tau, stride_one = oracle.domain, oracle.tau, oracle.cfg.store_every == 1
+    lin_exps = _default_lin_experiment(domain, options, tau)
+    chi_exps = _default_chi_experiments(domain, options, tau)
+    reads = [lin_exps["lin"], *lin_exps.values(), *(chi_exps if stride_one else ()),
+             *chi_exps, *([lin_exps["chem"]] if tau == 1 else ())]
+    bank = ExperimentBank(oracle, reads)
     stages, estimates, residuals, conditioning, notes = [], {}, {}, {}, []
 
     def merge(rec):
@@ -873,7 +916,7 @@ def run_full_pipeline(oracle: Oracle, options: PipelineOptions | None = None) ->
     for name, runner in plan:
         # stage 3 inverts per-step relations; at tau=1 a coarser stride fails stage 2,
         # so stage 4 never runs there either
-        if name == "chi_xi_mu" and oracle.cfg.store_every != 1:
+        if name == "chi_xi_mu" and not stride_one:
             rec = StageRecord(name=name, status="skipped", reason=stride_note)
             stages.append(rec)
             notes.append(f"stage {name} skipped: {stride_note}")

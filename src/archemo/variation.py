@@ -45,6 +45,7 @@ from .forward import (
     StepPlan,
     Trajectory,
     solve_forward,
+    stored_times,
 )
 from .grid import Domain
 
@@ -52,6 +53,7 @@ __all__ = [
     "PerturbationFamily",
     "VariationStack",
     "ForwardHandle",
+    "known_base",
     "solve_variations",
     "extract_variation_fd",
     "consistency_report",
@@ -120,12 +122,36 @@ class VariationStack:
     diagnostics: dict = field(default_factory=dict)
 
 
+def known_base(domain: Domain, equilibrium: EquilibriumState,
+               cfg: SolverConfig) -> Trajectory | None:
+    """The run of :func:`forward.solve_forward` from ``equilibrium`` when it is known
+    without a solve, else None.
+
+    At the trivial equilibrium (0, 0, 0) every term of the IMEX step vanishes
+    exactly: every kinetics table has total order >= 1; growth, competition and
+    drift are multiples of u; and a zero source takes the zero return of
+    :func:`grid.helmholtz_solve`, which ends Picard at once.  The run is then zero
+    on every stored time (:func:`forward.stored_times`), returned as read-only,
+    zero-stride broadcast zeros.  A populated equilibrium is solved: neither
+    r u0 - mu u0^2 nor the transform of a constant is sure to round to exactly
+    zero, and the expansion point is not checked to be a steady state.
+    """
+    if any(equilibrium):
+        return None
+    times = stored_times(cfg)
+    zero = np.broadcast_to(0.0, times.shape + domain.shape)
+    return Trajectory(domain, times, zero, zero, zero)
+
+
 @dataclass
 class ForwardHandle:
     """Bundle of a forward run callable with the grid/equilibrium it acts on.
 
-    ``run`` solves on every call.  :meth:`base` solves the equilibrium run
-    once and keeps it, the one run every probing family differences against.
+    ``run`` solves on every call.  :meth:`base` is the run S(0) from the
+    equilibrium, the one run every probing family differences against.  A handle
+    that runs :func:`forward.solve_forward` (:meth:`of_solver`) takes it from
+    :func:`known_base`, with no solve at the trivial equilibrium; any other
+    handle solves it on first use and keeps it.
     """
 
     domain: Domain
@@ -135,13 +161,20 @@ class ForwardHandle:
     _base: Trajectory | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
+    def of_solver(cls, domain, equilibrium: EquilibriumState, run, cfg: SolverConfig):
+        """A handle whose ``run`` is :func:`forward.solve_forward` on ``cfg``."""
+        handle = cls(domain=domain, equilibrium=equilibrium, run=run, cfg=cfg)
+        handle._base = known_base(domain, equilibrium, cfg)
+        return handle
+
+    @classmethod
     def from_model(cls, domain, p: ParameterSet, kin: KineticsSpec, cfg: SolverConfig):
         def _run(f, gg, h):
             return solve_forward(domain, (f, gg, h), p, kin, cfg)
-        return cls(domain=domain, equilibrium=kin.expansion_point, run=_run, cfg=cfg)
+        return cls.of_solver(domain, kin.expansion_point, _run, cfg)
 
     def base(self) -> Trajectory:
-        """The run S(0) from the equilibrium, solved on first use."""
+        """The run S(0) from the equilibrium: known, or solved on first use and kept."""
         if self._base is None:
             self._base = self.run(*(self.domain.constant(c) for c in self.equilibrium))
         return self._base

@@ -22,7 +22,7 @@ from archemo.forward import (
     step,
 )
 from archemo.grid import Domain, inner_product, laplacian_neumann, norm_l2
-from archemo.harness import cli, identifiability_sweep, measure_match_tol
+from archemo.harness import cli, identifiability_sweep
 from archemo.probes import (
     cgo_elliptic,
     cgo_parabolic,

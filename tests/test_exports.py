@@ -13,6 +13,11 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(archemo.__path__))
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 DEMOS = sorted(glob.glob(os.path.join(ROOT, "demos", "*.py")))
 BENCH_FILES = sorted(glob.glob(os.path.join(ROOT, "perfbench", "*.py")))
+# the package's __init__ imports only to re-export
+LINTED_FILES = sorted(
+    [p for p in glob.glob(os.path.join(ROOT, "src", "archemo", "*.py"))
+     if os.path.basename(p) != "__init__.py"]
+    + glob.glob(os.path.join(ROOT, "tests", "*.py")) + DEMOS)
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -100,3 +105,27 @@ def test_benchmark_imports_resolve(path):
     # a name or keyword the benchmark uses and the package retired would
     # otherwise surface only as a failed benchmark run
     _assert_imports_resolve(path)
+
+
+def _unused_imports(path):
+    """Names a file imports and never reads; a name listed in ``__all__`` is read."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            read |= {e.value for e in node.value.elts if isinstance(e, ast.Constant)}
+    return [name for name in imported if name not in read]
+
+
+@pytest.mark.parametrize("path", LINTED_FILES, ids=lambda p: os.path.relpath(p, ROOT))
+def test_no_unused_imports(path):
+    unused = _unused_imports(path)
+    assert not unused, f"{os.path.relpath(path, ROOT)} imports names it never reads: {unused}"

@@ -7,7 +7,6 @@ import pytest
 
 from archemo import io as aio
 from archemo.forward import (
-    KineticsSpec,
     ParameterSet,
     SeparableField,
     SolverConfig,

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from archemo.forward import KineticsSpec, ParameterSet, SolverConfig, measure, solve_forward
-from archemo.grid import Domain, norm_l2
+from archemo.forward import KineticsSpec, ParameterSet, SolverConfig, solve_forward
+from archemo.grid import Domain
 from archemo.probes import (
     cgo_elliptic,
     cgo_parabolic,

@@ -1,24 +1,27 @@
-"""Property-based invariants that the hot paths and the extraction rely on.
+"""Property-based invariants that the hot paths, the extraction and the estimators rely on.
 
 The examples come from ``hypothesis`` under the derandomized profile of
 ``conftest.py``: random grids in one and two dimensions (both transform paths
 of the spectral solve included), fields, upwind patterns, decays and step
-sizes, and epsilon ladders with polynomial runs.
+sizes, epsilon ladders with polynomial runs, random models run from zero data,
+and discrete modal series.
 """
 
 import math
 
 import numpy as np
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from archemo.forward import (
     EquilibriumState,
     KineticsSpec,
     ParameterSet,
+    SeparableField,
     SolverConfig,
     StepPlan,
     Trajectory,
+    solve_forward,
 )
 from archemo.grid import (
     Domain,
@@ -28,7 +31,8 @@ from archemo.grid import (
     spectral_helmholtz,
     upwind_patterns,
 )
-from archemo.variation import ForwardHandle, PerturbationFamily, extract_variation_fd
+from archemo.recover import FIT_REL_FLOOR, fit_exponential_rate, rate_to_growth
+from archemo.variation import ForwardHandle, PerturbationFamily, extract_variation_fd, known_base
 
 EPS = np.finfo(float).eps
 
@@ -158,3 +162,77 @@ def test_extraction_is_exact_on_polynomial_runs(data):
         expected = (k + 1) * coeffs[k]
         got = np.stack([traj.u, traj.v, traj.w])
         assert np.max(np.abs(got - expected)) <= tol
+
+
+def _kinetics_table(data, d, decay):
+    # a (1, 0) entry of either sign, constant or varying across the last axis only,
+    # the (0, 1) decay, and any of the three second-order entries (a separable one
+    # in 2D), in a random order
+    if d.dim == 1 or data.draw(st.booleans()):
+        a10 = data.draw(st.floats(-3.0, 3.0))
+    else:
+        a10 = np.repeat(data.draw(hnp.arrays(np.float64, (d.cells[0], 1),
+                                             elements=st.floats(-3.0, 3.0))), d.cells[1], 1)
+    table = {(1, 0): a10, (0, 1): -decay}
+    for key in ((1, 1), (2, 0), (0, 2)):
+        if data.draw(st.booleans()):
+            if d.dim == 2 and data.draw(st.booleans()):
+                axial = data.draw(hnp.arrays(np.float64, d.cells[1], elements=st.floats(0.5, 2.0)))
+                table[key] = SeparableField(transverse=data.draw(hnp.arrays(
+                    np.float64, d.cells[0], elements=st.floats(-2.0, 2.0))), axial=axial)
+            else:
+                table[key] = data.draw(st.floats(-2.0, 2.0))
+    order = data.draw(st.permutations(list(table)))
+    return {key: table[key] for key in order}
+
+
+@given(st.data())
+def test_the_run_from_zero_data_is_the_known_base(data):
+    # every term of the step vanishes exactly at the trivial equilibrium, so a run from
+    # zero data is +0 everywhere, with no negative zero, on the known base's times;
+    # the known base stands in for this run in every extraction, which stays bitwise
+    # only while this holds
+    d = data.draw(domains())
+    rates = st.floats(0.0, 5.0)
+    p = ParameterSet(chi=data.draw(st.sampled_from([0.0, 0.1, 2.0])),
+                     xi=data.draw(st.sampled_from([0.0, 0.05, 1.5])),
+                     r=data.draw(rates), mu=data.draw(st.floats(0.1, 5.0)),
+                     beta=data.draw(st.floats(0.1, 5.0)), delta=data.draw(st.floats(0.1, 5.0)))
+    kin = KineticsSpec(g_coeffs=_kinetics_table(data, d, p.beta),
+                       h_coeffs=_kinetics_table(data, d, p.delta))
+    dt = data.draw(st.floats(1e-4, 1e-1))
+    cfg = SolverConfig(tau=data.draw(st.integers(0, 1)), dt=dt,
+                       t_final=data.draw(st.integers(1, 6)) * dt,
+                       store_every=data.draw(st.integers(1, 3)),
+                       relaxation_speedup=data.draw(st.floats(0.5, 4.0)))
+    traj = solve_forward(d, (d.zeros(),) * 3, p, kin, cfg)
+    base = known_base(d, kin.expansion_point, cfg)
+    assert np.array_equal(traj.times, base.times)
+    for name in "uvw":
+        got = traj.component(name)
+        assert got.shape == base.component(name).shape
+        assert not np.any(got)
+        assert not np.any(np.signbit(got))
+
+
+@given(st.data())
+def test_rate_to_growth_inverts_the_fitted_rate(data):
+    # a discrete modal series c ((1 + dt r)/(1 + dt lam))^n is exactly exponential in
+    # t = n dt, so the fitted rate, inverted through the growth factor per step, gives
+    # back r up to the rounding of the series, of the fit and of the inversion
+    dt = data.draw(st.floats(1e-4, 1e-1))
+    r, lam = data.draw(st.floats(0.0, 50.0)), data.draw(st.floats(0.0, 1e3))
+    scale = data.draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** data.draw(st.floats(-6.0, 6.0))
+    n = np.arange(data.draw(st.integers(5, 2000)))
+    growth = (1.0 + dt * r) / (1.0 + dt * lam)
+    # in range: the fit keeps at least five samples above its floor, so a growing
+    # series spans less than that floor
+    assume(growth <= 1.0 or n[-1] * math.log(growth) < -math.log(FIT_REL_FLOOR))
+    times, amps = n * dt, scale * growth ** n
+    keep = np.flatnonzero(np.abs(amps) < FIT_REL_FLOOR * np.max(np.abs(amps)))
+    assume(keep.size == 0 or keep[0] >= 5)
+    theta = fit_exponential_rate(times, amps)[0]
+    span = times[keep[0] - 1] if keep.size else times[-1]
+    log_range = abs(math.log(growth)) * span / dt + abs(math.log(abs(scale)))
+    tol = 64 * EPS * (1.0 + dt * r) * ((1.0 + log_range) / span + 1.0 / dt)
+    assert abs(rate_to_growth(theta, lam, dt) - r) <= tol

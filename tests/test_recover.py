@@ -7,13 +7,7 @@ import numpy as np
 import pytest
 
 from archemo.errors import RecoveryError
-from archemo.forward import (
-    KineticsSpec,
-    ParameterSet,
-    SeparableField,
-    SolverConfig,
-    Trajectory,
-)
+from archemo.forward import ParameterSet, SeparableField, SolverConfig
 from archemo.grid import Domain, norm_l2
 from archemo.recover import (
     Experiment,
@@ -116,26 +110,33 @@ def test_estimator_gauge_invariance():
 # -- oracle plumbing -----------------------------------------------------------
 
 def test_oracle_caching_and_counts(line65, applied_params):
-    # a handle solves its base run once and every other query afresh
+    # at the trivial equilibrium a handle's base run is known without a solve, and
+    # every query is solved afresh
     oracle = _oracle(line65, applied_params, t_final=0.05)
     handle = oracle.handle()
     base = handle.base()
     assert handle.base() is base
-    assert oracle.query_count == oracle.run_count == 1
+    assert oracle.query_count == oracle.run_count == 0
     f = 0.5 + 0.1 * np.cos(math.pi * line65.axes[0])
     z = line65.zeros()
     t1 = handle.run(f, z, z)
     t2 = handle.run(f, z, z)
     assert t1 is not t2
     assert np.array_equal(t1.u, t2.u)
-    assert oracle.query_count == oracle.run_count == 3
-    # a second handle solves its own base run
-    assert oracle.handle().base() is not base
-    assert oracle.run_count == 4
+    assert oracle.query_count == oracle.run_count == 2
+    # the base is all zero on the runs' times
+    assert np.array_equal(base.times, t1.times)
+    for name in "uvw":
+        assert base.component(name).shape == t1.component(name).shape
+        assert not np.any(base.component(name))
+    # a second handle's base is not a run either
+    second = oracle.handle().base()
+    assert second is not t1 and second is not t2
+    assert oracle.query_count == oracle.run_count == 2
 
 
 def test_finished_recovery_holds_no_trajectories(line65, nondegenerate_params, monkeypatch):
-    # the bank's handle keeps only the base run, so it goes when the recovery returns
+    # the bank's handle keeps no run, and the bank goes when the recovery returns
     import archemo.recover as rc
     refs, solve = [], rc.solve_forward
 
@@ -148,8 +149,8 @@ def test_finished_recovery_holds_no_trajectories(line65, nondegenerate_params, m
     oracle = _oracle(line65, nondegenerate_params, dt=2e-3, t_final=0.1)
     report = run_full_pipeline(oracle, PipelineOptions(recover_fields=False))
     gc.collect()
-    # base run plus three eps runs for each of the three distinct families
-    assert report.oracle_runs == oracle.run_count == len(refs) == 10
+    # three eps runs for each of the three distinct families; the base run is known
+    assert report.oracle_runs == oracle.run_count == len(refs) == 9
     assert all(ref() is None for ref in refs)
     assert all(ref() is None for ref in refs)
 
@@ -624,6 +625,65 @@ def test_stage_peak_memory_on_a_cached_bank(cached_bank_129, stage, bound):
     assert peak / component <= bound
 
 
+def _pipeline_oracle(config, params):
+    if config == "sep33":
+        domain = Domain((1.0, 1.0), (33, 33))
+        a02 = SeparableField(transverse=np.cos(math.pi * domain.axes[0]),
+                             axial=(1.0 + domain.axes[1]) / 4.0)
+        oracle = _oracle(domain, params, dt=1e-3, t_final=0.2, store_every=4,
+                         so_g={(0, 2): a02})
+        return oracle, PipelineOptions(recover_fields=False,
+                                       declared_separable={"a02": a02.axial_integral(domain)})
+    oracle = _oracle(Domain(1.0, 65), params, tau=int(config[-1]), dt=2e-3, t_final=0.2)
+    return oracle, PipelineOptions(recover_fields=False)
+
+
+@pytest.mark.parametrize("config, families, bound", [
+    ("sep33", 3, 18.0),     # 33^2, tau=0, stride 4, separable a02: stage 3 skipped
+    ("tau1", 5, 36.0),
+    ("tau0", 3, 29.0),
+])
+def test_pipeline_peak_memory(config, families, bound, nondegenerate_params, monkeypatch):
+    # the traced peak of one recovery, in trajectory components: the base run is
+    # known and the bank drops each family's stack after its last read (16.8, 34.2
+    # and 27.9 measured; 30.9, 42.8 and 30.6 with a solved base run and every stack
+    # held to the end)
+    import archemo.recover as rc
+    banks, calls, extract = [], [], rc.extract_variation_fd
+
+    class RecordingBank(rc.ExperimentBank):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            banks.append(self)
+
+    def counting(handle, fam, **kw):
+        calls.append(fam)
+        return extract(handle, fam, **kw)
+
+    monkeypatch.setattr(rc, "ExperimentBank", RecordingBank)
+    monkeypatch.setattr(rc, "extract_variation_fd", counting)
+    oracle, opts = _pipeline_oracle(config, nondegenerate_params)
+    cfg = oracle.cfg
+    component = (-(-cfg.n_steps // cfg.store_every) + 1) * oracle.domain.node_count * 8
+    tracemalloc.start()
+    try:
+        report = run_full_pipeline(oracle, opts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.complete
+    assert peak / component <= bound
+    # stage 4 reads cached families first, and the report still lists stage order
+    chi = ["second-0", "second-1", "second-2"]
+    assert report.experiments_used == ["lin"] + (["chem"] if config == "tau1" else []) + chi
+    # every stack is gone after its last read, and each family was extracted once
+    (bank,) = banks
+    assert not bank._stacks
+    keys = {bank._family_key(fam) for fam in calls}
+    assert len(calls) == len(keys) == families
+    assert report.oracle_runs == len(opts.epsilons) * families
+
+
 def test_stride_guard_for_step_inversions(square33, applied_params):
     # per-step inversions need consecutive stored slices; with a coarser
     # stride the pipeline skips those stages and says why
@@ -750,8 +810,8 @@ def test_bank_builds_each_order1_tableau_once(line65, nondegenerate_params, monk
 
 @pytest.mark.parametrize("tau", [0, 1])
 def test_recovery_keeps_few_runs_alive(line65, nondegenerate_params, monkeypatch, tau):
-    # only the base run and the current family's earlier ladder runs may be
-    # alive when the oracle solves: each family's runs go once its stack is built
+    # only the current family's earlier ladder runs may be alive when the oracle
+    # solves (the base run is known): each family's runs go once its stack is built
     import archemo.recover as rc
     refs, alive, solve = [], [], rc.solve_forward
 
@@ -766,5 +826,5 @@ def test_recovery_keeps_few_runs_alive(line65, nondegenerate_params, monkeypatch
     oracle = _oracle(line65, nondegenerate_params, tau=tau, dt=2e-3, t_final=0.1)
     opts = PipelineOptions(recover_fields=False)
     report = run_full_pipeline(oracle, opts)
-    assert report.oracle_runs == len(refs) == (10 if tau == 0 else 16)
+    assert report.oracle_runs == len(refs) == (9 if tau == 0 else 15)
     assert max(alive) <= len(opts.epsilons)

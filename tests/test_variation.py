@@ -555,7 +555,8 @@ def test_fd_extraction_peak_memory(line65, nondegenerate_params, bound):
 def test_fd_extraction_peak_memory_while_solving(line65, nondegenerate_params):
     # peak of one extraction that solves its ladder, in trajectories (u, v, w): the
     # two extrapolations, their tails on u and one ladder run at a time, about 5.0.
-    # The base run is solved first, since it belongs to the handle.
+    # The base run is taken first, since it belongs to the handle (at the trivial
+    # equilibrium it is known, with no solve).
     _, _, fam, handle = _fd_setup(line65, nondegenerate_params,
                                   f1=1.0 + 0.9 * np.cos(math.pi * line65.axes[0]))
     handle.base()
