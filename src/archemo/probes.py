@@ -35,6 +35,7 @@ __all__ = [
     "cgo_parabolic",
     "cgo_elliptic",
     "weighted_integral",
+    "slice_projections",
     "MomentVector",
     "TransformSample",
     "separable_probe_field",
@@ -84,6 +85,20 @@ def neumann_eigenmode(domain: Domain, index, r: float = 0.0) -> EigenMode:
             vals = np.multiply.outer(vals, axis_vals)
     vals.setflags(write=False)
     return EigenMode(index=index, lam=lam, lam_h=lam_h, theta=r - lam, values=vals)
+
+
+def slice_projections(values, weight):
+    """sum over nodes of values[t] * weight for each slice t of a stack.
+
+    Each slice is contracted against the real and imaginary parts of the one
+    flattened (complex) ``weight``, so a real stack is never cast to complex.
+    """
+    values = np.asarray(values)
+    if values.shape[1:] != weight.shape:
+        raise ValueError(f"slices of shape {values.shape[1:]} do not match the weight's "
+                         f"shape {weight.shape}")
+    flat, weight = values.reshape(len(values), -1), weight.ravel()
+    return flat @ weight.real + 1j * (flat @ weight.imag)
 
 
 def modal_amplitude(domain: Domain, values, mode: EigenMode):
@@ -203,15 +218,19 @@ def cgo_elliptic(xi_prime, sign: int = +1) -> CGOProbe:
 
 
 def weighted_integral(domain: Domain, times, values, probe: CGOProbe) -> complex:
-    """Trapezoidal space-time integral of values * probe over the cylinder."""
+    """Trapezoidal space-time integral of values * probe over the cylinder.
+
+    The probe is e^{a t} phi(x), so the integral is a time sum of the slices'
+    projections against the weighted phi.
+    """
     values = np.asarray(values)
     times = np.asarray(times, dtype=float)
     if values.shape != (len(times),) + domain.shape:
         raise ValueError(
             f"space-time data of shape {values.shape} does not match "
             f"{len(times)} times on grid {domain.shape}")
-    pv = probe.sample(domain, times)
-    per_time = (values * pv * domain.weights).reshape(len(times), -1).sum(axis=1)
+    per_time = slice_projections(values, probe.sample_space(domain) * domain.weights)
+    per_time = per_time * np.exp(probe.time_exponent * times)
     return complex(np.sum(g.time_weights(times) * per_time))
 
 

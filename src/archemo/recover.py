@@ -31,9 +31,12 @@ invert a different one swaps a single function:
   inverse of :meth:`forward.StepPlan.implicit`, the one implicit solve that
   :func:`forward.step` and :func:`variation.solve_variations` both step through.
 
+Stage 1's probe integrals contract each stored slice against one weighted field.
 Stages 3 and 4 reduce each regression to the Gram matrix of [regressors | rhs]:
-stage 4 from one (4, steps, *grid) array per experiment at a time, stage 3 from
-blocks of REGRESSOR_BLOCK steps with at most about eight block arrays alive.
+stage 4 from one (4, steps, *grid) array of rows per experiment and chemical at a
+time, formed in place, with the chemical balance by blocks of about
+BALANCE_BLOCK_NODES nodes; stage 3 from blocks of REGRESSOR_BLOCK steps with at
+most about eight block arrays alive.
 
 The pipeline holds only what its stages still read.  The run S(0) from the
 trivial equilibrium is zero and known without a query
@@ -164,6 +167,9 @@ PATTERN_PASSES = 2
 # block temporaries, at most about eight arrays of this many fields (the four
 # stacked rows of a block among them)
 REGRESSOR_BLOCK = 64
+# stage 4 forms its chemical balances over blocks of whole slices of about this
+# many nodes (at least one slice), small enough that their temporaries stay few
+BALANCE_BLOCK_NODES = 16384
 # an exponential-rate fit keeps the samples down to this fraction of the largest
 # amplitude, and fails above this rms residual of its log-linear fit
 FIT_REL_FLOOR = 1e-6
@@ -465,18 +471,17 @@ def recover_r(oracle: Oracle, options: PipelineOptions | None = None,
 
 
 def _cgo_rate_check(domain, times, u1, r_hat):
-    """Relative residual of the probe-weighted balance at the estimated rate."""
+    """Relative residual of the probe-weighted balance at the estimated rate.  The
+    probe is e^{a t} phi(x), so each of its integrals contracts the slices of u1
+    against one weighted field."""
     zeta = np.zeros(domain.dim)
     zeta[-1] = math.pi / domain.lengths[-1]
     probe = pr.cgo_parabolic(zeta, r_hat)
-    omega = probe.sample(domain, times)
-    wt = g.time_weights(times)
-    endpoint = (np.sum(domain.weights * u1[-1] * omega[-1])
-                - np.sum(domain.weights * u1[0] * omega[0]))
-    dnu_w = probe.weighted_normal_derivative(domain)
     tfac = np.exp(probe.time_exponent * times)
-    per_time = (u1 * dnu_w).reshape(len(times), -1).sum(axis=1) * tfac
-    boundary = np.sum(wt * per_time)
+    ends = pr.slice_projections(u1[[0, -1]], probe.sample_space(domain) * domain.weights)
+    endpoint = ends[1] * tfac[-1] - ends[0] * tfac[0]
+    per_time = pr.slice_projections(u1, probe.weighted_normal_derivative(domain)) * tfac
+    boundary = np.sum(g.time_weights(times) * per_time)
     residual = endpoint + boundary
     scale = abs(pr.weighted_integral(domain, times, np.abs(u1), probe)) + 1e-300
     return abs(residual) / scale
@@ -780,22 +785,29 @@ def recover_second_kinetics(oracle: Oracle, linear: StageRecord,
 
     def contribution(stack, comp, a10_grid, decay):
         # one experiment's node-major Gram of [u1*chem1, 2*u1^2, 2*chem1^2 | rhs]
-        # under its time weights, and its sample count
+        # under its time weights, and its sample count; the rows are formed in place,
+        # the rhs (balance + decay*chem2 - a10*u2) one block of slices at a time
         o1, o2 = stack.order1, stack.order2
         chem2 = o2.component(comp)
-        balance = _chemical_balance(oracle, chem2)
-        n = len(balance)
+        n = len(chem2) - oracle.tau       # the slices that _chemical_balance returns
         u1, chem1 = o1.u[:n], o1.component(comp)[:n]
-        rows = np.empty((4,) + balance.shape)
+        rows = np.empty((4, n) + domain.shape)
         np.multiply(u1, chem1, out=rows[0])
-        np.multiply(2.0 * u1, u1, out=rows[1])
-        np.multiply(2.0 * chem1, chem1, out=rows[2])
-        np.add(balance, decay * chem2[:n], out=rows[3])
-        rows[3] -= a10_grid * o2.u[:n]
+        for row, x in ((rows[1], u1), (rows[2], chem1)):
+            np.multiply(x, 2.0, out=row)
+            row *= x
+        for start in range(0, n, step):
+            block = slice(start, min(start + step, n))
+            rhs = rows[3, block]
+            part = _chemical_balance(oracle, chem2[start:block.stop + oracle.tau])
+            np.multiply(chem2[block], decay, out=rhs)
+            rhs += part
+            rhs -= np.multiply(o2.u[block], a10_grid, out=part)
         rows *= np.sqrt(g.time_weights(o2.times[:n])).reshape((n,) + (1,) * domain.dim)
         rows = rows.reshape(4, n, -1).transpose(2, 0, 1)
         return rows @ rows.transpose(0, 2, 1), n
 
+    step = max(1, BALANCE_BLOCK_NODES // domain.node_count)
     # per chemical (comp, its source grid, its decay), and its Grams in experiment order
     balances = [(comp, coefficient_on_grid(linear.estimates[src_name], domain),
                  linear.estimates[decay_name]) for comp, src_name, decay_name in _LINEAR_PAIRS]

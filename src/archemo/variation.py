@@ -24,8 +24,10 @@ grids, so finite differences of nonlinear runs converge to the direct
 solutions at first order in eps; the one-sided ladders (eps > 0 keeps
 the data admissible) are sharpened by Richardson extrapolation.  That
 extrapolation is a fixed linear combination of the ladder's runs, so the
-extraction folds each run into running sums as it returns and holds one run
-at a time.
+extraction folds each run into its results as it returns.  One extraction
+holds its six result fields, one run, the u-differences of the inner ladder
+nodes (from which the tails behind its diagnostics are rebuilt) and one
+scratch field.
 """
 
 from __future__ import annotations
@@ -259,13 +261,22 @@ def solve_variations(domain: Domain, p: ParameterSet, kin: KineticsSpec,
 # L_i = prod_{j != i} e_j / (e_j - e_i).  With D_i = S(e_i) - S(0), the order-1
 # extrapolation is sum (L_i / e_i) D_i and the order-2 one
 # sum (2 L_i / e_i^2) D_i - kappa * u1 with kappa = sum 2 L_i / e_i, so each run
-# can be folded into running sums as it returns and then dropped.
+# can be folded into running sums as it returns and then dropped.  The tails P_a
+# (a >= 1), the extrapolations from nodes a..m-1 that the corrections compare,
+# read only the u-differences of nodes 1..m-1; they are rebuilt at the end, term
+# by term in node order, as a fold would have summed them.
 
 
 def _weights_at_zero(nodes):
     """Lagrange weights at zero of the interpolant through ``nodes``."""
     return [math.prod(ej / (ej - ei) for j, ej in enumerate(nodes) if j != i)
             for i, ei in enumerate(nodes)]
+
+
+def _is_plus_zero(values) -> bool:
+    """Whether ``values`` is a zero-stride broadcast of +0, as :func:`known_base`
+    returns it, so that x - values is x bitwise."""
+    return not any(values.strides) and values.flat[0] == 0.0 and not np.signbit(values.flat[0])
 
 
 def extract_variation_fd(handle: ForwardHandle, fam: PerturbationFamily,
@@ -276,11 +287,15 @@ def extract_variation_fd(handle: ForwardHandle, fam: PerturbationFamily,
     Order 1 uses (S(eps) - S(0))/eps, order 2 uses 2*(S(eps) - S(0) - eps*u1)/eps^2,
     both from the same runs; both are Richardson-extrapolated across the ladder
     (one-sided stencils only, since eps < 0 can break the non-negativity of the
-    initial data).  S(0) is the handle's base run.  The extrapolation is
-    streamed: each ladder run is folded into running sums as soon as it returns
-    and is then dropped, so one run is alive at a time.  ``first_direct``
-    substitutes a trusted first-order trajectory in the order-2 stencil; by
-    default the extrapolated order-1 result is used.
+    initial data).  S(0) is the handle's base run, whose subtraction is skipped
+    only where it is the known zero of :func:`known_base`.  The extrapolation is
+    streamed: each ladder run is folded into the results as soon as it returns,
+    one component at a time, and each component is dropped once folded.  On an
+    m-node ladder one extraction holds its six result fields, the run in hand,
+    the u-differences of the m - 2 inner nodes and one scratch field, through
+    which every product goes.  ``first_direct`` substitutes a trusted first-order
+    trajectory in the order-2 stencil; by default the extrapolated order-1 result
+    is used.
 
     On an m-node ladder (m >= 2), ``diagnostics["order{1,2}_corrections"]``
     list max|P_a(0) - P_{a+1}(0)| on u for a = m-2 down to 0, where P_a
@@ -299,44 +314,66 @@ def extract_variation_fd(handle: ForwardHandle, fam: PerturbationFamily,
     base = handle.base()
     weights = [_weights_at_zero(eps[a:]) for a in range(m)]   # node i of P_a: weights[a][i - a]
     kappa = [2.0 * sum(w / e for w, e in zip(row, eps[a:])) for a, row in enumerate(weights)]
-    # sums[order, a, name]: P_a(0) before the u1 term, full for a = 0 and on u only
-    # for the tails; a sum is made by its first term, so no tail takes memory
-    # before its first node's run returns
-    sums, quotients = {}, []
 
-    def fold(key, coeff, diff):
-        term = coeff * diff
-        if key in sums:
-            sums[key] += term
-        else:
-            sums[key] = term
+    def coeff(order, a, i):
+        # the weight of D_i in the order-1 or order-2 sum of P_a
+        w, e = weights[a][i - a], eps[i]
+        return w / e if order == 1 else 2.0 * w / (e * e)
 
+    # result[order, name]: P_0(0), before the u1 term for order 2; du[i - 1]: the
+    # u-difference of node i >= 1, which the tails read
+    result, du, quotients = {}, [], []
     for i, e in enumerate(eps):
+        scratch = None      # not held while the run is solved
         run = handle.run(*fam.initial_data(domain, handle.equilibrium, e))
         if return_ladder:
             # the order-2 quotients still lack their u1 term, which needs order 1
             quotients.append([getattr(run, name) * c + getattr(base, name) * -c
                               for c in (1.0 / e, 2.0 / (e * e)) for name in "uvw"])
-        for name in ("u", "v", "w"):
-            diff = getattr(run, name) - getattr(base, name)
-            for a in range(i + 1 if name == "u" else 1):
-                fold((1, a, name), weights[a][i - a] / e, diff)
-                fold((2, a, name), 2.0 * weights[a][i - a] / (e * e), diff)
-        del run, diff
+        held = [run.u, run.v, run.w]
+        del run
+        if i:
+            scratch = np.empty_like(held[0])
+        for name in "uvw":
+            diff, at = held.pop(0), getattr(base, name)
+            if not _is_plus_zero(at):
+                diff = diff - at
+            for order in (1, 2):
+                if i:
+                    result[order, name] += np.multiply(diff, coeff(order, 0, i), out=scratch)
+                else:
+                    result[order, name] = coeff(order, 0, i) * diff
+            if name == "u" and i:
+                du.append(diff)
+            del diff
     times = base.times
-    order1 = Trajectory(domain, times, *(sums[1, 0, name] for name in "uvw"))
+    order1 = Trajectory(domain, times, *(result[1, name] for name in "uvw"))
     u1 = first_direct if first_direct is not None else order1
-    for (order, a, name), acc in sums.items():
-        if order == 2:
-            acc -= kappa[a] * getattr(u1, name)
-    diagnostics = {f"order{order}_corrections": [
-        float(np.max(np.abs(sums[order, a, "u"] - sums[order, a + 1, "u"])))
-        for a in range(m - 2, -1, -1)] for order in (1, 2)}
+    for name in "uvw":
+        result[2, name] -= np.multiply(getattr(u1, name), kappa[0], out=scratch)
+    diagnostics = {}
+    for order in (1, 2):
+        corrections, prev = [], None
+        for a in range(m - 1, -1, -1):
+            if a:
+                tail = coeff(order, a, a) * du[a - 1]
+                for i in range(a + 1, m):
+                    tail += np.multiply(du[i - 1], coeff(order, a, i), out=scratch)
+                if order == 2:
+                    tail -= np.multiply(u1.u, kappa[a], out=scratch)
+            else:
+                tail = result[order, "u"]
+            if prev is not None:
+                np.subtract(tail, prev, out=scratch)
+                corrections.append(float(np.max(np.abs(scratch, out=scratch))))
+            prev = tail
+        diagnostics[f"order{order}_corrections"] = corrections
+    del du
     corr1 = diagnostics["order1_corrections"]
     if len(corr1) >= 2 and corr1[-1] > corr1[-2] * 4.0 and corr1[-1] > 1e-12:
         diagnostics["ladder_warning"] = (
             "order-1 extrapolation corrections are not decreasing; ladder too coarse")
-    order2 = Trajectory(domain, times, *(sums[2, 0, name] for name in "uvw"))
+    order2 = Trajectory(domain, times, *(result[2, name] for name in "uvw"))
     stack = VariationStack(order1=order1, order2=order2, provenance="finite-difference",
                            diagnostics=diagnostics)
     if not return_ladder:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -54,3 +56,15 @@ def make_kinetics(params, **kw):
 
 def quick_cfg(tau=0, dt=1e-3, t_final=0.3, **kw):
     return SolverConfig(tau=tau, dt=dt, t_final=t_final, **kw)
+
+
+def traced_peak(fn, unit_bytes):
+    """The result of fn() and the peak of the memory it allocated, traced by
+    tracemalloc, in units of ``unit_bytes``."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak / unit_bytes

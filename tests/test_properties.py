@@ -3,8 +3,8 @@
 The examples come from ``hypothesis`` under the derandomized profile of
 ``conftest.py``: random grids in one and two dimensions (both transform paths
 of the spectral solve included), fields, upwind patterns, decays and step
-sizes, epsilon ladders with polynomial runs, random models run from zero data,
-and discrete modal series.
+sizes, elliptic sources, epsilon ladders with polynomial runs, random models
+run from zero data, and discrete modal series.
 """
 
 import math
@@ -24,10 +24,14 @@ from archemo.forward import (
     solve_forward,
 )
 from archemo.grid import (
+    ELLIPTIC_TOL,
+    RESIDUAL_ROUNDING_SLACK,
     Domain,
     advective_flux_div,
     advective_flux_div_patterned,
     face_velocities,
+    helmholtz_solve,
+    laplacian_neumann,
     spectral_helmholtz,
     upwind_patterns,
 )
@@ -82,8 +86,9 @@ def test_flux_divergence_conserves_the_weighted_total(data):
 @given(st.data())
 def test_a_stack_equals_its_slices(data):
     # each operator on a stack returns, slice by slice, bitwise what it returns for
-    # the slice alone: the flux divergences for any potentials and patterns, and the
-    # spectral solve for a scalar decay and for one decay per slice
+    # the slice alone: the Laplacian, the face velocities, the flux divergences for
+    # any potentials and patterns, and the spectral solve for a scalar decay and for
+    # one decay per slice
     d = data.draw(domains())
     k = data.draw(st.integers(1, 3))
     u, potential, other = (data.draw(fields(d, (k,))) for _ in range(3))
@@ -93,12 +98,61 @@ def test_a_stack_equals_its_slices(data):
     patterned = advective_flux_div_patterned(d, u, potential, upwind_patterns(d, other))
     per_slice = spectral_helmholtz(d, u, decays.reshape((-1,) + (1,) * d.dim))
     shared = spectral_helmholtz(d, u, decay)
+    laplacian, velocities = laplacian_neumann(d, u), face_velocities(d, potential)
     for i in range(k):
+        assert np.array_equal(laplacian[i], laplacian_neumann(d, u[i]))
+        for stacked, alone in zip(velocities, face_velocities(d, potential[i])):
+            assert np.array_equal(stacked[i], alone)
         assert np.array_equal(upwind[i], advective_flux_div(d, u[i], potential[i]))
         assert np.array_equal(patterned[i], advective_flux_div_patterned(
             d, u[i], potential[i], upwind_patterns(d, other[i])))
         assert np.array_equal(per_slice[i], spectral_helmholtz(d, u[i], float(decays[i])))
         assert np.array_equal(shared[i], spectral_helmholtz(d, u[i], decay))
+
+
+@st.composite
+def elliptic_sources(draw):
+    # 1D grids of 9-257 nodes and 2D grids of up to 65 x 65, sides 0.1-3, and a
+    # source that is random, smooth (one cosine mode), offset (a constant plus a
+    # small random part) or a checkerboard, at any scale
+    dim = draw(st.integers(1, 2))
+    cells = (draw(st.integers(9, 257)),) if dim == 1 else tuple(
+        draw(st.integers(8, 65)) for _ in range(2))
+    d = Domain(tuple(draw(st.floats(0.1, 3.0)) for _ in range(dim)), cells)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "smooth", "offset", "checkerboard"]))
+    if kind == "random":
+        source = rng.standard_normal(d.shape)
+    elif kind == "smooth":
+        source = np.ones(d.shape)
+        for axis, (n, length) in enumerate(zip(d.cells, d.lengths)):
+            k = draw(st.integers(0, n - 1))
+            shape = [1] * dim
+            shape[axis] = n
+            source = source * np.cos(k * math.pi * d.axes[axis] / length).reshape(shape)
+    elif kind == "offset":
+        source = 1.0 + 1e-6 * rng.standard_normal(d.shape)
+    else:
+        source = (-1.0) ** np.indices(d.shape).sum(axis=0)
+    return d, source * 10.0 ** draw(st.floats(-6.0, 6.0))
+
+
+@given(elliptic_sources(), st.floats(-6.0, 4.0))
+def test_helmholtz_solve_meets_its_tolerance_or_rounding_floor(case, log_decay):
+    # the spectral solve raises unless its residual, as it evaluates it, reaches
+    # ELLIPTIC_TOL of the source or the rounding floor RESIDUAL_ROUNDING_SLACK * eps *
+    # (largest eigenvalue + decay) * |v|; the residual evaluated through the
+    # Laplacian meets the same bound
+    d, source = case
+    decay = 10.0 ** log_decay
+    v = helmholtz_solve(d, source, decay)
+    residual = source - (decay * v - laplacian_neumann(d, v))
+
+    def norm(x):
+        return math.sqrt(float(np.sum(d.weights * x * x)))
+    floor = (RESIDUAL_ROUNDING_SLACK * EPS * (float(np.max(d.neumann_eigenvalues)) + decay)
+             * norm(v))
+    assert norm(residual) <= max(ELLIPTIC_TOL * norm(source), floor)
 
 
 PARAMS = ParameterSet(chi=0.1, xi=0.05, r=0.5, mu=1.0, alpha=1.0, beta=1.0, gamma=0.8, delta=1.6)

@@ -1,6 +1,5 @@
 import gc
 import math
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -25,7 +24,7 @@ from archemo.recover import (
 )
 from archemo.variation import PerturbationFamily
 
-from conftest import make_kinetics
+from conftest import make_kinetics, traced_peak
 
 
 def _oracle(domain, params, tau=0, dt=1e-3, t_final=0.6, so_g=None, so_h=None, **cfg_kw):
@@ -603,26 +602,24 @@ def cached_bank_129():
     return oracle, opts, bank, r_hat, lin
 
 
-@pytest.mark.parametrize("stage, bound", [("chi_xi_mu", 0.6), ("second_kinetics", 7.5)])
+@pytest.mark.parametrize("stage, bound", [("r", 1.2), ("chi_xi_mu", 0.6),
+                                          ("second_kinetics", 4.8)])
 def test_stage_peak_memory_on_a_cached_bank(cached_bank_129, stage, bound):
     # the traced peak of one stage call above the cached stacks, in trajectory
-    # components: the regressions reduce to Gram matrices, so no stage holds more
-    # than a few components (0.54 and 6.1 measured; 5.0 for stage 3 while it kept
-    # each experiment's residual series, 8.2 and 8.1 with per-step probe arrays
-    # and pairwise normal pieces)
+    # components: the probe integrals contract each slice against one weighted field,
+    # and the regressions reduce to Gram matrices, so no stage holds more than a few
+    # components (1.08, 0.54 and 4.33 measured: |u1| for the probe integral's scale,
+    # and stage 4's four rows; 9.1 for stage 1 with (T, *grid) probe products, 6.1
+    # for stage 4 with full-length balance temporaries, 5.0 for stage 3 while it kept
+    # each experiment's residual series, 8.2 and 8.1 with per-step probe arrays and
+    # pairwise normal pieces)
     oracle, opts, bank, r_hat, lin = cached_bank_129
-    component = 2001 * 129 * 8
-    tracemalloc.start()
-    tracemalloc.reset_peak()
-    try:
-        if stage == "chi_xi_mu":
-            recover_chi_xi_mu(oracle, r_hat, options=opts, bank=bank)
-        else:
-            recover_second_kinetics(oracle, lin, options=opts, bank=bank)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak / component <= bound
+    run = {"r": lambda: recover_r(oracle, options=opts, bank=bank),
+           "chi_xi_mu": lambda: recover_chi_xi_mu(oracle, r_hat, options=opts, bank=bank),
+           "second_kinetics": lambda: recover_second_kinetics(oracle, lin, options=opts,
+                                                              bank=bank)}[stage]
+    _, peak = traced_peak(run, 2001 * 129 * 8)
+    assert peak <= bound
 
 
 def _pipeline_oracle(config, params):
@@ -639,15 +636,18 @@ def _pipeline_oracle(config, params):
 
 
 @pytest.mark.parametrize("config, families, bound", [
-    ("sep33", 3, 18.0),     # 33^2, tau=0, stride 4, separable a02: stage 3 skipped
-    ("tau1", 5, 36.0),
-    ("tau0", 3, 29.0),
+    ("sep33", 3, 14.0),     # 33^2, tau=0, stride 4, separable a02: stage 3 skipped
+    ("tau1", 5, 34.5),
+    ("tau0", 3, 28.0),
 ])
 def test_pipeline_peak_memory(config, families, bound, nondegenerate_params, monkeypatch):
     # the traced peak of one recovery, in trajectory components: the base run is
-    # known and the bank drops each family's stack after its last read (16.8, 34.2
-    # and 27.9 measured; 30.9, 42.8 and 30.6 with a solved base run and every stack
-    # held to the end)
+    # known, the bank drops each family's stack after its last read, an extraction
+    # holds 11 components and stage 4 forms its balances by blocks (13.4, 33.7 and
+    # 27.5 measured, the last two set by stage 3's blocks over three cached stacks;
+    # 16.8, 34.1 and 27.9 with 15-component extractions and full-length stage-4
+    # temporaries, 30.9, 42.8 and 30.6 with a solved base run and every stack held
+    # to the end)
     import archemo.recover as rc
     banks, calls, extract = [], [], rc.extract_variation_fd
 
@@ -665,14 +665,9 @@ def test_pipeline_peak_memory(config, families, bound, nondegenerate_params, mon
     oracle, opts = _pipeline_oracle(config, nondegenerate_params)
     cfg = oracle.cfg
     component = (-(-cfg.n_steps // cfg.store_every) + 1) * oracle.domain.node_count * 8
-    tracemalloc.start()
-    try:
-        report = run_full_pipeline(oracle, opts)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    report, peak = traced_peak(lambda: run_full_pipeline(oracle, opts), component)
     assert report.complete
-    assert peak / component <= bound
+    assert peak <= bound
     # stage 4 reads cached families first, and the report still lists stage order
     chi = ["second-0", "second-1", "second-2"]
     assert report.experiments_used == ["lin"] + (["chem"] if config == "tau1" else []) + chi

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -26,13 +25,14 @@ from archemo.grid import (
 from archemo.variation import (
     ForwardHandle,
     PerturbationFamily,
+    _weights_at_zero,
     consistency_report,
     extract_variation_fd,
     solve_variations,
     space_time_norm,
 )
 
-from conftest import make_kinetics
+from conftest import make_kinetics, traced_peak
 
 
 def _fd_setup(domain, params, tau=0, dt=1e-3, t_final=0.3, **fam_kw):
@@ -542,32 +542,24 @@ def test_fd_extraction_peak_memory(line65, nondegenerate_params, bound):
     extract_variation_fd(handle, fam)
     base = handle.run(*(line65.constant(c) for c in handle.equilibrium))
     traj_bytes = base.u.nbytes + base.v.nbytes + base.w.nbytes
-    tracemalloc.start()
-    try:
-        stack = extract_variation_fd(handle, fam)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    stack, peak = traced_peak(lambda: extract_variation_fd(handle, fam), traj_bytes)
     assert stack.order1 is not None
-    assert peak / traj_bytes <= bound
+    assert peak <= bound
 
 
 def test_fd_extraction_peak_memory_while_solving(line65, nondegenerate_params):
-    # peak of one extraction that solves its ladder, in trajectories (u, v, w): the
-    # two extrapolations, their tails on u and one ladder run at a time, about 5.0.
-    # The base run is taken first, since it belongs to the handle (at the trivial
-    # equilibrium it is known, with no solve).
+    # peak of one extraction that solves its ladder, in trajectories (u, v, w): its six
+    # result fields, the run in hand, the u-difference of the inner node and one
+    # scratch field, 11 components or about 3.7 (5.0 when it kept a full tail on u of
+    # every node and a fresh array for every product).  The base run is taken first,
+    # since it belongs to the handle (at the trivial equilibrium it is known, with no
+    # solve).
     _, _, fam, handle = _fd_setup(line65, nondegenerate_params,
                                   f1=1.0 + 0.9 * np.cos(math.pi * line65.axes[0]))
-    handle.base()
-    tracemalloc.start()
-    try:
-        stack = extract_variation_fd(handle, fam)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    traj_bytes = sum(stack.order1.component(name).nbytes for name in ("u", "v", "w"))
-    assert peak / traj_bytes <= 5.5
+    base = handle.base()
+    traj_bytes = sum(base.component(name).nbytes for name in ("u", "v", "w"))
+    _, peak = traced_peak(lambda: extract_variation_fd(handle, fam), traj_bytes)
+    assert peak <= 4.0
 
 
 def test_fd_extraction_holds_one_ladder_run(line65, nondegenerate_params):
@@ -640,3 +632,74 @@ def test_four_node_corrections_match_the_reference(line65, use_direct):
     assert min(corr1 + corr2[:-1]) > 1e-3
     assert (corr2[-1] > 1e-3) == use_direct
     _assert_matches_reference(stack, order1, corr1, order2, corr2)
+
+
+def _known_base_twin(handle, domain):
+    """A handle at the trivial equilibrium whose runs are those of ``handle`` less its
+    solved base, and whose base is the known zero of :func:`variation.known_base`; it
+    records a weak reference to every component of every run it returns."""
+    base, refs = handle.base(), []
+
+    def run(f, gg, h):
+        traj = handle.run(f, gg, h)
+        traj = Trajectory(domain, traj.times,
+                          *(traj.component(n) - base.component(n) for n in "uvw"))
+        refs.append({n: weakref.ref(traj.component(n)) for n in "uvw"})
+        return traj
+    # six stored times, as the synthetic runs have
+    twin = ForwardHandle.of_solver(domain, handle.equilibrium, run,
+                                   SolverConfig(dt=0.02, t_final=0.1))
+    return twin, refs
+
+
+def test_a_solved_base_is_subtracted_even_at_the_trivial_equilibrium(line65):
+    # a handle built directly at the trivial equilibrium solves its base, which need not
+    # be zero; only the known zero base skips the subtraction, so both handles fold the
+    # same differences and return the same bits
+    handle, _ = _synthetic_handle(line65, scale=0.05)
+    assert np.min(np.abs(handle.base().u)) > 0
+    twin, _ = _known_base_twin(handle, line65)
+    assert not any(twin.base().u.strides)
+    fam = PerturbationFamily(f1=np.ones(65), epsilons=(0.2, 0.1, 0.05, 0.025))
+    got, want = extract_variation_fd(handle, fam), extract_variation_fd(twin, fam)
+    _assert_traj_equal(got.order1, want.order1)
+    _assert_traj_equal(got.order2, want.order2)
+    assert got.diagnostics == want.diagnostics
+
+
+def test_four_node_ladder_holds_its_inner_u_differences(line65):
+    # with the known zero base each u-difference is its run's own u: while a run is
+    # solved, the extraction holds the u of the inner nodes 1..m-2 folded so far and
+    # nothing else of the earlier runs, and lets all go once it returns
+    handle, _ = _synthetic_handle(line65, scale=0.05)
+    twin, refs = _known_base_twin(handle, line65)
+    eps = (0.2, 0.1, 0.05, 0.025)
+    alive = []
+
+    def run(f, gg, h):
+        alive.append([[n for n in "uvw" if ref[n]() is not None] for ref in refs])
+        return twin_run(f, gg, h)
+    twin_run, twin.run = twin.run, run
+    stack = extract_variation_fd(twin, PerturbationFamily(f1=np.ones(65), epsilons=eps))
+    assert alive == [[], [[]], [[], ["u"]], [[], ["u"], ["u"]]]
+    assert all(ref[n]() is None for ref in refs for n in "uvw")
+    # the tails are rebuilt from those differences term by term in node order, as
+    # running sums over the ladder would have summed them, so the corrections are
+    # bitwise those of the sums
+    diffs = [twin_run(*PerturbationFamily(f1=np.ones(65)).initial_data(
+        line65, twin.equilibrium, e)).u for e in eps]
+    weights = [_weights_at_zero(eps[a:]) for a in range(4)]
+    for order in (1, 2):
+        tails = []
+        for a in range(4):
+            coeffs = [w / e if order == 1 else 2.0 * w / (e * e)
+                      for w, e in zip(weights[a], eps[a:])]
+            acc = coeffs[0] * diffs[a]
+            for c, d in zip(coeffs[1:], diffs[a + 1:]):
+                acc += c * d
+            if order == 2:
+                acc -= 2.0 * sum(w / e for w, e in zip(weights[a], eps[a:])) * stack.order1.u
+            tails.append(acc)
+        assert np.array_equal(tails[0], getattr(stack, f"order{order}").u)
+        assert stack.diagnostics[f"order{order}_corrections"] == [
+            float(np.max(np.abs(tails[a] - tails[a + 1]))) for a in (2, 1, 0)]
