@@ -52,6 +52,7 @@ __all__ = [
     "step_source",
     "stored_times",
     "SliceStore",
+    "BlockStore",
     "StepPlan",
     "step",
     "solve_forward",
@@ -392,8 +393,12 @@ class SliceStore:
         self.domain = domain
         self.n_steps, self.every = cfg.n_steps, cfg.store_every
         self.times = stored_times(cfg)
-        self.fields = [np.empty(self.times.shape + domain.shape) for _ in range(3)]
+        self.fields = [np.empty((self._length(),) + domain.shape) for _ in range(3)]
         self.put(0, state)
+
+    def _length(self):
+        # the slices each buffer holds
+        return len(self.times)
 
     def put(self, n, state):
         """Keep the (u, v, w) state of step n if the stride stores it."""
@@ -404,6 +409,41 @@ class SliceStore:
 
     def trajectory(self) -> Trajectory:
         return Trajectory(self.domain, self.times, *self.fields)
+
+
+class BlockStore(SliceStore):
+    """A :class:`SliceStore` that holds the run's stored slices in ``blocks`` blocks
+    of consecutive slices (fewer when it stores fewer slices), one at a time, in
+    buffers it reuses.
+
+    Each block goes to ``fold(block, [u, v, w])`` as it completes, ``block`` being
+    the slice of stored times it covers, so the run is never held whole.
+    :meth:`trajectory` returns the last block.
+    """
+
+    def __init__(self, domain: Domain, cfg: SolverConfig, state, fold, blocks: int):
+        self.fold, self.blocks = fold, blocks
+        super().__init__(domain, cfg, state)
+
+    def _length(self):
+        return -(-len(self.times) // self.blocks)
+
+    def put(self, n, state):
+        """Keep the state of step n if the stride stores it, and fold the block it
+        completes."""
+        if n % self.every == 0 or n == self.n_steps:
+            slot = -(-n // self.every)
+            at = slot % len(self.fields[0])
+            for stored, x in zip(self.fields, state):
+                stored[at] = x
+            if at == len(self.fields[0]) - 1 or n == self.n_steps:
+                self.last = slice(slot - at, slot + 1)
+                self.fold(self.last, [stored[:at + 1] for stored in self.fields])
+
+    def trajectory(self) -> Trajectory:
+        count = self.last.stop - self.last.start
+        return Trajectory(self.domain, self.times[self.last],
+                          *(stored[:count] for stored in self.fields))
 
 
 class StepPlan:
@@ -638,7 +678,7 @@ def step(plan: StepPlan, state, prior=()):
 
 
 def solve_forward(domain: Domain, init, p: ParameterSet, kin: KineticsSpec,
-                  cfg: SolverConfig) -> Trajectory:
+                  cfg: SolverConfig, store=None) -> Trajectory:
     """Integrate the coupled system from initial data (f, g, h).
 
     For tau = 0 the chemical fields are slaved from the start: g and h are
@@ -646,6 +686,10 @@ def solve_forward(domain: Domain, init, p: ParameterSet, kin: KineticsSpec,
     binds the run.  When a slaved chemical is nonlinear in itself, every step
     also gets the states of up to PICARD_SEED_DEPTH - 1 steps before it, newest
     first, which seed its Picard iteration (see :func:`step`).
+
+    The stored slices go to ``store(domain, cfg, initial state)``, by default a
+    :class:`SliceStore` of the whole run; the run returns its ``trajectory()``,
+    which for a :class:`BlockStore` is the last block.
     """
     cfg.validate()
     p.validate(domain)
@@ -663,7 +707,7 @@ def solve_forward(domain: Domain, init, p: ParameterSet, kin: KineticsSpec,
         v, w = g0.copy(), h0.copy()
 
     state, prior = (u, v, w), ()
-    stored = SliceStore(domain, cfg, state)
+    stored = (store or SliceStore)(domain, cfg, state)
     for n in range(1, cfg.n_steps + 1):
         state, prior = step(plan, state, prior), (state, *prior)[:plan.keep]
         stored.put(n, state)

@@ -32,11 +32,13 @@ invert a different one swaps a single function:
   :func:`forward.step` and :func:`variation.solve_variations` both step through.
 
 Stage 1's probe integrals contract each stored slice against one weighted field.
-Stages 3 and 4 reduce each regression to the Gram matrix of [regressors | rhs]:
-stage 4 from one (4, steps, *grid) array of rows per experiment and chemical at a
-time, formed in place, with the chemical balance by blocks of about
-BALANCE_BLOCK_NODES nodes; stage 3 from blocks of REGRESSOR_BLOCK steps with at
-most about eight block arrays alive.
+Stages 3 and 4 reduce each regression to the Gram matrix of [regressors | rhs].
+Stage 4 forms one experiment and chemical at a time: its rhs (one component) over
+blocks of whole slices of about BALANCE_BLOCK_NODES nodes, then its four weighted
+rows and its node-major (nodes, 4, 4) Gram over blocks of whole node series
+(:func:`_node_block_gram`), so the four full-length rows never exist; each node's
+Gram is still one product over all its times.  Stage 3 works on blocks of
+REGRESSOR_BLOCK steps with at most about eight block arrays alive.
 
 The pipeline holds only what its stages still read.  The run S(0) from the
 trivial equilibrium is zero and known without a query
@@ -132,13 +134,15 @@ class Oracle:
         return self.cfg.tau
 
     def handle(self) -> ForwardHandle:
-        """A forward handle that solves every query (:meth:`ForwardHandle.of_solver`)."""
-        def _run(f, gg, h):
+        """A forward handle that solves every query (:meth:`ForwardHandle.of_solver`)
+        into the store it is given, so that an extraction folds each run as it is solved."""
+        def _run(f, gg, h, store=None):
             self.query_count += 1
             self.run_count += 1
             return solve_forward(self.domain, (f, gg, h), self._params, self._kinetics,
-                                 self.cfg)
-        return ForwardHandle.of_solver(self.domain, self.equilibrium, _run, self.cfg)
+                                 self.cfg, store=store)
+        return ForwardHandle.of_solver(self.domain, self.equilibrium, _run, self.cfg,
+                                       streams=True)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +172,9 @@ PATTERN_PASSES = 2
 # stacked rows of a block among them)
 REGRESSOR_BLOCK = 64
 # stage 4 forms its chemical balances over blocks of whole slices of about this
-# many nodes (at least one slice), small enough that their temporaries stay few
+# many nodes (at least one slice), and its weighted rows over blocks of whole node
+# series of about this many values per row, small enough that their temporaries
+# stay few
 BALANCE_BLOCK_NODES = 16384
 # an exponential-rate fit keeps the samples down to this fraction of the largest
 # amplitude, and fails above this rms residual of its log-linear fit
@@ -761,6 +767,33 @@ def _batched_lsq_3(domain, grams):
     return coeffs, sigmas, rel_resid, loo
 
 
+def _node_block_gram(sw, u1, chem1, rhs, block_values=BALANCE_BLOCK_NODES):
+    """The node-major (nodes, 4, 4) Gram of the rows [u1*chem1, 2*u1^2, 2*chem1^2, rhs]
+    weighted by ``sw``; u1, chem1 and rhs are (steps, nodes) series and sw is (steps, 1).
+
+    The rows are formed for blocks of whole node series, each block's four rows about
+    ``block_values`` values apiece, so the four full-length rows never exist.  Each
+    node's Gram is still one product over all its times, laid out as in one product
+    of the whole rows; every block has at least two nodes, since a one-node block would
+    take a BLAS product that sums in another order.
+    """
+    n, nodes = rhs.shape
+    gram = np.empty((nodes, 4, 4))
+    count = max(1, nodes // max(2, block_values // n))
+    for k in range(count):
+        cols = slice(nodes * k // count, nodes * (k + 1) // count)
+        rows = np.empty((4, n, cols.stop - cols.start))
+        x, c = u1[:, cols], chem1[:, cols]
+        np.multiply(x, c, out=rows[0])
+        for row, y in ((rows[1], x), (rows[2], c)):
+            np.multiply(y, 2.0, out=row)
+            row *= y
+        rows[3] = rhs[:, cols]
+        rows *= sw
+        np.matmul(rows.transpose(2, 0, 1), rows.transpose(2, 1, 0), out=gram[cols])
+    return gram
+
+
 def recover_second_kinetics(oracle: Oracle, linear: StageRecord,
                             options: PipelineOptions | None = None,
                             bank: ExperimentBank | None = None,
@@ -785,27 +818,22 @@ def recover_second_kinetics(oracle: Oracle, linear: StageRecord,
 
     def contribution(stack, comp, a10_grid, decay):
         # one experiment's node-major Gram of [u1*chem1, 2*u1^2, 2*chem1^2 | rhs]
-        # under its time weights, and its sample count; the rows are formed in place,
-        # the rhs (balance + decay*chem2 - a10*u2) one block of slices at a time
+        # under its time weights, and its sample count; the rhs
+        # (balance + decay*chem2 - a10*u2) is formed one block of slices at a time,
+        # then the weighted rows and their Gram one block of nodes at a time
         o1, o2 = stack.order1, stack.order2
         chem2 = o2.component(comp)
         n = len(chem2) - oracle.tau       # the slices that _chemical_balance returns
-        u1, chem1 = o1.u[:n], o1.component(comp)[:n]
-        rows = np.empty((4, n) + domain.shape)
-        np.multiply(u1, chem1, out=rows[0])
-        for row, x in ((rows[1], u1), (rows[2], chem1)):
-            np.multiply(x, 2.0, out=row)
-            row *= x
+        rhs = np.empty((n,) + domain.shape)
         for start in range(0, n, step):
             block = slice(start, min(start + step, n))
-            rhs = rows[3, block]
             part = _chemical_balance(oracle, chem2[start:block.stop + oracle.tau])
-            np.multiply(chem2[block], decay, out=rhs)
-            rhs += part
-            rhs -= np.multiply(o2.u[block], a10_grid, out=part)
-        rows *= np.sqrt(g.time_weights(o2.times[:n])).reshape((n,) + (1,) * domain.dim)
-        rows = rows.reshape(4, n, -1).transpose(2, 0, 1)
-        return rows @ rows.transpose(0, 2, 1), n
+            out = np.multiply(chem2[block], decay, out=rhs[block])
+            out += part
+            out -= np.multiply(o2.u[block], a10_grid, out=part)
+        sw = np.sqrt(g.time_weights(o2.times[:n]))[:, None]
+        series = (o1.u[:n], o1.component(comp)[:n], rhs)
+        return _node_block_gram(sw, *(x.reshape(n, -1) for x in series)), n
 
     step = max(1, BALANCE_BLOCK_NODES // domain.node_count)
     # per chemical (comp, its source grid, its decay), and its Grams in experiment order
@@ -813,7 +841,7 @@ def recover_second_kinetics(oracle: Oracle, linear: StageRecord,
                  linear.estimates[decay_name]) for comp, src_name, decay_name in _LINEAR_PAIRS]
     grams = [[None] * len(exps) for _ in balances]
     # each experiment is read once, for both chemicals, and let go before the next
-    # is read; only one experiment's regressors are alive at a time
+    # is read; only one experiment's rhs and one block of its rows are alive at a time
     for i, stack in bank.stacks(exps):
         for per_exp, balance in zip(grams, balances):
             per_exp[i] = contribution(stack, *balance)

@@ -24,21 +24,24 @@ grids, so finite differences of nonlinear runs converge to the direct
 solutions at first order in eps; the one-sided ladders (eps > 0 keeps
 the data admissible) are sharpened by Richardson extrapolation.  That
 extrapolation is a fixed linear combination of the ladder's runs, so the
-extraction folds each run into its results as it returns.  One extraction
-holds its six result fields, one run, the u-differences of the inner ladder
-nodes (from which the tails behind its diagnostics are rebuilt) and one
-scratch field.
+extraction folds each run into its results block by block while the solver
+stores it.  One extraction holds its six result fields, the u-differences of
+the m - 2 inner ladder nodes (which the tails behind its diagnostics read) and
+one block of the run being solved: 7 components on the default three-node
+ladder, however long the run.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from . import grid as g
 from .forward import (
+    BlockStore,
     EquilibriumState,
     KineticsSpec,
     ParameterSet,
@@ -153,27 +156,31 @@ class ForwardHandle:
     equilibrium, the one run every probing family differences against.  A handle
     that runs :func:`forward.solve_forward` (:meth:`of_solver`) takes it from
     :func:`known_base`, with no solve at the trivial equilibrium; any other
-    handle solves it on first use and keeps it.
+    handle solves it on first use and keeps it.  When ``streams`` is set, ``run``
+    also takes the ``store`` of :func:`forward.solve_forward`, so that
+    :func:`extract_variation_fd` can fold each run block by block as it is solved.
     """
 
     domain: Domain
     equilibrium: EquilibriumState
-    run: object          # callable (f, g, h) -> Trajectory
+    run: object          # callable (f, g, h) -> Trajectory, and (f, g, h, store=...) if streams
     cfg: SolverConfig
+    streams: bool = False
     _base: Trajectory | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
-    def of_solver(cls, domain, equilibrium: EquilibriumState, run, cfg: SolverConfig):
+    def of_solver(cls, domain, equilibrium: EquilibriumState, run, cfg: SolverConfig,
+                  streams: bool = False):
         """A handle whose ``run`` is :func:`forward.solve_forward` on ``cfg``."""
-        handle = cls(domain=domain, equilibrium=equilibrium, run=run, cfg=cfg)
+        handle = cls(domain=domain, equilibrium=equilibrium, run=run, cfg=cfg, streams=streams)
         handle._base = known_base(domain, equilibrium, cfg)
         return handle
 
     @classmethod
     def from_model(cls, domain, p: ParameterSet, kin: KineticsSpec, cfg: SolverConfig):
-        def _run(f, gg, h):
-            return solve_forward(domain, (f, gg, h), p, kin, cfg)
-        return cls.of_solver(domain, kin.expansion_point, _run, cfg)
+        def _run(f, gg, h, store=None):
+            return solve_forward(domain, (f, gg, h), p, kin, cfg, store=store)
+        return cls.of_solver(domain, kin.expansion_point, _run, cfg, streams=True)
 
     def base(self) -> Trajectory:
         """The run S(0) from the equilibrium: known, or solved on first use and kept."""
@@ -261,10 +268,17 @@ def solve_variations(domain: Domain, p: ParameterSet, kin: KineticsSpec,
 # L_i = prod_{j != i} e_j / (e_j - e_i).  With D_i = S(e_i) - S(0), the order-1
 # extrapolation is sum (L_i / e_i) D_i and the order-2 one
 # sum (2 L_i / e_i^2) D_i - kappa * u1 with kappa = sum 2 L_i / e_i, so each run
-# can be folded into running sums as it returns and then dropped.  The tails P_a
-# (a >= 1), the extrapolations from nodes a..m-1 that the corrections compare,
-# read only the u-differences of nodes 1..m-1; they are rebuilt at the end, term
-# by term in node order, as a fold would have summed them.
+# can be folded into running sums as it is solved, a block of stored slices at a
+# time.  The tails P_a (a >= 1), the extrapolations from nodes a..m-1 that the
+# corrections compare, read only the u-differences of nodes 1..m-1; the last run
+# finishes each block, summing the tails term by term in node order as a fold
+# would have summed them.
+
+# a streamed ladder run is folded in this many blocks of whole slices (fewer when
+# it stores fewer slices): a block's buffers and temporaries, about six block
+# arrays, then stay within 6/16 of one stored component beside the seven the
+# extraction holds, and a long run pays for few fold calls
+FOLD_BLOCKS = 16
 
 
 def _weights_at_zero(nodes):
@@ -279,6 +293,130 @@ def _is_plus_zero(values) -> bool:
     return not any(values.strides) and values.flat[0] == 0.0 and not np.signbit(values.flat[0])
 
 
+class _LadderFold:
+    """The running sums of one extraction, fed one block of one ladder run at a time.
+
+    A call ``fold(i, block, [u, v, w])`` adds node i's differences D_i on the
+    stored times ``block`` to P_0 of both orders (and to the ladder's quotients),
+    dropping each component once folded.  An inner node (0 < i < m - 1) keeps its
+    u-difference for the tails.  The last node finishes each block: the kappa term
+    of order 2, then the tails on u and the largest change between consecutive
+    ones, so its own u-difference is never held beyond its block.
+    """
+
+    def __init__(self, domain, base, eps, first_direct, return_ladder):
+        m = len(eps)
+        weights = [_weights_at_zero(eps[a:]) for a in range(m)]
+        # coeff[order][a][i]: the weight of D_i in P_a (None for i < a)
+        self.coeff = {order: [[None] * a + [w / e if order == 1 else 2.0 * w / (e * e)
+                                            for w, e in zip(row, eps[a:])]
+                              for a, row in enumerate(weights)] for order in (1, 2)}
+        self.kappa = [2.0 * sum(w / e for w, e in zip(row, eps[a:]))
+                      for a, row in enumerate(weights)]
+        self.domain, self.base, self.eps, self.first_direct = domain, base, eps, first_direct
+        # the base components to subtract: all but the known zero's
+        self.subtracted = {name: None if _is_plus_zero(base.component(name))
+                           else base.component(name) for name in "uvw"}
+        shape = base.times.shape + domain.shape
+        self.result = {(order, name): np.empty(shape) for order in (1, 2) for name in "uvw"}
+        self.du = {}        # inner node i -> its u-difference
+        # per order, the largest |P_a - P_{a+1}| on each block, for a = m-2 down to 0
+        self.maxima = {order: [[] for _ in range(m - 1)] for order in (1, 2)}
+        self.quotients = [] if return_ladder else None
+
+    def _u1(self, name):
+        # the first variation the order-2 sums difference against
+        return (self.first_direct.component(name) if self.first_direct is not None
+                else self.result[1, name])
+
+    def __call__(self, i, block, held):
+        eps, base, m = self.eps, self.base, len(self.eps)
+        whole = block.stop - block.start == len(base.times)
+        shape = (block.stop - block.start,) + self.domain.shape
+        if self.quotients is not None:
+            if not block.start:
+                self.quotients.append([np.empty(base.times.shape + self.domain.shape)
+                                       for _ in range(6)])
+            # the order-2 quotients still lack their u1 term, which needs order 1
+            q, e = self.quotients[i], eps[i]
+            for k, c in enumerate((1.0 / e, 2.0 / (e * e))):
+                for j, name in enumerate("uvw"):
+                    out = np.multiply(held[j], c, out=q[3 * k + j][block])
+                    out += base.component(name)[block] * -c
+        scratch = np.empty(shape) if i else None
+        last_du = None
+        for name in "uvw":
+            diff, at = held.pop(0), self.subtracted[name]
+            if at is not None:
+                diff = diff - at[block]
+            for order in (1, 2):
+                acc = self.result[order, name][block]
+                if i:
+                    acc += np.multiply(diff, self.coeff[order][0][i], out=scratch)
+                else:
+                    np.multiply(diff, self.coeff[order][0][0], out=acc)
+            if i == m - 1:
+                # the block of order 1 is complete, and acc is the block of order 2
+                acc -= np.multiply(self._u1(name)[block], self.kappa[0], out=scratch)
+            if name == "u" and i:
+                if i == m - 1:
+                    last_du = diff
+                elif whole:
+                    self.du[i] = diff
+                else:
+                    if not block.start:
+                        self.du[i] = np.empty(base.times.shape + self.domain.shape)
+                    self.du[i][block] = diff
+            del diff
+        if last_du is not None:
+            self._corrections(block, last_du, scratch)
+
+    def _corrections(self, block, last_du, scratch):
+        m = len(self.eps)
+        du = [None] + [self.du[i][block] for i in range(1, m - 1)] + [last_du]
+        u1 = self._u1("u")[block]
+        for order in (1, 2):
+            coeff, prev = self.coeff[order], None
+            for a in range(m - 1, -1, -1):
+                if a:
+                    tail = coeff[a][a] * du[a]
+                    for i in range(a + 1, m):
+                        tail += np.multiply(du[i], coeff[a][i], out=scratch)
+                    if order == 2:
+                        tail -= np.multiply(u1, self.kappa[a], out=scratch)
+                else:
+                    tail = self.result[order, "u"][block]
+                if prev is not None:
+                    np.subtract(tail, prev, out=scratch)
+                    self.maxima[order][m - 2 - a].append(np.max(np.abs(scratch, out=scratch)))
+                prev = tail
+
+    def stack(self):
+        """The extraction's stack and, with ``return_ladder``, its ladder."""
+        domain, times = self.domain, self.base.times
+        self.du.clear()
+        diagnostics = {f"order{order}_corrections": [float(np.max(block_maxima))
+                                                     for block_maxima in self.maxima[order]]
+                       for order in (1, 2)}
+        corr1 = diagnostics["order1_corrections"]
+        if len(corr1) >= 2 and corr1[-1] > corr1[-2] * 4.0 and corr1[-1] > 1e-12:
+            diagnostics["ladder_warning"] = (
+                "order-1 extrapolation corrections are not decreasing; ladder too coarse")
+        order1, order2 = (Trajectory(domain, times, *(self.result[order, name] for name in "uvw"))
+                          for order in (1, 2))
+        stack = VariationStack(order1=order1, order2=order2, provenance="finite-difference",
+                               diagnostics=diagnostics)
+        if self.quotients is None:
+            return stack
+        for e, q in zip(self.eps, self.quotients):
+            for acc, name in zip(q[3:], "uvw"):
+                acc += self._u1(name) * (-2.0 / e)
+        return stack, [(e, VariationStack(Trajectory(domain, times, *q[:3]),
+                                          Trajectory(domain, times, *q[3:]),
+                                          provenance="finite-difference"))
+                       for e, q in zip(self.eps, self.quotients)]
+
+
 def extract_variation_fd(handle: ForwardHandle, fam: PerturbationFamily,
                          first_direct: Trajectory | None = None,
                          return_ladder: bool = False):
@@ -289,13 +427,16 @@ def extract_variation_fd(handle: ForwardHandle, fam: PerturbationFamily,
     (one-sided stencils only, since eps < 0 can break the non-negativity of the
     initial data).  S(0) is the handle's base run, whose subtraction is skipped
     only where it is the known zero of :func:`known_base`.  The extrapolation is
-    streamed: each ladder run is folded into the results as soon as it returns,
-    one component at a time, and each component is dropped once folded.  On an
-    m-node ladder one extraction holds its six result fields, the run in hand,
-    the u-differences of the m - 2 inner nodes and one scratch field, through
-    which every product goes.  ``first_direct`` substitutes a trusted first-order
-    trajectory in the order-2 stencil; by default the extrapolated order-1 result
-    is used.
+    streamed: a handle whose runs take a store (``handle.streams``) solves each
+    ladder run into a :class:`forward.BlockStore`, which hands each of its
+    FOLD_BLOCKS blocks of stored slices to the fold as the solve completes it;
+    any other handle's run is folded whole, as one block, and each component is
+    dropped once folded.  On an m-node ladder one streamed extraction holds its
+    six result fields, the u-differences of the m - 2 inner nodes and one block
+    of the run being solved (the last node's difference is folded into the
+    corrections block by block and never held whole).  ``first_direct``
+    substitutes a trusted first-order trajectory in the order-2 stencil; by
+    default the extrapolated order-1 result is used.
 
     On an m-node ladder (m >= 2), ``diagnostics["order{1,2}_corrections"]``
     list max|P_a(0) - P_{a+1}(0)| on u for a = m-2 down to 0, where P_a
@@ -310,81 +451,19 @@ def extract_variation_fd(handle: ForwardHandle, fam: PerturbationFamily,
     domain = handle.domain
     fam.validate(domain)
     eps = tuple(float(e) for e in fam.epsilons)
-    m = len(eps)
     base = handle.base()
-    weights = [_weights_at_zero(eps[a:]) for a in range(m)]   # node i of P_a: weights[a][i - a]
-    kappa = [2.0 * sum(w / e for w, e in zip(row, eps[a:])) for a, row in enumerate(weights)]
-
-    def coeff(order, a, i):
-        # the weight of D_i in the order-1 or order-2 sum of P_a
-        w, e = weights[a][i - a], eps[i]
-        return w / e if order == 1 else 2.0 * w / (e * e)
-
-    # result[order, name]: P_0(0), before the u1 term for order 2; du[i - 1]: the
-    # u-difference of node i >= 1, which the tails read
-    result, du, quotients = {}, [], []
+    fold = _LadderFold(domain, base, eps, first_direct, return_ladder)
     for i, e in enumerate(eps):
-        scratch = None      # not held while the run is solved
-        run = handle.run(*fam.initial_data(domain, handle.equilibrium, e))
-        if return_ladder:
-            # the order-2 quotients still lack their u1 term, which needs order 1
-            quotients.append([getattr(run, name) * c + getattr(base, name) * -c
-                              for c in (1.0 / e, 2.0 / (e * e)) for name in "uvw"])
-        held = [run.u, run.v, run.w]
-        del run
-        if i:
-            scratch = np.empty_like(held[0])
-        for name in "uvw":
-            diff, at = held.pop(0), getattr(base, name)
-            if not _is_plus_zero(at):
-                diff = diff - at
-            for order in (1, 2):
-                if i:
-                    result[order, name] += np.multiply(diff, coeff(order, 0, i), out=scratch)
-                else:
-                    result[order, name] = coeff(order, 0, i) * diff
-            if name == "u" and i:
-                du.append(diff)
-            del diff
-    times = base.times
-    order1 = Trajectory(domain, times, *(result[1, name] for name in "uvw"))
-    u1 = first_direct if first_direct is not None else order1
-    for name in "uvw":
-        result[2, name] -= np.multiply(getattr(u1, name), kappa[0], out=scratch)
-    diagnostics = {}
-    for order in (1, 2):
-        corrections, prev = [], None
-        for a in range(m - 1, -1, -1):
-            if a:
-                tail = coeff(order, a, a) * du[a - 1]
-                for i in range(a + 1, m):
-                    tail += np.multiply(du[i - 1], coeff(order, a, i), out=scratch)
-                if order == 2:
-                    tail -= np.multiply(u1.u, kappa[a], out=scratch)
-            else:
-                tail = result[order, "u"]
-            if prev is not None:
-                np.subtract(tail, prev, out=scratch)
-                corrections.append(float(np.max(np.abs(scratch, out=scratch))))
-            prev = tail
-        diagnostics[f"order{order}_corrections"] = corrections
-    del du
-    corr1 = diagnostics["order1_corrections"]
-    if len(corr1) >= 2 and corr1[-1] > corr1[-2] * 4.0 and corr1[-1] > 1e-12:
-        diagnostics["ladder_warning"] = (
-            "order-1 extrapolation corrections are not decreasing; ladder too coarse")
-    order2 = Trajectory(domain, times, *(result[2, name] for name in "uvw"))
-    stack = VariationStack(order1=order1, order2=order2, provenance="finite-difference",
-                           diagnostics=diagnostics)
-    if not return_ladder:
-        return stack
-    for e, q in zip(eps, quotients):
-        for acc, name in zip(q[3:], "uvw"):
-            acc += getattr(u1, name) * (-2.0 / e)
-    return stack, [(e, VariationStack(Trajectory(domain, times, *q[:3]),
-                                      Trajectory(domain, times, *q[3:]),
-                                      provenance="finite-difference"))
-                   for e, q in zip(eps, quotients)]
+        init = fam.initial_data(domain, handle.equilibrium, e)
+        if handle.streams:
+            store = partial(BlockStore, fold=partial(fold, i), blocks=FOLD_BLOCKS)
+            handle.run(*init, store=store)
+        else:
+            run = handle.run(*init)
+            held = [run.u, run.v, run.w]
+            del run
+            fold(i, slice(0, len(base.times)), held)
+    return fold.stack()
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from archemo.forward import KineticsSpec, ParameterSet, SolverConfig
+from archemo.forward import KineticsSpec, ParameterSet, SolverConfig, stored_times
 from archemo.grid import Domain
 
 # property tests draw the same examples on every run, with no per-example deadline
@@ -68,3 +68,8 @@ def traced_peak(fn, unit_bytes):
     finally:
         tracemalloc.stop()
     return result, peak / unit_bytes
+
+
+def component_bytes(domain, cfg):
+    """The bytes of one stored component (u, v or w) of a run on ``domain`` under ``cfg``."""
+    return len(stored_times(cfg)) * domain.node_count * 8

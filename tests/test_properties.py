@@ -3,11 +3,13 @@
 The examples come from ``hypothesis`` under the derandomized profile of
 ``conftest.py``: random grids in one and two dimensions (both transform paths
 of the spectral solve included), fields, upwind patterns, decays and step
-sizes, elliptic sources, epsilon ladders with polynomial runs, random models
-run from zero data, and discrete modal series.
+sizes, elliptic sources, epsilon ladders with polynomial runs or random runs
+folded in random blocks, random models run from zero data, discrete modal
+series, and stage 4's regression rows split into random blocks of nodes.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, given, strategies as st
@@ -18,10 +20,12 @@ from archemo.forward import (
     KineticsSpec,
     ParameterSet,
     SeparableField,
+    SliceStore,
     SolverConfig,
     StepPlan,
     Trajectory,
     solve_forward,
+    stored_times,
 )
 from archemo.grid import (
     ELLIPTIC_TOL,
@@ -35,7 +39,8 @@ from archemo.grid import (
     spectral_helmholtz,
     upwind_patterns,
 )
-from archemo.recover import FIT_REL_FLOOR, fit_exponential_rate, rate_to_growth
+from archemo import variation
+from archemo.recover import FIT_REL_FLOOR, _node_block_gram, fit_exponential_rate, rate_to_growth
 from archemo.variation import ForwardHandle, PerturbationFamily, extract_variation_fd, known_base
 
 EPS = np.finfo(float).eps
@@ -216,6 +221,89 @@ def test_extraction_is_exact_on_polynomial_runs(data):
         expected = (k + 1) * coeffs[k]
         got = np.stack([traj.u, traj.v, traj.w])
         assert np.max(np.abs(got - expected)) <= tol
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+def _assert_stacks_bitwise(a, b):
+    for order in ("order1", "order2"):
+        ta, tb = getattr(a, order), getattr(b, order)
+        assert _bits(ta.times) == _bits(tb.times)
+        for name in "uvw":
+            assert _bits(ta.component(name)) == _bits(tb.component(name))
+
+
+@given(st.data())
+def test_folding_runs_by_blocks_equals_folding_them_whole(data):
+    # a streamed extraction folds each run as its store completes blocks of slices; the
+    # same runs folded whole, as one block each, give the same bits: every sum is the
+    # same elementwise operation, and a correction's maximum over blocks is its maximum
+    m = data.draw(st.integers(2, 4))
+    eps = tuple(sorted(data.draw(st.lists(st.floats(1e-3, 0.5), min_size=m, max_size=m,
+                                          unique=True)), reverse=True))
+    d = Domain(*data.draw(st.sampled_from([(1.0, 9), ((1.0, 1.0), (8, 9))])))
+    cfg = SolverConfig(dt=1e-2, t_final=data.draw(st.integers(1, 12)) * 1e-2,
+                       store_every=data.draw(st.integers(1, 3)))
+    count = len(stored_times(cfg))
+    # blocks of ceil(count / blocks) slices, from the whole run down to one slice
+    blocks = data.draw(st.integers(1, count))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    states = {}
+
+    def run(f, gg, h, store=None):
+        # a random state for every step, fixed per initial datum
+        key = float(f.flat[0])
+        if key not in states:
+            states[key] = rng.uniform(-1.0, 1.0, (cfg.n_steps + 1, 3) + d.shape) * 10.0 ** (
+                rng.uniform(-3, 3))
+        stored = (store or SliceStore)(d, cfg, states[key][0])
+        for n in range(1, cfg.n_steps + 1):
+            stored.put(n, states[key][n])
+        return stored.trajectory()
+
+    eq = EquilibriumState(0.0, 0.0, 0.0)
+    if data.draw(st.booleans()):
+        # the known zero base of a solver handle, whose subtraction is skipped
+        whole = ForwardHandle.of_solver(d, eq, run, cfg)
+        streamed = ForwardHandle.of_solver(d, eq, run, cfg, streams=True)
+    else:
+        # a solved, random base run
+        whole = ForwardHandle(domain=d, equilibrium=eq, run=run, cfg=cfg)
+        streamed = ForwardHandle(domain=d, equilibrium=eq, run=run, cfg=cfg, streams=True)
+    direct = None
+    if data.draw(st.booleans()):
+        direct = Trajectory(d, stored_times(cfg), *rng.uniform(-1.0, 1.0, (3, count) + d.shape))
+    return_ladder = data.draw(st.booleans())
+    fam = PerturbationFamily(f1=np.ones(d.shape), epsilons=eps)
+    want = extract_variation_fd(whole, fam, first_direct=direct, return_ladder=return_ladder)
+    with mock.patch.object(variation, "FOLD_BLOCKS", blocks):
+        got = extract_variation_fd(streamed, fam, first_direct=direct,
+                                   return_ladder=return_ladder)
+    if return_ladder:
+        (got, got_ladder), (want, want_ladder) = got, want
+        assert [e for e, _ in got_ladder] == [e for e, _ in want_ladder] == list(eps)
+        for (_, a), (_, b) in zip(got_ladder, want_ladder):
+            _assert_stacks_bitwise(a, b)
+    _assert_stacks_bitwise(got, want)
+    assert got.diagnostics == want.diagnostics
+    assert [len(got.diagnostics[f"order{k}_corrections"]) for k in (1, 2)] == [m - 1] * 2
+
+
+@given(st.data())
+def test_a_gram_by_blocks_of_nodes_equals_one_product(data):
+    # stage 4's node-major Gram of its weighted rows, formed one block of nodes at a
+    # time, is bitwise the Gram of one product over the whole rows
+    n, nodes = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 60))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    u1, chem1, rhs = rng.uniform(-1.0, 1.0, (3, n, nodes)) * 10.0 ** rng.uniform(-3, 3, (3, 1, 1))
+    sw = np.sqrt(rng.uniform(0.0, 1.0, (n, 1)))
+    rows = np.stack([u1 * chem1, (u1 * 2.0) * u1, (chem1 * 2.0) * chem1, rhs]) * sw
+    whole = rows.transpose(2, 0, 1)
+    want = whole @ whole.transpose(0, 2, 1)
+    got = _node_block_gram(sw, u1, chem1, rhs, data.draw(st.integers(1, 2 * n * nodes)))
+    assert _bits(got) == _bits(want)
 
 
 def _kinetics_table(data, d, decay):

@@ -24,7 +24,7 @@ from archemo.recover import (
 )
 from archemo.variation import PerturbationFamily
 
-from conftest import make_kinetics, traced_peak
+from conftest import component_bytes, make_kinetics, traced_peak
 
 
 def _oracle(domain, params, tau=0, dt=1e-3, t_final=0.6, so_g=None, so_h=None, **cfg_kw):
@@ -603,22 +603,24 @@ def cached_bank_129():
 
 
 @pytest.mark.parametrize("stage, bound", [("r", 1.2), ("chi_xi_mu", 0.6),
-                                          ("second_kinetics", 4.8)])
+                                          ("second_kinetics", 2.0)],
+                         ids=["r", "chi_xi_mu", "second_kinetics"])
 def test_stage_peak_memory_on_a_cached_bank(cached_bank_129, stage, bound):
     # the traced peak of one stage call above the cached stacks, in trajectory
     # components: the probe integrals contract each slice against one weighted field,
     # and the regressions reduce to Gram matrices, so no stage holds more than a few
-    # components (1.08, 0.54 and 4.33 measured: |u1| for the probe integral's scale,
-    # and stage 4's four rows; 9.1 for stage 1 with (T, *grid) probe products, 6.1
-    # for stage 4 with full-length balance temporaries, 5.0 for stage 3 while it kept
-    # each experiment's residual series, 8.2 and 8.1 with per-step probe arrays and
+    # components (1.08, 0.54 and 1.70 measured: |u1| for the probe integral's scale,
+    # and stage 4's rhs with one block of nodes of its four rows; 9.1 for stage 1 with
+    # (T, *grid) probe products, 4.3 for stage 4 with its four full-length rows, 6.1
+    # with full-length balance temporaries too, 5.0 for stage 3 while it kept each
+    # experiment's residual series, 8.2 and 8.1 with per-step probe arrays and
     # pairwise normal pieces)
     oracle, opts, bank, r_hat, lin = cached_bank_129
     run = {"r": lambda: recover_r(oracle, options=opts, bank=bank),
            "chi_xi_mu": lambda: recover_chi_xi_mu(oracle, r_hat, options=opts, bank=bank),
            "second_kinetics": lambda: recover_second_kinetics(oracle, lin, options=opts,
                                                               bank=bank)}[stage]
-    _, peak = traced_peak(run, 2001 * 129 * 8)
+    _, peak = traced_peak(run, component_bytes(oracle.domain, oracle.cfg))
     assert peak <= bound
 
 
@@ -636,18 +638,19 @@ def _pipeline_oracle(config, params):
 
 
 @pytest.mark.parametrize("config, families, bound", [
-    ("sep33", 3, 14.0),     # 33^2, tau=0, stride 4, separable a02: stage 3 skipped
+    ("sep33", 3, 13.0),     # 33^2, tau=0, stride 4, separable a02: stage 3 skipped
     ("tau1", 5, 34.5),
     ("tau0", 3, 28.0),
-])
+], ids=["sep33", "tau1", "tau0"])
 def test_pipeline_peak_memory(config, families, bound, nondegenerate_params, monkeypatch):
     # the traced peak of one recovery, in trajectory components: the base run is
     # known, the bank drops each family's stack after its last read, an extraction
-    # holds 11 components and stage 4 forms its balances by blocks (13.4, 33.7 and
-    # 27.5 measured, the last two set by stage 3's blocks over three cached stacks;
-    # 16.8, 34.1 and 27.9 with 15-component extractions and full-length stage-4
-    # temporaries, 30.9, 42.8 and 30.6 with a solved base run and every stack held
-    # to the end)
+    # holds 7 components and one block of the run it solves, and stage 4 forms its
+    # rows by blocks of nodes (12.3, 33.8 and 27.5 measured, the last two set by
+    # stage 3's blocks over three cached stacks; 13.4 with 11-component extractions
+    # and four full-length stage-4 rows, 16.8, 34.1 and 27.9 with 15-component
+    # extractions and full-length stage-4 temporaries, 30.9, 42.8 and 30.6 with a
+    # solved base run and every stack held to the end)
     import archemo.recover as rc
     banks, calls, extract = [], [], rc.extract_variation_fd
 
@@ -663,8 +666,7 @@ def test_pipeline_peak_memory(config, families, bound, nondegenerate_params, mon
     monkeypatch.setattr(rc, "ExperimentBank", RecordingBank)
     monkeypatch.setattr(rc, "extract_variation_fd", counting)
     oracle, opts = _pipeline_oracle(config, nondegenerate_params)
-    cfg = oracle.cfg
-    component = (-(-cfg.n_steps // cfg.store_every) + 1) * oracle.domain.node_count * 8
+    component = component_bytes(oracle.domain, oracle.cfg)
     report, peak = traced_peak(lambda: run_full_pipeline(oracle, opts), component)
     assert report.complete
     assert peak <= bound
@@ -823,3 +825,36 @@ def test_recovery_keeps_few_runs_alive(line65, nondegenerate_params, monkeypatch
     report = run_full_pipeline(oracle, opts)
     assert report.oracle_runs == len(refs) == (9 if tau == 0 else 15)
     assert max(alive) <= len(opts.epsilons)
+
+
+@pytest.mark.parametrize("tau", [0, 1])
+def test_oracle_extractions_never_store_a_whole_run(line65, nondegenerate_params, monkeypatch,
+                                                    tau):
+    # an extraction on an oracle handle folds each run block by block as it is solved,
+    # so no whole-run SliceStore is built while it runs; each run is still one
+    # solve_forward call, 3 per family over 3 (tau=0) or 5 (tau=1) families
+    import archemo.forward as fw
+    import archemo.recover as rc
+    import archemo.variation as var
+    solves, extract, solve = [], rc.extract_variation_fd, rc.solve_forward
+
+    def whole_run_store(*args, **kwargs):
+        raise AssertionError("an extraction built a whole-run SliceStore")
+
+    def streaming(handle, fam, **kw):
+        with pytest.MonkeyPatch.context() as mp:
+            for module in (fw, var):
+                mp.setattr(module, "SliceStore", whole_run_store)
+            return extract(handle, fam, **kw)
+
+    def counting(*args, **kwargs):
+        solves.append(kwargs.get("store"))
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(rc, "extract_variation_fd", streaming)
+    monkeypatch.setattr(rc, "solve_forward", counting)
+    oracle = _oracle(line65, nondegenerate_params, tau=tau, dt=2e-3, t_final=0.1)
+    report = run_full_pipeline(oracle, PipelineOptions(recover_fields=False))
+    assert report.complete
+    assert report.oracle_runs == len(solves) == (9 if tau == 0 else 15)
+    assert all(store is not None for store in solves)
