@@ -52,7 +52,6 @@ __all__ = [
     "step_source",
     "stored_times",
     "SliceStore",
-    "BlockStore",
     "StepPlan",
     "step",
     "solve_forward",
@@ -383,54 +382,29 @@ def stored_times(cfg: SolverConfig) -> np.ndarray:
 
 
 class SliceStore:
-    """The stored slices of a run, on the times of :func:`stored_times`.
+    """The stored slices of a run, on the times of :func:`stored_times`, held in
+    ``blocks`` blocks of consecutive slices (fewer when it stores fewer slices), one
+    at a time, in buffers it reuses.
 
     Step n goes to slot ceil(n / store_every), so runs with the same
-    configuration are stored on the same times.
+    configuration are stored on the same times.  Each block goes to
+    ``fold(block, [u, v, w])``, if given, as it completes, ``block`` being the
+    slice of stored times it covers.  :meth:`trajectory` returns the last block:
+    with one block, the whole run.
     """
 
-    def __init__(self, domain: Domain, cfg: SolverConfig, state):
+    def __init__(self, domain: Domain, cfg: SolverConfig, state, fold=None, blocks: int = 1):
         self.domain = domain
+        self.fold = fold
         self.n_steps, self.every = cfg.n_steps, cfg.store_every
         self.times = stored_times(cfg)
-        self.fields = [np.empty((self._length(),) + domain.shape) for _ in range(3)]
+        length = -(-len(self.times) // blocks)
+        self.fields = [np.empty((length,) + domain.shape) for _ in range(3)]
         self.put(0, state)
 
-    def _length(self):
-        # the slices each buffer holds
-        return len(self.times)
-
     def put(self, n, state):
-        """Keep the (u, v, w) state of step n if the stride stores it."""
-        if n % self.every == 0 or n == self.n_steps:
-            slot = -(-n // self.every)
-            for stored, x in zip(self.fields, state):
-                stored[slot] = x
-
-    def trajectory(self) -> Trajectory:
-        return Trajectory(self.domain, self.times, *self.fields)
-
-
-class BlockStore(SliceStore):
-    """A :class:`SliceStore` that holds the run's stored slices in ``blocks`` blocks
-    of consecutive slices (fewer when it stores fewer slices), one at a time, in
-    buffers it reuses.
-
-    Each block goes to ``fold(block, [u, v, w])`` as it completes, ``block`` being
-    the slice of stored times it covers, so the run is never held whole.
-    :meth:`trajectory` returns the last block.
-    """
-
-    def __init__(self, domain: Domain, cfg: SolverConfig, state, fold, blocks: int):
-        self.fold, self.blocks = fold, blocks
-        super().__init__(domain, cfg, state)
-
-    def _length(self):
-        return -(-len(self.times) // self.blocks)
-
-    def put(self, n, state):
-        """Keep the state of step n if the stride stores it, and fold the block it
-        completes."""
+        """Keep the (u, v, w) state of step n if the stride stores it, and fold the
+        block it completes."""
         if n % self.every == 0 or n == self.n_steps:
             slot = -(-n // self.every)
             at = slot % len(self.fields[0])
@@ -438,7 +412,8 @@ class BlockStore(SliceStore):
                 stored[at] = x
             if at == len(self.fields[0]) - 1 or n == self.n_steps:
                 self.last = slice(slot - at, slot + 1)
-                self.fold(self.last, [stored[:at + 1] for stored in self.fields])
+                if self.fold is not None:
+                    self.fold(self.last, [stored[:at + 1] for stored in self.fields])
 
     def trajectory(self) -> Trajectory:
         count = self.last.stop - self.last.start
@@ -689,7 +664,7 @@ def solve_forward(domain: Domain, init, p: ParameterSet, kin: KineticsSpec,
 
     The stored slices go to ``store(domain, cfg, initial state)``, by default a
     :class:`SliceStore` of the whole run; the run returns its ``trajectory()``,
-    which for a :class:`BlockStore` is the last block.
+    which for a store of several blocks is the last block.
     """
     cfg.validate()
     p.validate(domain)

@@ -141,8 +141,7 @@ class Oracle:
             self.run_count += 1
             return solve_forward(self.domain, (f, gg, h), self._params, self._kinetics,
                                  self.cfg, store=store)
-        return ForwardHandle.of_solver(self.domain, self.equilibrium, _run, self.cfg,
-                                       streams=True)
+        return ForwardHandle.of_solver(self.domain, self.equilibrium, _run, self.cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,6 @@ import numpy as np
 
 from . import grid as g
 from .forward import (
-    BlockStore,
     EquilibriumState,
     KineticsSpec,
     ParameterSet,
@@ -152,27 +151,26 @@ def known_base(domain: Domain, equilibrium: EquilibriumState,
 class ForwardHandle:
     """Bundle of a forward run callable with the grid/equilibrium it acts on.
 
-    ``run`` solves on every call.  :meth:`base` is the run S(0) from the
-    equilibrium, the one run every probing family differences against.  A handle
-    that runs :func:`forward.solve_forward` (:meth:`of_solver`) takes it from
+    ``run(f, g, h, store=None)`` solves on every call, stores the run's slices in
+    ``store(domain, cfg, initial state)`` as :func:`forward.solve_forward` does (a
+    :class:`forward.SliceStore` of the whole run when None) and returns its
+    ``trajectory()``.  :meth:`base` is the run S(0) from the equilibrium, the
+    one run every probing family differences against.  A handle that runs
+    :func:`forward.solve_forward` (:meth:`of_solver`) takes it from
     :func:`known_base`, with no solve at the trivial equilibrium; any other
-    handle solves it on first use and keeps it.  When ``streams`` is set, ``run``
-    also takes the ``store`` of :func:`forward.solve_forward`, so that
-    :func:`extract_variation_fd` can fold each run block by block as it is solved.
+    handle solves it on first use and keeps it.
     """
 
     domain: Domain
     equilibrium: EquilibriumState
-    run: object          # callable (f, g, h) -> Trajectory, and (f, g, h, store=...) if streams
+    run: object          # callable (f, g, h, store=None) -> Trajectory
     cfg: SolverConfig
-    streams: bool = False
     _base: Trajectory | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
-    def of_solver(cls, domain, equilibrium: EquilibriumState, run, cfg: SolverConfig,
-                  streams: bool = False):
+    def of_solver(cls, domain, equilibrium: EquilibriumState, run, cfg: SolverConfig):
         """A handle whose ``run`` is :func:`forward.solve_forward` on ``cfg``."""
-        handle = cls(domain=domain, equilibrium=equilibrium, run=run, cfg=cfg, streams=streams)
+        handle = cls(domain=domain, equilibrium=equilibrium, run=run, cfg=cfg)
         handle._base = known_base(domain, equilibrium, cfg)
         return handle
 
@@ -180,7 +178,7 @@ class ForwardHandle:
     def from_model(cls, domain, p: ParameterSet, kin: KineticsSpec, cfg: SolverConfig):
         def _run(f, gg, h, store=None):
             return solve_forward(domain, (f, gg, h), p, kin, cfg, store=store)
-        return cls.of_solver(domain, kin.expansion_point, _run, cfg, streams=True)
+        return cls.of_solver(domain, kin.expansion_point, _run, cfg)
 
     def base(self) -> Trajectory:
         """The run S(0) from the equilibrium: known, or solved on first use and kept."""
@@ -298,10 +296,12 @@ class _LadderFold:
 
     A call ``fold(i, block, [u, v, w])`` adds node i's differences D_i on the
     stored times ``block`` to P_0 of both orders (and to the ladder's quotients),
-    dropping each component once folded.  An inner node (0 < i < m - 1) keeps its
-    u-difference for the tails.  The last node finishes each block: the kappa term
-    of order 2, then the tails on u and the largest change between consecutive
-    ones, so its own u-difference is never held beyond its block.
+    dropping each component once folded.  Each node's blocks must arrive in order
+    within the base run's stored times; ``folded[i]`` counts node i's slices.  An
+    inner node (0 < i < m - 1) copies its u-difference for the tails.  The last
+    node finishes each block: the kappa term of order 2, then the tails on u and
+    the largest change between consecutive ones, so its own u-difference is never
+    held beyond its block.
     """
 
     def __init__(self, domain, base, eps, first_direct, return_ladder):
@@ -319,7 +319,8 @@ class _LadderFold:
                            else base.component(name) for name in "uvw"}
         shape = base.times.shape + domain.shape
         self.result = {(order, name): np.empty(shape) for order in (1, 2) for name in "uvw"}
-        self.du = {}        # inner node i -> its u-difference
+        self.du = {i: np.empty(shape) for i in range(1, m - 1)}   # inner node i's u-difference
+        self.folded = [0] * m
         # per order, the largest |P_a - P_{a+1}| on each block, for a = m-2 down to 0
         self.maxima = {order: [[] for _ in range(m - 1)] for order in (1, 2)}
         self.quotients = [] if return_ladder else None
@@ -331,7 +332,10 @@ class _LadderFold:
 
     def __call__(self, i, block, held):
         eps, base, m = self.eps, self.base, len(self.eps)
-        whole = block.stop - block.start == len(base.times)
+        if block.start != self.folded[i] or block.stop > len(base.times):
+            raise ValueError(f"ladder node {i} (eps = {eps[i]!r}) folded slices {block.start}:"
+                             f"{block.stop} after {self.folded[i]} of {len(base.times)}")
+        self.folded[i] = block.stop
         shape = (block.stop - block.start,) + self.domain.shape
         if self.quotients is not None:
             if not block.start:
@@ -361,11 +365,7 @@ class _LadderFold:
             if name == "u" and i:
                 if i == m - 1:
                     last_du = diff
-                elif whole:
-                    self.du[i] = diff
                 else:
-                    if not block.start:
-                        self.du[i] = np.empty(base.times.shape + self.domain.shape)
                     self.du[i][block] = diff
             del diff
         if last_du is not None:
@@ -427,16 +427,15 @@ def extract_variation_fd(handle: ForwardHandle, fam: PerturbationFamily,
     (one-sided stencils only, since eps < 0 can break the non-negativity of the
     initial data).  S(0) is the handle's base run, whose subtraction is skipped
     only where it is the known zero of :func:`known_base`.  The extrapolation is
-    streamed: a handle whose runs take a store (``handle.streams``) solves each
-    ladder run into a :class:`forward.BlockStore`, which hands each of its
-    FOLD_BLOCKS blocks of stored slices to the fold as the solve completes it;
-    any other handle's run is folded whole, as one block, and each component is
-    dropped once folded.  On an m-node ladder one streamed extraction holds its
-    six result fields, the u-differences of the m - 2 inner nodes and one block
-    of the run being solved (the last node's difference is folded into the
-    corrections block by block and never held whole).  ``first_direct``
-    substitutes a trusted first-order trajectory in the order-2 stencil; by
-    default the extrapolated order-1 result is used.
+    streamed: each ladder run is solved into a :class:`forward.SliceStore` of
+    FOLD_BLOCKS blocks, which hands each block of stored slices to the fold as
+    the solve completes it.  On an m-node ladder one extraction holds its six
+    result fields, the u-differences of the m - 2 inner nodes and one block of
+    the run being solved (the last node's difference is folded into the
+    corrections block by block and never held whole).  A run that does not store
+    exactly the base run's slices, in order, raises ValueError naming its node and
+    eps.  ``first_direct`` substitutes a trusted first-order trajectory in the
+    order-2 stencil; by default the extrapolated order-1 result is used.
 
     On an m-node ladder (m >= 2), ``diagnostics["order{1,2}_corrections"]``
     list max|P_a(0) - P_{a+1}(0)| on u for a = m-2 down to 0, where P_a
@@ -455,14 +454,10 @@ def extract_variation_fd(handle: ForwardHandle, fam: PerturbationFamily,
     fold = _LadderFold(domain, base, eps, first_direct, return_ladder)
     for i, e in enumerate(eps):
         init = fam.initial_data(domain, handle.equilibrium, e)
-        if handle.streams:
-            store = partial(BlockStore, fold=partial(fold, i), blocks=FOLD_BLOCKS)
-            handle.run(*init, store=store)
-        else:
-            run = handle.run(*init)
-            held = [run.u, run.v, run.w]
-            del run
-            fold(i, slice(0, len(base.times)), held)
+        handle.run(*init, store=partial(SliceStore, fold=partial(fold, i), blocks=FOLD_BLOCKS))
+        if fold.folded[i] != len(base.times):
+            raise ValueError(f"ladder node {i} (eps = {e!r}) folded {fold.folded[i]} stored "
+                             f"slices, not the base run's {len(base.times)}")
     return fold.stack()
 
 

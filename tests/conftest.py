@@ -73,3 +73,18 @@ def traced_peak(fn, unit_bytes):
 def component_bytes(domain, cfg):
     """The bytes of one stored component (u, v or w) of a run on ``domain`` under ``cfg``."""
     return len(stored_times(cfg)) * domain.node_count * 8
+
+
+def replay(traj, store):
+    """What a handle's ``run(f, g, h, store)`` returns for the finished run ``traj``:
+    ``traj`` itself when ``store`` is None, else the ``trajectory()`` of
+    ``store(domain, cfg, first slice)`` fed every later slice, as
+    :func:`forward.solve_forward` feeds its steps.  The store sees one unit step
+    per stored slice; a fold reads only the slices and their order."""
+    if store is None:
+        return traj
+    stored = store(traj.domain, SolverConfig(dt=1.0, t_final=float(len(traj) - 1)),
+                   [x[0] for x in (traj.u, traj.v, traj.w)])
+    for n in range(1, len(traj)):
+        stored.put(n, [x[n] for x in (traj.u, traj.v, traj.w)])
+    return stored.trajectory()

@@ -3,9 +3,10 @@
 The examples come from ``hypothesis`` under the derandomized profile of
 ``conftest.py``: random grids in one and two dimensions (both transform paths
 of the spectral solve included), fields, upwind patterns, decays and step
-sizes, elliptic sources, epsilon ladders with polynomial runs or random runs
-folded in random blocks, random models run from zero data, discrete modal
-series, and stage 4's regression rows split into random blocks of nodes.
+sizes, elliptic sources, run stores of random strides and block counts, epsilon
+ladders with polynomial runs or random runs folded in random blocks, random
+models run from zero data, discrete modal series, and stage 4's regression rows
+split into random blocks of nodes.
 """
 
 import math
@@ -42,6 +43,8 @@ from archemo.grid import (
 from archemo import variation
 from archemo.recover import FIT_REL_FLOOR, _node_block_gram, fit_exponential_rate, rate_to_growth
 from archemo.variation import ForwardHandle, PerturbationFamily, extract_variation_fd, known_base
+
+from conftest import replay
 
 EPS = np.finfo(float).eps
 
@@ -200,9 +203,10 @@ def test_extraction_is_exact_on_polynomial_runs(data):
     base, *coeffs = (rng.uniform(-1.0, 1.0, shape) * 10.0 ** rng.uniform(-3, 3)
                      for _ in range(m + 1))
 
-    def run(f, gg, h):
+    def run(f, gg, h, store=None):
         e = float(f[0])         # f = eps * f1 with f1 = 1, and 0 for the base run
-        return Trajectory(d, times, *(base + sum(c * e**k for k, c in enumerate(coeffs, 1))))
+        return replay(Trajectory(d, times, *(base + sum(c * e**k for k, c in
+                                                        enumerate(coeffs, 1)))), store)
     handle = ForwardHandle(domain=d, equilibrium=EquilibriumState(0.0, 0.0, 0.0), run=run,
                            cfg=SolverConfig(dt=1e-3, t_final=0.1))
     fam = PerturbationFamily(f1=np.ones(d.shape), epsilons=tuple(eps))
@@ -236,9 +240,49 @@ def _assert_stacks_bitwise(a, b):
 
 
 @given(st.data())
+def test_a_store_folds_each_stored_slice_once_in_order(data):
+    # a store of any block count hands its fold contiguous blocks in order, each of
+    # ceil(count / blocks) slices but the last, and every stored slice exactly once;
+    # together they are bitwise the one-block store's run, and trajectory() is the
+    # last block
+    d = Domain(*data.draw(st.sampled_from([(1.0, 9), ((1.0, 1.0), (8, 9))])))
+    cfg = SolverConfig(dt=1e-2, t_final=data.draw(st.integers(1, 12)) * 1e-2,
+                       store_every=data.draw(st.integers(1, 3)))
+    count = len(stored_times(cfg))
+    blocks = data.draw(st.integers(1, count))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    states = rng.uniform(-1.0, 1.0, (cfg.n_steps + 1, 3) + d.shape)
+    folded = []
+
+    def filled(store):
+        for n in range(1, cfg.n_steps + 1):
+            store.put(n, states[n])
+        return store.trajectory()
+
+    whole = filled(SliceStore(d, cfg, states[0]))
+    steps = np.append(np.arange(0, cfg.n_steps, cfg.store_every), cfg.n_steps)
+    assert _bits(whole.times) == _bits(stored_times(cfg))
+    assert _bits(np.stack([whole.u, whole.v, whole.w], axis=1)) == _bits(states[steps])
+    last = filled(SliceStore(d, cfg, states[0], blocks=blocks,
+                             fold=lambda block, held: folded.append(
+                                 (block, [x.copy() for x in held]))))
+    spans = [block for block, _ in folded]
+    assert [b.start for b in spans] == [0] + [b.stop for b in spans[:-1]]
+    assert spans[-1].stop == count
+    size = -(-count // blocks)
+    assert all(b.stop - b.start == size for b in spans[:-1])
+    assert 0 < spans[-1].stop - spans[-1].start <= size
+    for j, name in enumerate("uvw"):
+        assert _bits(np.concatenate([held[j] for _, held in folded])) == _bits(
+            whole.component(name))
+        assert _bits(last.component(name)) == _bits(folded[-1][1][j])
+    assert _bits(last.times) == _bits(whole.times[spans[-1]])
+
+
+@given(st.data())
 def test_folding_runs_by_blocks_equals_folding_them_whole(data):
-    # a streamed extraction folds each run as its store completes blocks of slices; the
-    # same runs folded whole, as one block each, give the same bits: every sum is the
+    # an extraction folds each run as its store completes blocks of slices; the same
+    # runs folded whole, with FOLD_BLOCKS = 1, give the same bits: every sum is the
     # same elementwise operation, and a correction's maximum over blocks is its maximum
     m = data.draw(st.integers(2, 4))
     eps = tuple(sorted(data.draw(st.lists(st.floats(1e-3, 0.5), min_size=m, max_size=m,
@@ -266,20 +310,20 @@ def test_folding_runs_by_blocks_equals_folding_them_whole(data):
     eq = EquilibriumState(0.0, 0.0, 0.0)
     if data.draw(st.booleans()):
         # the known zero base of a solver handle, whose subtraction is skipped
-        whole = ForwardHandle.of_solver(d, eq, run, cfg)
-        streamed = ForwardHandle.of_solver(d, eq, run, cfg, streams=True)
+        handle = ForwardHandle.of_solver(d, eq, run, cfg)
     else:
         # a solved, random base run
-        whole = ForwardHandle(domain=d, equilibrium=eq, run=run, cfg=cfg)
-        streamed = ForwardHandle(domain=d, equilibrium=eq, run=run, cfg=cfg, streams=True)
+        handle = ForwardHandle(domain=d, equilibrium=eq, run=run, cfg=cfg)
     direct = None
     if data.draw(st.booleans()):
         direct = Trajectory(d, stored_times(cfg), *rng.uniform(-1.0, 1.0, (3, count) + d.shape))
     return_ladder = data.draw(st.booleans())
     fam = PerturbationFamily(f1=np.ones(d.shape), epsilons=eps)
-    want = extract_variation_fd(whole, fam, first_direct=direct, return_ladder=return_ladder)
+    with mock.patch.object(variation, "FOLD_BLOCKS", 1):
+        want = extract_variation_fd(handle, fam, first_direct=direct,
+                                    return_ladder=return_ladder)
     with mock.patch.object(variation, "FOLD_BLOCKS", blocks):
-        got = extract_variation_fd(streamed, fam, first_direct=direct,
+        got = extract_variation_fd(handle, fam, first_direct=direct,
                                    return_ladder=return_ladder)
     if return_ladder:
         (got, got_ladder), (want, want_ladder) = got, want

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from archemo.errors import RecoveryError
-from archemo.forward import ParameterSet, SeparableField, SolverConfig
+from archemo.forward import ParameterSet, SeparableField, SliceStore, SolverConfig
 from archemo.grid import Domain, norm_l2
 from archemo.recover import (
     Experiment,
@@ -830,31 +830,26 @@ def test_recovery_keeps_few_runs_alive(line65, nondegenerate_params, monkeypatch
 @pytest.mark.parametrize("tau", [0, 1])
 def test_oracle_extractions_never_store_a_whole_run(line65, nondegenerate_params, monkeypatch,
                                                     tau):
-    # an extraction on an oracle handle folds each run block by block as it is solved,
-    # so no whole-run SliceStore is built while it runs; each run is still one
-    # solve_forward call, 3 per family over 3 (tau=0) or 5 (tau=1) families
-    import archemo.forward as fw
+    # an extraction on an oracle handle folds each run block by block as it is solved:
+    # every store it passes to solve_forward is a SliceStore of FOLD_BLOCKS blocks, and
+    # each run returns only its last block; each run is still one solve_forward call,
+    # 3 per family over 3 (tau=0) or 5 (tau=1) families (the base run is known)
     import archemo.recover as rc
     import archemo.variation as var
-    solves, extract, solve = [], rc.extract_variation_fd, rc.solve_forward
-
-    def whole_run_store(*args, **kwargs):
-        raise AssertionError("an extraction built a whole-run SliceStore")
-
-    def streaming(handle, fam, **kw):
-        with pytest.MonkeyPatch.context() as mp:
-            for module in (fw, var):
-                mp.setattr(module, "SliceStore", whole_run_store)
-            return extract(handle, fam, **kw)
+    runs, solve = [], rc.solve_forward
 
     def counting(*args, **kwargs):
-        solves.append(kwargs.get("store"))
-        return solve(*args, **kwargs)
+        traj = solve(*args, **kwargs)
+        runs.append((kwargs.get("store"), len(traj)))
+        return traj
 
-    monkeypatch.setattr(rc, "extract_variation_fd", streaming)
     monkeypatch.setattr(rc, "solve_forward", counting)
     oracle = _oracle(line65, nondegenerate_params, tau=tau, dt=2e-3, t_final=0.1)
     report = run_full_pipeline(oracle, PipelineOptions(recover_fields=False))
     assert report.complete
-    assert report.oracle_runs == len(solves) == (9 if tau == 0 else 15)
-    assert all(store is not None for store in solves)
+    assert report.oracle_runs == len(runs) == (9 if tau == 0 else 15)
+    for store, length in runs:
+        assert store.func is SliceStore and store.keywords["blocks"] == var.FOLD_BLOCKS
+        assert store.keywords["fold"] is not None
+        # 51 stored slices in blocks of ceil(51 / 16) = 4, the last one of 3
+        assert length == 3
