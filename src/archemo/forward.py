@@ -319,7 +319,7 @@ class Trajectory:
         return self.u[-1], self.v[-1], self.w[-1]
 
     def component(self, name):
-        return {"u": self.u, "v": self.v, "w": self.w}[name]
+        return getattr(self, name)
 
 
 @dataclass

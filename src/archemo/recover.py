@@ -40,19 +40,19 @@ rows and its node-major (nodes, 4, 4) Gram over blocks of whole node series
 Gram is still one product over all its times.  Stage 3 works on blocks of
 REGRESSOR_BLOCK steps with at most about eight block arrays alive.
 
-The pipeline holds only what its stages still read.  The run S(0) from the
-trivial equilibrium is zero and known without a query
-(:func:`variation.known_base`).  :func:`run_full_pipeline` tells its
-:class:`ExperimentBank` which experiments the stages will read, and the bank
-drops each probing family's stack after its last read; stage 4 reads each
-experiment once, cached families first.
+The pipeline holds only what its stages still read.  The run S(0) from the trivial
+equilibrium is zero and known without a query (:func:`variation.known_base`).
+:func:`run_full_pipeline` runs stage 4, which needs only stage 2, before stage 3 and
+reports the stages in paper order.  Its :class:`ExperimentBank` keeps of each family
+only the parts its later reads use (a chi family: the order 1 and order2.u of stage
+3), and stage 4 reads each experiment once, cached families first.
 """
 
 from __future__ import annotations
 
+import copy
 import math
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -179,6 +179,8 @@ BALANCE_BLOCK_NODES = 16384
 # amplitude, and fails above this rms residual of its log-linear fit
 FIT_REL_FLOOR = 1e-6
 FIT_TOL = 1e-2
+# the parts of a variation stack that a read of an ExperimentBank names
+STACK_PARTS = ("order1.u", "order1.v", "order1.w", "order2.u", "order2.v", "order2.w")
 
 
 @dataclass
@@ -218,18 +220,20 @@ class ExperimentBank:
     non-negativity flag), so experiments that probe with identical data share
     one stack whatever their names.  Each family is extracted once, both orders
     together, so its ladder runs are solved once and each run is freed once
-    folded in.  ``reads`` lists the experiments the bank's callers will read,
-    one entry per :meth:`stack` call: the bank drops a family's stack at that
-    family's last listed read, and caches every stack it was not told about.
-    The bank queries the oracle through one handle, which goes with the bank.
-    ``used`` names the experiments read, in the order of their first use.
+    folded in.  ``reads`` lists (experiment, parts of STACK_PARTS) per :meth:`stack`
+    call of the bank's callers, in call order.  A read returns the stack as kept,
+    then the bank keeps only the parts its family's later listed reads name
+    (:func:`_keep`), and none after the last; it caches whole every stack it was not
+    told about.  The bank queries the oracle through one handle, which goes with
+    the bank.  ``used`` names the experiments read, in the order of their first use.
     """
 
     def __init__(self, oracle: Oracle, reads=()):
         self.oracle = oracle
         self._handle = oracle.handle()
-        self._stacks = {}
-        self._reads_left = Counter(self._family_key(exp.fam) for exp in reads)
+        self._stacks, self._reads_left = {}, {}
+        for exp, parts in reads:
+            self._reads_left.setdefault(self._family_key(exp.fam), []).append(parts)
         self.used = []
 
     def _family_key(self, fam: PerturbationFamily):
@@ -248,9 +252,12 @@ class ExperimentBank:
         if stack is None:
             stack = self._stacks[key] = extract_variation_fd(self._handle, exp.fam)
         self._note(exp)
-        if key in self._reads_left:
-            self._reads_left[key] -= 1
-            if not self._reads_left[key]:
+        later = self._reads_left.get(key)
+        if later:
+            later.pop(0)
+            if later:
+                self._stacks[key] = _keep(stack, {part for parts in later for part in parts})
+            else:
                 del self._reads_left[key], self._stacks[key]
         return stack
 
@@ -263,6 +270,16 @@ class ExperimentBank:
         cached = [self._family_key(exp.fam) in self._stacks for exp in exps]
         for i in sorted(range(len(exps)), key=lambda i: not cached[i]):
             yield i, self.stack(exps[i])
+
+
+def _keep(stack, parts):
+    """A copy of ``stack`` without the components outside ``parts``: reading one of
+    them raises AttributeError, so it never reads as zeros or stale data."""
+    kept = replace(stack, order1=copy.copy(stack.order1), order2=copy.copy(stack.order2))
+    for part in set(STACK_PARTS) - parts:
+        order, name = part.split(".")
+        vars(getattr(kept, order)).pop(name, None)
+    return kept
 
 
 def _default_lin_experiment(domain, options, tau) -> dict:
@@ -917,54 +934,56 @@ class RecoveryReport:
 def run_full_pipeline(oracle: Oracle, options: PipelineOptions | None = None) -> RecoveryReport:
     """Execute the recovery stages in dependency order, assembling a report.
 
-    A hard stage failure aborts the remaining stages and yields a partial
-    report (the failed stage carries the reason); a degenerate stage records
+    A hard stage failure aborts the stages after it in the report and yields a
+    partial report (the failed stage carries the reason); a degenerate stage records
     its diagnosis and the pipeline continues, since later stages do not
     depend on the degenerate directions.
     """
     options = options or PipelineOptions()
-    # the experiments each stage reads, built as the stages build them, so that the
-    # bank drops each family's stack after its last read: r, the linear kinetics,
-    # chi/xi/mu when it runs, and the second-order kinetics
+    # the (experiment, parts) each stage reads, built as the stages build them, in run
+    # order: r, the linear kinetics, then stage 4 (whole stacks) before stage 3, so that
+    # a chi family keeps only the 4 of its 6 components stage 3 reads, and chem none
     domain, tau, stride_one = oracle.domain, oracle.tau, oracle.cfg.store_every == 1
-    lin_exps = _default_lin_experiment(domain, options, tau)
+    lin, *chem = _default_lin_experiment(domain, options, tau).values()
     chi_exps = _default_chi_experiments(domain, options, tau)
-    reads = [lin_exps["lin"], *lin_exps.values(), *(chi_exps if stride_one else ()),
-             *chi_exps, *([lin_exps["chem"]] if tau == 1 else ())]
+    order1 = STACK_PARTS[:3]
+    reads = [(lin, order1[:1]), *((exp, order1) for exp in [lin, *chem]),
+             *((exp, STACK_PARTS) for exp in chi_exps + chem),
+             *((exp, order1 + ("order2.u",)) for exp in (chi_exps if stride_one else ()))]
     bank = ExperimentBank(oracle, reads)
-    stages, estimates, residuals, conditioning, notes = [], {}, {}, {}, []
-
-    def merge(rec):
-        stages.append(rec)
-        estimates.update(rec.estimates)
-        residuals.update({f"{rec.name}.{k}": v for k, v in rec.residuals.items()})
-        conditioning.update({f"{rec.name}.{k}": v for k, v in rec.conditioning.items()})
-        if rec.status != "ok":
-            notes.append(f"stage {rec.name}: {rec.status}: {rec.reason}")
-
+    records = {}
     stride_note = ("needs stride-1 trajectory storage (solver.store_every = 1); "
                    "stored slices are coarser, stage skipped")
     plan = [
         ("r", lambda: recover_r(oracle, options=options, bank=bank)),
         ("linear_kinetics", lambda: recover_linear_kinetics(oracle, options=options, bank=bank)),
-        ("chi_xi_mu", lambda: recover_chi_xi_mu(oracle, estimates["r"], options=options,
-                                                bank=bank)),
-        ("second_kinetics", lambda: recover_second_kinetics(oracle, stages[1], options=options,
-                                                            bank=bank)),
+        ("second_kinetics", lambda: recover_second_kinetics(
+            oracle, records["linear_kinetics"], options=options, bank=bank)),
+        ("chi_xi_mu", lambda: recover_chi_xi_mu(oracle, records["r"].estimates["r"],
+                                                options=options, bank=bank)),
     ]
     for name, runner in plan:
         # stage 3 inverts per-step relations; at tau=1 a coarser stride fails stage 2,
         # so stage 4 never runs there either
-        if name == "chi_xi_mu" and not stride_one:
-            rec = StageRecord(name=name, status="skipped", reason=stride_note)
-            stages.append(rec)
-            notes.append(f"stage {name} skipped: {stride_note}")
-            continue
         try:
-            merge(runner())
+            records[name] = (runner() if name != "chi_xi_mu" or stride_one else
+                             StageRecord(name=name, status="skipped", reason=stride_note))
         except RecoveryError as err:
-            stages.append(StageRecord(name=name, status="failed", reason=str(err)))
-            notes.append(f"stage {name} failed: {err}")
+            records[name] = StageRecord(name=name, status="failed", reason=str(err))
+            if name != "second_kinetics":   # stage 3 comes before stage 4 in the report
+                break
+    # the report lists the stages in paper order, up to the first failed one
+    stages, estimates, residuals, conditioning, notes = [], {}, {}, {}, []
+    for rec in map(records.get, ("r", "linear_kinetics", "chi_xi_mu", "second_kinetics")):
+        stages.append(rec)
+        estimates.update(rec.estimates)
+        residuals.update({f"{rec.name}.{k}": v for k, v in rec.residuals.items()})
+        conditioning.update({f"{rec.name}.{k}": v for k, v in rec.conditioning.items()})
+        if rec.status in ("skipped", "failed"):
+            notes.append(f"stage {rec.name} {rec.status}: {rec.reason}")
+        elif rec.status != "ok":
+            notes.append(f"stage {rec.name}: {rec.status}: {rec.reason}")
+        if rec.status == "failed":
             break
     return RecoveryReport(stages=stages, estimates=estimates, residuals=residuals,
                           conditioning=conditioning, experiments_used=list(bank.used),

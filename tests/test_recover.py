@@ -639,18 +639,20 @@ def _pipeline_oracle(config, params):
 
 @pytest.mark.parametrize("config, families, bound", [
     ("sep33", 3, 13.0),     # 33^2, tau=0, stride 4, separable a02: stage 3 skipped
-    ("tau1", 5, 34.5),
-    ("tau0", 3, 28.0),
+    ("tau1", 5, 24.0),
+    ("tau0", 3, 23.5),
 ], ids=["sep33", "tau1", "tau0"])
 def test_pipeline_peak_memory(config, families, bound, nondegenerate_params, monkeypatch):
     # the traced peak of one recovery, in trajectory components: the base run is
-    # known, the bank drops each family's stack after its last read, an extraction
-    # holds 7 components and one block of the run it solves, and stage 4 forms its
-    # rows by blocks of nodes (12.3, 33.8 and 27.5 measured, the last two set by
-    # stage 3's blocks over three cached stacks; 13.4 with 11-component extractions
-    # and four full-length stage-4 rows, 16.8, 34.1 and 27.9 with 15-component
-    # extractions and full-length stage-4 temporaries, 30.9, 42.8 and 30.6 with a
-    # solved base run and every stack held to the end)
+    # known, the bank keeps of each family only what its later reads use, an
+    # extraction holds 7 components and one block of the run it solves, and stage 4
+    # forms its rows by blocks of nodes (12.3, 23.3 and 22.9 measured, the last two
+    # set by stage 4 reading the last chi family while the bank keeps 4 components of
+    # each of the other two; 33.8 and 27.5 with stage 3 first, its blocks over three
+    # whole stacks; 13.4 with 11-component extractions and four full-length stage-4
+    # rows, 16.8, 34.1 and 27.9 with 15-component extractions and full-length stage-4
+    # temporaries, 30.9, 42.8 and 30.6 with a solved base run and every stack held to
+    # the end)
     import archemo.recover as rc
     banks, calls, extract = [], [], rc.extract_variation_fd
 
@@ -679,6 +681,121 @@ def test_pipeline_peak_memory(config, families, bound, nondegenerate_params, mon
     keys = {bank._family_key(fam) for fam in calls}
     assert len(calls) == len(keys) == families
     assert report.oracle_runs == len(opts.epsilons) * families
+
+
+@pytest.mark.parametrize("tau", [0, 1])
+def test_pipeline_keeps_what_stage_3_reads(tau, nondegenerate_params, monkeypatch):
+    # stage 4 reads each chi family first; the bank then keeps its order 1 and
+    # order2.u, drops the chem stack, and a dropped component raises when read
+    import archemo.recover as rc
+    extracted, refs, at_stage_3 = [], [], []
+    extract, chi_xi_mu = rc.extract_variation_fd, rc.recover_chi_xi_mu
+
+    def recording(handle, fam, **kw):
+        stack = extract(handle, fam, **kw)
+        extracted.append(fam)
+        refs.append({f"{order}.{name}": weakref.ref(getattr(stack, order).component(name))
+                     for order in ("order1", "order2") for name in "uvw"})
+        return stack
+
+    def stage_3(oracle, r, options=None, bank=None, **kw):
+        gc.collect()
+        at_stage_3.append([{part for part, ref in parts.items() if ref() is not None}
+                           for parts in refs])
+        assert len(bank._stacks) == 3
+        for stack in bank._stacks.values():
+            for read in (lambda: stack.order2.v, lambda: stack.order2.component("w"),
+                         lambda: stack.order2.final):
+                with pytest.raises(AttributeError):
+                    read()
+        return chi_xi_mu(oracle, r, options=options, bank=bank, **kw)
+
+    monkeypatch.setattr(rc, "extract_variation_fd", recording)
+    monkeypatch.setattr(rc, "recover_chi_xi_mu", stage_3)
+    oracle, opts = _pipeline_oracle(f"tau{tau}", nondegenerate_params)
+    report = run_full_pipeline(oracle, opts)
+    assert report.complete and len(at_stage_3) == 1
+    # each family is extracted exactly once: lin (second-2 at tau=0), chem and the chi
+    # families; while stage 3 runs only the chi families' order 1 and order2.u live
+    bank = ExperimentBank(oracle)
+    keys = [bank._family_key(fam) for fam in extracted]
+    chi = [bank._family_key(exp.fam)
+           for exp in rc._default_chi_experiments(oracle.domain, opts, tau)]
+    assert len(keys) == len(set(keys)) == (3 if tau == 0 else 5)
+    assert set(chi) <= set(keys)
+    kept = {"order1.u", "order1.v", "order1.w", "order2.u"}
+    assert at_stage_3[0] == [kept if key in chi else set() for key in keys]
+
+
+def test_bank_keeps_only_what_later_reads_use(line65, nondegenerate_params):
+    # a read returns the whole stack; the bank keeps the parts its later listed
+    # reads name, shares their arrays, and drops the stack after the last read
+    import archemo.recover as rc
+    oracle = _oracle(line65, nondegenerate_params, dt=2e-3, t_final=0.1)
+    exp = rc._default_chi_experiments(line65, PipelineOptions(), 0)[0]
+    bank = ExperimentBank(oracle, [(exp, rc.STACK_PARTS), (exp, ("order1.u", "order2.w")),
+                                   (exp, ("order1.u",))])
+    whole = bank.stack(exp)
+    for order in (whole.order1, whole.order2):
+        assert all(order.component(name) is not None for name in "uvw")
+    second = bank.stack(exp)
+    assert second.order1.u is whole.order1.u and second.order2.w is whole.order2.w
+    for read in (lambda: second.order1.v, lambda: second.order2.component("u"),
+                 lambda: second.order1.final):
+        with pytest.raises(AttributeError):
+            read()
+    third = bank.stack(exp)
+    assert third.order1.u is whole.order1.u and third.order2.times is whole.order2.times
+    with pytest.raises(AttributeError):
+        third.order2.w
+    assert not bank._stacks
+    assert oracle.run_count == len(exp.fam.epsilons)
+
+
+@pytest.mark.parametrize("tau", [0, 1])
+def test_pipeline_run_order_changes_no_output(tau, nondegenerate_params):
+    # stage 4 runs before stage 3 in the pipeline; each record equals what the stage
+    # returns on a fresh bank, and the report keeps paper order
+    oracle, opts = _pipeline_oracle(f"tau{tau}", nondegenerate_params)
+    report = run_full_pipeline(oracle, opts)
+    assert [s.name for s in report.stages] == ["r", "linear_kinetics", "chi_xi_mu",
+                                               "second_kinetics"]
+    chi = recover_chi_xi_mu(oracle, report.estimates["r"], options=opts,
+                            bank=ExperimentBank(oracle))
+    second = recover_second_kinetics(oracle, report.stage("linear_kinetics"), options=opts,
+                                     bank=ExperimentBank(oracle))
+    for got, fresh in ((report.stage("chi_xi_mu"), chi),
+                       (report.stage("second_kinetics"), second)):
+        assert got.estimates == fresh.estimates
+        assert got.residuals == fresh.residuals
+        assert got.conditioning == fresh.conditioning
+        assert got.details == fresh.details
+        assert got == fresh
+    assert report.experiments_used == (["lin"] + (["chem"] if tau else [])
+                                       + ["second-0", "second-1", "second-2"])
+
+
+def test_report_order_survives_a_stage_4_failure(nondegenerate_params, monkeypatch):
+    # stage 4 runs first and fails its separability check; stage 3 still runs, and the
+    # report reads r, linear_kinetics, chi_xi_mu, then second_kinetics failed
+    import archemo.probes as pr
+    monkeypatch.setattr(pr, "separability_misfit", lambda *args, **kwargs: 1.0)
+    domain = Domain((1.0, 1.0), (33, 33))
+    a02 = SeparableField(transverse=np.cos(math.pi * domain.axes[0]),
+                         axial=(1.0 + domain.axes[1]) / 4.0)
+    oracle = _oracle(domain, nondegenerate_params, dt=1e-3, t_final=0.2, store_every=1,
+                     so_g={(0, 2): a02})
+    opts = PipelineOptions(recover_fields=False,
+                           declared_separable={"a02": a02.axial_integral(domain)})
+    report = run_full_pipeline(oracle, opts)
+    assert [(s.name, s.status) for s in report.stages] == [
+        ("r", "ok"), ("linear_kinetics", "ok"), ("chi_xi_mu", "ok"),
+        ("second_kinetics", "failed")]
+    assert report.notes == ["stage second_kinetics failed: coefficient a02 declared "
+                            "separable but factorization misfit is 100.0%"]
+    assert {"chi", "xi", "mu", "chi_minus_xi"} <= set(report.estimates)
+    assert not any(label in report.estimates for label in ("a11", "a20", "a02"))
+    assert report.oracle_runs == 9
 
 
 def test_stride_guard_for_step_inversions(square33, applied_params):
