@@ -32,6 +32,8 @@ invert a different one swaps a single function:
   :func:`forward.step` and :func:`variation.solve_variations` both step through.
 
 Stage 1's probe integrals contract each stored slice against one weighted field.
+Stage 2 forms its pointwise source regression over the same blocks of slices as stage
+4's balances, adding its time sums in the order of one sum over all times.
 Stages 3 and 4 reduce each regression to the Gram matrix of [regressors | rhs].
 Stage 4 forms one experiment and chemical at a time: its rhs (one component) over
 blocks of whole slices of about BALANCE_BLOCK_NODES nodes, then its four weighted
@@ -39,6 +41,12 @@ rows and its node-major (nodes, 4, 4) Gram over blocks of whole node series
 (:func:`_node_block_gram`), so the four full-length rows never exist; each node's
 Gram is still one product over all its times.  Stage 3 works on blocks of
 REGRESSOR_BLOCK steps with at most about eight block arrays alive.
+
+Stages 1-2 probe with the chi family whose modes are MODE_INDICES, so the four stages
+share its stack.  Its chemical data does not disturb them: at the trivial equilibrium
+the first-order density solves du1/dt = Lap u1 + r u1 whatever the chemicals' initial
+data, and each chemical's balance with it holds for any.  So a recovery extracts three
+families at tau=0 and four at tau=1, where a source-free chemical probe adds one.
 
 The pipeline holds only what its stages still read.  The run S(0) from the trivial
 equilibrium is zero and known without a query (:func:`variation.known_base`).
@@ -148,9 +156,8 @@ class Oracle:
 # options and experiments
 
 
-# nonzero axial cosines of the linear probing profile, and the weight of each
+# axial modes of the density probe of stages 1-2, one pattern of CHI_MODE_PATTERNS
 MODE_INDICES = (1, 2)
-MODE_WEIGHT = 0.45
 # stage 2 regresses only where |u1| reaches this fraction of its largest value
 U_FLOOR_REL = 1e-4
 # stage 3 reports chi, xi as degenerate above this condition number of its normal matrix
@@ -170,10 +177,10 @@ PATTERN_PASSES = 2
 # block temporaries, at most about eight arrays of this many fields (the four
 # stacked rows of a block among them)
 REGRESSOR_BLOCK = 64
-# stage 4 forms its chemical balances over blocks of whole slices of about this
-# many nodes (at least one slice), and its weighted rows over blocks of whole node
-# series of about this many values per row, small enough that their temporaries
-# stay few
+# stages 2 and 4 form their chemical balances over blocks of whole slices of about
+# this many nodes (at least one slice), and stage 4 its weighted rows over blocks of
+# whole node series of about this many values per row, small enough that their
+# temporaries stay few
 BALANCE_BLOCK_NODES = 16384
 # an exponential-rate fit keeps the samples down to this fraction of the largest
 # amplitude, and fails above this rms residual of its log-linear fit
@@ -283,36 +290,43 @@ def _keep(stack, parts):
 
 
 def _default_lin_experiment(domain, options, tau) -> dict:
-    pairs = [(k, MODE_WEIGHT) for k in MODE_INDICES]
-    prof = axial_mode_profile(domain, 1.0, pairs)
-    eps = options.epsilons
-    exps = {"lin": Experiment("lin", PerturbationFamily(f1=prof, epsilons=eps))}
+    """The probes of stages 1-2.  The density probe "lin" is the chi family whose modes
+    are MODE_INDICES, its chemical data included, so that one stack serves stages 1-4.
+    It may carry chemical data: at the trivial equilibrium the first-order density
+    solves du1/dt = Lap u1 + r u1 whatever the chemicals' initial data, and each
+    chemical's balance with it holds for any.  At tau=1 "chem" probes both chemicals
+    with lin's density profile and leaves the density unperturbed."""
+    if MODE_INDICES not in CHI_MODE_PATTERNS:
+        raise ValueError(f"no pattern of CHI_MODE_PATTERNS {CHI_MODE_PATTERNS} equals "
+                         f"MODE_INDICES {MODE_INDICES}, so stages 1-2 have no density probe")
+    fam = _chi_family(domain, options, tau, CHI_MODE_PATTERNS.index(MODE_INDICES))
+    exps = {"lin": Experiment("lin", fam)}
     if tau == 1:
         # chemical decay rates need a source-free probe (no density variation)
-        exps["chem"] = Experiment("chem", PerturbationFamily(g1=prof, h1=prof, epsilons=eps))
+        exps["chem"] = Experiment("chem", PerturbationFamily(g1=fam.f1, h1=fam.f1,
+                                                             epsilons=fam.epsilons))
     return exps
+
+
+def _chi_family(domain, options, tau, i) -> PerturbationFamily:
+    """The probing family of pattern i of CHI_MODE_PATTERNS: the density 1 plus its
+    modes, 0.9 shared between them; at tau=1 also g1 (even i) or h1 (odd i), 1 plus
+    0.9 times the pattern's first mode."""
+    pattern = CHI_MODE_PATTERNS[i]
+    weight = 0.9 / len(pattern)
+    prof = axial_mode_profile(domain, 1.0, [(k, weight) for k in pattern])
+    chem = {}
+    if tau == 1:
+        # independent chemical initial data decouples the attractant from the
+        # repellent channel even when their balance laws coincide; without it
+        # only chi - xi would be identifiable
+        chem["g1" if i % 2 == 0 else "h1"] = axial_mode_profile(domain, 1.0, [(pattern[0], 0.9)])
+    return PerturbationFamily(f1=prof, epsilons=options.epsilons, **chem)
 
 
 def _default_chi_experiments(domain, options, tau=0) -> list:
-    exps = []
-    for i, pattern in enumerate(CHI_MODE_PATTERNS):
-        weight = 0.9 / len(pattern)
-        prof = axial_mode_profile(domain, 1.0, [(k, weight) for k in pattern])
-        g1 = h1 = None
-        if tau == 1:
-            # independent chemical initial data decouples the attractant from the
-            # repellent channel even when their balance laws coincide; without it
-            # only chi - xi would be identifiable
-            kg = pattern[0]
-            chem = axial_mode_profile(domain, 1.0, [(kg, 0.9)])
-            if i % 2 == 0:
-                g1 = chem
-            else:
-                h1 = chem
-        exps.append(Experiment(f"second-{i}",
-                               PerturbationFamily(f1=prof, g1=g1, h1=h1,
-                                                  epsilons=options.epsilons)))
-    return exps
+    return [Experiment(f"second-{i}", _chi_family(domain, options, tau, i))
+            for i in range(len(CHI_MODE_PATTERNS))]
 
 
 # ---------------------------------------------------------------------------
@@ -409,18 +423,10 @@ def _modal_ratio(domain, numer_traj, denom_traj, mode, wt):
     return float(np.sum(wt * vn * un)) / denom
 
 
-def _time_regressed_field(domain, numer, denom, wt, floor):
-    """Pointwise least-squares ratio sum wt*numer*denom / sum wt*denom^2 with masking."""
-    mask = np.abs(denom) >= floor
-    if not np.any(mask):
-        raise RecoveryError("probe too weak: first variation below the masking floor everywhere")
-    wts = wt.reshape((-1,) + (1,) * (denom.ndim - 1)) * mask
-    den = np.sum(wts * denom * denom, axis=0)
-    num = np.sum(wts * numer * denom, axis=0)
-    ok = den > 0
-    if not np.all(ok):
-        raise RecoveryError("probe too weak: some nodes receive no usable samples")
-    return num / den
+def _time_sum(acc, terms):
+    """acc plus the sum of ``terms`` over axis 0, in the order of one sum over axis 0
+    of the earlier terms (whose sum is acc, None if there are none) and these."""
+    return np.add.reduce(terms if acc is None else [acc, *terms], axis=0)
 
 
 def _project_axial_independent(domain, fld):
@@ -583,13 +589,36 @@ def _linear_kinetics_from_probe(oracle, bank, exps, want_fields, rec):
 def _record_balance_source(oracle, lin, comp, decay, want_fields, name, rec):
     """Record the source ``name`` of chemical ``comp``: the pointwise regression of
     balance + decay * chemical (:func:`_chemical_balance`) on the density of ``lin``,
-    projected to its axially independent part (``want_fields``) or averaged."""
-    domain, chem = oracle.domain, lin.component(comp)
-    balance = _chemical_balance(oracle, chem)
-    n = len(balance)
-    floor = U_FLOOR_REL * (float(np.max(np.abs(lin.u))) or 1.0)
-    fld = _time_regressed_field(domain, balance + decay * chem[:n], lin.u[:n],
-                                g.time_weights(lin.times[:n]), floor)
+    projected to its axially independent part (``want_fields``) or averaged.
+
+    The regressed field is sum wt*numer*u1 / sum wt*u1^2 over time, numer the balance
+    plus decay * chemical, and wt the trapezoid weights masked where |u1| is below
+    U_FLOOR_REL of its largest value.  Its terms are formed over blocks of whole slices
+    of about BALANCE_BLOCK_NODES nodes, each block's time sums seeded with the running
+    ones, so they add in the order of one sum over all times."""
+    domain, tau, u = oracle.domain, oracle.tau, lin.u
+    chem = lin.component(comp)
+    n = len(chem) - tau       # the slices that _chemical_balance returns
+    floor = U_FLOOR_REL * (max(float(np.max(u)), -float(np.min(u))) or 1.0)
+    wt = g.time_weights(lin.times[:n])
+    step = max(1, BALANCE_BLOCK_NODES // domain.node_count)
+    den = num = None
+    reached = False
+    for start in range(0, n, step):
+        block = slice(start, min(start + step, n))
+        numer = _chemical_balance(oracle, chem[start:block.stop + tau])
+        numer += decay * chem[block]
+        denom = u[block]
+        mask = np.abs(denom) >= floor
+        reached = reached or bool(np.any(mask))
+        wts = wt[block].reshape((-1,) + (1,) * domain.dim) * mask
+        den = _time_sum(den, wts * denom * denom)
+        num = _time_sum(num, wts * numer * denom)
+    if not reached:
+        raise RecoveryError("probe too weak: first variation below the masking floor everywhere")
+    if not np.all(den > 0):
+        raise RecoveryError("probe too weak: some nodes receive no usable samples")
+    fld = num / den
     if want_fields:
         proj = _project_axial_independent(domain, fld)
         misfit = g.norm_l2(domain, fld - proj) / (g.norm_l2(domain, fld) or 1.0)
@@ -942,7 +971,8 @@ def run_full_pipeline(oracle: Oracle, options: PipelineOptions | None = None) ->
     options = options or PipelineOptions()
     # the (experiment, parts) each stage reads, built as the stages build them, in run
     # order: r, the linear kinetics, then stage 4 (whole stacks) before stage 3, so that
-    # a chi family keeps only the 4 of its 6 components stage 3 reads, and chem none
+    # a chi family keeps only the 4 of its 6 components stage 3 reads, and chem none;
+    # lin is a chi family, so its family stays whole until stage 4 has read it
     domain, tau, stride_one = oracle.domain, oracle.tau, oracle.cfg.store_every == 1
     lin, *chem = _default_lin_experiment(domain, options, tau).values()
     chi_exps = _default_chi_experiments(domain, options, tau)

@@ -431,6 +431,13 @@ def _floor(u1):
     return rc.U_FLOOR_REL * (float(np.max(np.abs(u1))) or 1.0)
 
 
+def _regressed_field(numer, denom, wt, floor):
+    # the pointwise source regression over all times at once, each time sum one
+    # np.sum over axis 0
+    wts = wt.reshape((-1,) + (1,) * (denom.ndim - 1)) * (np.abs(denom) >= floor)
+    return np.sum(wts * numer * denom, axis=0) / np.sum(wts * denom * denom, axis=0)
+
+
 def _reference_linear_kinetics(oracle, bank, exps, want_fields):
     """Stage 2 with one function per tau, as it was written before the chemical
     balance and the modal rates had one home each."""
@@ -456,7 +463,7 @@ def _reference_linear_kinetics(oracle, bank, exps, want_fields):
             details[f"rhos_{comp}"] = rhos
             if want_fields:
                 numer = -laplacian_neumann(domain, chem) + decay * chem
-                fld = rc._time_regressed_field(domain, numer, o1.u, wt, _floor(o1.u))
+                fld = _regressed_field(numer, o1.u, wt, _floor(o1.u))
                 proj = rc._project_axial_independent(domain, fld)
                 residuals[f"{names[0]}_projection_misfit"] = (
                     norm_l2(domain, fld - proj) / (norm_l2(domain, fld) or 1.0))
@@ -482,7 +489,7 @@ def _reference_linear_kinetics(oracle, bank, exps, want_fields):
     for comp, src_name, decay_name in (("v", "alpha", "beta"), ("w", "gamma", "delta")):
         chem = lin.component(comp)
         numer = step_source(domain, chem, s * dt) + estimates[decay_name] * chem[:-1]
-        fld = rc._time_regressed_field(domain, numer, lin.u[:-1], wt, _floor(lin.u))
+        fld = _regressed_field(numer, lin.u[:-1], wt, _floor(lin.u))
         if want_fields:
             proj = rc._project_axial_independent(domain, fld)
             residuals[f"{src_name}_projection_misfit"] = (
@@ -587,13 +594,16 @@ def test_stages_2_and_4_match_per_tau_reference(dim, tau, fields, nondegenerate_
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+# the truth of the cached benchmark banks
+_BANK_TRUTH = ParameterSet(chi=0.1, xi=0.05, r=0.5, mu=1.0,
+                           alpha=1.0, beta=1.0, gamma=0.8, delta=1.6)
+
+
 @pytest.fixture(scope="module")
 def cached_bank_129():
     # the tau=0 benchmark recovery (129 nodes, 2 001 stored slices) with every
     # family extracted, and the estimates stages 3 and 4 start from
-    truth = ParameterSet(chi=0.1, xi=0.05, r=0.5, mu=1.0,
-                         alpha=1.0, beta=1.0, gamma=0.8, delta=1.6)
-    oracle = _oracle(Domain(1.0, 129), truth, dt=5e-4, t_final=1.0)
+    oracle = _oracle(Domain(1.0, 129), _BANK_TRUTH, dt=5e-4, t_final=1.0)
     opts = PipelineOptions(recover_fields=False)
     bank = ExperimentBank(oracle)
     r_hat = recover_r(oracle, options=opts, bank=bank).estimates["r"]
@@ -602,25 +612,47 @@ def cached_bank_129():
     return oracle, opts, bank, r_hat, lin
 
 
+@pytest.fixture(scope="module")
+def cached_bank_tau1_129():
+    # the tau=1 benchmark recovery's bank as stage 2 finds it: the chi family that is
+    # also lin (second-2), and chem, each stack whole
+    import archemo.recover as rc
+    oracle = _oracle(Domain(1.0, 129), _BANK_TRUTH, tau=1, dt=5e-4, t_final=1.0)
+    opts = PipelineOptions(recover_fields=False)
+    bank = ExperimentBank(oracle)
+    bank.stack(rc._default_chi_experiments(oracle.domain, opts, 1)[2])
+    bank.stack(rc._default_lin_experiment(oracle.domain, opts, 1)["chem"])
+    return oracle, opts, bank
+
+
 @pytest.mark.parametrize("stage, bound", [("r", 1.2), ("chi_xi_mu", 0.6),
-                                          ("second_kinetics", 2.0)],
-                         ids=["r", "chi_xi_mu", "second_kinetics"])
-def test_stage_peak_memory_on_a_cached_bank(cached_bank_129, stage, bound):
+                                          ("second_kinetics", 2.0),
+                                          ("linear_kinetics_tau1", 1.2)],
+                         ids=["r", "chi_xi_mu", "second_kinetics", "linear_kinetics_tau1"])
+def test_stage_peak_memory_on_a_cached_bank(request, stage, bound):
     # the traced peak of one stage call above the cached stacks, in trajectory
     # components: the probe integrals contract each slice against one weighted field,
-    # and the regressions reduce to Gram matrices, so no stage holds more than a few
-    # components (1.08, 0.54 and 1.70 measured: |u1| for the probe integral's scale,
-    # and stage 4's rhs with one block of nodes of its four rows; 9.1 for stage 1 with
+    # and the regressions reduce to Gram matrices or blocked time sums, so no stage
+    # holds more than a few components (1.08, 0.54, 1.70 and 1.03 measured: |u1| for the
+    # probe integral's scale, stage 4's rhs with one block of nodes of its four rows, and
+    # one chemical times a mode in the tau=1 decay fits; 4.1 for the tau=1 stage 2 with
+    # full-length source regression temporaries, 9.1 for stage 1 with
     # (T, *grid) probe products, 4.3 for stage 4 with its four full-length rows, 6.1
     # with full-length balance temporaries too, 5.0 for stage 3 while it kept each
     # experiment's residual series, 8.2 and 8.1 with per-step probe arrays and
     # pairwise normal pieces)
-    oracle, opts, bank, r_hat, lin = cached_bank_129
-    run = {"r": lambda: recover_r(oracle, options=opts, bank=bank),
-           "chi_xi_mu": lambda: recover_chi_xi_mu(oracle, r_hat, options=opts, bank=bank),
-           "second_kinetics": lambda: recover_second_kinetics(oracle, lin, options=opts,
-                                                              bank=bank)}[stage]
+    if stage == "linear_kinetics_tau1":
+        oracle, opts, bank = request.getfixturevalue("cached_bank_tau1_129")
+        run = lambda: recover_linear_kinetics(oracle, options=opts, bank=bank)
+    else:
+        oracle, opts, bank, r_hat, lin = request.getfixturevalue("cached_bank_129")
+        run = {"r": lambda: recover_r(oracle, options=opts, bank=bank),
+               "chi_xi_mu": lambda: recover_chi_xi_mu(oracle, r_hat, options=opts, bank=bank),
+               "second_kinetics": lambda: recover_second_kinetics(oracle, lin, options=opts,
+                                                                  bank=bank)}[stage]
+    runs = oracle.run_count
     _, peak = traced_peak(run, component_bytes(oracle.domain, oracle.cfg))
+    assert oracle.run_count == runs       # every stage reads cached stacks
     assert peak <= bound
 
 
@@ -639,7 +671,7 @@ def _pipeline_oracle(config, params):
 
 @pytest.mark.parametrize("config, families, bound", [
     ("sep33", 3, 13.0),     # 33^2, tau=0, stride 4, separable a02: stage 3 skipped
-    ("tau1", 5, 24.0),
+    ("tau1", 4, 24.0),
     ("tau0", 3, 23.5),
 ], ids=["sep33", "tau1", "tau0"])
 def test_pipeline_peak_memory(config, families, bound, nondegenerate_params, monkeypatch):
@@ -715,13 +747,13 @@ def test_pipeline_keeps_what_stage_3_reads(tau, nondegenerate_params, monkeypatc
     oracle, opts = _pipeline_oracle(f"tau{tau}", nondegenerate_params)
     report = run_full_pipeline(oracle, opts)
     assert report.complete and len(at_stage_3) == 1
-    # each family is extracted exactly once: lin (second-2 at tau=0), chem and the chi
-    # families; while stage 3 runs only the chi families' order 1 and order2.u live
+    # each family is extracted exactly once: lin (which is second-2), chem and the other
+    # chi families; while stage 3 runs only the chi families' order 1 and order2.u live
     bank = ExperimentBank(oracle)
     keys = [bank._family_key(fam) for fam in extracted]
     chi = [bank._family_key(exp.fam)
            for exp in rc._default_chi_experiments(oracle.domain, opts, tau)]
-    assert len(keys) == len(set(keys)) == (3 if tau == 0 else 5)
+    assert len(keys) == len(set(keys)) == (3 if tau == 0 else 4)
     assert set(chi) <= set(keys)
     kept = {"order1.u", "order1.v", "order1.w", "order2.u"}
     assert at_stage_3[0] == [kept if key in chi else set() for key in keys]
@@ -870,7 +902,7 @@ def test_reproduction_self_consistency(line65, nondegenerate_params):
 
 
 def test_bank_shares_one_stack_per_probing_family(line65, nondegenerate_params, monkeypatch):
-    # under the tau=0 defaults "lin" and "second-2" probe with identical data
+    # at either tau "lin" is the chi family "second-2", its chemical data included
     import archemo.recover as rc
     calls, extract = [], rc.extract_variation_fd
 
@@ -879,16 +911,53 @@ def test_bank_shares_one_stack_per_probing_family(line65, nondegenerate_params, 
         return extract(handle, fam, **kw)
 
     monkeypatch.setattr(rc, "extract_variation_fd", counting)
-    oracle = _oracle(line65, nondegenerate_params, t_final=0.2)
     opts = PipelineOptions()
-    bank = ExperimentBank(oracle)
-    lin = rc._default_lin_experiment(line65, opts, 0)["lin"]
-    second2 = rc._default_chi_experiments(line65, opts, 0)[2]
-    assert second2.name == "second-2"
-    both = bank.stack(second2)
-    assert bank.stack(lin) is both
-    assert len(calls) == 1
-    assert bank.used == ["second-2", "lin"]
+    for tau in (0, 1):
+        calls.clear()
+        oracle = _oracle(line65, nondegenerate_params, tau=tau, t_final=0.2)
+        bank = ExperimentBank(oracle)
+        lin = rc._default_lin_experiment(line65, opts, tau)["lin"]
+        second2 = rc._default_chi_experiments(line65, opts, tau)[2]
+        assert second2.name == "second-2"
+        assert (lin.fam.g1 is not None) == (tau == 1)
+        both = bank.stack(second2)
+        assert bank.stack(lin) is both
+        assert len(calls) == 1
+        assert bank.used == ["second-2", "lin"]
+
+
+def test_lin_probe_needs_a_chi_pattern_of_its_modes(line65, nondegenerate_params, monkeypatch):
+    # stages 1-2 probe with the chi family whose modes are MODE_INDICES; without one
+    # the pipeline stops before its first query
+    import archemo.recover as rc
+    monkeypatch.setattr(rc, "CHI_MODE_PATTERNS", ((1,), (2,), (2, 1)))
+    oracle = _oracle(line65, nondegenerate_params, t_final=0.1)
+    with pytest.raises(ValueError, match="MODE_INDICES"):
+        run_full_pipeline(oracle)
+    assert oracle.run_count == 0
+
+
+@pytest.mark.parametrize("tau", [0, 1])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_first_order_density_ignores_chemical_data(dim, tau, nondegenerate_params):
+    # why lin may carry chemical data: at the trivial equilibrium the first-order
+    # density solves du1/dt = Lap u1 + r u1 whatever g1 and h1
+    from dataclasses import replace
+    import archemo.recover as rc
+    from archemo.variation import solve_variations
+    domain = Domain(1.0, 65) if dim == 1 else Domain((1.0, 1.0), (17, 17))
+    kin = make_kinetics(nondegenerate_params, second_order_g={(2, 0): 0.2})
+    cfg = SolverConfig(tau=tau, dt=1e-3, t_final=0.1)
+    fam = rc._default_lin_experiment(domain, PipelineOptions(), tau)["lin"].fam
+    chem = rc.axial_mode_profile(domain, 1.0, [(1, 0.9)])
+    stacks = [solve_variations(domain, nondegenerate_params, kin,
+                               replace(fam, g1=g1, h1=h1), cfg).order1
+              for g1, h1 in ((None, None), (chem, None), (None, chem), (chem, 2.0 * chem))]
+    for stack in stacks[1:]:
+        assert np.array_equal(stack.u, stacks[0].u)
+        # at tau=1 the chemical data does reach the chemicals
+        same = all(np.array_equal(getattr(stack, c), getattr(stacks[0], c)) for c in "vw")
+        assert same == (tau == 0)
 
 
 def test_bank_builds_each_order1_tableau_once(line65, nondegenerate_params, monkeypatch):
@@ -940,7 +1009,7 @@ def test_recovery_keeps_few_runs_alive(line65, nondegenerate_params, monkeypatch
     oracle = _oracle(line65, nondegenerate_params, tau=tau, dt=2e-3, t_final=0.1)
     opts = PipelineOptions(recover_fields=False)
     report = run_full_pipeline(oracle, opts)
-    assert report.oracle_runs == len(refs) == (9 if tau == 0 else 15)
+    assert report.oracle_runs == len(refs) == (9 if tau == 0 else 12)
     assert max(alive) <= len(opts.epsilons)
 
 
@@ -950,7 +1019,7 @@ def test_oracle_extractions_never_store_a_whole_run(line65, nondegenerate_params
     # an extraction on an oracle handle folds each run block by block as it is solved:
     # every store it passes to solve_forward is a SliceStore of FOLD_BLOCKS blocks, and
     # each run returns only its last block; each run is still one solve_forward call,
-    # 3 per family over 3 (tau=0) or 5 (tau=1) families (the base run is known)
+    # 3 per family over 3 (tau=0) or 4 (tau=1) families (the base run is known)
     import archemo.recover as rc
     import archemo.variation as var
     runs, solve = [], rc.solve_forward
@@ -964,7 +1033,7 @@ def test_oracle_extractions_never_store_a_whole_run(line65, nondegenerate_params
     oracle = _oracle(line65, nondegenerate_params, tau=tau, dt=2e-3, t_final=0.1)
     report = run_full_pipeline(oracle, PipelineOptions(recover_fields=False))
     assert report.complete
-    assert report.oracle_runs == len(runs) == (9 if tau == 0 else 15)
+    assert report.oracle_runs == len(runs) == (9 if tau == 0 else 12)
     for store, length in runs:
         assert store.func is SliceStore and store.keywords["blocks"] == var.FOLD_BLOCKS
         assert store.keywords["fold"] is not None
