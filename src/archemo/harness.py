@@ -818,9 +818,7 @@ def _cmd_recover(args, cfg: ExperimentConfig) -> int:
         for key, val in truth.items():
             if key not in report.estimates:
                 continue
-            scale_zero = isinstance(val, (int, float)) and val == 0.0
-            if scale_zero:
-                continue
+            # relative_estimate_error gives the absolute gap for a zero truth
             rel = relative_estimate_error(report.estimates[key], val, domain)
             degenerate = any(s.status == "degenerate" and key in s.estimates
                              for s in report.stages)

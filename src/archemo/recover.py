@@ -32,15 +32,16 @@ invert a different one swaps a single function:
   :func:`forward.step` and :func:`variation.solve_variations` both step through.
 
 Stage 1's probe integrals contract each stored slice against one weighted field.
-Stage 2 forms its pointwise source regression over the same blocks of slices as stage
-4's balances, adding its time sums in the order of one sum over all times.
-Stages 3 and 4 reduce each regression to the Gram matrix of [regressors | rhs].
-Stage 4 forms one experiment and chemical at a time: its rhs (one component) over
-blocks of whole slices of about BALANCE_BLOCK_NODES nodes, then its four weighted
-rows and its node-major (nodes, 4, 4) Gram over blocks of whole node series
-(:func:`_node_block_gram`), so the four full-length rows never exist; each node's
-Gram is still one product over all its times.  Stage 3 works on blocks of
-REGRESSOR_BLOCK steps with at most about eight block arrays alive.
+Stages 2 and 4 regress per node on the chemical balance in one way:
+:func:`_chemical_balance` yields balance + decay * chemical over blocks of whole slices of
+about BALANCE_BLOCK_NODES nodes, and :func:`_node_gram` sums each block's weighted row
+products into per-node Gram entries, each block seeded with the running sums, so every
+entry adds in the order of one sum over all times and no full-length row exists.  Stage 2
+reads two entries of the Gram of (balance + decay * chemical, u1); stage 4 forms the
+node-major (nodes, 4, 4) Gram of [u1*chem1, 2*u1^2, 2*chem1^2 | rhs] for one experiment
+and chemical at a time.  Stage 3 reduces its regression to the Gram matrix of
+[regressors | rhs] over blocks of REGRESSOR_BLOCK steps with at most about eight block
+arrays alive.
 
 Stages 1-2 probe with the chi family whose modes are MODE_INDICES, so the four stages
 share its stack.  Its chemical data does not disturb them: at the trivial equilibrium
@@ -177,10 +178,9 @@ PATTERN_PASSES = 2
 # block temporaries, at most about eight arrays of this many fields (the four
 # stacked rows of a block among them)
 REGRESSOR_BLOCK = 64
-# stages 2 and 4 form their chemical balances over blocks of whole slices of about
-# this many nodes (at least one slice), and stage 4 its weighted rows over blocks of
-# whole node series of about this many values per row, small enough that their
-# temporaries stay few
+# stages 2 and 4 form their chemical balances, regression rows and Gram sums over
+# blocks of whole slices of about this many nodes (at least one slice), small enough
+# that their temporaries stay few
 BALANCE_BLOCK_NODES = 16384
 # an exponential-rate fit keeps the samples down to this fraction of the largest
 # amplitude, and fails above this rms residual of its log-linear fit
@@ -390,15 +390,43 @@ def _modal_rates(domain, times, series):
     return rates
 
 
-def _chemical_balance(oracle, chem):
-    """The kinetics G (or H) that the chemical variation series ``chem`` balances: by
+def _chemical_balance(oracle, chem, decay, n):
+    """(block, balance + decay * chem) over consecutive blocks of whole slices of about
+    BALANCE_BLOCK_NODES nodes (at least one), in time order, up to slice n.  The balance
+    is the kinetics G (or H) that the chemical variation series ``chem`` balances: by
     0 = Lap c + G, -Lap c of every slice at tau=0; by the chemical step of size s dt,
-    its step source (:func:`forward.step_source`) of every slice but the last at tau=1.
-    Callers take the other series to the length of the result."""
-    cfg = oracle.cfg
-    if cfg.tau == 0:
-        return -g.laplacian_neumann(oracle.domain, chem)
-    return step_source(oracle.domain, chem, cfg.relaxation_speedup * cfg.dt)
+    its step source (:func:`forward.step_source`) at tau=1, which reads each block's
+    next slice too, so n is at most len(chem) - tau."""
+    domain, cfg = oracle.domain, oracle.cfg
+    step = max(1, BALANCE_BLOCK_NODES // domain.node_count)
+    for start in range(0, n, step):
+        block = slice(start, min(start + step, n))
+        span = chem[start:block.stop + cfg.tau]
+        if cfg.tau == 0:
+            balance = -g.laplacian_neumann(domain, span)
+        else:
+            balance = step_source(domain, span, cfg.relaxation_speedup * cfg.dt)
+        balance += decay * chem[block]
+        yield block, balance
+
+
+def _node_gram(blocks):
+    """Per node, the time sums of w * row_k * row_j for k <= j, multiplied in that
+    order, keyed (k, j).  ``blocks`` yields (w, rows) for consecutive blocks of slices
+    in time order, w broadcasting to each row.  Each block's first product slice is
+    seeded with the running sum, so each sum adds in the order of one np.sum over axis
+    0 of all the products.  A block's weighted row and product reuse two buffers."""
+    sums = {}
+    for w, rows in blocks:
+        weighted, terms = np.empty((2,) + rows[0].shape)
+        for k, row in enumerate(rows):
+            np.multiply(w, row, out=weighted)
+            for j in range(k, len(rows)):
+                np.multiply(weighted, rows[j], out=terms)
+                if (k, j) in sums:
+                    terms[0] += sums[k, j]
+                sums[k, j] = np.add.reduce(terms, axis=0)
+    return sums
 
 
 def linear_pair_from_ratios(rhos, lams):
@@ -421,12 +449,6 @@ def _modal_ratio(domain, numer_traj, denom_traj, mode, wt):
     if denom <= 0:
         raise RecoveryError("probe too weak: modal content absent from the first variation")
     return float(np.sum(wt * vn * un)) / denom
-
-
-def _time_sum(acc, terms):
-    """acc plus the sum of ``terms`` over axis 0, in the order of one sum over axis 0
-    of the earlier terms (whose sum is acc, None if there are none) and these."""
-    return np.add.reduce(terms if acc is None else [acc, *terms], axis=0)
 
 
 def _project_axial_independent(domain, fld):
@@ -593,32 +615,21 @@ def _record_balance_source(oracle, lin, comp, decay, want_fields, name, rec):
 
     The regressed field is sum wt*numer*u1 / sum wt*u1^2 over time, numer the balance
     plus decay * chemical, and wt the trapezoid weights masked where |u1| is below
-    U_FLOOR_REL of its largest value.  Its terms are formed over blocks of whole slices
-    of about BALANCE_BLOCK_NODES nodes, each block's time sums seeded with the running
-    ones, so they add in the order of one sum over all times."""
-    domain, tau, u = oracle.domain, oracle.tau, lin.u
-    chem = lin.component(comp)
-    n = len(chem) - tau       # the slices that _chemical_balance returns
+    U_FLOOR_REL of its largest value: G[0, 1] / G[1, 1] of the per-node Gram
+    (:func:`_node_gram`) of (numer, u1)."""
+    domain, u = oracle.domain, lin.u
+    n = len(u) - oracle.tau       # the slices that _chemical_balance returns
     floor = U_FLOOR_REL * (max(float(np.max(u)), -float(np.min(u))) or 1.0)
-    wt = g.time_weights(lin.times[:n])
-    step = max(1, BALANCE_BLOCK_NODES // domain.node_count)
-    den = num = None
-    reached = False
-    for start in range(0, n, step):
-        block = slice(start, min(start + step, n))
-        numer = _chemical_balance(oracle, chem[start:block.stop + tau])
-        numer += decay * chem[block]
-        denom = u[block]
-        mask = np.abs(denom) >= floor
-        reached = reached or bool(np.any(mask))
-        wts = wt[block].reshape((-1,) + (1,) * domain.dim) * mask
-        den = _time_sum(den, wts * denom * denom)
-        num = _time_sum(num, wts * numer * denom)
-    if not reached:
+    wt = g.time_weights(lin.times[:n]).reshape((-1,) + (1,) * domain.dim)
+    gram = _node_gram((wt[block] * (np.abs(u[block]) >= floor), (numer, u[block]))
+                      for block, numer in _chemical_balance(oracle, lin.component(comp),
+                                                            decay, n))
+    den = gram[1, 1]
+    if not np.any(den > 0):
         raise RecoveryError("probe too weak: first variation below the masking floor everywhere")
     if not np.all(den > 0):
         raise RecoveryError("probe too weak: some nodes receive no usable samples")
-    fld = num / den
+    fld = gram[0, 1] / den
     if want_fields:
         proj = _project_axial_independent(domain, fld)
         misfit = g.norm_l2(domain, fld - proj) / (g.norm_l2(domain, fld) or 1.0)
@@ -812,37 +823,9 @@ def _batched_lsq_3(domain, grams):
     return coeffs, sigmas, rel_resid, loo
 
 
-def _node_block_gram(sw, u1, chem1, rhs, block_values=BALANCE_BLOCK_NODES):
-    """The node-major (nodes, 4, 4) Gram of the rows [u1*chem1, 2*u1^2, 2*chem1^2, rhs]
-    weighted by ``sw``; u1, chem1 and rhs are (steps, nodes) series and sw is (steps, 1).
-
-    The rows are formed for blocks of whole node series, each block's four rows about
-    ``block_values`` values apiece, so the four full-length rows never exist.  Each
-    node's Gram is still one product over all its times, laid out as in one product
-    of the whole rows; every block has at least two nodes, since a one-node block would
-    take a BLAS product that sums in another order.
-    """
-    n, nodes = rhs.shape
-    gram = np.empty((nodes, 4, 4))
-    count = max(1, nodes // max(2, block_values // n))
-    for k in range(count):
-        cols = slice(nodes * k // count, nodes * (k + 1) // count)
-        rows = np.empty((4, n, cols.stop - cols.start))
-        x, c = u1[:, cols], chem1[:, cols]
-        np.multiply(x, c, out=rows[0])
-        for row, y in ((rows[1], x), (rows[2], c)):
-            np.multiply(y, 2.0, out=row)
-            row *= y
-        rows[3] = rhs[:, cols]
-        rows *= sw
-        np.matmul(rows.transpose(2, 0, 1), rows.transpose(2, 1, 0), out=gram[cols])
-    return gram
-
-
 def recover_second_kinetics(oracle: Oracle, linear: StageRecord,
                             options: PipelineOptions | None = None,
-                            bank: ExperimentBank | None = None,
-                            experiments: list | None = None) -> StageRecord:
+                            bank: ExperimentBank | None = None) -> StageRecord:
     """Second-order kinetic coefficients from the chemical second-variation residual.
 
     The residual of the v (resp. w) equation, after removing the linear part
@@ -854,39 +837,38 @@ def recover_second_kinetics(oracle: Oracle, linear: StageRecord,
     """
     options = options or PipelineOptions()
     bank = bank or ExperimentBank(oracle)
-    exps = experiments or _default_chi_experiments(oracle.domain, options, oracle.tau)
     domain = oracle.domain
+    exps = _default_chi_experiments(domain, options, oracle.tau)
     if oracle.tau == 1:
         _require_stride_one(oracle, "tau=1 second-order kinetics recovery")
-        chem_exps = _default_lin_experiment(domain, options, oracle.tau)
-        exps = list(exps) + [chem_exps["chem"]]
+        exps.append(_default_lin_experiment(domain, options, oracle.tau)["chem"])
 
     def contribution(stack, comp, a10_grid, decay):
         # one experiment's node-major Gram of [u1*chem1, 2*u1^2, 2*chem1^2 | rhs]
-        # under its time weights, and its sample count; the rhs
-        # (balance + decay*chem2 - a10*u2) is formed one block of slices at a time,
-        # then the weighted rows and their Gram one block of nodes at a time
+        # under its time weights, and its sample count; rhs is the balance
+        # + decay*chem2 - a10*u2, each row formed one block of slices at a time
         o1, o2 = stack.order1, stack.order2
-        chem2 = o2.component(comp)
-        n = len(chem2) - oracle.tau       # the slices that _chemical_balance returns
-        rhs = np.empty((n,) + domain.shape)
-        for start in range(0, n, step):
-            block = slice(start, min(start + step, n))
-            part = _chemical_balance(oracle, chem2[start:block.stop + oracle.tau])
-            out = np.multiply(chem2[block], decay, out=rhs[block])
-            out += part
-            out -= np.multiply(o2.u[block], a10_grid, out=part)
-        sw = np.sqrt(g.time_weights(o2.times[:n]))[:, None]
-        series = (o1.u[:n], o1.component(comp)[:n], rhs)
-        return _node_block_gram(sw, *(x.reshape(n, -1) for x in series)), n
+        chem1 = o1.component(comp)
+        n = len(chem1) - oracle.tau       # the slices that _chemical_balance returns
+        wt = g.time_weights(o2.times[:n]).reshape((-1,) + (1,) * domain.dim)
 
-    step = max(1, BALANCE_BLOCK_NODES // domain.node_count)
+        def rows():
+            for block, rhs in _chemical_balance(oracle, o2.component(comp), decay, n):
+                rhs -= a10_grid * o2.u[block]
+                x, c = o1.u[block], chem1[block]
+                yield wt[block], (x * c, 2.0 * x * x, 2.0 * c * c, rhs)
+
+        gram = np.empty((domain.node_count, 4, 4))
+        for (k, j), total in _node_gram(rows()).items():
+            gram[:, k, j] = gram[:, j, k] = total.ravel()
+        return gram, n
+
     # per chemical (comp, its source grid, its decay), and its Grams in experiment order
     balances = [(comp, coefficient_on_grid(linear.estimates[src_name], domain),
                  linear.estimates[decay_name]) for comp, src_name, decay_name in _LINEAR_PAIRS]
     grams = [[None] * len(exps) for _ in balances]
     # each experiment is read once, for both chemicals, and let go before the next
-    # is read; only one experiment's rhs and one block of its rows are alive at a time
+    # is read; only one block of its rows is alive at a time
     for i, stack in bank.stacks(exps):
         for per_exp, balance in zip(grams, balances):
             per_exp[i] = contribution(stack, *balance)

@@ -13,6 +13,7 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(archemo.__path__))
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 DEMOS = sorted(glob.glob(os.path.join(ROOT, "demos", "*.py")))
 BENCH_FILES = sorted(glob.glob(os.path.join(ROOT, "perfbench", "*.py")))
+SRC_FILES = sorted(glob.glob(os.path.join(ROOT, "src", "archemo", "*.py")))
 # the package's __init__ imports only to re-export
 LINTED_FILES = sorted(
     [p for p in glob.glob(os.path.join(ROOT, "src", "archemo", "*.py"))
@@ -129,3 +130,36 @@ def _unused_imports(path):
 def test_no_unused_imports(path):
     unused = _unused_imports(path)
     assert not unused, f"{os.path.relpath(path, ROOT)} imports names it never reads: {unused}"
+
+
+def _private_definitions(tree):
+    """The underscore-prefixed names a module defines at its top level: functions,
+    classes and assigned constants."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [ast.Name(node.name)]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        else:
+            continue
+        names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        yield from (n for n in names if n.startswith("_") and not n.startswith("__"))
+
+
+def test_no_private_definition_is_only_read_outside_the_package():
+    # a retired helper must not live on as code that only the tests read: every
+    # private top-level name of src/archemo is read somewhere in src/archemo, by
+    # name or as an attribute (g._NODE_INDEX)
+    defined, read = {}, set()
+    for path in SRC_FILES:
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        for name in _private_definitions(tree):
+            defined[name] = os.path.relpath(path, ROOT)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    unread = sorted(f"{path}:{name}" for name, path in defined.items() if name not in read)
+    assert not unread, f"private names no package code reads: {unread}"

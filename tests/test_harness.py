@@ -354,6 +354,23 @@ def test_cli_recover_check_passes(tmp_path):
     assert "[stage.r]" in text
 
 
+def test_cli_recover_check_judges_zero_truths(tmp_path, monkeypatch):
+    # a11 is 0 in the truth, so its gap is absolute; an estimate of 0.5 fails the check
+    import archemo.harness as harness
+    pipeline = harness.run_full_pipeline
+
+    def off_by_half(oracle, options):
+        report = pipeline(oracle, options)
+        assert report.estimates["a11"] == pytest.approx(0.0, abs=0.05)
+        report.estimates["a11"] = 0.5
+        return report
+
+    monkeypatch.setattr(harness, "run_full_pipeline", off_by_half)
+    code = cli(["--config", os.path.join(CONFIG_DIR, "quick_recover.cfg"),
+                "--out", str(tmp_path), "--quiet", "recover", "--check"])
+    assert code == 3
+
+
 def test_cli_identcheck_self_consistent(tmp_path):
     cfg = ExperimentConfig.from_file(os.path.join(CONFIG_DIR, "identcheck.cfg"))
     cfg.set("ident.trials", 3)

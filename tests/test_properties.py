@@ -5,8 +5,8 @@ The examples come from ``hypothesis`` under the derandomized profile of
 of the spectral solve included), fields, upwind patterns, decays and step
 sizes, elliptic sources, run stores of random strides and block counts, epsilon
 ladders with polynomial runs or random runs folded in random blocks, random
-models run from zero data, discrete modal series, and stage 4's regression rows
-split into random blocks of nodes.
+models run from zero data, discrete modal series, and the regression rows of
+stages 2 and 4 split into random blocks of slices.
 """
 
 import math
@@ -41,7 +41,7 @@ from archemo.grid import (
     upwind_patterns,
 )
 from archemo import variation
-from archemo.recover import FIT_REL_FLOOR, _node_block_gram, fit_exponential_rate, rate_to_growth
+from archemo.recover import FIT_REL_FLOOR, _node_gram, fit_exponential_rate, rate_to_growth
 from archemo.variation import ForwardHandle, PerturbationFamily, extract_variation_fd, known_base
 
 from conftest import replay
@@ -336,18 +336,23 @@ def test_folding_runs_by_blocks_equals_folding_them_whole(data):
 
 
 @given(st.data())
-def test_a_gram_by_blocks_of_nodes_equals_one_product(data):
-    # stage 4's node-major Gram of its weighted rows, formed one block of nodes at a
-    # time, is bitwise the Gram of one product over the whole rows
-    n, nodes = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 60))
+def test_a_gram_by_blocks_of_slices_equals_one_sum(data):
+    # the per-node Gram of stages 2 and 4, summed one block of slices at a time, is
+    # bitwise one np.sum over all times of each weighted product; at least 8 nodes, a
+    # Domain's minimum, since np.sum over the times of one node sums pairwise
+    n, nodes = data.draw(st.integers(1, 60)), data.draw(st.integers(8, 60))
+    count = data.draw(st.integers(1, 4))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    u1, chem1, rhs = rng.uniform(-1.0, 1.0, (3, n, nodes)) * 10.0 ** rng.uniform(-3, 3, (3, 1, 1))
-    sw = np.sqrt(rng.uniform(0.0, 1.0, (n, 1)))
-    rows = np.stack([u1 * chem1, (u1 * 2.0) * u1, (chem1 * 2.0) * chem1, rhs]) * sw
-    whole = rows.transpose(2, 0, 1)
-    want = whole @ whole.transpose(0, 2, 1)
-    got = _node_block_gram(sw, u1, chem1, rhs, data.draw(st.integers(1, 2 * n * nodes)))
-    assert _bits(got) == _bits(want)
+    rows = rng.uniform(-1.0, 1.0, (count, n, nodes)) * 10.0 ** rng.uniform(-3, 3, (count, 1, 1))
+    w = rng.uniform(0.0, 1.0, (n, 1))
+    if data.draw(st.booleans()):      # masked per node, as stage 2's weights are
+        w = w * (rng.uniform(0.0, 1.0, (n, nodes)) >= 0.3)
+    cuts = sorted(data.draw(st.sets(st.integers(1, n - 1), max_size=n - 1)) if n > 1 else [])
+    blocks = [slice(a, b) for a, b in zip([0, *cuts], [*cuts, n])]
+    got = _node_gram((w[block], [row[block] for row in rows]) for block in blocks)
+    assert sorted(got) == [(k, j) for k in range(count) for j in range(k, count)]
+    for (k, j), total in got.items():
+        assert _bits(total) == _bits(np.sum((w * rows[k]) * rows[j], axis=0))
 
 
 def _kinetics_table(data, d, decay):

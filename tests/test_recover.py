@@ -583,15 +583,13 @@ def test_stages_2_and_4_match_per_tau_reference(dim, tau, fields, nondegenerate_
                 for comp, src, decay in (("v", "alpha", "beta"), ("w", "gamma", "delta"))
                 for exp in exps]
     assert len(grams) == len(expected)
-    # each Gram holds N, rv and btb as blocks; its products sum in another order than
-    # the pairwise pieces, so they agree to rounding (2.2e-15 of the largest entry)
+    # each Gram holds N, rv and btb as blocks
     for (gram, n), (N, rv, btb, n_ref) in zip(grams, expected):
         assert n == n_ref
         for got, want in ((gram[:, :3, :3], np.moveaxis(N.reshape(3, 3, -1), -1, 0)),
                           (gram[:, :3, 3], rv.reshape(3, -1).T),
                           (gram[:, 3, 3], btb.ravel())):
-            assert got.shape == want.shape
-            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+            assert np.array_equal(got, want)
 
 
 # the truth of the cached benchmark banks
@@ -626,17 +624,18 @@ def cached_bank_tau1_129():
 
 
 @pytest.mark.parametrize("stage, bound", [("r", 1.2), ("chi_xi_mu", 0.6),
-                                          ("second_kinetics", 2.0),
+                                          ("second_kinetics", 1.0),
                                           ("linear_kinetics_tau1", 1.2)],
                          ids=["r", "chi_xi_mu", "second_kinetics", "linear_kinetics_tau1"])
 def test_stage_peak_memory_on_a_cached_bank(request, stage, bound):
     # the traced peak of one stage call above the cached stacks, in trajectory
     # components: the probe integrals contract each slice against one weighted field,
-    # and the regressions reduce to Gram matrices or blocked time sums, so no stage
-    # holds more than a few components (1.08, 0.54, 1.70 and 1.03 measured: |u1| for the
-    # probe integral's scale, stage 4's rhs with one block of nodes of its four rows, and
-    # one chemical times a mode in the tau=1 decay fits; 4.1 for the tau=1 stage 2 with
-    # full-length source regression temporaries, 9.1 for stage 1 with
+    # and the regressions reduce to Gram matrices summed over blocks of slices, so no
+    # stage holds more than a few components (1.08, 0.54, 0.78 and 1.03 measured: |u1|
+    # for the probe integral's scale, one chi family's stack read whole by stage 4 with
+    # one block of its rows, and one chemical times a mode in the tau=1 decay fits; 1.70
+    # for stage 4 with a whole-length rhs and its rows by blocks of nodes, 4.1 for the
+    # tau=1 stage 2 with full-length source regression temporaries, 9.1 for stage 1 with
     # (T, *grid) probe products, 4.3 for stage 4 with its four full-length rows, 6.1
     # with full-length balance temporaries too, 5.0 for stage 3 while it kept each
     # experiment's residual series, 8.2 and 8.1 with per-step probe arrays and
@@ -678,9 +677,12 @@ def test_pipeline_peak_memory(config, families, bound, nondegenerate_params, mon
     # the traced peak of one recovery, in trajectory components: the base run is
     # known, the bank keeps of each family only what its later reads use, an
     # extraction holds 7 components and one block of the run it solves, and stage 4
-    # forms its rows by blocks of nodes (12.3, 23.3 and 22.9 measured, the last two
+    # forms its rows by blocks of slices (11.6, 23.4 and 23.0 measured, the last two
     # set by stage 4 reading the last chi family while the bank keeps 4 components of
-    # each of the other two; 33.8 and 27.5 with stage 3 first, its blocks over three
+    # each of the other two, its rows one block of all 101 slices here; 12.2, 23.3 and
+    # 22.9 with a whole-length stage-4 rhs and its rows by blocks of nodes, 24.4 and
+    # 24.0 with each weighted row kept while the next is formed; 33.8 and 27.5 with
+    # stage 3 first, its blocks over three
     # whole stacks; 13.4 with 11-component extractions and four full-length stage-4
     # rows, 16.8, 34.1 and 27.9 with 15-component extractions and full-length stage-4
     # temporaries, 30.9, 42.8 and 30.6 with a solved base run and every stack held to
