@@ -6,9 +6,9 @@ solution map by one-sided finite differences, and inverts the same linear
 identities that underpin the uniqueness theory, stage by stage:
 
 1. growth rate r from modal decay rates of the first variation;
-2. linear kinetic coefficients (alpha, beta) and (gamma, delta) from modal
-   balances of the chemical equations, then pointwise in space for
-   coefficients that vary transversally;
+2. linear kinetic coefficients (alpha, beta) and (gamma, delta) from one
+   regression per chemical on its balance law, the sources pointwise in space
+   for coefficients that vary transversally;
 3. chemotactic sensitivities chi, xi and the competition strength mu from a
    pointwise space-time least squares on the second-variation residual of
    the density equation, cross-checked against the parabolic probe-weighted
@@ -23,9 +23,8 @@ stages are exact on noiseless data up to the finite-difference extraction
 error of order eps.  Each relation is written once, so a stage that should
 invert a different one swaps a single function:
 
-- modal decay rates (stage 1, and the tau=1 chemical decays of stage 2):
-  :func:`_modal_rates`, inverted per step by :func:`rate_to_growth` and
-  :func:`_chem_rate_to_decay`;
+- modal decay rates (stage 1): :func:`_modal_rates`, inverted per step by
+  :func:`rate_to_growth`;
 - the chemical balance (stages 2 and 4): :func:`_chemical_balance`;
 - the density step (stage 3): :func:`forward.step_source` with step dt, the
   inverse of :meth:`forward.StepPlan.implicit`, the one implicit solve that
@@ -37,17 +36,18 @@ Stages 2 and 4 regress per node on the chemical balance in one way:
 about BALANCE_BLOCK_NODES nodes, and :func:`_node_gram` sums each block's weighted row
 products into per-node Gram entries, each block seeded with the running sums, so every
 entry adds in the order of one sum over all times and no full-length row exists.  Stage 2
-reads two entries of the Gram of (balance + decay * chemical, u1); stage 4 forms the
-node-major (nodes, 4, 4) Gram of [u1*chem1, 2*u1^2, 2*chem1^2 | rhs] for one experiment
-and chemical at a time.  Stage 3 reduces its regression to the Gram matrix of
-[regressors | rhs] over blocks of REGRESSOR_BLOCK steps with at most about eight block
-arrays alive.
+reads the Gram of (balance, u1, chemical) of each chemical of lin, eliminates the source
+per node and pools the decay over the nodes; stage 4 forms the node-major (nodes, 4, 4)
+Gram of [u1*chem1, 2*u1^2, 2*chem1^2 | rhs] for one experiment and chemical at a time.
+Stage 3 reduces its regression to the Gram matrix of [regressors | rhs] over blocks of
+REGRESSOR_BLOCK steps with at most about eight block arrays alive.
 
 Stages 1-2 probe with the chi family whose modes are MODE_INDICES, so the four stages
 share its stack.  Its chemical data does not disturb them: at the trivial equilibrium
 the first-order density solves du1/dt = Lap u1 + r u1 whatever the chemicals' initial
 data, and each chemical's balance with it holds for any.  So a recovery extracts three
-families at tau=0 and four at tau=1, where a source-free chemical probe adds one.
+families at tau=0 and four at tau=1, where stage 4 adds a source-free chemical probe,
+"chem".
 
 The pipeline holds only what its stages still read.  The run S(0) from the trivial
 equilibrium is zero and known without a query (:func:`variation.known_base`).
@@ -101,7 +101,6 @@ __all__ = [
     "SeparableEstimate",
     "fit_exponential_rate",
     "rate_to_growth",
-    "linear_pair_from_ratios",
 ]
 
 
@@ -290,19 +289,21 @@ def _keep(stack, parts):
 
 
 def _default_lin_experiment(domain, options, tau) -> dict:
-    """The probes of stages 1-2.  The density probe "lin" is the chi family whose modes
-    are MODE_INDICES, its chemical data included, so that one stack serves stages 1-4.
-    It may carry chemical data: at the trivial equilibrium the first-order density
-    solves du1/dt = Lap u1 + r u1 whatever the chemicals' initial data, and each
-    chemical's balance with it holds for any.  At tau=1 "chem" probes both chemicals
-    with lin's density profile and leaves the density unperturbed."""
+    """The density probe "lin" of stages 1-2 and, at tau=1, the chemical probe "chem" of
+    stage 4.  lin is the chi family whose modes are MODE_INDICES, its chemical data
+    included, so that one stack serves stages 1-4.  It may carry chemical data: at the
+    trivial equilibrium the first-order density solves du1/dt = Lap u1 + r u1 whatever
+    the chemicals' initial data, and each chemical's balance with it holds for any.
+    chem probes both chemicals with lin's density profile and leaves the density
+    unperturbed."""
     if MODE_INDICES not in CHI_MODE_PATTERNS:
         raise ValueError(f"no pattern of CHI_MODE_PATTERNS {CHI_MODE_PATTERNS} equals "
                          f"MODE_INDICES {MODE_INDICES}, so stages 1-2 have no density probe")
     fam = _chi_family(domain, options, tau, CHI_MODE_PATTERNS.index(MODE_INDICES))
     exps = {"lin": Experiment("lin", fam)}
     if tau == 1:
-        # chemical decay rates need a source-free probe (no density variation)
+        # a source-free chemical probe (no density variation) gives stage 4 data in which
+        # only the chemicals vary: without it, a11 and a02 read about ten times worse
         exps["chem"] = Experiment("chem", PerturbationFamily(g1=fam.f1, h1=fam.f1,
                                                              epsilons=fam.epsilons))
     return exps
@@ -373,12 +374,6 @@ def rate_to_growth(theta_hat, lam_h, dt):
     return (growth * (1.0 + dt * lam_h) - 1.0) / dt
 
 
-def _chem_rate_to_decay(theta_hat, lam_h, dt, s):
-    """Decay rate of a source-free chemical mode, per the tau=1 stepping."""
-    growth = math.exp(theta_hat * dt)
-    return (1.0 - growth * (1.0 + s * dt * lam_h)) / (s * dt)
-
-
 def _modal_rates(domain, times, series):
     """(k, lam_h, theta, sigma) per axial mode k of (0,) + MODE_INDICES: the fitted
     exponential rate theta, and its sigma, of the mode's amplitude in ``series``."""
@@ -408,6 +403,7 @@ def _chemical_balance(oracle, chem, decay, n):
             balance = step_source(domain, span, cfg.relaxation_speedup * cfg.dt)
         balance += decay * chem[block]
         yield block, balance
+        del balance
 
 
 def _node_gram(blocks):
@@ -415,7 +411,8 @@ def _node_gram(blocks):
     order, keyed (k, j).  ``blocks`` yields (w, rows) for consecutive blocks of slices
     in time order, w broadcasting to each row.  Each block's first product slice is
     seeded with the running sum, so each sum adds in the order of one np.sum over axis
-    0 of all the products.  A block's weighted row and product reuse two buffers."""
+    0 of all the products.  A block's weighted row and product reuse two buffers, and
+    the block is let go before the next is formed."""
     sums = {}
     for w, rows in blocks:
         weighted, terms = np.empty((2,) + rows[0].shape)
@@ -426,29 +423,8 @@ def _node_gram(blocks):
                 if (k, j) in sums:
                     terms[0] += sums[k, j]
                 sums[k, j] = np.add.reduce(terms, axis=0)
+        del w, rows, row, weighted, terms
     return sums
-
-
-def linear_pair_from_ratios(rhos, lams):
-    """Solve abar - rho_k * beta = rho_k * lam_k in the least-squares sense."""
-    rhos = np.asarray(rhos, dtype=float)
-    lams = np.asarray(lams, dtype=float)
-    A = np.vstack([np.ones_like(rhos), -rhos]).T
-    b = rhos * lams
-    sol, _, _, sv = np.linalg.lstsq(A, b, rcond=None)
-    cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
-    abar, beta = float(sol[0]), float(sol[1])
-    resid = float(np.max(np.abs(A @ sol - b)))
-    return abar, beta, cond, resid
-
-
-def _modal_ratio(domain, numer_traj, denom_traj, mode, wt):
-    vn = pr.modal_amplitude(domain, numer_traj, mode)
-    un = pr.modal_amplitude(domain, denom_traj, mode)
-    denom = float(np.sum(wt * un * un))
-    if denom <= 0:
-        raise RecoveryError("probe too weak: modal content absent from the first variation")
-    return float(np.sum(wt * vn * un)) / denom
 
 
 def _project_axial_independent(domain, fld):
@@ -546,99 +522,61 @@ _LINEAR_PAIRS = (("v", "alpha", "beta"), ("w", "gamma", "delta"))
 
 
 def recover_linear_kinetics(oracle: Oracle, options: PipelineOptions | None = None,
-                            bank: ExperimentBank | None = None,
-                            experiments: dict | None = None) -> StageRecord:
-    """(alpha, beta) and (gamma, delta) from chemical balances of the first variation,
-    which need no earlier estimate: the decays from modal ratios of each chemical to
-    the density (tau=0) or from modal rates of a source-free chemical probe (tau=1),
-    the sources by pointwise regression of balance + decay * chemical on the density."""
+                            bank: ExperimentBank | None = None) -> StageRecord:
+    """(alpha, beta) and (gamma, delta) from the chemical balances of the first variation
+    of "lin", which need no earlier estimate.
+
+    The balance of chemical c (:func:`_chemical_balance`) is source * u1 - decay * c at
+    every node, so one per-node Gram G (:func:`_node_gram`) of (balance, u1, c) over time
+    gives both, under the trapezoid weights masked where |u1| is below U_FLOOR_REL of its
+    largest value.  With the source eliminated per node and the node weights w, the decay
+    is -sum w (G02 - G01 G12 / G11) / sum w (G22 - G12^2 / G11), and the source field
+    (G01 + decay G12) / G11, projected to its axially independent part (``recover_fields``)
+    or averaged.  conditioning[decay] is sum w G22 / sum w (G22 - G12^2 / G11), the
+    inflation of the decay's variance by the part of c that u1 explains."""
     options = options or PipelineOptions()
     bank = bank or ExperimentBank(oracle)
-    exps = experiments or _default_lin_experiment(oracle.domain, options, oracle.tau)
-    want_fields = (options.recover_fields if options.recover_fields is not None
-                   else oracle.domain.dim > 1)
-    rec = StageRecord(name="linear_kinetics", experiments=[e.name for e in exps.values()])
-    per_tau = _linear_kinetics_from_ratios if oracle.tau == 0 else _linear_kinetics_from_probe
-    per_tau(oracle, bank, exps, want_fields, rec)
-    return rec
-
-
-def _linear_kinetics_from_ratios(oracle, bank, exps, want_fields, rec):
-    """tau=0: each decay, and the mean source, from the ratios rho_k of the chemical's
-    modes to the density's (abar - rho_k * decay = rho_k * lam_k)."""
     domain = oracle.domain
-    lin = bank.stack(exps["lin"]).order1
-    wt = g.time_weights(lin.times)
-    modes = [_axial_mode(domain, k) for k in (0,) + MODE_INDICES]
-    for comp, src_name, decay_name in _LINEAR_PAIRS:
-        rhos = [_modal_ratio(domain, lin.component(comp), lin.u, mode, wt) for mode in modes]
-        abar, decay, cond, resid = linear_pair_from_ratios(rhos, [m.lam_h for m in modes])
-        if decay <= 0:
-            raise RecoveryError(f"recovered decay for {decay_name} is {decay:.3e}; "
-                                "violates the positivity convention")
-        rec.conditioning[src_name] = cond
-        rec.residuals[src_name] = resid
-        rec.details[f"rhos_{comp}"] = rhos
-        if want_fields:
-            _record_balance_source(oracle, lin, comp, decay, True, src_name, rec)
-        else:
-            rec.estimates[src_name] = abar
-        rec.estimates[decay_name] = decay
-
-
-def _linear_kinetics_from_probe(oracle, bank, exps, want_fields, rec):
-    """tau=1: each decay from the modal rates of the source-free chemical probe
-    (f1 = 0), inverted through the chemical step; the sources from the density probe."""
-    domain, cfg = oracle.domain, oracle.cfg
-    _require_stride_one(oracle, "tau=1 linear-kinetics recovery")
-    chem_stack = bank.stack(exps["chem"]).order1
-    for comp, _, decay_name in _LINEAR_PAIRS:
-        vals = [_chem_rate_to_decay(theta, lam, cfg.dt, cfg.relaxation_speedup)
-                for _, lam, theta, _ in _modal_rates(domain, chem_stack.times,
-                                                      chem_stack.component(comp))]
-        decay = float(np.mean(vals))
-        if decay <= 0:
-            raise RecoveryError(f"recovered decay {decay_name} is {decay:.3e}; violates positivity")
-        rec.estimates[decay_name] = decay
-        rec.residuals[decay_name] = float(np.max(vals) - np.min(vals))
-        rec.details[f"decay_modes_{comp}"] = vals
-    lin = bank.stack(exps["lin"]).order1
-    for comp, src_name, decay_name in _LINEAR_PAIRS:
-        _record_balance_source(oracle, lin, comp, rec.estimates[decay_name], want_fields,
-                               src_name, rec)
-
-
-def _record_balance_source(oracle, lin, comp, decay, want_fields, name, rec):
-    """Record the source ``name`` of chemical ``comp``: the pointwise regression of
-    balance + decay * chemical (:func:`_chemical_balance`) on the density of ``lin``,
-    projected to its axially independent part (``want_fields``) or averaged.
-
-    The regressed field is sum wt*numer*u1 / sum wt*u1^2 over time, numer the balance
-    plus decay * chemical, and wt the trapezoid weights masked where |u1| is below
-    U_FLOOR_REL of its largest value: G[0, 1] / G[1, 1] of the per-node Gram
-    (:func:`_node_gram`) of (numer, u1)."""
-    domain, u = oracle.domain, lin.u
+    if oracle.tau == 1:
+        _require_stride_one(oracle, "tau=1 linear-kinetics recovery")
+    exp = _default_lin_experiment(domain, options, oracle.tau)["lin"]
+    want_fields = (options.recover_fields if options.recover_fields is not None
+                   else domain.dim > 1)
+    lin = bank.stack(exp).order1
+    u, w = lin.u, domain.weights
     n = len(u) - oracle.tau       # the slices that _chemical_balance returns
     floor = U_FLOOR_REL * (max(float(np.max(u)), -float(np.min(u))) or 1.0)
     wt = g.time_weights(lin.times[:n]).reshape((-1,) + (1,) * domain.dim)
-    gram = _node_gram((wt[block] * (np.abs(u[block]) >= floor), (numer, u[block]))
-                      for block, numer in _chemical_balance(oracle, lin.component(comp),
-                                                            decay, n))
-    den = gram[1, 1]
-    if not np.any(den > 0):
-        raise RecoveryError("probe too weak: first variation below the masking floor everywhere")
-    if not np.all(den > 0):
-        raise RecoveryError("probe too weak: some nodes receive no usable samples")
-    fld = gram[0, 1] / den
-    if want_fields:
-        proj = _project_axial_independent(domain, fld)
-        misfit = g.norm_l2(domain, fld - proj) / (g.norm_l2(domain, fld) or 1.0)
-        rec.residuals[f"{name}_projection_misfit"] = misfit
-        rec.estimates[name] = proj
-    else:
-        w = domain.weights / domain.weights.sum()
-        rec.estimates[name] = float(np.sum(w * fld))
-        rec.residuals[f"{name}_spatial_spread"] = float(np.max(fld) - np.min(fld))
+
+    def rows(c):
+        for block, balance in _chemical_balance(oracle, c, 0.0, n):
+            yield wt[block] * (np.abs(u[block]) >= floor), (balance, u[block], c[block])
+            del balance
+
+    rec = StageRecord(name="linear_kinetics", experiments=[exp.name])
+    for comp, src_name, decay_name in _LINEAR_PAIRS:
+        gram = _node_gram(rows(lin.component(comp)))
+        den = gram[1, 1]
+        if not np.any(den > 0):
+            raise RecoveryError("probe too weak: first variation below the masking floor everywhere")
+        if not np.all(den > 0):
+            raise RecoveryError("probe too weak: some nodes receive no usable samples")
+        c_left = float(np.sum(w * (gram[2, 2] - gram[1, 2] ** 2 / den)))
+        decay = -float(np.sum(w * (gram[0, 2] - gram[0, 1] * gram[1, 2] / den))) / c_left
+        if decay <= 0:
+            raise RecoveryError(f"recovered decay {decay_name} is {decay:.3e}; violates positivity")
+        fld = (gram[0, 1] + decay * gram[1, 2]) / den
+        if want_fields:
+            proj = _project_axial_independent(domain, fld)
+            misfit = g.norm_l2(domain, fld - proj) / (g.norm_l2(domain, fld) or 1.0)
+            rec.residuals[f"{src_name}_projection_misfit"] = misfit
+            rec.estimates[src_name] = proj
+        else:
+            rec.estimates[src_name] = float(np.sum(w / w.sum() * fld))
+            rec.residuals[f"{src_name}_spatial_spread"] = float(np.max(fld) - np.min(fld))
+        rec.estimates[decay_name] = decay
+        rec.conditioning[decay_name] = float(np.sum(w * gram[2, 2])) / c_left
+    return rec
 
 
 # ---------------------------------------------------------------------------
@@ -655,8 +593,7 @@ def _require_stride_one(oracle, what):
 
 def recover_chi_xi_mu(oracle: Oracle, r: float,
                       options: PipelineOptions | None = None,
-                      bank: ExperimentBank | None = None,
-                      experiments: list | None = None) -> StageRecord:
+                      bank: ExperimentBank | None = None) -> StageRecord:
     """Least-squares identification of (chi, xi, mu) from the density residual.
 
     The second-variation residual of the density equation, given the growth
@@ -674,7 +611,7 @@ def recover_chi_xi_mu(oracle: Oracle, r: float,
     """
     options = options or PipelineOptions()
     bank = bank or ExperimentBank(oracle)
-    exps = experiments or _default_chi_experiments(oracle.domain, options, oracle.tau)
+    exps = _default_chi_experiments(oracle.domain, options, oracle.tau)
     domain, dt = oracle.domain, oracle.cfg.dt
     _require_stride_one(oracle, "chi/xi/mu recovery")
 
@@ -841,7 +778,7 @@ def recover_second_kinetics(oracle: Oracle, linear: StageRecord,
     exps = _default_chi_experiments(domain, options, oracle.tau)
     if oracle.tau == 1:
         _require_stride_one(oracle, "tau=1 second-order kinetics recovery")
-        exps.append(_default_lin_experiment(domain, options, oracle.tau)["chem"])
+        exps.insert(0, _default_lin_experiment(domain, options, oracle.tau)["chem"])
 
     def contribution(stack, comp, a10_grid, decay):
         # one experiment's node-major Gram of [u1*chem1, 2*u1^2, 2*chem1^2 | rhs]
@@ -857,6 +794,7 @@ def recover_second_kinetics(oracle: Oracle, linear: StageRecord,
                 rhs -= a10_grid * o2.u[block]
                 x, c = o1.u[block], chem1[block]
                 yield wt[block], (x * c, 2.0 * x * x, 2.0 * c * c, rhs)
+                del rhs
 
         gram = np.empty((domain.node_count, 4, 4))
         for (k, j), total in _node_gram(rows()).items():
@@ -953,14 +891,15 @@ def run_full_pipeline(oracle: Oracle, options: PipelineOptions | None = None) ->
     options = options or PipelineOptions()
     # the (experiment, parts) each stage reads, built as the stages build them, in run
     # order: r, the linear kinetics, then stage 4 (whole stacks) before stage 3, so that
-    # a chi family keeps only the 4 of its 6 components stage 3 reads, and chem none;
-    # lin is a chi family, so its family stays whole until stage 4 has read it
+    # a chi family keeps only the 4 of its 6 components stage 3 reads, and chem, which
+    # only stage 4 reads, goes after that read; lin is a chi family, so its family stays
+    # whole until stage 4 has read it
     domain, tau, stride_one = oracle.domain, oracle.tau, oracle.cfg.store_every == 1
     lin, *chem = _default_lin_experiment(domain, options, tau).values()
     chi_exps = _default_chi_experiments(domain, options, tau)
     order1 = STACK_PARTS[:3]
-    reads = [(lin, order1[:1]), *((exp, order1) for exp in [lin, *chem]),
-             *((exp, STACK_PARTS) for exp in chi_exps + chem),
+    reads = [(lin, order1[:1]), (lin, order1),
+             *((exp, STACK_PARTS) for exp in chem + chi_exps),
              *((exp, order1 + ("order2.u",)) for exp in (chi_exps if stride_one else ()))]
     bank = ExperimentBank(oracle, reads)
     records = {}

@@ -4,6 +4,7 @@ import importlib
 import inspect
 import os
 import pkgutil
+import re
 
 import pytest
 
@@ -163,3 +164,42 @@ def test_no_private_definition_is_only_read_outside_the_package():
                 read.add(node.attr)
     unread = sorted(f"{path}:{name}" for name, path in defined.items() if name not in read)
     assert not unread, f"private names no package code reads: {unread}"
+
+
+# a Sphinx-style cross-reference in a comment or docstring
+DOC_REFERENCE = re.compile(r":(?:func|meth|class|data|attr):`([^`]+)`")
+
+
+def _reference_resolves(module, ref):
+    """Whether ``ref`` names an attribute of a package module (``forward.step_source``),
+    a top-level name of ``module`` or an attribute of one (``ExperimentBank.stack``), or
+    a member of a class that ``module`` defines (``implicit``)."""
+    parts = ref.split(".")
+    if parts[0] in MODULES and len(parts) > 1:
+        obj, parts = importlib.import_module(f"archemo.{parts[0]}"), parts[1:]
+    elif hasattr(module, parts[0]):
+        obj = module
+    else:
+        return len(parts) == 1 and any(
+            hasattr(cls, ref) for cls in vars(module).values()
+            if inspect.isclass(cls) and cls.__module__ == module.__name__)
+    for attr in parts:
+        if not hasattr(obj, attr):
+            return False
+        obj = getattr(obj, attr)
+    return True
+
+
+def test_docstring_references_resolve():
+    # a docstring that still points at a retired or renamed name misleads its reader
+    stale, count = [], 0
+    for path in SRC_FILES:
+        name = os.path.splitext(os.path.basename(path))[0]
+        module = importlib.import_module("archemo" if name == "__init__" else f"archemo.{name}")
+        with open(path) as fh:
+            refs = DOC_REFERENCE.findall(fh.read())
+        count += len(refs)
+        stale += [f"{os.path.relpath(path, ROOT)}: {ref}" for ref in refs
+                  if not _reference_resolves(module, ref)]
+    assert count > 0
+    assert not stale, f"references to undefined names: {stale}"

@@ -14,7 +14,6 @@ from archemo.recover import (
     Oracle,
     PipelineOptions,
     fit_exponential_rate,
-    linear_pair_from_ratios,
     rate_to_growth,
     recover_chi_xi_mu,
     recover_linear_kinetics,
@@ -24,7 +23,7 @@ from archemo.recover import (
 )
 from archemo.variation import PerturbationFamily
 
-from conftest import component_bytes, make_kinetics, traced_peak
+from conftest import component_bytes, make_kinetics, replay, traced_peak
 
 
 def _oracle(domain, params, tau=0, dt=1e-3, t_final=0.6, so_g=None, so_h=None, **cfg_kw):
@@ -78,17 +77,6 @@ def test_mode_eigenvalue_spacing():
     assert thetas[0] - thetas[1] == pytest.approx(3 * math.pi ** 2, rel=1e-9)
 
 
-def test_linear_pair_forced_mode_algebra():
-    # truth alpha = 1, beta = 1.5: the modal ratios are alpha/(lam + beta)
-    alpha, beta = 1.0, 1.5
-    lams = [0.0, math.pi ** 2, 4 * math.pi ** 2]
-    rhos = [alpha / (lam + beta) for lam in lams]
-    a_hat, b_hat, cond, resid = linear_pair_from_ratios(rhos, lams)
-    assert abs(a_hat - alpha) / alpha <= 0.01
-    assert abs(b_hat - beta) / beta <= 0.01
-    assert resid < 1e-12
-
-
 def test_estimator_gauge_invariance():
     # scaling all probing amplitudes by c > 0 scales the variations by c and
     # leaves every degree-matched estimator output unchanged
@@ -99,11 +87,6 @@ def test_estimator_gauge_invariance():
     theta1 = fit_exponential_rate(times, amps)[0]
     theta3 = fit_exponential_rate(times, 3.0 * amps)[0]
     assert abs(theta1 - theta3) <= 1e-8
-    rhos = [1.0 / (l + 1.5) for l in (0.0, lam)]
-    a1, b1, _, _ = linear_pair_from_ratios(rhos, [0.0, lam])
-    # ratios are degree-matched, so the scale cancels before the solve
-    a3, b3, _, _ = linear_pair_from_ratios(rhos, [0.0, lam])
-    assert a1 == a3 and b1 == b3
 
 
 # -- oracle plumbing -----------------------------------------------------------
@@ -174,14 +157,42 @@ def test_linear_kinetics_via_oracle(line129, nondegenerate_params):
     assert rec.estimates["delta"] == pytest.approx(1.6, rel=0.01)
 
 
-def test_linear_kinetics_probe_too_weak(line65, applied_params):
+def test_linear_kinetics_probe_too_weak(line65, applied_params, monkeypatch):
+    import archemo.recover as rc
     oracle = _oracle(line65, applied_params, t_final=0.2)
     opts = PipelineOptions(recover_fields=True)
     bank = ExperimentBank(oracle)
     # f1 = 0 leaves no density variation to divide by
     dead = {"lin": Experiment("dead", PerturbationFamily(epsilons=opts.epsilons))}
-    with pytest.raises(RecoveryError):
-        recover_linear_kinetics(oracle, options=opts, bank=bank, experiments=dead)
+    monkeypatch.setattr(rc, "_default_lin_experiment", lambda *args: dead)
+    with pytest.raises(RecoveryError, match="probe too weak"):
+        recover_linear_kinetics(oracle, options=opts, bank=bank)
+
+
+def test_linear_kinetics_tau1_against_a_time_refined_oracle(line65, nondegenerate_params):
+    # the oracle integrates at dt/4 and stores every fourth step, so stage 2 reads
+    # slices on its own times from a finer scheme than the one it inverts.  The balance
+    # regression reads beta +8.0 % and delta -0.13 % here; modal rates of a source-free
+    # chemical probe, inverted through the chemical step, read +38.7 % and +24.1 %
+    from dataclasses import replace
+    from archemo.forward import solve_forward
+    from archemo.variation import ForwardHandle
+    kin = make_kinetics(nondegenerate_params)
+    cfg = SolverConfig(tau=1, dt=2e-3, t_final=0.4)
+    fine = replace(cfg, dt=cfg.dt / 4, store_every=4)
+
+    class TimeRefinedOracle(Oracle):
+        def handle(self):
+            def run(f, gg, h, store=None):
+                self.run_count += 1
+                traj = solve_forward(self.domain, (f, gg, h), nondegenerate_params, kin, fine)
+                return replay(traj, store)
+            return ForwardHandle.of_solver(self.domain, self.equilibrium, run, self.cfg)
+
+    oracle = TimeRefinedOracle(line65, nondegenerate_params, kin, cfg)
+    rec = recover_linear_kinetics(oracle, options=PipelineOptions(recover_fields=False))
+    assert rec.estimates["beta"] == pytest.approx(nondegenerate_params.beta, rel=0.10)
+    assert rec.estimates["delta"] == pytest.approx(nondegenerate_params.delta, rel=0.01)
 
 
 def test_alpha_field_recovery_2d(square33):
@@ -336,16 +347,17 @@ def test_chi_xi_mu_blocks_match_per_step_reference(line65, nondegenerate_params,
     assert abs(rec.conditioning["system"] - cond) <= 1e-10 * cond
 
 
-def test_chi_xi_mu_permutation_invariance(line65, nondegenerate_params):
+def test_chi_xi_mu_permutation_invariance(line65, nondegenerate_params, monkeypatch):
+    import archemo.recover as rc
     oracle = _oracle(line65, nondegenerate_params, dt=1e-3, t_final=0.5)
     opts = PipelineOptions(recover_fields=False)
     bank = ExperimentBank(oracle)
     r = recover_r(oracle, options=opts, bank=bank).estimates["r"]
-    from archemo.recover import _default_chi_experiments
-    exps = _default_chi_experiments(line65, opts, oracle.tau)
-    rec1 = recover_chi_xi_mu(oracle, r, options=opts, bank=bank, experiments=exps)
-    rec2 = recover_chi_xi_mu(oracle, r, options=opts, bank=bank,
-                             experiments=list(reversed(exps)))
+    rec1 = recover_chi_xi_mu(oracle, r, options=opts, bank=bank)
+    exps = rc._default_chi_experiments(line65, opts, oracle.tau)
+    monkeypatch.setattr(rc, "_default_chi_experiments", lambda *args: list(reversed(exps)))
+    rec2 = recover_chi_xi_mu(oracle, r, options=opts, bank=bank)
+    assert rec2.experiments == ["second-2", "second-1", "second-0"]
     for key in ("chi", "xi", "mu"):
         assert abs(rec1.estimates[key] - rec2.estimates[key]) <= 1e-10
 
@@ -426,80 +438,49 @@ def test_second_kinetics_separable_2d(square65):
 
 
 def _floor(u1):
-    # the masking floor of the pointwise source regression
+    # the masking floor of the stage-2 balance regression
     import archemo.recover as rc
     return rc.U_FLOOR_REL * (float(np.max(np.abs(u1))) or 1.0)
 
 
-def _regressed_field(numer, denom, wt, floor):
-    # the pointwise source regression over all times at once, each time sum one
-    # np.sum over axis 0
-    wts = wt.reshape((-1,) + (1,) * (denom.ndim - 1)) * (np.abs(denom) >= floor)
-    return np.sum(wts * numer * denom, axis=0) / np.sum(wts * denom * denom, axis=0)
-
-
 def _reference_linear_kinetics(oracle, bank, exps, want_fields):
-    """Stage 2 with one function per tau, as it was written before the chemical
-    balance and the modal rates had one home each."""
-    import archemo.probes as pr
+    """Stage 2 as one whole-time joint regression per chemical: the balance written out
+    per tau, each Gram entry of (balance, u1, chemical) one np.sum over axis 0 under the
+    masked trapezoid weights, then the source eliminated per node and the decay pooled
+    over the nodes, in the stage's expression order."""
     import archemo.recover as rc
     from archemo.forward import step_source
     from archemo.grid import laplacian_neumann, time_weights
     domain, cfg = oracle.domain, oracle.cfg
-    estimates, residuals, conditioning, details = {}, {}, {}, {}
-    if oracle.tau == 0:
-        o1 = bank.stack(exps["lin"]).order1
-        wt = time_weights(o1.times)
-        for comp, names in (("v", ("alpha", "beta")), ("w", ("gamma", "delta"))):
-            chem = o1.component(comp)
-            rhos, lams = [], []
-            for k in (0,) + rc.MODE_INDICES:
-                mode = rc._axial_mode(domain, k)
-                rhos.append(rc._modal_ratio(domain, chem, o1.u, mode, wt))
-                lams.append(mode.lam_h)
-            abar, decay, cond, resid = linear_pair_from_ratios(rhos, lams)
-            conditioning[names[0]] = cond
-            residuals[names[0]] = resid
-            details[f"rhos_{comp}"] = rhos
-            if want_fields:
-                numer = -laplacian_neumann(domain, chem) + decay * chem
-                fld = _regressed_field(numer, o1.u, wt, _floor(o1.u))
-                proj = rc._project_axial_independent(domain, fld)
-                residuals[f"{names[0]}_projection_misfit"] = (
-                    norm_l2(domain, fld - proj) / (norm_l2(domain, fld) or 1.0))
-                estimates[names[0]] = proj
-            else:
-                estimates[names[0]] = abar
-            estimates[names[1]] = decay
-        return estimates, residuals, conditioning, details
-    dt, s = cfg.dt, cfg.relaxation_speedup
-    chem_stack = bank.stack(exps["chem"]).order1
-    for comp, name in (("v", "beta"), ("w", "delta")):
-        vals = []
-        for k in (0,) + rc.MODE_INDICES:
-            mode = rc._axial_mode(domain, k)
-            amps = pr.modal_amplitude(domain, chem_stack.component(comp), mode)
-            theta, _, _ = fit_exponential_rate(chem_stack.times, amps)
-            vals.append(rc._chem_rate_to_decay(theta, mode.lam_h, dt, s))
-        estimates[name] = float(np.mean(vals))
-        residuals[name] = float(np.max(vals) - np.min(vals))
-        details[f"decay_modes_{comp}"] = vals
-    lin = bank.stack(exps["lin"]).order1
-    wt = time_weights(lin.times[:-1])
+    o1 = bank.stack(exps["lin"]).order1
+    n = len(o1.u) - oracle.tau
+    u, w = o1.u[:n], domain.weights
+    wts = (time_weights(o1.times[:n]).reshape((-1,) + (1,) * domain.dim)
+           * (np.abs(u) >= _floor(o1.u)))
+    estimates, residuals, conditioning = {}, {}, {}
     for comp, src_name, decay_name in (("v", "alpha", "beta"), ("w", "gamma", "delta")):
-        chem = lin.component(comp)
-        numer = step_source(domain, chem, s * dt) + estimates[decay_name] * chem[:-1]
-        fld = _regressed_field(numer, lin.u[:-1], wt, _floor(lin.u))
+        chem = o1.component(comp)
+        if oracle.tau == 0:
+            balance = -laplacian_neumann(domain, chem)
+        else:
+            balance = step_source(domain, chem, cfg.relaxation_speedup * cfg.dt)
+        c = chem[:n]
+        g01, g02, g11, g12, g22 = (np.sum(wts * a * b, axis=0) for a, b in (
+            (balance, u), (balance, c), (u, u), (u, c), (c, c)))
+        c_left = float(np.sum(w * (g22 - g12 ** 2 / g11)))
+        decay = -float(np.sum(w * (g02 - g01 * g12 / g11))) / c_left
+        fld = (g01 + decay * g12) / g11
         if want_fields:
             proj = rc._project_axial_independent(domain, fld)
             residuals[f"{src_name}_projection_misfit"] = (
                 norm_l2(domain, fld - proj) / (norm_l2(domain, fld) or 1.0))
             estimates[src_name] = proj
         else:
-            w = domain.weights / domain.weights.sum()
-            estimates[src_name] = float(np.sum(w * fld))
+            estimates[src_name] = float(np.sum(w / w.sum() * fld))
             residuals[f"{src_name}_spatial_spread"] = float(np.max(fld) - np.min(fld))
-    return estimates, residuals, conditioning, details
+        estimates[decay_name] = decay
+        conditioning[decay_name] = float(np.sum(w * g22)) / c_left
+    return estimates, residuals, conditioning, {}
 
 
 def _normal_contribution(domain, regs, rhs, wt):
@@ -564,7 +545,7 @@ def test_stages_2_and_4_match_per_tau_reference(dim, tau, fields, nondegenerate_
     ref = _reference_linear_kinetics(oracle, bank, lin_exps, fields)
     for got, want in zip((lin.estimates, lin.residuals, lin.conditioning, lin.details), ref):
         _assert_same_entries(got, want)
-    assert lin.experiments == [e.name for e in lin_exps.values()]
+    assert lin.experiments == ["lin"]
 
     grams, batched = [], rc._batched_lsq_3
 
@@ -575,7 +556,7 @@ def test_stages_2_and_4_match_per_tau_reference(dim, tau, fields, nondegenerate_
     monkeypatch.setattr(rc, "_batched_lsq_3", recording)
     rec = recover_second_kinetics(oracle, lin, options=opts, bank=bank)
     monkeypatch.undo()
-    exps = rc._default_chi_experiments(domain, opts, tau) + ([lin_exps["chem"]] if tau else [])
+    exps = ([lin_exps["chem"]] if tau else []) + rc._default_chi_experiments(domain, opts, tau)
     assert rec.experiments == [e.name for e in exps]
     expected = [_reference_contribution(oracle, bank, exp, comp,
                                         coefficient_on_grid(lin.estimates[src], domain),
@@ -613,31 +594,34 @@ def cached_bank_129():
 @pytest.fixture(scope="module")
 def cached_bank_tau1_129():
     # the tau=1 benchmark recovery's bank as stage 2 finds it: the chi family that is
-    # also lin (second-2), and chem, each stack whole
+    # also lin (second-2), its stack whole
     import archemo.recover as rc
     oracle = _oracle(Domain(1.0, 129), _BANK_TRUTH, tau=1, dt=5e-4, t_final=1.0)
     opts = PipelineOptions(recover_fields=False)
     bank = ExperimentBank(oracle)
     bank.stack(rc._default_chi_experiments(oracle.domain, opts, 1)[2])
-    bank.stack(rc._default_lin_experiment(oracle.domain, opts, 1)["chem"])
     return oracle, opts, bank
 
 
 @pytest.mark.parametrize("stage, bound", [("r", 1.2), ("chi_xi_mu", 0.6),
-                                          ("second_kinetics", 1.0),
-                                          ("linear_kinetics_tau1", 1.2)],
-                         ids=["r", "chi_xi_mu", "second_kinetics", "linear_kinetics_tau1"])
+                                          ("second_kinetics", 0.6),
+                                          ("linear_kinetics", 0.4),
+                                          ("linear_kinetics_tau1", 0.4)],
+                         ids=["r", "chi_xi_mu", "second_kinetics", "linear_kinetics",
+                              "linear_kinetics_tau1"])
 def test_stage_peak_memory_on_a_cached_bank(request, stage, bound):
     # the traced peak of one stage call above the cached stacks, in trajectory
     # components: the probe integrals contract each slice against one weighted field,
-    # and the regressions reduce to Gram matrices summed over blocks of slices, so no
-    # stage holds more than a few components (1.08, 0.54, 0.78 and 1.03 measured: |u1|
-    # for the probe integral's scale, one chi family's stack read whole by stage 4 with
-    # one block of its rows, and one chemical times a mode in the tau=1 decay fits; 1.70
-    # for stage 4 with a whole-length rhs and its rows by blocks of nodes, 4.1 for the
-    # tau=1 stage 2 with full-length source regression temporaries, 9.1 for stage 1 with
-    # (T, *grid) probe products, 4.3 for stage 4 with its four full-length rows, 6.1
-    # with full-length balance temporaries too, 5.0 for stage 3 while it kept each
+    # and the regressions reduce to Gram matrices summed over blocks of slices, each
+    # block let go before the next is formed, so no stage holds more than a few
+    # components (1.08, 0.54, 0.49, 0.28 and 0.28 measured: |u1| for the probe
+    # integral's scale, and one block of rows for the rest; 0.78, 0.50 and 0.50 with
+    # the previous block's rows kept while the next was formed, 1.05 and 1.03 for
+    # stage 2 with modal ratios or rates beside its source regression, 1.70 for stage 4
+    # with a whole-length rhs and its rows by blocks of nodes, 4.1 for the tau=1 stage 2
+    # with full-length source regression temporaries, 9.1 for stage 1 with (T, *grid)
+    # probe products, 4.3 for stage 4 with its four full-length rows, 6.1 with
+    # full-length balance temporaries too, 5.0 for stage 3 while it kept each
     # experiment's residual series, 8.2 and 8.1 with per-step probe arrays and
     # pairwise normal pieces)
     if stage == "linear_kinetics_tau1":
@@ -646,6 +630,8 @@ def test_stage_peak_memory_on_a_cached_bank(request, stage, bound):
     else:
         oracle, opts, bank, r_hat, lin = request.getfixturevalue("cached_bank_129")
         run = {"r": lambda: recover_r(oracle, options=opts, bank=bank),
+               "linear_kinetics": lambda: recover_linear_kinetics(oracle, options=opts,
+                                                                  bank=bank),
                "chi_xi_mu": lambda: recover_chi_xi_mu(oracle, r_hat, options=opts, bank=bank),
                "second_kinetics": lambda: recover_second_kinetics(oracle, lin, options=opts,
                                                                   bank=bank)}[stage]
@@ -677,9 +663,10 @@ def test_pipeline_peak_memory(config, families, bound, nondegenerate_params, mon
     # the traced peak of one recovery, in trajectory components: the base run is
     # known, the bank keeps of each family only what its later reads use, an
     # extraction holds 7 components and one block of the run it solves, and stage 4
-    # forms its rows by blocks of slices (11.6, 23.4 and 23.0 measured, the last two
+    # forms its rows by blocks of slices (10.3, 23.4 and 23.0 measured, the last two
     # set by stage 4 reading the last chi family while the bank keeps 4 components of
-    # each of the other two, its rows one block of all 101 slices here; 12.2, 23.3 and
+    # each of the other two, its rows one block of all 101 slices here; 11.6 with
+    # stage 2's modal ratios beside its source regression; 12.2, 23.3 and
     # 22.9 with a whole-length stage-4 rhs and its rows by blocks of nodes, 24.4 and
     # 24.0 with each weighted row kept while the next is formed; 33.8 and 27.5 with
     # stage 3 first, its blocks over three
