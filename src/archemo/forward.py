@@ -45,6 +45,7 @@ __all__ = [
     "SeparableField",
     "EquilibriumState",
     "KineticsSpec",
+    "SECOND_ORDER_KEYS",
     "SolverConfig",
     "Trajectory",
     "MeasurementRecord",
@@ -140,10 +141,8 @@ class ParameterSet:
         return self
 
     def as_dict(self):
-        return {
-            "chi": self.chi, "xi": self.xi, "r": self.r, "mu": self.mu,
-            "alpha": self.alpha, "beta": self.beta, "gamma": self.gamma, "delta": self.delta,
-        }
+        """The eight parameters by name, in field order."""
+        return dict(vars(self))
 
 
 def coefficient_on_grid(value, domain: Domain):
@@ -181,6 +180,12 @@ def _monomial_weight(p: int, q: int) -> float:
     # Normalization contract: with these weights the second-variation sources
     # of the chemical equations read  a11*u1*v1 + 2*a20*u1^2 + 2*a02*v1^2.
     return 0.5 if (p, q) == (1, 1) else 1.0
+
+
+# second-order kinetics entry label -> (chemical equation, monomial exponents (p, q));
+# per chemical in the order of the terms of StepPlan.second_order_sources
+SECOND_ORDER_KEYS = {"a11": ("g", (1, 1)), "a20": ("g", (2, 0)), "a02": ("g", (0, 2)),
+                     "b11": ("h", (1, 1)), "b20": ("h", (2, 0)), "b02": ("h", (0, 2))}
 
 
 @dataclass
@@ -381,24 +386,31 @@ def stored_times(cfg: SolverConfig) -> np.ndarray:
     return steps * cfg.dt
 
 
+# a store with a fold holds a run in this many blocks of whole slices (fewer when it
+# stores fewer slices): a block's buffers and temporaries, about six block arrays,
+# then stay within 6/16 of one stored component beside the seven an extraction
+# holds, and a long run pays for few fold calls
+FOLD_BLOCKS = 16
+
+
 class SliceStore:
-    """The stored slices of a run, on the times of :func:`stored_times`, held in
-    ``blocks`` blocks of consecutive slices (fewer when it stores fewer slices), one
-    at a time, in buffers it reuses.
+    """The stored slices of a run, on the times of :func:`stored_times`.
 
     Step n goes to slot ceil(n / store_every), so runs with the same
-    configuration are stored on the same times.  Each block goes to
-    ``fold(block, [u, v, w])``, if given, as it completes, ``block`` being the
-    slice of stored times it covers.  :meth:`trajectory` returns the last block:
-    with one block, the whole run.
+    configuration are stored on the same times.  A store without a fold holds
+    the whole run, which :meth:`trajectory` returns.  A store with a fold holds
+    FOLD_BLOCKS blocks of consecutive slices (fewer when it stores fewer slices),
+    one at a time, in buffers it reuses; each block goes to
+    ``fold(block, [u, v, w])`` as it completes, ``block`` being the slice of stored
+    times it covers, and :meth:`trajectory` returns the last block.
     """
 
-    def __init__(self, domain: Domain, cfg: SolverConfig, state, fold=None, blocks: int = 1):
+    def __init__(self, domain: Domain, cfg: SolverConfig, state, fold=None):
         self.domain = domain
         self.fold = fold
         self.n_steps, self.every = cfg.n_steps, cfg.store_every
         self.times = stored_times(cfg)
-        length = -(-len(self.times) // blocks)
+        length = -(-len(self.times) // (1 if fold is None else FOLD_BLOCKS))
         self.fields = [np.empty((length,) + domain.shape) for _ in range(3)]
         self.put(0, state)
 
@@ -471,20 +483,19 @@ class StepPlan:
         # per axis: h, the node indices of the faces' two ends, the potential there, the
         # face velocities and their upwind mask, the face fluxes in a buffer padded with
         # the zero outer fluxes (+0 before, -0 after, which keeps the signs of zero of
-        # -flux / (h/2)), the cell widths and the divergence (div, then added to it)
+        # -flux / (h/2)), the cell widths (the axis's trapezoid weights) and the
+        # divergence (div, then added to it)
         self.faces = []
         for axis, h in enumerate(domain.spacing):
             lo, hi, inner, _, _, _, last, _, _ = g._NODE_INDEX[domain.dim, axis]
             n = domain.shape[axis]
             padded = np.zeros(domain.shape[:axis] + (n + 1,) + domain.shape[axis + 1:])
             padded[last] = -0.0
-            width = np.full(n, h)
-            width[0] = width[-1] = 0.5 * h
             faces = self.pot[lo].shape
             self.faces.append((
                 np.array(h), lo, hi, self.pot[hi], self.pot[lo], np.empty(faces),
                 padded[inner], np.empty(faces, bool), padded[hi], padded[lo],
-                width.reshape((n,) + (1,) * (domain.dim - 1 - axis)),
+                domain.axis_weights[axis].reshape((n,) + (1,) * (domain.dim - 1 - axis)),
                 self.div if axis == 0 else np.empty(domain.shape)))
 
     def implicit(self, x, tendency):
@@ -664,7 +675,7 @@ def solve_forward(domain: Domain, init, p: ParameterSet, kin: KineticsSpec,
 
     The stored slices go to ``store(domain, cfg, initial state)``, by default a
     :class:`SliceStore` of the whole run; the run returns its ``trajectory()``,
-    which for a store of several blocks is the last block.
+    which for a store with a fold is the last block.
     """
     cfg.validate()
     p.validate(domain)

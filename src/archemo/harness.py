@@ -27,6 +27,7 @@ import numpy as np
 from . import io as aio
 from .errors import NumericsError, RecoveryError
 from .forward import (
+    SECOND_ORDER_KEYS,
     KineticsSpec,
     MeasurementRecord,
     ParameterSet,
@@ -169,12 +170,7 @@ CONFIG_SCHEMA = {
     "params.beta": (float, _ser_float, 1.0),
     "params.gamma": (str, str, "1"),
     "params.delta": (float, _ser_float, 1.0),
-    "kinetics.a11": (str, str, "0"),
-    "kinetics.a20": (str, str, "0"),
-    "kinetics.a02": (str, str, "0"),
-    "kinetics.b11": (str, str, "0"),
-    "kinetics.b20": (str, str, "0"),
-    "kinetics.b02": (str, str, "0"),
+    **{f"kinetics.{label}": (str, str, "0") for label in SECOND_ORDER_KEYS},
     "init.f": (str, str, "modes:offset=0.5,axis=-1,terms=1x0.2"),
     "init.g": (str, str, "const:v=0.5"),
     "init.h": (str, str, "const:v=0.5"),
@@ -191,11 +187,6 @@ CONFIG_SCHEMA = {
     "ident.trials": (int, str, 20),
     "output.dir": (str, str, "out"),
 }
-
-
-# second-order kinetics entry label -> (chemical equation, monomial exponents (p, q))
-SECOND_ORDER_KEYS = {"a11": ("g", (1, 1)), "a20": ("g", (2, 0)), "a02": ("g", (0, 2)),
-                     "b11": ("h", (1, 1)), "b20": ("h", (2, 0)), "b02": ("h", (0, 2))}
 
 
 @dataclass
@@ -294,7 +285,7 @@ class ExperimentConfig:
 
     def perturbation_family(self, domain: Domain) -> PerturbationFamily:
         profs = {}
-        for name in ("f1", "g1", "h1", "f2", "g2", "h2"):
+        for name in PerturbationFamily.PROFILES:
             prof = build_profile(domain, self.get(f"perturb.{name}"))
             if isinstance(prof, float):
                 prof = None if prof == 0.0 else domain.constant(prof)
@@ -325,13 +316,11 @@ def measurement_distance(m1: MeasurementRecord, m2: MeasurementRecord) -> float:
         raise ValueError("measurement records live on different time sets")
     if m1.final_u.shape != m2.final_u.shape:
         raise ValueError("measurement records live on different grids")
-    trace_gap = 0.0
+    trace_gap = final_gap = 0.0
     t1, t2 = m1.component_traces(), m2.component_traces()
-    for comp in ("u", "v", "w"):
-        trace_gap = max(trace_gap, float(np.max(np.abs(t1[comp] - t2[comp]))))
-    final_gap = 0.0
     f1, f2 = m1.component_finals(), m2.component_finals()
-    for comp in ("u", "v", "w"):
+    for comp in t1:
+        trace_gap = max(trace_gap, float(np.max(np.abs(t1[comp] - t2[comp]))))
         a, b = f1[comp], f2[comp]
         denom = max(float(np.linalg.norm(a)), float(np.linalg.norm(b)), 1e-300)
         final_gap = max(final_gap, float(np.linalg.norm(a - b)) / denom)
@@ -341,8 +330,8 @@ def measurement_distance(m1: MeasurementRecord, m2: MeasurementRecord) -> float:
 def parameter_distance(b1: ParameterSet, b2: ParameterSet, domain: Domain | None = None) -> float:
     """Max relative component gap over the eight parameters (L2 for fields)."""
     gap = 0.0
-    for name in ("chi", "xi", "r", "mu", "alpha", "beta", "gamma", "delta"):
-        v1, v2 = getattr(b1, name), getattr(b2, name)
+    for name, v1 in b1.as_dict().items():
+        v2 = getattr(b2, name)
         if isinstance(v1, (np.ndarray, SeparableField)) or isinstance(v2, (np.ndarray, SeparableField)):
             if domain is None:
                 raise ValueError("field-valued parameters need the domain for comparison")
@@ -407,8 +396,7 @@ def identifiability_experiment(domain: Domain, b1: ParameterSet, b2: ParameterSe
 def random_parameter_set(rng, base: ParameterSet) -> ParameterSet:
     """Componentwise multiplicative perturbation with signs; keeps admissibility."""
     vals = {}
-    for name in ("chi", "xi", "r", "mu", "alpha", "beta", "gamma", "delta"):
-        v = getattr(base, name)
+    for name, v in base.as_dict().items():
         if isinstance(v, (np.ndarray, SeparableField)):
             vals[name] = v
             continue
@@ -447,7 +435,7 @@ def near_collision_search(domain: Domain, b1: ParameterSet, init, cfg: SolverCon
     from scipy.optimize import minimize
 
     m1 = _forward_measure(domain, b1, cfg, init)
-    names = ("chi", "xi", "r", "mu", "alpha", "beta", "gamma", "delta")
+    names = tuple(b1.as_dict())
     base = np.array([float(getattr(b1, n)) for n in names])
 
     def unpack(z):
@@ -533,27 +521,21 @@ def _variation_errors(domain, dt, t_final, r=0.5, mu=1.0, beta=1.5):
     x = domain.meshgrid()[-1]
     L = domain.lengths[-1]
     mode = np.cos(math.pi * x / L)
-    fam = PerturbationFamily(f1=mode, enforce_nonnegative=False)
+    fam = PerturbationFamily(f1=mode)
     stack = solve_variations(domain, p, kin, fam, cfg)
     lam = (math.pi / L) ** 2
     theta = r - lam
     t = stack.order1.times.reshape((-1,) + (1,) * domain.dim)
     exact1 = np.exp(theta * t) * mode
-    err1 = _space_time_rel(domain, stack.order1.u - exact1, exact1)
+    err1 = norm_l2(domain, stack.order1.u - exact1) / (norm_l2(domain, exact1) or 1.0)
     # u2 solves du2/dt = Lap u2 + r u2 - 2 mu e^{2 theta t} cos^2, u2(0) = 0;
     # modal split cos^2 = (1 + cos 2pi x/L)/2 gives two scalar ODEs
     lam2 = (2 * math.pi / L) ** 2
     a_t = mu * (np.exp(r * t) - np.exp(2 * theta * t)) / (2 * theta - r)
     b_t = mu * (np.exp((r - lam2) * t) - np.exp(2 * theta * t)) / (2 * theta - (r - lam2))
     exact2 = a_t + b_t * np.cos(2 * math.pi * x / L)
-    err2 = _space_time_rel(domain, stack.order2.u - exact2, exact2)
+    err2 = norm_l2(domain, stack.order2.u - exact2) / (norm_l2(domain, exact2) or 1.0)
     return err1, err2
-
-
-def _space_time_rel(domain, diff, ref):
-    num = math.sqrt(float(np.sum(np.abs(diff) ** 2 * domain.weights)))
-    den = math.sqrt(float(np.sum(np.abs(ref) ** 2 * domain.weights))) or 1.0
-    return num / den
 
 
 def _cfl_violated(domain, dt, chi=40.0):
@@ -728,7 +710,7 @@ def report_to_csv(report: RecoveryReport, truth: dict | None = None,
 
 def write_recovery_outputs(outdir, report: RecoveryReport, truth: dict | None,
                            domain: Domain):
-    os.makedirs(outdir, exist_ok=True)
+    """Write a recovery's report and estimate files into the existing directory ``outdir``."""
     with open(os.path.join(outdir, "report.txt"), "w") as fh:
         fh.write(report_to_text(report, truth={} if truth is None else truth, domain=domain))
     with open(os.path.join(outdir, "report.csv"), "w") as fh:
@@ -755,16 +737,26 @@ def _quiet_print(args, *items):
         print(*items)
 
 
-def _cmd_simulate(args, cfg: ExperimentConfig) -> int:
+def _model(args, cfg: ExperimentConfig):
+    """(domain, parameters, kinetics, solver configuration) of a command's run."""
     domain = cfg.domain()
     params = cfg.parameter_set(domain)
-    kin = cfg.kinetics(domain, params)
-    solver = cfg.solver_config(tau=args.tau)
+    return domain, params, cfg.kinetics(domain, params), cfg.solver_config(tau=args.tau)
+
+
+def _outdir(args, cfg: ExperimentConfig) -> str:
+    """A command's output directory, ``--out`` or else ``output.dir``, made if missing."""
+    outdir = args.out or cfg.get("output.dir")
+    os.makedirs(outdir, exist_ok=True)
+    return outdir
+
+
+def _cmd_simulate(args, cfg: ExperimentConfig) -> int:
+    domain, params, kin, solver = _model(args, cfg)
     init = cfg.initial_data(domain)
     traj = solve_forward(domain, init, params, kin, solver)
     rec = measure(traj)
-    outdir = args.out or cfg.get("output.dir")
-    os.makedirs(outdir, exist_ok=True)
+    outdir = _outdir(args, cfg)
     aio.trajectory_to_csv(os.path.join(outdir, "trajectory.csv"), traj)
     aio.trajectory_to_npz(os.path.join(outdir, "trajectory.npz"), traj)
     aio.measurement_to_csv(os.path.join(outdir, "measurement"), rec, domain)
@@ -774,18 +766,14 @@ def _cmd_simulate(args, cfg: ExperimentConfig) -> int:
 
 
 def _cmd_linearize(args, cfg: ExperimentConfig) -> int:
-    domain = cfg.domain()
-    params = cfg.parameter_set(domain)
-    kin = cfg.kinetics(domain, params)
-    solver = cfg.solver_config(tau=args.tau)
+    domain, params, kin, solver = _model(args, cfg)
     fam = cfg.perturbation_family(domain)
     direct = solve_variations(domain, params, kin, fam, solver)
     handle = ForwardHandle.from_model(domain, params, kin, solver)
     fd, ladder = extract_variation_fd(handle, fam, first_direct=direct.order1,
                                       return_ladder=True)
     rep = consistency_report(domain, direct, ladder)
-    outdir = args.out or cfg.get("output.dir")
-    os.makedirs(outdir, exist_ok=True)
+    outdir = _outdir(args, cfg)
     aio.variation_stack_to_npz(os.path.join(outdir, "variation_direct.npz"), direct)
     aio.variation_stack_to_npz(os.path.join(outdir, "variation_fd.npz"), fd)
     aio.variation_stack_to_csv(os.path.join(outdir, "variation_direct.csv"), direct)
@@ -796,10 +784,7 @@ def _cmd_linearize(args, cfg: ExperimentConfig) -> int:
 
 
 def _cmd_recover(args, cfg: ExperimentConfig) -> int:
-    domain = cfg.domain()
-    params = cfg.parameter_set(domain)
-    kin = cfg.kinetics(domain, params)
-    solver = cfg.solver_config(tau=args.tau)
+    domain, params, kin, solver = _model(args, cfg)
     oracle = Oracle(domain, params, kin, solver)
     options = cfg.pipeline_options(domain)
     report = run_full_pipeline(oracle, options)
@@ -807,7 +792,7 @@ def _cmd_recover(args, cfg: ExperimentConfig) -> int:
     for label, (which, key) in SECOND_ORDER_KEYS.items():
         table = kin.g_coeffs if which == "g" else kin.h_coeffs
         truth[label] = table.get(key, 0.0)
-    outdir = args.out or cfg.get("output.dir")
+    outdir = _outdir(args, cfg)
     write_recovery_outputs(outdir, report, truth, domain)
     _quiet_print(args, f"recover: report in {outdir} "
                        f"({'complete' if report.complete else 'PARTIAL'})")
@@ -838,8 +823,7 @@ def _cmd_identcheck(args, cfg: ExperimentConfig) -> int:
         domain, b1, init, solver,
         n_trials=cfg.get("ident.trials"), seed=cfg.get("ident.seed"))
     self_rep = identifiability_experiment(domain, b1, b1, init, solver, match_tol)
-    outdir = args.out or cfg.get("output.dir")
-    os.makedirs(outdir, exist_ok=True)
+    outdir = _outdir(args, cfg)
     violations = [r for r in reports if r.verdict == "violation"]
     with open(os.path.join(outdir, "identcheck.csv"), "w") as fh:
         fh.write("trial,parameter_distance,measurement_distance,match_tol,verdict\n")
@@ -860,8 +844,7 @@ def _cmd_identcheck(args, cfg: ExperimentConfig) -> int:
 def _cmd_convergence(args, cfg: ExperimentConfig) -> int:
     rows = convergence_study()
     text = study_rows_to_text(rows)
-    outdir = args.out or cfg.get("output.dir")
-    os.makedirs(outdir, exist_ok=True)
+    outdir = _outdir(args, cfg)
     with open(os.path.join(outdir, "convergence.txt"), "w") as fh:
         fh.write(text + "\n")
     with open(os.path.join(outdir, "convergence.csv"), "w") as fh:
@@ -874,6 +857,16 @@ def _cmd_convergence(args, cfg: ExperimentConfig) -> int:
     return 0
 
 
+# subcommand -> (handler, help)
+_COMMANDS = {
+    "simulate": (_cmd_simulate, "forward run, trajectory and measurement files"),
+    "linearize": (_cmd_linearize, "variation stacks and fd-vs-direct consistency table"),
+    "recover": (_cmd_recover, "full parameter-recovery pipeline"),
+    "identcheck": (_cmd_identcheck, "identifiability experiments"),
+    "convergence": (_cmd_convergence, "refinement study"),
+}
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="archemo",
@@ -884,13 +877,7 @@ def _build_parser():
                         help="override the time-scale switch")
     parser.add_argument("--quiet", action="store_true", help="suppress stdout chatter")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("simulate", "forward run, trajectory and measurement files"),
-        ("linearize", "variation stacks and fd-vs-direct consistency table"),
-        ("recover", "full parameter-recovery pipeline"),
-        ("identcheck", "identifiability experiments"),
-        ("convergence", "refinement study"),
-    ):
+    for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--check", action="store_true",
                        help="return exit code 3 when the self-test tolerances fail")
@@ -903,19 +890,12 @@ def cli(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
-    handlers = {
-        "simulate": _cmd_simulate,
-        "linearize": _cmd_linearize,
-        "recover": _cmd_recover,
-        "identcheck": _cmd_identcheck,
-        "convergence": _cmd_convergence,
-    }
     try:
         if args.config:
             cfg = ExperimentConfig.from_file(args.config)
         else:
             cfg = ExperimentConfig()
-        return handlers[args.command](args, cfg)
+        return _COMMANDS[args.command][0](args, cfg)
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -69,6 +69,7 @@ from . import grid as g
 from . import probes as pr
 from .errors import RecoveryError
 from .forward import (
+    SECOND_ORDER_KEYS,
     EquilibriumState,
     KineticsSpec,
     ParameterSet,
@@ -119,8 +120,8 @@ class Oracle:
     once and keeps it.  A recovery holds one handle, so once it has finished
     no trajectory it integrated stays reachable from the oracle.
 
-    ``query_count`` and ``run_count`` count the queries and solves of all
-    handles; every query is one solve, and a known base run is neither.
+    ``run_count`` counts the solves of all handles, and ``query_count`` reads
+    it: every query is one solve, and a known base run is neither.
     """
 
     def __init__(self, domain: Domain, params: ParameterSet, kinetics: KineticsSpec,
@@ -129,7 +130,6 @@ class Oracle:
         self.cfg = cfg
         self._params = params.validate(domain)
         self._kinetics = kinetics.validate(domain)
-        self.query_count = 0
         self.run_count = 0
 
     @property
@@ -141,11 +141,14 @@ class Oracle:
     def tau(self) -> int:
         return self.cfg.tau
 
+    @property
+    def query_count(self) -> int:
+        return self.run_count
+
     def handle(self) -> ForwardHandle:
         """A forward handle that solves every query (:meth:`ForwardHandle.of_solver`)
         into the store it is given, so that an extraction folds each run as it is solved."""
         def _run(f, gg, h, store=None):
-            self.query_count += 1
             self.run_count += 1
             return solve_forward(self.domain, (f, gg, h), self._params, self._kinetics,
                                  self.cfg, store=store)
@@ -222,15 +225,14 @@ def _axial_mode(domain: Domain, k: int) -> pr.EigenMode:
 class ExperimentBank:
     """Caches one finite-difference variation stack per distinct probing family.
 
-    Stacks are keyed by the family's content (profiles, eps ladder and the
-    non-negativity flag), so experiments that probe with identical data share
-    one stack whatever their names.  Each family is extracted once, both orders
-    together, so its ladder runs are solved once and each run is freed once
-    folded in.  ``reads`` lists (experiment, parts of STACK_PARTS) per :meth:`stack`
-    call of the bank's callers, in call order.  A read returns the stack as kept,
-    then the bank keeps only the parts its family's later listed reads name
-    (:func:`_keep`), and none after the last; it caches whole every stack it was not
-    told about.  The bank queries the oracle through one handle, which goes with
+    Stacks are keyed by the family's content (profiles and eps ladder), so
+    experiments that probe with identical data share one stack whatever their
+    names.  Each family is extracted once, both orders together, so its ladder
+    runs are solved once and each run is freed once folded in.  ``reads`` lists
+    (experiment, parts of STACK_PARTS) per :meth:`stack` call of the bank's callers,
+    in call order.  A read returns the stack as kept, then the bank keeps only the
+    parts its family's later listed reads name (:func:`_keep`), and none after the
+    last; it caches whole every stack it was not told about.  The bank queries the oracle through one handle, which goes with
     the bank.  ``used`` names the experiments read, in the order of their first use.
     """
 
@@ -244,9 +246,8 @@ class ExperimentBank:
 
     def _family_key(self, fam: PerturbationFamily):
         domain = self.oracle.domain
-        profiles = tuple(fam.profile(name, domain).tobytes()
-                         for name in ("f1", "g1", "h1", "f2", "g2", "h2"))
-        return profiles, tuple(float(e) for e in fam.epsilons), bool(fam.enforce_nonnegative)
+        profiles = tuple(fam.profile(name, domain).tobytes() for name in fam.PROFILES)
+        return profiles, tuple(float(e) for e in fam.epsilons)
 
     def _note(self, exp: Experiment):
         if exp.name not in self.used:
@@ -813,8 +814,8 @@ def recover_second_kinetics(oracle: Oracle, linear: StageRecord,
         del stack
 
     estimates, residuals, conditioning, details = {}, {}, {}, {}
-    for (comp, _, _), labels, per_exp in zip(
-            _LINEAR_PAIRS, (("a11", "a20", "a02"), ("b11", "b20", "b02")), grams):
+    for (comp, _, _), which, per_exp in zip(_LINEAR_PAIRS, "gh", grams):
+        labels = [label for label, (eq, _) in SECOND_ORDER_KEYS.items() if eq == which]
         coeffs, sigmas, rel_resid, loo = _batched_lsq_3(domain, per_exp)
         residuals[f"{comp}_equation_fit"] = rel_resid
         wq = domain.weights / domain.weights.sum()

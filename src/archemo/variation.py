@@ -69,11 +69,16 @@ DEFAULT_EPSILONS = (1e-2, 5e-3, 2.5e-3)
 
 @dataclass
 class PerturbationFamily:
-    """Initial-data perturbation profiles and the epsilon ladder.
+    """Initial-data perturbation profiles, named in PROFILES, and the epsilon ladder.
 
     Realized initial data: u0 + eps*f1 + eps^2*f2 (likewise g, h), so the
-    first and second eps-derivatives at zero are f1 and 2*f2.
+    first and second eps-derivatives at zero are f1 and 2*f2.  Profiles may take
+    either sign: the linear systems of :func:`solve_variations` accept any, and the
+    realized data of a nonlinear run must be non-negative, which
+    :func:`forward.solve_forward` checks before its first step.
     """
+
+    PROFILES = ("f1", "g1", "h1", "f2", "g2", "h2")
 
     f1: np.ndarray | None = None
     g1: np.ndarray | None = None
@@ -82,7 +87,6 @@ class PerturbationFamily:
     g2: np.ndarray | None = None
     h2: np.ndarray | None = None
     epsilons: tuple = DEFAULT_EPSILONS
-    enforce_nonnegative: bool = True
 
     def profile(self, name, domain: Domain):
         val = getattr(self, name)
@@ -99,11 +103,9 @@ class PerturbationFamily:
             raise ValueError("epsilon ladder entries must be strictly positive")
         if list(eps) != sorted(eps, reverse=True) or len(set(eps)) != len(eps):
             raise ValueError("epsilon ladder must be strictly decreasing")
-        if self.enforce_nonnegative:
-            for name in ("f1", "g1", "h1", "f2", "g2", "h2"):
-                prof = self.profile(name, domain)
-                if float(np.min(prof)) < 0:
-                    raise ValueError(f"perturbation profile {name} must be non-negative")
+        # each profile is None or a finite field on the grid; its sign is not checked
+        for name in self.PROFILES:
+            self.profile(name, domain)
         return self
 
     def initial_data(self, domain: Domain, equilibrium: EquilibriumState, eps: float):
@@ -272,13 +274,6 @@ def solve_variations(domain: Domain, p: ParameterSet, kin: KineticsSpec,
 # finishes each block, summing the tails term by term in node order as a fold
 # would have summed them.
 
-# a streamed ladder run is folded in this many blocks of whole slices (fewer when
-# it stores fewer slices): a block's buffers and temporaries, about six block
-# arrays, then stay within 6/16 of one stored component beside the seven the
-# extraction holds, and a long run pays for few fold calls
-FOLD_BLOCKS = 16
-
-
 def _weights_at_zero(nodes):
     """Lagrange weights at zero of the interpolant through ``nodes``."""
     return [math.prod(ej / (ej - ei) for j, ej in enumerate(nodes) if j != i)
@@ -427,15 +422,17 @@ def extract_variation_fd(handle: ForwardHandle, fam: PerturbationFamily,
     (one-sided stencils only, since eps < 0 can break the non-negativity of the
     initial data).  S(0) is the handle's base run, whose subtraction is skipped
     only where it is the known zero of :func:`known_base`.  The extrapolation is
-    streamed: each ladder run is solved into a :class:`forward.SliceStore` of
-    FOLD_BLOCKS blocks, which hands each block of stored slices to the fold as
-    the solve completes it.  On an m-node ladder one extraction holds its six
-    result fields, the u-differences of the m - 2 inner nodes and one block of
-    the run being solved (the last node's difference is folded into the
-    corrections block by block and never held whole).  A run that does not store
-    exactly the base run's slices, in order, raises ValueError naming its node and
-    eps.  ``first_direct`` substitutes a trusted first-order trajectory in the
-    order-2 stencil; by default the extrapolated order-1 result is used.
+    streamed: each ladder run is solved into a :class:`forward.SliceStore` with a
+    fold, which holds it in FOLD_BLOCKS blocks and hands each block of stored
+    slices to the fold as the solve completes it.  On an m-node ladder one
+    extraction holds its six result fields, the u-differences of the m - 2 inner
+    nodes and one block of the run being solved (the last node's difference is
+    folded into the corrections block by block and never held whole).  A run that
+    does not store exactly the base run's slices, in order, raises ValueError
+    naming its node and eps, and a solver handle's run from negative realized
+    initial data raises it before its first step.  ``first_direct`` substitutes a
+    trusted first-order trajectory in the order-2 stencil; by default the
+    extrapolated order-1 result is used.
 
     On an m-node ladder (m >= 2), ``diagnostics["order{1,2}_corrections"]``
     list max|P_a(0) - P_{a+1}(0)| on u for a = m-2 down to 0, where P_a
@@ -454,7 +451,7 @@ def extract_variation_fd(handle: ForwardHandle, fam: PerturbationFamily,
     fold = _LadderFold(domain, base, eps, first_direct, return_ladder)
     for i, e in enumerate(eps):
         init = fam.initial_data(domain, handle.equilibrium, e)
-        handle.run(*init, store=partial(SliceStore, fold=partial(fold, i), blocks=FOLD_BLOCKS))
+        handle.run(*init, store=partial(SliceStore, fold=partial(fold, i)))
         if fold.folded[i] != len(base.times):
             raise ValueError(f"ladder node {i} (eps = {e!r}) folded {fold.folded[i]} stored "
                              f"slices, not the base run's {len(base.times)}")

@@ -203,3 +203,20 @@ def test_docstring_references_resolve():
                   if not _reference_resolves(module, ref)]
     assert count > 0
     assert not stale, f"references to undefined names: {stale}"
+
+
+def test_no_constant_sequence_is_spelled_twice():
+    # a list of names or labels written out in two places drifts apart when one is
+    # edited: every tuple or list literal of three or more constants in src/archemo
+    # appears once, and other places read it from there
+    seen = {}
+    for path in SRC_FILES:
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Tuple, ast.List)) and len(node.elts) >= 3
+                    and all(isinstance(e, ast.Constant) for e in node.elts)):
+                key = tuple(e.value for e in node.elts)
+                seen.setdefault(key, []).append(f"{os.path.relpath(path, ROOT)}:{node.lineno}")
+    repeated = {key: where for key, where in seen.items() if len(where) > 1}
+    assert not repeated, f"constant sequences spelled out more than once: {repeated}"

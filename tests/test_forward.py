@@ -268,7 +268,7 @@ def test_perturbation_decay_matches_linearization(line129):
     x = line129.axes[0]
     f = eq.u0 + 0.01 * np.cos(math.pi * x)
     traj = solve_forward(line129, (f, line129.constant(eq.v0), line129.constant(eq.w0)), p, kin, cfg)
-    fam = PerturbationFamily(f1=np.cos(math.pi * x), enforce_nonnegative=False)
+    fam = PerturbationFamily(f1=np.cos(math.pi * x))
     direct = solve_variations(line129, p, kin, fam, cfg)
     gap = (traj.u - eq.u0) / 0.01
     rel = np.max(np.abs(gap - direct.order1.u)) / np.max(np.abs(direct.order1.u))

@@ -40,7 +40,7 @@ from archemo.grid import (
     spectral_helmholtz,
     upwind_patterns,
 )
-from archemo import variation
+from archemo import forward
 from archemo.recover import FIT_REL_FLOOR, _node_gram, fit_exponential_rate, rate_to_growth
 from archemo.variation import ForwardHandle, PerturbationFamily, extract_variation_fd, known_base
 
@@ -241,10 +241,10 @@ def _assert_stacks_bitwise(a, b):
 
 @given(st.data())
 def test_a_store_folds_each_stored_slice_once_in_order(data):
-    # a store of any block count hands its fold contiguous blocks in order, each of
-    # ceil(count / blocks) slices but the last, and every stored slice exactly once;
-    # together they are bitwise the one-block store's run, and trajectory() is the
-    # last block
+    # a store with a fold, at any FOLD_BLOCKS, hands it contiguous blocks in order, each
+    # of ceil(count / blocks) slices but the last, and every stored slice exactly once;
+    # together they are bitwise the run of a store without a fold, and trajectory() is
+    # the last block
     d = Domain(*data.draw(st.sampled_from([(1.0, 9), ((1.0, 1.0), (8, 9))])))
     cfg = SolverConfig(dt=1e-2, t_final=data.draw(st.integers(1, 12)) * 1e-2,
                        store_every=data.draw(st.integers(1, 3)))
@@ -263,9 +263,9 @@ def test_a_store_folds_each_stored_slice_once_in_order(data):
     steps = np.append(np.arange(0, cfg.n_steps, cfg.store_every), cfg.n_steps)
     assert _bits(whole.times) == _bits(stored_times(cfg))
     assert _bits(np.stack([whole.u, whole.v, whole.w], axis=1)) == _bits(states[steps])
-    last = filled(SliceStore(d, cfg, states[0], blocks=blocks,
-                             fold=lambda block, held: folded.append(
-                                 (block, [x.copy() for x in held]))))
+    with mock.patch.object(forward, "FOLD_BLOCKS", blocks):
+        last = filled(SliceStore(d, cfg, states[0], fold=lambda block, held: folded.append(
+            (block, [x.copy() for x in held]))))
     spans = [block for block, _ in folded]
     assert [b.start for b in spans] == [0] + [b.stop for b in spans[:-1]]
     assert spans[-1].stop == count
@@ -319,10 +319,10 @@ def test_folding_runs_by_blocks_equals_folding_them_whole(data):
         direct = Trajectory(d, stored_times(cfg), *rng.uniform(-1.0, 1.0, (3, count) + d.shape))
     return_ladder = data.draw(st.booleans())
     fam = PerturbationFamily(f1=np.ones(d.shape), epsilons=eps)
-    with mock.patch.object(variation, "FOLD_BLOCKS", 1):
+    with mock.patch.object(forward, "FOLD_BLOCKS", 1):
         want = extract_variation_fd(handle, fam, first_direct=direct,
                                     return_ladder=return_ladder)
-    with mock.patch.object(variation, "FOLD_BLOCKS", blocks):
+    with mock.patch.object(forward, "FOLD_BLOCKS", blocks):
         got = extract_variation_fd(handle, fam, first_direct=direct,
                                    return_ladder=return_ladder)
     if return_ladder:

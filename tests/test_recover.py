@@ -1006,11 +1006,11 @@ def test_recovery_keeps_few_runs_alive(line65, nondegenerate_params, monkeypatch
 def test_oracle_extractions_never_store_a_whole_run(line65, nondegenerate_params, monkeypatch,
                                                     tau):
     # an extraction on an oracle handle folds each run block by block as it is solved:
-    # every store it passes to solve_forward is a SliceStore of FOLD_BLOCKS blocks, and
-    # each run returns only its last block; each run is still one solve_forward call,
-    # 3 per family over 3 (tau=0) or 4 (tau=1) families (the base run is known)
+    # every store it passes to solve_forward is a SliceStore with a fold, which holds
+    # FOLD_BLOCKS blocks, and each run returns only its last block; each run is still
+    # one solve_forward call, 3 per family over 3 (tau=0) or 4 (tau=1) families (the
+    # base run is known)
     import archemo.recover as rc
-    import archemo.variation as var
     runs, solve = [], rc.solve_forward
 
     def counting(*args, **kwargs):
@@ -1024,7 +1024,6 @@ def test_oracle_extractions_never_store_a_whole_run(line65, nondegenerate_params
     assert report.complete
     assert report.oracle_runs == len(runs) == (9 if tau == 0 else 12)
     for store, length in runs:
-        assert store.func is SliceStore and store.keywords["blocks"] == var.FOLD_BLOCKS
-        assert store.keywords["fold"] is not None
+        assert store.func is SliceStore and store.keywords["fold"] is not None
         # 51 stored slices in blocks of ceil(51 / 16) = 4, the last one of 3
         assert length == 3

@@ -1,4 +1,5 @@
 import math
+import re
 import weakref
 
 import numpy as np
@@ -23,6 +24,7 @@ from archemo.grid import (
     norm_l2,
     spectral_helmholtz,
 )
+from archemo.recover import Oracle
 from archemo.variation import (
     ForwardHandle,
     PerturbationFamily,
@@ -59,7 +61,7 @@ def test_first_variation_single_mode(line129):
     dt, T = 1e-3, 0.3
     cfg = SolverConfig(tau=0, dt=dt, t_final=T)
     x = line129.axes[0]
-    fam = PerturbationFamily(f1=np.cos(math.pi * x), enforce_nonnegative=False)
+    fam = PerturbationFamily(f1=np.cos(math.pi * x))
     stack = solve_variations(line129, p, kin, fam, cfg)
     t = stack.order1.times.reshape(-1, 1)
     exact = np.exp((p.r - math.pi ** 2) * t) * np.cos(math.pi * x)
@@ -90,7 +92,7 @@ def test_second_variation_initial_condition_only(line129):
     dt, T = 1e-3, 0.2
     cfg = SolverConfig(tau=0, dt=dt, t_final=T)
     x = line129.axes[0]
-    fam = PerturbationFamily(f2=np.cos(math.pi * x), enforce_nonnegative=False)
+    fam = PerturbationFamily(f2=np.cos(math.pi * x))
     second = solve_variations(line129, p, kin, fam, cfg)
     t = second.order2.times.reshape(-1, 1)
     exact = 2.0 * np.exp((p.r - math.pi ** 2) * t) * np.cos(math.pi * x)
@@ -106,7 +108,7 @@ def test_second_variation_undetermined_coefficients(line129):
     dt, T = 1e-3, 0.3
     cfg = SolverConfig(tau=0, dt=dt, t_final=T)
     x = line129.axes[0]
-    fam = PerturbationFamily(f1=np.cos(math.pi * x), enforce_nonnegative=False)
+    fam = PerturbationFamily(f1=np.cos(math.pi * x))
     second = solve_variations(line129, p, kin, fam, cfg)
     theta = r - math.pi ** 2
     lam2 = (2 * math.pi) ** 2
@@ -174,8 +176,6 @@ def test_fd_rejects_zero_epsilon(line65, applied_params):
 
 def test_family_validation(line65):
     with pytest.raises(ValueError):
-        PerturbationFamily(f1=-np.ones(65)).validate(line65)
-    with pytest.raises(ValueError):
         PerturbationFamily(epsilons=(1e-3, 1e-2)).validate(line65)
     # a ladder needs two nodes for a slope
     for eps in ((), (1e-2,)):
@@ -185,6 +185,34 @@ def test_family_validation(line65):
     fam.validate(line65)
     f, g, h = fam.initial_data(line65, (0.0, 0.0, 0.0), 1e-2)
     assert np.allclose(f, 1e-2)
+
+
+def test_probe_signs_are_checked_on_the_realized_initial_data(line65, nondegenerate_params,
+                                                              monkeypatch):
+    # a family's profiles take either sign: an oracle run rejects negative realized
+    # initial data before its first step, the linear systems take a signed profile, and
+    # at a populated equilibrium a signed profile with non-negative realized data runs
+    import archemo.forward as fw
+    steps, step = [], fw.step
+
+    def counting(*args):
+        steps.append(1)
+        return step(*args)
+
+    monkeypatch.setattr(fw, "step", counting)
+    cfg = SolverConfig(dt=1e-3, t_final=0.01)
+    kin = make_kinetics(nondegenerate_params)
+    oracle = Oracle(line65, nondegenerate_params, kin, cfg)
+    with pytest.raises(ValueError, match="initial data f must be non-negative"):
+        extract_variation_fd(oracle.handle(), PerturbationFamily(f1=-np.ones(65)))
+    assert oracle.run_count == 1 and not steps
+    cos = PerturbationFamily(f1=np.cos(math.pi * line65.axes[0]))
+    stack = solve_variations(line65, nondegenerate_params, kin, cos, cfg)
+    assert np.array_equal(stack.order1.u[0], cos.f1) and np.min(stack.order1.u[-1]) < 0
+    populated = Oracle(line65, nondegenerate_params, make_kinetics(
+        nondegenerate_params, expansion_point=steady_state(nondegenerate_params)), cfg)
+    fd = extract_variation_fd(populated.handle(), cos)
+    assert populated.run_count == 4 and np.all(np.isfinite(fd.order1.u))
 
 
 def test_slope_nan_at_floor(line65):
@@ -591,11 +619,11 @@ def test_fd_extraction_holds_one_ladder_run(line65, nondegenerate_params):
 
 @pytest.mark.parametrize("case, message", [
     # a run on half the handle's t_final fills 26 of the base run's 51 slices
-    ("short", r"ladder node 0 \(eps = 0\.01\) folded 26 stored slices, not the base run's 51"),
-    ("ignores_store", r"ladder node 0 \(eps = 0\.01\) folded 0 stored slices"),
+    ("short", r"ladder node 0 \(eps = {eps}\) folded 26 stored slices, not the base run's 51"),
+    ("ignores_store", r"ladder node 0 \(eps = {eps}\) folded 0 stored slices"),
     # 101 slices in blocks of 7: the block 49:56 reaches past the base run's 51
-    ("long", r"ladder node 0 \(eps = 0\.01\) folded slices 49:56 after 49 of 51"),
-    ("twice", r"ladder node 0 \(eps = 0\.01\) folded slices 0:4 after 51 of 51"),
+    ("long", r"ladder node 0 \(eps = {eps}\) folded slices 49:56 after 49 of 51"),
+    ("twice", r"ladder node 0 \(eps = {eps}\) folded slices 0:4 after 51 of 51"),
 ], ids=["short", "ignores_store", "long", "twice"])
 def test_fd_extraction_rejects_a_run_that_does_not_fill_its_store(line65, nondegenerate_params,
                                                                   case, message):
@@ -613,7 +641,7 @@ def test_fd_extraction_rejects_a_run_that_does_not_fill_its_store(line65, nondeg
         return solve({"short": 0.025, "long": 0.1}.get(case, cfg.t_final),
                      None if case == "ignores_store" else store)
     handle.run = run
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=message.format(eps=re.escape(repr(fam.epsilons[0])))):
         extract_variation_fd(handle, fam)
 
 
