@@ -13,19 +13,19 @@ G and H are truncated power series around a constant equilibrium; the applied
 model is the linear special case G = alpha*u - beta*v, H = gamma*u - delta*w.
 
 Time stepping is IMEX Euler: diffusion implicit (one screened-Poisson solve
-per component), chemotactic advection and reactions explicit.  A run binds
-its constants (step sizes, kept denominators, kinetics coefficient grids) and
-scratch once in a StepPlan, the one place that evaluates the kinetics, and
-each step calls the ufuncs and the plan's implicit solve, on which the
-variation cascade of :mod:`variation` steps too.  For tau = 1 the three
-solves of a step run as one stacked transform.  For tau = 0 the chemical
-fields are re-slaved to u by the elliptic solver after every density update,
-and the supplied initial data g, h are replaced by the elliptic balance of f
-from t = 0.  Kinetics linear in the chemical take one solve of
-(-Lap + decay)(c - c0) = G(u, c0), a source of u alone.  Kinetics nonlinear
-in the chemical make each such solve a Picard iteration in two buffers, from
-the backward-difference extrapolation in time of the last PICARD_SEED_DEPTH
-slaved fields (fewer in the first steps).
+per component), chemotactic advection and reactions explicit.  A run binds its
+constants (step sizes, kept denominators, kinetics coefficient grids), drift
+(a :class:`grid.Drift`) and scratch once in a StepPlan, the one place that
+evaluates the kinetics; each step calls the ufuncs, the plan's drift and its
+implicit solve, which the variation cascade of :mod:`variation` runs too.  For
+tau = 1 the three solves of a step run as one stacked transform.  For tau = 0
+the chemical fields are re-slaved to u by the elliptic solver after every
+density update, and the supplied initial data g, h are replaced by the
+elliptic balance of f from t = 0.  Kinetics linear in the chemical take one
+solve of (-Lap + decay)(c - c0) = G(u, c0), a source of u alone.  Kinetics
+nonlinear in the chemical make each such solve a Picard iteration in two
+buffers, from the backward-difference extrapolation in time of the last
+PICARD_SEED_DEPTH slaved fields (fewer in the first steps).
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ __all__ = [
     "EquilibriumState",
     "KineticsSpec",
     "SECOND_ORDER_KEYS",
+    "second_order_factors",
     "SolverConfig",
     "Trajectory",
     "MeasurementRecord",
@@ -182,10 +183,18 @@ def _monomial_weight(p: int, q: int) -> float:
     return 0.5 if (p, q) == (1, 1) else 1.0
 
 
-# second-order kinetics entry label -> (chemical equation, monomial exponents (p, q));
-# per chemical in the order of the terms of StepPlan.second_order_sources
-SECOND_ORDER_KEYS = {"a11": ("g", (1, 1)), "a20": ("g", (2, 0)), "a02": ("g", (0, 2)),
-                     "b11": ("h", (1, 1)), "b20": ("h", (2, 0)), "b02": ("h", (0, 2))}
+# the monomials (p, q) of total order 2, in the one order of every second-order table
+SECOND_ORDER_MONOMIALS = ((1, 1), (2, 0), (0, 2))
+# second-order kinetics entry label -> (chemical equation, monomial exponents (p, q))
+SECOND_ORDER_KEYS = {f"{name}{p}{q}": (which, (p, q)) for which, name in (("g", "a"), ("h", "b"))
+                     for p, q in SECOND_ORDER_MONOMIALS}
+
+
+def second_order_factors(x, c):
+    """Per monomial (p, q) of SECOND_ORDER_MONOMIALS: (p, q), 2 w (w its monomial weight) and
+    the factors of x^p c^q; a coefficient a adds (2 w a) x^p c^q to a second-variation source."""
+    return [(pq, 2.0 * _monomial_weight(*pq), (x,) * pq[0] + (c,) * pq[1])
+            for pq in SECOND_ORDER_MONOMIALS]
 
 
 @dataclass
@@ -438,13 +447,13 @@ class StepPlan:
 
     :func:`solve_forward` and :func:`variation.solve_variations` each build one.  It
     holds dt and the step sizes and kept denominators of the implicit solve
-    (:meth:`implicit`), the CFL numerator, whether there is drift, per chemical
-    (``"g"`` for v, ``"h"`` for w) its decay, c0 and coefficient grids, those split
-    into u-only terms and factors of the chemical, the number ``keep`` of earlier
-    states that seed Picard, and per-run scratch, which no field that :func:`step`
-    returns is or shares memory with.  The grids are built here from ``kin``'s
-    tables, once, and later edits to the spec do not reach them.  The rates and
-    step sizes that :func:`step` hands to ufuncs are 0-d arrays, which a ufunc
+    (:meth:`implicit`), the CFL numerator, its :class:`grid.Drift` ``drift`` (None
+    without drift), per chemical (``"g"`` for v, ``"h"`` for w) its decay, c0 and
+    coefficient grids, those split into u-only terms and factors of the chemical, the
+    number ``keep`` of earlier states that seed Picard, and per-run scratch, which no
+    field that :func:`step` returns is or shares memory with.  The grids are built here
+    from ``kin``'s tables, once, and later edits to the spec do not reach them.  The
+    rates and step sizes that :func:`step` hands to ufuncs are 0-d arrays, which a ufunc
     takes faster than Python floats.
     """
 
@@ -452,9 +461,9 @@ class StepPlan:
         self.domain, self.p, self.kin, self.cfg = domain, p, kin, cfg
         eq = kin.expansion_point
         self.dt, self.tau, self.u0 = cfg.dt, cfg.tau, eq.u0
-        self.chi, self.xi, self.r, self.mu, self.h, self.zero = (
-            np.array(float(x)) for x in (p.chi, p.xi, p.r, p.mu, cfg.dt, 0.0))
-        self.drift = bool(p.chi or p.xi)
+        self.chi, self.xi, self.r, self.mu, self.h = (
+            np.array(float(x)) for x in (p.chi, p.xi, p.r, p.mu, cfg.dt))
+        self.drift = g.Drift(domain, domain.shape) if p.chi or p.xi else None
         self.cfl = CFL_SAFETY * min(domain.spacing)
         self.tables = {}
         for which, decay, base, table in (("g", kin.beta_decay, eq.v0, kin.g_coeffs),
@@ -478,25 +487,8 @@ class StepPlan:
         # the tendency of u, at tau=1 the first of the stacked (u, v, w) tendencies
         self.stack = np.empty((3,) + domain.shape) if cfg.tau else None
         self.tendency = self.stack[0] if cfg.tau else np.empty(domain.shape)
-        self.quad, self.fixed, self.rhs, self.scratch, self.pot, self.div = (
-            np.empty(domain.shape) for _ in range(6))
-        # per axis: h, the node indices of the faces' two ends, the potential there, the
-        # face velocities and their upwind mask, the face fluxes in a buffer padded with
-        # the zero outer fluxes (+0 before, -0 after, which keeps the signs of zero of
-        # -flux / (h/2)), the cell widths (the axis's trapezoid weights) and the
-        # divergence (div, then added to it)
-        self.faces = []
-        for axis, h in enumerate(domain.spacing):
-            lo, hi, inner, _, _, _, last, _, _ = g._NODE_INDEX[domain.dim, axis]
-            n = domain.shape[axis]
-            padded = np.zeros(domain.shape[:axis] + (n + 1,) + domain.shape[axis + 1:])
-            padded[last] = -0.0
-            faces = self.pot[lo].shape
-            self.faces.append((
-                np.array(h), lo, hi, self.pot[hi], self.pot[lo], np.empty(faces),
-                padded[inner], np.empty(faces, bool), padded[hi], padded[lo],
-                domain.axis_weights[axis].reshape((n,) + (1,) * (domain.dim - 1 - axis)),
-                self.div if axis == 0 else np.empty(domain.shape)))
+        self.quad, self.fixed, self.rhs, self.scratch, self.pot = (
+            np.empty(domain.shape) for _ in range(5))
 
     def implicit(self, x, tendency):
         """One IMEX Euler step with implicit diffusion, of the plan's step sizes h.
@@ -594,11 +586,11 @@ class StepPlan:
 
     def second_order_sources(self, which, u1, c1):
         """a11*u1*c1 + 2*a20*u1^2 + 2*a02*c1^2 of G (``which="g"``, c1 = v1) or H
-        (``"h"``, c1 = w1) on the grid, skipping absent entries.  Each is 2 * grid * its
-        two factors: the weight 1/2 of (1, 1) makes 2 * grid a11."""
+        (``"h"``, c1 = w1) on the grid, skipping absent entries.  Each is 2 * grid times
+        the factors of :func:`second_order_factors`; the weight 1/2 makes 2 * grid a11."""
         terms = self.tables[which][2]
         out = np.zeros(self.domain.shape)
-        for key, x, y in (((1, 1), u1, c1), ((2, 0), u1, u1), ((0, 2), c1, c1)):
+        for key, _, (x, y) in second_order_factors(u1, c1):
             if key in terms:
                 out += 2.0 * terms[key] * x * y
         return out
@@ -608,26 +600,24 @@ def step(plan: StepPlan, state, prior=()):
     """One IMEX Euler step of the run that ``plan`` binds; returns the new (u, v, w) triple.
 
     The supplied (v, w) must already be consistent with u (slaved for tau=0).
-    It runs the operations of the grid's drift operators in their order, on the
+    It runs the plan's :class:`grid.Drift` on the potential chi v - xi w, in the
     plan's scratch, and solves through :meth:`StepPlan.implicit`.  For tau=1 the
     three implicit steps (v and w with step size relaxation_speedup * dt) run as
-    one stacked solve.  The face velocities of the drift serve both the CFL
-    check and the upwind flux.  u and the potential are screened by their dot
-    product and scanned by :meth:`Domain.check_field` only when that screen
-    fails.  ``prior`` holds the states of the steps before ``state``, newest
-    first; for tau=0 their chemicals, with those of ``state``, seed the Picard
-    iteration of a chemical nonlinear in itself (see :meth:`StepPlan.slave`).
+    one stacked solve.  The face velocities that :meth:`grid.Drift.load` sets
+    serve both the CFL check and the upwind flux.  u and the potential are
+    screened by their dot product and scanned by :meth:`Domain.check_field` only
+    when that screen fails.  ``prior`` holds the states of the steps before
+    ``state``, newest first; for tau=0 their chemicals, with those of ``state``,
+    seed the Picard iteration of a chemical nonlinear in itself (see
+    :meth:`StepPlan.slave`).
     """
     u, v, w = state
     domain, dt, tendency = plan.domain, plan.dt, plan.tendency
     # without drift the potential is 0 or NaN everywhere, and the face speed is then 0
     if plan.drift:
-        pot, div = plan.pot, plan.div
-        np.subtract(np.multiply(plan.chi, v, out=pot), np.multiply(plan.xi, w, out=div), out=pot)
-        speed = 0.0
-        for h, _, _, pot_hi, pot_lo, vel, flux, *_ in plan.faces:
-            np.divide(np.subtract(pot_hi, pot_lo, out=vel), h, out=vel)
-            speed = max(speed, float(np.maximum.reduce(np.absolute(vel, out=flux), None)))
+        pot = np.subtract(np.multiply(plan.chi, v, out=plan.pot),
+                          np.multiply(plan.xi, w, out=plan.quad), out=plan.pot)
+        speed = plan.drift.load(pot)
         if speed and dt > plan.cfl / speed:
             raise CFLViolation(
                 f"dt={dt:.3e} exceeds the advective stability bound {plan.cfl / speed:.3e} "
@@ -636,16 +626,11 @@ def step(plan: StepPlan, state, prior=()):
         if not (domain.is_real_field(u) and math.isfinite(float(np.vdot(u, pot)))):
             domain.check_field(u, "density")
             domain.check_field(pot, "potential")
-        for _, lo, hi, _, _, vel, flux, mask, right, left, width, out in plan.faces:
-            np.multiply(vel, np.where(np.greater(vel, plan.zero, out=mask), u[lo], u[hi]),
-                        out=flux)
-            np.divide(np.subtract(right, left, out=out), width, out=out)
-            if out is not div:
-                div += out
+        div = plan.drift.divergence(u)
     np.multiply(plan.r, u, out=tendency)
     tendency -= np.multiply(np.multiply(plan.mu, u, out=plan.quad), u, out=plan.quad)
     if plan.drift:
-        tendency -= plan.div
+        tendency -= div
     if plan.tau == 0:
         u_new, v_new, w_new = plan.implicit(u, tendency), v, w
     else:

@@ -19,7 +19,8 @@ Fields are plain numpy arrays whose shape equals ``domain.shape`` (axis order
 x1[, x2], the last axis playing the role of the distinguished coordinate in
 separable-coefficient work).  The differential operators also accept a stack
 of fields, acting on the trailing ``domain.dim`` axes with the same values as
-a loop over the slices, so time loops can become array expressions.
+a loop over the slices, so time loops can become array expressions.  Every
+upwind drift runs a :class:`Drift`, which the forward step binds once per run.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ __all__ = [
     "upwind_patterns",
     "max_face_speed",
     "face_velocities",
+    "Drift",
     "quadrature",
     "inner_product",
     "time_weights",
@@ -242,68 +244,85 @@ class _NodeIndex(dict):
 _NODE_INDEX = _NodeIndex()
 
 
+class Drift:
+    """The upwind drift operator div(u grad P) on a field, or a stack of them, of ``shape``.
+
+    Its face buffers are bound once: per axis the velocities dP/dx, their upwind mask and
+    the fluxes, padded with the zero outer fluxes (+0 before the first face, -0 after the
+    last, which keeps the signs of zero of -flux / (h/2)) and differenced over the cell
+    widths ``Domain.axis_weights``, which conserves the weighted total exactly.  Both
+    methods return buffers that the next call overwrites."""
+
+    def __init__(self, domain, shape):
+        self.zero, self.div, self.axes = np.array(0.0), np.empty(shape), []
+        for axis, h in enumerate(domain.spacing):
+            at = len(shape) - domain.dim + axis
+            lo, hi, inner, _, _, _, last, _, _ = _NODE_INDEX[len(shape), at]
+            padded = np.zeros(shape[:at] + (shape[at] + 1,) + shape[at + 1:])
+            padded[last] = -0.0
+            flux = padded[inner]
+            self.axes.append((
+                np.array(h), lo, hi, np.empty(flux.shape), np.empty(flux.shape, bool), flux,
+                padded[hi], padded[lo],
+                domain.axis_weights[axis].reshape((-1,) + (1,) * (domain.dim - 1 - axis)),
+                self.div if axis == 0 else np.empty(shape)))
+        self.velocities = [faces[3] for faces in self.axes]
+
+    def load(self, potential):
+        """Fill the face velocities dP/dx; returns the largest |dP/dx| (the CFL numerator)."""
+        speed = 0.0
+        for h, lo, hi, vel, _, flux, *_ in self.axes:
+            np.divide(np.subtract(potential[hi], potential[lo], out=vel), h, out=vel)
+            speed = max(speed, float(np.maximum.reduce(np.absolute(vel, out=flux), None)))
+        return speed
+
+    def divergence(self, u, patterns=None):
+        """div(u grad P) of the loaded potential, u upwinded by the sign of each face
+        velocity or by frozen ``patterns`` (per axis, True takes the lower node)."""
+        for k, (_, lo, hi, vel, mask, flux, right, left, width, out) in enumerate(self.axes):
+            donor = np.greater(vel, self.zero, out=mask) if patterns is None else patterns[k]
+            np.multiply(vel, np.where(donor, u[lo], u[hi]), out=flux)
+            np.divide(np.subtract(right, left, out=out), width, out=out)
+            if out is not self.div:
+                self.div += out
+        return self.div
+
+
+def _loaded(domain, potential):
+    drift = Drift(domain, potential.shape)
+    drift.load(potential)
+    return drift
+
+
 def face_velocities(domain, potential):
     """Face-centered velocity dP/dx along each axis."""
-    vels = []
-    lead = potential.ndim - domain.dim
-    for axis, h in enumerate(domain.spacing):
-        lo, hi = _NODE_INDEX[potential.ndim, lead + axis][:2]
-        vels.append((potential[hi] - potential[lo]) / h)
-    return vels
+    return _loaded(domain, potential).velocities
 
 
 def upwind_patterns(domain, potential):
     """Donor-side masks (True -> take the left node) for each axis of faces."""
-    return [v > 0 for v in face_velocities(domain, potential)]
-
-
-def _flux_divergence(domain, u, vels, patterns):
-    lead = u.ndim - domain.dim
-    for axis, (h, vel, donor_left) in enumerate(zip(domain.spacing, vels, patterns)):
-        lo, hi, inner, _, _, first, last, _, _ = _NODE_INDEX[u.ndim, lead + axis]
-        flux = vel * np.where(donor_left, u[lo], u[hi])
-        # boundary cells have width h/2 and a zero outer flux
-        if axis == 0:
-            div = np.empty(u.shape, dtype=flux.dtype)
-            div[inner] = (flux[hi] - flux[lo]) / h
-            div[first] = flux[first] / (0.5 * h)
-            div[last] = -flux[last] / (0.5 * h)
-        else:
-            div[inner] += (flux[hi] - flux[lo]) / h
-            div[first] += flux[first] / (0.5 * h)
-            div[last] -= flux[last] / (0.5 * h)
-    return div
+    return [vel > 0 for vel in _loaded(domain, potential).velocities]
 
 
 def advective_flux_div(domain, u, potential):
-    """Divergence of the advective flux u * grad(potential).
-
-    First-order upwinding on u with centered face gradients of the potential;
-    outer faces carry zero flux, so the weighted total is conserved exactly.
-    u and the potential may be stacks with the same leading axes.
-    """
+    """Divergence of the advective flux u * grad(potential), upwinded on u; u and the
+    potential may be stacks with the same leading axes."""
     u = domain.check_field(u, "density", stacked=True)
     potential = domain.check_field(potential, "potential", stacked=True)
-    vels = face_velocities(domain, potential)
-    return _flux_divergence(domain, u, vels, [v > 0 for v in vels])
+    return _loaded(domain, potential).divergence(u)
 
 
 def advective_flux_div_patterned(domain, u, potential, patterns):
-    """Like :func:`advective_flux_div` but with an externally frozen upwind pattern.
-
-    With the pattern fixed, the result is linear in the potential, which the
-    recovery regression relies on.  The patterns of a stack come from
-    :func:`upwind_patterns` of a potential with the same leading axes.
-    """
+    """Like :func:`advective_flux_div`, upwinded by patterns frozen by :func:`upwind_patterns`;
+    the result is then linear in the potential, which the recovery regression relies on."""
     u = domain.check_field(u, "density", stacked=True)
     potential = domain.check_field(potential, "potential", stacked=True)
-    vels = face_velocities(domain, potential)
-    return _flux_divergence(domain, u, vels, patterns)
+    return _loaded(domain, potential).divergence(u, patterns)
 
 
 def max_face_speed(domain, potential):
     """Largest |dP/dx| over all faces and axes (CFL numerator)."""
-    return max(0.0, *(float(np.abs(v).max()) for v in face_velocities(domain, potential)))
+    return Drift(domain, potential.shape).load(potential)
 
 
 # ---------------------------------------------------------------------------

@@ -817,6 +817,10 @@ def _cmd_recover(args, cfg: ExperimentConfig) -> int:
 def _cmd_identcheck(args, cfg: ExperimentConfig) -> int:
     domain = cfg.domain()
     b1 = cfg.parameter_set(domain)
+    kin = cfg.kinetics(domain, b1)   # the sweep perturbs the linear model's eight parameters
+    for label, (which, key) in SECOND_ORDER_KEYS.items():
+        if key in getattr(kin, f"{which}_coeffs"):
+            raise ValueError(f"identcheck runs linear kinetics only; kinetics.{label} must be 0")
     solver = cfg.solver_config(tau=args.tau)
     init = cfg.initial_data(domain)
     match_tol, reports = identifiability_sweep(

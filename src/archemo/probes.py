@@ -38,7 +38,6 @@ __all__ = [
     "slice_projections",
     "MomentVector",
     "TransformSample",
-    "separable_probe_field",
     "transform_samples",
     "moment_probe_descriptors",
     "cosine_probe_descriptors",
@@ -258,30 +257,20 @@ class TransformSample:
     value: complex
 
 
-def separable_probe_field(domain: Domain, xi_prime, axial_rate: float) -> np.ndarray:
-    """exp(i xi'.x') * exp(axial_rate * x_n) on the grid.
-
-    Harmonic exactly when |axial_rate| = |xi'| (the elliptic probe cone); the
-    moment-extraction samples deliberately leave the cone so that the axial
-    moment-generating factor can be scanned at fixed transverse content.
-    """
+def transform_samples(domain: Domain, values, descriptors) -> list:
+    """Quadrature transforms of a gridded function against the probe family: per
+    descriptor (xi', rate) the :class:`CGOProbe` exp(i xi'.x' + rate x_n), harmonic exactly
+    when |rate| = |xi'| (the elliptic cone), which the moment scans deliberately leave to
+    scan the axial moment-generating factor at fixed transverse content."""
     if domain.dim < 2:
         raise ValueError("separable probes need a transverse direction")
-    xi_prime = np.atleast_1d(np.asarray(xi_prime, dtype=float))
-    coords = domain.meshgrid()
-    expo = sum(1j * s * c for s, c in zip(xi_prime, coords[:-1]))
-    expo = expo + axial_rate * coords[-1]
-    return np.exp(expo)
-
-
-def transform_samples(domain: Domain, values, descriptors) -> list:
-    """Quadrature transforms of a gridded function against the probe family."""
     values = domain.check_field(np.asarray(values, dtype=float), "transform input")
     out = []
     for xi_prime, rate in descriptors:
-        phi = separable_probe_field(domain, xi_prime, rate)
+        xi_prime = np.atleast_1d(np.asarray(xi_prime, dtype=float))
+        phi = CGOProbe(0.0, np.append(1j * xi_prime, rate), 0.0).sample_space(domain)
         val = complex(np.sum(domain.weights * values * phi))
-        out.append(TransformSample(xi_prime=tuple(float(x) for x in np.atleast_1d(xi_prime)),
+        out.append(TransformSample(xi_prime=tuple(float(x) for x in xi_prime),
                                    axial_rate=float(rate), value=val))
     return out
 

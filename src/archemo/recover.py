@@ -75,6 +75,7 @@ from .forward import (
     ParameterSet,
     SolverConfig,
     coefficient_on_grid,
+    second_order_factors,
     solve_forward,
     step_source,
 )
@@ -793,8 +794,8 @@ def recover_second_kinetics(oracle: Oracle, linear: StageRecord,
         def rows():
             for block, rhs in _chemical_balance(oracle, o2.component(comp), decay, n):
                 rhs -= a10_grid * o2.u[block]
-                x, c = o1.u[block], chem1[block]
-                yield wt[block], (x * c, 2.0 * x * x, 2.0 * c * c, rhs)
+                yield wt[block], (*(scale * x * y for _, scale, (x, y)
+                                    in second_order_factors(o1.u[block], chem1[block])), rhs)
                 del rhs
 
         gram = np.empty((domain.node_count, 4, 4))

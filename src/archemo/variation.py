@@ -243,7 +243,8 @@ def solve_variations(domain: Domain, p: ParameterSet, kin: KineticsSpec,
         # density sources of the second order, from both orders at the previous step
         source = -2.0 * p.mu * u1 * u1
         if plan.drift:
-            source = source - 2.0 * g.advective_flux_div(domain, u1, p.chi * v1 - p.xi * w1)
+            plan.drift.load(domain.check_field(p.chi * v1 - p.xi * w1, "potential"))
+            source = source - 2.0 * plan.drift.divergence(domain.check_field(u1, "density"))
         source = source - coupling(v2, w2)
         tendency = (r_eff * u1 - coupling(v1, w1), r_eff * u2 + source)
         if cfg.tau == 0:

@@ -220,3 +220,20 @@ def test_no_constant_sequence_is_spelled_twice():
                 seen.setdefault(key, []).append(f"{os.path.relpath(path, ROOT)}:{node.lineno}")
     repeated = {key: where for key, where in seen.items() if len(where) > 1}
     assert not repeated, f"constant sequences spelled out more than once: {repeated}"
+
+
+def test_traced_functions_exist():
+    # the benchmark's traced run rebinds each (module, function) of perfbench/tracer.py's
+    # TRACED by name and reads Oracle.query_count; a deleted or renamed one fails that
+    # run, not the suite
+    path = os.path.join(ROOT, "perfbench", "tracer.py")
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), filename=path)
+    traced = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and any(isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets))
+    assert traced
+    missing = [f"{module}.{func}" for module, func, _ in traced
+               if not callable(getattr(importlib.import_module(f"archemo.{module}"), func, None))]
+    assert not missing, f"traced functions the package no longer defines: {missing}"
+    assert isinstance(inspect.getattr_static(archemo.Oracle, "query_count", None), property)

@@ -199,6 +199,24 @@ def test_step_density_matches_unfused_drift(applied_params, rng):
                     assert np.array_equal(c_new, helmholtz_solve(d, source, decay) + c0)
 
 
+def test_plan_drift_gives_the_grid_drift_bitwise(applied_params, rng):
+    # the step's drift and the grid's functions are one operator: the same bytes, signs
+    # of zero included, from potentials with flat and signed-zero stretches and
+    # densities with zeros, through one plan reused across calls
+    for d in (Domain(1.0, 65), Domain((1.0, 1.0), (17, 17))):
+        drift = StepPlan(d, applied_params, make_kinetics(applied_params),
+                         SolverConfig(tau=0, dt=1e-3, t_final=1.0)).drift
+        signed_zeros = 0
+        for _ in range(4):
+            pot = np.round(rng.standard_normal(d.shape), 1) * (rng.random(d.shape) < 0.5)
+            u = np.where(rng.random(d.shape) < 0.3, 0.0, rng.random(d.shape))
+            assert drift.load(pot) == max_face_speed(d, pot)
+            div = drift.divergence(u)
+            assert div.tobytes() == advective_flux_div(d, u, pot).tobytes()
+            signed_zeros += int(np.sum(np.signbit(div) & (div == 0)))
+        assert signed_zeros
+
+
 def test_step_rejects_nonfinite_and_negative_states(line65, applied_params):
     kin = make_kinetics(applied_params)
     cfg = SolverConfig(tau=0, dt=1e-3, t_final=1.0)

@@ -7,6 +7,7 @@ import scipy.fft
 from archemo.errors import EllipticSolveError
 from archemo.grid import (
     Domain,
+    Drift,
     advective_flux_div,
     advective_flux_div_patterned,
     face_velocities,
@@ -534,7 +535,7 @@ def test_helmholtz_finite_source_with_overflowing_norm():
 def _reference_flux_divergence(domain, u, vels, patterns):
     """The flux divergence that summed a zero-filled array per axis into a zero total.
 
-    Kept as the reference for ``grid._flux_divergence``, which must return the same values.
+    Kept as the reference for :meth:`grid.Drift.divergence`, which must return the same values.
     """
     total = np.zeros(u.shape, dtype=np.result_type(u, *[v.dtype for v in vels]))
     for axis, (h, vel, donor_left) in enumerate(zip(domain.spacing, vels, patterns)):
@@ -551,16 +552,19 @@ def _reference_flux_divergence(domain, u, vels, patterns):
 
 
 def test_flux_divergence_matches_reference(rng):
-    from archemo.grid import _flux_divergence
     for d in (Domain(1.0, 33), Domain(1.0, 129), Domain((1.0, 2.0), (17, 25)),
               Domain((1.0, 1.0), (65, 65))):
         for lead in ((), (3,), (2, 4)):
             u = 0.5 + rng.random(lead + d.shape)
-            vels = face_velocities(d, 0.7 * rng.standard_normal(lead + d.shape))
+            drift = Drift(d, lead + d.shape)
+            drift.load(0.7 * rng.standard_normal(lead + d.shape))
+            vels = drift.velocities
             frozen = upwind_patterns(d, rng.standard_normal(lead + d.shape))
             for pats in ([v > 0 for v in vels], frozen):
-                assert np.array_equal(_flux_divergence(d, u, vels, pats),
+                assert np.array_equal(drift.divergence(u, pats),
                                       _reference_flux_divergence(d, u, vels, pats))
+            assert np.array_equal(drift.divergence(u),
+                                  _reference_flux_divergence(d, u, vels, [v > 0 for v in vels]))
 
 
 def _slices(stack, dim):

@@ -385,6 +385,19 @@ def test_cli_identcheck_self_consistent(tmp_path):
     assert all(line.endswith("consistent") for line in lines[1:])
 
 
+@pytest.mark.parametrize("label", ["a11", "b02"])
+def test_cli_identcheck_rejects_second_order_kinetics(tmp_path, capsys, label):
+    # the sweep draws only the eight parameters, so a second-order entry would be ignored
+    cfg = ExperimentConfig.from_file(os.path.join(CONFIG_DIR, "identcheck.cfg"))
+    cfg.set(f"kinetics.{label}", "0.5")
+    path = tmp_path / "ident.cfg"
+    cfg.to_file(path)
+    code = cli(["--config", str(path), "--out", str(tmp_path / "out"), "--quiet", "identcheck"])
+    assert code == 1
+    assert f"kinetics.{label} must be 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_convergence(tmp_path):
     code = cli(["--out", str(tmp_path), "--quiet", "convergence"])
     assert code == 0
