@@ -1,10 +1,10 @@
 """Experiment orchestration: configs, identifiability checks, convergence, CLI.
 
 Configuration files are flat ``section.key = value`` text (diff-friendly, no
-schema engine); the full key table lives in :data:`CONFIG_SCHEMA` and is
-documented in the README.  Spatial coefficients and initial-data profiles are
-compact constructor strings, e.g. ``cosine:base=1,amp=0.3,mode=1,axis=0`` or
-``sepcosaff:amp=0.25,tmode=1,a0=1,a1=1``.
+schema engine); :data:`CONFIG_SCHEMA` maps each key to its default, and a key's
+values take its default's type (documented in the README).  Spatial coefficients
+and initial-data profiles are compact constructor strings (:func:`build_profile`),
+e.g. ``cosine:base=1,amp=0.3,mode=1,axis=0`` or ``sepcosaff:amp=0.25,tmode=1,a0=1,a1=1``.
 
 The command-line interface exposes five subcommands: ``simulate`` (forward
 run to CSV/npz), ``linearize`` (variation stacks and the consistency table),
@@ -75,15 +75,25 @@ __all__ = [
 # coefficient / initial-data profile strings
 
 
+# profile kind -> its arguments and their defaults; None marks a required argument
+_PROFILE_ARGS = {
+    "const": {"v": None},
+    "cosine": {"base": "0", "amp": "0", "mode": "1", "axis": "0"},
+    "modes": {"offset": "0", "axis": "-1", "terms": ""},
+    "sepcosaff": {"amp": "1", "tmode": "1", "a0": "1", "a1": "0"},
+}
+
+
 def build_profile(domain: Domain, spec):
     """Materialize a profile string as a constant, grid field, or separable pair.
 
-    Grammar (comma-separated key=value arguments):
+    Grammar (comma-separated key=value arguments, defaults in :data:`_PROFILE_ARGS`):
       <float>                                  constant
-      const:v=<float>                          constant
+      const:v=<float>                          constant (v is required)
       cosine:base=,amp=,mode=,axis=            base + amp*cos(mode*pi*x_axis/L)
       modes:offset=,axis=,terms=k1xA1+k2xA2    offset + sum_i A_i cos(k_i pi x/L)
       sepcosaff:amp=,tmode=,a0=,a1=            separable amp*cos(tmode pi x1/L1) x (a0 + a1*x2/L2)
+    An axis lies in [-dim, dim); an unknown, missing or malformed argument raises ValueError.
     """
     if isinstance(spec, (int, float)):
         return float(spec)
@@ -91,101 +101,89 @@ def build_profile(domain: Domain, spec):
     if ":" not in spec:
         return float(spec)
     kind, _, argstr = spec.partition(":")
-    args = {}
-    for part in argstr.split(","):
-        if not part:
-            continue
+    if kind not in _PROFILE_ARGS:
+        raise ValueError(f"unknown profile kind {kind!r} in {spec!r}")
+    args = dict(_PROFILE_ARGS[kind])
+    for part in filter(None, argstr.split(",")):
         key, _, val = part.partition("=")
-        args[key.strip()] = val.strip()
+        key = key.strip()
+        if key not in args:
+            raise ValueError(f"profile {spec!r}: unknown argument {key!r}, {kind} takes {', '.join(args)}")
+        args[key] = val.strip()
+    missing = [key for key, val in args.items() if val is None]
+    if missing:
+        raise ValueError(f"profile {spec!r}: missing argument {', '.join(missing)}")
     if kind == "const":
         return float(args["v"])
-    if kind == "cosine":
-        pairs = [(int(args.get("mode", 1)), float(args.get("amp", 0.0)))]
-        return axial_mode_profile(domain, float(args.get("base", 0.0)), pairs,
-                                  axis=int(args.get("axis", 0)))
-    if kind == "modes":
-        terms = [t.partition("x") for t in args["terms"].split("+")] if args.get("terms") else []
-        return axial_mode_profile(domain, float(args.get("offset", 0.0)),
-                                  [(int(k), float(a)) for k, _, a in terms],
-                                  axis=int(args.get("axis", -1)) % domain.dim)
     if kind == "sepcosaff":
         if domain.dim < 2:
             raise ValueError("sepcosaff profiles need a 2D domain")
-        amp = float(args.get("amp", 1.0))
-        tmode = int(args.get("tmode", 1))
-        a0 = float(args.get("a0", 1.0))
-        a1 = float(args.get("a1", 0.0))
-        transverse = amp * np.cos(tmode * math.pi * domain.axes[0] / domain.lengths[0])
-        axial = a0 + a1 * domain.axes[1] / domain.lengths[1]
+        transverse = float(args["amp"]) * np.cos(
+            int(args["tmode"]) * math.pi * domain.axes[0] / domain.lengths[0])
+        axial = float(args["a0"]) + float(args["a1"]) * domain.axes[1] / domain.lengths[1]
         return SeparableField(transverse=transverse, axial=axial)
-    raise ValueError(f"unknown profile kind {kind!r} in {spec!r}")
-
-
-def profile_gamma0(domain: Domain, spec) -> float:
-    """Axial integral of a separable profile (the declared moment gauge)."""
-    prof = build_profile(domain, spec)
-    if not isinstance(prof, SeparableField):
-        raise ValueError("gamma0 is only defined for separable profiles")
-    return prof.axial_integral(domain)
+    axis = int(args["axis"])
+    if not -domain.dim <= axis < domain.dim:
+        raise ValueError(f"profile {spec!r}: axis {axis} outside [-{domain.dim}, {domain.dim})")
+    if kind == "cosine":
+        offset, pairs = args["base"], [(int(args["mode"]), float(args["amp"]))]
+    else:
+        terms = [t.partition("x") for t in args["terms"].split("+")] if args["terms"] else []
+        offset, pairs = args["offset"], [(int(k), float(a)) for k, _, a in terms]
+    return axial_mode_profile(domain, float(offset), pairs, axis=axis)
 
 
 # ---------------------------------------------------------------------------
 # configuration
 
 
-def _parse_floats(s):
-    return tuple(float(x) for x in str(s).split())
+def _parse(default, text: str):
+    """A config value from its text, typed by its key's default (a tuple per element)."""
+    if isinstance(default, tuple):
+        return tuple(type(default[0])(x) for x in text.split())
+    return type(default)(text)
 
 
-def _parse_ints(s):
-    return tuple(int(x) for x in str(s).split())
-
-
-def _ser_floats(v):
-    return " ".join(aio.fmt(x) for x in v)
-
-
-def _ser_ints(v):
-    return " ".join(str(int(x)) for x in v)
-
-
-def _ser_float(v):
-    return aio.fmt(v)
+def _serialize(value) -> str:
+    """The config text of a value: floats in full round-trip form, others by ``str``."""
+    if isinstance(value, tuple):
+        return " ".join(_serialize(x) for x in value)
+    return aio.fmt(value) if isinstance(value, float) else str(value)
 
 
 CONFIG_SCHEMA = {
-    # key: (parse, serialize, default)
-    "domain.lengths": (_parse_floats, _ser_floats, (1.0,)),
-    "domain.cells": (_parse_ints, _ser_ints, (129,)),
-    "solver.tau": (int, str, 0),
-    "solver.dt": (float, _ser_float, 5e-4),
-    "solver.t_final": (float, _ser_float, 1.0),
-    "solver.store_every": (int, str, 1),
-    "solver.relaxation_speedup": (float, _ser_float, 1.0),
-    "params.chi": (float, _ser_float, 0.1),
-    "params.xi": (float, _ser_float, 0.05),
-    "params.r": (float, _ser_float, 0.5),
-    "params.mu": (float, _ser_float, 1.0),
-    "params.alpha": (str, str, "1"),
-    "params.beta": (float, _ser_float, 1.0),
-    "params.gamma": (str, str, "1"),
-    "params.delta": (float, _ser_float, 1.0),
-    **{f"kinetics.{label}": (str, str, "0") for label in SECOND_ORDER_KEYS},
-    "init.f": (str, str, "modes:offset=0.5,axis=-1,terms=1x0.2"),
-    "init.g": (str, str, "const:v=0.5"),
-    "init.h": (str, str, "const:v=0.5"),
-    "perturb.f1": (str, str, "modes:offset=1,axis=-1,terms=1x0.45+2x0.45"),
-    "perturb.g1": (str, str, "0"),
-    "perturb.h1": (str, str, "0"),
-    "perturb.f2": (str, str, "0"),
-    "perturb.g2": (str, str, "0"),
-    "perturb.h2": (str, str, "0"),
-    "perturb.epsilons": (_parse_floats, _ser_floats, DEFAULT_EPSILONS),
-    "pipeline.separable_entries": (str, str, ""),
-    "pipeline.check_tol": (float, _ser_float, 0.05),
-    "ident.seed": (int, str, 7),
-    "ident.trials": (int, str, 20),
-    "output.dir": (str, str, "out"),
+    # key: default, whose type is the type of the key's values
+    "domain.lengths": (1.0,),
+    "domain.cells": (129,),
+    "solver.tau": 0,
+    "solver.dt": 5e-4,
+    "solver.t_final": 1.0,
+    "solver.store_every": 1,
+    "solver.relaxation_speedup": 1.0,
+    "params.chi": 0.1,
+    "params.xi": 0.05,
+    "params.r": 0.5,
+    "params.mu": 1.0,
+    "params.alpha": "1",
+    "params.beta": 1.0,
+    "params.gamma": "1",
+    "params.delta": 1.0,
+    **{f"kinetics.{label}": "0" for label in SECOND_ORDER_KEYS},
+    "init.f": "modes:offset=0.5,axis=-1,terms=1x0.2",
+    "init.g": "const:v=0.5",
+    "init.h": "const:v=0.5",
+    "perturb.f1": "modes:offset=1,axis=-1,terms=1x0.45+2x0.45",
+    "perturb.g1": "0",
+    "perturb.h1": "0",
+    "perturb.f2": "0",
+    "perturb.g2": "0",
+    "perturb.h2": "0",
+    "perturb.epsilons": DEFAULT_EPSILONS,
+    "pipeline.separable_entries": "",
+    "pipeline.check_tol": 0.05,
+    "ident.seed": 7,
+    "ident.trials": 20,
+    "output.dir": "out",
 }
 
 
@@ -208,8 +206,7 @@ class ExperimentConfig:
             key = key.strip()
             if key not in CONFIG_SCHEMA:
                 raise ValueError(f"config line {lineno}: unknown key {key!r}")
-            parse = CONFIG_SCHEMA[key][0]
-            values[key] = parse(val.strip())
+            values[key] = _parse(CONFIG_SCHEMA[key], val.strip())
         return cls(values=values)
 
     @classmethod
@@ -218,20 +215,14 @@ class ExperimentConfig:
             return cls.from_text(fh.read())
 
     def to_text(self) -> str:
-        lines = []
-        for key, (_, ser, default) in CONFIG_SCHEMA.items():
-            val = self.values.get(key, default)
-            lines.append(f"{key} = {ser(val)}")
-        return "\n".join(lines) + "\n"
+        return "".join(f"{key} = {_serialize(self.get(key))}\n" for key in CONFIG_SCHEMA)
 
     def to_file(self, path):
         with open(path, "w") as fh:
             fh.write(self.to_text())
 
     def get(self, key):
-        if key not in CONFIG_SCHEMA:
-            raise KeyError(key)
-        return self.values.get(key, CONFIG_SCHEMA[key][2])
+        return self.values.get(key, CONFIG_SCHEMA[key])
 
     def set(self, key, value):
         if key not in CONFIG_SCHEMA:
@@ -273,37 +264,25 @@ class ExperimentConfig:
                                             second_order_h=second["h"])
 
     def initial_data(self, domain: Domain):
-        out = []
-        for key in ("init.f", "init.g", "init.h"):
-            prof = build_profile(domain, self.get(key))
-            if isinstance(prof, SeparableField):
-                prof = prof.on_grid(domain)
-            elif isinstance(prof, float):
-                prof = domain.constant(prof)
-            out.append(prof)
-        return tuple(out)
+        return tuple(coefficient_on_grid(build_profile(domain, self.get(f"init.{name}")), domain)
+                     for name in "fgh")
 
     def perturbation_family(self, domain: Domain) -> PerturbationFamily:
-        profs = {}
-        for name in PerturbationFamily.PROFILES:
-            prof = build_profile(domain, self.get(f"perturb.{name}"))
-            if isinstance(prof, float):
-                prof = None if prof == 0.0 else domain.constant(prof)
-            elif isinstance(prof, SeparableField):
-                prof = prof.on_grid(domain)
-            profs[name] = prof
+        profs = {name: coefficient_on_grid(build_profile(domain, self.get(f"perturb.{name}")), domain)
+                 for name in PerturbationFamily.PROFILES}
         return PerturbationFamily(epsilons=self.get("perturb.epsilons"), **profs)
 
     def pipeline_options(self, domain: Domain) -> PipelineOptions:
         declared = {}
-        for label in str(self.get("pipeline.separable_entries")).split():
-            spec = self.get(f"kinetics.{label}")
-            declared[label] = profile_gamma0(domain, spec)
-        return PipelineOptions(
-            epsilons=self.get("perturb.epsilons"),
-            declared_separable=declared,
-            recover_fields=None,
-        )
+        for label in self.get("pipeline.separable_entries").split():
+            if label not in SECOND_ORDER_KEYS:
+                raise ValueError(f"pipeline.separable_entries: {label!r} is not a kinetics label")
+            prof = build_profile(domain, self.get(f"kinetics.{label}"))
+            if not isinstance(prof, SeparableField):
+                raise ValueError(f"pipeline.separable_entries: kinetics.{label} is not separable")
+            declared[label] = prof.axial_integral(domain)
+        return PipelineOptions(epsilons=self.get("perturb.epsilons"),
+                               declared_separable=declared)
 
 
 # ---------------------------------------------------------------------------
@@ -670,13 +649,8 @@ def report_to_text(report: RecoveryReport, truth: dict | None = None,
 
 def relative_estimate_error(est, truth, domain: Domain | None = None) -> float:
     """Relative gap between an estimate and a truth value (L2 for fields)."""
-    if isinstance(est, SeparableEstimate):
-        if domain is None:
-            raise ValueError("separable comparison needs the domain")
-        est_grid = est.on_grid(domain)
-        truth_grid = coefficient_on_grid(truth, domain)
-        return norm_l2(domain, est_grid - truth_grid) / max(norm_l2(domain, truth_grid), 1e-300)
-    if isinstance(est, np.ndarray) or isinstance(truth, (np.ndarray, SeparableField)):
+    fields = (np.ndarray, SeparableField)
+    if isinstance(est, fields) or isinstance(truth, fields):
         if domain is None:
             raise ValueError("field comparison needs the domain")
         a = coefficient_on_grid(est, domain)
@@ -698,7 +672,7 @@ def report_to_csv(report: RecoveryReport, truth: dict | None = None,
             est_s = _estimate_text(est)
             truth_s, rel_s = "", ""
             if truth and key in truth:
-                truth_s = _estimate_text(truth[key]) if not isinstance(truth[key], (int, float)) else aio.fmt(truth[key])
+                truth_s = _estimate_text(truth[key])
                 rel_s = aio.fmt(relative_estimate_error(est, truth[key], domain))
             resid = stage.residuals.get(key, stage.residuals.get("fit", ""))
             resid_s = aio.fmt(resid) if resid != "" else ""
@@ -712,7 +686,7 @@ def write_recovery_outputs(outdir, report: RecoveryReport, truth: dict | None,
                            domain: Domain):
     """Write a recovery's report and estimate files into the existing directory ``outdir``."""
     with open(os.path.join(outdir, "report.txt"), "w") as fh:
-        fh.write(report_to_text(report, truth={} if truth is None else truth, domain=domain))
+        fh.write(report_to_text(report, truth, domain))
     with open(os.path.join(outdir, "report.csv"), "w") as fh:
         fh.write(report_to_csv(report, truth, domain))
     for key, val in sorted(report.estimates.items()):
@@ -722,10 +696,9 @@ def write_recovery_outputs(outdir, report: RecoveryReport, truth: dict | None,
             path = os.path.join(outdir, f"estimate_{key}_factors.csv")
             with open(path, "w") as fh:
                 fh.write("axis,index,coordinate,value\n")
-                for i, (c, v) in enumerate(zip(domain.axes[0], val.transverse)):
-                    fh.write(f"transverse,{i},{aio.fmt(c)},{aio.fmt(v)}\n")
-                for i, (c, v) in enumerate(zip(domain.axes[-1], val.axial)):
-                    fh.write(f"axial,{i},{aio.fmt(c)},{aio.fmt(v)}\n")
+                for name, coords in (("transverse", domain.axes[0]), ("axial", domain.axes[-1])):
+                    for i, (c, v) in enumerate(zip(coords, getattr(val, name))):
+                        fh.write(f"{name},{i},{aio.fmt(c)},{aio.fmt(v)}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -790,8 +763,7 @@ def _cmd_recover(args, cfg: ExperimentConfig) -> int:
     report = run_full_pipeline(oracle, options)
     truth = params.as_dict()
     for label, (which, key) in SECOND_ORDER_KEYS.items():
-        table = kin.g_coeffs if which == "g" else kin.h_coeffs
-        truth[label] = table.get(key, 0.0)
+        truth[label] = getattr(kin, f"{which}_coeffs").get(key, 0.0)
     outdir = _outdir(args, cfg)
     write_recovery_outputs(outdir, report, truth, domain)
     _quiet_print(args, f"recover: report in {outdir} "

@@ -73,6 +73,7 @@ from .forward import (
     EquilibriumState,
     KineticsSpec,
     ParameterSet,
+    SeparableField,
     SolverConfig,
     coefficient_on_grid,
     second_order_factors,
@@ -715,15 +716,13 @@ def recover_chi_xi_mu(oracle: Oracle, r: float,
 # stage 4: second-order kinetic coefficients
 
 
-@dataclass
-class SeparableEstimate:
-    transverse: np.ndarray
-    axial: np.ndarray
+@dataclass(frozen=True)
+class SeparableEstimate(SeparableField):
+    """A declared-separable coefficient's moment-route factors, their product's relative
+    misfit to the pointwise field, and gamma0, the declared axial integral of the factors."""
+
     misfit: float
     gamma0: float
-
-    def on_grid(self, domain):
-        return np.multiply.outer(self.transverse, self.axial)
 
 
 def _solve_normal(G):

@@ -1,6 +1,7 @@
 import glob
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -13,10 +14,11 @@ from archemo.forward import (
     measure,
     solve_forward,
 )
-from archemo.grid import Domain
+from archemo.grid import Domain, norm_l2
 from archemo.harness import (
     CONFIG_SCHEMA,
     ExperimentConfig,
+    _parse,
     build_profile,
     cli,
     convergence_study,
@@ -26,13 +28,16 @@ from archemo.harness import (
     measurement_distance,
     near_collision_search,
     parameter_distance,
+    relative_estimate_error,
     study_rows_to_text,
 )
+from archemo.recover import SeparableEstimate
 from archemo.variation import PerturbationFamily, solve_variations
 
 from conftest import make_kinetics
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), "..", "configs")
+README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 
 
 def _measurement(domain, params, cfg, f=None):
@@ -72,6 +77,74 @@ def test_config_round_trip_is_identity():
         full1 = {k: cfg1.get(k) for k in CONFIG_SCHEMA}
         full2 = {k: cfg2.get(k) for k in CONFIG_SCHEMA}
         assert full1 == full2, path
+
+
+# ExperimentConfig().to_text(), written out: a change to how values are serialized
+# must leave the text of every default byte for byte
+DEFAULT_CONFIG_TEXT = "".join(line + "\n" for line in (
+    "domain.lengths = 1",
+    "domain.cells = 129",
+    "solver.tau = 0",
+    "solver.dt = 0.00050000000000000001",
+    "solver.t_final = 1",
+    "solver.store_every = 1",
+    "solver.relaxation_speedup = 1",
+    "params.chi = 0.10000000000000001",
+    "params.xi = 0.050000000000000003",
+    "params.r = 0.5",
+    "params.mu = 1",
+    "params.alpha = 1",
+    "params.beta = 1",
+    "params.gamma = 1",
+    "params.delta = 1",
+    "kinetics.a11 = 0",
+    "kinetics.a20 = 0",
+    "kinetics.a02 = 0",
+    "kinetics.b11 = 0",
+    "kinetics.b20 = 0",
+    "kinetics.b02 = 0",
+    "init.f = modes:offset=0.5,axis=-1,terms=1x0.2",
+    "init.g = const:v=0.5",
+    "init.h = const:v=0.5",
+    "perturb.f1 = modes:offset=1,axis=-1,terms=1x0.45+2x0.45",
+    "perturb.g1 = 0",
+    "perturb.h1 = 0",
+    "perturb.f2 = 0",
+    "perturb.g2 = 0",
+    "perturb.h2 = 0",
+    "perturb.epsilons = 0.01 0.0050000000000000001 0.0025000000000000001",
+    "pipeline.separable_entries = ",
+    "pipeline.check_tol = 0.050000000000000003",
+    "ident.seed = 7",
+    "ident.trials = 20",
+    "output.dir = out",
+))
+
+
+def test_default_config_text_is_unchanged():
+    assert ExperimentConfig().to_text() == DEFAULT_CONFIG_TEXT
+
+
+def test_readme_config_table_matches_the_schema():
+    # each backticked key of a row of README's configuration table, paired in order with
+    # the backticked defaults of its last column, parses by the key's default to that
+    # default; key ranges (a ... b) and "see schema" or "empty" defaults are not checked
+    with open(README) as fh:
+        section = fh.read().split("### Configuration files", 1)[1].split("\n#", 1)[0]
+    checked = []
+    for row in section.splitlines():
+        if not row.startswith("| `"):
+            continue
+        cells = row.strip("|").split("|")
+        keys, defaults = (re.findall(r"`([^`]*)`", cell) for cell in (cells[0], cells[-1]))
+        if "..." in cells[0] or not defaults:
+            continue
+        assert len(keys) == len(defaults), row
+        for key, default in zip(keys, defaults):
+            assert key in CONFIG_SCHEMA, row
+            assert _parse(CONFIG_SCHEMA[key], default) == CONFIG_SCHEMA[key], row
+            checked.append(key)
+    assert "solver.dt" in checked and "ident.trials" in checked
 
 
 def test_config_rejects_unknown_key():
@@ -290,6 +363,18 @@ def test_csv_seventeen_digit_round_trip(tmp_path, line65, applied_params):
     assert np.array_equal(u, traj.u)
 
 
+# -- recovery reports ---------------------------------------------------------------------
+
+def test_a_zero_separable_truth_is_judged_by_its_absolute_gap(square33):
+    axial = 1.0 + square33.axes[1]
+    est = SeparableEstimate(transverse=1e-3 * np.cos(math.pi * square33.axes[0]), axial=axial,
+                            misfit=0.0, gamma0=1.5)
+    zero = SeparableField(transverse=np.zeros(33), axial=axial)
+    gap = relative_estimate_error(est, zero, square33)
+    assert gap == norm_l2(square33, est.on_grid(square33))
+    assert 0.0 < gap < 1e-2
+
+
 # -- command-line interface ---------------------------------------------------------------
 
 def test_cli_unknown_flag_returns_one(capsys):
@@ -396,6 +481,30 @@ def test_cli_identcheck_rejects_second_order_kinetics(tmp_path, capsys, label):
     assert code == 1
     assert f"kinetics.{label} must be 0" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# (key, value, subcommand that reads it, what stderr must name) on a 17-node line
+MALFORMED_VALUES = [
+    ("pipeline.separable_entries", "zz", "recover", "'zz' is not a kinetics label"),
+    ("pipeline.separable_entries", "a02", "recover", "kinetics.a02 is not separable"),
+    ("params.alpha", "const:", "simulate", "missing argument v"),
+    ("params.alpha", "cosine:base=1,amp=0.1,axis=3", "simulate", "axis 3 outside [-1, 1)"),
+    ("init.f", "modes:offset=1,axis=2,terms=1x0.2", "simulate", "axis 2 outside [-1, 1)"),
+    ("params.alpha", "cosine:bas=1", "simulate", "unknown argument 'bas'"),
+]
+
+
+@pytest.mark.parametrize("key, value, command, named", MALFORMED_VALUES,
+                         ids=[f"{key}={value}" for key, value, *_ in MALFORMED_VALUES])
+def test_cli_rejects_a_malformed_config_value(tmp_path, capsys, key, value, command, named):
+    path = tmp_path / "bad.cfg"
+    path.write_text("domain.cells = 17\nsolver.dt = 0.002\nsolver.t_final = 0.02\n"
+                    f"{key} = {value}\n")
+    out = tmp_path / "out"
+    assert cli(["--config", str(path), "--out", str(out), "--quiet", command]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert not out.exists()
 
 
 def test_cli_convergence(tmp_path):

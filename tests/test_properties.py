@@ -5,8 +5,8 @@ The examples come from ``hypothesis`` under the derandomized profile of
 of the spectral solve included), fields, upwind patterns, decays and step
 sizes, elliptic sources, run stores of random strides and block counts, epsilon
 ladders with polynomial runs or random runs folded in random blocks, random
-models run from zero data, discrete modal series, and the regression rows of
-stages 2 and 4 split into random blocks of slices.
+models run from zero data, discrete modal series, the regression rows of
+stages 2 and 4 split into random blocks of slices, and profile strings.
 """
 
 import math
@@ -41,6 +41,7 @@ from archemo.grid import (
     upwind_patterns,
 )
 from archemo import forward
+from archemo.harness import _PROFILE_ARGS, build_profile
 from archemo.recover import FIT_REL_FLOOR, _node_gram, fit_exponential_rate, rate_to_growth
 from archemo.variation import ForwardHandle, PerturbationFamily, extract_variation_fd, known_base
 
@@ -427,3 +428,37 @@ def test_rate_to_growth_inverts_the_fitted_rate(data):
     log_range = abs(math.log(growth)) * span / dt + abs(math.log(abs(scale)))
     tol = 64 * EPS * (1.0 + dt * r) * ((1.0 + log_range) / span + 1.0 / dt)
     assert abs(rate_to_growth(theta, lam, dt) - r) <= tol
+
+
+@st.composite
+def profile_strings(draw):
+    # a bare number or a kind (or an unknown one) with arguments; unless the string is
+    # drawn clean, names may be misspelt and values may not parse; axes fall in and out
+    # of range either way
+    clean = draw(st.booleans())
+    number = st.one_of(st.integers(-3, 3).map(str), st.floats(-2.0, 2.0).map(repr))
+    junk = st.sampled_from(["", "x", "1.5.2", "nan", "--1", "2x", "x0.5", "1x0.2+", "0.5"])
+    terms = st.lists(st.tuples(st.integers(0, 4), st.floats(-1.0, 1.0)), max_size=3).map(
+        lambda pairs: "+".join(f"{k}x{a!r}" for k, a in pairs))
+    kind = draw(st.sampled_from(sorted(_PROFILE_ARGS) + ["warp", ""]))
+    if not kind:
+        return draw(number if clean else st.one_of(number, junk))
+    names = tuple(_PROFILE_ARGS.get(kind, ("a",)))
+    misspelt = () if clean else tuple(name[:-1] or name * 2 for name in names)
+    args = []
+    for name in draw(st.lists(st.sampled_from(names + misspelt), max_size=5)):
+        value = terms if name == "terms" else number
+        args.append(f"{name}={draw(value if clean else st.one_of(value, junk))}")
+    return f"{kind}:{','.join(args)}"
+
+
+@given(st.data())
+def test_a_profile_string_builds_a_profile_or_raises_value_error(data):
+    domain = data.draw(domains())
+    try:
+        prof = build_profile(domain, data.draw(profile_strings()))
+    except ValueError:
+        return
+    if isinstance(prof, SeparableField):
+        prof = prof.on_grid(domain)
+    assert isinstance(prof, float) or (isinstance(prof, np.ndarray) and prof.shape == domain.shape)
