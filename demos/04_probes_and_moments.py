@@ -54,7 +54,7 @@ f = np.cos(math.pi * X) * (1.0 + Y)
 w_ax = np.full(65, d2.spacing[1]); w_ax[0] = w_ax[-1] = d2.spacing[1] / 2
 gamma0 = float(np.sum(w_ax * (1.0 + d2.axes[1])))
 samples = transform_samples(d2, f, separable_probe_set(d2))
-rec = moment_recover(d2, samples, J=6, gamma0=gamma0)
+rec = moment_recover(d2, samples, gamma0=gamma0)
 print(f"  moments Gamma_0..Gamma_6: {np.array2string(rec.moments.gammas, precision=5)}")
 print(f"  factor-product misfit: {separability_misfit(d2, f, rec):.3e}")
 print(f"  diagnostics: anchor={rec.diagnostics['anchor']}, "

@@ -39,9 +39,7 @@ __all__ = [
     "laplacian_neumann",
     "advective_flux_div",
     "advective_flux_div_patterned",
-    "upwind_patterns",
     "max_face_speed",
-    "face_velocities",
     "Drift",
     "quadrature",
     "inner_product",
@@ -288,36 +286,25 @@ class Drift:
         return self.div
 
 
-def _loaded(domain, potential):
-    drift = Drift(domain, potential.shape)
-    drift.load(potential)
-    return drift
-
-
-def face_velocities(domain, potential):
-    """Face-centered velocity dP/dx along each axis."""
-    return _loaded(domain, potential).velocities
-
-
-def upwind_patterns(domain, potential):
-    """Donor-side masks (True -> take the left node) for each axis of faces."""
-    return [vel > 0 for vel in _loaded(domain, potential).velocities]
-
-
 def advective_flux_div(domain, u, potential):
     """Divergence of the advective flux u * grad(potential), upwinded on u; u and the
     potential may be stacks with the same leading axes."""
     u = domain.check_field(u, "density", stacked=True)
     potential = domain.check_field(potential, "potential", stacked=True)
-    return _loaded(domain, potential).divergence(u)
+    drift = Drift(domain, potential.shape)
+    drift.load(potential)
+    return drift.divergence(u)
 
 
 def advective_flux_div_patterned(domain, u, potential, patterns):
-    """Like :func:`advective_flux_div`, upwinded by patterns frozen by :func:`upwind_patterns`;
-    the result is then linear in the potential, which the recovery regression relies on."""
+    """Like :func:`advective_flux_div`, upwinded by frozen patterns (per axis, True takes
+    the lower node); the result is then linear in the potential, which the recovery
+    regression relies on."""
     u = domain.check_field(u, "density", stacked=True)
     potential = domain.check_field(potential, "potential", stacked=True)
-    return _loaded(domain, potential).divergence(u, patterns)
+    drift = Drift(domain, potential.shape)
+    drift.load(potential)
+    return drift.divergence(u, patterns)
 
 
 def max_face_speed(domain, potential):

@@ -75,12 +75,12 @@ __all__ = [
 # coefficient / initial-data profile strings
 
 
-# profile kind -> its arguments and their defaults; None marks a required argument
+# profile kind -> its arguments and their defaults, which type them; None marks the required float
 _PROFILE_ARGS = {
     "const": {"v": None},
-    "cosine": {"base": "0", "amp": "0", "mode": "1", "axis": "0"},
-    "modes": {"offset": "0", "axis": "-1", "terms": ""},
-    "sepcosaff": {"amp": "1", "tmode": "1", "a0": "1", "a1": "0"},
+    "cosine": {"base": 0.0, "amp": 0.0, "mode": 1, "axis": 0},
+    "modes": {"offset": 0.0, "axis": -1, "terms": ""},
+    "sepcosaff": {"amp": 1.0, "tmode": 1, "a0": 1.0, "a1": 0.0},
 }
 
 
@@ -93,13 +93,14 @@ def build_profile(domain: Domain, spec):
       cosine:base=,amp=,mode=,axis=            base + amp*cos(mode*pi*x_axis/L)
       modes:offset=,axis=,terms=k1xA1+k2xA2    offset + sum_i A_i cos(k_i pi x/L)
       sepcosaff:amp=,tmode=,a0=,a1=            separable amp*cos(tmode pi x1/L1) x (a0 + a1*x2/L2)
-    An axis lies in [-dim, dim); an unknown, missing or malformed argument raises ValueError.
+    An axis lies in [-dim, dim); an unknown, missing or malformed argument raises ValueError,
+    which names the profile and the argument.
     """
     if isinstance(spec, (int, float)):
         return float(spec)
     spec = str(spec).strip()
     if ":" not in spec:
-        return float(spec)
+        return _parse(0.0, spec, "profile")
     kind, _, argstr = spec.partition(":")
     if kind not in _PROFILE_ARGS:
         raise ValueError(f"unknown profile kind {kind!r} in {spec!r}")
@@ -109,39 +110,46 @@ def build_profile(domain: Domain, spec):
         key = key.strip()
         if key not in args:
             raise ValueError(f"profile {spec!r}: unknown argument {key!r}, {kind} takes {', '.join(args)}")
-        args[key] = val.strip()
+        default = _PROFILE_ARGS[kind][key]
+        args[key] = _parse(0.0 if default is None else default, val.strip(),
+                           f"profile {spec!r}: argument {key}")
     missing = [key for key, val in args.items() if val is None]
     if missing:
         raise ValueError(f"profile {spec!r}: missing argument {', '.join(missing)}")
     if kind == "const":
-        return float(args["v"])
+        return args["v"]
     if kind == "sepcosaff":
         if domain.dim < 2:
             raise ValueError("sepcosaff profiles need a 2D domain")
-        transverse = float(args["amp"]) * np.cos(
-            int(args["tmode"]) * math.pi * domain.axes[0] / domain.lengths[0])
-        axial = float(args["a0"]) + float(args["a1"]) * domain.axes[1] / domain.lengths[1]
+        transverse = args["amp"] * np.cos(args["tmode"] * math.pi * domain.axes[0] / domain.lengths[0])
+        axial = args["a0"] + args["a1"] * domain.axes[1] / domain.lengths[1]
         return SeparableField(transverse=transverse, axial=axial)
-    axis = int(args["axis"])
+    axis = args["axis"]
     if not -domain.dim <= axis < domain.dim:
         raise ValueError(f"profile {spec!r}: axis {axis} outside [-{domain.dim}, {domain.dim})")
     if kind == "cosine":
-        offset, pairs = args["base"], [(int(args["mode"]), float(args["amp"]))]
+        offset, pairs = args["base"], [(args["mode"], args["amp"])]
     else:
         terms = [t.partition("x") for t in args["terms"].split("+")] if args["terms"] else []
-        offset, pairs = args["offset"], [(int(k), float(a)) for k, _, a in terms]
-    return axial_mode_profile(domain, float(offset), pairs, axis=axis)
+        what = f"profile {spec!r}: argument terms"
+        offset, pairs = args["offset"], [(_parse(0, k, what), _parse(0.0, a, what)) for k, _, a in terms]
+    return axial_mode_profile(domain, offset, pairs, axis=axis)
 
 
 # ---------------------------------------------------------------------------
 # configuration
 
 
-def _parse(default, text: str):
-    """A config value from its text, typed by its key's default (a tuple per element)."""
-    if isinstance(default, tuple):
-        return tuple(type(default[0])(x) for x in text.split())
-    return type(default)(text)
+def _parse(default, text: str, what: str):
+    """A value from its text, typed by its default (a tuple per element); a ValueError
+    names what the text gives, the text and the type."""
+    many = isinstance(default, tuple)
+    kind = type(default[0] if many else default)
+    try:
+        return tuple(kind(x) for x in text.split()) if many else kind(text)
+    except ValueError:
+        raise ValueError(f"{what}: {text!r} does not parse as "
+                         f"{'space-separated ' * many}{kind.__name__}") from None
 
 
 def _serialize(value) -> str:
@@ -206,7 +214,7 @@ class ExperimentConfig:
             key = key.strip()
             if key not in CONFIG_SCHEMA:
                 raise ValueError(f"config line {lineno}: unknown key {key!r}")
-            values[key] = _parse(CONFIG_SCHEMA[key], val.strip())
+            values[key] = _parse(CONFIG_SCHEMA[key], val.strip(), f"config line {lineno}: {key}")
         return cls(values=values)
 
     @classmethod
@@ -385,10 +393,9 @@ def random_parameter_set(rng, base: ParameterSet) -> ParameterSet:
 
 
 def identifiability_sweep(domain: Domain, b1: ParameterSet, init, cfg: SolverConfig,
-                          n_trials: int = 20, seed: int = 7, match_tol: float | None = None):
+                          n_trials: int = 20, seed: int = 7):
     """Seeded random B2 draws at least PARAM_TOL from b1; returns (match_tol, reports)."""
-    if match_tol is None:
-        match_tol = measure_match_tol(domain, b1, init, cfg)
+    match_tol = measure_match_tol(domain, b1, init, cfg)
     rng = np.random.default_rng(seed)
     m1 = _forward_measure(domain, b1, cfg, init)
     reports = []
@@ -531,16 +538,17 @@ def _cfl_violated(domain, dt, chi=40.0):
         return True
 
 
-def convergence_study(base_cells: int = 33, levels: int = 3, dim: int = 1,
-                      t_final: float = 0.24, dt0: float = 4e-3):
+# the refinement study on the unit interval: coarsest nodes, levels, final time, coarsest dt
+STUDY_BASE_CELLS, STUDY_LEVELS, STUDY_T_FINAL, STUDY_DT0 = 33, 3, 0.24, 4e-3
+
+
+def convergence_study():
     """Manufactured-solution errors and observed orders on a refinement ladder.
 
     Spatial sweep: halve h at a fine fixed dt; temporal sweep: halve dt on the
     finest grid.  A deliberately advective coarse level demonstrates the CFL
     flagging path (excluded from fits).
     """
-    if levels < 3:
-        raise ValueError("need at least 3 refinement levels")
     rows = []
 
     def add_rows(test, sweep, errors, meta):
@@ -552,44 +560,43 @@ def convergence_study(base_cells: int = 33, levels: int = 3, dim: int = 1,
             rows.append(StudyRow(test=test, sweep=sweep, level=i, cells=cells,
                                  dt=dt, error=err, order=order))
 
-    dt_fine = dt0 / 2 ** (levels + 1)
-    cell_ladder = [(base_cells - 1) * 2 ** i + 1 for i in range(levels)]
-    dims = (1.0,) * dim
+    dt_fine = STUDY_DT0 / 2 ** (STUDY_LEVELS + 1)
+    cell_ladder = [(STUDY_BASE_CELLS - 1) * 2 ** i + 1 for i in range(STUDY_LEVELS)]
 
     # spatial sweep at fine dt
     errs, meta = [], []
     for n in cell_ladder:
-        domain = Domain(dims, (n,) * dim)
-        errs.append(_heat_mode_error(domain, dt_fine, t_final, richardson_in_time=True))
+        domain = Domain(1.0, n)
+        errs.append(_heat_mode_error(domain, dt_fine, STUDY_T_FINAL, richardson_in_time=True))
         meta.append((n, dt_fine))
     add_rows("forward_heat", "spatial", errs, meta)
 
     errs, meta = [], []
     for n in cell_ladder:
-        domain = Domain(dims, (n,) * dim)
+        domain = Domain(1.0, n)
         errs.append(_elliptic_mode_error(domain))
         meta.append((n, 0.0))
     add_rows("elliptic", "spatial", errs, meta)
 
     # temporal sweep on the finest grid
-    domain = Domain(dims, (cell_ladder[-1],) * dim)
-    dts = [dt0 / 2 ** i for i in range(levels)]
-    errs = [_heat_mode_error(domain, dt, t_final) for dt in dts]
+    domain = Domain(1.0, cell_ladder[-1])
+    dts = [STUDY_DT0 / 2 ** i for i in range(STUDY_LEVELS)]
+    errs = [_heat_mode_error(domain, dt, STUDY_T_FINAL) for dt in dts]
     add_rows("forward_heat", "temporal", errs, [(cell_ladder[-1], dt) for dt in dts])
 
     err1s, err2s = [], []
     for dt in dts:
-        e1, e2 = _variation_errors(domain, dt, t_final)
+        e1, e2 = _variation_errors(domain, dt, STUDY_T_FINAL)
         err1s.append(e1)
         err2s.append(e2)
     add_rows("first_variation", "temporal", err1s, [(cell_ladder[-1], dt) for dt in dts])
     add_rows("second_variation", "temporal", err2s, [(cell_ladder[-1], dt) for dt in dts])
 
     # CFL demonstration on the coarsest level with a strong drift
-    coarse = Domain(dims, (cell_ladder[0],) * dim)
-    if _cfl_violated(coarse, dt0 * 4):
+    coarse = Domain(1.0, cell_ladder[0])
+    if _cfl_violated(coarse, STUDY_DT0 * 4):
         rows.append(StudyRow(test="advective", sweep="temporal", level=0,
-                             cells=cell_ladder[0], dt=dt0 * 4, error=float("nan"),
+                             cells=cell_ladder[0], dt=STUDY_DT0 * 4, error=float("nan"),
                              order=None, flag="cfl-violation, excluded"))
     return rows
 

@@ -50,6 +50,11 @@ __all__ = [
 # moment scans keep |axial rate| * diameter within this cap, the validity range of
 # the small-exponent expansion; moment_recover fits only the rates within it
 MOMENT_CAP = 0.4
+# nonzero axial rates of a moment scan, half of each sign
+MOMENT_SAMPLES = 24
+# moments fitted beyond Gamma_0, and the Tikhonov weight of the axial factor's fit
+MOMENT_ORDER = 6
+MOMENT_RIDGE = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -63,11 +68,10 @@ class EigenMode:
     index: tuple
     lam: float          # continuum eigenvalue sum (k_i pi / L_i)^2
     lam_h: float        # eigenvalue of the discrete Laplacian on this grid
-    theta: float        # growth rate r - lam for the supplied r
     values: np.ndarray
 
 
-def neumann_eigenmode(domain: Domain, index, r: float = 0.0) -> EigenMode:
+def neumann_eigenmode(domain: Domain, index) -> EigenMode:
     index = tuple(int(k) for k in np.atleast_1d(index))
     if len(index) != domain.dim:
         raise ValueError(f"mode index {index} does not match dimension {domain.dim}")
@@ -83,7 +87,7 @@ def neumann_eigenmode(domain: Domain, index, r: float = 0.0) -> EigenMode:
         else:
             vals = np.multiply.outer(vals, axis_vals)
     vals.setflags(write=False)
-    return EigenMode(index=index, lam=lam, lam_h=lam_h, theta=r - lam, values=vals)
+    return EigenMode(index=index, lam=lam, lam_h=lam_h, values=vals)
 
 
 def slice_projections(values, weight):
@@ -101,11 +105,9 @@ def slice_projections(values, weight):
 
 
 def modal_amplitude(domain: Domain, values, mode: EigenMode):
-    """Projection coefficient of a field (or time stack) onto one eigenmode."""
+    """Projection coefficients of each slice of a time stack onto one eigenmode."""
     values = np.asarray(values)
     norm = float(np.sum(domain.weights * mode.values * mode.values))
-    if values.shape == domain.shape:
-        return float(np.sum(domain.weights * values * mode.values)) / norm
     flat = (values * mode.values).reshape(values.shape[0], -1)
     return (flat @ domain.weights.ravel()) / norm
 
@@ -275,8 +277,8 @@ def transform_samples(domain: Domain, values, descriptors) -> list:
     return out
 
 
-def moment_probe_descriptors(domain: Domain, n_samples: int = 24, anchor_mode: int = 1):
-    """Axial-rate scan at a fixed transverse anchor frequency.
+def moment_probe_descriptors(domain: Domain, anchor_mode: int = 1):
+    """Axial-rate scan of MOMENT_SAMPLES nonzero rates at a fixed transverse anchor frequency.
 
     Rates satisfy |rate| * diam <= MOMENT_CAP, the validity range of the
     small-exponent expansion whose coefficients are the scaled moments.  The
@@ -289,7 +291,7 @@ def moment_probe_descriptors(domain: Domain, n_samples: int = 24, anchor_mode: i
     xi = (anchor,) + (0.0,) * (domain.dim - 2)
     tmax = MOMENT_CAP / domain.diameter
     descriptors = [(xi, 0.0)]
-    half = max(n_samples // 2, 4)
+    half = MOMENT_SAMPLES // 2
     for i in range(1, half + 1):
         t = tmax * i / half
         descriptors.append((xi, +t))
@@ -316,8 +318,8 @@ def cosine_probe_descriptors(domain: Domain):
     return descriptors
 
 
-def separable_probe_set(domain: Domain, n_moment: int = 24, anchor_mode: int = 1):
-    return (moment_probe_descriptors(domain, n_moment, anchor_mode)
+def separable_probe_set(domain: Domain, anchor_mode: int = 1):
+    return (moment_probe_descriptors(domain, anchor_mode)
             + cosine_probe_descriptors(domain))
 
 
@@ -333,15 +335,15 @@ class MomentRecovery:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _fit_moments_from_scan(scan, gamma0: float, J: int):
+def _fit_moments_from_scan(scan, gamma0: float):
     """Least-squares moments from an axial-rate scan at one anchor frequency.
 
     With q(t) = alpha_hat(anchor) * M(t) and M(0) = Gamma_0 declared, the
     normalized samples Gamma_0 * q(t)/q(0) equal M(t) = sum_j Gamma_j t^j;
     fitting the polynomial with Gamma_0 pinned is a plain Vandermonde solve.
     """
-    base = scan.get(0.0)
-    if base is None or abs(base) < 1e-300:
+    base = scan[0.0]
+    if abs(base) < 1e-300:
         raise ValueError("anchor transform vanishes at rate zero; moment gauge unavailable")
     ts, ms = [], []
     for t, val in sorted(scan.items()):
@@ -349,14 +351,12 @@ def _fit_moments_from_scan(scan, gamma0: float, J: int):
             continue
         ts.append(t)
         ms.append(gamma0 * val / base)
-    if len(ts) < J:
-        raise ValueError(f"need at least {J} usable scan samples, got {len(ts)}")
     ts = np.asarray(ts)
     ms = np.asarray(ms)
     tmax = float(np.max(np.abs(ts)))
     # two guard coefficients absorb the truncation tail of the generating
     # function, which would otherwise bias the kept moments systematically
-    n_fit = min(J + 2, len(ts) - 1)
+    n_fit = min(MOMENT_ORDER + 2, len(ts) - 1)
     V = np.vander(ts / tmax, n_fit + 1, increasing=True)[:, 1:]
     rhs = ms - gamma0
     sol, _, _, sv = np.linalg.lstsq(V, rhs.real, rcond=None)
@@ -369,14 +369,14 @@ def _fit_moments_from_scan(scan, gamma0: float, J: int):
     cov_diag = np.diagonal(np.linalg.inv(V.T @ V))
     scale_back = tmax ** np.arange(1, n_fit + 1)
     sigmas_all = np.sqrt(np.maximum(sigma2 * cov_diag, 0.0)) / scale_back
-    sol = sol[:J] / scale_back[:J]
-    sigmas = np.maximum(sigmas_all[:J], 1e-14 * abs(gamma0))
+    sol = sol[:MOMENT_ORDER] / scale_back[:MOMENT_ORDER]
+    sigmas = np.maximum(sigmas_all[:MOMENT_ORDER], 1e-14 * abs(gamma0))
     gammas = np.concatenate([[gamma0], sol])
     sigmas = np.concatenate([[1e-14 * abs(gamma0)], sigmas])
     return gammas, sigmas, cond, imag_leak
 
 
-def _axial_from_moments(domain: Domain, gammas, sigmas, lambda_reg: float):
+def _axial_from_moments(domain: Domain, gammas, sigmas):
     """Axial factor from scaled moments by Tikhonov least squares in Legendre form.
 
     Raw monomial moments are catastrophically conditioned for more than a
@@ -400,16 +400,15 @@ def _axial_from_moments(domain: Domain, gammas, sigmas, lambda_reg: float):
     weight = weight / np.max(weight)        # relative reliability only
     A = q * weight[:, None]
     b = np.asarray(gammas) * weight
-    # Tikhonov directly on the Legendre coefficients: stack sqrt(lambda) rows
-    A_aug = np.vstack([A, math.sqrt(lambda_reg) * np.eye(J + 1)])
+    # Tikhonov directly on the Legendre coefficients: stack sqrt(MOMENT_RIDGE) rows
+    A_aug = np.vstack([A, math.sqrt(MOMENT_RIDGE) * np.eye(J + 1)])
     b_aug = np.concatenate([b, np.zeros(J + 1)])
     coeffs, _, _, sv = np.linalg.lstsq(A_aug, b_aug, rcond=None)
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
     return basis @ coeffs, cond
 
 
-def moment_recover(domain: Domain, samples, J: int = 6, gamma0: float = 1.0,
-                   lambda_reg: float = 1e-8) -> MomentRecovery:
+def moment_recover(domain: Domain, samples, gamma0: float) -> MomentRecovery:
     """Factor a separable function from its transform samples.
 
     ``samples`` are :class:`TransformSample` records over the union of the
@@ -434,14 +433,14 @@ def moment_recover(domain: Domain, samples, J: int = 6, gamma0: float = 1.0,
                 scans.setdefault(rec.xi_prime, {})[rec.axial_rate] = rec.value
 
     anchors = [xi for xi, scan in scans.items()
-               if 0.0 in scan and len(scan) > J]
+               if 0.0 in scan and len(scan) > MOMENT_ORDER]
     if not anchors:
         raise ValueError("no usable moment scan in the sample set (need a rate-0 anchor)")
     chosen = max(anchors, key=lambda xi: abs(scans[xi][0.0]))
-    gammas, sigmas, cond_m, leak = _fit_moments_from_scan(scans[chosen], gamma0, J)
+    gammas, sigmas, cond_m, leak = _fit_moments_from_scan(scans[chosen], gamma0)
     moments = MomentVector(gammas=gammas)
 
-    axial, cond_a = _axial_from_moments(domain, gammas, sigmas, lambda_reg)
+    axial, cond_a = _axial_from_moments(domain, gammas, sigmas)
 
     # transverse factor: cosine moments divided by the recovered axial transform
     x_n = domain.axes[-1]

@@ -467,7 +467,7 @@ def recover_r(oracle: Oracle, options: PipelineOptions | None = None,
     u1 = stack.order1.u
     times = stack.order1.times
 
-    fd_floor = max(stack.diagnostics.get("order1_corrections", [0.0])[-1], 1e-14)
+    fd_floor = max(stack.diagnostics["order1_corrections"][-1], 1e-14)
     scale = float(np.max(np.abs(u1))) or 1.0
     estimates, sigmas, details = [], [], {}
     for k, lam, theta, sigma in _modal_rates(domain, times, u1):
@@ -619,25 +619,31 @@ def recover_chi_xi_mu(oracle: Oracle, r: float,
     _require_stride_one(oracle, "chi/xi/mu recovery")
 
     data = [bank.stack(exp) for exp in exps]
+    for stack in data:
+        for name in "uvw":
+            domain.check_field(getattr(stack.order1, name), f"order-1 {name}", stacked=True)
 
     def blocks(stack, chi_xi_guess):
         # (steps, rows) for consecutive blocks of the density second-variation steps;
         # the rows s_chi, s_xi, s_mu and the residual b are a (4, steps in block, nodes)
-        # array, b the step source of the block's steps less r u2, from its slices of u2
+        # array, b the step source of the block's steps less r u2, from its slices of u2.
+        # One Drift per block, freed before the stack to bound the peak, upwinds both drift
+        # rows by the guess's frozen chi v - xi w pattern, or else each by its own potential
         o1, u2 = stack.order1, stack.order2.u
         n_res = len(u2) - 1
         for start in range(0, n_res, REGRESSOR_BLOCK):
             steps = slice(start, min(start + REGRESSOR_BLOCK, n_res))
             resid = step_source(domain, u2[start:steps.stop + 1], dt) - r * u2[steps]
             u, v, w = o1.u[steps], o1.v[steps], o1.w[steps]
-            if chi_xi_guess is None:
-                s_chi = -2.0 * g.advective_flux_div(domain, u, v)
-                s_xi = 2.0 * g.advective_flux_div(domain, u, w)
-            else:
-                chi_g, xi_g = chi_xi_guess
-                pat = g.upwind_patterns(domain, chi_g * v - xi_g * w)
-                s_chi = -2.0 * g.advective_flux_div_patterned(domain, u, v, pat)
-                s_xi = 2.0 * g.advective_flux_div_patterned(domain, u, w, pat)
+            drift, pattern = g.Drift(domain, u.shape), None
+            if chi_xi_guess is not None:
+                drift.load(chi_xi_guess[0] * v - chi_xi_guess[1] * w)
+                pattern = [vel > 0 for vel in drift.velocities]
+            drift.load(v)
+            s_chi = -2.0 * drift.divergence(u, pattern)
+            drift.load(w)
+            s_xi = 2.0 * drift.divergence(u, pattern)
+            del drift
             rows = np.stack([s_chi, s_xi, -2.0 * u ** 2, resid])
             yield steps, rows.reshape(4, len(u), -1)
 

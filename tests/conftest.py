@@ -5,7 +5,7 @@ import pytest
 from hypothesis import settings
 
 from archemo.forward import KineticsSpec, ParameterSet, SolverConfig, stored_times
-from archemo.grid import Domain
+from archemo.grid import Domain, Drift
 
 # property tests draw the same examples on every run, with no per-example deadline
 settings.register_profile("archemo", derandomize=True, deadline=None, database=None)
@@ -52,6 +52,19 @@ def rng():
 
 def make_kinetics(params, **kw):
     return KineticsSpec.from_parameters(params, **kw)
+
+
+def face_velocities(domain, potential):
+    """The face velocities dP/dx of a potential, or a stack of them, per axis, read
+    from a Drift of their own."""
+    drift = Drift(domain, potential.shape)
+    drift.load(potential)
+    return drift.velocities
+
+
+def upwind_patterns(domain, potential):
+    """The upwind masks of a potential per axis (True takes the lower node)."""
+    return [vel > 0 for vel in face_velocities(domain, potential)]
 
 
 def quick_cfg(tau=0, dt=1e-3, t_final=0.3, **kw):

@@ -208,7 +208,7 @@ def test_criterion_4_probe_identities():
         w_ax[0] = w_ax[-1] = domain.spacing[1] / 2
         gamma0 = float(np.sum(w_ax * (1.0 + domain.axes[1])))
         samples = transform_samples(domain, f, separable_probe_set(domain))
-        rec = moment_recover(domain, samples, J=6, gamma0=gamma0)
+        rec = moment_recover(domain, samples, gamma0=gamma0)
 
         def rel(a, b, axis):
             w = np.full(65, domain.spacing[axis])

@@ -10,14 +10,14 @@ from archemo.grid import (
     Drift,
     advective_flux_div,
     advective_flux_div_patterned,
-    face_velocities,
     helmholtz_solve,
     inner_product,
     laplacian_neumann,
     quadrature,
     spectral_helmholtz,
-    upwind_patterns,
 )
+
+from conftest import face_velocities, upwind_patterns
 
 
 def reference_cg(domain, source, decay, tol=1e-10, maxiter=200, precondition=True):

@@ -142,7 +142,7 @@ def test_readme_config_table_matches_the_schema():
         assert len(keys) == len(defaults), row
         for key, default in zip(keys, defaults):
             assert key in CONFIG_SCHEMA, row
-            assert _parse(CONFIG_SCHEMA[key], default) == CONFIG_SCHEMA[key], row
+            assert _parse(CONFIG_SCHEMA[key], default, key) == CONFIG_SCHEMA[key], row
             checked.append(key)
     assert "solver.dt" in checked and "ident.trials" in checked
 
@@ -278,7 +278,7 @@ def test_engineered_collision_along_degenerate_direction(line65, applied_params)
 # -- convergence study ----------------------------------------------------------------
 
 def test_convergence_study_orders():
-    rows = convergence_study(base_cells=33, levels=3)
+    rows = convergence_study()
     text = study_rows_to_text(rows)
     assert "cfl-violation" in text
     by_key = {}
@@ -296,11 +296,6 @@ def test_convergence_study_orders():
         assert abs(r.order - 1.0) <= 0.2
     flagged = [r for r in rows if r.flag]
     assert all(r.order is None for r in flagged)
-
-
-def test_convergence_study_needs_three_levels():
-    with pytest.raises(ValueError):
-        convergence_study(levels=2)
 
 
 # -- serialization ---------------------------------------------------------------------
@@ -491,6 +486,13 @@ MALFORMED_VALUES = [
     ("params.alpha", "cosine:base=1,amp=0.1,axis=3", "simulate", "axis 3 outside [-1, 1)"),
     ("init.f", "modes:offset=1,axis=2,terms=1x0.2", "simulate", "axis 2 outside [-1, 1)"),
     ("params.alpha", "cosine:bas=1", "simulate", "unknown argument 'bas'"),
+    ("solver.dt", "abc", "simulate", "config line 4: solver.dt: 'abc' does not parse"),
+    ("domain.cells", "65.0", "simulate", "config line 4: domain.cells: '65.0' does not parse"),
+    ("perturb.epsilons", "0.01, 0.005", "simulate",
+     "config line 4: perturb.epsilons: '0.01, 0.005' does not parse as space-separated float"),
+    ("params.alpha", "cosine:mode=1.5", "simulate",
+     "profile 'cosine:mode=1.5': argument mode: '1.5' does not parse as int"),
+    ("params.alpha", "modes:terms=1x0.2+", "simulate", "profile 'modes:terms=1x0.2+': argument terms"),
 ]
 
 

@@ -58,12 +58,6 @@ def test_eigenmode_discrete_residual():
     assert np.max(np.abs(resid)) < 1e-11
 
 
-def test_eigenmode_theta():
-    d = Domain(1.0, 33)
-    mode = neumann_eigenmode(d, (1,), r=0.5)
-    assert mode.theta == pytest.approx(0.5 - math.pi ** 2)
-
-
 def test_eigenmode_rejects_negative_index():
     with pytest.raises(ValueError):
         neumann_eigenmode(Domain(1.0, 33), (-1,))
@@ -193,7 +187,7 @@ def test_moment_round_trip_reference_case(square65):
     f = np.cos(math.pi * X) * (1.0 + Y)
     gamma0 = float(np.sum(_axis_weights(square65, 1) * (1.0 + square65.axes[1])))
     samples = transform_samples(square65, f, separable_probe_set(square65))
-    rec = moment_recover(square65, samples, J=6, gamma0=gamma0)
+    rec = moment_recover(square65, samples, gamma0=gamma0)
     assert rel_l2_1d(square65, rec.axial, 1.0 + square65.axes[1], axis=1) <= 0.05
     assert rel_l2_1d(square65, rec.transverse, np.cos(math.pi * square65.axes[0])) <= 0.05
     assert separability_misfit(square65, f, rec) <= 0.05
@@ -203,7 +197,7 @@ def test_moment_constant_axial(square65):
     alpha = 0.7 + 0.2 * np.sin(2 * math.pi * square65.axes[0])
     f = np.multiply.outer(alpha, np.ones(65))
     samples = transform_samples(square65, f, separable_probe_set(square65))
-    rec = moment_recover(square65, samples, J=6, gamma0=1.0)
+    rec = moment_recover(square65, samples, gamma0=1.0)
     assert np.max(np.abs(rec.axial - 1.0)) <= 1e-2
     assert rel_l2_1d(square65, rec.transverse, alpha) <= 1e-3
 
@@ -215,7 +209,7 @@ def test_moment_gauge_fixing(square65):
     f = (2.0 * np.cos(math.pi * X)) * ((1.0 + Y) / 2.0)
     gamma0 = float(np.sum(_axis_weights(square65, 1) * (1.0 + square65.axes[1])))
     samples = transform_samples(square65, f, separable_probe_set(square65))
-    rec = moment_recover(square65, samples, J=6, gamma0=gamma0)
+    rec = moment_recover(square65, samples, gamma0=gamma0)
     # with the gauge of the unscaled pair the original factors come back
     assert rel_l2_1d(square65, rec.axial, 1.0 + square65.axes[1], axis=1) <= 0.05
     assert rel_l2_1d(square65, rec.transverse, np.cos(math.pi * square65.axes[0])) <= 0.05
@@ -228,7 +222,7 @@ def test_moment_anchor_invariance(square65):
     recs = []
     for anchor in (1, 2):
         samples = transform_samples(square65, f, separable_probe_set(square65, anchor_mode=anchor))
-        recs.append(moment_recover(square65, samples, J=6, gamma0=gamma0))
+        recs.append(moment_recover(square65, samples, gamma0=gamma0))
     gap = rel_l2_1d(square65, recs[0].axial, recs[1].axial, axis=1)
     assert gap <= 1e-3
 
@@ -238,7 +232,7 @@ def test_moment_rejects_zero_gamma0(square65):
     f = np.cos(math.pi * X) * (1.0 + Y)
     samples = transform_samples(square65, f, separable_probe_set(square65))
     with pytest.raises(ValueError):
-        moment_recover(square65, samples, J=6, gamma0=0.0)
+        moment_recover(square65, samples, gamma0=0.0)
 
 
 def test_moment_needs_scan(square65):
@@ -246,11 +240,11 @@ def test_moment_needs_scan(square65):
     f = np.cos(math.pi * X) * (1.0 + Y)
     samples = transform_samples(square65, f, cosine_probe_descriptors(square65))
     with pytest.raises(ValueError):
-        moment_recover(square65, samples, J=6, gamma0=1.5)
+        moment_recover(square65, samples, gamma0=1.5)
 
 
 def test_moment_probe_descriptor_caps(square65):
-    descs = moment_probe_descriptors(square65, n_samples=20)
+    descs = moment_probe_descriptors(square65)
     for _, rate in descs:
         assert abs(rate) * square65.diameter <= 0.4 * (1 + 1e-12)
 

@@ -34,18 +34,16 @@ from archemo.grid import (
     Domain,
     advective_flux_div,
     advective_flux_div_patterned,
-    face_velocities,
     helmholtz_solve,
     laplacian_neumann,
     spectral_helmholtz,
-    upwind_patterns,
 )
 from archemo import forward
 from archemo.harness import _PROFILE_ARGS, build_profile
 from archemo.recover import FIT_REL_FLOOR, _node_gram, fit_exponential_rate, rate_to_growth
 from archemo.variation import ForwardHandle, PerturbationFamily, extract_variation_fd, known_base
 
-from conftest import replay
+from conftest import face_velocities, replay, upwind_patterns
 
 EPS = np.finfo(float).eps
 

@@ -23,7 +23,7 @@ from archemo.recover import (
 )
 from archemo.variation import PerturbationFamily
 
-from conftest import component_bytes, make_kinetics, replay, traced_peak
+from conftest import component_bytes, make_kinetics, replay, traced_peak, upwind_patterns
 
 
 def _oracle(domain, params, tau=0, dt=1e-3, t_final=0.6, so_g=None, so_h=None, **cfg_kw):
@@ -233,19 +233,50 @@ def test_chi_xi_mu_builds_patterned_regressors_once_per_pass(line65, nondegenera
     opts = PipelineOptions(recover_fields=False)
     bank = ExperimentBank(oracle)
     r_hat = recover_r(oracle, options=opts, bank=bank).estimates["r"]
-    slices, patterned = [], grid_mod.advective_flux_div_patterned
+    slices, divergence = [], grid_mod.Drift.divergence
 
-    def counting(domain, u, *args, **kwargs):
-        slices.append(u.shape[0])
-        return patterned(domain, u, *args, **kwargs)
+    def counting(self, u, patterns=None):
+        if patterns is not None:
+            slices.append(u.shape[0])
+        return divergence(self, u, patterns)
 
-    monkeypatch.setattr(grid_mod, "advective_flux_div_patterned", counting)
+    monkeypatch.setattr(grid_mod.Drift, "divergence", counting)
     rec = recover_chi_xi_mu(oracle, r_hat, options=opts, bank=bank)
     assert rc.PATTERN_PASSES == 2 and len(rc.PROBE_ZETA_MULTIPLIERS) == 4
     n_res = sum(len(bank.stack(exp).order2.times) - 1
                 for exp in rc._default_chi_experiments(line65, opts))
     assert sum(slices) == 4 * n_res
     assert rec.residuals["probe_identity"] >= 0
+
+
+@pytest.mark.parametrize("t_final", [0.1, 0.3], ids=["one-block", "three-blocks"])
+def test_chi_xi_mu_builds_one_drift_per_block_per_pass(line65, nondegenerate_params,
+                                                      monkeypatch, t_final):
+    # every pass over the regressors, the PATTERN_PASSES fits and the probe identities,
+    # builds one Drift for each block of REGRESSOR_BLOCK steps of each experiment, shaped
+    # as the block; the experiments are extracted first, so no forward step is counted
+    import archemo.grid as grid_mod
+    import archemo.recover as rc
+    oracle = _oracle(line65, nondegenerate_params, dt=2e-3, t_final=t_final)
+    opts = PipelineOptions(recover_fields=False)
+    bank = ExperimentBank(oracle)
+    r_hat = recover_r(oracle, options=opts, bank=bank).estimates["r"]
+    blocks = []
+    for exp in rc._default_chi_experiments(line65, opts):
+        n_res = len(bank.stack(exp).order2.times) - 1
+        blocks += [(min(rc.REGRESSOR_BLOCK, n_res - start),) + line65.shape
+                   for start in range(0, n_res, rc.REGRESSOR_BLOCK)]
+    assert len(blocks) == 3 * (1 if t_final == 0.1 else 3)
+    shapes = []
+
+    class CountingDrift(grid_mod.Drift):
+        def __init__(self, domain, shape):
+            shapes.append(shape)
+            super().__init__(domain, shape)
+
+    monkeypatch.setattr(grid_mod, "Drift", CountingDrift)
+    recover_chi_xi_mu(oracle, r_hat, options=opts, bank=bank)
+    assert shapes == blocks * (rc.PATTERN_PASSES + 1)
 
 
 def _reference_chi_xi_mu(oracle, r, bank, exps):
@@ -260,7 +291,7 @@ def _reference_chi_xi_mu(oracle, r, bank, exps):
     import archemo.probes as pr
     import archemo.recover as rc
     from archemo.forward import step_source
-    from archemo.grid import advective_flux_div, advective_flux_div_patterned, upwind_patterns
+    from archemo.grid import advective_flux_div, advective_flux_div_patterned
     domain, dt = oracle.domain, oracle.cfg.dt
     data = []
     for exp in exps:
